@@ -16,6 +16,11 @@ from . import linalg
 from .errors import ValidationError
 
 
+# Moduli must lie below this bound, so that linalg's int64 arithmetic is
+# exact (see the overflow bound in its docstring) and _is_prime stays short.
+MAX_MODULUS = 1 << 26
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -34,6 +39,8 @@ class Field:
     p: int
 
     def __post_init__(self):
+        if self.p >= MAX_MODULUS:
+            raise ValidationError(f"modulus {self.p} is not below the supported bound 2^26")
         if not _is_prime(self.p):
             raise ValidationError(f"{self.p} is not prime")
 
@@ -49,6 +56,8 @@ class Algebra:
     radical_basis: tuple  # basis indices spanning rad(A)
     name: str = ""
     _left_mul: dict = field(default_factory=dict, compare=False, repr=False)
+    # modules over this algebra that modules.py builds once and shares
+    _modules: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -66,9 +75,9 @@ class Algebra:
         p = self.p
         out = np.zeros(self.dim, dtype=np.int64)
         for i in range(self.dim):
-            if a[i] % p == 0:
-                continue
-            out = (out + a[i] * (self.mul[i].T @ (b % p))) % p
+            c = int(a[i]) % p
+            if c:
+                out = (out + c * ((self.left_multiplication(i) @ (b % p)) % p)) % p
         return out
 
     def validate(self) -> None:

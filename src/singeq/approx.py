@@ -106,7 +106,7 @@ def complete_resolution(M: Module, bound: int = 8,
     i, j, psi = wrap_pos
     q_pos = j - i
     # wrap differential P_i -> P_{j-1}: project to Z_i, transport, include
-    w = (kappas[j - 1].matrix @ psi.matrix @ pis[i].matrix) % p
+    w = ((kappas[j - 1].matrix @ psi.matrix) % p @ pis[i].matrix) % p
 
     # right half: injective envelopes, required to stay projective
     Cs = [M]
@@ -135,7 +135,7 @@ def complete_resolution(M: Module, bound: int = 8,
     s, t, phi = wrap_neg
     q_neg = t - s
     # wrap differential E_{t-1} -> E_s: project to C_t, transport, include
-    v = (iotas[s].matrix @ phi.matrix @ projs[t - 1].matrix) % p
+    v = ((iotas[s].matrix @ phi.matrix) % p @ projs[t - 1].matrix) % p
 
     def pidx(n: int) -> int:  # degree n >= 0 -> index into Ps
         return n if n < j else i + (n - i) % q_pos
@@ -151,8 +151,8 @@ def complete_resolution(M: Module, bound: int = 8,
         if n >= 1:
             if n >= j and (n - i) % q_pos == 0:
                 return w
-            k = pidx(n)
-            return (kappas[k].matrix @ pis[k].matrix) % p
+            k = pidx(n)  # P_k -> Z_k -> P_{k-1}
+            return (kappas[k - 1].matrix @ pis[k].matrix) % p
         if n == 0:
             return (iotas[0].matrix @ pis[0].matrix) % p
         c = -n  # envelope count of the target degree n-1... source is eidx(n)
@@ -327,7 +327,7 @@ def stalk_replacement(S: Complex, which: str,
         triple = gp_gi_approximation(N, "GP", options)
         T, iso = complete_resolution(triple.mid, bound, options)
         _, proj = functors.omega_data(T)
-        q0 = (triple.epi.matrix @ iso.matrix @ proj.matrix) % p
+        q0 = ((triple.epi.matrix @ iso.matrix) % p @ proj.matrix) % p
         q = chain_map(T, S, {0: q0})
         if not q.is_epi():
             raise ValidationError("replacement map is not an epi in degree 0")

@@ -173,7 +173,7 @@ def verify_round_trip(X: Complex, side: str = "P",
         u2 = second.replacement.triple.mono.matrix  # omega(P2) -> Y'
         iso1 = _cycles_identification(second)  # Y' -> theta(I2)
         THY2 = functors.theta(second.object)
-        target_mat = (iso1 @ u2 @ linalg.invert(iso2.matrix, p)) % p  # M2 -> theta(I2)
+        target_mat = ((iso1 @ u2) % p @ linalg.invert(iso2.matrix, p)) % p  # M2 -> theta(I2)
         Pcov, cov = modules.projective_cover(THY2)
         cbar = _solve_stable_extension(target_mat, tg.epi.matrix, cov.matrix,
                                        Z, tg.mid, THY2, Pcov, p)

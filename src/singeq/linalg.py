@@ -1,12 +1,23 @@
 """Exact dense linear algebra over prime fields F_p.
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Everything
-here is plain Gaussian elimination; fixture sizes make speed a non-issue.
+rests on one Gauss-Jordan elimination, ``rref``, whose pivot steps are
+whole-array operations: the pivot is found with one vector operation on
+the column, only the pivot row's tail is scaled, and the column is cleared
+with a single rank-one update restricted to the rows where it is nonzero.
+The systems built by ``solver`` are tall and sparse, so that restriction
+touches a small share of the rows.  Solving, kernels, inverses and basis
+completion each run one elimination on an augmented matrix.
+
+Overflow bound: a product of two reduced entries is below p^2, and a
+matrix product with inner dimension m sums m of them, so int64 is exact
+while m * (p - 1)^2 < 2^63.  ``algebra.Field`` accepts only p < 2^26
+(``MAX_MODULUS``), which keeps that true for inner dimensions up to 2^11;
+a chain of products is reduced mod p after each product.  The row update
+in ``rref`` stays below p^2.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,84 +42,68 @@ def inv_mod(a: int, p: int) -> int:
 
 def rref(A: np.ndarray, p: int):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = reduce_mod(A, p).copy()
+    R = reduce_mod(A, p)
     rows, cols = R.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pr = None
-        for i in range(r, rows):
-            if R[i, c] % p:
-                pr = i
-                break
-        if pr is None:
+        below = R[r:, c].nonzero()[0]
+        if not below.size:
             continue
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        R[r] = (R[r] * inv_mod(R[r, c], p)) % p
-        for i in range(rows):
-            if i != r and R[i, c]:
-                R[i] = (R[i] - R[i, c] * R[r]) % p
+        if below[0]:
+            pr = r + below[0]
+            R[[r, pr], c:] = R[[pr, r], c:]
+        if R[r, c] != 1:
+            R[r, c:] = (R[r, c:] * inv_mod(R[r, c], p)) % p
+        # the pivot row is zero left of c, so only columns c: change
+        col = R[:, c].copy()
+        col[r] = 0
+        hit = col.nonzero()[0]
+        if hit.size:
+            R[hit, c:] = (R[hit, c:] - col[hit, None] * R[r, c:]) % p
         pivots.append(c)
         r += 1
     return R, pivots
 
 
 def rank(A: np.ndarray, p: int) -> int:
-    if A.size == 0:
-        return 0
     return len(rref(A, p)[1])
 
 
 def kernel_basis(A: np.ndarray, p: int) -> np.ndarray:
     """Columns span Null(A); shape (cols, nullity)."""
-    A = reduce_mod(A, p)
-    rows, cols = A.shape
     R, pivots = rref(A, p)
-    free = [c for c in range(cols) if c not in pivots]
-    K = zeros(cols, len(free))
-    for j, fc in enumerate(free):
-        K[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            K[pc, j] = (-R[i, fc]) % p
+    cols = R.shape[1]
+    free = np.setdiff1d(np.arange(cols), pivots)
+    K = zeros(cols, free.size)
+    K[free, np.arange(free.size)] = 1
+    K[pivots] = (-R[: len(pivots), free]) % p
     return K
-
-
-def solve(A: np.ndarray, b: np.ndarray, p: int):
-    """One solution of A x = b, or None if inconsistent."""
-    A = reduce_mod(A, p)
-    b = reduce_mod(b, p).reshape(-1)
-    if b.shape[0] != A.shape[0]:
-        raise DimensionMismatch(
-            f"matrix has {A.shape[0]} rows but vector has {b.shape[0]} entries"
-        )
-    aug = np.hstack([A, b.reshape(-1, 1)])
-    R, pivots = rref(aug, p)
-    if A.shape[1] in pivots:
-        return None
-    x = zeros(A.shape[1], 1).reshape(-1)
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, -1]
-    return x
 
 
 def solve_matrix(A: np.ndarray, B: np.ndarray, p: int):
     """One X with A X = B, or None.  B may have several columns."""
-    A = reduce_mod(A, p)
-    B = reduce_mod(B, p)
+    A = np.asarray(A)
+    B = np.asarray(B)
     if B.shape[0] != A.shape[0]:
-        raise DimensionMismatch("row counts differ")
-    cols = []
-    for j in range(B.shape[1]):
-        x = solve(A, B[:, j], p)
-        if x is None:
-            return None
-        cols.append(x)
-    if not cols:
-        return zeros(A.shape[1], 0)
-    return np.column_stack(cols) % p
+        raise DimensionMismatch(
+            f"matrix has {A.shape[0]} rows but right-hand side has {B.shape[0]}"
+        )
+    n = A.shape[1]
+    R, pivots = rref(np.hstack([A, B]), p)
+    if pivots and pivots[-1] >= n:
+        return None
+    X = zeros(n, B.shape[1])
+    X[pivots] = R[: len(pivots), n:]
+    return X
+
+
+def solve(A: np.ndarray, b: np.ndarray, p: int):
+    """One solution of A x = b, or None if inconsistent."""
+    X = solve_matrix(A, np.asarray(b).reshape(-1, 1), p)
+    return None if X is None else X[:, 0]
 
 
 def column_space_basis(A: np.ndarray, p: int) -> np.ndarray:
@@ -119,20 +114,15 @@ def column_space_basis(A: np.ndarray, p: int) -> np.ndarray:
 
 
 def extend_to_basis(B: np.ndarray, p: int) -> np.ndarray:
-    """Complete the independent columns of B to a basis of F_p^rows."""
-    rows = B.shape[0]
-    cur = B.copy()
-    r = rank(cur, p)
-    for i in range(rows):
-        if r == rows:
-            break
-        e = zeros(rows, 1)
-        e[i, 0] = 1
-        cand = np.hstack([cur, e])
-        if rank(cand, p) > r:
-            cur = cand
-            r += 1
-    return cur
+    """Complete the independent columns of B to a basis of F_p^rows.
+
+    The added columns are the unit vectors that are pivot columns of
+    [B | I], i.e. each e_i not in the span of B and the earlier e_j.
+    """
+    rows, k = B.shape
+    I = eye(rows)
+    _, pivots = rref(np.hstack([B, I]), p)
+    return np.hstack([B, I[:, [c - k for c in pivots if c >= k]]])
 
 
 def invert(A: np.ndarray, p: int):
@@ -140,28 +130,4 @@ def invert(A: np.ndarray, p: int):
     n = A.shape[0]
     if A.shape[1] != n:
         raise DimensionMismatch("matrix not square")
-    if n == 0:
-        return zeros(0, 0)
-    aug = np.hstack([reduce_mod(A, p), eye(n)])
-    R, pivots = rref(aug, p)
-    if pivots[: n] != list(range(n)) or len(pivots) < n:
-        return None
-    return R[:, n:].copy()
-
-
-@dataclass
-class LinearSolution:
-    """Outcome of solve_and_kernel: particular solution, kernel, rank."""
-
-    particular: np.ndarray | None
-    kernel: np.ndarray
-    rank: int
-
-
-def solve_and_kernel(A: np.ndarray, b: np.ndarray | None, p: int) -> LinearSolution:
-    """Particular solution of A x = b (if b given), kernel basis and rank."""
-    A = reduce_mod(A, p)
-    part = None
-    if b is not None:
-        part = solve(A, b, p)
-    return LinearSolution(particular=part, kernel=kernel_basis(A, p), rank=rank(A, p))
+    return solve_matrix(A, eye(n), p)

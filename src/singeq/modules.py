@@ -102,7 +102,12 @@ class ModuleMap:
 
 
 def zero_module(algebra: Algebra) -> Module:
-    return Module(algebra, 0, tuple(linalg.zeros(0, 0) for _ in range(algebra.dim)))
+    """The zero module over algebra; one shared instance per algebra."""
+    Z = algebra._modules.get("zero")
+    if Z is None:
+        Z = Module(algebra, 0, tuple(linalg.zeros(0, 0) for _ in range(algebra.dim)))
+        algebra._modules["zero"] = Z
+    return Z
 
 
 def zero_map(source: Module, target: Module) -> ModuleMap:

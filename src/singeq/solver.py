@@ -76,7 +76,7 @@ class FoldedSystem:
     def solve(self):
         """Particular solution as {degree: matrix}, or None."""
         A, b = self._stack()
-        x = linalg.solve(A, b, self.p) if A.shape[0] else linalg.zeros(self.total, 1).reshape(-1)
+        x = linalg.solve(A, b, self.p)
         if x is None:
             return None
         return self.unpack(x)
@@ -84,9 +84,7 @@ class FoldedSystem:
     def kernel(self):
         """Basis of the homogeneous solution space, unpacked per degree."""
         A, _ = self._stack()
-        if self.total == 0:
-            return []
-        K = linalg.kernel_basis(A, self.p) if A.shape[0] else linalg.eye(self.total)
+        K = linalg.kernel_basis(A, self.p)
         return [self.unpack(K[:, j]) for j in range(K.shape[1])]
 
     def unpack(self, vec: np.ndarray) -> dict:

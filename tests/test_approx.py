@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from singeq import approx, complexes, fixtures, functors, homotopy, modelcat, modules
+from singeq import (algebra, approx, complexes, fixtures, functors, homotopy, linalg,
+                    modelcat, modules)
 from singeq.homotopy import YES
 from singeq.modelcat import CERTIFIED
 
@@ -77,6 +78,20 @@ class TestCompleteResolution:
         assert T.bounded()
 
 
+@pytest.fixture(scope="module", params=[2, 3, 2 ** 26 - 5], ids=["F2", "F3", "Fmax"])
+def cubic(request):
+    """F_p[x]/(x^3) in the basis 1, x, x^2; Fmax is the largest allowed p."""
+    n = 3
+    mul = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n - i):
+            mul[i, j, i + j] = 1
+    alg = algebra.Algebra(algebra.Field(request.param), n, ("1", "x", "x^2"), mul,
+                          linalg.eye(n)[0], (0,), (1, 2), name=f"D3/F{request.param}")
+    alg.validate()
+    return alg
+
+
 class TestStalkReplacement:
     def test_cofibrant_replacement_of_stalk_k(self, k, t_per):
         rep = approx.stalk_replacement(functors.stalk(k), "cofibrant_ctr")
@@ -104,6 +119,27 @@ class TestStalkReplacement:
                 complexes.identity_chain_map(rep.object))
             # replacement of a projective-injective stalk is contractible
             assert res.verdict == YES
+
+    @pytest.mark.parametrize("which", ["cofibrant_ctr", "fibrant_co"])
+    def test_stalk_k_over_cubic_truncated_polynomials(self, cubic, which):
+        # k has syzygy period 2 here (Omega k = x A, Omega^2 k = k), so the
+        # left half has differentials that are not the wrap differential
+        k = modules.Module(cubic, 1, (linalg.eye(1),) + (linalg.zeros(1, 1),) * 2)
+        k.validate()
+        rep = approx.stalk_replacement(functors.stalk(k), which)
+        assert rep.verdict == YES
+        rep.object.validate()
+        rep.map.validate()
+        rep.triple.verify()
+        for piece in (rep.upper, rep.lower):
+            assert piece.verdict == CERTIFIED
+            assert homotopy.verify_certificate(piece.certificate)
+        if which == "cofibrant_ctr":
+            assert homotopy.is_exP(rep.object) and rep.map.is_epi()
+            assert rep.witness.is_invertible()
+        else:
+            assert homotopy.is_exI(rep.object) and rep.map.is_mono()
+            assert rep.witness.is_injective()
 
     def test_rejects_non_stalk(self, t_per):
         from singeq.errors import ValidationError
