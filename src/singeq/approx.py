@@ -310,9 +310,10 @@ def stalk_replacement(S: Complex, which: str,
     if fam is None:
         fam = modelcat.default_family(S.algebra, options)
     bound = options.periodicity_bound
-    # replacements depend only on the stalk module's presentation
+    # replacements depend only on the stalk module's presentation and on
+    # every search bound, so the key holds the full Options
     key = (id(S.algebra), which, N.dim,
-           tuple(a.tobytes() for a in N.action), id(fam), bound)
+           tuple(a.tobytes() for a in N.action), id(fam), options)
     cached = _REPLACEMENT_CACHE.get(key)
     if cached is not None:
         old = cached

@@ -3,8 +3,19 @@
 A complex stores modules and differentials on a window lo..hi plus
 optional periodic tails on either side; absent tails mean zero modules.
 Everything outside the window is reached through the term/diff accessors,
-which fold degrees into the periodic blocks.  All constructors validate
-d*d = 0 across the window, both seams and one tail period.
+which fold degrees into the periodic blocks.
+
+Constructors validate by default.  Complex.validate and ChainMap.validate
+cover every degree of a check range: the window (for a chain map, the
+hull of its own window and those of its complexes) widened by 2q+1 on
+each side, where q is the lcm of all tail periods.  At each degree they
+check the shape of the differential or component, that it intertwines the
+algebra actions, and d*d = 0 or f d = d f.  Tail blocks repeat with their
+period across the range, so each distinct block -- the same source module,
+target module and matrix objects, or the same matrices -- is checked once
+per call; the shape check runs at every degree.  modules.ModuleMap.validate
+checks all intertwining relations of one matrix with a single batched
+product per side against the modules' stacked actions.
 """
 
 from __future__ import annotations
@@ -29,6 +40,22 @@ class Tail:
     def __post_init__(self):
         if self.period != len(self.terms) or self.period != len(self.diffs):
             raise ValidationError("tail period does not match block count")
+
+
+def _first_time(seen: dict, *objs) -> bool:
+    """True unless these very objects were already checked in this call.
+
+    The tail blocks repeat with the tail period across a check range, so a
+    validation meets the same (module, module, matrix) or matrix tuple
+    again and again.  seen keeps every keyed object alive, so no id in a
+    key can pass to a new object, such as a fresh zero array, in the call.
+    Keys of different checks differ in length and so never collide.
+    """
+    key = tuple(map(id, objs))
+    if key in seen:
+        return False
+    seen[key] = objs
+    return True
 
 
 def _lcm(values) -> int:
@@ -138,16 +165,18 @@ class Complex:
             if n not in self.terms:
                 raise ValidationError(f"missing term at degree {n}")
         a, b = self.check_range()
+        seen = {}
         for n in range(a, b + 1):
             d = self.diff(n)
             src, tgt = self.term(n), self.term(n - 1)
             if d.shape != (tgt.dim, src.dim):
                 raise ValidationError(f"differential at degree {n} has wrong shape")
-            ModuleMap(src, tgt, d).validate()
+            if _first_time(seen, src, tgt, d):
+                ModuleMap(src, tgt, d).validate()
         p = self.algebra.p
         for n in range(a, b):
-            dd = (self.diff(n) @ self.diff(n + 1)) % p
-            if dd.any():
+            d0, d1 = self.diff(n), self.diff(n + 1)
+            if _first_time(seen, d0, d1) and ((d0 @ d1) % p).any():
                 raise ValidationError(f"d*d != 0 at degree {n + 1}")
 
 
@@ -248,15 +277,20 @@ class ChainMap(GradedMap):
             raise DimensionMismatch("chain map across different algebras")
         p = self.source.algebra.p
         a, b = self.check_range()
+        seen = {}
         for n in range(a, b + 1):
             f = self.component(n)
-            if f.shape != (self.target.term(n).dim, self.source.term(n).dim):
+            src, tgt = self.source.term(n), self.target.term(n)
+            if f.shape != (tgt.dim, src.dim):
                 raise ValidationError(f"component at degree {n} has wrong shape")
-            ModuleMap(self.source.term(n), self.target.term(n), f).validate()
+            if _first_time(seen, src, tgt, f):
+                ModuleMap(src, tgt, f).validate()
         for n in range(a + 1, b + 1):
-            lhs = (self.component(n - 1) @ self.source.diff(n)) % p
-            rhs = (self.target.diff(n) @ self.component(n)) % p
-            if not np.array_equal(lhs, rhs):
+            f0, dS = self.component(n - 1), self.source.diff(n)
+            dT, f1 = self.target.diff(n), self.component(n)
+            if not _first_time(seen, f0, dS, dT, f1):
+                continue
+            if not np.array_equal((f0 @ dS) % p, (dT @ f1) % p):
                 raise ValidationError(f"does not commute with d at degree {n}")
 
     def is_mono(self) -> bool:

@@ -126,13 +126,6 @@ class AdjunctionWitness:
         return chain_map(apply_F(self.X), self.Y,
                          {0: (incl.matrix @ psiT.T) % p})
 
-    def middle(self, f: ChainMap) -> ModuleMap:
-        """The Hom_R(omega X, theta Y) form of a map in Hom(F X, Y)."""
-        p = self.X.algebra.p
-        _, incl = theta_data(self.Y)
-        phi = linalg.solve_matrix(incl.matrix, f.component(0), p)
-        return ModuleMap(omega(self.X), theta(self.Y), phi)
-
 
 def transpose(witness: AdjunctionWitness, f: ChainMap, direction: str) -> ChainMap:
     if direction == "forward":

@@ -158,7 +158,7 @@ def search_periodic_homotopy(f: ChainMap, m: int):
 
 
 def _gorenstein_dim(algebra, options: Options):
-    key = id(algebra)
+    key = (id(algebra), options)
     if key not in _GORENSTEIN_CACHE:
         _GORENSTEIN_CACHE[key] = (
             algebra, modules.gorenstein_dimension(algebra, options.gorenstein_bound))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,11 @@ class Module:
     def is_zero(self) -> bool:
         return self.dim == 0
 
+    @cached_property
+    def stacked_action(self) -> np.ndarray:
+        """The action matrices as one (algebra.dim x dim x dim) array."""
+        return np.stack(self.action)
+
 
 @dataclass(frozen=True, eq=False)
 class ModuleMap:
@@ -76,11 +82,14 @@ class ModuleMap:
         p = self.source.algebra.p
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise DimensionMismatch("map matrix has wrong shape")
-        for i in range(self.source.algebra.dim):
-            lhs = (self.matrix @ self.source.action[i]) % p
-            rhs = (self.target.action[i] @ self.matrix) % p
-            if not np.array_equal(lhs, rhs):
-                raise ValidationError(f"matrix does not intertwine action {i}")
+        if self.matrix.size == 0:
+            return
+        # all relations F a_i = b_i F at once, one batched product per side
+        lhs = (self.matrix @ self.source.stacked_action) % p
+        rhs = (self.target.stacked_action @ self.matrix) % p
+        bad = (lhs != rhs).any(axis=(1, 2))
+        if bad.any():
+            raise ValidationError(f"matrix does not intertwine action {bad.argmax()}")
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other."""
@@ -160,14 +169,13 @@ def submodule(M: Module, basis: np.ndarray) -> tuple:
     p = M.algebra.p
     basis = linalg.column_space_basis(basis % p, p)
     k = basis.shape[1]
-    action = []
-    for i in range(M.algebra.dim):
-        img = (M.action[i] @ basis) % p
-        X = linalg.solve_matrix(basis, img, p)
-        if X is None:
-            raise ValidationError("span is not invariant under the action")
-        action.append(X)
-    sub = Module(M.algebra, k, tuple(action))
+    # one solve against the images of the basis under every action matrix
+    images = np.hstack([(a @ basis) % p for a in M.action])
+    X = linalg.solve_matrix(basis, images, p)
+    if X is None:
+        raise ValidationError("span is not invariant under the action")
+    action = tuple(X[:, i * k : (i + 1) * k].copy() for i in range(M.algebra.dim))
+    sub = Module(M.algebra, k, action)
     return sub, ModuleMap(sub, M, basis)
 
 
@@ -340,26 +348,20 @@ class SplitClass:
 def _find_one_sided_inverse(f: ModuleMap, side: str):
     """Section (f s = id) or retraction (r f = id) inside the hom space."""
     p = f.source.algebra.p
-    if side == "section":
-        basis = hom_basis(f.target, f.source)
-        mats = [(f.matrix @ h.matrix) % p for h in basis]
-        dim = f.target.dim
-        make = lambda m: ModuleMap(f.target, f.source, m)
-    else:
-        basis = hom_basis(f.target, f.source)
-        mats = [(h.matrix @ f.matrix) % p for h in basis]
-        dim = f.source.dim
-        make = lambda m: ModuleMap(f.target, f.source, m)
+    section = side == "section"
+    dim = f.target.dim if section else f.source.dim
     if dim == 0:
-        return make(linalg.zeros(f.source.dim, f.target.dim))
+        return ModuleMap(f.target, f.source, linalg.zeros(f.source.dim, f.target.dim))
+    basis = hom_basis(f.target, f.source)
     if not basis:
         return None
+    mats = [f.matrix @ h.matrix if section else h.matrix @ f.matrix for h in basis]
     cols = np.column_stack([m.reshape(-1) for m in mats]) % p
     lam = linalg.solve(cols, linalg.eye(dim).reshape(-1), p)
     if lam is None:
         return None
     total = sum(int(lam[i]) * basis[i].matrix for i in range(len(basis)))
-    return make(np.asarray(total, dtype=np.int64) % p)
+    return ModuleMap(f.target, f.source, np.asarray(total, dtype=np.int64) % p)
 
 
 def split_class(M: Module) -> SplitClass:

@@ -17,6 +17,12 @@ from .config import Options
 from .errors import ValidationError
 
 
+def _kron(M: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """np.kron(M, N) for matrices, as one broadcast multiply."""
+    return (M[:, None, :, None] * N[None, :, None, :]).reshape(
+        M.shape[0] * N.shape[0], M.shape[1] * N.shape[1])
+
+
 class FoldedSystem:
     def __init__(self, p: int, shapes: dict, lo: int, hi: int,
                  fold_period: int = 0, extras: dict | None = None):
@@ -63,7 +69,7 @@ class FoldedSystem:
             if M.shape != (rhs.shape[0], ur) or N.shape != (uc, rhs.shape[1]):
                 raise ValidationError("equation term has inconsistent shape")
             block[:, off : off + ur * uc] = (
-                block[:, off : off + ur * uc] + np.kron(M, N.T)
+                block[:, off : off + ur * uc] + _kron(M, N.T)
             ) % self.p
         self.rows.append(block)
         self.rhs.append(rhs.reshape(-1) % self.p)

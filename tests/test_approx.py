@@ -5,7 +5,8 @@ import pytest
 
 from singeq import (algebra, approx, complexes, fixtures, functors, homotopy, linalg,
                     modelcat, modules)
-from singeq.homotopy import YES
+from singeq.config import Options
+from singeq.homotopy import UNKNOWN, YES
 from singeq.modelcat import CERTIFIED
 
 
@@ -21,6 +22,12 @@ class TestGorenstein:
     def test_f2_semisimple(self, F2):
         rep = approx.check_gorenstein(F2, 5)
         assert rep.verdict == "GORENSTEIN" and rep.dimension == 0
+
+    def test_cached_dimension_honours_gorenstein_bound(self, T2):
+        # T2 has Gorenstein dimension 1, so a bound of 0 finds none, also
+        # after a call with the default bound
+        assert homotopy._gorenstein_dim(T2, Options()) == 1
+        assert homotopy._gorenstein_dim(T2, Options(gorenstein_bound=0)) is None
 
 
 class TestApproximationTriples:
@@ -140,6 +147,18 @@ class TestStalkReplacement:
         else:
             assert homotopy.is_exI(rep.object) and rep.map.is_mono()
             assert rep.witness.is_injective()
+
+    def test_verdict_does_not_depend_on_call_history(self):
+        # with no periodic homotopy search the replacement cannot be
+        # certified; a cached default-options result must not leak in
+        S = functors.apply_F(fixtures.t_per())
+        tight = Options(homotopy_period_bound=0)
+        cold = approx.stalk_replacement(S, "cofibrant_ctr", options=tight)
+        warm_up = approx.stalk_replacement(S, "cofibrant_ctr")
+        warm = approx.stalk_replacement(S, "cofibrant_ctr", options=tight)
+        assert warm_up.verdict == YES
+        assert cold.verdict == UNKNOWN
+        assert warm.verdict == UNKNOWN
 
     def test_rejects_non_stalk(self, t_per):
         from singeq.errors import ValidationError

@@ -46,6 +46,81 @@ class TestExactness:
                 {1: np.eye(2, dtype=np.int64), 2: np.eye(2, dtype=np.int64)})
 
 
+X_D2 = np.array([[0, 0], [1, 0]], dtype=np.int64)  # x on basis (1, x)
+I2 = np.eye(2, dtype=np.int64)
+
+
+def periodic_complex(A, d, pos_seam=None):
+    """... A -d-> A -d-> A ... in every degree, window 0..0, both tails 1-periodic."""
+    tail = complexes.Tail(1, (A,), (d,))
+    return complexes.Complex.build(
+        A.algebra, 0, 0, {0: A}, {}, neg_tail=tail, pos_tail=tail,
+        neg_seam=d, pos_seam=d if pos_seam is None else pos_seam)
+
+
+class TestValidationCoversEveryDegree:
+    """Each check fails only at degrees outside the window."""
+
+    def zero_diff_map(self, A, neg, pos):
+        # every matrix commutes with zero differentials, so only the
+        # intertwining check can reject these maps
+        Z = periodic_complex(A, np.zeros((2, 2), dtype=np.int64))
+        return complexes.ChainMap(Z, Z, {0: I2}, 0, 0, (1, (neg,)), (1, (pos,)))
+
+    def test_non_intertwining_negative_tail_block(self, A):
+        bad = np.array([[1, 0], [0, 0]], dtype=np.int64)  # does not commute with x
+        self.zero_diff_map(A, I2, I2).validate()
+        with pytest.raises(ValidationError, match="intertwine action 1"):
+            self.zero_diff_map(A, bad, I2).validate()
+
+    def test_non_intertwining_positive_tail_block(self, A):
+        bad = np.array([[1, 0], [0, 0]], dtype=np.int64)
+        with pytest.raises(ValidationError, match="intertwine action 1"):
+            self.zero_diff_map(A, I2, bad).validate()
+
+    def test_same_matrix_between_other_modules_is_checked_again(self, A):
+        # A' is A with x acting by the transpose; x itself intertwines the
+        # action on A but not on A', and one array serves every degree
+        # the tail degrees come first in the check range and pass
+        A_t = modules.Module(A.algebra, 2, (I2, X_D2.T.copy()))
+        zero = np.zeros((2, 2), dtype=np.int64)
+        tail = complexes.Tail(1, (A,), (zero,))
+        Z = complexes.Complex.build(A.algebra, 0, 0, {0: A_t}, {}, neg_tail=tail,
+                                    neg_seam=zero)
+        f = complexes.ChainMap(Z, Z, {0: X_D2}, 0, 0, (1, (X_D2,)), None)
+        with pytest.raises(ValidationError, match="intertwine action 1"):
+            f.validate()
+
+    def test_fails_to_commute_only_at_the_positive_seam(self, t_per):
+        # components a I + b x commute with d = x iff a is the same on both
+        # sides of d; here a jumps from 1 to 0 across the positive seam
+        f = complexes.ChainMap(t_per, t_per, {0: I2}, 0, 0, (1, (I2,)), (1, (X_D2,)))
+        with pytest.raises(ValidationError, match="commute with d at degree 1$"):
+            f.validate()
+        complexes.ChainMap(t_per, t_per, {0: I2}, 0, 0, (1, (I2,)), (1, (I2,))).validate()
+
+    def test_fails_to_commute_only_inside_a_tail(self, t_per):
+        # 2-periodic negative tail I, x, I, x, ... from degree -1 down: the
+        # seam (f_-1 = f_0 = I) commutes, the tail does not; the check range
+        # is -5..5 and the first failure is d_-4: X_-4 -> X_-5
+        f = complexes.ChainMap(t_per, t_per, {0: I2}, 0, 0, (2, (I2, X_D2)), None)
+        assert f.check_range() == (-5, 5)
+        with pytest.raises(ValidationError, match="commute with d at degree -4$"):
+            f.validate()
+
+    def test_d_squared_nonzero_only_across_a_seam(self, A):
+        periodic_complex(A, X_D2)
+        # d_1 = id meets d = x on both sides: d_0 d_1 = x and d_1 d_2 = x
+        with pytest.raises(ValidationError, match=r"d\*d != 0 at degree 1$"):
+            periodic_complex(A, X_D2, pos_seam=I2)
+
+    def test_d_squared_nonzero_only_inside_a_tail(self, A):
+        tail = complexes.Tail(2, (A, A), (X_D2, I2))
+        with pytest.raises(ValidationError, match=r"d\*d != 0 at degree -4$"):
+            complexes.Complex.build(A.algebra, 0, 0, {0: A}, {}, neg_tail=tail,
+                                    neg_seam=X_D2)
+
+
 class TestCone:
     def test_cone_identity_on_stalk(self, k):
         C = cone(identity_chain_map(functors.stalk(k)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from singeq import fixtures, linalg, modules
-from singeq.errors import ValidationError
+from singeq.errors import DimensionMismatch, ValidationError
 
 
 class TestHomBasis:
@@ -161,3 +161,48 @@ class TestValidation:
         bad = modules.Module(D2, 1, (linalg.eye(1), linalg.eye(1)))
         with pytest.raises(ValidationError):
             bad.validate()  # x acting invertibly contradicts x^2 = 0
+
+    def test_intertwining_failure_names_first_action(self, T2):
+        M = modules.regular_module(T2)
+        # basis (e11, e22, e12): diag(0, 0, 1) keeps both idempotent
+        # summands but does not commute with e12
+        only_e12 = np.diag([0, 0, 1]).astype(np.int64)
+        with pytest.raises(ValidationError, match=r"intertwine action 2$"):
+            modules.ModuleMap(M, M, only_e12).validate()
+        # e11 -> e22 breaks every relation; the first one is named
+        mixes = linalg.zeros(3, 3)
+        mixes[1, 0] = 1
+        with pytest.raises(ValidationError, match=r"intertwine action 0$"):
+            modules.ModuleMap(M, M, mixes).validate()
+        modules.ModuleMap(M, M, np.diag([1, 1, 1]).astype(np.int64)).validate()
+
+    def test_empty_map_still_checks_shape(self, D2, A):
+        Z = modules.zero_module(D2)
+        modules.ModuleMap(Z, A, linalg.zeros(2, 0)).validate()
+        with pytest.raises(DimensionMismatch):
+            modules.ModuleMap(Z, A, linalg.zeros(1, 0)).validate()
+
+
+class TestSubmodule:
+    def test_socle_of_regular_d2(self, A, k):
+        # basis (1, x): the span of x is the socle, a copy of k
+        sub, incl = modules.submodule(A, np.array([[0], [1]], dtype=np.int64))
+        assert sub.dim == 1
+        assert all(np.array_equal(a, b) for a, b in zip(sub.action, k.action))
+        sub.validate()
+        incl.validate()
+
+    def test_actions_match_one_solve_per_element(self, T2):
+        M = modules.regular_module(T2)
+        # e11 A = span(e11, e12)
+        basis = np.array([[1, 0], [0, 0], [0, 1]], dtype=np.int64)
+        sub, incl = modules.submodule(M, basis)
+        for a, x in zip(M.action, sub.action):
+            expected = linalg.solve_matrix(incl.matrix, (a @ incl.matrix) % 2, 2)
+            assert np.array_equal(x, expected)
+        sub.validate()
+        incl.validate()
+
+    def test_span_that_is_not_invariant(self, A):
+        with pytest.raises(ValidationError, match="not invariant"):
+            modules.submodule(A, np.array([[1], [0]], dtype=np.int64))
