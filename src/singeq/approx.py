@@ -79,7 +79,7 @@ def complete_resolution(M: Module, bound: int = 8,
     """
     A = M.algebra
     p = A.p
-    if M.dim == 0 or modules.split_class(M).is_projective:
+    if M.dim == 0 or M.split_class.is_projective:
         T = Complex.build(A, -1, 0, {0: M, -1: M}, {0: linalg.eye(M.dim)})
         return T, _omega_witness(T, M)
 
@@ -114,7 +114,7 @@ def complete_resolution(M: Module, bound: int = 8,
     wrap_neg = None
     for tdx in range(1, bound + 1):
         E, iota = modules.injective_envelope(Cs[-1])
-        if not modules.split_class(E).is_projective:
+        if not E.split_class.is_projective:
             raise NotGorensteinError(
                 "injective envelope is not projective; complete resolutions "
                 "need projective-injective envelopes on the right half")

@@ -8,14 +8,18 @@ which fold degrees into the periodic blocks.
 Constructors validate by default.  Complex.validate and ChainMap.validate
 cover every degree of a check range: the window (for a chain map, the
 hull of its own window and those of its complexes) widened by 2q+1 on
-each side, where q is the lcm of all tail periods.  At each degree they
-check the shape of the differential or component, that it intertwines the
-algebra actions, and d*d = 0 or f d = d f.  Tail blocks repeat with their
-period across the range, so each distinct block -- the same source module,
-target module and matrix objects, or the same matrices -- is checked once
-per call; the shape check runs at every degree.  modules.ModuleMap.validate
-checks all intertwining relations of one matrix with a single batched
-product per side against the modules' stacked actions.
+each side, where q is the lcm of all tail periods.  The shape of each
+differential or component is checked at every degree; the other checks
+are stacked across degrees.  Intertwining groups the matrices by their
+(source, target) module pair and checks each group against all action
+indices with one batched product per side (modules.intertwining_failures,
+as in ModuleMap.validate).  d*d = 0 and f d = d f group the products by
+the shapes of their factors, one batched matmul per side and group.  A
+tail block repeated across the range -- the same matrix object between
+the same modules, or the same tuple of matrix objects -- is stacked once,
+at its first degree.  An error names the smallest failing degree, and for
+intertwining the first failing action index there.  ChainMap.validate
+also takes further maps and stacks their checks with its own.
 """
 
 from __future__ import annotations
@@ -42,20 +46,54 @@ class Tail:
             raise ValidationError("tail period does not match block count")
 
 
-def _first_time(seen: dict, *objs) -> bool:
-    """True unless these very objects were already checked in this call.
+def _check_intertwining(maps, what: str) -> None:
+    """Raise unless every (degree, source, target, matrix) is a module map.
 
-    The tail blocks repeat with the tail period across a check range, so a
-    validation meets the same (module, module, matrix) or matrix tuple
-    again and again.  seen keeps every keyed object alive, so no id in a
-    key can pass to a new object, such as a fresh zero array, in the call.
-    Keys of different checks differ in length and so never collide.
+    The matrices are grouped by their (source, target) module pair; each
+    distinct matrix object of a group is stacked once, at its first
+    degree, and the group is checked with one batched product per side.
+    The error names the smallest failing degree and its action index.
     """
-    key = tuple(map(id, objs))
-    if key in seen:
-        return False
-    seen[key] = objs
-    return True
+    groups = {}
+    for n, src, tgt, f in maps:
+        groups.setdefault((src, tgt), {}).setdefault(id(f), (n, f))
+    failures = []
+    for (src, tgt), firsts in groups.items():
+        degrees, mats = zip(*firsts.values())
+        bad = modules.intertwining_failures(src, tgt, mats)
+        failures += [(degrees[k], int(bad[k].argmax()))
+                     for k in bad.any(axis=1).nonzero()[0]]
+    if failures:
+        n, i = min(failures)
+        raise ValidationError(f"{what} at degree {n} does not intertwine action {i}")
+
+
+def _first_failure(checks, p: int):
+    """Smallest degree whose check fails, or None.
+
+    A check (n, A, B, C, D) asks A B == C D, and (n, A, B) asks A B == 0.
+    Each distinct tuple of matrix objects is checked once, at its first
+    degree; the distinct tuples are stacked per shape group and each group
+    is checked with one batched product per side.
+    """
+    distinct = {}
+    for check in checks:
+        # checks keeps every keyed matrix alive, so no id is reused here
+        key = tuple(map(id, check[1:]))
+        if key not in distinct:
+            distinct[key] = check
+    groups = {}
+    for check in distinct.values():
+        groups.setdefault(tuple([m.shape for m in check[1:]]), []).append(check)
+    failures = []
+    for group in groups.values():
+        degrees, *mats = zip(*group)
+        stacks = [np.array(m) for m in mats]
+        lhs = (stacks[0] @ stacks[1]) % p
+        rhs = (stacks[2] @ stacks[3]) % p if len(stacks) == 4 else 0
+        bad = (lhs != rhs).any(axis=(1, 2))
+        failures += [degrees[i] for i in bad.nonzero()[0]]
+    return min(failures, default=None)
 
 
 def _lcm(values) -> int:
@@ -165,19 +203,16 @@ class Complex:
             if n not in self.terms:
                 raise ValidationError(f"missing term at degree {n}")
         a, b = self.check_range()
-        seen = {}
-        for n in range(a, b + 1):
-            d = self.diff(n)
-            src, tgt = self.term(n), self.term(n - 1)
+        maps = [(n, self.term(n), self.term(n - 1), self.diff(n))
+                for n in range(a, b + 1)]
+        for n, src, tgt, d in maps:
             if d.shape != (tgt.dim, src.dim):
                 raise ValidationError(f"differential at degree {n} has wrong shape")
-            if _first_time(seen, src, tgt, d):
-                ModuleMap(src, tgt, d).validate()
-        p = self.algebra.p
-        for n in range(a, b):
-            d0, d1 = self.diff(n), self.diff(n + 1)
-            if _first_time(seen, d0, d1) and ((d0 @ d1) % p).any():
-                raise ValidationError(f"d*d != 0 at degree {n + 1}")
+        _check_intertwining(maps, "differential")
+        bad = _first_failure([(n + 1, d0, d1) for (n, _, _, d0), (_, _, _, d1)
+                              in zip(maps, maps[1:])], self.algebra.p)
+        if bad is not None:
+            raise ValidationError(f"d*d != 0 at degree {bad}")
 
 
 def zero_complex(algebra: Algebra) -> Complex:
@@ -272,26 +307,29 @@ class GradedMap:
 
 
 class ChainMap(GradedMap):
-    def validate(self) -> None:
-        if self.source.algebra is not self.target.algebra:
-            raise DimensionMismatch("chain map across different algebras")
-        p = self.source.algebra.p
-        a, b = self.check_range()
-        seen = {}
-        for n in range(a, b + 1):
-            f = self.component(n)
-            src, tgt = self.source.term(n), self.target.term(n)
-            if f.shape != (tgt.dim, src.dim):
-                raise ValidationError(f"component at degree {n} has wrong shape")
-            if _first_time(seen, src, tgt, f):
-                ModuleMap(src, tgt, f).validate()
-        for n in range(a + 1, b + 1):
-            f0, dS = self.component(n - 1), self.source.diff(n)
-            dT, f1 = self.target.diff(n), self.component(n)
-            if not _first_time(seen, f0, dS, dT, f1):
-                continue
-            if not np.array_equal((f0 @ dS) % p, (dT @ f1) % p):
-                raise ValidationError(f"does not commute with d at degree {n}")
+    def validate(self, *others: "ChainMap") -> None:
+        """Check this map and any others, each over its own check range.
+
+        The checks of all the maps are stacked together, so a whole basis
+        of chain maps costs one batched product per group.
+        """
+        entries, checks = [], []
+        for f in (self, *others):
+            S, T = f.source, f.target
+            if S.algebra is not T.algebra or S.algebra is not self.source.algebra:
+                raise DimensionMismatch("chain map across different algebras")
+            a, b = f.check_range()
+            maps = [(n, S.term(n), T.term(n), f.component(n)) for n in range(a, b + 1)]
+            for n, src, tgt, m in maps:
+                if m.shape != (tgt.dim, src.dim):
+                    raise ValidationError(f"component at degree {n} has wrong shape")
+            entries += maps
+            checks += [(n, f0, S.diff(n), T.diff(n), f1)
+                       for (_, _, _, f0), (n, _, _, f1) in zip(maps, maps[1:])]
+        _check_intertwining(entries, "component")
+        bad = _first_failure(checks, self.source.algebra.p)
+        if bad is not None:
+            raise ValidationError(f"does not commute with d at degree {bad}")
 
     def is_mono(self) -> bool:
         p = self.source.algebra.p

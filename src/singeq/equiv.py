@@ -51,15 +51,6 @@ def g_prime(I: Complex, fam: GeneratorFamily | None = None,
     return PipelineResult(I, GI, rep, rep.object)
 
 
-def _module_solve(rhs: np.ndarray, terms: list, source, target, p: int):
-    """One-unknown intertwiner system: sum M @ u @ N == rhs, or None."""
-    sys = solver.FoldedSystem(p, {0: (target.dim, source.dim)}, 0, 0)
-    sys.require_module_map(0, source, target)
-    sys.add_equation(rhs, [(M, 0, N) for M, N in terms])
-    sol = sys.solve()
-    return None if sol is None else sol[0]
-
-
 def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
                     side: str = "omega",
                     options: Options = Options()) -> ChainMap:
@@ -75,12 +66,12 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
         SX, sx_map = functors.omega_data(X)  # projection X_0 ->> omega(X)
         SY, sy_map = functors.omega_data(Y)
         Pcov, cov = modules.projective_cover(SY)
-        extra_shape = (Pcov.dim, SX.dim)
+        aux = (SX, Pcov)
     elif side == "theta":
         SX, sx_map = functors.theta_data(X)  # inclusion theta(X) -> X_0
         SY, sy_map = functors.theta_data(Y)
         Env, env = modules.injective_envelope(SX)
-        extra_shape = (SY.dim, Env.dim)
+        aux = (Env, SY)
     else:
         raise ValueError(f"unknown stable side {side!r}")
 
@@ -94,15 +85,13 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
             lo = min(X.lo, Y.lo, 0) - P
             hi = max(X.hi, Y.hi, 0) + P
             fold = P
-        sys = solver.chain_map_system(X, Y, lo, hi, fold, {"aux": extra_shape})
+        sys = solver.chain_map_system(X, Y, lo, hi, fold, {"aux": aux})
         if side == "omega":
-            sys.require_module_map("aux", SX, Pcov)
             sys.add_equation((phi.matrix @ sx_map.matrix) % p, [
                 (sy_map.matrix, 0, linalg.eye(X.term(0).dim)),
                 ((-cov.matrix) % p, "aux", sx_map.matrix),
             ])
         else:
-            sys.require_module_map("aux", Env, SY)
             sys.add_equation((sy_map.matrix @ phi.matrix) % p, [
                 (linalg.eye(Y.term(0).dim), 0, sx_map.matrix),
                 ((-sy_map.matrix) % p, "aux", env.matrix),
@@ -112,9 +101,7 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
             if fold == 0:
                 break
             continue
-        neg, pos = sys.fold_blocks(comps)
-        comps = {n: mat for n, mat in comps.items() if mat.size}
-        f = chain_map(X, Y, comps, lo, hi, neg, pos)
+        f = chain_map(X, Y, *sys.graded(comps))
         if side == "omega":
             diff = (functors.omega_map(f).matrix - phi.matrix) % p
             ok = homotopy.factors_through_projective(ModuleMap(SX, SY, diff))
@@ -153,8 +140,8 @@ def verify_round_trip(X: Complex, side: str = "P",
         iso1 = _cycles_identification(first)  # triple.mid -> theta(I)
         u = (iso1 @ first.replacement.triple.mono.matrix) % p  # N -> theta(I)
         tg = second.replacement.triple
-        alpha = _module_solve(u, [(tg.epi.matrix, linalg.eye(N.dim))],
-                              N, tg.mid, p)
+        alpha = solver.solve_module_map([(N, tg.mid)], u,
+                                        [(tg.epi.matrix, 0, linalg.eye(N.dim))])
         if alpha is None:
             return RoundTripReport(X, first, second, None, None, UNKNOWN, UNKNOWN)
         iso2 = second.replacement.witness  # omega(P2) -> M2
@@ -175,8 +162,10 @@ def verify_round_trip(X: Complex, side: str = "P",
         THY2 = functors.theta(second.object)
         target_mat = ((iso1 @ u2) % p @ linalg.invert(iso2.matrix, p)) % p  # M2 -> theta(I2)
         Pcov, cov = modules.projective_cover(THY2)
-        cbar = _solve_stable_extension(target_mat, tg.epi.matrix, cov.matrix,
-                                       Z, tg.mid, THY2, Pcov, p)
+        # cbar . epi == target + cov . h for some module map h: mid -> Pcov
+        cbar = solver.solve_module_map([(Z, THY2), (tg.mid, Pcov)], target_mat, [
+            (linalg.eye(THY2.dim), 0, tg.epi.matrix),
+            ((-cov.matrix) % p, 1, linalg.eye(tg.mid.dim))])
         if cbar is None:
             return RoundTripReport(X, first, second, None, None, UNKNOWN, UNKNOWN)
         phi = ModuleMap(Z, THY2, cbar)
@@ -203,20 +192,6 @@ def _cycles_identification(pipe: PipelineResult) -> np.ndarray:
     if iso is None:
         raise ValidationError("preenvelope does not land in the degree-0 cycles")
     return iso
-
-
-def _solve_stable_extension(target_mat, epi_mat, cov_mat, src, mid, tgt, Pcov, p):
-    """c: src -> tgt with c . epi == target + cov . h for some h: mid -> Pcov."""
-    sys = solver.FoldedSystem(p, {0: (tgt.dim, src.dim)}, 0, 0,
-                              {"h": (Pcov.dim, mid.dim)})
-    sys.require_module_map(0, src, tgt)
-    sys.require_module_map("h", mid, Pcov)
-    sys.add_equation(target_mat, [
-        (linalg.eye(tgt.dim), 0, epi_mat),
-        ((-cov_mat) % p, "h", linalg.eye(mid.dim)),
-    ])
-    sol = sys.solve()
-    return None if sol is None else sol[0]
 
 
 def _composite_weak_equivalence(first: PipelineResult, second: PipelineResult,

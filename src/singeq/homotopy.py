@@ -18,7 +18,7 @@ from .complexes import (ChainMap, Complex, Homotopy, _lcm, _map_profile,
                         identity_chain_map, is_exact)
 from .config import Options
 from .errors import ValidationError
-from .solver import FoldedSystem
+from .solver import FoldedSystem, solve_module_map
 
 YES = "YES"
 NO = "NO"
@@ -98,34 +98,15 @@ def _verify_inverse_payload(payload: dict) -> bool:
     return verify_null_homotopy(gf_id, hX) and verify_null_homotopy(fg_id, hY)
 
 
-def _homotopy_from_solution(f: ChainMap, sys: FoldedSystem, comps: dict) -> Homotopy:
-    neg, pos = sys.fold_blocks(comps)
-    comps = {n: m for n, m in comps.items() if m.size}
-    return Homotopy(f.source, f.target, comps, sys.lo, sys.hi, neg, pos)
-
-
 def _homotopy_system(f: ChainMap, lo: int, hi: int, fold: int,
                      eq_lo: int, eq_hi: int) -> FoldedSystem:
     X, Y = f.source, f.target
-    p = X.algebra.p
-    shapes = {n: (Y.term(n + 1).dim, X.term(n).dim) for n in range(lo, hi + 1)}
-    sys = FoldedSystem(p, shapes, lo, hi, fold)
-    for n in range(lo, hi + 1):
-        r, c = shapes[n]
-        if r and c:
-            src, tgt = X.term(n), Y.term(n + 1)
-            for aS, aT in zip(src.action, tgt.action):
-                sys.add_equation(linalg.zeros(r, c), [
-                    (linalg.eye(r), n, aS),
-                    ((-aT) % p, n, linalg.eye(c)),
-                ])
+    blocks = {n: (X.term(n), Y.term(n + 1)) for n in range(lo, hi + 1)}
+    sys = FoldedSystem(X.algebra.p, blocks, lo, hi, fold)
     for n in range(eq_lo, eq_hi + 1):
-        rows, cols = Y.term(n).dim, X.term(n).dim
-        if rows == 0 or cols == 0:
-            continue
         sys.add_equation(f.component(n), [
-            (Y.diff(n + 1), n, linalg.eye(cols)),
-            (linalg.eye(rows), n - 1, X.diff(n)),
+            (Y.diff(n + 1), n, linalg.eye(X.term(n).dim)),
+            (linalg.eye(Y.term(n).dim), n - 1, X.diff(n)),
         ])
     return sys
 
@@ -138,7 +119,7 @@ def _solve_bounded(f: ChainMap):
     comps = sys.solve()
     if comps is None:
         return None
-    return _homotopy_from_solution(f, sys, comps)
+    return Homotopy(f.source, f.target, *sys.graded(comps))
 
 
 def search_periodic_homotopy(f: ChainMap, m: int):
@@ -153,7 +134,7 @@ def search_periodic_homotopy(f: ChainMap, m: int):
     comps = sys.solve()
     if comps is None:
         return None
-    s = _homotopy_from_solution(f, sys, comps)
+    s = Homotopy(f.source, f.target, *sys.graded(comps))
     return s if verify_null_homotopy(f, s) else None
 
 
@@ -168,7 +149,7 @@ def _gorenstein_dim(algebra, options: Options):
 def _terms_in_class(X: Complex, which: str) -> bool:
     q = _lcm([X.neg_period, X.pos_period])
     for n in range(X.lo - q, X.hi + q + 1):
-        cls = modules.split_class(X.term(n))
+        cls = X.term(n).split_class
         if not (cls.is_projective if which == "proj" else cls.is_injective):
             return False
     return True
@@ -195,11 +176,8 @@ def factors_through_projective(g: modules.ModuleMap) -> bool:
     if g.source.dim == 0 or g.target.dim == 0:
         return True
     P, epi = modules.projective_cover(g.target)
-    p = g.source.algebra.p
-    sys = FoldedSystem(p, {0: (P.dim, g.source.dim)}, 0, 0)
-    sys.require_module_map(0, g.source, P)
-    sys.add_equation(g.matrix, [(epi.matrix, 0, linalg.eye(g.source.dim))])
-    return sys.solve() is not None
+    return solve_module_map([(g.source, P)], g.matrix,
+                            [(epi.matrix, 0, linalg.eye(g.source.dim))]) is not None
 
 
 def factors_through_injective(g: modules.ModuleMap) -> bool:
@@ -207,11 +185,8 @@ def factors_through_injective(g: modules.ModuleMap) -> bool:
     if g.source.dim == 0 or g.target.dim == 0:
         return True
     E, iota = modules.injective_envelope(g.source)
-    p = g.source.algebra.p
-    sys = FoldedSystem(p, {0: (g.target.dim, E.dim)}, 0, 0)
-    sys.require_module_map(0, E, g.target)
-    sys.add_equation(g.matrix, [(linalg.eye(g.target.dim), 0, iota.matrix)])
-    return sys.solve() is not None
+    return solve_module_map([(E, g.target)], g.matrix,
+                            [(linalg.eye(g.target.dim), 0, iota.matrix)]) is not None
 
 
 def stably_zero(f: ChainMap) -> bool:

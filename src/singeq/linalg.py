@@ -36,6 +36,12 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+def kron(M: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """np.kron(M, N) for matrices, as one broadcast multiply."""
+    return (M[:, None, :, None] * N[None, :, None, :]).reshape(
+        M.shape[0] * N.shape[0], M.shape[1] * N.shape[1])
+
+
 def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
@@ -76,7 +82,7 @@ def kernel_basis(A: np.ndarray, p: int) -> np.ndarray:
     """Columns span Null(A); shape (cols, nullity)."""
     R, pivots = rref(A, p)
     cols = R.shape[1]
-    free = np.setdiff1d(np.arange(cols), pivots)
+    free = np.delete(np.arange(cols), pivots)
     K = zeros(cols, free.size)
     K[free, np.arange(free.size)] = 1
     K[pivots] = (-R[: len(pivots), free]) % p

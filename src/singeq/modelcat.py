@@ -71,7 +71,7 @@ def _cycles_in_class(X: Complex, which: str) -> bool:
     q = max(1, _lcm([X.neg_period, X.pos_period]))
     for n in range(X.lo - q, X.hi + q + 1):
         Z, _ = modules.kernel(X.diff_map(n))
-        cls = modules.split_class(Z)
+        cls = Z.split_class
         if not (cls.is_projective if which == "proj" else cls.is_injective):
             return False
     return True

@@ -69,6 +69,16 @@ class Module:
         """The action matrices as one (algebra.dim x dim x dim) array."""
         return np.stack(self.action)
 
+    @cached_property
+    def split_class(self) -> "SplitClass":
+        """Projectivity/injectivity flags with explicit splitting witnesses."""
+        if self.dim == 0:
+            return SplitClass(True, True, None, None)
+        section = _one_sided_inverse(projective_cover(self)[1], "section")
+        retraction = _one_sided_inverse(injective_envelope(self)[1], "retraction")
+        return SplitClass(section is not None, retraction is not None,
+                          section, retraction)
+
 
 @dataclass(frozen=True, eq=False)
 class ModuleMap:
@@ -79,15 +89,9 @@ class ModuleMap:
     def validate(self) -> None:
         if self.source.algebra is not self.target.algebra:
             raise AlgebraMismatch("source and target live over different algebras")
-        p = self.source.algebra.p
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise DimensionMismatch("map matrix has wrong shape")
-        if self.matrix.size == 0:
-            return
-        # all relations F a_i = b_i F at once, one batched product per side
-        lhs = (self.matrix @ self.source.stacked_action) % p
-        rhs = (self.target.stacked_action @ self.matrix) % p
-        bad = (lhs != rhs).any(axis=(1, 2))
+        bad = intertwining_failures(self.source, self.target, [self.matrix])[0]
         if bad.any():
             raise ValidationError(f"matrix does not intertwine action {bad.argmax()}")
 
@@ -108,6 +112,21 @@ class ModuleMap:
 
     def is_invertible(self) -> bool:
         return self.source.dim == self.target.dim and self.is_injective()
+
+
+def intertwining_failures(source: Module, target: Module, mats) -> np.ndarray:
+    """(len(mats) x algebra.dim) flags, set where mats[k] fails F a_i = b_i F.
+
+    All matrices source -> target and all action indices are checked at
+    once, with one batched product per side against the stacked actions.
+    """
+    if not (source.dim and target.dim):
+        return np.zeros((len(mats), source.algebra.dim), dtype=bool)
+    p = source.algebra.p
+    F = np.array(mats)[:, None]
+    lhs = (F @ source.stacked_action) % p
+    rhs = (target.stacked_action @ F) % p
+    return (lhs != rhs).any(axis=(2, 3))
 
 
 def zero_module(algebra: Algebra) -> Module:
@@ -195,21 +214,25 @@ def quotient_module(M: Module, sub_basis: np.ndarray) -> tuple:
     return Q, ModuleMap(M, Q, proj)
 
 
-def hom_basis(M: Module, N: Module) -> list:
-    """Basis of the intertwiner space Hom(M, N)."""
+def hom_stack(M: Module, N: Module) -> np.ndarray:
+    """Basis of the intertwiner space Hom(M, N) as one (h x N.dim x M.dim)
+    array: the kernel of F a_i = b_i F over all action indices i."""
     if M.algebra is not N.algebra:
-        raise AlgebraMismatch("hom_basis needs a common algebra")
+        raise AlgebraMismatch("hom_stack needs a common algebra")
     p = M.algebra.p
     s, t = M.dim, N.dim
     if s == 0 or t == 0:
-        return []
-    rows = []
-    for i in range(M.algebra.dim):
-        # row-major vec: vec(F @ A_i - B_i @ F)
-        rows.append(np.kron(linalg.eye(t), M.action[i].T) - np.kron(N.action[i], linalg.eye(s)))
-    system = np.vstack(rows) % p
-    K = linalg.kernel_basis(system, p)
-    return [ModuleMap(M, N, K[:, j].reshape(t, s).copy()) for j in range(K.shape[1])]
+        return linalg.zeros(0, t * s).reshape(0, t, s)
+    # row-major vec: vec(F @ A_i - B_i @ F)
+    system = np.vstack([
+        linalg.kron(linalg.eye(t), a.T) - linalg.kron(b, linalg.eye(s))
+        for a, b in zip(M.action, N.action)]) % p
+    return linalg.kernel_basis(system, p).T.reshape(-1, t, s)
+
+
+def hom_basis(M: Module, N: Module) -> list:
+    """Basis of the intertwiner space Hom(M, N), one ModuleMap each."""
+    return [ModuleMap(M, N, h) for h in hom_stack(M, N)]
 
 
 def kernel(f: ModuleMap) -> tuple:
@@ -341,38 +364,24 @@ def injective_envelope(M: Module) -> tuple:
 class SplitClass:
     is_projective: bool
     is_injective: bool
-    section: ModuleMap | None  # splits the projective cover when projective
-    retraction: ModuleMap | None  # splits the injective envelope when injective
+    # matrices of the splitting witnesses, against projective_cover(M) and
+    # injective_envelope(M): cover @ section = id, retraction @ envelope = id
+    section: np.ndarray | None
+    retraction: np.ndarray | None
 
 
-def _find_one_sided_inverse(f: ModuleMap, side: str):
-    """Section (f s = id) or retraction (r f = id) inside the hom space."""
+def _one_sided_inverse(f: ModuleMap, side: str):
+    """Matrix of a section (f s = id) or retraction (r f = id), or None."""
     p = f.source.algebra.p
     section = side == "section"
+    H = hom_stack(f.target, f.source)
+    if not len(H):
+        return None
+    mats = f.matrix @ H if section else H @ f.matrix
     dim = f.target.dim if section else f.source.dim
-    if dim == 0:
-        return ModuleMap(f.target, f.source, linalg.zeros(f.source.dim, f.target.dim))
-    basis = hom_basis(f.target, f.source)
-    if not basis:
-        return None
-    mats = [f.matrix @ h.matrix if section else h.matrix @ f.matrix for h in basis]
-    cols = np.column_stack([m.reshape(-1) for m in mats]) % p
-    lam = linalg.solve(cols, linalg.eye(dim).reshape(-1), p)
-    if lam is None:
-        return None
-    total = sum(int(lam[i]) * basis[i].matrix for i in range(len(basis)))
-    return ModuleMap(f.target, f.source, np.asarray(total, dtype=np.int64) % p)
-
-
-def split_class(M: Module) -> SplitClass:
-    """Projectivity/injectivity flags with explicit splitting witnesses."""
-    if M.dim == 0:
-        return SplitClass(True, True, None, None)
-    _, epi = projective_cover(M)
-    section = _find_one_sided_inverse(epi, "section")
-    _, mono = injective_envelope(M)
-    retraction = _find_one_sided_inverse(mono, "retraction")
-    return SplitClass(section is not None, retraction is not None, section, retraction)
+    lam = linalg.solve(mats.reshape(len(H), -1).T % p, linalg.eye(dim).reshape(-1), p)
+    h, t, s = H.shape
+    return None if lam is None else (lam @ H.reshape(h, t * s)).reshape(t, s) % p
 
 
 def syzygy(M: Module, n: int) -> Module:
@@ -424,7 +433,7 @@ def projective_dimension(M: Module, bound: int):
     """Smallest n with the n-th syzygy projective, or None within bound."""
     cur = M
     for n in range(bound + 1):
-        if cur.dim == 0 or split_class(cur).is_projective:
+        if cur.dim == 0 or cur.split_class.is_projective:
             return n
         _, epi = projective_cover(cur)
         cur, _ = kernel(epi)
@@ -435,7 +444,7 @@ def injective_dimension(M: Module, bound: int):
     """Smallest n with the n-th cosyzygy injective, or None within bound."""
     cur = M
     for n in range(bound + 1):
-        if cur.dim == 0 or split_class(cur).is_injective:
+        if cur.dim == 0 or cur.split_class.is_injective:
             return n
         _, mono = injective_envelope(cur)
         cur, _ = cokernel(mono)

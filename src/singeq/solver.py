@@ -1,52 +1,62 @@
-"""Finite linear systems for graded maps with periodic-tail ansatz.
+"""Finite linear systems for graded module maps with periodic-tail ansatz.
 
-Unknowns are matrices u_n indexed by degree on a window [lo, hi]; outside
-the window they are either zero (bounded mode) or folded back into the
-window with a fixed period.  Equations of the form sum M @ u_k @ N = rhs
-are row-reduced over F_p.  This is the engine behind null-homotopy
-search, chain-map space bases and periodic lifting.
+The unknowns are module maps u_n indexed by degree on a window [lo, hi],
+plus named extra maps; outside the window they are either zero (bounded
+mode) or folded back into the window with a fixed period.  Each unknown
+is a coordinate vector c over the basis H = modules.hom_stack(source,
+target) of its hom space, u = sum c_j H_j, so every solution is a module
+map and the system has no intertwining rows.  In an equation
+sum M @ u_k @ N = rhs, a term contributes the columns vec(M H_j N).  The
+system is row-reduced over F_p and solutions are unpacked to the matrices
+sum c_j H_j.  This is the engine behind null-homotopy search, chain-map
+space bases, periodic lifting and module factorizations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
+from . import linalg, modules
 from .complexes import ChainMap, Complex, _lcm, add_maps, chain_map, compose
 from .config import Options
 from .errors import ValidationError
 
 
-def _kron(M: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """np.kron(M, N) for matrices, as one broadcast multiply."""
-    return (M[:, None, :, None] * N[None, :, None, :]).reshape(
-        M.shape[0] * N.shape[0], M.shape[1] * N.shape[1])
+def _basis(pair) -> np.ndarray:
+    """Stacked basis (h x rows x cols) of the hom space of a module pair
+    (source, target), or of all matrices of a shape given as (rows, cols)."""
+    a, b = pair
+    if isinstance(a, modules.Module):
+        return modules.hom_stack(a, b)
+    return linalg.eye(a * b).reshape(a * b, a, b)
 
 
 class FoldedSystem:
-    def __init__(self, p: int, shapes: dict, lo: int, hi: int,
+    def __init__(self, p: int, blocks: dict, lo: int, hi: int,
                  fold_period: int = 0, extras: dict | None = None):
+        """blocks: {degree: (source, target)} for lo..hi; extras: {name: pair};
+        the hom basis of each distinct pair is computed once."""
         self.p = p
         self.lo = lo
         self.hi = hi
         self.fold = fold_period
-        self.shapes = shapes
-        self.offsets = {}
+        self.bases = {}  # key -> (column offset, stacked hom basis)
+        distinct = {}  # the pairs stay alive in blocks, so ids are not reused
         off = 0
-        for n in range(lo, hi + 1):
-            r, c = shapes[n]
-            self.offsets[n] = (off, r, c)
-            off += r * c
-        for name, (r, c) in (extras or {}).items():
-            self.offsets[name] = (off, r, c)
-            off += r * c
+        keys = [(n, blocks[n]) for n in range(lo, hi + 1)]
+        for key, pair in keys + list((extras or {}).items()):
+            ids = tuple(map(id, pair))
+            if ids not in distinct:
+                distinct[ids] = _basis(pair)
+            self.bases[key] = (off, distinct[ids])
+            off += len(distinct[ids])
         self.total = off
         self.rows = []
         self.rhs = []
 
     def rep(self, n):
         """Window degree, folded representative, extra-block name, or None."""
-        if n in self.offsets:
+        if n in self.bases:
             return n
         if not isinstance(n, int) or not self.fold:
             return None
@@ -58,21 +68,21 @@ class FoldedSystem:
         """sum_i M_i @ u_{k_i} @ N_i == rhs; terms are (M, k, N)."""
         if rhs.size == 0:
             return
+        p = self.p
         block = linalg.zeros(rhs.size, self.total)
         for M, k, N in terms:
             r = self.rep(k)
             if r is None:
                 continue
-            off, ur, uc = self.offsets[r]
-            if ur * uc == 0:
-                continue
-            if M.shape != (rhs.shape[0], ur) or N.shape != (uc, rhs.shape[1]):
+            off, H = self.bases[r]
+            h, t, s = H.shape
+            if M.shape != (rhs.shape[0], t) or N.shape != (s, rhs.shape[1]):
                 raise ValidationError("equation term has inconsistent shape")
-            block[:, off : off + ur * uc] = (
-                block[:, off : off + ur * uc] + _kron(M, N.T)
-            ) % self.p
+            if h:
+                cols = (((M @ H) % p) @ N).reshape(h, -1).T
+                block[:, off : off + h] = (block[:, off : off + h] + cols) % p
         self.rows.append(block)
-        self.rhs.append(rhs.reshape(-1) % self.p)
+        self.rhs.append(rhs.reshape(-1) % p)
 
     def _stack(self):
         if not self.rows:
@@ -85,50 +95,41 @@ class FoldedSystem:
         x = linalg.solve(A, b, self.p)
         if x is None:
             return None
-        return self.unpack(x)
+        return self.unpack(x[:, None])[0]
 
     def kernel(self):
         """Basis of the homogeneous solution space, unpacked per degree."""
         A, _ = self._stack()
-        K = linalg.kernel_basis(A, self.p)
-        return [self.unpack(K[:, j]) for j in range(K.shape[1])]
+        return self.unpack(linalg.kernel_basis(A, self.p))
 
-    def unpack(self, vec: np.ndarray) -> dict:
-        out = {}
+    def unpack(self, vecs: np.ndarray) -> list:
+        """Per column of vecs, {window degree: sum_j c_j H_j}."""
+        mats = {}
         for n in range(self.lo, self.hi + 1):
-            off, r, c = self.offsets[n]
-            out[n] = vec[off : off + r * c].reshape(r, c).copy()
-        return out
+            off, H = self.bases[n]
+            h, t, s = H.shape
+            c = vecs[off : off + h].T
+            mats[n] = (c @ H.reshape(h, t * s)).reshape(len(c), t, s) % self.p
+        return [{n: m[j] for n, m in mats.items()} for j in range(vecs.shape[1])]
 
-    def unpack_extra(self, vec: np.ndarray, name) -> np.ndarray:
-        off, r, c = self.offsets[name]
-        return vec[off : off + r * c].reshape(r, c).copy()
-
-    def require_module_map(self, n: int, source, target) -> None:
-        """Constrain u_n to intertwine the algebra actions of two modules."""
-        r, c = target.dim, source.dim
-        for aS, aT in zip(source.action, target.action):
-            self.add_equation(linalg.zeros(r, c), [
-                (linalg.eye(r), n, aS),
-                ((-aT) % self.p, n, linalg.eye(c)),
-            ])
-
-    def fold_blocks(self, comps: dict):
-        """(neg, pos) periodic block tuples matching GradedMap conventions."""
-        if not self.fold:
-            return None, None
+    def graded(self, comps: dict) -> tuple:
+        """GradedMap arguments (components, lo, hi, neg, pos) for a solution:
+        its window components with entries and its folded periodic tails."""
         P = self.fold
         neg = tuple(comps[self.rep(self.lo - 1 - i)] for i in range(P))
         pos = tuple(comps[self.rep(self.hi + 1 + i)] for i in range(P))
-        if not any(b.any() for b in neg):
-            neg_out = None
-        else:
-            neg_out = (P, neg)
-        if not any(b.any() for b in pos):
-            pos_out = None
-        else:
-            pos_out = (P, pos)
-        return neg_out, pos_out
+        return ({n: m for n, m in comps.items() if m.size}, self.lo, self.hi,
+                (P, neg) if any(b.any() for b in neg) else None,
+                (P, pos) if any(b.any() for b in pos) else None)
+
+
+def solve_module_map(pairs: list, rhs: np.ndarray, terms: list):
+    """u_0 of module maps u_k: pairs[k] = (source, target) with
+    sum M @ u_k @ N == rhs over the terms (M, k, N), or None."""
+    sys = FoldedSystem(pairs[0][0].algebra.p, dict(enumerate(pairs)), 0, len(pairs) - 1)
+    sys.add_equation(rhs, terms)
+    sol = sys.solve()
+    return None if sol is None else sol[0]
 
 
 def _common_period(X: Complex, Y: Complex, *maps) -> int:
@@ -151,12 +152,9 @@ def chain_map_system(X: Complex, Y: Complex, lo: int, hi: int, fold: int,
                      extras: dict | None = None) -> FoldedSystem:
     """Homogeneous system whose solutions are chain maps X -> Y."""
     p = X.algebra.p
-    shapes = {n: (Y.term(n).dim, X.term(n).dim) for n in range(lo, hi + 1)}
-    sys = FoldedSystem(p, shapes, lo, hi, fold, extras)
-    for n in range(lo, hi + 1):
-        sys.require_module_map(n, X.term(n), Y.term(n))
-    pad = fold if fold else 0
-    for n in range(lo - pad, hi + pad + 1):
+    blocks = {n: (X.term(n), Y.term(n)) for n in range(lo, hi + 1)}
+    sys = FoldedSystem(p, blocks, lo, hi, fold, extras)
+    for n in range(lo - fold, hi + fold + 1):
         rows = Y.term(n - 1).dim
         cols = X.term(n).dim
         rhs = linalg.zeros(rows, cols)
@@ -187,16 +185,10 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
         fold = P
         complete = False
     sys = chain_map_system(X, Y, lo, hi, fold)
-    basis = []
-    for comps in sys.kernel():
-        neg, pos = sys.fold_blocks(comps)
-        comps = {n: m for n, m in comps.items() if m.size}
-        basis.append(chain_map(X, Y, comps, lo, hi, neg, pos))
+    basis = [ChainMap(X, Y, *sys.graded(comps)) for comps in sys.kernel()]
+    if basis:
+        basis[0].validate(*basis[1:])  # the whole basis in one stacked check
     return basis, complete
-
-
-def chain_hom_dimension(X: Complex, Y: Complex, options: Options = Options()) -> int:
-    return len(chain_map_space_basis(X, Y, options)[0])
 
 
 def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
@@ -237,9 +229,7 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
     comps = sys.solve()
     if comps is None:
         return None
-    neg, pos = sys.fold_blocks(comps)
-    comps = {n: m for n, m in comps.items() if m.size}
-    g = chain_map(S, T, comps, lo, hi, neg, pos)
+    g = chain_map(S, T, *sys.graded(comps))
     composite = compose(through, g) if mode == "lift" else compose(g, through)
     if not add_maps(composite, f, sign=-1).is_zero():
         return None

@@ -121,6 +121,64 @@ class TestValidationCoversEveryDegree:
                                     neg_seam=X_D2)
 
 
+class TestStackedValidation:
+    """Checks stacked across degrees still name the one degree that fails."""
+
+    BAD = np.array([[1, 0], [0, 0]], dtype=np.int64)  # does not commute with x
+
+    def two_degree_map(self, A, comps):
+        # zero differentials, so only intertwining can fail; degrees 0 and 1
+        # share the (A, A) module pair and are stacked together
+        Z = complexes.Complex.build(A.algebra, 0, 1, {0: A, 1: A},
+                                    {1: np.zeros((2, 2), dtype=np.int64)})
+        return complexes.ChainMap(Z, Z, comps, 0, 1)
+
+    @pytest.mark.parametrize("bad_degree", [0, 1])
+    def test_one_failing_component_names_its_degree(self, A, bad_degree):
+        comps = {0: I2, 1: I2}
+        self.two_degree_map(A, comps).validate()
+        comps[bad_degree] = self.BAD
+        with pytest.raises(ValidationError,
+                           match=f"degree {bad_degree} does not intertwine action 1$"):
+            self.two_degree_map(A, comps).validate()
+
+    def test_repeated_tail_block_names_the_smallest_degree(self, A):
+        # the one bad array serves degrees -1, -2, -3 of the check range -3..3
+        Z = periodic_complex(A, np.zeros((2, 2), dtype=np.int64))
+        f = complexes.ChainMap(Z, Z, {0: I2}, 0, 0, (1, (self.BAD,)), None)
+        assert f.check_range() == (-3, 3)
+        with pytest.raises(ValidationError,
+                           match="degree -3 does not intertwine action 1$"):
+            f.validate()
+
+    def test_one_failing_differential_names_its_degree(self, A):
+        zero = np.zeros((2, 2), dtype=np.int64)
+        with pytest.raises(ValidationError,
+                           match="differential at degree 2 does not intertwine action 1$"):
+            complexes.Complex.build(A.algebra, 0, 2, {0: A, 1: A, 2: A},
+                                    {1: zero, 2: self.BAD})
+
+    def test_commutation_fails_at_one_degree_of_a_shape_group(self, t_per):
+        # every term is A and every d is x, so all checks form one shape
+        # group; f = I up to degree 1 and x from degree 2 on fails only at
+        # d_2 (f_1 x = x, x f_2 = 0)
+        f = complexes.ChainMap(t_per, t_per, {0: I2, 1: I2, 2: X_D2}, 0, 2,
+                               (1, (I2,)), (1, (X_D2,)))
+        with pytest.raises(ValidationError, match="commute with d at degree 2$"):
+            f.validate()
+        complexes.ChainMap(t_per, t_per, {0: I2, 1: I2, 2: I2}, 0, 2,
+                           (1, (I2,)), (1, (I2,))).validate()
+
+    def test_maps_validated_together_are_each_checked(self, t_per):
+        good = identity_chain_map(t_per)
+        bad = complexes.ChainMap(t_per, t_per, {0: I2}, 0, 0, (1, (I2,)), (1, (X_D2,)))
+        good.validate(good)
+        with pytest.raises(ValidationError, match="commute with d at degree 1$"):
+            good.validate(good, bad)
+        with pytest.raises(ValidationError, match="commute with d at degree 1$"):
+            bad.validate(good)
+
+
 class TestCone:
     def test_cone_identity_on_stalk(self, k):
         C = cone(identity_chain_map(functors.stalk(k)))

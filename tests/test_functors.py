@@ -73,8 +73,8 @@ class TestAdjunction:
     def test_hom_dimensions_match(self, t_per):
         FX = functors.apply_F(t_per)
         GY = functors.apply_G(t_per)
-        dim_left = solver.chain_hom_dimension(FX, t_per)
-        dim_right = solver.chain_hom_dimension(t_per, GY)
+        dim_left = len(solver.chain_map_space_basis(FX, t_per)[0])
+        dim_right = len(solver.chain_map_space_basis(t_per, GY)[0])
         assert dim_left == dim_right == 1
 
     def test_transposes_mutually_inverse(self, t_per):

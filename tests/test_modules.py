@@ -100,21 +100,21 @@ class TestCoversAndEnvelopes:
         for M in (k, A):
             _, epi = modules.projective_cover(M)
             section = linalg.solve_matrix(epi.matrix, linalg.eye(M.dim), 2)
-            has_section = section is not None and modules.split_class(M).is_projective
-            assert has_section == modules.split_class(M).is_projective
+            has_section = section is not None and M.split_class.is_projective
+            assert has_section == M.split_class.is_projective
 
 
 class TestSplitClass:
     def test_regular_d2(self, A):
-        cls = modules.split_class(A)
+        cls = A.split_class
         assert cls.is_projective and cls.is_injective
 
     def test_simple_d2(self, k):
-        cls = modules.split_class(k)
+        cls = k.split_class
         assert not cls.is_projective and not cls.is_injective
 
     def test_s1_over_t2(self):
-        cls = modules.split_class(fixtures.S1())
+        cls = fixtures.S1().split_class
         assert cls.is_projective and not cls.is_injective
 
 

@@ -1,9 +1,14 @@
 """Chain-map space solver and factorization."""
 
-import numpy as np
+import random
 
-from singeq import complexes, functors, solver
+import numpy as np
+import pytest
+
+from conftest import random_d2_module
+from singeq import algebra, complexes, fixtures, functors, linalg, modules, solver
 from singeq.complexes import add_maps, compose, identity_chain_map
+from singeq.modules import Module, ModuleMap
 
 
 class TestChainMapSpaces:
@@ -16,7 +21,7 @@ class TestChainMapSpaces:
     def test_dimension_matches_commuting_system(self, t_per, k):
         # maps from T_per into a stalk: one degree-0 component g with
         # g . d_1 = 0, i.e. an A-linear map killing (x); dim Hom(A,k)=1
-        dim = solver.chain_hom_dimension(t_per, functors.stalk(k))
+        dim = len(solver.chain_map_space_basis(t_per, functors.stalk(k))[0])
         assert dim == 1
 
     def test_surrogate_basis_on_periodic_pair(self, t_per):
@@ -28,7 +33,7 @@ class TestChainMapSpaces:
 
     def test_zero_spaces(self, D2, t_per):
         Z = complexes.zero_complex(D2)
-        assert solver.chain_hom_dimension(Z, t_per) == 0
+        assert len(solver.chain_map_space_basis(Z, t_per)[0]) == 0
 
 
 class TestFactorization:
@@ -56,3 +61,198 @@ class TestFactorization:
         g = solver.factor_chain_map(eps, eps, "lift")
         assert g is not None
         assert np.array_equal(g.component(0) % 2, np.eye(1, dtype=np.int64))
+
+
+# -- hom-coordinate systems against the raw-entry reference ---------------
+
+
+def truncated_polynomial(n: int, p: int) -> algebra.Algebra:
+    """F_p[x]/(x^n) in the basis 1, x, ..., x^(n-1)."""
+    mul = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n - i):
+            mul[i, j, i + j] = 1
+    alg = algebra.Algebra(algebra.Field(p), n, tuple(f"x^{i}" for i in range(n)),
+                          mul, linalg.eye(n)[0], (0,), tuple(range(1, n)),
+                          name=f"D{n}/F{p}")
+    alg.validate()
+    return alg
+
+
+def random_invertible(rng: random.Random, d: int, p: int) -> np.ndarray:
+    while True:
+        g = random_matrix(rng, d, d, p)
+        if linalg.invert(g, p) is not None:
+            return g
+
+
+def random_dn_module(rng: random.Random, alg, max_dim: int = 4) -> Module:
+    """x acts by Jordan blocks of size <= n in a random basis; the blocks
+    are drawn until their sizes reach a random bound of at most max_dim."""
+    n, p = alg.dim, alg.p
+    bound = rng.randint(0, max_dim)
+    sizes = []
+    while sum(sizes) < bound:
+        sizes.append(rng.randint(1, n))
+    d = sum(sizes)
+    N = linalg.zeros(d, d)
+    off = 0
+    for size in sizes:
+        for i in range(size - 1):
+            N[off + i + 1, off + i] = 1
+        off += size
+    g = random_invertible(rng, d, p)
+    N = (g @ N @ linalg.invert(g, p)) % p
+    powers = [linalg.eye(d)]
+    for _ in range(n - 1):
+        powers.append((powers[-1] @ N) % p)
+    M = Module(alg, d, tuple(powers))
+    M.validate()
+    return M
+
+
+def reference_system(p: int, pairs: list, equations: list):
+    """(unknowns, rank, consistent) of the raw-entry system.
+
+    Each unknown is a full target.dim x source.dim matrix, and the module
+    map condition F a_i = b_i F enters as intertwining rows, one block per
+    action matrix; equations are (rhs, [(M, k, N)]) for sum M u_k N = rhs.
+    """
+    offsets, total = [], 0
+    for S, T in pairs:
+        offsets.append(total)
+        total += T.dim * S.dim
+    rows, rhs = [], []
+    for (S, T), off in zip(pairs, offsets):
+        t, s = T.dim, S.dim
+        for a, b in zip(S.action, T.action):
+            block = linalg.zeros(t * s, total)
+            block[:, off : off + t * s] = (
+                np.kron(linalg.eye(t), a.T) - np.kron(b, linalg.eye(s)))
+            rows.append(block)
+            rhs.append(linalg.zeros(t * s, 1).reshape(-1))
+    for b, terms in equations:
+        block = linalg.zeros(b.size, total)
+        for M, k, N in terms:
+            t, s = pairs[k][1].dim, pairs[k][0].dim
+            block[:, offsets[k] : offsets[k] + t * s] += np.kron(M, N.T)
+        rows.append(block)
+        rhs.append(b.reshape(-1))
+    A = np.vstack(rows) % p if rows else linalg.zeros(0, total)
+    b = np.concatenate(rhs) % p if rhs else linalg.zeros(0, 1).reshape(-1)
+    return total, linalg.rank(A, p), linalg.solve(A, b, p) is not None
+
+
+def random_matrix(rng, r, c, p):
+    return np.array([[rng.randrange(p) for _ in range(c)] for _ in range(r)],
+                    dtype=np.int64).reshape(r, c)
+
+
+def random_equations(rng, pairs, p, count):
+    """Equations sum M u_k N = rhs over random unknowns; the right-hand
+    side is either the image of random module maps or random entries."""
+    equations = []
+    for _ in range(count):
+        r, c = rng.randint(1, 3), rng.randint(1, 3)
+        terms = []
+        for k in rng.sample(range(len(pairs)), rng.randint(1, len(pairs))):
+            S, T = pairs[k]
+            terms.append((random_matrix(rng, r, T.dim, p), k,
+                          random_matrix(rng, S.dim, c, p)))
+        if rng.randint(0, 1):
+            rhs = linalg.zeros(r, c)
+            for M, k, N in terms:
+                H = modules.hom_stack(*pairs[k])
+                u = sum((rng.randrange(p) * h for h in H), linalg.zeros(*H.shape[1:]))
+                rhs = (rhs + M @ (u % p) @ N) % p
+        else:
+            rhs = random_matrix(rng, r, c, p)
+        equations.append((rhs, terms))
+    return equations
+
+
+def shipped_modules():
+    return {"D2": [fixtures.simple_k(), fixtures.regular_D2(),
+                   modules.regular_module(fixtures.D2())],
+            "T2": [fixtures.S1(), fixtures.S2(), modules.regular_module(fixtures.T2())],
+            "F2": [fixtures.simple_k_F2(), modules.regular_module(fixtures.F2())]}
+
+
+def module_pools():
+    rng = random.Random(20261018)
+    pools = dict(shipped_modules())
+    pools["D2 random"] = [random_d2_module(rng) for _ in range(6)]
+    for p in (2, 3):
+        D3 = truncated_polynomial(3, p)
+        pools[f"D3/F{p} random"] = [random_dn_module(rng, D3) for _ in range(6)]
+    return pools
+
+
+POOLS = module_pools()
+
+
+class TestHomCoordinateSystems:
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_agrees_with_raw_entry_reference(self, pool):
+        mods = POOLS[pool]
+        p = mods[0].algebra.p
+        rng = random.Random(pool)
+        for trial in range(40):
+            pairs = [(rng.choice(mods), rng.choice(mods)) for _ in range(rng.randint(1, 2))]
+            equations = random_equations(rng, pairs, p, rng.randint(0, 2))
+            sys_ = solver.FoldedSystem(p, dict(enumerate(pairs)), 0, len(pairs) - 1)
+            for rhs, terms in equations:
+                sys_.add_equation(rhs, terms)
+            total, rank, consistent = reference_system(p, pairs, equations)
+
+            kernel = sys_.kernel()
+            assert len(kernel) == total - rank
+            solution = sys_.solve()
+            assert (solution is not None) == consistent
+            for comps in kernel + ([solution] if consistent else []):
+                for k, (S, T) in enumerate(pairs):
+                    ModuleMap(S, T, comps[k]).validate()
+            if consistent:
+                for rhs, terms in equations:
+                    lhs = sum(((M @ solution[k] @ N) % p for M, k, N in terms),
+                              linalg.zeros(*rhs.shape))
+                    assert np.array_equal(lhs % p, rhs % p)
+
+    def test_plain_shape_blocks_range_over_all_matrices(self):
+        sys_ = solver.FoldedSystem(3, {0: (2, 1)}, 0, 0)
+        assert sys_.total == 2
+        sys_.add_equation(np.array([[1], [2]]), [(linalg.eye(2), 0, linalg.eye(1))])
+        assert np.array_equal(sys_.solve()[0], np.array([[1], [2]]))
+
+
+def periodic_complex(alg, j):
+    """T_j = (... -> A -x^j-> A -x^(n-j)-> A -> ...), d_even = x^j."""
+    n = alg.dim
+    A = modules.regular_module(alg)
+    xj, xnj = alg.left_multiplication(j), alg.left_multiplication(n - j)
+    return complexes.complex_from_callable(
+        alg, 0, 1, lambda d: A, lambda d: xj if d % 2 == 0 else xnj, 2, 2)
+
+
+# len(chain_map_space_basis(T_i, T_j[s])) over F_2[x]/(x^n), keyed (n, i, j, s);
+# the same counts came out of the raw-entry solver with intertwining rows
+SPACE_DIMENSIONS = {
+    (3, 1, 1, 0): 15, (3, 1, 1, 1): 18, (3, 1, 2, 0): 16, (3, 1, 2, 1): 17,
+    (3, 2, 1, 0): 16, (3, 2, 1, 1): 17, (3, 2, 2, 0): 16, (3, 2, 2, 1): 17,
+    (4, 1, 1, 0): 19, (4, 1, 1, 1): 24, (4, 1, 2, 0): 20, (4, 1, 2, 1): 23,
+    (4, 1, 3, 0): 21, (4, 1, 3, 1): 22, (4, 2, 1, 0): 20, (4, 2, 1, 1): 23,
+    (4, 2, 2, 0): 22, (4, 2, 2, 1): 24, (4, 2, 3, 0): 21, (4, 2, 3, 1): 22,
+    (4, 3, 1, 0): 21, (4, 3, 1, 1): 22, (4, 3, 2, 0): 21, (4, 3, 2, 1): 22,
+    (4, 3, 3, 0): 21, (4, 3, 3, 1): 22,
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_chain_map_space_dimensions_over_truncated_polynomials(n):
+    alg = truncated_polynomial(n, 2)
+    T = {j: periodic_complex(alg, j) for j in range(1, n)}
+    for (m, i, j, s), dim in SPACE_DIMENSIONS.items():
+        if m == n:
+            basis, complete = solver.chain_map_space_basis(T[i], complexes.reindex(T[j], s))
+            assert not complete
+            assert len(basis) == dim, (i, j, s)
