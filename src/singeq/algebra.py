@@ -56,7 +56,7 @@ class Algebra:
     radical_basis: tuple  # basis indices spanning rad(A)
     name: str = ""
     _left_mul: dict = field(default_factory=dict, compare=False, repr=False)
-    # modules over this algebra that modules.py builds once and shares
+    # what modules.py computes once per algebra and shares (see its docstring)
     _modules: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property

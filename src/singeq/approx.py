@@ -102,7 +102,8 @@ def complete_resolution(M: Module, bound: int = 8,
         if wrap_pos:
             break
     if wrap_pos is None:
-        raise PeriodicityError("NO-PERIODICITY-WITHIN-BOUND")
+        raise PeriodicityError("NO-PERIODICITY-WITHIN-BOUND: no syzygy repeats "
+                               f"within periodicity_bound={bound}")
     i, j, psi = wrap_pos
     q_pos = j - i
     # wrap differential P_i -> P_{j-1}: project to Z_i, transport, include
@@ -131,7 +132,8 @@ def complete_resolution(M: Module, bound: int = 8,
         if wrap_neg:
             break
     if wrap_neg is None:
-        raise PeriodicityError("NO-PERIODICITY-WITHIN-BOUND")
+        raise PeriodicityError("NO-PERIODICITY-WITHIN-BOUND: no cosyzygy repeats "
+                               f"within periodicity_bound={bound}")
     s, t, phi = wrap_neg
     q_neg = t - s
     # wrap differential E_{t-1} -> E_s: project to C_t, transport, include

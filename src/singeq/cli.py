@@ -1,7 +1,8 @@
 """Command-line driver: parse inputs, run checks, emit a structured report.
 
 Exit codes: 0 on overall YES, 1 if any check answers NO, 2 if a required
-check stays UNKNOWN, 64 on usage errors, 65 on input-format errors.
+check stays UNKNOWN or a search runs out of its Options bound, 64 on usage
+errors, 65 on input errors, 70 on internal errors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from . import approx, equiv, fixtures, formats, functors, homotopy, modelcat
 from .complexes import ChainMap, Complex, GradedMap
 from .config import default_options
-from .errors import ParseError, SingeqError
+from .errors import (IsomorphismUndecided, LiftError, ParseError,
+                     PeriodicityError, SingeqError)
 from .homotopy import NO, UNKNOWN, YES, Certificate
 from .modules import Module, ModuleMap
 
@@ -361,9 +363,16 @@ def main(argv=None) -> int:
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
         code = 65
+    except (PeriodicityError, LiftError, IsomorphismUndecided) as exc:
+        # a search ran out of its bound: the answer is UNKNOWN, not bad input
+        click.echo(f"unknown: {exc}", err=True)
+        code = 2
     except SingeqError as exc:
         click.echo(f"error: {exc}", err=True)
         code = 65
+    except Exception as exc:
+        click.echo(f"internal error: {exc!r}", err=True)
+        code = 70
     if argv is None:
         sys.exit(code or 0)
     return code or 0

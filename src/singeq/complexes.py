@@ -68,13 +68,13 @@ def _check_intertwining(maps, what: str) -> None:
         raise ValidationError(f"{what} at degree {n} does not intertwine action {i}")
 
 
-def _first_failure(checks, p: int):
+def _first_failure(checks, residue):
     """Smallest degree whose check fails, or None.
 
-    A check (n, A, B, C, D) asks A B == C D, and (n, A, B) asks A B == 0.
+    A check is (n, *matrices) and holds when residue(*matrices) is zero.
     Each distinct tuple of matrix objects is checked once, at its first
-    degree; the distinct tuples are stacked per shape group and each group
-    is checked with one batched product per side.
+    degree; the distinct tuples are stacked per shape group, and residue
+    runs once per group on the stacks, one batched product per term.
     """
     distinct = {}
     for check in checks:
@@ -88,12 +88,14 @@ def _first_failure(checks, p: int):
     failures = []
     for group in groups.values():
         degrees, *mats = zip(*group)
-        stacks = [np.array(m) for m in mats]
-        lhs = (stacks[0] @ stacks[1]) % p
-        rhs = (stacks[2] @ stacks[3]) % p if len(stacks) == 4 else 0
-        bad = (lhs != rhs).any(axis=(1, 2))
+        bad = residue(*map(np.array, mats)).any(axis=(1, 2))
         failures += [degrees[i] for i in bad.nonzero()[0]]
     return min(failures, default=None)
+
+
+def _composite(p: int):
+    """Residue of the check d_n d_{n+1} = 0, for _first_failure."""
+    return lambda d0, d1: (d0 @ d1) % p
 
 
 def _lcm(values) -> int:
@@ -210,7 +212,7 @@ class Complex:
                 raise ValidationError(f"differential at degree {n} has wrong shape")
         _check_intertwining(maps, "differential")
         bad = _first_failure([(n + 1, d0, d1) for (n, _, _, d0), (_, _, _, d1)
-                              in zip(maps, maps[1:])], self.algebra.p)
+                              in zip(maps, maps[1:])], _composite(self.algebra.p))
         if bad is not None:
             raise ValidationError(f"d*d != 0 at degree {bad}")
 
@@ -327,7 +329,9 @@ class ChainMap(GradedMap):
             checks += [(n, f0, S.diff(n), T.diff(n), f1)
                        for (_, _, _, f0), (n, _, _, f1) in zip(maps, maps[1:])]
         _check_intertwining(entries, "component")
-        bad = _first_failure(checks, self.source.algebra.p)
+        p = self.source.algebra.p
+        bad = _first_failure(checks,
+                             lambda f0, dS, dT, f1: (f0 @ dS) % p - (dT @ f1) % p)
         if bad is not None:
             raise ValidationError(f"does not commute with d at degree {bad}")
 
@@ -458,9 +462,21 @@ def homology(X: Complex, n: int) -> Module:
 
 
 def is_exact(X: Complex) -> bool:
+    """H_n = 0 on the window widened by one tail period and one degree.
+
+    H_n = 0 iff rank d_n + rank d_{n+1} = dim X_n, given d_n d_{n+1} = 0,
+    which is checked first (stacked) as homology_data checks it.
+    """
     a = X.lo - max(X.neg_period, 1) - 1
     b = X.hi + max(X.pos_period, 1) + 1
-    return all(homology(X, n).dim == 0 for n in range(a, b + 1))
+    p = X.algebra.p
+    diffs = [X.diff(n) for n in range(a, b + 2)]
+    bad = _first_failure(list(zip(range(a, b + 1), diffs, diffs[1:])), _composite(p))
+    if bad is not None:
+        raise ValidationError(f"boundaries do not land in cycles at degree {bad}")
+    ranks = [linalg.rank(d, p) for d in diffs]
+    return all(ranks[i] + ranks[i + 1] == X.term(n).dim
+               for i, n in enumerate(range(a, b + 1)))
 
 
 def reindex(X: Complex, k: int) -> Complex:

@@ -112,7 +112,8 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
             return f
         if fold == 0:
             break
-    raise LiftError("PERIODIC-CLOSURE-FAILED")
+    raise LiftError("PERIODIC-CLOSURE-FAILED: no stable lift within "
+                    f"homotopy_period_bound={options.homotopy_period_bound}")
 
 
 @dataclass(eq=False)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functors, linalg, modules
-from .complexes import (ChainMap, Complex, Homotopy, _lcm, _map_profile,
-                        add_maps, chain_map_from_callable, compose, cone,
+from .complexes import (ChainMap, Complex, Homotopy, _check_intertwining,
+                        _first_failure, _lcm, _map_profile, add_maps,
+                        chain_map_from_callable, compose, cone,
                         identity_chain_map, is_exact)
 from .config import Options
 from .errors import ValidationError
@@ -52,25 +53,31 @@ class EquivalenceResult:
 
 
 def verify_null_homotopy(f: ChainMap, s: Homotopy) -> bool:
-    """f_n == d s_n + s_{n-1} d at every degree of the common check range."""
+    """f_n == d s_n + s_{n-1} d at every degree of the common check range.
+
+    Shapes are checked at every degree; intertwining of each s_n and the
+    equation are stacked across degrees, as in ChainMap.validate.
+    """
     p = f.source.algebra.p
     X, Y = f.source, f.target
     q = _lcm([f.neg_period, f.pos_period, s.neg_period, s.pos_period,
               X.neg_period, X.pos_period, Y.neg_period, Y.pos_period])
     a = min(f.clo, s.clo, X.lo, Y.lo) - 2 * q - 1
     b = max(f.chi, s.chi, X.hi, Y.hi) + 2 * q + 1
-    for n in range(a, b + 1):
-        sn = s.component(n)
-        if sn.shape != (Y.term(n + 1).dim, X.term(n).dim):
-            return False
-        lhs = (Y.diff(n + 1) @ sn + s.component(n - 1) @ X.diff(n)) % p
-        if not np.array_equal(lhs, f.component(n)):
-            return False
-        try:
-            modules.ModuleMap(X.term(n), Y.term(n + 1), sn).validate()
-        except ValidationError:
-            return False
-    return True
+    # s_{a-1} enters the equation at degree a
+    maps = [(n, X.term(n), Y.term(n + 1), s.component(n)) for n in range(a - 1, b + 1)]
+    checks = [(n, Y.diff(n + 1), sn, sm, X.diff(n), f.component(n))
+              for (_, _, _, sm), (n, _, _, sn) in zip(maps, maps[1:])]
+    if any(m.shape != (tgt.dim, src.dim) for _, src, tgt, m in maps):
+        return False
+    if any(fn.shape != (Y.term(n).dim, X.term(n).dim) for n, *_, fn in checks):
+        return False
+    try:
+        _check_intertwining(maps[1:], "homotopy component")
+    except ValidationError:
+        return False
+    return _first_failure(
+        checks, lambda dY, sn, sm, dX, fn: (dY @ sn + sm @ dX) % p - fn) is None
 
 
 def verify_certificate(cert: Certificate) -> bool:

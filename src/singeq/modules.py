@@ -3,6 +3,14 @@
 Modules are value-semantic presentations (action matrices); maps carry an
 explicit intertwiner matrix.  Isomorphism is always explicit via
 find_isomorphism, never implied by equal dimensions.
+
+Caching rule: data that depends only on a module's action (its split
+class, projective cover and injective envelope) is memoized on its algebra
+under the exact action bytes, so equal presentations share one entry and
+a change of basis gets its own.  The same per-algebra dict holds what
+depends on the algebra alone: the zero module, the indecomposable
+projectives and the opposite algebra.  Memoized arrays are read-only, and
+every check a computation makes runs on its first computation.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,15 +78,19 @@ class Module:
         """The action matrices as one (algebra.dim x dim x dim) array."""
         return np.stack(self.action)
 
-    @cached_property
+    @property
     def split_class(self) -> "SplitClass":
         """Projectivity/injectivity flags with explicit splitting witnesses."""
         if self.dim == 0:
             return SplitClass(True, True, None, None)
-        section = _one_sided_inverse(projective_cover(self)[1], "section")
-        retraction = _one_sided_inverse(injective_envelope(self)[1], "retraction")
-        return SplitClass(section is not None, retraction is not None,
-                          section, retraction)
+
+        def compute():
+            section = _one_sided_inverse(projective_cover(self)[1], "section")
+            retraction = _one_sided_inverse(injective_envelope(self)[1], "retraction")
+            return SplitClass(section is not None, retraction is not None,
+                              section, retraction)
+
+        return _by_value(self, "split_class", compute)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +142,38 @@ def intertwining_failures(source: Module, target: Module, mats) -> np.ndarray:
     return (lhs != rhs).any(axis=(2, 3))
 
 
+def _memo(algebra: Algebra, key, compute):
+    """compute(), stored on algebra under key, with its arrays made read-only."""
+    memo = algebra._modules
+    if key not in memo:
+        memo[key] = _read_only(compute())
+    return memo[key]
+
+
+def _read_only(value):
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, Module):
+        _read_only(value.action)
+    elif isinstance(value, ModuleMap):
+        _read_only(value.matrix)
+    elif isinstance(value, tuple):
+        for v in value:
+            _read_only(v)
+    return value
+
+
+def _by_value(M: Module, kind: str, compute):
+    """compute(), memoized on M's algebra under the exact bytes of M's action."""
+    action = M.stacked_action
+    key = (kind, M.dim, action.dtype.str, action.tobytes())
+    return _memo(M.algebra, key, compute)
+
+
 def zero_module(algebra: Algebra) -> Module:
     """The zero module over algebra; one shared instance per algebra."""
-    Z = algebra._modules.get("zero")
-    if Z is None:
-        Z = Module(algebra, 0, tuple(linalg.zeros(0, 0) for _ in range(algebra.dim)))
-        algebra._modules["zero"] = Z
-    return Z
+    return _memo(algebra, "zero", lambda: Module(
+        algebra, 0, tuple(linalg.zeros(0, 0) for _ in range(algebra.dim))))
 
 
 def zero_map(source: Module, target: Module) -> ModuleMap:
@@ -272,26 +310,35 @@ def radical_submodule_basis(M: Module) -> np.ndarray:
 
 def indecomposable_projective(algebra: Algebra, idem_index: int) -> tuple:
     """(A*e_i as a module, inclusion into the regular module, generator coords)."""
-    reg = regular_module(algebra)
-    p = algebra.p
-    cols = np.column_stack(
-        [algebra.mul[j, idem_index, :] for j in range(algebra.dim)]
-    ) % p
-    P, incl = submodule(reg, cols)
-    e = np.zeros(algebra.dim, dtype=np.int64)
-    e[idem_index] = 1
-    gen = linalg.solve(incl.matrix, e, p)
-    if gen is None:
-        raise ValidationError("idempotent not inside its own projective")
-    return P, incl, gen
+
+    def compute():
+        p = algebra.p
+        cols = np.column_stack(
+            [algebra.mul[j, idem_index, :] for j in range(algebra.dim)]
+        ) % p
+        P, incl = submodule(regular_module(algebra), cols)
+        e = np.zeros(algebra.dim, dtype=np.int64)
+        e[idem_index] = 1
+        gen = linalg.solve(incl.matrix, e, p)
+        if gen is None:
+            raise ValidationError("idempotent not inside its own projective")
+        return P, incl, gen
+
+    return _memo(algebra, ("projective", idem_index), compute)
 
 
 def projective_cover(M: Module) -> tuple:
     """(P, epi) with P a sum of indecomposable projectives covering M."""
+    if M.dim == 0:
+        return zero_module(M.algebra), zero_map(zero_module(M.algebra), M)
+    S, epi = _by_value(M, "cover", lambda: _projective_cover(M))
+    return S, ModuleMap(S, M, epi)
+
+
+def _projective_cover(M: Module) -> tuple:
+    """(P, epi matrix) for a nonzero M, with the epi validated."""
     A = M.algebra
     p = A.p
-    if M.dim == 0:
-        return zero_module(A), zero_map(zero_module(A), M)
     radB = radical_submodule_basis(M)
     top, pi_top = quotient_module(M, radB)
     summands = []
@@ -319,7 +366,7 @@ def projective_cover(M: Module) -> tuple:
     epi.validate()
     if not epi.is_surjective():
         raise ValidationError("projective cover candidate is not surjective")
-    return S, epi
+    return S, epi.matrix
 
 
 def dual_module(M: Module) -> Module:
@@ -333,16 +380,15 @@ def dual_module_back(M: Module, algebra: Algebra) -> Module:
     return Module(algebra, M.dim, tuple(m.T.copy() for m in M.action))
 
 
-_OPPOSITES: dict = {}
-
-
 def _opposite_of(algebra: Algebra) -> Algebra:
-    key = id(algebra)
-    if key not in _OPPOSITES:
+    """The opposite algebra, built once; its own opposite is algebra."""
+
+    def compute():
         op = algebra.opposite()
-        _OPPOSITES[key] = op
-        _OPPOSITES[id(op)] = algebra
-    return _OPPOSITES[key]
+        op._modules["opposite"] = algebra
+        return op
+
+    return _memo(algebra, "opposite", compute)
 
 
 def injective_envelope(M: Module) -> tuple:
@@ -350,18 +396,21 @@ def injective_envelope(M: Module) -> tuple:
     A = M.algebra
     if M.dim == 0:
         return zero_module(A), zero_map(M, zero_module(A))
-    Mo = dual_module(M)
-    P, epi = projective_cover(Mo)
-    I = dual_module_back(P, A)
-    mono = ModuleMap(M, I, epi.matrix.T.copy())
-    mono.validate()
-    if not mono.is_injective():
-        raise ValidationError("injective envelope candidate is not injective")
-    return I, mono
+
+    def compute():
+        P, epi = projective_cover(dual_module(M))
+        I = dual_module_back(P, A)
+        mono = ModuleMap(M, I, epi.matrix.T.copy())
+        mono.validate()
+        if not mono.is_injective():
+            raise ValidationError("injective envelope candidate is not injective")
+        return I, mono.matrix
+
+    I, mono = _by_value(M, "envelope", compute)
+    return I, ModuleMap(M, I, mono)
 
 
-@dataclass
-class SplitClass:
+class SplitClass(NamedTuple):
     is_projective: bool
     is_injective: bool
     # matrices of the splitting witnesses, against projective_cover(M) and
@@ -425,8 +474,9 @@ def find_isomorphism(M: Module, N: Module, options: Options = _DEFAULT):
         if linalg.rank(np.asarray(m), p) == M.dim:
             return ModuleMap(M, N, np.asarray(m, dtype=np.int64))
     raise IsomorphismUndecided(
-        f"hom space of dimension {h} too large to exhaust; random search failed"
-    )
+        f"hom space of dimension {h} over F_{p} exceeds the exhaustive search "
+        f"(iso_exhaustive_dim={options.iso_exhaustive_dim}) and "
+        f"iso_random_tries={options.iso_random_tries} random tries found no isomorphism")
 
 
 def projective_dimension(M: Module, bound: int):

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from singeq import complexes, fixtures, linalg, modules
+from singeq import algebra, complexes, fixtures, linalg, modules
 from singeq.complexes import Complex, chain_map
 from singeq.modules import Module
 
@@ -45,6 +45,31 @@ def t_per():
 @pytest.fixture(scope="session")
 def contractible():
     return fixtures.contractible_AA()
+
+
+# -- truncated polynomial algebras D_n = F_p[x]/(x^n) ------------------
+
+
+def truncated_polynomial(n: int, p: int) -> algebra.Algebra:
+    """F_p[x]/(x^n) in the basis 1, x, ..., x^(n-1)."""
+    mul = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n - i):
+            mul[i, j, i + j] = 1
+    alg = algebra.Algebra(algebra.Field(p), n, tuple(f"x^{i}" for i in range(n)),
+                          mul, linalg.eye(n)[0], (0,), tuple(range(1, n)),
+                          name=f"D{n}/F{p}")
+    alg.validate()
+    return alg
+
+
+def periodic_complex(alg, j):
+    """T_j = (... -> A -x^j-> A -x^(n-j)-> A -> ...), d_even = x^j."""
+    n = alg.dim
+    A = modules.regular_module(alg)
+    xj, xnj = alg.left_multiplication(j), alg.left_multiplication(n - j)
+    return complexes.complex_from_callable(
+        alg, 0, 1, lambda d: A, lambda d: xj if d % 2 == 0 else xnj, 2, 2)
 
 
 # -- seeded generators over D2 ----------------------------------------

@@ -1,9 +1,15 @@
 """Complexes with periodic tails: homology, cones, truncations, shifts."""
 
+import glob
+import os
+import random
+
 import numpy as np
 import pytest
 
-from singeq import complexes, fixtures, functors, modules
+from conftest import periodic_complex as T_j
+from conftest import random_contractible, random_d2_complex, truncated_polynomial
+from singeq import complexes, fixtures, formats, functors, linalg, modules
 from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
                               hard_truncate_above, hard_truncate_below,
                               homology, identity_chain_map, is_exact,
@@ -44,6 +50,82 @@ class TestExactness:
             complexes.Complex.build(
                 D2, 0, 2, {0: A, 1: A, 2: A},
                 {1: np.eye(2, dtype=np.int64), 2: np.eye(2, dtype=np.int64)})
+
+
+def exact_by_homology(X):
+    """Oracle: every homology module vanishes over is_exact's degrees."""
+    a = X.lo - max(X.neg_period, 1) - 1
+    b = X.hi + max(X.pos_period, 1) + 1
+    return all(homology(X, n).dim == 0 for n in range(a, b + 1))
+
+
+def shipped_complexes():
+    """The fixture files, the built-in complexes and stalks of built-in modules."""
+    fixdir = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    out = [formats.load_complex(path)
+           for path in sorted(glob.glob(os.path.join(fixdir, "*.cx")))]
+    out += [fixtures.builtin_complex(name)
+            for name in ("T_per", "contractible", "T_per[1]")]
+    out += [functors.stalk(fixtures.builtin_module(name))
+            for name in ("k", "A", "kF2", "S1", "S2", "AT2")]
+    return out
+
+
+class TestRankExactness:
+    def assert_agrees(self, X):
+        verdict = is_exact(X)
+        assert verdict == exact_by_homology(X)
+        return verdict
+
+    def test_shipped_complexes_and_cones_of_their_identities(self):
+        verdicts = set()
+        for X in shipped_complexes():
+            verdicts.add(self.assert_agrees(X))
+            assert self.assert_agrees(cone(identity_chain_map(X)))
+        assert verdicts == {True, False}
+
+    def test_random_d2_complexes(self):
+        rng = random.Random(20261018)
+        verdicts = set()
+        for _ in range(60):
+            verdicts.add(self.assert_agrees(random_d2_complex(rng)))
+            assert self.assert_agrees(random_contractible(rng))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_periodic_complexes_over_truncated_polynomials(self, n):
+        alg = truncated_polynomial(n, 2)
+        for j in range(1, n):
+            assert self.assert_agrees(T_j(alg, j))
+        # d = x^(n-1) in every degree squares to zero but is not exact
+        A = modules.regular_module(alg)
+        assert not self.assert_agrees(periodic_complex(A, alg.left_multiplication(n - 1)))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_homology_only_at_an_end_of_the_range(self, n):
+        # a non-exact 1-periodic tail (y = x^(n-1)) behind an exact seam, and
+        # exact (x, y alternating) on the other side: only the outermost
+        # degree of the range sees the tail's homology
+        alg = truncated_polynomial(n, 2)
+        A = modules.regular_module(alg)
+        x, y = alg.left_multiplication(1), alg.left_multiplication(n - 1)
+
+        def d(m):
+            return y if m < 0 or m % 2 else x
+
+        below = complexes.complex_from_callable(alg, 0, 0, lambda m: A, d, 1, 2)
+        above = complexes.complex_from_callable(alg, 0, 0, lambda m: A,
+                                                lambda m: d(1 - m), 2, 1)
+        for X, end in ((below, -2), (above, 2)):
+            assert not self.assert_agrees(X)
+            assert [m for m in range(-2, 3) if homology(X, m).dim] == [end]
+
+    def test_d_squared_nonzero_still_raises(self, D2, A):
+        X = complexes.Complex.build(D2, 0, 2, {0: A, 1: A, 2: A},
+                                    {1: linalg.eye(2), 2: linalg.eye(2)},
+                                    validate=False)
+        with pytest.raises(ValidationError, match="boundaries do not land in cycles"):
+            is_exact(X)
 
 
 X_D2 = np.array([[0, 0], [1, 0]], dtype=np.int64)  # x on basis (1, x)

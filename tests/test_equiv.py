@@ -5,7 +5,8 @@ import pytest
 
 from singeq import complexes, equiv, fixtures, functors, homotopy, modules
 from singeq.complexes import identity_chain_map, reindex
-from singeq.errors import ValidationError
+from singeq.config import Options
+from singeq.errors import LiftError, ValidationError
 from singeq.homotopy import YES
 
 
@@ -60,6 +61,12 @@ class TestLiftStableMap:
             W, W, np.zeros((1, 1), dtype=np.int64))
         f = equiv.lift_stable_map(x_on_k, t_per, t_per, "omega")
         assert homotopy.null_homotopy(f).verdict == YES
+
+    def test_exhaustion_names_its_bound(self, t_per):
+        phi = modules.identity_map(functors.omega(t_per))
+        with pytest.raises(LiftError, match="homotopy_period_bound=0"):
+            equiv.lift_stable_map(phi, t_per, t_per, "omega",
+                                  Options(homotopy_period_bound=0))
 
 
 class TestRoundTrip:

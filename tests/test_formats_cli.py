@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from singeq import fixtures, formats
+from singeq import approx, fixtures, formats
 from singeq.cli import main
-from singeq.errors import ParseError
+from singeq.errors import IsomorphismUndecided, LiftError, ParseError
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -146,3 +146,69 @@ class TestCli:
         assert main(["validate", str(bad)]) == 65
         err = capsys.readouterr().err
         assert "line 1" in err
+
+
+def write_square_zero_plane(tmp_path):
+    """k[x,y]/(x^2, y^2) over F_2, its simple module k, and the stalk of k.
+
+    The syzygies of k grow in dimension, so no periodic tail closes.
+    """
+    labels = ["1", "x", "y", "xy"]
+    mul = np.zeros((4, 4, 4), dtype=np.int64)
+    for i, j, k in [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 0, 1),
+                    (2, 0, 2), (3, 0, 3), (1, 2, 3), (2, 1, 3)]:
+        mul[i, j, k] = 1
+    (tmp_path / "plane.alg").write_text(json.dumps({
+        "name": "k[x,y]/(x^2,y^2)", "p": 2, "basis": labels, "mul": mul.tolist(),
+        "unit": [1, 0, 0, 0], "idempotents": [0], "radical": [1, 2, 3]}))
+    (tmp_path / "k.mod").write_text(json.dumps({
+        "name": "k", "algebra": "plane.alg", "dim": 1,
+        "action": [[[1]], [[0]], [[0]], [[0]]]}))
+    stalk = tmp_path / "kstalk.cx"
+    stalk.write_text(json.dumps({"window": {"lo": 0, "hi": 0, "terms": ["k.mod"],
+                                            "diffs": []}}))
+    return str(stalk)
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+class TestExitCodes:
+    def test_0_yes(self, tmp_path, capsys):
+        assert main(["validate", write_square_zero_plane(tmp_path)]) == 0
+
+    def test_1_no(self, capsys):
+        assert main(["verify-equivalence", fx("kstalk.cx")]) == 1
+
+    def test_2_search_exhaustion(self, tmp_path, capsys):
+        stalk = write_square_zero_plane(tmp_path)
+        assert main(["replace", stalk, "--which", "cofibrant-ctr"]) == 2
+        err = capsys.readouterr().err
+        assert "NO-PERIODICITY-WITHIN-BOUND" in err and "periodicity_bound=8" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc", [
+        LiftError("PERIODIC-CLOSURE-FAILED: homotopy_period_bound=4"),
+        IsomorphismUndecided("iso_exhaustive_dim=12")])
+    def test_2_other_searches(self, monkeypatch, capsys, exc):
+        monkeypatch.setattr(approx, "stalk_replacement", _raise(exc))
+        assert main(["replace", fx("kstalk.cx"), "--which", "cofibrant-ctr"]) == 2
+        assert str(exc) in capsys.readouterr().err
+
+    def test_64_usage(self, capsys):
+        assert main(["replace", fx("kstalk.cx"), "--which", "sideways"]) == 64
+
+    def test_65_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mod"
+        bad.write_text(json.dumps({"algebra": "D2", "dim": 1,
+                                   "action": [[[1]], [[1]]]}))
+        assert main(["validate", str(bad)]) == 65
+
+    def test_70_internal(self, monkeypatch, capsys):
+        monkeypatch.setattr(formats, "load_any", _raise(RuntimeError("boom\nmore")))
+        assert main(["validate", fx("d2.alg")]) == 70
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError") and err.count("\n") == 1

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from singeq import complexes, fixtures, homotopy
-from singeq.complexes import (chain_map_from_callable, identity_chain_map,
+from singeq import complexes, fixtures, homotopy, linalg
+from singeq.complexes import (Homotopy, chain_map_from_callable, identity_chain_map,
                               zero_chain_map)
 from singeq.homotopy import NO, UNKNOWN, YES
 
@@ -45,6 +45,36 @@ class TestNullHomotopy:
             res = homotopy.null_homotopy(f)
             assert res.certificate is not None
             assert homotopy.verify_certificate(res.certificate)
+
+
+class TestVerifyNullHomotopy:
+    def with_component(self, s, n, m):
+        return Homotopy(s.source, s.target, {**s.components, n: m},
+                        min(s.clo, n), max(s.chi, n), s.neg, s.pos)
+
+    def test_found_homotopy_passes_and_a_changed_one_fails(self, t_per):
+        f = x_id(t_per)
+        s = homotopy.null_homotopy(f).homotopy
+        assert homotopy.verify_null_homotopy(f, s)
+        assert not homotopy.verify_null_homotopy(identity_chain_map(t_per), s)
+        # one window component plus the identity, still a module map
+        bad = self.with_component(s, s.clo, (s.component(s.clo) + linalg.eye(2)) % 2)
+        assert not homotopy.verify_null_homotopy(f, bad)
+
+    def test_wrong_shape_is_false_not_an_error(self, t_per):
+        f = x_id(t_per)
+        s = homotopy.null_homotopy(f).homotopy
+        assert not homotopy.verify_null_homotopy(f, self.with_component(s, 0, linalg.eye(1)))
+
+    def test_non_intertwining_component_fails_where_the_equation_holds(self, D2, A):
+        # zero differentials: f = 0 = d s + s d for every s, so only the
+        # module-map check can reject s
+        X = complexes.Complex.build(D2, 0, 1, {0: A, 1: A}, {1: linalg.zeros(2, 2)})
+        f = zero_chain_map(X, X)
+        not_linear = np.array([[0, 1], [0, 0]], dtype=np.int64)
+        x = np.array([[0, 0], [1, 0]], dtype=np.int64)
+        assert homotopy.verify_null_homotopy(f, Homotopy(X, X, {0: x}, 0, 0))
+        assert not homotopy.verify_null_homotopy(f, Homotopy(X, X, {0: not_linear}, 0, 0))
 
 
 class TestStableCriterion:

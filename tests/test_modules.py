@@ -1,10 +1,15 @@
 """Module arithmetic over the built-in algebras."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
+from conftest import truncated_polynomial
 from singeq import fixtures, linalg, modules
-from singeq.errors import DimensionMismatch, ValidationError
+from singeq.config import Options
+from singeq.errors import DimensionMismatch, IsomorphismUndecided, ValidationError
 
 
 class TestHomBasis:
@@ -144,6 +149,12 @@ class TestFindIsomorphism:
     def test_iso_transported_action(self, k):
         assert modules.find_isomorphism(k, modules.syzygy(k, 1)) is not None
 
+    def test_undecided_names_its_bounds(self, A):
+        bounds = Options(iso_exhaustive_dim=0, iso_random_tries=0)
+        with pytest.raises(IsomorphismUndecided,
+                           match="iso_exhaustive_dim=0.*iso_random_tries=0"):
+            modules.find_isomorphism(A, A, bounds)
+
 
 class TestDimensions:
     def test_projective_dimension(self, k, A):
@@ -206,3 +217,142 @@ class TestSubmodule:
     def test_span_that_is_not_invariant(self, A):
         with pytest.raises(ValidationError, match="not invariant"):
             modules.submodule(A, np.array([[1], [0]], dtype=np.int64))
+
+
+# -- classification memoized by action value ---------------------------
+
+
+def fresh(alg):
+    """A copy of alg with empty memos, as a newly loaded algebra has."""
+    return dataclasses.replace(alg, _modules={}, _left_mul={})
+
+
+def random_invertible(rng, n, p):
+    while True:
+        g = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+                     dtype=np.int64)
+        if linalg.rank(g, p) == n:
+            return g
+
+
+def in_basis(M, g):
+    """M in the basis given by the columns of g: actions g^-1 a g."""
+    p = M.algebra.p
+    gi = linalg.invert(g, p)
+    return modules.Module(M.algebra, M.dim,
+                          tuple((gi @ a) % p @ g % p for a in M.action))
+
+
+def sample_modules(alg):
+    """Over a local self-injective alg: A (projective and injective) and
+    k + A (neither), k being the simple module on which the radical acts by 0."""
+    A = modules.regular_module(alg)
+    k = modules.Module(alg, 1, tuple(linalg.eye(1) * int(alg.unit[i])
+                                     for i in range(alg.dim)))
+    return [A, modules.direct_sum([k, A])[0]]
+
+
+def assert_witnesses_hold(M):
+    """cover @ section = id and retraction @ envelope = id, against M's own."""
+    p = M.algebra.p
+    cls = M.split_class
+    assert (cls.section is not None) == cls.is_projective
+    assert (cls.retraction is not None) == cls.is_injective
+    if cls.is_projective:
+        epi = modules.projective_cover(M)[1]
+        assert epi.target is M
+        assert np.array_equal((epi.matrix @ cls.section) % p, linalg.eye(M.dim))
+    if cls.is_injective:
+        mono = modules.injective_envelope(M)[1]
+        assert mono.source is M
+        assert np.array_equal((cls.retraction @ mono.matrix) % p, linalg.eye(M.dim))
+
+
+def same_class(c, d):
+    """Equal flags, and witnesses that are both None or equal arrays."""
+    return c[:2] == d[:2] and all(
+        (x is None) == (y is None) and (x is None or np.array_equal(x, y))
+        for x, y in zip(c[2:], d[2:]))
+
+
+class TestValueMemo:
+    def test_equal_actions_share_flags_and_witnesses(self):
+        alg = fresh(truncated_polynomial(3, 3))
+        for M in sample_modules(alg):
+            N = modules.Module(alg, M.dim, tuple(a.copy() for a in M.action))
+            assert N.split_class is M.split_class
+            assert modules.projective_cover(N)[0] is modules.projective_cover(M)[0]
+            assert modules.projective_cover(N)[1].target is N
+            assert_witnesses_hold(N)
+        cls = sample_modules(alg)[0].split_class
+        assert cls.is_projective and cls.is_injective
+        cls = sample_modules(alg)[1].split_class
+        assert not cls.is_projective and not cls.is_injective
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_change_of_basis_gets_its_own_entry(self, p):
+        alg = fresh(truncated_polynomial(3, p))
+        rng = random.Random(p)
+        for M in sample_modules(alg):
+            g = random_invertible(rng, M.dim, p)
+            N = in_basis(M, g)
+            N.validate()
+            assert not all(np.array_equal(a, b) for a, b in zip(M.action, N.action))
+            assert N.split_class is not M.split_class
+            assert modules.projective_cover(N)[1].matrix is not \
+                modules.projective_cover(M)[1].matrix
+            assert (N.split_class.is_projective, N.split_class.is_injective) == \
+                (M.split_class.is_projective, M.split_class.is_injective)
+            assert_witnesses_hold(M)
+            assert_witnesses_hold(N)
+
+    def test_classification_does_not_depend_on_call_order(self):
+        rng = random.Random(7)
+        base = truncated_polynomial(3, 3)
+        gs = [random_invertible(rng, M.dim, 3) for M in sample_modules(base)]
+        results = []
+        for order in (1, -1):
+            alg = fresh(base)
+            pairs = [(M, in_basis(M, g)) for M, g in zip(sample_modules(alg), gs)]
+            for pair in pairs:
+                for X in pair[::order]:
+                    X.split_class
+            results.append([[X.split_class for X in pair] for pair in pairs])
+        for first, second in zip(*results):
+            assert all(same_class(c, d) for c, d in zip(first, second))
+
+    def test_unreduced_entries_get_their_own_entry(self):
+        alg = fresh(truncated_polynomial(3, 3))
+        for M in sample_modules(alg):
+            U = modules.Module(alg, M.dim, tuple(a + 3 for a in M.action))
+            U.validate()
+            assert U.split_class is not M.split_class
+            assert modules.projective_cover(U)[1].matrix is not \
+                modules.projective_cover(M)[1].matrix
+            assert (U.split_class.is_projective, U.split_class.is_injective) == \
+                (M.split_class.is_projective, M.split_class.is_injective)
+            assert_witnesses_hold(U)
+
+    def test_memoized_arrays_are_read_only(self):
+        alg = fresh(truncated_polynomial(3, 2))
+        M = sample_modules(alg)[0]
+        P, epi = modules.projective_cover(M)
+        I, mono = modules.injective_envelope(M)
+        Q, incl, gen = modules.indecomposable_projective(alg, 0)
+        for arr in (M.split_class.section, M.split_class.retraction, epi.matrix,
+                    P.action[1], mono.matrix, I.action[1], Q.action[1],
+                    incl.matrix, gen):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+
+    def test_indecomposable_projective_is_built_once(self):
+        alg = fresh(fixtures.T2())
+        assert modules.indecomposable_projective(alg, 1) is \
+            modules.indecomposable_projective(alg, 1)
+
+    def test_opposite_of_opposite_is_the_algebra(self):
+        alg = fresh(fixtures.T2())
+        op = modules._opposite_of(alg)
+        assert op is not alg
+        assert modules._opposite_of(op) is alg
+        assert modules._opposite_of(alg) is op

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_d2_module
-from singeq import algebra, complexes, fixtures, functors, linalg, modules, solver
+from conftest import periodic_complex, random_d2_module, truncated_polynomial
+from singeq import complexes, fixtures, functors, linalg, modules, solver
 from singeq.complexes import add_maps, compose, identity_chain_map
 from singeq.modules import Module, ModuleMap
 
@@ -64,19 +64,6 @@ class TestFactorization:
 
 
 # -- hom-coordinate systems against the raw-entry reference ---------------
-
-
-def truncated_polynomial(n: int, p: int) -> algebra.Algebra:
-    """F_p[x]/(x^n) in the basis 1, x, ..., x^(n-1)."""
-    mul = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n - i):
-            mul[i, j, i + j] = 1
-    alg = algebra.Algebra(algebra.Field(p), n, tuple(f"x^{i}" for i in range(n)),
-                          mul, linalg.eye(n)[0], (0,), tuple(range(1, n)),
-                          name=f"D{n}/F{p}")
-    alg.validate()
-    return alg
 
 
 def random_invertible(rng: random.Random, d: int, p: int) -> np.ndarray:
@@ -223,15 +210,6 @@ class TestHomCoordinateSystems:
         assert sys_.total == 2
         sys_.add_equation(np.array([[1], [2]]), [(linalg.eye(2), 0, linalg.eye(1))])
         assert np.array_equal(sys_.solve()[0], np.array([[1], [2]]))
-
-
-def periodic_complex(alg, j):
-    """T_j = (... -> A -x^j-> A -x^(n-j)-> A -> ...), d_even = x^j."""
-    n = alg.dim
-    A = modules.regular_module(alg)
-    xj, xnj = alg.left_multiplication(j), alg.left_multiplication(n - j)
-    return complexes.complex_from_callable(
-        alg, 0, 1, lambda d: A, lambda d: xj if d % 2 == 0 else xnj, 2, 2)
 
 
 # len(chain_map_space_basis(T_i, T_j[s])) over F_2[x]/(x^n), keyed (n, i, j, s);
