@@ -168,7 +168,7 @@ class Complex:
         return ModuleMap(self.term(n), self.term(n - 1), self.diff(n))
 
     def _zero_diff(self, n: int) -> np.ndarray:
-        return linalg.zeros(self.term(n - 1).dim, self.term(n).dim)
+        return modules.zero_block(self.algebra, self.term(n - 1).dim, self.term(n).dim)
 
     # -- structure -----------------------------------------------------
 
@@ -288,8 +288,9 @@ class GradedMap:
         elif n > self.chi and self.pos is not None:
             q, blocks = self.pos
             return blocks[(n - self.chi - 1) % q]
-        return linalg.zeros(self.target.term(n + self.shift).dim,
-                            self.source.term(n).dim)
+        return modules.zero_block(self.source.algebra,
+                                  self.target.term(n + self.shift).dim,
+                                  self.source.term(n).dim)
 
     @property
     def neg_period(self) -> int:
@@ -474,9 +475,12 @@ def is_exact(X: Complex) -> bool:
     bad = _first_failure(list(zip(range(a, b + 1), diffs, diffs[1:])), _composite(p))
     if bad is not None:
         raise ValidationError(f"boundaries do not land in cycles at degree {bad}")
-    ranks = [linalg.rank(d, p) for d in diffs]
-    return all(ranks[i] + ranks[i + 1] == X.term(n).dim
-               for i, n in enumerate(range(a, b + 1)))
+    rank = {}  # per distinct differential object; diffs keeps each alive
+    for d in diffs:
+        if id(d) not in rank:
+            rank[id(d)] = linalg.rank(d, p)
+    return all(rank[id(d0)] + rank[id(d1)] == X.term(n).dim
+               for n, d0, d1 in zip(range(a, b + 1), diffs, diffs[1:]))
 
 
 def reindex(X: Complex, k: int) -> Complex:

@@ -88,24 +88,20 @@ def membership_flags(X: Complex, options: Options = Options()) -> MembershipFlag
     )
 
 
-_FAMILY_CACHE: dict = {}
-
-
 def default_family(algebra, options: Options = Options()) -> GeneratorFamily:
-    """Complete resolutions of the non-projective indecomposables, per fixture."""
+    """Complete resolutions of the non-projective indecomposables, per fixture;
+    memoized on the algebra per shift range."""
     from . import fixtures
 
-    key = (id(algebra), options.shift_range)
-    if key not in _FAMILY_CACHE:
+    def compute():
         if algebra is fixtures.D2():
-            fam = GeneratorFamily((fixtures.t_per(),), options.shift_range)
-        else:
-            # Semisimple and hereditary fixtures: every exact complex of
-            # projectives is contractible, so the orthogonal is everything
-            # and the empty family is the honest generator set.
-            fam = GeneratorFamily((), options.shift_range)
-        _FAMILY_CACHE[key] = fam
-    return _FAMILY_CACHE[key]
+            return GeneratorFamily((fixtures.t_per(),), options.shift_range)
+        # Semisimple and hereditary fixtures: every exact complex of
+        # projectives is contractible, so the orthogonal is everything
+        # and the empty family is the honest generator set.
+        return GeneratorFamily((), options.shift_range)
+
+    return modules._memo(algebra, ("family", options.shift_range), compute)
 
 
 def orthogonal_certificate(X: Complex, side: str, fam: GeneratorFamily,

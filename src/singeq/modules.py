@@ -4,12 +4,15 @@ Modules are value-semantic presentations (action matrices); maps carry an
 explicit intertwiner matrix.  Isomorphism is always explicit via
 find_isomorphism, never implied by equal dimensions.
 
-Caching rule: data that depends only on a module's action (its split
-class, projective cover and injective envelope) is memoized on its algebra
-under the exact action bytes, so equal presentations share one entry and
-a change of basis gets its own.  The same per-algebra dict holds what
-depends on the algebra alone: the zero module, the indecomposable
-projectives and the opposite algebra.  Memoized arrays are read-only, and
+Caching rule: data that depends only on module actions is memoized on
+their algebra under the exact action bytes, so equal presentations share
+one entry and a change of basis gets its own.  That covers a module's
+split class, projective cover and injective envelope, and the hom basis
+of a pair (source, target), keyed on both actions in that order.  The
+same per-algebra dict holds what depends on the algebra alone: the zero
+module, one zero matrix per shape (zero_block), the indecomposable
+projectives, the opposite algebra, the Gorenstein dimension per bound and
+the generator family per shift range.  Memoized arrays are read-only, and
 every check a computation makes runs on its first computation.
 """
 
@@ -90,7 +93,7 @@ class Module:
             return SplitClass(section is not None, retraction is not None,
                               section, retraction)
 
-        return _by_value(self, "split_class", compute)
+        return _by_value("split_class", (self,), compute)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,17 +166,23 @@ def _read_only(value):
     return value
 
 
-def _by_value(M: Module, kind: str, compute):
-    """compute(), memoized on M's algebra under the exact bytes of M's action."""
-    action = M.stacked_action
-    key = (kind, M.dim, action.dtype.str, action.tobytes())
-    return _memo(M.algebra, key, compute)
+def _by_value(kind: str, mods: tuple, compute):
+    """compute(), memoized on the algebra of mods under the exact bytes of
+    each module's action, in the order given."""
+    key = (kind, *[(M.dim, M.stacked_action.dtype.str, M.stacked_action.tobytes())
+                   for M in mods])
+    return _memo(mods[0].algebra, key, compute)
 
 
 def zero_module(algebra: Algebra) -> Module:
     """The zero module over algebra; one shared instance per algebra."""
     return _memo(algebra, "zero", lambda: Module(
         algebra, 0, tuple(linalg.zeros(0, 0) for _ in range(algebra.dim))))
+
+
+def zero_block(algebra: Algebra, rows: int, cols: int) -> np.ndarray:
+    """A read-only (rows x cols) zero matrix, one shared array per shape."""
+    return _memo(algebra, ("zero", rows, cols), lambda: linalg.zeros(rows, cols))
 
 
 def zero_map(source: Module, target: Module) -> ModuleMap:
@@ -253,19 +262,24 @@ def quotient_module(M: Module, sub_basis: np.ndarray) -> tuple:
 
 
 def hom_stack(M: Module, N: Module) -> np.ndarray:
-    """Basis of the intertwiner space Hom(M, N) as one (h x N.dim x M.dim)
-    array: the kernel of F a_i = b_i F over all action indices i."""
+    """Basis of the intertwiner space Hom(M, N) as one read-only
+    (h x N.dim x M.dim) array: the kernel of F a_i = b_i F over all action
+    indices i, memoized by the values of M and N."""
     if M.algebra is not N.algebra:
         raise AlgebraMismatch("hom_stack needs a common algebra")
-    p = M.algebra.p
-    s, t = M.dim, N.dim
-    if s == 0 or t == 0:
-        return linalg.zeros(0, t * s).reshape(0, t, s)
-    # row-major vec: vec(F @ A_i - B_i @ F)
-    system = np.vstack([
-        linalg.kron(linalg.eye(t), a.T) - linalg.kron(b, linalg.eye(s))
-        for a, b in zip(M.action, N.action)]) % p
-    return linalg.kernel_basis(system, p).T.reshape(-1, t, s)
+
+    def compute():
+        p = M.algebra.p
+        s, t = M.dim, N.dim
+        if s == 0 or t == 0:
+            return linalg.zeros(0, t * s).reshape(0, t, s)
+        # row-major vec: vec(F @ A_i - B_i @ F)
+        system = np.vstack([
+            linalg.kron(linalg.eye(t), a.T) - linalg.kron(b, linalg.eye(s))
+            for a, b in zip(M.action, N.action)]) % p
+        return linalg.kernel_basis(system, p).T.reshape(-1, t, s)
+
+    return _by_value("hom", (M, N), compute)
 
 
 def hom_basis(M: Module, N: Module) -> list:
@@ -331,7 +345,7 @@ def projective_cover(M: Module) -> tuple:
     """(P, epi) with P a sum of indecomposable projectives covering M."""
     if M.dim == 0:
         return zero_module(M.algebra), zero_map(zero_module(M.algebra), M)
-    S, epi = _by_value(M, "cover", lambda: _projective_cover(M))
+    S, epi = _by_value("cover", (M,), lambda: _projective_cover(M))
     return S, ModuleMap(S, M, epi)
 
 
@@ -406,7 +420,7 @@ def injective_envelope(M: Module) -> tuple:
             raise ValidationError("injective envelope candidate is not injective")
         return I, mono.matrix
 
-    I, mono = _by_value(M, "envelope", compute)
+    I, mono = _by_value("envelope", (M,), compute)
     return I, ModuleMap(M, I, mono)
 
 
@@ -502,9 +516,14 @@ def injective_dimension(M: Module, bound: int):
 
 
 def gorenstein_dimension(algebra: Algebra, bound: int):
-    """Max of the injective dimensions of the left and right regular module."""
-    left = injective_dimension(regular_module(algebra), bound)
-    right = injective_dimension(regular_module(_opposite_of(algebra)), bound)
-    if left is None or right is None:
-        return None
-    return max(left, right)
+    """Max of the injective dimensions of the left and right regular module,
+    or None beyond bound; memoized on the algebra per bound."""
+
+    def compute():
+        left = injective_dimension(regular_module(algebra), bound)
+        right = injective_dimension(regular_module(_opposite_of(algebra)), bound)
+        if left is None or right is None:
+            return None
+        return max(left, right)
+
+    return _memo(algebra, ("gorenstein", bound), compute)

@@ -5,7 +5,9 @@ plus named extra maps; outside the window they are either zero (bounded
 mode) or folded back into the window with a fixed period.  Each unknown
 is a coordinate vector c over the basis H = modules.hom_stack(source,
 target) of its hom space, u = sum c_j H_j, so every solution is a module
-map and the system has no intertwining rows.  In an equation
+map and the system has no intertwining rows.  hom_stack memoizes each
+basis on the algebra by the values of its pair, so systems over equal
+pairs share one basis.  In an equation
 sum M @ u_k @ N = rhs, a term contributes the columns vec(M H_j N).  The
 system is row-reduced over F_p and solutions are unpacked to the matrices
 sum c_j H_j.  This is the engine behind null-homotopy search, chain-map
@@ -34,22 +36,18 @@ def _basis(pair) -> np.ndarray:
 class FoldedSystem:
     def __init__(self, p: int, blocks: dict, lo: int, hi: int,
                  fold_period: int = 0, extras: dict | None = None):
-        """blocks: {degree: (source, target)} for lo..hi; extras: {name: pair};
-        the hom basis of each distinct pair is computed once."""
+        """blocks: {degree: (source, target)} for lo..hi; extras: {name: pair}."""
         self.p = p
         self.lo = lo
         self.hi = hi
         self.fold = fold_period
         self.bases = {}  # key -> (column offset, stacked hom basis)
-        distinct = {}  # the pairs stay alive in blocks, so ids are not reused
         off = 0
         keys = [(n, blocks[n]) for n in range(lo, hi + 1)]
         for key, pair in keys + list((extras or {}).items()):
-            ids = tuple(map(id, pair))
-            if ids not in distinct:
-                distinct[ids] = _basis(pair)
-            self.bases[key] = (off, distinct[ids])
-            off += len(distinct[ids])
+            H = _basis(pair)
+            self.bases[key] = (off, H)
+            off += len(H)
         self.total = off
         self.rows = []
         self.rhs = []

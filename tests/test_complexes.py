@@ -127,6 +127,44 @@ class TestRankExactness:
         with pytest.raises(ValidationError, match="boundaries do not land in cycles"):
             is_exact(X)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_rank_per_distinct_differential(self, n, monkeypatch):
+        alg = truncated_polynomial(n, 2)
+        A = modules.regular_module(alg)
+        Xs = [T_j(alg, j) for j in range(1, n)]
+        Xs += [periodic_complex(A, alg.left_multiplication(n - 1)),
+               fixtures.contractible_AA(), functors.stalk(fixtures.simple_k())]
+        rank = linalg.rank
+        ranked = []
+        monkeypatch.setattr(linalg, "rank", lambda d, p: ranked.append(d) or rank(d, p))
+        for X in Xs:
+            ranked.clear()
+            is_exact(X)
+            assert ranked and len(set(map(id, ranked))) == len(ranked)
+
+
+class TestZeroBlocks:
+    def test_diff_outside_a_bounded_window_is_a_read_only_zero(self, contractible, k):
+        for X in (contractible, functors.stalk(k)):
+            for n in (X.lo - 3, X.lo, X.hi + 1, X.hi + 4):
+                d = X.diff(n)
+                assert d.shape == (X.term(n - 1).dim, X.term(n).dim)
+                assert not d.any() and not d.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    d[...] = 1
+
+    def test_zero_seam_and_missing_components_share_one_block(self, A):
+        # a negative tail with no seam: d_0 is zero between nonzero terms
+        X = complexes.Complex.build(A.algebra, 0, 0, {0: A}, {},
+                                    neg_tail=complexes.Tail(1, (A,), (X_D2,)))
+        Z = X.diff(0)
+        assert Z.shape == (2, 2) and not Z.any()
+        f = zero_chain_map(X, X)
+        assert f.component(-5) is f.component(0) is Z
+        with pytest.raises(ValueError, match="read-only"):
+            Z[0, 0] = 1
+        assert is_exact(X) == exact_by_homology(X)
+
 
 X_D2 = np.array([[0, 0], [1, 0]], dtype=np.int64)  # x on basis (1, x)
 I2 = np.eye(2, dtype=np.int64)

@@ -6,6 +6,7 @@ import pytest
 from singeq import complexes, fixtures, homotopy, linalg
 from singeq.complexes import (Homotopy, chain_map_from_callable, identity_chain_map,
                               zero_chain_map)
+from singeq.errors import ValidationError
 from singeq.homotopy import NO, UNKNOWN, YES
 
 
@@ -111,6 +112,34 @@ class TestHomotopyEquivalence:
         z = zero_chain_map(functors.stalk(k), t_per)
         res = homotopy.homotopy_equivalence_certificate(z)
         assert res.verdict == NO
+
+    def test_inverse_that_is_not_a_chain_map_is_rejected(self, contractible):
+        # f = 0 on a contractible C has the inverse g = 0: g f - id and
+        # f g - id are both -id, null-homotopic through -s for a contraction
+        # s.  Any g of the right shapes gives g f = f g = 0, so only
+        # validating g itself rejects one that does not commute with d.
+        C = contractible
+        p = C.algebra.p
+        s = homotopy.null_homotopy(identity_chain_map(C)).homotopy
+
+        def negated(tail):
+            return None if tail is None else (tail[0], tuple((-b) % p for b in tail[1]))
+
+        minus_s = Homotopy(C, C, {n: (-m) % p for n, m in s.components.items()},
+                           s.clo, s.chi, negated(s.neg), negated(s.pos))
+
+        def certificate(g):
+            return homotopy.Certificate("homotopy-inverse", {
+                "map": zero_chain_map(C, C), "inverse": g,
+                "homotopy_source": minus_s, "homotopy_target": minus_s})
+
+        assert homotopy.verify_certificate(certificate(zero_chain_map(C, C)))
+        bad = complexes.ChainMap(C, C, {1: linalg.eye(2)}, 1, 1)
+        with pytest.raises(ValidationError, match="does not commute"):
+            bad.validate()
+        cert = certificate(bad)
+        assert not homotopy.verify_certificate(cert)
+        assert not cert.checked
 
     def test_contractible_to_zero(self, contractible, D2):
         z = zero_chain_map(contractible, complexes.zero_complex(D2))

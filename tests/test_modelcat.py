@@ -1,9 +1,15 @@
 """Membership flags, orthogonality certificates, classification, weak equivalences."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from singeq import complexes, fixtures, functors, homotopy, modelcat, modules
+from singeq.config import Options
 from singeq.complexes import identity_chain_map, reindex, zero_chain_map
 from singeq.homotopy import NO, UNKNOWN, YES
 from singeq.modelcat import CERTIFIED, REFUTED
@@ -50,6 +56,36 @@ class TestOrthogonality:
         for side in ("right_of_exP", "left_of_exI"):
             assert modelcat.orthogonal_certificate(Z, side, fam).verdict \
                 == CERTIFIED
+
+
+def family_result(shift_range):
+    """The default D2 family for shift_range and its orthogonality verdict
+    for the stalk of the regular module, as plain values."""
+    options = Options(shift_range=shift_range)
+    fam = modelcat.default_family(fixtures.D2(), options)
+    res = modelcat.orthogonal_certificate(
+        functors.stalk(fixtures.regular_D2()), "left_of_exI", fam, options)
+    return [fam.shift_range, len(fam.generators), res.verdict,
+            len(res.certificate.payload["pairs"])]
+
+
+def cold_family_result(shift_range):
+    """family_result in a new process, whose memos start empty."""
+    paths = [os.path.dirname(os.path.dirname(modelcat.__file__)),
+             os.path.dirname(__file__)]
+    code = ("import json, sys; sys.path[:0] = %r; from test_modelcat import "
+            "family_result; print(json.dumps(family_result(%d)))" % (paths, shift_range))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    return json.loads(out.stdout)
+
+
+class TestDefaultFamily:
+    def test_shift_ranges_in_one_process_match_cold_runs(self):
+        warm = [family_result(s) for s in (1, 2, 1)]
+        cold = [cold_family_result(s) for s in (1, 2)]
+        assert warm == [cold[0], cold[1], cold[0]]
+        assert warm[0] != warm[1]
 
 
 class TestClassifyMap:

@@ -1,12 +1,14 @@
 """Module arithmetic over the built-in algebras."""
 
 import dataclasses
+import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import truncated_polynomial
+from conftest import random_d2_module, truncated_polynomial
 from singeq import fixtures, linalg, modules
 from singeq.config import Options
 from singeq.errors import DimensionMismatch, IsomorphismUndecided, ValidationError
@@ -356,3 +358,124 @@ class TestValueMemo:
         assert op is not alg
         assert modules._opposite_of(op) is alg
         assert modules._opposite_of(alg) is op
+
+
+# -- hom bases and zero blocks memoized by value ------------------------
+
+
+def hom_by_kernel(M, N):
+    """Hom(M, N) computed afresh, as the kernel of the np.kron intertwining system."""
+    p = M.algebra.p
+    s, t = M.dim, N.dim
+    if s == 0 or t == 0:
+        return linalg.zeros(0, t * s).reshape(0, t, s)
+    system = np.vstack([
+        np.kron(np.eye(t, dtype=np.int64), a.T) - np.kron(b, np.eye(s, dtype=np.int64))
+        for a, b in zip(M.action, N.action)]) % p
+    return linalg.kernel_basis(system, p).T.reshape(-1, t, s)
+
+
+def brute_hom_count(M, N):
+    """Number of matrices over F_p that intertwine M -> N, by enumeration."""
+    p = M.algebra.p
+    count = 0
+    for entries in itertools.product(range(p), repeat=N.dim * M.dim):
+        F = np.array(entries, dtype=np.int64).reshape(N.dim, M.dim)
+        count += all(np.array_equal((F @ a) % p, (b @ F) % p)
+                     for a, b in zip(M.action, N.action))
+    return count
+
+
+def copy_of(M):
+    return modules.Module(M.algebra, M.dim, tuple(a.copy() for a in M.action))
+
+
+def assert_intertwines(M, N, H):
+    assert H.shape[1:] == (N.dim, M.dim)
+    assert not modules.intertwining_failures(M, N, list(H)).any()
+
+
+class TestHomMemo:
+    def test_equal_pairs_share_one_array(self):
+        alg = fresh(truncated_polynomial(3, 3))
+        for M, N in itertools.product(sample_modules(alg), repeat=2):
+            H = modules.hom_stack(M, N)
+            assert modules.hom_stack(copy_of(M), copy_of(N)) is H
+            assert_intertwines(M, N, H)
+
+    def test_each_direction_gets_its_own_entry(self):
+        alg = fresh(truncated_polynomial(3, 2))
+        A, kA = sample_modules(alg)
+        k = modules.Module(alg, 1, tuple(linalg.eye(1) * int(alg.unit[i])
+                                         for i in range(alg.dim)))
+        Ak = modules.direct_sum([A, k])[0]  # same dimension as kA, other action
+        for M, N in [(kA, Ak), (A, kA)]:
+            there, back = modules.hom_stack(M, N), modules.hom_stack(N, M)
+            assert there is not back
+            assert_intertwines(M, N, there)
+            assert_intertwines(N, M, back)
+            assert np.array_equal(there, hom_by_kernel(M, N))
+            assert np.array_equal(back, hom_by_kernel(N, M))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_change_of_basis_gets_its_own_basis(self, p):
+        alg = fresh(truncated_polynomial(3, p))
+        rng = random.Random(10 + p)
+        for M in sample_modules(alg):
+            N = in_basis(M, random_invertible(rng, M.dim, p))
+            H, G = modules.hom_stack(M, M), modules.hom_stack(N, N)
+            assert G is not H and len(G) == len(H)
+            assert_intertwines(N, N, G)
+            assert np.array_equal(G, hom_by_kernel(N, N))
+            mixed = modules.hom_stack(M, N)
+            assert mixed is not G and mixed is not H
+            assert_intertwines(M, N, mixed)
+
+    def test_memoized_bases_match_a_fresh_kernel_and_a_brute_count(self):
+        rng = random.Random(5)
+        pool = [random_d2_module(rng) for _ in range(8)]
+        pool += [fixtures.simple_k(), fixtures.regular_D2()]
+        t2 = [fixtures.S1(), fixtures.S2(), modules.regular_module(fixtures.T2())]
+        pairs = list(itertools.product(pool, repeat=2)) + list(itertools.product(t2, repeat=2))
+        for M, N in pairs:
+            H = modules.hom_stack(M, N)
+            assert np.array_equal(H, hom_by_kernel(M, N))
+            assert M.algebra.p ** len(H) == brute_hom_count(M, N)
+            assert modules.hom_stack(copy_of(M), N) is H
+
+    def test_memoized_arrays_are_read_only(self):
+        alg = fresh(truncated_polynomial(2, 3))
+        A = modules.regular_module(alg)
+        for arr in (modules.hom_stack(A, A), modules.hom_basis(A, A)[0].matrix,
+                    modules.zero_block(alg, 2, 3)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+
+    def test_one_zero_block_per_shape(self):
+        alg = fresh(fixtures.T2())
+        Z = modules.zero_block(alg, 2, 3)
+        assert Z.shape == (2, 3) and Z.dtype == np.int64 and not Z.any()
+        assert modules.zero_block(alg, 2, 3) is Z
+        assert modules.zero_block(alg, 3, 2).shape == (3, 2)
+        assert modules.zero_block(alg, 0, 0) is not modules.zero_module(alg)
+
+    def test_second_demo_computes_no_hom_basis(self, monkeypatch, capsys):
+        from singeq.cli import main
+
+        assert main(["--format", "json", "demo", "D2-Tper"]) == 0
+        calls = []
+        kernel_basis = linalg.kernel_basis
+
+        def counting(A, p):
+            if sys._getframe(1).f_code.co_qualname.startswith("hom_stack."):
+                calls.append(A.shape)
+            return kernel_basis(A, p)
+
+        monkeypatch.setattr(linalg, "kernel_basis", counting)
+        assert main(["--format", "json", "demo", "D2-Tper"]) == 0
+        capsys.readouterr()
+        assert calls == []
+        # the counter sees a basis that is not memoized yet
+        A = modules.regular_module(fresh(fixtures.D2()))
+        modules.hom_stack(A, A)
+        assert len(calls) == 1
