@@ -379,7 +379,7 @@ def chain_map(source, target, components, clo=None, chi=None,
 
 def chain_map_from_callable(source, target, clo, chi, comp_fn,
                             neg_period=0, pos_period=0, validate=True) -> ChainMap:
-    comps = {n: comp_fn(n) % source.algebra.p for n in range(clo, chi + 1)}
+    comps = {n: comp_fn(n) for n in range(clo, chi + 1)}  # reduced by chain_map
     neg = pos = None
     if neg_period:
         blocks = tuple(comp_fn(clo - 1 - i) % source.algebra.p

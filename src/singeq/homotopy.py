@@ -3,7 +3,14 @@
 Three strategies decide whether a chain map is null-homotopic: a complete
 finite solve when one side is bounded, the stable syzygy criterion for
 totally acyclic complexes of projectives over a Gorenstein algebra, and a
-periodic-ansatz search otherwise.  UNKNOWN is a value, never upgraded.
+periodic-ansatz search otherwise.  null_homotopies decides a list of maps
+with one source and one target; on the bounded side it solves them all in
+one elimination.  UNKNOWN is a value, never upgraded.
+
+Each certificate is checked once, and the verdict follows the check: a
+YES carries a certificate whose check passed (checked=True), and a found
+witness whose check fails gives UNKNOWN.  verify_certificate checks a
+certificate again whenever it is called.
 """
 
 from __future__ import annotations
@@ -53,28 +60,38 @@ class EquivalenceResult:
     certificate: Certificate | None = None
 
 
-def verify_null_homotopy(f: ChainMap, s: Homotopy) -> bool:
-    """f_n == d s_n + s_{n-1} d at every degree of the common check range.
+def verify_null_homotopy(f: ChainMap, s: Homotopy, *others: tuple) -> bool:
+    """f_n == d s_n + s_{n-1} d at every degree of the common check range,
+    for (f, s) and for each further (map, homotopy) pair in others.
 
     Shapes are checked at every degree; intertwining of each s_n and the
-    equation are stacked across degrees, as in ChainMap.validate.
+    equation are stacked across degrees and across all the pairs, as in
+    ChainMap.validate.
     """
     p = f.source.algebra.p
-    X, Y = f.source, f.target
-    q = _lcm([f.neg_period, f.pos_period, s.neg_period, s.pos_period,
-              X.neg_period, X.pos_period, Y.neg_period, Y.pos_period])
-    a = min(f.clo, s.clo, X.lo, Y.lo) - 2 * q - 1
-    b = max(f.chi, s.chi, X.hi, Y.hi) + 2 * q + 1
-    # s_{a-1} enters the equation at degree a
-    maps = [(n, X.term(n), Y.term(n + 1), s.component(n)) for n in range(a - 1, b + 1)]
-    checks = [(n, Y.diff(n + 1), sn, sm, X.diff(n), f.component(n))
-              for (_, _, _, sm), (n, _, _, sn) in zip(maps, maps[1:])]
-    if any(m.shape != (tgt.dim, src.dim) for _, src, tgt, m in maps):
-        return False
-    if any(fn.shape != (Y.term(n).dim, X.term(n).dim) for n, *_, fn in checks):
-        return False
+    entries, checks = [], []
+    for f, s in ((f, s), *others):
+        X, Y = f.source, f.target
+        if X.algebra.p != p:
+            return False
+        q = _lcm([f.neg_period, f.pos_period, s.neg_period, s.pos_period,
+                  X.neg_period, X.pos_period, Y.neg_period, Y.pos_period])
+        a = min(f.clo, s.clo, X.lo, Y.lo) - 2 * q - 1
+        b = max(f.chi, s.chi, X.hi, Y.hi) + 2 * q + 1
+        # s_{a-1} enters the equation at degree a
+        maps = [(n, X.term(n), Y.term(n + 1), s.component(n))
+                for n in range(a - 1, b + 1)]
+        pair_checks = [(n, Y.diff(n + 1), sn, sm, X.diff(n), f.component(n))
+                       for (_, _, _, sm), (n, _, _, sn) in zip(maps, maps[1:])]
+        if any(m.shape != (tgt.dim, src.dim) for _, src, tgt, m in maps):
+            return False
+        if any(fn.shape != (Y.term(n).dim, X.term(n).dim)
+               for n, *_, fn in pair_checks):
+            return False
+        entries += maps[1:]
+        checks += pair_checks
     try:
-        _check_intertwining(maps[1:], "homotopy component")
+        _check_intertwining(entries, "homotopy component")
     except ValidationError:
         return False
     return _first_failure(
@@ -91,7 +108,8 @@ def verify_certificate(cert: Certificate) -> bool:
         ok = r.compose(sct).matrix is not None and np.array_equal(
             r.compose(sct).matrix, linalg.eye(sct.source.dim))
     elif cert.kind == "orthogonality":
-        ok = all(verify_null_homotopy(f, s) for f, s in cert.payload["pairs"])
+        pairs = cert.payload["pairs"]
+        ok = not pairs or verify_null_homotopy(*pairs[0], *pairs[1:])
     else:
         raise ValueError(f"unknown certificate kind {cert.kind!r}")
     cert.checked = ok
@@ -125,28 +143,35 @@ def _verify_inverse_payload(payload: dict) -> bool:
             and verify_null_homotopy(minus_id(g, f, Y), hY))
 
 
-def _homotopy_system(f: ChainMap, lo: int, hi: int, fold: int,
+def _homotopy_system(maps: list, lo: int, hi: int, fold: int,
                      eq_lo: int, eq_hi: int) -> FoldedSystem:
-    X, Y = f.source, f.target
+    """d s + s d = f for each f of maps (one source, one target), one
+    stacked right-hand side per map."""
+    X, Y = maps[0].source, maps[0].target
     blocks = {n: (X.term(n), Y.term(n + 1)) for n in range(lo, hi + 1)}
     sys = FoldedSystem(X.algebra.p, blocks, lo, hi, fold)
     for n in range(eq_lo, eq_hi + 1):
-        sys.add_equation(f.component(n), [
+        sys.add_equation(np.stack([f.component(n) for f in maps]), [
             (Y.diff(n + 1), n, linalg.eye(X.term(n).dim)),
             (linalg.eye(Y.term(n).dim), n - 1, X.diff(n)),
         ])
     return sys
 
 
-def _solve_bounded(f: ChainMap):
-    X, Y = f.source, f.target
+def _solve_bounded(maps: list) -> list:
+    """Homotopy per map, None where there is none.  One elimination
+    decides all the maps; if their joint system is inconsistent, each map
+    is solved alone."""
+    X, Y = maps[0].source, maps[0].target
     blo, bhi = (X.lo, X.hi) if X.bounded() else (Y.lo, Y.hi)
     lo, hi = blo - 2, bhi + 2
-    sys = _homotopy_system(f, lo, hi, 0, lo, hi)
-    comps = sys.solve()
-    if comps is None:
-        return None
-    return Homotopy(f.source, f.target, *sys.graded(comps))
+    sys = _homotopy_system(maps, lo, hi, 0, lo, hi)
+    sols = sys.solve()
+    if sols is not None:
+        return [Homotopy(X, Y, *sys.graded(comps)) for comps in sols]
+    if len(maps) == 1:
+        return [None]
+    return [_solve_bounded([f])[0] for f in maps]
 
 
 def search_periodic_homotopy(f: ChainMap, m: int):
@@ -157,11 +182,11 @@ def search_periodic_homotopy(f: ChainMap, m: int):
     P = max(1, m) * L
     lo = min(X.lo, Y.lo, f.clo) - P
     hi = max(X.hi, Y.hi, f.chi) + P
-    sys = _homotopy_system(f, lo, hi, P, lo - P, hi + P)
-    comps = sys.solve()
-    if comps is None:
+    sys = _homotopy_system([f], lo, hi, P, lo - P, hi + P)
+    sols = sys.solve()
+    if sols is None:
         return None
-    s = Homotopy(f.source, f.target, *sys.graded(comps))
+    s = Homotopy(f.source, f.target, *sys.graded(sols[0]))
     return s if verify_null_homotopy(f, s) else None
 
 
@@ -218,15 +243,46 @@ def stably_zero(f: ChainMap) -> bool:
 
 
 def null_homotopy(f: ChainMap, options: Options = Options()) -> NullHomotopyResult:
-    X, Y = f.source, f.target
-    if X.bounded() or Y.bounded():
-        s = _solve_bounded(f)
-        if s is None:
-            return NullHomotopyResult(NO, strategy="bounded")
-        cert = Certificate("null-homotopy", {"map": f, "homotopy": s})
-        verify_certificate(cert)
-        return NullHomotopyResult(YES, s, cert, strategy="bounded")
+    return null_homotopies([f], options)[0]
 
+
+def null_homotopies(maps: list, options: Options = Options()) -> list:
+    """NullHomotopyResult per chain map of maps, which share one source and
+    one target.
+
+    Bounded side: one homotopy system with a right-hand side per map and
+    one elimination; each map gets exactly the homotopy its own solve
+    gives, and if the joint system is inconsistent the maps are solved one
+    by one.  All homotopies found are checked in one stacked
+    verify_null_homotopy call; if it fails they give UNKNOWN.  Unbounded:
+    map by map, the stable criterion and then the periodic search, which
+    checks what it finds.
+    """
+    if not maps:
+        return []
+    X, Y = maps[0].source, maps[0].target
+    if any(f.source is not X or f.target is not Y for f in maps):
+        raise ValueError("maps do not share one source and one target")
+    if not (X.bounded() or Y.bounded()):
+        return [_null_homotopy_unbounded(f, options) for f in maps]
+    found = _solve_bounded(maps)
+    pairs = [(f, s) for f, s in zip(maps, found) if s is not None]
+    ok = bool(pairs) and verify_null_homotopy(*pairs[0], *pairs[1:])
+    out = []
+    for f, s in zip(maps, found):
+        if s is None:
+            out.append(NullHomotopyResult(NO, strategy="bounded"))
+        elif not ok:
+            out.append(NullHomotopyResult(UNKNOWN, strategy="bounded"))
+        else:
+            cert = Certificate("null-homotopy", {"map": f, "homotopy": s},
+                               checked=True)
+            out.append(NullHomotopyResult(YES, s, cert, strategy="bounded"))
+    return out
+
+
+def _null_homotopy_unbounded(f: ChainMap, options: Options) -> NullHomotopyResult:
+    X, Y = f.source, f.target
     stable_applies = (
         _gorenstein_dim(X.algebra, options) is not None
         and is_exP(X, options) and is_exP(Y, options)
@@ -272,8 +328,10 @@ def homotopy_equivalence_certificate(
     sq = _lcm([nq, pq, s.neg_period, s.pos_period])
     lo, hi = min(lo, s.clo), max(hi, s.chi)
 
+    # validated once, stacked with f, by verify_certificate
     g = chain_map_from_callable(Y, X, lo, hi,
-                                lambda n: _cone_blocks(f, s, n)[1], sq, sq)
+                                lambda n: _cone_blocks(f, s, n)[1], sq, sq,
+                                validate=False)
     hX = _graded_from_callable(X, X, lo, hi,
                                lambda n: _cone_blocks(f, s, n + 1)[0], sq, p)
     hY = _graded_from_callable(Y, Y, lo, hi,

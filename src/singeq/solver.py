@@ -51,6 +51,7 @@ class FoldedSystem:
         self.total = off
         self.rows = []
         self.rhs = []
+        self.width = None  # number of stacked right-hand sides, or None
 
     def rep(self, n):
         """Window degree, folded representative, extra-block name, or None."""
@@ -63,37 +64,51 @@ class FoldedSystem:
         return self.hi - ((self.hi - n) % self.fold)
 
     def add_equation(self, rhs: np.ndarray, terms: list) -> None:
-        """sum_i M_i @ u_{k_i} @ N_i == rhs; terms are (M, k, N)."""
-        if rhs.size == 0:
+        """sum_i M_i @ u_{k_i} @ N_i == rhs; terms are (M, k, N).
+
+        rhs is one matrix, or a stack (count x rows x cols) of right-hand
+        sides that share the left side; a system built from stacks solves
+        them all in one elimination, one column each.
+        """
+        stack = rhs if rhs.ndim == 3 else rhs[None]
+        self.width = len(stack) if rhs.ndim == 3 else None
+        shape = stack.shape[1:]
+        if shape[0] * shape[1] == 0:
             return
         p = self.p
-        block = linalg.zeros(rhs.size, self.total)
+        block = linalg.zeros(shape[0] * shape[1], self.total)
         for M, k, N in terms:
             r = self.rep(k)
             if r is None:
                 continue
             off, H = self.bases[r]
             h, t, s = H.shape
-            if M.shape != (rhs.shape[0], t) or N.shape != (s, rhs.shape[1]):
+            if M.shape != (shape[0], t) or N.shape != (s, shape[1]):
                 raise ValidationError("equation term has inconsistent shape")
             if h:
                 cols = (((M @ H) % p) @ N).reshape(h, -1).T
                 block[:, off : off + h] = (block[:, off : off + h] + cols) % p
         self.rows.append(block)
-        self.rhs.append(rhs.reshape(-1) % p)
+        self.rhs.append(stack.reshape(len(stack), -1).T % p)
 
     def _stack(self):
         if not self.rows:
-            return linalg.zeros(0, self.total), linalg.zeros(0, 1).reshape(-1)
-        return np.vstack(self.rows) % self.p, np.concatenate(self.rhs)
+            return linalg.zeros(0, self.total), linalg.zeros(0, self.width or 1)
+        return np.vstack(self.rows) % self.p, np.vstack(self.rhs)
 
     def solve(self):
-        """Particular solution as {degree: matrix}, or None."""
-        A, b = self._stack()
-        x = linalg.solve(A, b, self.p)
-        if x is None:
+        """Particular solution as {degree: matrix}, or None.
+
+        For stacked right-hand sides, a list with one solution per
+        right-hand side, or None if any of them is inconsistent.  RREF is
+        unique, so each is the solution its right-hand side gets alone.
+        """
+        A, B = self._stack()
+        X = linalg.solve_matrix(A, B, self.p)
+        if X is None:
             return None
-        return self.unpack(x[:, None])[0]
+        sols = self.unpack(X)
+        return sols if self.width is not None else sols[0]
 
     def kernel(self):
         """Basis of the homogeneous solution space, unpacked per degree."""

@@ -385,6 +385,13 @@ class TestMaps:
         f = identity_chain_map(t_per)
         assert add_maps(f, f, sign=-1).is_zero()
 
+    def test_components_from_a_callable_are_reduced(self, t_per):
+        # 3 x over F_2: the window and both tails hold x itself
+        x = np.array([[0, 0], [3, 0]], dtype=np.int64)
+        f = complexes.chain_map_from_callable(t_per, t_per, 0, 0, lambda n: x, 1, 1)
+        for n in (-1, 0, 1):
+            assert np.array_equal(f.component(n), x % 2)
+
     def test_direct_sum_inclusions_and_projections(self, t_per, contractible):
         S, iX, iY, pX, pY = direct_sum_complex(t_per, contractible)
         assert compose(pX, iX).is_mono() and compose(pX, iX).is_epi()

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +114,14 @@ class TestCli:
         names = {e["name"]: e["verdict"] for e in report["entries"]}
         assert names["verify_round_trip side P"] == "YES"
         assert names["verify_round_trip side I"] == "YES"
+
+    def test_python_dash_m_runs_from_a_checkout(self):
+        src = os.path.dirname(os.path.dirname(formats.__file__))
+        out = subprocess.run([sys.executable, "-m", "singeq", "demo", "D2-Tper"],
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert "overall: YES" in out.stdout
 
     def test_demo_stable_under_rerun(self, capsys):
         main(["--format", "json", "demo", "D2-Tper"])

@@ -1,11 +1,14 @@
 """Null-homotopy solving, the stable criterion, and homotopy equivalences."""
 
+import random
+
 import numpy as np
 import pytest
 
-from singeq import complexes, fixtures, homotopy, linalg
-from singeq.complexes import (Homotopy, chain_map_from_callable, identity_chain_map,
-                              zero_chain_map)
+from conftest import random_d2_complex
+from singeq import complexes, fixtures, functors, homotopy, linalg, solver
+from singeq.complexes import (ChainMap, Homotopy, chain_map_from_callable,
+                              identity_chain_map, reindex, zero_chain_map)
 from singeq.errors import ValidationError
 from singeq.homotopy import NO, UNKNOWN, YES
 
@@ -48,6 +51,66 @@ class TestNullHomotopy:
             assert homotopy.verify_certificate(res.certificate)
 
 
+def same_homotopy(s, t) -> bool:
+    return ((s.clo, s.chi, s.neg, s.pos) == (t.clo, t.chi, t.neg, t.pos)
+            and s.components.keys() == t.components.keys()
+            and all(np.array_equal(m, t.components[n]) for n, m in s.components.items()))
+
+
+def zero_homotopies(maps):
+    """Stand-in for the bounded solve that finds a wrong homotopy: zero."""
+    return [Homotopy(f.source, f.target, {}, 0, 0) for f in maps]
+
+
+class TestNullHomotopies:
+    def assert_matches_single_solves(self, maps):
+        joint = homotopy.null_homotopies(maps)
+        for f, res in zip(maps, joint, strict=True):
+            alone = homotopy.null_homotopy(f)
+            assert (res.verdict, res.strategy) == (alone.verdict, alone.strategy)
+            if res.verdict == YES:
+                assert same_homotopy(res.homotopy, alone.homotopy)
+                assert res.certificate.checked
+                assert homotopy.verify_certificate(res.certificate)
+        return [res.verdict for res in joint]
+
+    def test_bounded_homotopies_equal_single_solves(self, contractible):
+        rng = random.Random(4)
+        verdicts = []
+        for _ in range(8):
+            X = random_d2_complex(rng, 4, 3)
+            shifts = [reindex(contractible, k) for k in (-1, 0, 1)]
+            for S, T in [(X, C) for C in shifts] + [(C, X) for C in shifts] + [(X, X)]:
+                basis, complete = solver.chain_map_space_basis(S, T)
+                assert complete
+                if len(basis) > 1:
+                    verdicts.append(self.assert_matches_single_solves(basis))
+        assert len(verdicts) >= 10
+        assert [YES, YES, YES] in verdicts and [NO, YES, NO] in verdicts
+
+    def test_bounded_refutation_matches_per_map_loop(self, k, contractible):
+        # End(k + C) with C contractible: the identity is not null-homotopic,
+        # the maps through C are; put it behind them so the joint system
+        # fails and the maps are decided one by one
+        S = complexes.direct_sum_complex(functors.stalk(k), contractible)[0]
+        basis, _ = solver.chain_map_space_basis(S, S)
+        verdicts = self.assert_matches_single_solves(basis[1:] + basis[:2])
+        assert NO in verdicts[1:] and YES in verdicts
+
+    def test_maps_must_share_source_and_target(self, k, contractible):
+        f, g = identity_chain_map(contractible), identity_chain_map(functors.stalk(k))
+        assert homotopy.null_homotopies([]) == []
+        with pytest.raises(ValueError, match="share one source"):
+            homotopy.null_homotopies([f, g])
+
+    def test_failed_check_gives_unknown(self, monkeypatch, contractible):
+        f = identity_chain_map(contractible)
+        monkeypatch.setattr(homotopy, "_solve_bounded", zero_homotopies)
+        res = homotopy.null_homotopy(f)
+        assert res.verdict == UNKNOWN
+        assert res.homotopy is None and res.certificate is None
+
+
 class TestVerifyNullHomotopy:
     def with_component(self, s, n, m):
         return Homotopy(s.source, s.target, {**s.components, n: m},
@@ -66,6 +129,15 @@ class TestVerifyNullHomotopy:
         f = x_id(t_per)
         s = homotopy.null_homotopy(f).homotopy
         assert not homotopy.verify_null_homotopy(f, self.with_component(s, 0, linalg.eye(1)))
+
+    def test_several_pairs_fail_when_any_pair_fails(self, t_per, contractible):
+        f = x_id(t_per)
+        s = homotopy.null_homotopy(f).homotopy
+        g = identity_chain_map(contractible)
+        t = homotopy.null_homotopy(g).homotopy
+        assert homotopy.verify_null_homotopy(f, s, (g, t), (f, s))
+        assert not homotopy.verify_null_homotopy(f, s, (g, t), (identity_chain_map(t_per), s))
+        assert not homotopy.verify_null_homotopy(g, zero_homotopies([g])[0], (f, s))
 
     def test_non_intertwining_component_fails_where_the_equation_holds(self, D2, A):
         # zero differentials: f = 0 = d s + s d for every s, so only the
@@ -140,6 +212,20 @@ class TestHomotopyEquivalence:
         cert = certificate(bad)
         assert not homotopy.verify_certificate(cert)
         assert not cert.checked
+
+    def test_inverse_is_validated_once(self, monkeypatch, t_per):
+        calls = []
+        validate = ChainMap.validate
+
+        def recording(self, *others):
+            calls.append((self, *others))
+            return validate(self, *others)
+
+        monkeypatch.setattr(ChainMap, "validate", recording)
+        res = homotopy.homotopy_equivalence_certificate(identity_chain_map(t_per))
+        assert res.verdict == YES
+        g = res.certificate.payload["inverse"]
+        assert sum(any(m is g for m in call) for call in calls) == 1
 
     def test_contractible_to_zero(self, contractible, D2):
         z = zero_chain_map(contractible, complexes.zero_complex(D2))

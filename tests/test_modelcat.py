@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from singeq import complexes, fixtures, functors, homotopy, modelcat, modules
+from singeq import complexes, fixtures, functors, homotopy, modelcat, modules, solver
 from singeq.config import Options
 from singeq.complexes import identity_chain_map, reindex, zero_chain_map
 from singeq.homotopy import NO, UNKNOWN, YES
@@ -50,6 +50,66 @@ class TestOrthogonality:
         assert res.witness is not None
         # the witness is genuinely non-null-homotopic
         assert homotopy.null_homotopy(res.witness).verdict == NO
+
+    def test_bounded_refutation_witness_matches_per_map_loop(self, k, contractible, fam):
+        # maps from C[-1] + k into the shifts of T_per: those through the
+        # contractible C[-1] are null-homotopic and come first in each
+        # basis, those through k are not
+        X = complexes.direct_sum_complex(reindex(contractible, -1), functors.stalk(k))[0]
+        res = modelcat.orthogonal_certificate(X, "left_of_exI", fam)
+        assert res.verdict == REFUTED
+
+        def first_refutation():
+            for Tk in fam.shifts:
+                for i, f in enumerate(solver.chain_map_space_basis(X, Tk)[0]):
+                    if homotopy.null_homotopy(f).verdict == NO:
+                        return Tk, i, f
+
+        Tk, i, f = first_refutation()
+        assert i > 0  # a null-homotopic map comes first in its basis
+        w = res.witness
+        assert w.target is Tk and (w.clo, w.chi) == (f.clo, f.chi)
+        assert all(np.array_equal(w.component(n), f.component(n))
+                   for n in range(f.clo - 2, f.chi + 3))
+
+    def test_each_pair_is_checked_once(self, monkeypatch, A, fam):
+        checked = []
+        verify = homotopy.verify_null_homotopy
+
+        def recording(f, s, *others):
+            checked.extend([(f, s), *others])
+            return verify(f, s, *others)
+
+        monkeypatch.setattr(homotopy, "verify_null_homotopy", recording)
+        res = modelcat.orthogonal_certificate(functors.stalk(A), "left_of_exI", fam)
+        assert res.verdict == CERTIFIED and res.certificate.checked
+        pairs = res.certificate.payload["pairs"]
+        assert len(pairs) == 7
+        def ids(pairs):
+            return sorted((id(f), id(s)) for f, s in pairs)
+
+        assert ids(checked) == ids(pairs)
+        monkeypatch.undo()
+        assert homotopy.verify_certificate(res.certificate)
+
+    def test_failed_check_gives_unknown(self, monkeypatch, A, fam):
+        def zero_homotopies(maps):
+            return [homotopy.Homotopy(f.source, f.target, {}, 0, 0) for f in maps]
+
+        monkeypatch.setattr(homotopy, "_solve_bounded", zero_homotopies)
+        res = modelcat.orthogonal_certificate(functors.stalk(A), "left_of_exI", fam)
+        assert res.verdict == UNKNOWN and res.certificate is None
+
+    def test_shifts_are_built_once_per_family(self, monkeypatch, A, fam):
+        assert len(fam.shifts) == len(fam.generators) * (2 * fam.shift_range + 1)
+        assert fam.shifts is fam.shifts
+
+        def no_reindex(*args):
+            raise AssertionError("shift rebuilt")
+
+        monkeypatch.setattr(modelcat, "reindex", no_reindex)
+        res = modelcat.orthogonal_certificate(functors.stalk(A), "left_of_exI", fam)
+        assert res.verdict == CERTIFIED
 
     def test_zero_complex_both_sides(self, D2, fam):
         Z = complexes.zero_complex(D2)
