@@ -149,9 +149,11 @@ def _homotopy_system(maps: list, lo: int, hi: int, fold: int,
     stacked right-hand side per map."""
     X, Y = maps[0].source, maps[0].target
     blocks = {n: (X.term(n), Y.term(n + 1)) for n in range(lo, hi + 1)}
-    sys = FoldedSystem(X.algebra.p, blocks, lo, hi, fold)
+    sys = FoldedSystem(X.algebra.p, blocks, lo, hi, fold, width=len(maps))
     for n in range(eq_lo, eq_hi + 1):
-        sys.add_equation(np.stack([f.component(n) for f in maps]), [
+        rhs = [f.component(n) for f in maps]
+        # one map: its matrix itself, without the copy np.stack makes
+        sys.add_equation(np.stack(rhs) if len(rhs) > 1 else rhs[0], [
             (Y.diff(n + 1), n, linalg.eye(X.term(n).dim)),
             (linalg.eye(Y.term(n).dim), n - 1, X.diff(n)),
         ])
@@ -159,19 +161,14 @@ def _homotopy_system(maps: list, lo: int, hi: int, fold: int,
 
 
 def _solve_bounded(maps: list) -> list:
-    """Homotopy per map, None where there is none.  One elimination
-    decides all the maps; if their joint system is inconsistent, each map
-    is solved alone."""
+    """Homotopy per map, None where there is none, from one elimination;
+    each is the homotopy the map's own solve gives."""
     X, Y = maps[0].source, maps[0].target
     blo, bhi = (X.lo, X.hi) if X.bounded() else (Y.lo, Y.hi)
     lo, hi = blo - 2, bhi + 2
     sys = _homotopy_system(maps, lo, hi, 0, lo, hi)
-    sols = sys.solve()
-    if sols is not None:
-        return [Homotopy(X, Y, *sys.graded(comps)) for comps in sols]
-    if len(maps) == 1:
-        return [None]
-    return [_solve_bounded([f])[0] for f in maps]
+    return [None if comps is None else Homotopy(X, Y, *sys.graded(comps))
+            for comps in sys.solve_each()]
 
 
 def search_periodic_homotopy(f: ChainMap, m: int):
@@ -183,10 +180,10 @@ def search_periodic_homotopy(f: ChainMap, m: int):
     lo = min(X.lo, Y.lo, f.clo) - P
     hi = max(X.hi, Y.hi, f.chi) + P
     sys = _homotopy_system([f], lo, hi, P, lo - P, hi + P)
-    sols = sys.solve()
-    if sols is None:
+    comps = sys.solve()
+    if comps is None:
         return None
-    s = Homotopy(f.source, f.target, *sys.graded(sols[0]))
+    s = Homotopy(f.source, f.target, *sys.graded(comps))
     return s if verify_null_homotopy(f, s) else None
 
 
@@ -251,10 +248,10 @@ def null_homotopies(maps: list, options: Options = Options()) -> list:
     one target.
 
     Bounded side: one homotopy system with a right-hand side per map and
-    one elimination; each map gets exactly the homotopy its own solve
-    gives, and if the joint system is inconsistent the maps are solved one
-    by one.  All homotopies found are checked in one stacked
-    verify_null_homotopy call; if it fails they give UNKNOWN.  Unbounded:
+    one elimination, which decides each map on its own: a map gets exactly
+    the homotopy, or the NO, its own solve gives.  All homotopies found
+    are checked in one stacked verify_null_homotopy call; if it fails
+    they give UNKNOWN.  Unbounded:
     map by map, the stable criterion and then the periodic search, which
     checks what it finds.
     """

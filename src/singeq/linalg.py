@@ -19,6 +19,8 @@ in ``rref`` stays below p^2.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -89,8 +91,15 @@ def kernel_basis(A: np.ndarray, p: int) -> np.ndarray:
     return K
 
 
-def solve_matrix(A: np.ndarray, B: np.ndarray, p: int):
-    """One X with A X = B, or None.  B may have several columns."""
+def solve_columns(A: np.ndarray, B: np.ndarray, p: int):
+    """(X, ok) from one elimination of [A | B]: A X[:, k] = B[:, k] for
+    every column k with ok[k], and ok[k] is False where none exists.
+
+    Below its first rank(A) rows the rref has zero A part, so column k is
+    consistent exactly when its entries there are zero.  Above them a
+    consistent column holds the reduced solution, which RREF makes
+    unique: X[:, k] is what solve_matrix gives that column alone.
+    """
     A = np.asarray(A)
     B = np.asarray(B)
     if B.shape[0] != A.shape[0]:
@@ -99,11 +108,16 @@ def solve_matrix(A: np.ndarray, B: np.ndarray, p: int):
         )
     n = A.shape[1]
     R, pivots = rref(np.hstack([A, B]), p)
-    if pivots and pivots[-1] >= n:
-        return None
+    r = bisect.bisect_left(pivots, n)
     X = zeros(n, B.shape[1])
-    X[pivots] = R[: len(pivots), n:]
-    return X
+    X[pivots[:r]] = R[:r, n:]
+    return X, ~R[r:, n:].any(axis=0)
+
+
+def solve_matrix(A: np.ndarray, B: np.ndarray, p: int):
+    """One X with A X = B, or None.  B may have several columns."""
+    X, ok = solve_columns(A, B, p)
+    return X if ok.all() else None
 
 
 def solve(A: np.ndarray, b: np.ndarray, p: int):

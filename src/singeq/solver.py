@@ -35,8 +35,10 @@ def _basis(pair) -> np.ndarray:
 
 class FoldedSystem:
     def __init__(self, p: int, blocks: dict, lo: int, hi: int,
-                 fold_period: int = 0, extras: dict | None = None):
-        """blocks: {degree: (source, target)} for lo..hi; extras: {name: pair}."""
+                 fold_period: int = 0, extras: dict | None = None,
+                 width: int = 1):
+        """blocks: {degree: (source, target)} for lo..hi; extras: {name: pair};
+        width: the number of right-hand sides every equation carries."""
         self.p = p
         self.lo = lo
         self.hi = hi
@@ -51,7 +53,7 @@ class FoldedSystem:
         self.total = off
         self.rows = []
         self.rhs = []
-        self.width = None  # number of stacked right-hand sides, or None
+        self.width = width
 
     def rep(self, n):
         """Window degree, folded representative, extra-block name, or None."""
@@ -66,12 +68,13 @@ class FoldedSystem:
     def add_equation(self, rhs: np.ndarray, terms: list) -> None:
         """sum_i M_i @ u_{k_i} @ N_i == rhs; terms are (M, k, N).
 
-        rhs is one matrix, or a stack (count x rows x cols) of right-hand
-        sides that share the left side; a system built from stacks solves
-        them all in one elimination, one column each.
+        rhs is one matrix when the width is 1, else a stack (width x rows
+        x cols) of right-hand sides that share the left side.
         """
         stack = rhs if rhs.ndim == 3 else rhs[None]
-        self.width = len(stack) if rhs.ndim == 3 else None
+        if len(stack) != self.width:
+            raise ValidationError(
+                f"equation has {len(stack)} right-hand sides, system has {self.width}")
         shape = stack.shape[1:]
         if shape[0] * shape[1] == 0:
             return
@@ -93,22 +96,27 @@ class FoldedSystem:
 
     def _stack(self):
         if not self.rows:
-            return linalg.zeros(0, self.total), linalg.zeros(0, self.width or 1)
-        return np.vstack(self.rows) % self.p, np.vstack(self.rhs)
+            return linalg.zeros(0, self.total), linalg.zeros(0, self.width)
+        return np.vstack(self.rows) % self.p, np.concatenate(self.rhs)
 
     def solve(self):
-        """Particular solution as {degree: matrix}, or None.
+        """Particular solution as {degree: matrix}, or None, for a system
+        with one right-hand side."""
+        if self.width != 1:
+            raise ValueError(f"system has {self.width} right-hand sides; use solve_each")
+        return self.solve_each()[0]
 
-        For stacked right-hand sides, a list with one solution per
-        right-hand side, or None if any of them is inconsistent.  RREF is
-        unique, so each is the solution its right-hand side gets alone.
-        """
+    def solve_each(self) -> list:
+        """Per right-hand side, a particular solution as {degree: matrix},
+        or None where it is inconsistent.  One elimination decides them
+        all, and each is the solution its right-hand side gets alone
+        (linalg.solve_columns)."""
         A, B = self._stack()
-        X = linalg.solve_matrix(A, B, self.p)
-        if X is None:
-            return None
-        sols = self.unpack(X)
-        return sols if self.width is not None else sols[0]
+        X, ok = linalg.solve_columns(A, B, self.p)
+        if not ok.any():
+            return [None] * len(ok)
+        sols = iter(self.unpack(X[:, ok]))
+        return [next(sols) if consistent else None for consistent in ok]
 
     def kernel(self):
         """Basis of the homogeneous solution space, unpacked per degree."""

@@ -88,14 +88,26 @@ class TestNullHomotopies:
         assert len(verdicts) >= 10
         assert [YES, YES, YES] in verdicts and [NO, YES, NO] in verdicts
 
-    def test_bounded_refutation_matches_per_map_loop(self, k, contractible):
+    def test_bounded_refutation_matches_per_map_loop(self, monkeypatch, k, contractible):
         # End(k + C) with C contractible: the identity is not null-homotopic,
-        # the maps through C are; put it behind them so the joint system
-        # fails and the maps are decided one by one
+        # the maps through C are; put it behind them, so that the joint
+        # system is inconsistent in some columns and consistent in others
         S = complexes.direct_sum_complex(functors.stalk(k), contractible)[0]
         basis, _ = solver.chain_map_space_basis(S, S)
-        verdicts = self.assert_matches_single_solves(basis[1:] + basis[:2])
+        maps = basis[1:] + basis[:2]
+        verdicts = self.assert_matches_single_solves(maps)
         assert NO in verdicts[1:] and YES in verdicts
+
+        solves = []
+        solve_each = solver.FoldedSystem.solve_each
+
+        def recording(sys_):
+            solves.append(sys_.width)
+            return solve_each(sys_)
+
+        monkeypatch.setattr(solver.FoldedSystem, "solve_each", recording)
+        assert [res.verdict for res in homotopy.null_homotopies(maps)] == verdicts
+        assert solves == [len(maps)]  # one elimination, no solve per map
 
     def test_maps_must_share_source_and_target(self, k, contractible):
         f, g = identity_chain_map(contractible), identity_chain_map(functors.stalk(k))

@@ -8,6 +8,7 @@ import pytest
 from conftest import periodic_complex, random_d2_module, truncated_polynomial
 from singeq import complexes, fixtures, functors, linalg, modules, solver
 from singeq.complexes import add_maps, compose, identity_chain_map
+from singeq.errors import ValidationError
 from singeq.modules import Module, ModuleMap
 
 
@@ -210,6 +211,48 @@ class TestHomCoordinateSystems:
         assert sys_.total == 2
         sys_.add_equation(np.array([[1], [2]]), [(linalg.eye(2), 0, linalg.eye(1))])
         assert np.array_equal(sys_.solve()[0], np.array([[1], [2]]))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_solve_columns_decides_each_column_alone(self, p):
+        rng = random.Random(p)
+        seen = set()
+        for trial in range(60):
+            rows, cols, rank = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 3)
+            A = (random_matrix(rng, rows, rank, p) @ random_matrix(rng, rank, cols, p)) % p
+            B = np.hstack([(A @ random_matrix(rng, cols, 2, p)) % p,
+                           random_matrix(rng, rows, 2, p)])
+            X, ok = linalg.solve_columns(A, B, p)
+            for k in range(B.shape[1]):
+                alone = linalg.solve_matrix(A, B[:, k:k + 1], p)
+                assert ok[k] == (alone is not None)
+                if ok[k]:
+                    assert np.array_equal(X[:, k:k + 1], alone)
+                seen.add(bool(ok[k]))
+            solution = linalg.solve_matrix(A, B, p)
+            assert (solution is not None) == ok.all()
+        assert seen == {True, False}
+
+    def test_stacked_right_hand_sides_are_solved_alone(self):
+        def system(width):
+            return solver.FoldedSystem(3, {0: (2, 1)}, 0, 0, width=width)
+
+        M = np.array([[1, 0], [0, 0]])
+        stack = np.array([[[1], [0]], [[0], [1]], [[2], [0]]])
+        sys_ = system(3)
+        sys_.add_equation(stack, [(M, 0, linalg.eye(1))])
+        joint = sys_.solve_each()
+        for rhs, sol in zip(stack, joint, strict=True):
+            one = system(1)
+            one.add_equation(rhs, [(M, 0, linalg.eye(1))])
+            alone = one.solve()
+            assert (sol is None) == (alone is None)
+            if sol is not None:
+                assert np.array_equal(sol[0], alone[0])
+        assert joint[1] is None and joint[0] is not None
+        with pytest.raises(ValueError, match="solve_each"):
+            sys_.solve()
+        with pytest.raises(ValidationError, match="right-hand sides"):
+            sys_.add_equation(stack[0], [(M, 0, linalg.eye(1))])
 
 
 # len(chain_map_space_basis(T_i, T_j[s])) over F_2[x]/(x^n), keyed (n, i, j, s);
