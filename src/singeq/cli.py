@@ -2,7 +2,9 @@
 
 Exit codes: 0 on overall YES, 1 if any check answers NO, 2 if a required
 check stays UNKNOWN or a search runs out of its Options bound, 64 on usage
-errors, 65 on input errors, 70 on internal errors.
+errors, 65 on invalid or unsupported input (a parse error, or any other
+package error such as a ValidationError or NotGorensteinError, named on
+stderr), 70 on internal errors.
 """
 
 from __future__ import annotations
@@ -368,7 +370,7 @@ def main(argv=None) -> int:
         click.echo(f"unknown: {exc}", err=True)
         code = 2
     except SingeqError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         code = 65
     except Exception as exc:
         click.echo(f"internal error: {exc!r}", err=True)

@@ -5,27 +5,39 @@ optional periodic tails on either side; absent tails mean zero modules.
 Everything outside the window is reached through the term/diff accessors,
 which fold degrees into the periodic blocks.
 
+Each complex and each graded map describes its distinct blocks once, in a
+read-only table cached on the object (_Blocks): its data on the window,
+the seams and one period of each tail.  The accessors read this table,
+and its size depends only on the object.
+
 Constructors validate by default.  Complex.validate and ChainMap.validate
 cover every degree of a check range: the window (for a chain map, the
 hull of its own window and those of its complexes) widened by 2q+1 on
-each side, where q is the lcm of all tail periods.  The shape of each
-differential or component is checked at every degree; the other checks
-are stacked across degrees.  Intertwining groups the matrices by their
-(source, target) module pair and checks each group against all action
-indices with one batched product per side (modules.intertwining_failures,
-as in ModuleMap.validate).  d*d = 0 and f d = d f group the products by
-the shapes of their factors, one batched matmul per side and group.  A
-tail block repeated across the range -- the same matrix object between
-the same modules, or the same tuple of matrix objects -- is stacked once,
-at its first degree.  An error names the smallest failing degree, and for
-intertwining the first failing action index there.  ChainMap.validate
-also takes further maps and stacks their checks with its own.
+each side, where q is the lcm of all tail periods.  They, is_exact and
+homotopy.verify_null_homotopy walk only the degrees that carry distinct
+checks (_walk).  Below the windows of the objects a check reads, the
+check at n equals the check at n + L, L the lcm of their negative tail
+periods; above them it equals the check at n - L', L' the lcm of the
+positive ones.  So the walk keeps the first L degrees of the range, the
+windows, and the first L' degrees after them.  Each kept degree is the
+first of its repeats in the range, so the smallest failing degree is a
+kept one.  Shapes are checked at every kept degree; the other checks are
+stacked.  Intertwining groups the matrices by their (source, target)
+module pair and checks each group against all action indices with one
+batched product per side (modules.intertwining_failures, as in
+ModuleMap.validate).  d*d = 0 and f d = d f group the products by the
+shapes of their factors, one batched matmul per side and group.  An error
+names the smallest failing degree, and for intertwining the first failing
+action index there.  ChainMap.validate also takes further maps and stacks
+their checks with its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +51,7 @@ from .modules import Module, ModuleMap
 class Tail:
     period: int
     terms: tuple  # block 0 is adjacent to the window
-    diffs: tuple  # see Complex.diff for the indexing convention
+    diffs: tuple  # see Complex._blocks for the indexing convention
 
     def __post_init__(self):
         if self.period != len(self.terms) or self.period != len(self.diffs):
@@ -52,11 +64,13 @@ def _check_intertwining(maps, what: str) -> None:
     The matrices are grouped by their (source, target) module pair; each
     distinct matrix object of a group is stacked once, at its first
     degree, and the group is checked with one batched product per side.
-    The error names the smallest failing degree and its action index.
+    A matrix with no entries is a module map.  The error names the
+    smallest failing degree and its action index.
     """
     groups = {}
     for n, src, tgt, f in maps:
-        groups.setdefault((src, tgt), {}).setdefault(id(f), (n, f))
+        if f.size:
+            groups.setdefault((src, tgt), {}).setdefault(id(f), (n, f))
     failures = []
     for (src, tgt), firsts in groups.items():
         degrees, mats = zip(*firsts.values())
@@ -72,19 +86,15 @@ def _first_failure(checks, residue):
     """Smallest degree whose check fails, or None.
 
     A check is (n, *matrices) and holds when residue(*matrices) is zero.
-    Each distinct tuple of matrix objects is checked once, at its first
-    degree; the distinct tuples are stacked per shape group, and residue
-    runs once per group on the stacks, one batched product per term.
+    Every residue has the rows of its first matrix and the columns of its
+    last, so a check where either is 0 holds.  The other checks are
+    stacked per shape group, and residue runs once per group on the
+    stacks, one batched product per term.
     """
-    distinct = {}
-    for check in checks:
-        # checks keeps every keyed matrix alive, so no id is reused here
-        key = tuple(map(id, check[1:]))
-        if key not in distinct:
-            distinct[key] = check
     groups = {}
-    for check in distinct.values():
-        groups.setdefault(tuple([m.shape for m in check[1:]]), []).append(check)
+    for check in checks:
+        if check[1].shape[0] and check[-1].shape[1]:
+            groups.setdefault(tuple([m.shape for m in check[1:]]), []).append(check)
     failures = []
     for group in groups.values():
         degrees, *mats = zip(*group)
@@ -99,11 +109,54 @@ def _composite(p: int):
 
 
 def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        if v:
-            out = math.lcm(out, v)
-    return out
+    return math.lcm(*[v for v in values if v])
+
+
+class _Blocks(NamedTuple):
+    """The distinct blocks of a graded object: its data at each degree of
+    lo - neg .. hi + pos.  Below lo the data repeats with period neg, and
+    above hi with period pos, so these degrees hold every block."""
+
+    lo: int
+    hi: int
+    neg: int
+    pos: int
+    data: tuple
+
+    def at(self, n: int):
+        lo, hi, neg, pos, data = self
+        if n < lo:
+            n = lo - 1 - (lo - 1 - n) % neg
+        elif n > hi:
+            n = hi + 1 + (n - hi - 1) % pos
+        return data[n - lo + neg]
+
+    def on(self, degrees) -> list:
+        """[self.at(n) for n in degrees], with the fold inlined."""
+        lo, hi, neg, pos, data = self
+        base = neg - lo
+        return [data[n + base] if lo <= n <= hi
+                else data[lo - 1 - (lo - 1 - n) % neg + base] if n < lo
+                else data[hi + 1 + (n - hi - 1) % pos + base] for n in degrees]
+
+
+def _walk(a: int, b: int, *tables) -> list:
+    """The degrees of a..b that carry every distinct check over tables,
+    when the check at n reads each table at n - 1, n or n + 1.
+
+    Below the windows the checks repeat with the lcm of the tables'
+    negative periods, above them with the lcm of the positive ones; the
+    walk keeps the first period of each side and the windows, widened by
+    one.  Each kept degree is the first of its repeats in a..b.
+    """
+    lo = min([t.lo for t in tables]) - 1
+    hi = max([t.hi for t in tables]) + 1
+    neg = math.lcm(*[t.neg for t in tables])
+    pos = math.lcm(*[t.pos for t in tables])
+    right = max(a, hi + 1)
+    return [*range(a, min(a + neg, lo, b + 1)),
+            *range(max(a, lo), min(b, hi) + 1),
+            *range(right, min(b + 1, right + pos))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,42 +186,46 @@ class Complex:
 
     # -- accessors -----------------------------------------------------
 
+    @cached_property
+    def _blocks(self) -> _Blocks:
+        """(term, differential) at lo - q .. hi + 1 + q', one period past
+        each seam; q, q' are the tail periods, 1 where a tail is absent.
+
+        Block i of the negative tail sits at degree lo - 1 - i with
+        d = diffs[i]; block i of the positive tail sits at hi + 1 + i with
+        d = diffs[i], except that d_{hi+1} is the positive seam."""
+        A, lo, hi = self.algebra, self.lo, self.hi
+        zero = modules.zero_module(A)
+        neg, pos = self.neg_tail, self.pos_tail
+        terms = [*(neg.terms[::-1] if neg else [zero]),
+                 *(self.terms[n] for n in range(lo, hi + 1)),
+                 *(pos.terms + pos.terms[:1] if pos else [zero, zero])]
+        diffs = [*(neg.diffs[::-1] if neg else [None]),
+                 self.neg_seam if neg else None,
+                 *(self.diffs[n] for n in range(lo + 1, hi + 1)),
+                 self.pos_seam if pos else None,
+                 *(pos.diffs[1:] + pos.diffs[:1] if pos else [None])]
+        q = neg.period if neg else 1
+        # the term below the first degree is the one a period above it
+        prev = [terms[q - 1], *terms[:-1]]
+        return _Blocks(lo, hi + 1, q, pos.period if pos else 1, tuple(
+            (t, modules.zero_block(A, s.dim, t.dim) if d is None else d)
+            for s, t, d in zip(prev, terms, diffs)))
+
+    @cached_property
+    def _membership(self) -> dict:
+        """exP / exI verdicts, filled by homotopy.is_exP and is_exI."""
+        return {}
+
     def term(self, n: int) -> Module:
-        if self.lo <= n <= self.hi:
-            return self.terms[n]
-        if n < self.lo:
-            if self.neg_tail is None:
-                return modules.zero_module(self.algebra)
-            return self.neg_tail.terms[(self.lo - 1 - n) % self.neg_tail.period]
-        if self.pos_tail is None:
-            return modules.zero_module(self.algebra)
-        return self.pos_tail.terms[(n - self.hi - 1) % self.pos_tail.period]
+        return self._blocks.at(n)[0]
 
     def diff(self, n: int) -> np.ndarray:
         """Matrix of d_n: X_n -> X_{n-1}."""
-        if self.lo + 1 <= n <= self.hi:
-            return self.diffs[n]
-        if n == self.lo:
-            if self.neg_tail is not None and self.neg_seam is not None:
-                return self.neg_seam
-            return self._zero_diff(n)
-        if n < self.lo:
-            if self.neg_tail is None:
-                return self._zero_diff(n)
-            return self.neg_tail.diffs[(self.lo - 1 - n) % self.neg_tail.period]
-        if n == self.hi + 1:
-            if self.pos_tail is not None and self.pos_seam is not None:
-                return self.pos_seam
-            return self._zero_diff(n)
-        if self.pos_tail is None:
-            return self._zero_diff(n)
-        return self.pos_tail.diffs[(n - self.hi - 1) % self.pos_tail.period]
+        return self._blocks.at(n)[1]
 
     def diff_map(self, n: int) -> ModuleMap:
         return ModuleMap(self.term(n), self.term(n - 1), self.diff(n))
-
-    def _zero_diff(self, n: int) -> np.ndarray:
-        return modules.zero_block(self.algebra, self.term(n - 1).dim, self.term(n).dim)
 
     # -- structure -----------------------------------------------------
 
@@ -205,14 +262,18 @@ class Complex:
             if n not in self.terms:
                 raise ValidationError(f"missing term at degree {n}")
         a, b = self.check_range()
-        maps = [(n, self.term(n), self.term(n - 1), self.diff(n))
-                for n in range(a, b + 1)]
+        B = self._blocks
+        ns = _walk(a, b, B)
+        maps = [(n, t, s, d) for n, (s, _), (t, d)
+                in zip(ns, B.on([n - 1 for n in ns]), B.on(ns))]
         for n, src, tgt, d in maps:
             if d.shape != (tgt.dim, src.dim):
                 raise ValidationError(f"differential at degree {n} has wrong shape")
         _check_intertwining(maps, "differential")
-        bad = _first_failure([(n + 1, d0, d1) for (n, _, _, d0), (_, _, _, d1)
-                              in zip(maps, maps[1:])], _composite(self.algebra.p))
+        ns = _walk(a + 1, b, B)
+        bad = _first_failure([(n, d0, d1) for n, (_, d0), (_, d1)
+                              in zip(ns, B.on([n - 1 for n in ns]), B.on(ns))],
+                             _composite(self.algebra.p))
         if bad is not None:
             raise ValidationError(f"d*d != 0 at degree {bad}")
 
@@ -277,20 +338,30 @@ class GradedMap:
     pos: tuple | None = None  # (period, blocks) for degrees > chi
     shift: int = 0
 
+    @cached_property
+    def _blocks(self) -> _Blocks:
+        """Component at lo - q .. hi + q' over the hull lo..hi of the map's
+        window and its complexes' windows.  q is the map's own negative tail
+        period, or where it has none the lcm of its complexes' ones, with
+        which its zero blocks repeat; likewise q' on the positive side."""
+        S, T, k = self.source, self.target, self.shift
+        clo, chi, neg, pos = self.clo, self.chi, self.neg, self.pos
+        lo, hi = min(clo, S.lo, T.lo - k), max(chi, S.hi, T.hi - k)
+        q = neg[0] if neg else _lcm([S.neg_period, T.neg_period])
+        qp = pos[0] if pos else _lcm([S.pos_period, T.pos_period])
+        get = self.components.get
+        data = [neg[1][(clo - 1 - n) % q] if n < clo and neg
+                else pos[1][(n - chi - 1) % qp] if n > chi and pos
+                else get(n) if clo <= n <= chi else None
+                for n in range(lo - q, hi + qp + 1)]
+        for i, m in enumerate(data):
+            if m is None:
+                n = lo - q + i
+                data[i] = modules.zero_block(S.algebra, T.term(n + k).dim, S.term(n).dim)
+        return _Blocks(lo, hi, q, qp, tuple(data))
+
     def component(self, n: int) -> np.ndarray:
-        if self.clo <= n <= self.chi:
-            m = self.components.get(n)
-            if m is not None:
-                return m
-        elif n < self.clo and self.neg is not None:
-            q, blocks = self.neg
-            return blocks[(self.clo - 1 - n) % q]
-        elif n > self.chi and self.pos is not None:
-            q, blocks = self.pos
-            return blocks[(n - self.chi - 1) % q]
-        return modules.zero_block(self.source.algebra,
-                                  self.target.term(n + self.shift).dim,
-                                  self.source.term(n).dim)
+        return self._blocks.at(n)
 
     @property
     def neg_period(self) -> int:
@@ -322,39 +393,58 @@ class ChainMap(GradedMap):
             if S.algebra is not T.algebra or S.algebra is not self.source.algebra:
                 raise DimensionMismatch("chain map across different algebras")
             a, b = f.check_range()
-            maps = [(n, S.term(n), T.term(n), f.component(n)) for n in range(a, b + 1)]
+            tables = (S._blocks, T._blocks, f._blocks)
+            ns = _walk(a, b, *tables)
+            maps = [(n, s, t, m) for n, (s, _), (t, _), m
+                    in zip(ns, *(B.on(ns) for B in tables))]
             for n, src, tgt, m in maps:
                 if m.shape != (tgt.dim, src.dim):
                     raise ValidationError(f"component at degree {n} has wrong shape")
             entries += maps
-            checks += [(n, f0, S.diff(n), T.diff(n), f1)
-                       for (_, _, _, f0), (n, _, _, f1) in zip(maps, maps[1:])]
+            ns = _walk(a + 1, b, *tables)
+            checks += [(n, f0, dS, dT, f1) for n, f0, (_, dS), (_, dT), f1
+                       in zip(ns, f._blocks.on([n - 1 for n in ns]),
+                              *(B.on(ns) for B in tables))]
         _check_intertwining(entries, "component")
         p = self.source.algebra.p
         bad = _first_failure(checks,
-                             lambda f0, dS, dT, f1: (f0 @ dS) % p - (dT @ f1) % p)
+                             lambda f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p)
         if bad is not None:
             raise ValidationError(f"does not commute with d at degree {bad}")
 
-    def is_mono(self) -> bool:
+    def _full_rank(self, side: int) -> bool:
+        """rank f_n equals the dimension of the source (side 0) or target
+        (side 1) term at every degree of the check range; one rank per
+        distinct component."""
         p = self.source.algebra.p
-        a, b = self.check_range()
-        return all(
-            linalg.rank(self.component(n), p) == self.source.term(n).dim
-            for n in range(a, b + 1)
-        )
+        terms = (self.source._blocks, self.target._blocks)[side]
+        ns = _walk(*self.check_range(), self._blocks,
+                   self.source._blocks, self.target._blocks)
+        ranks = {}
+        for m, (t, _) in zip(self._blocks.on(ns), terms.on(ns)):
+            if id(m) not in ranks:
+                ranks[id(m)] = linalg.rank(m, p)
+            if ranks[id(m)] != t.dim:
+                return False
+        return True
+
+    def is_mono(self) -> bool:
+        return self._full_rank(0)
 
     def is_epi(self) -> bool:
-        p = self.source.algebra.p
-        a, b = self.check_range()
-        return all(
-            linalg.rank(self.component(n), p) == self.target.term(n).dim
-            for n in range(a, b + 1)
-        )
+        return self._full_rank(1)
 
     def is_zero(self) -> bool:
-        a, b = self.check_range()
-        return not any(self.component(n).any() for n in range(a, b + 1))
+        # the table holds every distinct component of the check range
+        return not any(m.any() for m in self._blocks.data)
+
+    @cached_property
+    def _kernel(self) -> tuple:
+        return _kernel_complex(self)
+
+    @cached_property
+    def _cokernel(self) -> tuple:
+        return _cokernel_complex(self)
 
 
 class Homotopy(GradedMap):
@@ -471,16 +561,17 @@ def is_exact(X: Complex) -> bool:
     a = X.lo - max(X.neg_period, 1) - 1
     b = X.hi + max(X.pos_period, 1) + 1
     p = X.algebra.p
-    diffs = [X.diff(n) for n in range(a, b + 2)]
-    bad = _first_failure(list(zip(range(a, b + 1), diffs, diffs[1:])), _composite(p))
+    B = X._blocks
+    ns = _walk(a, b, B)
+    rows = list(zip(ns, B.on(ns), B.on([n + 1 for n in ns])))
+    bad = _first_failure([(n, d0, d1) for n, (_, d0), (_, d1) in rows], _composite(p))
     if bad is not None:
         raise ValidationError(f"boundaries do not land in cycles at degree {bad}")
-    rank = {}  # per distinct differential object; diffs keeps each alive
-    for d in diffs:
+    rank = {}  # per distinct differential; the table keeps each alive
+    for _, d in B.data:
         if id(d) not in rank:
             rank[id(d)] = linalg.rank(d, p)
-    return all(rank[id(d0)] + rank[id(d1)] == X.term(n).dim
-               for n, d0, d1 in zip(range(a, b + 1), diffs, diffs[1:]))
+    return all(rank[id(d0)] + rank[id(d1)] == t.dim for _, (t, d0), (_, d1) in rows)
 
 
 def reindex(X: Complex, k: int) -> Complex:
@@ -643,6 +734,16 @@ def two_sided_split(X: Complex, n: int) -> SplitTruncation:
 
 
 def kernel_complex(f: ChainMap):
+    """(K, inclusion K -> source), built once per map."""
+    return f._kernel
+
+
+def cokernel_complex(f: ChainMap):
+    """(C, projection target -> C), built once per map."""
+    return f._cokernel
+
+
+def _kernel_complex(f: ChainMap):
     """(K, inclusion K -> source) computed degreewise."""
     p = f.source.algebra.p
     lo, hi, nq, pq = _map_profile(f, f.source, f.target)
@@ -668,7 +769,7 @@ def kernel_complex(f: ChainMap):
     return K, incl
 
 
-def cokernel_complex(f: ChainMap):
+def _cokernel_complex(f: ChainMap):
     """(C, projection target -> C) computed degreewise."""
     p = f.source.algebra.p
     lo, hi, nq, pq = _map_profile(f, f.source, f.target)

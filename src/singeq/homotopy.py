@@ -23,7 +23,7 @@ from . import functors, linalg, modules
 # compose is unused here but stays importable as homotopy.compose, which
 # perfbench/selftest.py uses to test the tracer's alias rebinding
 from .complexes import (ChainMap, Complex, Homotopy, _check_intertwining,  # noqa: F401
-                        _first_failure, _lcm, _map_profile,
+                        _first_failure, _lcm, _map_profile, _walk,
                         chain_map_from_callable, compose, cone,
                         identity_chain_map, is_exact)
 from .config import Options
@@ -33,9 +33,6 @@ from .solver import FoldedSystem, solve_module_map
 YES = "YES"
 NO = "NO"
 UNKNOWN = "UNKNOWN"
-
-_MEMBERSHIP_CACHE: dict = {}
-
 
 @dataclass(eq=False)
 class Certificate:
@@ -78,18 +75,20 @@ def verify_null_homotopy(f: ChainMap, s: Homotopy, *others: tuple) -> bool:
                   X.neg_period, X.pos_period, Y.neg_period, Y.pos_period])
         a = min(f.clo, s.clo, X.lo, Y.lo) - 2 * q - 1
         b = max(f.chi, s.chi, X.hi, Y.hi) + 2 * q + 1
+        Xb, Yb, fb, sb = tables = X._blocks, Y._blocks, f._blocks, s._blocks
         # s_{a-1} enters the equation at degree a
-        maps = [(n, X.term(n), Y.term(n + 1), s.component(n))
-                for n in range(a - 1, b + 1)]
-        pair_checks = [(n, Y.diff(n + 1), sn, sm, X.diff(n), f.component(n))
-                       for (_, _, _, sm), (n, _, _, sn) in zip(maps, maps[1:])]
-        if any(m.shape != (tgt.dim, src.dim) for _, src, tgt, m in maps):
+        ns = _walk(a - 1, b, *tables)
+        if any(sn.shape != (y.dim, x.dim) for (x, _), (y, _), sn
+               in zip(Xb.on(ns), Yb.on([n + 1 for n in ns]), sb.on(ns))):
             return False
-        if any(fn.shape != (Y.term(n).dim, X.term(n).dim)
-               for n, *_, fn in pair_checks):
+        ns = _walk(a, b, *tables)
+        rows = list(zip(ns, Xb.on(ns), Yb.on(ns), Yb.on([n + 1 for n in ns]),
+                        fb.on(ns), sb.on(ns), sb.on([n - 1 for n in ns])))
+        if any(fn.shape != (y.dim, x.dim) for _, (x, _), (y, _), _, fn, _, _ in rows):
             return False
-        entries += maps[1:]
-        checks += pair_checks
+        entries += [(n, x, y1, sn) for n, (x, _), _, (y1, _), _, sn, _ in rows]
+        checks += [(n, dY, sn, sm, dX, fn)
+                   for n, (_, dX), _, (_, dY), fn, sn, sm in rows]
     try:
         _check_intertwining(entries, "homotopy component")
     except ValidationError:
@@ -148,14 +147,19 @@ def _homotopy_system(maps: list, lo: int, hi: int, fold: int,
     """d s + s d = f for each f of maps (one source, one target), one
     stacked right-hand side per map."""
     X, Y = maps[0].source, maps[0].target
+    Xb, Yb = X._blocks, Y._blocks
     blocks = {n: (X.term(n), Y.term(n + 1)) for n in range(lo, hi + 1)}
     sys = FoldedSystem(X.algebra.p, blocks, lo, hi, fold, width=len(maps))
-    for n in range(eq_lo, eq_hi + 1):
-        rhs = [f.component(n) for f in maps]
+    # one identity per distinct term dimension, shared by the equations
+    eye = {t.dim: linalg.eye(t.dim) for t, _ in (*Xb.data, *Yb.data)}
+    eqs = range(eq_lo, eq_hi + 1)
+    for n, (x, dX), (y, _), (_, dY), *rhs in zip(
+            eqs, Xb.on(eqs), Yb.on(eqs), Yb.on([n + 1 for n in eqs]),
+            *(f._blocks.on(eqs) for f in maps)):
         # one map: its matrix itself, without the copy np.stack makes
         sys.add_equation(np.stack(rhs) if len(rhs) > 1 else rhs[0], [
-            (Y.diff(n + 1), n, linalg.eye(X.term(n).dim)),
-            (linalg.eye(Y.term(n).dim), n - 1, X.diff(n)),
+            (dY, n, eye[x.dim]),
+            (eye[y.dim], n - 1, dX),
         ])
     return sys
 
@@ -192,28 +196,27 @@ def _gorenstein_dim(algebra, options: Options):
 
 
 def _terms_in_class(X: Complex, which: str) -> bool:
-    q = _lcm([X.neg_period, X.pos_period])
-    for n in range(X.lo - q, X.hi + q + 1):
-        cls = X.term(n).split_class
-        if not (cls.is_projective if which == "proj" else cls.is_injective):
-            return False
-    return True
+    """Every distinct term of X is projective (which "proj") or injective."""
+    attr = "is_projective" if which == "proj" else "is_injective"
+    return all(getattr(t.split_class, attr) for t, _ in X._blocks.data)
 
 
 def is_exP(X: Complex, options: Options = Options()) -> bool:
-    """Exact with projective terms (checked over window plus one tail period)."""
-    key = (id(X), "P")
-    if key not in _MEMBERSHIP_CACHE:
-        _MEMBERSHIP_CACHE[key] = (X, is_exact(X) and _terms_in_class(X, "proj"))
-    return _MEMBERSHIP_CACHE[key][1]
+    """Exact with projective terms (checked over window plus one tail period);
+    the verdict is memoized on X."""
+    memo = X._membership
+    if "P" not in memo:
+        memo["P"] = is_exact(X) and _terms_in_class(X, "proj")
+    return memo["P"]
 
 
 def is_exI(X: Complex, options: Options = Options()) -> bool:
-    """Exact with injective terms (checked over window plus one tail period)."""
-    key = (id(X), "I")
-    if key not in _MEMBERSHIP_CACHE:
-        _MEMBERSHIP_CACHE[key] = (X, is_exact(X) and _terms_in_class(X, "inj"))
-    return _MEMBERSHIP_CACHE[key][1]
+    """Exact with injective terms (checked over window plus one tail period);
+    the verdict is memoized on X."""
+    memo = X._membership
+    if "I" not in memo:
+        memo["I"] = is_exact(X) and _terms_in_class(X, "inj")
+    return memo["I"]
 
 
 def factors_through_projective(g: modules.ModuleMap) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import homotopy, modules, solver
-from .complexes import (ChainMap, Complex, _lcm, cokernel_complex, compose,
+from .complexes import (ChainMap, Complex, cokernel_complex, compose,
                         is_exact, kernel_complex, reindex)
 from .config import Options
 from .errors import ValidationError
@@ -80,8 +80,12 @@ class WeakEquivalenceResult:
 
 
 def _cycles_in_class(X: Complex, which: str) -> bool:
-    q = max(1, _lcm([X.neg_period, X.pos_period]))
-    for n in range(X.lo - q, X.hi + q + 1):
+    """The cycles of every distinct block of X are projective (which
+    "proj") or injective."""
+    B = X._blocks
+    for n in range(B.lo - B.neg, B.hi + B.pos + 1):
+        if not X.term(n).dim:
+            continue  # no cycles
         Z, _ = modules.kernel(X.diff_map(n))
         cls = Z.split_class
         if not (cls.is_projective if which == "proj" else cls.is_injective):

@@ -14,6 +14,11 @@ module, one zero matrix per shape (zero_block), the indecomposable
 projectives, the opposite algebra, the Gorenstein dimension per bound and
 the generator family per shift range.  Memoized arrays are read-only, and
 every check a computation makes runs on its first computation.
+
+What depends on one complex or chain map is memoized on that object, and
+lives and dies with it: the table of its distinct blocks (a complex's or
+graded map's _blocks), the kernel and cokernel complexes of a chain map,
+and a complex's exP / exI verdicts.
 """
 
 from __future__ import annotations
@@ -140,9 +145,7 @@ def intertwining_failures(source: Module, target: Module, mats) -> np.ndarray:
         return np.zeros((len(mats), source.algebra.dim), dtype=bool)
     p = source.algebra.p
     F = np.array(mats)[:, None]
-    lhs = (F @ source.stacked_action) % p
-    rhs = (target.stacked_action @ F) % p
-    return (lhs != rhs).any(axis=(2, 3))
+    return ((F @ source.stacked_action - target.stacked_action @ F) % p).any(axis=(2, 3))
 
 
 def _memo(algebra: Algebra, key, compute):

@@ -175,13 +175,15 @@ def chain_map_system(X: Complex, Y: Complex, lo: int, hi: int, fold: int,
     p = X.algebra.p
     blocks = {n: (X.term(n), Y.term(n)) for n in range(lo, hi + 1)}
     sys = FoldedSystem(p, blocks, lo, hi, fold, extras)
+    # one identity per distinct term dimension, shared by the equations
+    eye = {t.dim: linalg.eye(t.dim) for t, _ in (*X._blocks.data, *Y._blocks.data)}
     for n in range(lo - fold, hi + fold + 1):
         rows = Y.term(n - 1).dim
         cols = X.term(n).dim
         rhs = linalg.zeros(rows, cols)
         sys.add_equation(rhs, [
-            (linalg.eye(rows), n - 1, X.diff(n)),
-            ((-Y.diff(n)) % p, n, linalg.eye(cols)),
+            (eye[rows], n - 1, X.diff(n)),
+            ((-Y.diff(n)) % p, n, eye[cols]),
         ])
     return sys
 

@@ -216,6 +216,8 @@ class TestExitCodes:
         bad.write_text(json.dumps({"algebra": "D2", "dim": 1,
                                    "action": [[[1]], [[1]]]}))
         assert main(["validate", str(bad)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValidationError: ") and err.count("\n") == 1
 
     def test_70_internal(self, monkeypatch, capsys):
         monkeypatch.setattr(formats, "load_any", _raise(RuntimeError("boom\nmore")))
