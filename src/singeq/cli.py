@@ -147,7 +147,8 @@ def _emit(ctx, report: Report) -> int:
               default="text", show_default=True,
               help="Report rendering on standard output.")
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed echoed into the report; fixes any randomized step.")
+              help="Seed echoed into the report; it changes no computation (the "
+                   "random isomorphism search is always seeded with 0).")
 @click.pass_context
 def cli(ctx, fmt, seed):
     """Verification toolkit for exact complexes over small algebras."""

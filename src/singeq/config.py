@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 ENV_PERIOD_BOUND = "GH_HOMOTOPY_PERIOD_BOUND"
 
 
@@ -35,8 +37,15 @@ class Options:
 
 
 def default_options() -> Options:
-    """Options honoring the environment override for the period bound."""
+    """Options honoring the environment override for the period bound,
+    which must be an integer of at least 1."""
     raw = os.environ.get(ENV_PERIOD_BOUND)
     if raw is None:
         return Options()
-    return Options(homotopy_period_bound=max(1, int(raw)))
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ConfigError(f"{ENV_PERIOD_BOUND}={raw!r} is not an integer of at least 1")
+    return Options(homotopy_period_bound=bound)

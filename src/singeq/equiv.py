@@ -90,12 +90,12 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
             sys.add_equation((phi.matrix @ sx_map.matrix) % p, [
                 (sy_map.matrix, 0, linalg.eye(X.term(0).dim)),
                 ((-cov.matrix) % p, "aux", sx_map.matrix),
-            ])
+            ], (X.term(0), SY))
         else:
             sys.add_equation((sy_map.matrix @ phi.matrix) % p, [
                 (linalg.eye(Y.term(0).dim), 0, sx_map.matrix),
                 ((-sy_map.matrix) % p, "aux", env.matrix),
-            ])
+            ], (SX, Y.term(0)))
         comps = sys.solve()
         if comps is None:
             if fold == 0:
@@ -142,7 +142,8 @@ def verify_round_trip(X: Complex, side: str = "P",
         u = (iso1 @ first.replacement.triple.mono.matrix) % p  # N -> theta(I)
         tg = second.replacement.triple
         alpha = solver.solve_module_map([(N, tg.mid)], u,
-                                        [(tg.epi.matrix, 0, linalg.eye(N.dim))])
+                                        [(tg.epi.matrix, 0, linalg.eye(N.dim))],
+                                        (N, tg.right))
         if alpha is None:
             return RoundTripReport(X, first, second, None, None, UNKNOWN, UNKNOWN)
         iso2 = second.replacement.witness  # omega(P2) -> M2
@@ -166,7 +167,7 @@ def verify_round_trip(X: Complex, side: str = "P",
         # cbar . epi == target + cov . h for some module map h: mid -> Pcov
         cbar = solver.solve_module_map([(Z, THY2), (tg.mid, Pcov)], target_mat, [
             (linalg.eye(THY2.dim), 0, tg.epi.matrix),
-            ((-cov.matrix) % p, 1, linalg.eye(tg.mid.dim))])
+            ((-cov.matrix) % p, 1, linalg.eye(tg.mid.dim))], (tg.mid, THY2))
         if cbar is None:
             return RoundTripReport(X, first, second, None, None, UNKNOWN, UNKNOWN)
         phi = ModuleMap(Z, THY2, cbar)

@@ -33,6 +33,10 @@ class NotGorensteinError(SingeqError):
     pass
 
 
+class ConfigError(SingeqError):
+    """An environment override has a value outside its domain."""
+
+
 class UnsupportedShape(SingeqError):
     """Operation only implemented for the shapes the pipeline needs."""
 

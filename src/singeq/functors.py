@@ -127,14 +127,6 @@ class AdjunctionWitness:
                          {0: (incl.matrix @ psiT.T) % p})
 
 
-def transpose(witness: AdjunctionWitness, f: ChainMap, direction: str) -> ChainMap:
-    if direction == "forward":
-        return witness.forward(f)
-    if direction == "backward":
-        return witness.backward(f)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def counit(Y: Complex) -> ChainMap:
     """FG(Y) -> Y: the cycle inclusion in degree zero, zero elsewhere."""
     _, incl = theta_data(Y)
@@ -147,11 +139,3 @@ def unit(X: Complex) -> ChainMap:
     _, proj = omega_data(X)
     GFX = apply_G(apply_F(X))
     return chain_map(X, GFX, {0: proj.matrix})
-
-
-def unit_counit(which: str, X: Complex) -> ChainMap:
-    if which == "unit":
-        return unit(X)
-    if which == "counit":
-        return counit(X)
-    raise ValueError(f"unknown natural transformation {which!r}")

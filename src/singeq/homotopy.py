@@ -160,7 +160,7 @@ def _homotopy_system(maps: list, lo: int, hi: int, fold: int,
         sys.add_equation(np.stack(rhs) if len(rhs) > 1 else rhs[0], [
             (dY, n, eye[x.dim]),
             (eye[y.dim], n - 1, dX),
-        ])
+        ], (x, y))
     return sys
 
 
@@ -225,7 +225,8 @@ def factors_through_projective(g: modules.ModuleMap) -> bool:
         return True
     P, epi = modules.projective_cover(g.target)
     return solve_module_map([(g.source, P)], g.matrix,
-                            [(epi.matrix, 0, linalg.eye(g.source.dim))]) is not None
+                            [(epi.matrix, 0, linalg.eye(g.source.dim))],
+                            (g.source, g.target)) is not None
 
 
 def factors_through_injective(g: modules.ModuleMap) -> bool:
@@ -234,7 +235,8 @@ def factors_through_injective(g: modules.ModuleMap) -> bool:
         return True
     E, iota = modules.injective_envelope(g.source)
     return solve_module_map([(E, g.target)], g.matrix,
-                            [(linalg.eye(g.target.dim), 0, iota.matrix)]) is not None
+                            [(linalg.eye(g.target.dim), 0, iota.matrix)],
+                            (g.source, g.target)) is not None
 
 
 def stably_zero(f: ChainMap) -> bool:

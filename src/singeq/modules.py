@@ -8,12 +8,13 @@ Caching rule: data that depends only on module actions is memoized on
 their algebra under the exact action bytes, so equal presentations share
 one entry and a change of basis gets its own.  That covers a module's
 split class, projective cover and injective envelope, and the hom basis
-of a pair (source, target), keyed on both actions in that order.  The
-same per-algebra dict holds what depends on the algebra alone: the zero
-module, one zero matrix per shape (zero_block), the indecomposable
-projectives, the opposite algebra, the Gorenstein dimension per bound and
-the generator family per shift range.  Memoized arrays are read-only, and
-every check a computation makes runs on its first computation.
+of a pair (source, target) with its pivot entries, keyed on both actions
+in that order.  The same per-algebra dict holds what depends on the
+algebra alone: the zero module, one zero matrix per shape (zero_block),
+the indecomposable projectives, the opposite algebra, the action
+generators, the Gorenstein dimension per bound and the generator family
+per shift range.  Memoized arrays are read-only, and every check a
+computation makes runs on its first computation.
 
 What depends on one complex or chain map is memoized on that object, and
 lives and dies with it: the table of its distinct blocks (a complex's or
@@ -264,10 +265,28 @@ def quotient_module(M: Module, sub_basis: np.ndarray) -> tuple:
     return Q, ModuleMap(M, Q, proj)
 
 
-def hom_stack(M: Module, N: Module) -> np.ndarray:
-    """Basis of the intertwiner space Hom(M, N) as one read-only
-    (h x N.dim x M.dim) array: the kernel of F a_i = b_i F over all action
-    indices i, memoized by the values of M and N."""
+def action_generators(algebra: Algebra) -> tuple:
+    """Basis indices whose actions generate every action, memoized on the
+    algebra: the idempotents but the last (all of them sum to the unit)
+    and the radical basis elements that span rad/rad^2, since those lifts
+    generate the radical.  A matrix that intertwines these intertwines
+    every basis element."""
+
+    def compute():
+        p = algebra.p
+        J = list(algebra.radical_basis)
+        # rad^2 is spanned by the products b_i b_j of radical basis elements
+        products = algebra.mul[np.ix_(J, J)].reshape(-1, algebra.dim).T
+        _, pivots = linalg.rref(np.hstack([products, linalg.eye(algebra.dim)[:, J]]), p)
+        top = [J[c - products.shape[1]] for c in pivots if c >= products.shape[1]]
+        return tuple(sorted([*algebra.idempotents[:-1], *top]))
+
+    return _memo(algebra, "action generators", compute)
+
+
+def _hom(M: Module, N: Module) -> tuple:
+    """(basis, pivot entries) of Hom(M, N), memoized by the values of M
+    and N; see hom_stack and hom_pivots."""
     if M.algebra is not N.algebra:
         raise AlgebraMismatch("hom_stack needs a common algebra")
 
@@ -275,14 +294,43 @@ def hom_stack(M: Module, N: Module) -> np.ndarray:
         p = M.algebra.p
         s, t = M.dim, N.dim
         if s == 0 or t == 0:
-            return linalg.zeros(0, t * s).reshape(0, t, s)
-        # row-major vec: vec(F @ A_i - B_i @ F)
-        system = np.vstack([
+            return linalg.zeros(0, t * s).reshape(0, t, s), np.arange(0)
+        # row-major vec: vec(F @ A_i - B_i @ F) over the generating indices
+        gens = list(action_generators(M.algebra))
+        system = np.vstack([linalg.zeros(0, t * s)] + [
             linalg.kron(linalg.eye(t), a.T) - linalg.kron(b, linalg.eye(s))
-            for a, b in zip(M.action, N.action)]) % p
-        return linalg.kernel_basis(system, p).T.reshape(-1, t, s)
+            for a, b in zip(M.stacked_action[gens], N.stacked_action[gens])]) % p
+        K = linalg.kernel_basis(system, p)
+        # column j of K is 1 at the j-th free column of the elimination, 0
+        # at the other free columns, and 0 below its free column
+        last = K.shape[0] - 1 - np.argmax(K[::-1] != 0, axis=0)
+        return K.T.reshape(-1, t, s), last
 
     return _by_value("hom", (M, N), compute)
+
+
+def hom_stack(M: Module, N: Module) -> np.ndarray:
+    """Basis of the intertwiner space Hom(M, N) as one read-only
+    (h x N.dim x M.dim) array, memoized by the values of M and N.
+
+    It is the reduced kernel basis of F a_i = b_i F over the indices i of
+    action_generators only: all idempotents but one, and radical basis
+    elements spanning rad/rad^2 (x alone over D_n, none over a field).
+    These generate the algebra, so the system has the same kernel as the
+    one over every index, hence the same row space and the same basis,
+    bit for bit.  The checks of a module map (intertwining_failures)
+    still test every index.
+    """
+    return _hom(M, N)[0]
+
+
+def hom_pivots(M: Module, N: Module) -> np.ndarray:
+    """The h row-major entries of an (N.dim x M.dim) matrix at which
+    hom_stack(M, N)[j] is 1 and every other basis matrix is 0: the free
+    columns of its elimination, from the same memo.  A module map
+    M -> N is the combination of the basis with its values there as
+    coefficients, so it is determined by those entries."""
+    return _hom(M, N)[1]
 
 
 def hom_basis(M: Module, N: Module) -> list:
@@ -309,11 +357,6 @@ def cokernel(f: ModuleMap) -> tuple:
     p = f.source.algebra.p
     B = linalg.column_space_basis(f.matrix, p)
     return quotient_module(f.target, B)
-
-
-def subquotients(f: ModuleMap) -> tuple:
-    """((Ker, incl), (Im, incl), (Coker, proj)), rank-nullity exact."""
-    return kernel(f), image(f), cokernel(f)
 
 
 def radical_submodule_basis(M: Module) -> np.ndarray:

@@ -7,11 +7,27 @@ is a coordinate vector c over the basis H = modules.hom_stack(source,
 target) of its hom space, u = sum c_j H_j, so every solution is a module
 map and the system has no intertwining rows.  hom_stack memoizes each
 basis on the algebra by the values of its pair, so systems over equal
-pairs share one basis.  In an equation
-sum M @ u_k @ N = rhs, a term contributes the columns vec(M H_j N).  The
-system is row-reduced over F_p and solutions are unpacked to the matrices
-sum c_j H_j.  This is the engine behind null-homotopy search, chain-map
-space bases, periodic lifting and module factorizations.
+pairs share one basis.
+
+An equation sum M @ u_k @ N = rhs names its module pair (S, T): the
+right-hand side and every term are module maps S -> T.  It writes one row
+per pivot entry of Hom(S, T) (modules.hom_pivots), not one per matrix
+entry: h rows where the matrices have T.dim * S.dim entries, so n rows
+per block between free D_n-modules where there are n^2 entries.  A term
+contributes the columns M H_j N read at those entries.  Since a module
+map S -> T is the combination of hom_stack(S, T) with its values at the
+pivot entries as coefficients, every row of the full system is a
+combination of the rows kept, right-hand sides included.  The two systems
+are row-equivalent: they have the same solutions, the same reduced form,
+and so the same kernel basis and particular solutions, bit for bit.
+Hence NO stays sound: the system has no solution exactly when the full
+one has none.  YES stays sound and is still checked on full matrices:
+homotopy.verify_null_homotopy tests every entry and every action index
+of each homotopy found, and a failed check gives UNKNOWN.
+
+The system is row-reduced over F_p and solutions are unpacked to the
+matrices sum c_j H_j.  This is the engine behind null-homotopy search,
+chain-map space bases, periodic lifting and module factorizations.
 """
 
 from __future__ import annotations
@@ -45,8 +61,9 @@ class FoldedSystem:
         self.fold = fold_period
         self.bases = {}  # key -> (column offset, stacked hom basis)
         off = 0
-        keys = [(n, blocks[n]) for n in range(lo, hi + 1)]
-        for key, pair in keys + list((extras or {}).items()):
+        keys = [(n, blocks[n]) for n in range(lo, hi + 1)] + list((extras or {}).items())
+        self.modular = any(isinstance(pair[0], modules.Module) for _, pair in keys)
+        for key, pair in keys:
             H = _basis(pair)
             self.bases[key] = (off, H)
             off += len(H)
@@ -65,8 +82,15 @@ class FoldedSystem:
             return self.lo + ((n - self.lo) % self.fold)
         return self.hi - ((self.hi - n) % self.fold)
 
-    def add_equation(self, rhs: np.ndarray, terms: list) -> None:
+    def add_equation(self, rhs: np.ndarray, terms: list, pair=None) -> None:
         """sum_i M_i @ u_{k_i} @ N_i == rhs; terms are (M, k, N).
+
+        pair: the modules (source, target) of the equation.  The
+        right-hand side and each term M_i @ u @ N_i, for u in its hom
+        space, must be module maps source -> target; the equation then
+        writes one row per entry of modules.hom_pivots(*pair).  It may be
+        omitted only when every unknown ranges over plain matrices, and
+        the rows are then every entry.
 
         rhs is one matrix when the width is 1, else a stack (width x rows
         x cols) of right-hand sides that share the left side.
@@ -78,8 +102,18 @@ class FoldedSystem:
         shape = stack.shape[1:]
         if shape[0] * shape[1] == 0:
             return
+        if pair is None:
+            if self.modular:
+                raise ValidationError("an equation over module maps needs its module pair")
+            entries = np.arange(shape[0] * shape[1])
+        elif (pair[1].dim, pair[0].dim) != shape:
+            raise ValidationError("equation does not have the shape of its module pair")
+        else:
+            entries = modules.hom_pivots(*pair)
+        if not entries.size:
+            return
         p = self.p
-        block = linalg.zeros(shape[0] * shape[1], self.total)
+        block = linalg.zeros(entries.size, self.total)
         for M, k, N in terms:
             r = self.rep(k)
             if r is None:
@@ -89,10 +123,10 @@ class FoldedSystem:
             if M.shape != (shape[0], t) or N.shape != (s, shape[1]):
                 raise ValidationError("equation term has inconsistent shape")
             if h:
-                cols = (((M @ H) % p) @ N).reshape(h, -1).T
+                cols = (((M @ H) % p) @ N).reshape(h, -1).take(entries, axis=1).T
                 block[:, off : off + h] = (block[:, off : off + h] + cols) % p
         self.rows.append(block)
-        self.rhs.append(stack.reshape(len(stack), -1).T % p)
+        self.rhs.append(stack.reshape(len(stack), -1).take(entries, axis=1).T % p)
 
     def _stack(self):
         if not self.rows:
@@ -144,11 +178,12 @@ class FoldedSystem:
                 (P, pos) if any(b.any() for b in pos) else None)
 
 
-def solve_module_map(pairs: list, rhs: np.ndarray, terms: list):
+def solve_module_map(pairs: list, rhs: np.ndarray, terms: list, pair: tuple):
     """u_0 of module maps u_k: pairs[k] = (source, target) with
-    sum M @ u_k @ N == rhs over the terms (M, k, N), or None."""
+    sum M @ u_k @ N == rhs over the terms (M, k, N), or None; the
+    equation is one of module maps pair[0] -> pair[1]."""
     sys = FoldedSystem(pairs[0][0].algebra.p, dict(enumerate(pairs)), 0, len(pairs) - 1)
-    sys.add_equation(rhs, terms)
+    sys.add_equation(rhs, terms, pair)
     sol = sys.solve()
     return None if sol is None else sol[0]
 
@@ -184,7 +219,7 @@ def chain_map_system(X: Complex, Y: Complex, lo: int, hi: int, fold: int,
         sys.add_equation(rhs, [
             (eye[rows], n - 1, X.diff(n)),
             ((-Y.diff(n)) % p, n, eye[cols]),
-        ])
+        ], (X.term(n), Y.term(n - 1)))
     return sys
 
 
@@ -248,7 +283,7 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
         else:
             rhs = f.component(n)
             terms = [(linalg.eye(f.target.term(n).dim), n, through.component(n))]
-        sys.add_equation(rhs, terms)
+        sys.add_equation(rhs, terms, (f.source.term(n), f.target.term(n)))
     comps = sys.solve()
     if comps is None:
         return None

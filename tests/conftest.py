@@ -72,6 +72,51 @@ def periodic_complex(alg, j):
         alg, 0, 1, lambda d: A, lambda d: xj if d % 2 == 0 else xnj, 2, 2)
 
 
+# -- seeded generators over any algebra --------------------------------
+
+
+def random_invertible(rng: random.Random, d: int, p: int) -> np.ndarray:
+    while True:
+        g = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)],
+                     dtype=np.int64).reshape(d, d)
+        if linalg.rank(g, p) == d:
+            return g
+
+
+def random_combination(rng: random.Random, H: np.ndarray, p: int) -> np.ndarray:
+    """A random element of the span of the stacked basis H."""
+    return sum((rng.randrange(p) * h for h in H), linalg.zeros(*H.shape[1:])) % p
+
+
+def module_map_equations(rng: random.Random, mods: list, pairs: list, p: int,
+                         count: int, width: int = 1) -> list:
+    """count equations (stacked rhs, terms, pair) sum M u_k N = rhs over
+    unknowns u_k in Hom(pairs[k]).  M and N are random module maps, so the
+    terms and the width right-hand sides are module maps between the
+    modules of pair, drawn from mods; each right-hand side is the image
+    of random module maps or a random module map."""
+    equations = []
+    for _ in range(count):
+        pair = (rng.choice(mods), rng.choice(mods))
+        terms = []
+        for k in rng.sample(range(len(pairs)), rng.randint(1, len(pairs))):
+            S, T = pairs[k]
+            terms.append((random_combination(rng, modules.hom_stack(T, pair[1]), p), k,
+                          random_combination(rng, modules.hom_stack(pair[0], S), p)))
+        rhs = []
+        for _ in range(width):
+            if rng.randint(0, 1):
+                r = linalg.zeros(pair[1].dim, pair[0].dim)
+                for M, k, N in terms:
+                    u = random_combination(rng, modules.hom_stack(*pairs[k]), p)
+                    r = (r + M @ u @ N) % p
+            else:
+                r = random_combination(rng, modules.hom_stack(*pair), p)
+            rhs.append(r)
+        equations.append((np.stack(rhs), terms, pair))
+    return equations
+
+
 # -- seeded generators over D2 ----------------------------------------
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from singeq import approx, fixtures, formats
 from singeq.cli import main
+from singeq.config import default_options
 from singeq.errors import IsomorphismUndecided, LiftError, ParseError
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -218,6 +219,18 @@ class TestExitCodes:
         assert main(["validate", str(bad)]) == 65
         err = capsys.readouterr().err
         assert err.startswith("error: ValidationError: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_65_bad_period_bound_in_the_environment(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("GH_HOMOTOPY_PERIOD_BOUND", value)
+        assert main(["validate", fx("d2.alg")]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert f"GH_HOMOTOPY_PERIOD_BOUND='{value}'" in err
+
+    def test_period_bound_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("GH_HOMOTOPY_PERIOD_BOUND", "2")
+        assert default_options().homotopy_period_bound == 2
 
     def test_70_internal(self, monkeypatch, capsys):
         monkeypatch.setattr(formats, "load_any", _raise(RuntimeError("boom\nmore")))

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import periodic_complex, random_d2_module, truncated_polynomial
+from conftest import (module_map_equations, periodic_complex, random_d2_module,
+                      random_invertible, truncated_polynomial)
 from singeq import complexes, fixtures, functors, linalg, modules, solver
 from singeq.complexes import add_maps, compose, identity_chain_map
 from singeq.errors import ValidationError
@@ -65,13 +66,6 @@ class TestFactorization:
 
 
 # -- hom-coordinate systems against the raw-entry reference ---------------
-
-
-def random_invertible(rng: random.Random, d: int, p: int) -> np.ndarray:
-    while True:
-        g = random_matrix(rng, d, d, p)
-        if linalg.invert(g, p) is not None:
-            return g
 
 
 def random_dn_module(rng: random.Random, alg, max_dim: int = 4) -> Module:
@@ -136,29 +130,6 @@ def random_matrix(rng, r, c, p):
                     dtype=np.int64).reshape(r, c)
 
 
-def random_equations(rng, pairs, p, count):
-    """Equations sum M u_k N = rhs over random unknowns; the right-hand
-    side is either the image of random module maps or random entries."""
-    equations = []
-    for _ in range(count):
-        r, c = rng.randint(1, 3), rng.randint(1, 3)
-        terms = []
-        for k in rng.sample(range(len(pairs)), rng.randint(1, len(pairs))):
-            S, T = pairs[k]
-            terms.append((random_matrix(rng, r, T.dim, p), k,
-                          random_matrix(rng, S.dim, c, p)))
-        if rng.randint(0, 1):
-            rhs = linalg.zeros(r, c)
-            for M, k, N in terms:
-                H = modules.hom_stack(*pairs[k])
-                u = sum((rng.randrange(p) * h for h in H), linalg.zeros(*H.shape[1:]))
-                rhs = (rhs + M @ (u % p) @ N) % p
-        else:
-            rhs = random_matrix(rng, r, c, p)
-        equations.append((rhs, terms))
-    return equations
-
-
 def shipped_modules():
     return {"D2": [fixtures.simple_k(), fixtures.regular_D2(),
                    modules.regular_module(fixtures.D2())],
@@ -187,11 +158,13 @@ class TestHomCoordinateSystems:
         rng = random.Random(pool)
         for trial in range(40):
             pairs = [(rng.choice(mods), rng.choice(mods)) for _ in range(rng.randint(1, 2))]
-            equations = random_equations(rng, pairs, p, rng.randint(0, 2))
+            equations = [(rhs[0], terms, pair) for rhs, terms, pair in
+                         module_map_equations(rng, mods, pairs, p, rng.randint(0, 2))]
             sys_ = solver.FoldedSystem(p, dict(enumerate(pairs)), 0, len(pairs) - 1)
-            for rhs, terms in equations:
-                sys_.add_equation(rhs, terms)
-            total, rank, consistent = reference_system(p, pairs, equations)
+            for rhs, terms, pair in equations:
+                sys_.add_equation(rhs, terms, pair)
+            total, rank, consistent = reference_system(
+                p, pairs, [(rhs, terms) for rhs, terms, _ in equations])
 
             kernel = sys_.kernel()
             assert len(kernel) == total - rank
@@ -201,7 +174,7 @@ class TestHomCoordinateSystems:
                 for k, (S, T) in enumerate(pairs):
                     ModuleMap(S, T, comps[k]).validate()
             if consistent:
-                for rhs, terms in equations:
+                for rhs, terms, _ in equations:
                     lhs = sum(((M @ solution[k] @ N) % p for M, k, N in terms),
                               linalg.zeros(*rhs.shape))
                     assert np.array_equal(lhs % p, rhs % p)
