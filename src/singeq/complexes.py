@@ -19,17 +19,28 @@ checks (_walk).  Below the windows of the objects a check reads, the
 check at n equals the check at n + L, L the lcm of their negative tail
 periods; above them it equals the check at n - L', L' the lcm of the
 positive ones.  So the walk keeps the first L degrees of the range, the
-windows, and the first L' degrees after them.  Each kept degree is the
-first of its repeats in the range, so the smallest failing degree is a
-kept one.  Shapes are checked at every kept degree; the other checks are
-stacked.  Intertwining groups the matrices by their (source, target)
-module pair and checks each group against all action indices with one
-batched product per side (modules.intertwining_failures, as in
-ModuleMap.validate).  d*d = 0 and f d = d f group the products by the
-shapes of their factors, one batched matmul per side and group.  An error
-names the smallest failing degree, and for intertwining the first failing
-action index there.  ChainMap.validate also takes further maps and stacks
-their checks with its own.
+windows, and the first L' degrees after them.
+
+One engine runs the checks (_first_failure).  Chain maps, or (map,
+homotopy) pairs, that share one source and one target are walked once,
+over the union of their check ranges; each object's own range lies
+inside it and its periods divide the joint ones, so the joint walk runs
+a superset of each object's checks.  At each walked degree the blocks of
+the objects are stacked, and the degrees are grouped by the modules
+(intertwining) or the shapes (d*d = 0, f d = d f, the homotopy equation)
+they share.  Each group costs one array per operand and one batched
+product per side; intertwining tests every action index
+(modules.intertwining_residue, as ModuleMap.validate does), and over
+several objects multiplies out only the nonzero blocks.  Shapes are
+checked first, at every walked degree of every object.  A failing check
+is reported at the first degree of its object's own range that carries
+it (_Range.first), so an error names the same smallest failing degree,
+and for intertwining the same first failing action index, as a check of
+that object alone.
+
+add_maps and compose compute their result from the operands' block
+tables, one array operation per group of distinct blocks of one shape,
+and validate it through the same engine.
 """
 
 from __future__ import annotations
@@ -56,56 +67,6 @@ class Tail:
     def __post_init__(self):
         if self.period != len(self.terms) or self.period != len(self.diffs):
             raise ValidationError("tail period does not match block count")
-
-
-def _check_intertwining(maps, what: str) -> None:
-    """Raise unless every (degree, source, target, matrix) is a module map.
-
-    The matrices are grouped by their (source, target) module pair; each
-    distinct matrix object of a group is stacked once, at its first
-    degree, and the group is checked with one batched product per side.
-    A matrix with no entries is a module map.  The error names the
-    smallest failing degree and its action index.
-    """
-    groups = {}
-    for n, src, tgt, f in maps:
-        if f.size:
-            groups.setdefault((src, tgt), {}).setdefault(id(f), (n, f))
-    failures = []
-    for (src, tgt), firsts in groups.items():
-        degrees, mats = zip(*firsts.values())
-        bad = modules.intertwining_failures(src, tgt, mats)
-        failures += [(degrees[k], int(bad[k].argmax()))
-                     for k in bad.any(axis=1).nonzero()[0]]
-    if failures:
-        n, i = min(failures)
-        raise ValidationError(f"{what} at degree {n} does not intertwine action {i}")
-
-
-def _first_failure(checks, residue):
-    """Smallest degree whose check fails, or None.
-
-    A check is (n, *matrices) and holds when residue(*matrices) is zero.
-    Every residue has the rows of its first matrix and the columns of its
-    last, so a check where either is 0 holds.  The other checks are
-    stacked per shape group, and residue runs once per group on the
-    stacks, one batched product per term.
-    """
-    groups = {}
-    for check in checks:
-        if check[1].shape[0] and check[-1].shape[1]:
-            groups.setdefault(tuple([m.shape for m in check[1:]]), []).append(check)
-    failures = []
-    for group in groups.values():
-        degrees, *mats = zip(*group)
-        bad = residue(*map(np.array, mats)).any(axis=(1, 2))
-        failures += [degrees[i] for i in bad.nonzero()[0]]
-    return min(failures, default=None)
-
-
-def _composite(p: int):
-    """Residue of the check d_n d_{n+1} = 0, for _first_failure."""
-    return lambda d0, d1: (d0 @ d1) % p
 
 
 def _lcm(values) -> int:
@@ -140,23 +101,125 @@ class _Blocks(NamedTuple):
                 else data[hi + 1 + (n - hi - 1) % pos + base] for n in degrees]
 
 
+class _Range(NamedTuple):
+    """An object's checks from degree a on, when the check at n reads its
+    tables at n - 1, n or n + 1: below lo they repeat with period neg,
+    above hi with period pos (the windows of the tables widened by one)."""
+
+    a: int
+    lo: int
+    hi: int
+    neg: int
+    pos: int
+
+    @staticmethod
+    def of(a: int, *tables) -> "_Range":
+        return _Range(a, min([t.lo for t in tables]) - 1,
+                      max([t.hi for t in tables]) + 1,
+                      math.lcm(*[t.neg for t in tables]),
+                      math.lcm(*[t.pos for t in tables]))
+
+    @staticmethod
+    def union(ranges) -> "_Range":
+        """The checks of several objects walked together, from the first a."""
+        return _Range(min([r.a for r in ranges]), min([r.lo for r in ranges]),
+                      max([r.hi for r in ranges]), math.lcm(*[r.neg for r in ranges]),
+                      math.lcm(*[r.pos for r in ranges]))
+
+    def first(self, n: int) -> int:
+        """The first degree from a on whose check equals the one at n."""
+        if n < self.lo:
+            return self.a + (n - self.a) % self.neg
+        if n > self.hi:
+            return self.hi + 1 + (n - self.hi - 1) % self.pos
+        return n
+
+    def walk(self, b: int) -> list:
+        """The degrees of a..b that carry every distinct check: the first
+        period of each side and the window lo..hi.  Each is the first of
+        its repeats in a..b."""
+        a, lo, hi, neg, pos = self
+        right = max(a, hi + 1)
+        return [*range(a, min(a + neg, lo, b + 1)),
+                *range(max(a, lo), min(b, hi) + 1),
+                *range(right, min(b + 1, right + pos))]
+
+
 def _walk(a: int, b: int, *tables) -> list:
     """The degrees of a..b that carry every distinct check over tables,
-    when the check at n reads each table at n - 1, n or n + 1.
+    when the check at n reads each table at n - 1, n or n + 1."""
+    return _Range.of(a, *tables).walk(b)
 
-    Below the windows the checks repeat with the lcm of the tables'
-    negative periods, above them with the lcm of the positive ones; the
-    walk keeps the first period of each side and the windows, widened by
-    one.  Each kept degree is the first of its repeats in a..b.
+
+def _first_failure(ranges, ns, keys, check, *columns):
+    """Smallest (degree, detail) over the checks that fail, or None.
+
+    Each object, given by its check range in ranges, has one check at
+    each walked degree of ns.  A column holds one operand per walked
+    degree: a matrix shared by the objects, or a tuple of one matrix per
+    object (_per_degree).  The walked degrees are grouped by keys (the
+    modules or shapes their operands share), and check(key, *stacks) runs
+    once per group on each column stacked, (g, 1, rows, cols) when shared
+    and (g, objects, rows, cols) otherwise.  It returns an array (g,
+    objects, details, ...) that is nonzero exactly where a check fails:
+    its residue mod p, whose details are rows, or for intertwining one
+    per action index.  A failing check is reported at the first degree of
+    its object's range that carries it, with its first failing detail.
+    A group whose first operand has no rows or whose last has no columns
+    holds.
     """
-    lo = min([t.lo for t in tables]) - 1
-    hi = max([t.hi for t in tables]) + 1
-    neg = math.lcm(*[t.neg for t in tables])
-    pos = math.lcm(*[t.pos for t in tables])
-    right = max(a, hi + 1)
-    return [*range(a, min(a + neg, lo, b + 1)),
-            *range(max(a, lo), min(b, hi) + 1),
-            *range(right, min(b + 1, right + pos))]
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    failures = []
+    for key, idx in groups.items():
+        first, last = columns[0][idx[0]], columns[-1][idx[0]]
+        if isinstance(first, tuple):
+            first = first[0]
+        if isinstance(last, tuple):
+            last = last[0]
+        if not (first.shape[0] and last.shape[1]):
+            continue
+        stacks = [np.array([c[i] for i in idx]) for c in columns]
+        bad = check(key, *[s if s.ndim == 4 else s[:, None] for s in stacks])
+        failures += [(ranges[j].first(ns[idx[i]]), int(d))
+                     for i, j, d, *_ in zip(*bad.nonzero())]
+    return min(failures, default=None)
+
+
+def _per_degree(columns: list) -> list:
+    """One column for _first_failure from one column per object: per
+    walked degree, the tuple of the objects' blocks, or for a single
+    object its blocks themselves."""
+    return columns[0] if len(columns) == 1 else list(zip(*columns))
+
+
+def _wrong_shape(ranges, ns, columns, shapes):
+    """Smallest reported degree (see _first_failure) at which a block of
+    an object's column (one block per walked degree) does not have the
+    shape given for its degree in shapes, or None."""
+    return min([r.first(n) for r, col in zip(ranges, columns)
+                if [m.shape for m in col] != shapes
+                for n, m, shape in zip(ns, col, shapes) if m.shape != shape], default=None)
+
+
+def _intertwining(key, F):
+    """Check for _first_failure that the stacked matrices F are module
+    maps between the modules key = (source, target), at every action
+    index.  Over several objects, whose blocks are often zero, only the
+    nonzero matrices are multiplied out: a zero matrix is a module map."""
+    g, k = F.shape[:2]
+    if k == 1:
+        return modules.intertwining_residue(*key, F)
+    live = F.any(axis=(2, 3))
+    bad = np.zeros((g, k, key[0].algebra.dim), dtype=bool)
+    bad[live] = modules.intertwining_residue(*key, F[live]).any(axis=(2, 3))
+    return bad
+
+
+def _composite(p: int):
+    """Check for _first_failure of d_{n-1} d_n = 0."""
+    return lambda _, d0, d1: (d0 @ d1) % p
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,18 +327,22 @@ class Complex:
         a, b = self.check_range()
         B = self._blocks
         ns = _walk(a, b, B)
-        maps = [(n, t, s, d) for n, (s, _), (t, d)
-                in zip(ns, B.on([n - 1 for n in ns]), B.on(ns))]
-        for n, src, tgt, d in maps:
+        prev, cur = B.on([n - 1 for n in ns]), B.on(ns)
+        for n, (tgt, _), (src, d) in zip(ns, prev, cur):
             if d.shape != (tgt.dim, src.dim):
                 raise ValidationError(f"differential at degree {n} has wrong shape")
-        _check_intertwining(maps, "differential")
-        ns = _walk(a + 1, b, B)
-        bad = _first_failure([(n, d0, d1) for n, (_, d0), (_, d1)
-                              in zip(ns, B.on([n - 1 for n in ns]), B.on(ns))],
-                             _composite(self.algebra.p))
+        d0, d1 = [d for _, d in prev], [d for _, d in cur]
+        r = _Range.of(a, B)
+        bad = _first_failure([r], ns, [(s, t) for (t, _), (s, _) in zip(prev, cur)],
+                             _intertwining, d1)
         if bad is not None:
-            raise ValidationError(f"d*d != 0 at degree {bad}")
+            raise ValidationError(
+                f"differential at degree {bad[0]} does not intertwine action {bad[1]}")
+        bad = _first_failure([r._replace(a=a + 1)], ns,
+                             [(x.shape, y.shape) for x, y in zip(d0, d1)],
+                             _composite(self.algebra.p), d0, d1)
+        if bad is not None:
+            raise ValidationError(f"d*d != 0 at degree {bad[0]}")
 
 
 def zero_complex(algebra: Algebra) -> Complex:
@@ -384,33 +451,25 @@ class ChainMap(GradedMap):
     def validate(self, *others: "ChainMap") -> None:
         """Check this map and any others, each over its own check range.
 
-        The checks of all the maps are stacked together, so a whole basis
-        of chain maps costs one batched product per group.
+        Maps that share a source and a target are walked once and their
+        checks stacked, so a whole basis of chain maps costs one batched
+        product per group and side.  Errors come in the order shape,
+        intertwining, commutation, each at its smallest failing degree.
         """
-        entries, checks = [], []
+        A = self.source.algebra
+        groups = {}
         for f in (self, *others):
-            S, T = f.source, f.target
-            if S.algebra is not T.algebra or S.algebra is not self.source.algebra:
+            if f.source.algebra is not A or f.target.algebra is not A:
                 raise DimensionMismatch("chain map across different algebras")
-            a, b = f.check_range()
-            tables = (S._blocks, T._blocks, f._blocks)
-            ns = _walk(a, b, *tables)
-            maps = [(n, s, t, m) for n, (s, _), (t, _), m
-                    in zip(ns, *(B.on(ns) for B in tables))]
-            for n, src, tgt, m in maps:
-                if m.shape != (tgt.dim, src.dim):
-                    raise ValidationError(f"component at degree {n} has wrong shape")
-            entries += maps
-            ns = _walk(a + 1, b, *tables)
-            checks += [(n, f0, dS, dT, f1) for n, f0, (_, dS), (_, dT), f1
-                       in zip(ns, f._blocks.on([n - 1 for n in ns]),
-                              *(B.on(ns) for B in tables))]
-        _check_intertwining(entries, "component")
-        p = self.source.algebra.p
-        bad = _first_failure(checks,
-                             lambda f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p)
+            groups.setdefault((f.source, f.target), []).append(f)
+        checks = [_chain_map_checks(S, T, maps) for (S, T), maps in groups.items()]
+        bad = min(filter(None, [_first_failure(*c) for c, _ in checks]), default=None)
         if bad is not None:
-            raise ValidationError(f"does not commute with d at degree {bad}")
+            raise ValidationError(
+                f"component at degree {bad[0]} does not intertwine action {bad[1]}")
+        bad = min(filter(None, [_first_failure(*c) for _, c in checks]), default=None)
+        if bad is not None:
+            raise ValidationError(f"does not commute with d at degree {bad[0]}")
 
     def _full_rank(self, side: int) -> bool:
         """rank f_n equals the dimension of the source (side 0) or target
@@ -452,6 +511,30 @@ class Homotopy(GradedMap):
 
     def __init__(self, source, target, components, clo, chi, neg=None, pos=None):
         super().__init__(source, target, components, clo, chi, neg, pos, shift=1)
+
+
+def _chain_map_checks(S: Complex, T: Complex, maps: list) -> tuple:
+    """_first_failure arguments of the intertwining and the commutation
+    checks of chain maps S -> T, walked once over the union of their check
+    ranges; raises at once on a component of the wrong shape."""
+    Sb, Tb = S._blocks, T._blocks
+    spans = [f.check_range() for f in maps]
+    tables = [f._blocks for f in maps]
+    ranges = [_Range.of(a, Sb, Tb, B) for (a, _), B in zip(spans, tables)]
+    ns = _Range.union(ranges).walk(max([b for _, b in spans]))
+    prev = [n - 1 for n in ns]
+    S1, T1 = Sb.on(ns), Tb.on(ns)
+    comps = [B.on(ns) for B in tables]
+    bad = _wrong_shape(ranges, ns, comps, [(t.dim, s.dim) for (s, _), (t, _) in zip(S1, T1)])
+    if bad is not None:
+        raise ValidationError(f"component at degree {bad} has wrong shape")
+    F0, F1 = _per_degree([B.on(prev) for B in tables]), _per_degree(comps)
+    dS, dT = [d for _, d in S1], [d for _, d in T1]
+    p = S.algebra.p
+    return ((ranges, ns, [(s, t) for (s, _), (t, _) in zip(S1, T1)], _intertwining, F1),
+            ([r._replace(a=r.a + 1) for r in ranges], ns,
+             [(x.shape, y.shape) for x, y in zip(dS, dT)],
+             lambda _, f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p, F0, dS, dT, F1))
 
 
 def chain_map(source, target, components, clo=None, chi=None,
@@ -513,23 +596,66 @@ def _map_profile(*objects):
     return min(los), max(his), _lcm(negs), _lcm(poss)
 
 
+def _same_terms(X: Complex, Y: Complex) -> bool:
+    """Whether the terms of X and Y have equal dimensions in every degree."""
+    if X is Y:
+        return True
+    lo, hi, neg, pos = _map_profile(X, Y)
+    ns = range(lo - neg, hi + pos + 1)
+    return all(s.dim == t.dim for (s, _), (t, _) in zip(X._blocks.on(ns), Y._blocks.on(ns)))
+
+
+def _from_tables(S, T, profile, op, f, g, validate=True) -> ChainMap:
+    """The chain map S -> T whose component at n is op(f_n, g_n), on the
+    window lo..hi and one period nq, pq of each tail (profile), as
+    chain_map_from_callable samples them.
+
+    The components are read from the tables of f and g.  op runs on the
+    distinct pairs of blocks among them, stacked per pair of shapes: one
+    array operation per group, where op gets one (k, rows, cols) stack
+    per operand.
+    """
+    lo, hi, nq, pq = profile
+    ns = range(lo - nq, hi + pq + 1)
+    fs, gs = f._blocks.on(ns), g._blocks.on(ns)
+    keys = list(zip(map(id, fs), map(id, gs)))
+    pairs = dict(zip(keys, zip(fs, gs)))
+    groups = {}
+    for key, (a, b) in pairs.items():
+        groups.setdefault((a.shape, b.shape), []).append(key)
+    out, nonzero = {}, {}
+    for group in groups.values():
+        res = op(np.array([pairs[k][0] for k in group]), np.array([pairs[k][1] for k in group]))
+        out.update(zip(group, res))
+        nonzero.update(zip(group, res.reshape(len(res), -1).any(axis=1).tolist()))
+    data = [out[k] for k in keys]
+    neg, pos = tuple(data[nq - 1::-1]), tuple(data[len(data) - pq:])
+    h = ChainMap(S, T, dict(zip(range(lo, hi + 1), data[nq:len(data) - pq])), lo, hi,
+                 (nq, neg) if any([nonzero[k] for k in keys[:nq]]) else None,
+                 (pq, pos) if any([nonzero[k] for k in keys[len(keys) - pq:]]) else None)
+    if validate:
+        h.validate()
+    return h
+
+
 def compose(f: ChainMap, g: ChainMap, validate=True) -> ChainMap:
-    """f after g."""
+    """f after g; DimensionMismatch unless g's target and f's source have
+    terms of equal dimensions."""
+    if not _same_terms(f.source, g.target):
+        raise DimensionMismatch("maps not composable: terms of different dimensions")
     p = f.source.algebra.p
-    lo, hi, nq, pq = _map_profile(f, g, g.source, f.target)
-    return chain_map_from_callable(
-        g.source, f.target, lo, hi,
-        lambda n: (f.component(n) @ g.component(n)) % p,
-        nq, pq, validate=validate)
+    return _from_tables(g.source, f.target, _map_profile(f, g, g.source, f.target),
+                        lambda a, b: (a @ b) % p, f, g, validate)
 
 
 def add_maps(f: ChainMap, g: ChainMap, sign: int = 1) -> ChainMap:
+    """f + sign g; DimensionMismatch unless their sources, and their
+    targets, have terms of equal dimensions."""
+    if not (_same_terms(f.source, g.source) and _same_terms(f.target, g.target)):
+        raise DimensionMismatch("summands have terms of different dimensions")
     p = f.source.algebra.p
-    lo, hi, nq, pq = _map_profile(f, g, f.source, f.target)
-    return chain_map_from_callable(
-        f.source, f.target, lo, hi,
-        lambda n: (f.component(n) + sign * g.component(n)) % p,
-        nq, pq)
+    return _from_tables(f.source, f.target, _map_profile(f, g, f.source, f.target),
+                        lambda a, b: (a + sign * b) % p, f, g)
 
 
 # -- basic operations ---------------------------------------------------
@@ -564,9 +690,11 @@ def is_exact(X: Complex) -> bool:
     B = X._blocks
     ns = _walk(a, b, B)
     rows = list(zip(ns, B.on(ns), B.on([n + 1 for n in ns])))
-    bad = _first_failure([(n, d0, d1) for n, (_, d0), (_, d1) in rows], _composite(p))
+    d0, d1 = [d for _, (_, d), _ in rows], [d for _, _, (_, d) in rows]
+    bad = _first_failure([_Range.of(a, B)], ns, [(x.shape, y.shape) for x, y in zip(d0, d1)],
+                         _composite(p), d0, d1)
     if bad is not None:
-        raise ValidationError(f"boundaries do not land in cycles at degree {bad}")
+        raise ValidationError(f"boundaries do not land in cycles at degree {bad[0]}")
     rank = {}  # per distinct differential; the table keeps each alive
     for _, d in B.data:
         if id(d) not in rank:

@@ -88,12 +88,12 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
         sys = solver.chain_map_system(X, Y, lo, hi, fold, {"aux": aux})
         if side == "omega":
             sys.add_equation((phi.matrix @ sx_map.matrix) % p, [
-                (sy_map.matrix, 0, linalg.eye(X.term(0).dim)),
+                (sy_map.matrix, 0, None),
                 ((-cov.matrix) % p, "aux", sx_map.matrix),
             ], (X.term(0), SY))
         else:
             sys.add_equation((sy_map.matrix @ phi.matrix) % p, [
-                (linalg.eye(Y.term(0).dim), 0, sx_map.matrix),
+                (None, 0, sx_map.matrix),
                 ((-sy_map.matrix) % p, "aux", env.matrix),
             ], (SX, Y.term(0)))
         comps = sys.solve()
@@ -142,7 +142,7 @@ def verify_round_trip(X: Complex, side: str = "P",
         u = (iso1 @ first.replacement.triple.mono.matrix) % p  # N -> theta(I)
         tg = second.replacement.triple
         alpha = solver.solve_module_map([(N, tg.mid)], u,
-                                        [(tg.epi.matrix, 0, linalg.eye(N.dim))],
+                                        [(tg.epi.matrix, 0, None)],
                                         (N, tg.right))
         if alpha is None:
             return RoundTripReport(X, first, second, None, None, UNKNOWN, UNKNOWN)
@@ -166,8 +166,7 @@ def verify_round_trip(X: Complex, side: str = "P",
         Pcov, cov = modules.projective_cover(THY2)
         # cbar . epi == target + cov . h for some module map h: mid -> Pcov
         cbar = solver.solve_module_map([(Z, THY2), (tg.mid, Pcov)], target_mat, [
-            (linalg.eye(THY2.dim), 0, tg.epi.matrix),
-            ((-cov.matrix) % p, 1, linalg.eye(tg.mid.dim))], (tg.mid, THY2))
+            (None, 0, tg.epi.matrix), ((-cov.matrix) % p, 1, None)], (tg.mid, THY2))
         if cbar is None:
             return RoundTripReport(X, first, second, None, None, UNKNOWN, UNKNOWN)
         phi = ModuleMap(Z, THY2, cbar)

@@ -22,10 +22,11 @@ import numpy as np
 from . import functors, linalg, modules
 # compose is unused here but stays importable as homotopy.compose, which
 # perfbench/selftest.py uses to test the tracer's alias rebinding
-from .complexes import (ChainMap, Complex, Homotopy, _check_intertwining,  # noqa: F401
-                        _first_failure, _lcm, _map_profile, _walk,
-                        chain_map_from_callable, compose, cone,
-                        identity_chain_map, is_exact)
+from .complexes import (ChainMap, Complex, Homotopy, _first_failure,  # noqa: F401
+                        _from_tables, _intertwining, _lcm, _map_profile,
+                        _per_degree, _Range, _wrong_shape,
+                        chain_map_from_callable,
+                        compose, cone, identity_chain_map, is_exact)
 from .config import Options
 from .errors import ValidationError
 from .solver import FoldedSystem, solve_module_map
@@ -58,43 +59,57 @@ class EquivalenceResult:
 
 
 def verify_null_homotopy(f: ChainMap, s: Homotopy, *others: tuple) -> bool:
-    """f_n == d s_n + s_{n-1} d at every degree of the common check range,
+    """f_n == d s_n + s_{n-1} d at every degree of the pair's check range,
     for (f, s) and for each further (map, homotopy) pair in others.
 
-    Shapes are checked at every degree; intertwining of each s_n and the
-    equation are stacked across degrees and across all the pairs, as in
-    ChainMap.validate.
+    The check range of a pair is the hull of the windows of f, s and
+    their complexes, widened by 2q + 1 on each side, q the lcm of all
+    their tail periods.  Pairs that share one source and one target are
+    walked once, over the union of their ranges, which runs a superset
+    of each pair's checks (see complexes).  Every shape is checked; then
+    each s_n is checked to be a module map at every action index, and
+    the equation at every entry, each stacked across the walked degrees
+    and the pairs, with one batched product per group and side.
     """
     p = f.source.algebra.p
-    entries, checks = [], []
-    for f, s in ((f, s), *others):
-        X, Y = f.source, f.target
-        if X.algebra.p != p:
+    groups = {}
+    for g, h in ((f, s), *others):
+        if g.source.algebra.p != p:
             return False
+        groups.setdefault((g.source, g.target), []).append((g, h))
+    return all(_pairs_hold(X, Y, pairs) for (X, Y), pairs in groups.items())
+
+
+def _pairs_hold(X: Complex, Y: Complex, pairs: list) -> bool:
+    """verify_null_homotopy for pairs of maps X -> Y and their homotopies."""
+    Xb, Yb = X._blocks, Y._blocks
+    ranges, spans, tables = [], [], []
+    for f, s in pairs:
         q = _lcm([f.neg_period, f.pos_period, s.neg_period, s.pos_period,
                   X.neg_period, X.pos_period, Y.neg_period, Y.pos_period])
         a = min(f.clo, s.clo, X.lo, Y.lo) - 2 * q - 1
-        b = max(f.chi, s.chi, X.hi, Y.hi) + 2 * q + 1
-        Xb, Yb, fb, sb = tables = X._blocks, Y._blocks, f._blocks, s._blocks
-        # s_{a-1} enters the equation at degree a
-        ns = _walk(a - 1, b, *tables)
-        if any(sn.shape != (y.dim, x.dim) for (x, _), (y, _), sn
-               in zip(Xb.on(ns), Yb.on([n + 1 for n in ns]), sb.on(ns))):
-            return False
-        ns = _walk(a, b, *tables)
-        rows = list(zip(ns, Xb.on(ns), Yb.on(ns), Yb.on([n + 1 for n in ns]),
-                        fb.on(ns), sb.on(ns), sb.on([n - 1 for n in ns])))
-        if any(fn.shape != (y.dim, x.dim) for _, (x, _), (y, _), _, fn, _, _ in rows):
-            return False
-        entries += [(n, x, y1, sn) for n, (x, _), _, (y1, _), _, sn, _ in rows]
-        checks += [(n, dY, sn, sm, dX, fn)
-                   for n, (_, dX), _, (_, dY), fn, sn, sm in rows]
-    try:
-        _check_intertwining(entries, "homotopy component")
-    except ValidationError:
+        spans.append((a, max(f.chi, s.chi, X.hi, Y.hi) + 2 * q + 1))
+        ranges.append(_Range.of(a, Xb, Yb, f._blocks, s._blocks))
+        tables.append((f._blocks, s._blocks))
+    # s_{a-1} enters the equation at degree a
+    union = _Range.union(ranges)
+    ns = union._replace(a=union.a - 1).walk(max([b for _, b in spans]))
+    X1, Y1, Y2 = Xb.on(ns), Yb.on(ns), Yb.on([n + 1 for n in ns])
+    F = [fb.on(ns) for fb, _ in tables]
+    S1 = [sb.on(ns) for _, sb in tables]
+    if any(_wrong_shape(ranges, ns, cols, [(y.dim, x.dim) for (x, _), (y, _) in zip(X1, ys)])
+           is not None for cols, ys in ((F, Y1), (S1, Y2))):
         return False
+    S1 = _per_degree(S1)
+    if _first_failure(ranges, ns, [(x, y) for (x, _), (y, _) in zip(X1, Y2)], _intertwining, S1):
+        return False
+    dX, dY = [d for _, d in X1], [d for _, d in Y2]
+    S0 = _per_degree([sb.on([n - 1 for n in ns]) for _, sb in tables])
+    p = X.algebra.p
     return _first_failure(
-        checks, lambda dY, sn, sm, dX, fn: (dY @ sn + sm @ dX) % p - fn) is None
+        ranges, ns, [(x.shape, y.shape) for x, y in zip(dX, dY)],
+        lambda _, dY, sn, sm, dX, fn: (dY @ sn + sm @ dX) % p - fn,
+        dY, S1, S0, dX, _per_degree(F)) is None
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -128,15 +143,12 @@ def _verify_inverse_payload(payload: dict) -> bool:
     except ValidationError:
         return False
     p = X.algebra.p
-    lo, hi, nq, pq = _map_profile(f, g, X, Y)
+    profile = _map_profile(f, g, X, Y)
 
     def minus_id(first, second, Z):
         """second after first, minus the identity of Z, with no re-validation."""
-        return chain_map_from_callable(
-            Z, Z, lo, hi,
-            lambda n: (second.component(n) @ first.component(n)
-                       - linalg.eye(Z.term(n).dim)) % p,
-            nq, pq, validate=False)
+        return _from_tables(Z, Z, profile, lambda a, b: (b @ a - linalg.eye(b.shape[1])) % p,
+                            first, second, validate=False)
 
     return (verify_null_homotopy(minus_id(f, g, X), hX)
             and verify_null_homotopy(minus_id(g, f, Y), hY))
@@ -150,17 +162,13 @@ def _homotopy_system(maps: list, lo: int, hi: int, fold: int,
     Xb, Yb = X._blocks, Y._blocks
     blocks = {n: (X.term(n), Y.term(n + 1)) for n in range(lo, hi + 1)}
     sys = FoldedSystem(X.algebra.p, blocks, lo, hi, fold, width=len(maps))
-    # one identity per distinct term dimension, shared by the equations
-    eye = {t.dim: linalg.eye(t.dim) for t, _ in (*Xb.data, *Yb.data)}
     eqs = range(eq_lo, eq_hi + 1)
     for n, (x, dX), (y, _), (_, dY), *rhs in zip(
             eqs, Xb.on(eqs), Yb.on(eqs), Yb.on([n + 1 for n in eqs]),
             *(f._blocks.on(eqs) for f in maps)):
         # one map: its matrix itself, without the copy np.stack makes
-        sys.add_equation(np.stack(rhs) if len(rhs) > 1 else rhs[0], [
-            (dY, n, eye[x.dim]),
-            (eye[y.dim], n - 1, dX),
-        ], (x, y))
+        sys.add_equation(np.stack(rhs) if len(rhs) > 1 else rhs[0],
+                         [(dY, n, None), (None, n - 1, dX)], (x, y))
     return sys
 
 
@@ -224,8 +232,7 @@ def factors_through_projective(g: modules.ModuleMap) -> bool:
     if g.source.dim == 0 or g.target.dim == 0:
         return True
     P, epi = modules.projective_cover(g.target)
-    return solve_module_map([(g.source, P)], g.matrix,
-                            [(epi.matrix, 0, linalg.eye(g.source.dim))],
+    return solve_module_map([(g.source, P)], g.matrix, [(epi.matrix, 0, None)],
                             (g.source, g.target)) is not None
 
 
@@ -234,8 +241,7 @@ def factors_through_injective(g: modules.ModuleMap) -> bool:
     if g.source.dim == 0 or g.target.dim == 0:
         return True
     E, iota = modules.injective_envelope(g.source)
-    return solve_module_map([(E, g.target)], g.matrix,
-                            [(linalg.eye(g.target.dim), 0, iota.matrix)],
+    return solve_module_map([(E, g.target)], g.matrix, [(None, 0, iota.matrix)],
                             (g.source, g.target)) is not None
 
 

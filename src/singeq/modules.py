@@ -136,17 +136,24 @@ class ModuleMap:
         return self.source.dim == self.target.dim and self.is_injective()
 
 
+def intertwining_residue(source: Module, target: Module, F: np.ndarray) -> np.ndarray:
+    """(F a_i - b_i F) mod p for a stack F (... x target.dim x source.dim)
+    and every action index i, as (... x algebra.dim x target.dim x
+    source.dim): zero exactly where F intertwines action i.  One batched
+    product per side against the stacked actions."""
+    F = F[..., None, :, :]
+    return (F @ source.stacked_action - target.stacked_action @ F) % source.algebra.p
+
+
 def intertwining_failures(source: Module, target: Module, mats) -> np.ndarray:
     """(len(mats) x algebra.dim) flags, set where mats[k] fails F a_i = b_i F.
 
     All matrices source -> target and all action indices are checked at
-    once, with one batched product per side against the stacked actions.
+    once (intertwining_residue).
     """
     if not (source.dim and target.dim):
         return np.zeros((len(mats), source.algebra.dim), dtype=bool)
-    p = source.algebra.p
-    F = np.array(mats)[:, None]
-    return ((F @ source.stacked_action - target.stacked_action @ F) % p).any(axis=(2, 3))
+    return intertwining_residue(source, target, np.array(mats)).any(axis=(2, 3))
 
 
 def _memo(algebra: Algebra, key, compute):

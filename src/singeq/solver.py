@@ -83,7 +83,8 @@ class FoldedSystem:
         return self.hi - ((self.hi - n) % self.fold)
 
     def add_equation(self, rhs: np.ndarray, terms: list, pair=None) -> None:
-        """sum_i M_i @ u_{k_i} @ N_i == rhs; terms are (M, k, N).
+        """sum_i M_i @ u_{k_i} @ N_i == rhs; terms are (M, k, N), where
+        None stands for an identity factor, whose product is skipped.
 
         pair: the modules (source, target) of the equation.  The
         right-hand side and each term M_i @ u @ N_i, for u in its hom
@@ -120,10 +121,13 @@ class FoldedSystem:
                 continue
             off, H = self.bases[r]
             h, t, s = H.shape
-            if M.shape != (shape[0], t) or N.shape != (s, shape[1]):
+            if ((t, t) if M is None else M.shape) != (shape[0], t) or \
+                    ((s, s) if N is None else N.shape) != (s, shape[1]):
                 raise ValidationError("equation term has inconsistent shape")
             if h:
-                cols = (((M @ H) % p) @ N).reshape(h, -1).take(entries, axis=1).T
+                # H is reduced mod p, so an identity factor changes nothing
+                MH = H if M is None else (M @ H) % p
+                cols = (MH if N is None else MH @ N).reshape(h, -1).take(entries, axis=1).T
                 block[:, off : off + h] = (block[:, off : off + h] + cols) % p
         self.rows.append(block)
         self.rhs.append(stack.reshape(len(stack), -1).take(entries, axis=1).T % p)
@@ -210,16 +214,10 @@ def chain_map_system(X: Complex, Y: Complex, lo: int, hi: int, fold: int,
     p = X.algebra.p
     blocks = {n: (X.term(n), Y.term(n)) for n in range(lo, hi + 1)}
     sys = FoldedSystem(p, blocks, lo, hi, fold, extras)
-    # one identity per distinct term dimension, shared by the equations
-    eye = {t.dim: linalg.eye(t.dim) for t, _ in (*X._blocks.data, *Y._blocks.data)}
     for n in range(lo - fold, hi + fold + 1):
-        rows = Y.term(n - 1).dim
-        cols = X.term(n).dim
-        rhs = linalg.zeros(rows, cols)
-        sys.add_equation(rhs, [
-            (eye[rows], n - 1, X.diff(n)),
-            ((-Y.diff(n)) % p, n, eye[cols]),
-        ], (X.term(n), Y.term(n - 1)))
+        rhs = linalg.zeros(Y.term(n - 1).dim, X.term(n).dim)
+        sys.add_equation(rhs, [(None, n - 1, X.diff(n)), ((-Y.diff(n)) % p, n, None)],
+                         (X.term(n), Y.term(n - 1)))
     return sys
 
 
@@ -277,13 +275,9 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
     sys = chain_map_system(S, T, lo, hi, fold)
     pad = fold if fold else 1
     for n in range(lo - pad, hi + pad + 1):
-        if mode == "lift":
-            rhs = f.component(n)
-            terms = [(through.component(n), n, linalg.eye(f.source.term(n).dim))]
-        else:
-            rhs = f.component(n)
-            terms = [(linalg.eye(f.target.term(n).dim), n, through.component(n))]
-        sys.add_equation(rhs, terms, (f.source.term(n), f.target.term(n)))
+        terms = [(through.component(n), n, None) if mode == "lift"
+                 else (None, n, through.component(n))]
+        sys.add_equation(f.component(n), terms, (f.source.term(n), f.target.term(n)))
     comps = sys.solve()
     if comps is None:
         return None

@@ -72,6 +72,22 @@ def periodic_complex(alg, j):
         alg, 0, 1, lambda d: A, lambda d: xj if d % 2 == 0 else xnj, 2, 2)
 
 
+def mismatched_cone():
+    """Cone of the identity of a complex over D4 whose negative tail has
+    period 2 (x, x^3) and whose positive tail has period 1 (x^2)."""
+    alg = truncated_polynomial(4, 2)
+    A = modules.regular_module(alg)
+    x = alg.left_multiplication
+
+    def diff(n):
+        if n >= 1:
+            return (x(1) @ x(1)) % 2
+        return x(1) if n % 2 else (x(1) @ x(1) @ x(1)) % 2
+
+    X = complexes.complex_from_callable(alg, 0, 1, lambda n: A, diff, 2, 1)
+    return complexes.cone(complexes.identity_chain_map(X))
+
+
 # -- seeded generators over any algebra --------------------------------
 
 

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from conftest import periodic_complex as T_j
-from conftest import random_contractible, random_d2_complex, truncated_polynomial
-from singeq import complexes, fixtures, formats, functors, linalg, modules
+from conftest import (mismatched_cone, random_contractible, random_d2_complex,
+                      truncated_polynomial)
+from singeq import complexes, fixtures, formats, functors, linalg, modules, solver
 from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
                               hard_truncate_above, hard_truncate_below,
                               homology, identity_chain_map, is_exact,
                               is_quasi_isomorphism, reindex,
                               reindex_chain_map, two_sided_split,
                               zero_chain_map, cokernel_complex)
-from singeq.errors import ValidationError
+from singeq.errors import DimensionMismatch, ValidationError
 
 
 class TestHomology:
@@ -404,3 +405,127 @@ class TestMaps:
         assert g.source.lo == t_per.lo + 1
         assert not add_maps(g, identity_chain_map(g.source), sign=-1
                             ).component(1).any()
+
+
+# -- sums and composites from block tables ---------------------------------
+
+
+def callable_sum(f, g, sign=1):
+    """add_maps as chain_map_from_callable samples it, degree by degree."""
+    p = f.source.algebra.p
+    lo, hi, nq, pq = complexes._map_profile(f, g, f.source, f.target)
+    return complexes.chain_map_from_callable(
+        f.source, f.target, lo, hi,
+        lambda n: (f.component(n) + sign * g.component(n)) % p, nq, pq)
+
+
+def callable_composite(f, g):
+    """compose as chain_map_from_callable samples it, degree by degree."""
+    p = f.source.algebra.p
+    lo, hi, nq, pq = complexes._map_profile(f, g, g.source, f.target)
+    return complexes.chain_map_from_callable(
+        g.source, f.target, lo, hi,
+        lambda n: (f.component(n) @ g.component(n)) % p, nq, pq)
+
+
+def assert_same_map(f, g):
+    """Equal windows, components and tails, bit for bit."""
+    assert (f.source, f.target, f.clo, f.chi) == (g.source, g.target, g.clo, g.chi)
+    assert f.components.keys() == g.components.keys()
+    for n in f.components:
+        assert f.components[n].dtype == g.components[n].dtype
+        assert np.array_equal(f.components[n], g.components[n])
+    for a, b in ((f.neg, g.neg), (f.pos, g.pos)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a[0] == b[0] and len(a[1]) == len(b[1])
+            assert all(np.array_equal(x, y) and x.dtype == y.dtype
+                       for x, y in zip(a[1], b[1]))
+
+
+def random_combination_of(rng, basis, X, Y):
+    f = zero_chain_map(X, Y)
+    for b in basis:
+        c = rng.randrange(X.algebra.p)
+        if c:
+            f = add_maps(f, b, sign=c)
+    return f
+
+
+def table_arithmetic_cases():
+    """(rng, complexes X, Y, Z) over D2, D3/F2 and D3/F3, and the cone
+    whose tails have periods 2 and 1."""
+    rng = random.Random(4)
+    cases = []
+    for _ in range(4):
+        X, Y, Z = (random_d2_complex(rng) for _ in range(3))
+        cases.append((X, Y, Z))
+    for p in (2, 3):
+        alg = truncated_polynomial(3, p)
+        T1, T2 = T_j(alg, 1), T_j(alg, 2)
+        cases.append((T1, reindex(T2, 1), T1))
+    C = mismatched_cone()
+    cases.append((C, C, C))
+    return rng, cases
+
+
+class TestTableArithmetic:
+    def test_sums_and_composites_match_the_sampled_maps(self):
+        rng, cases = table_arithmetic_cases()
+        for X, Y, Z in cases:
+            first = solver.chain_map_space_basis(X, Y)[0]
+            second = solver.chain_map_space_basis(Y, Z)[0]
+            fs = [random_combination_of(rng, first, X, Y) for _ in range(3)]
+            gs = [random_combination_of(rng, second, Y, Z) for _ in range(2)]
+            if X is Y:
+                fs.append(identity_chain_map(X))
+            for f in fs:
+                for g in fs + first[:4]:
+                    for sign in (1, -1):
+                        assert_same_map(add_maps(f, g, sign=sign), callable_sum(f, g, sign))
+                for g in gs + second[:4]:
+                    assert_same_map(compose(g, f), callable_composite(g, f))
+
+    def test_mismatched_tail_periods(self):
+        C = mismatched_cone()
+        f = identity_chain_map(C)
+        assert (f.neg_period, f.pos_period) == (2, 1)
+        for g in (add_maps(f, f), add_maps(f, f, sign=-1), compose(f, f)):
+            assert g.neg_period in (0, 2) and g.pos_period in (0, 1)
+        assert_same_map(add_maps(f, f), callable_sum(f, f))
+        assert_same_map(compose(f, f), callable_composite(f, f))
+
+
+class TestMismatchedOperands:
+    def test_sum_over_f2(self, F2):
+        k2 = modules.Module(F2, 2, (linalg.eye(2),))
+        k1 = modules.Module(F2, 1, (linalg.eye(1),))
+        S2, S1 = functors.stalk(k2), functors.stalk(k1)
+        f = zero_chain_map(S2, S2)
+        g = complexes.chain_map(S2, S1, {0: np.array([[1, 1]])})
+        with pytest.raises(DimensionMismatch):
+            add_maps(f, g)
+        with pytest.raises(DimensionMismatch):
+            add_maps(g, f)
+
+    def test_sum_over_d2(self, A, k):
+        # [[1, 1]] is no D2-map A -> k; the sum used to fail on intertwining
+        SA, Sk = functors.stalk(A), functors.stalk(k)
+        f = zero_chain_map(SA, SA)
+        g = complexes.chain_map(SA, Sk, {0: np.array([[1, 1]])}, validate=False)
+        with pytest.raises(DimensionMismatch):
+            add_maps(f, g)
+
+    def test_composite(self, F2):
+        k2 = modules.Module(F2, 2, (linalg.eye(2),))
+        k1 = modules.Module(F2, 1, (linalg.eye(1),))
+        S2, S1 = functors.stalk(k2), functors.stalk(k1)
+        g = complexes.chain_map(S2, S1, {0: np.array([[1, 1]])})
+        h = complexes.chain_map(S2, S2, {0: linalg.eye(2)})
+        assert np.array_equal(compose(g, h).component(0), np.array([[1, 1]]))
+        with pytest.raises(DimensionMismatch):
+            compose(h, g)  # h starts at S2, g ends at S1
+        # equal dimensions everywhere, other objects: composable
+        S2b = functors.stalk(modules.Module(F2, 2, (linalg.eye(2),)))
+        g2 = complexes.chain_map(S2b, S2b, {0: linalg.eye(2)})
+        assert np.array_equal(compose(h, g2).component(0), linalg.eye(2))

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import (module_map_equations, periodic_complex, random_d2_module,
-                      random_invertible, truncated_polynomial)
+from conftest import (module_map_equations, periodic_complex, random_combination,
+                      random_d2_module, random_invertible, truncated_polynomial)
 from singeq import complexes, fixtures, functors, linalg, modules, solver
 from singeq.complexes import add_maps, compose, identity_chain_map
 from singeq.errors import ValidationError
@@ -178,6 +178,34 @@ class TestHomCoordinateSystems:
                     lhs = sum(((M @ solution[k] @ N) % p for M, k, N in terms),
                               linalg.zeros(*rhs.shape))
                     assert np.array_equal(lhs % p, rhs % p)
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_identity_factors_may_be_left_out(self, pool):
+        # u: S -> T; u N = rhs over (U, T), M u = rhs over (S, U)
+        mods = POOLS[pool]
+        p = mods[0].algebra.p
+        rng = random.Random(f"identity {pool}")
+        for _ in range(20):
+            S, T, U = (rng.choice(mods) for _ in range(3))
+            N = random_combination(rng, modules.hom_stack(U, S), p)
+            M = random_combination(rng, modules.hom_stack(T, U), p)
+            eqs = [(random_combination(rng, modules.hom_stack(U, T), p), (U, T)),
+                   (random_combination(rng, modules.hom_stack(S, U), p), (S, U))]
+            systems = []
+            for eye_T, eye_S in ((linalg.eye(T.dim), linalg.eye(S.dim)), (None, None)):
+                sys_ = solver.FoldedSystem(p, {0: (S, T)}, 0, 0)
+                for (rhs, pair), term in zip(eqs, [(eye_T, 0, N), (M, 0, eye_S)]):
+                    sys_.add_equation(rhs, [term], pair)
+                systems.append(sys_._stack())
+            (A, b), (A1, b1) = systems
+            assert np.array_equal(A, A1) and np.array_equal(b, b1)
+
+    def test_an_identity_factor_must_fit(self):
+        sys_ = solver.FoldedSystem(3, {0: (2, 1)}, 0, 0)
+        sys_.add_equation(np.array([[1], [2]]), [(None, 0, None)])
+        assert np.array_equal(sys_.solve()[0], np.array([[1], [2]]))
+        with pytest.raises(ValidationError, match="inconsistent shape"):
+            sys_.add_equation(linalg.zeros(3, 1), [(None, 0, None)])
 
     def test_plain_shape_blocks_range_over_all_matrices(self):
         sys_ = solver.FoldedSystem(3, {0: (2, 1)}, 0, 0)

@@ -4,10 +4,11 @@ The reference walks below are the range walks the checks used before
 they walked distinct blocks: they read every degree of the check range
 through an independent copy of the old accessors and keep, per distinct
 tuple of objects, its first degree.  The checks under test are recorded
-at _check_intertwining and _first_failure, and must give the same map
-from distinct tuples to first degrees.  The failure cases pin the
+at the stacked check engine, _first_failure, one per object and walked
+degree at the degree the engine reports for it, and must give the same
+map from distinct tuples to first degrees.  The failure cases pin the
 smallest failing degree, and the action index, far out in a tail and at
-a seam.
+a seam, for one object alone and for one corrupted object among many.
 """
 
 import gc
@@ -17,11 +18,11 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (mono_quasi_iso, periodic_complex, random_chain_map,
-                      random_contractible, random_d2_complex,
+from conftest import (mismatched_cone, mono_quasi_iso, periodic_complex,
+                      random_chain_map, random_contractible, random_d2_complex,
                       truncated_polynomial)
 from singeq import complexes, fixtures, homotopy, linalg, modelcat, modules, solver
-from singeq.complexes import Complex, ChainMap, Tail, cone, identity_chain_map
+from singeq.complexes import Complex, ChainMap, Tail, identity_chain_map
 from singeq.errors import ValidationError
 from singeq.homotopy import YES
 
@@ -124,21 +125,27 @@ def first_degrees(tuples) -> dict:
 
 
 def recorded(check):
-    """(intertwining entries, residue checks) that check() hands over."""
+    """(intertwining entries, residue checks) that check() runs, one per
+    object and walked degree, as (reported degree, *objects).
+
+    The engine (complexes._first_failure) takes the checks as columns
+    stacked over the walked degrees and the objects; the hook unstacks
+    them.  An intertwining check names its modules in its group key.
+    """
     seen = ([], [])
-    real = (complexes._check_intertwining, complexes._first_failure)
+    real = complexes._first_failure
 
-    def intertwining(maps, what):
-        seen[0].extend(maps)
-        return real[0](maps, what)
-
-    def first_failure(checks, residue):
-        seen[1].extend(checks)
-        return real[1](checks, residue)
+    def first_failure(ranges, ns, keys, test, *columns):
+        entries = test is complexes._intertwining
+        for j, r in enumerate(ranges):
+            for i, n in enumerate(ns):
+                objs = [c[i][j] if isinstance(c[i], tuple) else c[i] for c in columns]
+                seen[0 if entries else 1].append(
+                    (r.first(n), *(keys[i] if entries else ()), *objs))
+        return real(ranges, ns, keys, test, *columns)
 
     with pytest.MonkeyPatch.context() as mp:
         for mod in (complexes, homotopy):
-            mp.setattr(mod, "_check_intertwining", intertwining)
             mp.setattr(mod, "_first_failure", first_failure)
         check()
     return seen
@@ -152,22 +159,6 @@ def assert_same_walk(check, reference):
 
 
 # -- inputs -------------------------------------------------------------
-
-
-def mismatched_cone():
-    """Cone of the identity of a complex over D4 whose negative tail has
-    period 2 (x, x^3) and whose positive tail has period 1 (x^2)."""
-    alg = truncated_polynomial(4, 2)
-    A = modules.regular_module(alg)
-    x = alg.left_multiplication
-
-    def diff(n):
-        if n >= 1:
-            return (x(1) @ x(1)) % 2
-        return x(1) if n % 2 else (x(1) @ x(1) @ x(1)) % 2
-
-    X = complexes.complex_from_callable(alg, 0, 1, lambda n: A, diff, 2, 1)
-    return cone(identity_chain_map(X))
 
 
 def htpy_complexes():
@@ -400,6 +391,125 @@ class TestSmallestFailingDegree:
         with pytest.raises(ValidationError) as err:
             build().validate()
         assert str(err.value) == message
+
+
+# -- joint checks: one corrupted object among many ----------------------------
+
+
+def changed(f, n, delta):
+    """f (a chain map or homotopy) with delta added to its block at degree
+    n: a window component, or the tail block that degree reads."""
+    p = f.source.algebra.p
+    comps, tails = dict(f.components), {"neg": f.neg, "pos": f.pos}
+    if f.clo <= n <= f.chi:
+        comps[n] = (f.component(n) + delta) % p
+    else:
+        side, i = ("neg", f.clo - 1 - n) if n < f.clo else ("pos", n - f.chi - 1)
+        q, blocks = tails[side]
+        blocks = list(blocks)
+        blocks[i % q] = (blocks[i % q] + delta) % p
+        tails[side] = (q, tuple(blocks))
+    return type(f)(f.source, f.target, comps, f.clo, f.chi, tails["neg"], tails["pos"])
+
+
+def corrupted(f):
+    """Copies of f with one block changed, each failing validation alone:
+    in the window, at its first degree (the seam with the negative tail),
+    and one period into each tail; by a unit entry (no module map, so
+    intertwining fails at some action index) or by a module map (so only
+    f d = d f can fail)."""
+    degrees = {"window": (f.clo + f.chi) // 2, "seam": f.clo}
+    if f.neg is not None:
+        degrees["neg tail"] = f.clo - 1 - f.neg[0]
+    if f.pos is not None:
+        degrees["pos tail"] = f.chi + 1 + f.pos[0]
+    out = []
+    for where, n in degrees.items():
+        s, t = f.source.term(n), f.target.term(n)
+        if not (s.dim and t.dim):
+            continue
+        unit = linalg.zeros(t.dim, s.dim)
+        unit[0, 0] = 1
+        for kind, deltas in (("entry", [unit]), ("module map", modules.hom_stack(s, t))):
+            for delta in deltas:
+                g = changed(f, n, delta)
+                try:
+                    g.validate()
+                except ValidationError as err:
+                    out.append((where, kind, g, str(err)))
+                    break
+    return out
+
+
+def bounded_bases():
+    rng = random.Random(8)
+    out = []
+    while len(out) < 3:
+        X, Y = random_d2_complex(rng), random_d2_complex(rng)
+        basis, _ = solver.chain_map_space_basis(X, Y)
+        if len(basis) >= 3:
+            out.append(basis)
+    return out
+
+
+def doubled(f):
+    """f with its tails written over twice their periods: the same map,
+    with a wider check range."""
+    return ChainMap(f.source, f.target, f.components, f.clo, f.chi,
+                    *[(2 * t[0], t[1] * 2) if t else None for t in (f.neg, f.pos)])
+
+
+class TestJointChecks:
+    def test_one_corrupted_map_reports_as_alone(self, htpy_bases):
+        seen = set()
+        for basis in [*htpy_bases, *bounded_bases()]:
+            # a map whose check range reaches further than any other's
+            wide = doubled(next((f for f in basis if f.neg), basis[0]))
+            for j in (0, len(basis) // 2, len(basis) - 1):
+                for where, kind, bad, alone in corrupted(basis[j]):
+                    maps = [*basis[:j], bad, *basis[j + 1:], wide]
+                    with pytest.raises(ValidationError) as err:
+                        maps[0].validate(*maps[1:])
+                    assert str(err.value) == alone, (where, kind)
+                    seen.add((where, alone.split(" at ")[0]))
+        assert {where for where, _ in seen} == {"window", "seam", "neg tail", "pos tail"}
+        assert {what for _, what in seen} == {"component", "does not commute with d"}
+
+    def test_maps_with_other_ends_are_walked_apart(self, htpy_bases):
+        XX, XY, XY1 = htpy_bases
+        for where, kind, bad, alone in corrupted(XY[0]):
+            for maps in ([XX[0], bad], [XX[1], bad, *XY1, *XX], [bad, *XY1]):
+                with pytest.raises(ValidationError) as err:
+                    maps[0].validate(*maps[1:])
+                assert str(err.value) == alone
+
+    def test_one_corrupted_homotopy_fails_the_joint_check(self, htpy_bases):
+        rng = random.Random(3)
+        groups = []
+        for _ in range(4):
+            X, C = random_d2_complex(rng), random_contractible(rng)
+            basis, _ = solver.chain_map_space_basis(X, C)
+            groups.append([(f, r.homotopy) for f, r
+                           in zip(basis, homotopy.null_homotopies(basis))
+                           if r.verdict == YES])
+        results = [(f, homotopy.null_homotopy(f)) for f in htpy_bases[0][:4]]
+        groups.append([(f, r.homotopy) for f, r in results if r.verdict == YES])
+        checked = 0
+        for pairs in groups:
+            if not pairs:
+                continue
+            assert homotopy.verify_null_homotopy(*pairs[0], *pairs[1:])
+            for j, (f, s) in enumerate(pairs):
+                n = next((n for n in range(s.clo, s.chi + 1) if s.component(n).size), None)
+                if n is None:
+                    continue
+                unit = linalg.zeros(*s.component(n).shape)
+                unit[0, 0] = 1
+                bad = [*pairs[:j], (f, changed(s, n, unit)), *pairs[j + 1:]]
+                assert not homotopy.verify_null_homotopy(*bad[j])
+                assert not homotopy.verify_null_homotopy(*bad[0], *bad[1:])
+                checked += 1
+        assert checked >= 10
 
 
 # -- per-object memos ---------------------------------------------------------
