@@ -8,7 +8,7 @@ replacements of stalk complexes built from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,7 +157,6 @@ def complete_resolution(M: Module, bound: int = 8,
             return (kappas[k - 1].matrix @ pis[k].matrix) % p
         if n == 0:
             return (iotas[0].matrix @ pis[0].matrix) % p
-        c = -n  # envelope count of the target degree n-1... source is eidx(n)
         src = eidx(n)
         if eidx(n - 1) != src + 1:
             return v
@@ -307,6 +306,8 @@ def stalk_replacement(S: Complex, which: str,
                       options: Options = Options()) -> StalkReplacement:
     if any(S.term(n).dim for n in range(S.lo, S.hi + 1) if n != 0) or not S.bounded():
         raise ValidationError("replacement is implemented for stalk complexes only")
+    if which not in ("cofibrant_ctr", "fibrant_co"):
+        raise ValueError(f"unknown replacement kind {which!r}")
     N = S.term(0)
     p = S.algebra.p
     if fam is None:
@@ -318,54 +319,31 @@ def stalk_replacement(S: Complex, which: str,
            tuple(a.tobytes() for a in N.action), id(fam), options)
     cached = _REPLACEMENT_CACHE.get(key)
     if cached is not None:
-        old = cached
-        if old.which == "cofibrant_ctr":
-            remapped = chain_map(old.object, S, dict(old.map.components))
-        else:
-            remapped = chain_map(S, old.object, dict(old.map.components))
-        return StalkReplacement(old.object, remapped, old.which, old.triple,
-                                old.upper, old.lower, old.verdict, old.witness)
+        ends = (cached.object, S) if which == "cofibrant_ctr" else (S, cached.object)
+        return replace(cached, map=chain_map(*ends, dict(cached.map.components)))
 
     if which == "cofibrant_ctr":
         triple = gp_gi_approximation(N, "GP", options)
-        T, iso = complete_resolution(triple.mid, bound, options)
-        _, proj = functors.omega_data(T)
-        q0 = ((triple.epi.matrix @ iso.matrix) % p @ proj.matrix) % p
-        q = chain_map(T, S, {0: q0})
+        obj, witness = complete_resolution(triple.mid, bound, options)
+        _, proj = functors.omega_data(obj)
+        q = chain_map(obj, S, {0: ((triple.epi.matrix @ witness.matrix) % p @ proj.matrix) % p})
         if not q.is_epi():
             raise ValidationError("replacement map is not an epi in degree 0")
-        K, _ = kernel_complex(q)
-        split = two_sided_split(K, 0)
-        upper = modelcat.orthogonal_certificate(split.upper, "right_of_exP",
-                                                fam, options)
-        lower = modelcat.orthogonal_certificate(split.lower, "right_of_exP",
-                                                fam, options)
-        verdict = YES if (upper.verdict == CERTIFIED and
-                          lower.verdict == CERTIFIED) else UNKNOWN
-        out = StalkReplacement(T, q, which, triple, upper, lower, verdict, iso)
-        _REPLACEMENT_CACHE[key] = out
-        return out
-
-    if which == "fibrant_co":
+        rest, side = kernel_complex(q)[0], "right_of_exP"
+    else:
         triple = gp_gi_approximation(N, "GI", options)
         # triple.mid = D(M_op) for a GP module M_op over the opposite algebra
-        M_op = modules.dual_module(triple.mid)
-        J, theta_mono = complete_injective_resolution(M_op, bound, options)
-        j0 = (theta_mono.matrix @ triple.mono.matrix) % p
-        jmap = chain_map(S, J, {0: j0})
-        if not jmap.is_mono():
+        obj, theta_mono = complete_injective_resolution(
+            modules.dual_module(triple.mid), bound, options)
+        q = chain_map(S, obj, {0: (theta_mono.matrix @ triple.mono.matrix) % p})
+        if not q.is_mono():
             raise ValidationError("replacement map is not a mono in degree 0")
-        C, _ = cokernel_complex(jmap)
-        split = two_sided_split(C, 0)
-        upper = modelcat.orthogonal_certificate(split.upper, "left_of_exI",
-                                                fam, options)
-        lower = modelcat.orthogonal_certificate(split.lower, "left_of_exI",
-                                                fam, options)
-        verdict = YES if (upper.verdict == CERTIFIED and
-                          lower.verdict == CERTIFIED) else UNKNOWN
-        out = StalkReplacement(J, jmap, which, triple, upper, lower, verdict,
-                               ModuleMap(triple.mid, J.term(0), theta_mono.matrix))
-        _REPLACEMENT_CACHE[key] = out
-        return out
-
-    raise ValueError(f"unknown replacement kind {which!r}")
+        witness = ModuleMap(triple.mid, obj.term(0), theta_mono.matrix)
+        rest, side = cokernel_complex(q)[0], "left_of_exI"
+    split = two_sided_split(rest, 0)
+    upper = modelcat.orthogonal_certificate(split.upper, side, fam, options)
+    lower = modelcat.orthogonal_certificate(split.lower, side, fam, options)
+    verdict = YES if upper.verdict == lower.verdict == CERTIFIED else UNKNOWN
+    out = StalkReplacement(obj, q, which, triple, upper, lower, verdict, witness)
+    _REPLACEMENT_CACHE[key] = out
+    return out

@@ -267,8 +267,8 @@ def replace(ctx, file, which, family_path):
     report.add("replacement built", YES, rep.object,
                detail=_describe(rep.object), started=t0)
     t0 = time.perf_counter()
-    flags = modelcat.membership_flags(rep.object, options)
-    ok = flags.in_exP if which == "cofibrant-ctr" else flags.in_exI
+    member = homotopy.is_exP if which == "cofibrant-ctr" else homotopy.is_exI
+    ok = member(rep.object, options)
     report.add("membership", YES if ok else NO, started=t0)
     t0 = time.perf_counter()
     surj = rep.map.is_epi() if which == "cofibrant-ctr" else rep.map.is_mono()

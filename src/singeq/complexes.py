@@ -15,7 +15,7 @@ cover every degree of a check range: the window (for a chain map, the
 hull of its own window and those of its complexes) widened by 2q+1 on
 each side, where q is the lcm of all tail periods.  They, is_exact and
 homotopy.verify_null_homotopy walk only the degrees that carry distinct
-checks (_walk).  Below the windows of the objects a check reads, the
+checks (_Range.walk).  Below the windows of the objects a check reads, the
 check at n equals the check at n + L, L the lcm of their negative tail
 periods; above them it equals the check at n - L', L' the lcm of the
 positive ones.  So the walk keeps the first L degrees of the range, the
@@ -143,12 +143,6 @@ class _Range(NamedTuple):
         return [*range(a, min(a + neg, lo, b + 1)),
                 *range(max(a, lo), min(b, hi) + 1),
                 *range(right, min(b + 1, right + pos))]
-
-
-def _walk(a: int, b: int, *tables) -> list:
-    """The degrees of a..b that carry every distinct check over tables,
-    when the check at n reads each table at n - 1, n or n + 1."""
-    return _Range.of(a, *tables).walk(b)
 
 
 def _first_failure(ranges, ns, keys, check, *columns):
@@ -326,13 +320,13 @@ class Complex:
                 raise ValidationError(f"missing term at degree {n}")
         a, b = self.check_range()
         B = self._blocks
-        ns = _walk(a, b, B)
+        r = _Range.of(a, B)
+        ns = r.walk(b)
         prev, cur = B.on([n - 1 for n in ns]), B.on(ns)
         for n, (tgt, _), (src, d) in zip(ns, prev, cur):
             if d.shape != (tgt.dim, src.dim):
                 raise ValidationError(f"differential at degree {n} has wrong shape")
         d0, d1 = [d for _, d in prev], [d for _, d in cur]
-        r = _Range.of(a, B)
         bad = _first_failure([r], ns, [(s, t) for (t, _), (s, _) in zip(prev, cur)],
                              _intertwining, d1)
         if bad is not None:
@@ -477,8 +471,8 @@ class ChainMap(GradedMap):
         distinct component."""
         p = self.source.algebra.p
         terms = (self.source._blocks, self.target._blocks)[side]
-        ns = _walk(*self.check_range(), self._blocks,
-                   self.source._blocks, self.target._blocks)
+        a, b = self.check_range()
+        ns = _Range.of(a, self._blocks, self.source._blocks, self.target._blocks).walk(b)
         ranks = {}
         for m, (t, _) in zip(self._blocks.on(ns), terms.on(ns)):
             if id(m) not in ranks:
@@ -550,21 +544,26 @@ def chain_map(source, target, components, clo=None, chi=None,
     return f
 
 
+def _tail(period: int, blocks: tuple):
+    """A graded map's tail (period, blocks), or None when every block is
+    zero: then the map is zero on that side."""
+    return (period, blocks) if any(b.any() for b in blocks) else None
+
+
+def _sample(clo: int, chi: int, comp_fn, neg_period: int, pos_period: int,
+            p: int) -> tuple:
+    """GradedMap arguments (components, clo, chi, neg, pos) sampled from
+    comp_fn mod p on the window clo..chi and one period of each tail."""
+    return ({n: comp_fn(n) % p for n in range(clo, chi + 1)}, clo, chi,
+            _tail(neg_period, tuple(comp_fn(clo - 1 - i) % p for i in range(neg_period))),
+            _tail(pos_period, tuple(comp_fn(chi + 1 + i) % p for i in range(pos_period))))
+
+
 def chain_map_from_callable(source, target, clo, chi, comp_fn,
                             neg_period=0, pos_period=0, validate=True) -> ChainMap:
-    comps = {n: comp_fn(n) for n in range(clo, chi + 1)}  # reduced by chain_map
-    neg = pos = None
-    if neg_period:
-        blocks = tuple(comp_fn(clo - 1 - i) % source.algebra.p
-                       for i in range(neg_period))
-        if any(b.any() for b in blocks):
-            neg = (neg_period, blocks)
-    if pos_period:
-        blocks = tuple(comp_fn(chi + 1 + i) % source.algebra.p
-                       for i in range(pos_period))
-        if any(b.any() for b in blocks):
-            pos = (pos_period, blocks)
-    return chain_map(source, target, comps, clo, chi, neg, pos, validate=validate)
+    return chain_map(source, target,
+                     *_sample(clo, chi, comp_fn, neg_period, pos_period, source.algebra.p),
+                     validate=validate)
 
 
 def identity_chain_map(X: Complex) -> ChainMap:
@@ -688,10 +687,11 @@ def is_exact(X: Complex) -> bool:
     b = X.hi + max(X.pos_period, 1) + 1
     p = X.algebra.p
     B = X._blocks
-    ns = _walk(a, b, B)
+    r = _Range.of(a, B)
+    ns = r.walk(b)
     rows = list(zip(ns, B.on(ns), B.on([n + 1 for n in ns])))
     d0, d1 = [d for _, (_, d), _ in rows], [d for _, _, (_, d) in rows]
-    bad = _first_failure([_Range.of(a, B)], ns, [(x.shape, y.shape) for x, y in zip(d0, d1)],
+    bad = _first_failure([r], ns, [(x.shape, y.shape) for x, y in zip(d0, d1)],
                          _composite(p), d0, d1)
     if bad is not None:
         raise ValidationError(f"boundaries do not land in cycles at degree {bad[0]}")

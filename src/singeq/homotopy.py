@@ -24,7 +24,7 @@ from . import functors, linalg, modules
 # perfbench/selftest.py uses to test the tracer's alias rebinding
 from .complexes import (ChainMap, Complex, Homotopy, _first_failure,  # noqa: F401
                         _from_tables, _intertwining, _lcm, _map_profile,
-                        _per_degree, _Range, _wrong_shape,
+                        _per_degree, _Range, _sample, _wrong_shape,
                         chain_map_from_callable,
                         compose, cone, identity_chain_map, is_exact)
 from .config import Options
@@ -203,28 +203,34 @@ def _gorenstein_dim(algebra, options: Options):
     return modules.gorenstein_dimension(algebra, options.gorenstein_bound)
 
 
+def _in_class(M: modules.Module, which: str) -> bool:
+    """M is projective (which "proj") or injective (which "inj")."""
+    cls = M.split_class
+    return cls.is_projective if which == "proj" else cls.is_injective
+
+
 def _terms_in_class(X: Complex, which: str) -> bool:
     """Every distinct term of X is projective (which "proj") or injective."""
-    attr = "is_projective" if which == "proj" else "is_injective"
-    return all(getattr(t.split_class, attr) for t, _ in X._blocks.data)
+    return all(_in_class(t, which) for t, _ in X._blocks.data)
+
+
+def _is_ex(X: Complex, which: str) -> bool:
+    """Exact with projective (which "proj") or injective terms, checked
+    over the window plus one tail period; the verdict is memoized on X."""
+    memo = X._membership
+    if which not in memo:
+        memo[which] = is_exact(X) and _terms_in_class(X, which)
+    return memo[which]
 
 
 def is_exP(X: Complex, options: Options = Options()) -> bool:
-    """Exact with projective terms (checked over window plus one tail period);
-    the verdict is memoized on X."""
-    memo = X._membership
-    if "P" not in memo:
-        memo["P"] = is_exact(X) and _terms_in_class(X, "proj")
-    return memo["P"]
+    """Exact with projective terms (_is_ex)."""
+    return _is_ex(X, "proj")
 
 
 def is_exI(X: Complex, options: Options = Options()) -> bool:
-    """Exact with injective terms (checked over window plus one tail period);
-    the verdict is memoized on X."""
-    memo = X._membership
-    if "I" not in memo:
-        memo["I"] = is_exact(X) and _terms_in_class(X, "inj")
-    return memo["I"]
+    """Exact with injective terms (_is_ex)."""
+    return _is_ex(X, "inj")
 
 
 def factors_through_projective(g: modules.ModuleMap) -> bool:
@@ -237,12 +243,9 @@ def factors_through_projective(g: modules.ModuleMap) -> bool:
 
 
 def factors_through_injective(g: modules.ModuleMap) -> bool:
-    """Whether g extends along the injective envelope of its source."""
-    if g.source.dim == 0 or g.target.dim == 0:
-        return True
-    E, iota = modules.injective_envelope(g.source)
-    return solve_module_map([(E, g.target)], g.matrix, [(None, 0, iota.matrix)],
-                            (g.source, g.target)) is not None
+    """Whether g extends along the injective envelope of its source: D(g)
+    lifts along the projective cover of D(source)."""
+    return factors_through_projective(modules.dual_map(g))
 
 
 def stably_zero(f: ChainMap) -> bool:
@@ -340,10 +343,8 @@ def homotopy_equivalence_certificate(
     g = chain_map_from_callable(Y, X, lo, hi,
                                 lambda n: _cone_blocks(f, s, n)[1], sq, sq,
                                 validate=False)
-    hX = _graded_from_callable(X, X, lo, hi,
-                               lambda n: _cone_blocks(f, s, n + 1)[0], sq, p)
-    hY = _graded_from_callable(Y, Y, lo, hi,
-                               lambda n: (-_cone_blocks(f, s, n)[3]) % p, sq, p)
+    hX = Homotopy(X, X, *_sample(lo, hi, lambda n: _cone_blocks(f, s, n + 1)[0], sq, sq, p))
+    hY = Homotopy(Y, Y, *_sample(lo, hi, lambda n: -_cone_blocks(f, s, n)[3], sq, sq, p))
     cert = Certificate("homotopy-inverse", {
         "map": f, "inverse": g, "homotopy_source": hX, "homotopy_target": hY,
         "contraction": s,
@@ -352,11 +353,3 @@ def homotopy_equivalence_certificate(
         return EquivalenceResult(UNKNOWN)
     return EquivalenceResult(YES, cert)
 
-
-def _graded_from_callable(X, Y, lo, hi, fn, q, p) -> Homotopy:
-    comps = {n: fn(n) % p for n in range(lo, hi + 1)}
-    neg = tuple(fn(lo - 1 - i) % p for i in range(q))
-    pos = tuple(fn(hi + 1 + i) % p for i in range(q))
-    return Homotopy(X, Y, comps, lo, hi,
-                    (q, neg) if any(b.any() for b in neg) else None,
-                    (q, pos) if any(b.any() for b in pos) else None)

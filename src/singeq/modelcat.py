@@ -86,9 +86,7 @@ def _cycles_in_class(X: Complex, which: str) -> bool:
     for n in range(B.lo - B.neg, B.hi + B.pos + 1):
         if not X.term(n).dim:
             continue  # no cycles
-        Z, _ = modules.kernel(X.diff_map(n))
-        cls = Z.split_class
-        if not (cls.is_projective if which == "proj" else cls.is_injective):
+        if not homotopy._in_class(modules.kernel(X.diff_map(n))[0], which):
             return False
     return True
 
@@ -105,19 +103,34 @@ def membership_flags(X: Complex, options: Options = Options()) -> MembershipFlag
 
 
 def default_family(algebra, options: Options = Options()) -> GeneratorFamily:
-    """Complete resolutions of the non-projective indecomposables, per fixture;
-    memoized on the algebra per shift range."""
-    from . import fixtures
+    """The generator family used when none is given; memoized on the
+    algebra per options.
+
+    Empty when every simple module has finite projective dimension within
+    gorenstein_bound: the algebra then has finite global dimension, every
+    exact complex of projectives is contractible, and the orthogonal is
+    everything.  T_per over the built-in D2, the complete resolution of
+    its simple module.  Otherwise the complete resolutions, within
+    periodicity_bound, of the simple modules whose projective dimension
+    is not found within gorenstein_bound; where one does not exist, the
+    error of complete_resolution is raised.
+    """
+    from . import approx, fixtures  # deferred: approx builds on this module
 
     def compute():
         if algebra is fixtures.D2():
             return GeneratorFamily((fixtures.t_per(),), options.shift_range)
-        # Semisimple and hereditary fixtures: every exact complex of
-        # projectives is contractible, so the orthogonal is everything
-        # and the empty family is the honest generator set.
-        return GeneratorFamily((), options.shift_range)
+        tops = (modules.indecomposable_projective(algebra, i)[0]
+                for i in algebra.idempotents)
+        simples = [modules.quotient_module(P, modules.radical_submodule_basis(P))[0]
+                   for P in tops]
+        loose = [S for S in simples
+                 if modules.projective_dimension(S, options.gorenstein_bound) is None]
+        return GeneratorFamily(tuple(
+            approx.complete_resolution(S, options.periodicity_bound, options)[0]
+            for S in loose), options.shift_range)
 
-    return modules._memo(algebra, ("family", options.shift_range), compute)
+    return modules._memo(algebra, ("family", options), compute)
 
 
 def orthogonal_certificate(X: Complex, side: str, fam: GeneratorFamily,
@@ -198,17 +211,14 @@ def _is_stalk_shape(X: Complex) -> bool:
         X.term(n).dim == 0 for n in range(X.lo, X.hi + 1) if n != 0)
 
 
-def _bifibrant(X: Complex, tag: str, options: Options) -> bool:
-    return homotopy.is_exP(X, options) if tag == "ctr" else homotopy.is_exI(X, options)
-
-
 def is_weak_equivalence(f: ChainMap, tag: str,
                         fam: GeneratorFamily | None = None,
                         options: Options = Options(),
                         _depth: int = 0) -> WeakEquivalenceResult:
     if tag not in TAGS:
         raise ValueError(f"unknown structure tag {tag!r}")
-    if _bifibrant(f.source, tag, options) and _bifibrant(f.target, tag, options):
+    which = "proj" if tag == "ctr" else "inj"
+    if homotopy._is_ex(f.source, which) and homotopy._is_ex(f.target, which):
         res = homotopy.homotopy_equivalence_certificate(f, options)
         return WeakEquivalenceResult(res.verdict, res.certificate)
     if _depth >= 3:

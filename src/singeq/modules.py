@@ -4,6 +4,12 @@ Modules are value-semantic presentations (action matrices); maps carry an
 explicit intertwiner matrix.  Isomorphism is always explicit via
 find_isomorphism, never implied by equal dimensions.
 
+The injective side is derived through the duality D = Hom_k(-, k) from
+mod A to mod A^op (dual_module, dual_map), which turns injectives into
+projectives: the injective envelope of M is D of the projective cover of
+D(M), the injective dimension of M is the projective dimension of D(M),
+and cosyzygies are D of the syzygies of D(M).
+
 Caching rule: data that depends only on module actions is memoized on
 their algebra under the exact action bytes, so equal presentations share
 one entry and a change of basis gets its own.  That covers a module's
@@ -13,7 +19,7 @@ in that order.  The same per-algebra dict holds what depends on the
 algebra alone: the zero module, one zero matrix per shape (zero_block),
 the indecomposable projectives, the opposite algebra, the action
 generators, the Gorenstein dimension per bound and the generator family
-per shift range.  Memoized arrays are read-only, and every check a
+per Options.  Memoized arrays are read-only, and every check a
 computation makes runs on its first computation.
 
 What depends on one complex or chain map is memoized on that object, and
@@ -437,14 +443,17 @@ def _projective_cover(M: Module) -> tuple:
 
 
 def dual_module(M: Module) -> Module:
-    """Vector-space dual as a left module over the opposite algebra."""
+    """Vector-space dual as a left module over the opposite algebra.
+
+    An involution: the opposite of the opposite algebra is the algebra
+    itself (_opposite_of), so D(D(M)) has the algebra and the action of M."""
     op = _opposite_of(M.algebra)
     return Module(op, M.dim, tuple(m.T.copy() for m in M.action))
 
 
-def dual_module_back(M: Module, algebra: Algebra) -> Module:
-    """Dual of a module over A^op, viewed over the original algebra."""
-    return Module(algebra, M.dim, tuple(m.T.copy() for m in M.action))
+def dual_map(f: ModuleMap) -> ModuleMap:
+    """D(f): D(f.target) -> D(f.source) over the opposite algebra."""
+    return ModuleMap(dual_module(f.target), dual_module(f.source), f.matrix.T.copy())
 
 
 def _opposite_of(algebra: Algebra) -> Algebra:
@@ -465,13 +474,11 @@ def injective_envelope(M: Module) -> tuple:
         return zero_module(A), zero_map(M, zero_module(A))
 
     def compute():
-        P, epi = projective_cover(dual_module(M))
-        I = dual_module_back(P, A)
-        mono = ModuleMap(M, I, epi.matrix.T.copy())
+        mono = dual_map(projective_cover(dual_module(M))[1])
         mono.validate()
         if not mono.is_injective():
             raise ValidationError("injective envelope candidate is not injective")
-        return I, mono.matrix
+        return mono.target, mono.matrix
 
     I, mono = _by_value("envelope", (M,), compute)
     return I, ModuleMap(M, I, mono)
@@ -501,16 +508,14 @@ def _one_sided_inverse(f: ModuleMap, side: str):
 
 
 def syzygy(M: Module, n: int) -> Module:
-    """n-fold kernel of projective covers (n>0) or cokernel of envelopes (n<0)."""
+    """n-fold kernel of projective covers (n>0), or for n<0 the cosyzygy
+    D(syzygy(D(M), -n)): cokernels of envelopes, up to isomorphism."""
+    if n < 0:
+        return dual_module(syzygy(dual_module(M), -n))
     cur = M
-    if n >= 0:
-        for _ in range(n):
-            _, epi = projective_cover(cur)
-            cur, _ = kernel(epi)
-    else:
-        for _ in range(-n):
-            _, mono = injective_envelope(cur)
-            cur, _ = cokernel(mono)
+    for _ in range(n):
+        _, epi = projective_cover(cur)
+        cur, _ = kernel(epi)
     return cur
 
 
@@ -558,14 +563,9 @@ def projective_dimension(M: Module, bound: int):
 
 
 def injective_dimension(M: Module, bound: int):
-    """Smallest n with the n-th cosyzygy injective, or None within bound."""
-    cur = M
-    for n in range(bound + 1):
-        if cur.dim == 0 or cur.split_class.is_injective:
-            return n
-        _, mono = injective_envelope(cur)
-        cur, _ = cokernel(mono)
-    return None
+    """Smallest n with the n-th cosyzygy injective, or None within bound:
+    the projective dimension of D(M)."""
+    return projective_dimension(dual_module(M), bound)
 
 
 def gorenstein_dimension(algebra: Algebra, bound: int):

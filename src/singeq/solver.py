@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, modules
-from .complexes import ChainMap, Complex, _lcm, add_maps, chain_map, compose
+from .complexes import ChainMap, Complex, _lcm, _tail, add_maps, chain_map, compose
 from .config import Options
 from .errors import ValidationError
 
@@ -71,6 +71,9 @@ class FoldedSystem:
         self.rows = []
         self.rhs = []
         self.width = width
+        # the window degrees that the blocks of each periodic tail fold to
+        self.tail_degrees = ([self.rep(lo - 1 - i) for i in range(self.fold)],
+                             [self.rep(hi + 1 + i) for i in range(self.fold)])
 
     def rep(self, n):
         """Window degree, folded representative, extra-block name, or None."""
@@ -173,13 +176,12 @@ class FoldedSystem:
 
     def graded(self, comps: dict) -> tuple:
         """GradedMap arguments (components, lo, hi, neg, pos) for a solution:
-        its window components with entries and its folded periodic tails."""
-        P = self.fold
-        neg = tuple(comps[self.rep(self.lo - 1 - i)] for i in range(P))
-        pos = tuple(comps[self.rep(self.hi + 1 + i)] for i in range(P))
+        its window components with entries and its folded periodic tails,
+        left out where zero as complexes._sample leaves them."""
+        neg, pos = self.tail_degrees
         return ({n: m for n, m in comps.items() if m.size}, self.lo, self.hi,
-                (P, neg) if any(b.any() for b in neg) else None,
-                (P, pos) if any(b.any() for b in pos) else None)
+                _tail(self.fold, tuple(comps[n] for n in neg)),
+                _tail(self.fold, tuple(comps[n] for n in pos)))
 
 
 def solve_module_map(pairs: list, rhs: np.ndarray, terms: list, pair: tuple):

@@ -63,6 +63,17 @@ def truncated_polynomial(n: int, p: int) -> algebra.Algebra:
     return alg
 
 
+@pytest.fixture(scope="module", params=["D2", "T2", "D3/F2", "D3/F3", "D4/F2"])
+def duality_algebra(request):
+    """The algebras the derived injective side is tested over: D2, T2 and
+    D_n = F_p[x]/(x^n) written as Dn/Fp."""
+    builtin = fixtures.BUILTIN_ALGEBRAS.get(request.param)
+    if builtin:
+        return builtin()
+    n, p = request.param[1:].split("/F")
+    return truncated_polynomial(int(n), int(p))
+
+
 def periodic_complex(alg, j):
     """T_j = (... -> A -x^j-> A -x^(n-j)-> A -> ...), d_even = x^j."""
     n = alg.dim
@@ -131,6 +142,25 @@ def module_map_equations(rng: random.Random, mods: list, pairs: list, p: int,
             rhs.append(r)
         equations.append((np.stack(rhs), terms, pair))
     return equations
+
+
+def random_module(rng: random.Random, alg: algebra.Algebra, max_rank: int = 2) -> Module:
+    """A random quotient of A^r by the submodule that random elements of
+    its radical generate, in a random basis; half the time the dual of one
+    over the opposite algebra instead, a submodule of an injective."""
+    if rng.randint(0, 1):
+        return modules.dual_module(random_module(rng, modules._opposite_of(alg), max_rank))
+    p = alg.p
+    F, _, _ = modules.direct_sum([modules.regular_module(alg)] * rng.randint(1, max_rank))
+    rad = modules.radical_submodule_basis(F)
+    count = rng.randint(0, 2)
+    coeffs = np.array([[rng.randrange(p) for _ in range(count)] for _ in range(rad.shape[1])],
+                      dtype=np.int64).reshape(rad.shape[1], count)
+    gens = (rad @ coeffs) % p
+    M, _ = modules.quotient_module(F, np.hstack([(a @ gens) % p for a in F.action]))
+    g = random_invertible(rng, M.dim, p)
+    g_inv = linalg.invert(g, p)
+    return Module(alg, M.dim, tuple((g_inv @ a @ g) % p for a in M.action))
 
 
 # -- seeded generators over D2 ----------------------------------------

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_d2_complex
-from singeq import complexes, fixtures, functors, homotopy, linalg, solver
+from conftest import random_combination, random_d2_complex, random_module
+from singeq import complexes, fixtures, functors, homotopy, linalg, modules, solver
 from singeq.complexes import (ChainMap, Homotopy, chain_map_from_callable,
                               identity_chain_map, reindex, zero_chain_map)
 from singeq.errors import ValidationError
@@ -177,6 +177,26 @@ class TestStableCriterion:
         assert homotopy.is_exP(contractible)
         from singeq import functors
         assert not homotopy.is_exP(functors.stalk(k))
+
+
+class TestFactorsThroughInjective:
+    def test_matches_extension_along_the_envelope(self, duality_algebra):
+        """The derived test against extension along injective_envelope."""
+        rng = random.Random(3)
+        p = duality_algebra.p
+        outcomes = set()
+        for _ in range(16):
+            M, N = random_module(rng, duality_algebra), random_module(rng, duality_algebra)
+            H = modules.hom_stack(M, N)
+            if not len(H):
+                continue
+            g = modules.ModuleMap(M, N, random_combination(rng, H, p))
+            E, iota = modules.injective_envelope(M)
+            extends = solver.solve_module_map([(E, N)], g.matrix, [(None, 0, iota.matrix)],
+                                              (M, N)) is not None
+            assert homotopy.factors_through_injective(g) == extends
+            outcomes.add(extends)
+        assert outcomes == {True, False}
 
 
 class TestHomotopyEquivalence:

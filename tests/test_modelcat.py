@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import periodic_complex, truncated_polynomial
 from singeq import complexes, fixtures, functors, homotopy, modelcat, modules, solver
 from singeq.config import Options
 from singeq.complexes import identity_chain_map, reindex, zero_chain_map
@@ -146,6 +147,22 @@ class TestDefaultFamily:
         cold = [cold_family_result(s) for s in (1, 2)]
         assert warm == [cold[0], cold[1], cold[0]]
         assert warm[0] != warm[1]
+
+    def test_no_vacuous_trivial_fibration_over_the_cubic_algebra(self):
+        # T_1 over D3 = F_2[x]/(x^3) is in exP and not contractible, so
+        # T_1 -> 0 is no trivial fibration; an empty default family would
+        # certify it with no pairs
+        D3 = truncated_polynomial(3, 2)
+        T = periodic_complex(D3, 1)
+        assert homotopy.is_exP(T)
+        assert homotopy.null_homotopy(identity_chain_map(T)).verdict == NO
+        f = zero_chain_map(T, complexes.zero_complex(D3))
+        for fam in (modelcat.default_family(D3), modelcat.GeneratorFamily((T,))):
+            assert modelcat.classify_map(f, "ctr", fam).trivial_fibration.verdict == NO
+
+    def test_empty_for_finite_global_dimension(self, F2, T2):
+        for alg in (F2, T2):
+            assert modelcat.default_family(alg).generators == ()
 
 
 class TestClassifyMap:

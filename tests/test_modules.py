@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_d2_module, random_invertible, truncated_polynomial
+from conftest import random_d2_module, random_invertible, random_module, truncated_polynomial
 from singeq import fixtures, linalg, modules
 from singeq.config import Options
 from singeq.errors import DimensionMismatch, IsomorphismUndecided, ValidationError
@@ -474,3 +474,46 @@ class TestHomMemo:
         A = modules.regular_module(fresh(fixtures.D2()))
         modules.hom_stack(A, A)
         assert len(calls) == 1
+
+
+def _cosyzygy(M):
+    """Cokernel of the injective envelope: the reference the duality replaced."""
+    return modules.cokernel(modules.injective_envelope(M)[1])[0]
+
+
+class TestDerivedInjectiveSide:
+    """The injective side, derived through D = Hom_k(-, k), against the
+    cokernel loops along injective envelopes written out directly."""
+
+    def sample(self, alg, count=12, seed=5):
+        rng = random.Random(seed)
+        return [random_module(rng, alg) for _ in range(count)]
+
+    def test_dual_module_is_an_involution(self, duality_algebra):
+        for M in self.sample(duality_algebra):
+            DD = modules.dual_module(modules.dual_module(M))
+            assert DD.algebra is M.algebra and DD.dim == M.dim
+            assert all(np.array_equal(a, b) for a, b in zip(DD.action, M.action))
+
+    def test_injective_dimension_matches_the_cokernel_loop(self, duality_algebra):
+        bound = 3
+        seen = set()
+        for M in self.sample(duality_algebra):
+            cur, expected = M, None
+            for n in range(bound + 1):
+                if cur.dim == 0 or cur.split_class.is_injective:
+                    expected = n
+                    break
+                cur = _cosyzygy(cur)
+            assert modules.injective_dimension(M, bound) == expected
+            seen.add(expected)
+        assert len(seen) > 1
+
+    def test_cosyzygy_matches_the_cokernel_loop(self, duality_algebra):
+        for M in self.sample(duality_algebra, count=8):
+            cur = M
+            for n in (1, 2):
+                cur = _cosyzygy(cur)
+                C = modules.syzygy(M, -n)
+                assert C.algebra is M.algebra
+                assert modules.find_isomorphism(C, cur) is not None
