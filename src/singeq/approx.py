@@ -70,12 +70,12 @@ def complete_resolution(M: Module, bound: int = 8,
                         options: Options = Options()):
     """(T, iso: omega(T) -> M) with T totally acyclic with projective terms.
 
-    Projective covers run leftward and injective envelopes rightward
-    until the (co)syzygy isomorphism class repeats, which closes the
-    periodic tails.  Raises PeriodicityError if no repetition appears
-    within the bound, NotGorensteinError if an envelope fails to be
-    projective (the construction needs a self-injective-style fixture on
-    the right half).
+    Projective covers run leftward and minimal left add(A)-approximations
+    (injective envelopes over a self-injective algebra) rightward until
+    the (co)syzygy isomorphism class repeats, which closes the periodic
+    tails.  Raises PeriodicityError if no repetition appears within the
+    bound, NotGorensteinError if an approximation is not injective: M is
+    then not Gorenstein projective.
     """
     A = M.algebra
     p = A.p
@@ -109,16 +109,16 @@ def complete_resolution(M: Module, bound: int = 8,
     # wrap differential P_i -> P_{j-1}: project to Z_i, transport, include
     w = ((kappas[j - 1].matrix @ psi.matrix) % p @ pis[i].matrix) % p
 
-    # right half: injective envelopes, required to stay projective
+    # right half: minimal left add(A)-approximations, required to be mono
     Cs = [M]
     Es, iotas, projs = [], [], []
     wrap_neg = None
     for tdx in range(1, bound + 1):
-        E, iota = modules.injective_envelope(Cs[-1])
-        if not E.split_class.is_projective:
+        E, iota = modules.left_projective_approximation(Cs[-1])
+        if not iota.is_injective():
             raise NotGorensteinError(
-                "injective envelope is not projective; complete resolutions "
-                "need projective-injective envelopes on the right half")
+                "module is not Gorenstein projective: a cosyzygy does not "
+                "embed in a projective module")
         C, cproj = modules.cokernel(iota)
         Es.append(E)
         iotas.append(iota)

@@ -21,7 +21,7 @@ from . import homotopy, modules, solver
 from .complexes import (ChainMap, Complex, cokernel_complex, compose,
                         is_exact, kernel_complex, reindex)
 from .config import Options
-from .errors import ValidationError
+from .errors import NotGorensteinError, ValidationError
 from .homotopy import NO, UNKNOWN, YES, Certificate
 
 CERTIFIED = "CERTIFIED"
@@ -42,6 +42,9 @@ class MembershipFlags:
 class GeneratorFamily:
     generators: tuple
     shift_range: int = 3
+    # the family of the left_of_exI side; None when this one serves both
+    # sides, as complete resolutions over a self-injective algebra do
+    injective: GeneratorFamily | None = None
 
     @cached_property
     def shifts(self) -> tuple:
@@ -110,25 +113,47 @@ def default_family(algebra, options: Options = Options()) -> GeneratorFamily:
     gorenstein_bound: the algebra then has finite global dimension, every
     exact complex of projectives is contractible, and the orthogonal is
     everything.  T_per over the built-in D2, the complete resolution of
-    its simple module.  Otherwise the complete resolutions, within
-    periodicity_bound, of the simple modules whose projective dimension
-    is not found within gorenstein_bound; where one does not exist, the
-    error of complete_resolution is raised.
+    its simple module.  Otherwise, over a d-Gorenstein algebra, the
+    complete resolutions, within periodicity_bound, of the d-th syzygies
+    of the simple modules whose projective dimension is not found within
+    gorenstein_bound: those syzygies are Gorenstein projective.  Unless
+    the algebra is self-injective, the left_of_exI side gets its own
+    family, the dual one: the complete injective resolutions of the d-th
+    cosyzygies of the simple modules of infinite injective dimension.
+    Raises NotGorensteinError when the algebra is not Gorenstein within
+    gorenstein_bound.
     """
     from . import approx, fixtures  # deferred: approx builds on this module
 
+    bound = options.gorenstein_bound
+
+    def loose(alg):  # the simple modules of infinite projective dimension
+        tops = (modules.indecomposable_projective(alg, i)[0] for i in alg.idempotents)
+        simples = (modules.quotient_module(P, modules.radical_submodule_basis(P))[0]
+                   for P in tops)
+        return [S for S in simples if modules.projective_dimension(S, bound) is None]
+
     def compute():
         if algebra is fixtures.D2():
+            # T_per in the basis the fixture fixes, which keeps the bits of
+            # every certificate over the built-in D2
             return GeneratorFamily((fixtures.t_per(),), options.shift_range)
-        tops = (modules.indecomposable_projective(algebra, i)[0]
-                for i in algebra.idempotents)
-        simples = [modules.quotient_module(P, modules.radical_submodule_basis(P))[0]
-                   for P in tops]
-        loose = [S for S in simples
-                 if modules.projective_dimension(S, options.gorenstein_bound) is None]
-        return GeneratorFamily(tuple(
-            approx.complete_resolution(S, options.periodicity_bound, options)[0]
-            for S in loose), options.shift_range)
+        d = modules.gorenstein_dimension(algebra, bound) if loose(algebra) else 0
+        if d is None:
+            raise NotGorensteinError(
+                "the default generator family needs a Gorenstein algebra; "
+                f"none found within gorenstein_bound={bound}")
+
+        def family(alg, resolve, injective=None):
+            return GeneratorFamily(tuple(
+                resolve(modules.syzygy(S, d), options.periodicity_bound, options)[0]
+                for S in loose(alg)), options.shift_range, injective)
+
+        if d == 0:
+            return family(algebra, approx.complete_resolution)
+        # the simples of A^op are the duals of those of A
+        return family(algebra, approx.complete_resolution, family(
+            modules._opposite_of(algebra), approx.complete_injective_resolution))
 
     return modules._memo(algebra, ("family", options), compute)
 
@@ -138,6 +163,8 @@ def orthogonal_certificate(X: Complex, side: str, fam: GeneratorFamily,
     if side not in ("right_of_exP", "left_of_exI"):
         raise ValueError(f"unknown side {side!r}")
     check = homotopy.is_exP if side == "right_of_exP" else homotopy.is_exI
+    if side == "left_of_exI" and fam.injective is not None:
+        fam = fam.injective
     for T in fam.generators:
         if not check(T, options):
             raise ValidationError("generator fails its own membership check")

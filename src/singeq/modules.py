@@ -13,14 +13,15 @@ and cosyzygies are D of the syzygies of D(M).
 Caching rule: data that depends only on module actions is memoized on
 their algebra under the exact action bytes, so equal presentations share
 one entry and a change of basis gets its own.  That covers a module's
-split class, projective cover and injective envelope, and the hom basis
-of a pair (source, target) with its pivot entries, keyed on both actions
-in that order.  The same per-algebra dict holds what depends on the
-algebra alone: the zero module, one zero matrix per shape (zero_block),
-the indecomposable projectives, the opposite algebra, the action
-generators, the Gorenstein dimension per bound and the generator family
-per Options.  Memoized arrays are read-only, and every check a
-computation makes runs on its first computation.
+split class, projective cover, injective envelope and left
+add(A)-approximation, and the hom basis of a pair (source, target) with
+its pivot entries, keyed on both actions in that order.  The same
+per-algebra dict holds what depends on the algebra alone: the zero
+module, one zero matrix per shape (zero_block), the indecomposable
+projectives, the opposite algebra, the action generators, the Gorenstein
+dimension per bound and the generator family per Options.  Memoized
+arrays are read-only, and every check a computation makes runs on its
+first computation.
 
 What depends on one complex or chain map is memoized on that object, and
 lives and dies with it: the table of its distinct blocks (a complex's or
@@ -482,6 +483,39 @@ def injective_envelope(M: Module) -> tuple:
 
     I, mono = _by_value("envelope", (M,), compute)
     return I, ModuleMap(M, I, mono)
+
+
+def left_projective_approximation(M: Module) -> tuple:
+    """(P, f): the minimal left add(A)-approximation f: M -> P, through
+    which every map from M to a projective factors; f is injective when
+    M is Gorenstein projective.  Over a self-injective algebra it is the
+    injective envelope.  Otherwise P has a copy of A*e_i for each element
+    of a basis of the top of the right module Hom_A(M, A) in e_i."""
+    A = M.algebra
+    if M.dim == 0 or gorenstein_dimension(A, 0) == 0:
+        return injective_envelope(M)
+
+    def compute():
+        p = A.p
+        H = hom_stack(M, regular_module(A))
+        if not len(H):
+            return zero_module(A), linalg.zeros(0, M.dim)
+        right = A.mul.transpose(1, 2, 0) % p  # right[i]: x -> x b_i on A
+        rad = [(right[r] @ g) % p for r in A.radical_basis for g in H]
+        summands, blocks = [], []
+        for i in A.idempotents:  # Hom(M, A)e_i modulo Hom(M, A)rad e_i
+            low, gens = [(right[i] @ g) % p for g in rad], [(right[i] @ g) % p for g in H]
+            P, incl, _ = indecomposable_projective(A, i)
+            for c in linalg.rref(np.array(low + gens).reshape(len(low) + len(H), -1).T, p)[1]:
+                if c >= len(low):
+                    summands.append(P)
+                    blocks.append(linalg.solve_matrix(incl.matrix, gens[c - len(low)], p))
+        f = ModuleMap(M, direct_sum(summands)[0], np.vstack(blocks) % p)
+        f.validate()
+        return f.target, f.matrix
+
+    P, f = _by_value("approximation", (M,), compute)
+    return P, ModuleMap(M, P, f)
 
 
 class SplitClass(NamedTuple):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import simple_modules, triangular_d2
 from singeq import (algebra, approx, complexes, fixtures, functors, homotopy, linalg,
                     modelcat, modules)
 from singeq.config import Options
-from singeq.homotopy import UNKNOWN, YES
+from singeq.errors import NotGorensteinError
+from singeq.homotopy import NO, UNKNOWN, YES
 from singeq.modelcat import CERTIFIED
 
 
@@ -84,6 +86,17 @@ class TestCompleteResolution:
         assert complexes.is_exact(T)
         assert T.bounded()
 
+    def test_gorenstein_projectives_over_a_non_self_injective_algebra(self):
+        # over T_2(D_2) injective envelopes of GP modules need not be
+        # projective; the right half runs along add(A)-approximations
+        S1, S2 = simple_modules(triangular_d2())
+        with pytest.raises(NotGorensteinError, match="not Gorenstein projective"):
+            approx.complete_resolution(S2, 8)
+        for M in (S1, modules.syzygy(S2, 1)):
+            T, witness = approx.complete_resolution(M, 8)
+            assert homotopy.is_exP(T) and witness.is_invertible()
+            assert homotopy.null_homotopy(complexes.identity_chain_map(T)).verdict == NO
+
 
 @pytest.fixture(scope="module", params=[2, 3, 2 ** 26 - 5], ids=["F2", "F3", "Fmax"])
 def cubic(request):
@@ -154,6 +167,19 @@ class TestStalkReplacement:
         else:
             assert homotopy.is_exI(rep.object) and rep.map.is_mono()
             assert rep.witness.is_injective()
+
+    @pytest.mark.parametrize("which", ["cofibrant_ctr", "fibrant_co"])
+    def test_simple_over_a_non_self_injective_algebra(self, which):
+        # the simple of T_2(D_2) that is not GP: the GP approximation has
+        # depth 1, and the default family has a generator per side
+        S = simple_modules(triangular_d2())[1]
+        rep = approx.stalk_replacement(functors.stalk(S), which)
+        assert rep.verdict == YES
+        rep.triple.verify()
+        if which == "cofibrant_ctr":
+            assert homotopy.is_exP(rep.object) and rep.map.is_epi()
+        else:
+            assert homotopy.is_exI(rep.object) and rep.map.is_mono()
 
     @pytest.mark.parametrize("which", ["cofibrant_ctr", "fibrant_co"])
     def test_cache_hit_on_an_equal_stalk_ends_at_the_new_stalk(self, D2, which):

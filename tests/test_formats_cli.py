@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import simple_modules, triangular_d2
 from singeq import approx, fixtures, formats
 from singeq.cli import main
 from singeq.config import default_options
@@ -190,6 +191,19 @@ def _raise(exc):
 class TestExitCodes:
     def test_0_yes(self, tmp_path, capsys):
         assert main(["validate", write_square_zero_plane(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("which", ["cofibrant-ctr", "fibrant-co"])
+    def test_0_replace_over_a_non_self_injective_algebra(self, tmp_path, capsys, which):
+        # the default family over the 1-Gorenstein T_2(D_2) is built from
+        # add(A)-approximations, not from non-projective injective envelopes
+        alg = triangular_d2()
+        (tmp_path / "t2d2.alg").write_text(json.dumps(formats.algebra_to_doc(alg)))
+        S = simple_modules(alg)[1]
+        (tmp_path / "s.mod").write_text(json.dumps(formats.module_to_doc(S, "t2d2.alg")))
+        stalk = tmp_path / "s.cx"
+        stalk.write_text(json.dumps({"window": {"lo": 0, "hi": 0, "terms": ["s.mod"],
+                                                "diffs": []}}))
+        assert main(["replace", str(stalk), "--which", which]) == 0
 
     def test_1_no(self, capsys):
         assert main(["verify-equivalence", fx("kstalk.cx")]) == 1

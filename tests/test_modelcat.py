@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import periodic_complex, truncated_polynomial
+from conftest import periodic_complex, triangular_d2, truncated_polynomial
 from singeq import complexes, fixtures, functors, homotopy, modelcat, modules, solver
 from singeq.config import Options
 from singeq.complexes import identity_chain_map, reindex, zero_chain_map
@@ -159,6 +159,24 @@ class TestDefaultFamily:
         f = zero_chain_map(T, complexes.zero_complex(D3))
         for fam in (modelcat.default_family(D3), modelcat.GeneratorFamily((T,))):
             assert modelcat.classify_map(f, "ctr", fam).trivial_fibration.verdict == NO
+
+    def test_one_generator_set_per_side_over_a_non_self_injective_algebra(self):
+        # over the 1-Gorenstein T_2(D_2) complete resolutions are not
+        # complexes of injectives, so the co side gets the dual generators;
+        # none is contractible, so neither class is certified vacuously (on
+        # the co side the stable criterion, which needs exP, gives no NO)
+        alg = triangular_d2()
+        fam = modelcat.default_family(alg)
+        assert len(fam.generators) == len(fam.injective.generators) == 2
+        zero = complexes.zero_complex(alg)
+        for T in fam.generators:
+            assert homotopy.is_exP(T) and not homotopy.is_exI(T)
+            cls = modelcat.classify_map(zero_chain_map(T, zero), "ctr", fam)
+            assert cls.trivial_fibration.verdict == NO
+        for J in fam.injective.generators:
+            assert homotopy.is_exI(J) and not homotopy.is_exP(J)
+            cls = modelcat.classify_map(zero_chain_map(zero, J), "co", fam)
+            assert cls.trivial_cofibration.verdict != YES
 
     def test_empty_for_finite_global_dimension(self, F2, T2):
         for alg in (F2, T2):
