@@ -86,6 +86,8 @@ class Algebra:
         mul = self.mul % p
         if mul.shape != (n, n, n):
             raise ValidationError("structure constant tensor has wrong shape")
+        if any(not 0 <= i < n for i in (*self.idempotents, *self.radical_basis)):
+            raise ValidationError("idempotent or radical index outside the basis")
         # associativity: (b_i b_j) b_k == b_i (b_j b_k)
         L = [self.left_multiplication(i) for i in range(n)]
         for i in range(n):

@@ -66,19 +66,19 @@ class ApproximationTriple:
             raise ValidationError("approximation ranks do not add up")
 
 
-def complete_resolution(M: Module, bound: int = 8,
-                        options: Options = Options()):
+def complete_resolution(M: Module, options: Options = Options()):
     """(T, iso: omega(T) -> M) with T totally acyclic with projective terms.
 
     Projective covers run leftward and minimal left add(A)-approximations
     (injective envelopes over a self-injective algebra) rightward until
     the (co)syzygy isomorphism class repeats, which closes the periodic
-    tails.  Raises PeriodicityError if no repetition appears within the
-    bound, NotGorensteinError if an approximation is not injective: M is
-    then not Gorenstein projective.
+    tails.  Raises PeriodicityError if no repetition appears within
+    periodicity_bound, NotGorensteinError if an approximation is not
+    injective: M is then not Gorenstein projective.
     """
     A = M.algebra
     p = A.p
+    bound = options.periodicity_bound
     if M.dim == 0 or M.split_class.is_projective:
         T = Complex.build(A, -1, 0, {0: M, -1: M}, {0: linalg.eye(M.dim)})
         return T, _omega_witness(T, M)
@@ -181,7 +181,7 @@ def _omega_witness(T: Complex, M: Module, pi0: ModuleMap | None = None) -> Modul
     return iso
 
 
-def _gp_helper(N: Module, depth: int, bound: int, options: Options):
+def _gp_helper(N: Module, depth: int, options: Options):
     """(W, M, e) with 0 -> W -> M -e-> N -> 0, M GP, pd W < depth."""
     A = N.algebra
     p = A.p
@@ -190,8 +190,8 @@ def _gp_helper(N: Module, depth: int, bound: int, options: Options):
         return W, N, modules.identity_map(N), modules.zero_map(W, N)
     P, pi = modules.projective_cover(N)
     K, kincl = modules.kernel(pi)
-    W1, M1, e1, w1 = _gp_helper(K, depth - 1, bound, options)
-    T1, iso1 = complete_resolution(M1, bound, options)
+    W1, M1, e1, w1 = _gp_helper(K, depth - 1, options)
+    T1, iso1 = complete_resolution(M1, options)
     # mono M1 -> T1_{-1}: d_0 factors as T1_0 ->> omega(T1) -> T1_{-1},
     # and the second leg is injective by exactness; precompose iso1^{-1}
     Q = T1.term(-1)
@@ -226,8 +226,8 @@ def gp_gi_approximation(N: Module, side: str,
         raise NotGorensteinError("approximation needs a Gorenstein base algebra")
     d = report.dimension
     if side == "GP":
-        W, M, e, wincl = _gp_helper(N, d, options.periodicity_bound, options)
-        T, _ = complete_resolution(M, options.periodicity_bound, options)
+        W, M, e, wincl = _gp_helper(N, d, options)
+        T, _ = complete_resolution(M, options)
         pdW = modules.projective_dimension(W, bound)
         if pdW is None:
             raise ValidationError("precover kernel has unbounded projective dimension")
@@ -252,8 +252,7 @@ def gp_gi_approximation(N: Module, side: str,
     raise ValueError(f"unknown approximation side {side!r}")
 
 
-def complete_injective_resolution(Yp_dual_gp: Module, bound: int,
-                                  options: Options = Options()):
+def complete_injective_resolution(Yp_dual_gp: Module, options: Options = Options()):
     """(J, mono: D(dual) -> J_0) for the Gorenstein injective D(input).
 
     The input is a Gorenstein projective module over the opposite
@@ -261,7 +260,7 @@ def complete_injective_resolution(Yp_dual_gp: Module, bound: int,
     totally acyclic complex of injectives whose degree-0 cycles recover
     the dual module.
     """
-    Top, iso_op = complete_resolution(Yp_dual_gp, bound, options)
+    Top, iso_op = complete_resolution(Yp_dual_gp, options)
     A = modules._opposite_of(Yp_dual_gp.algebra)
     p = A.p
     OMop, projop = functors.omega_data(Top)
@@ -312,7 +311,6 @@ def stalk_replacement(S: Complex, which: str,
     p = S.algebra.p
     if fam is None:
         fam = modelcat.default_family(S.algebra, options)
-    bound = options.periodicity_bound
     # replacements depend only on the stalk module's presentation and on
     # every search bound, so the key holds the full Options
     key = (id(S.algebra), which, N.dim,
@@ -324,7 +322,7 @@ def stalk_replacement(S: Complex, which: str,
 
     if which == "cofibrant_ctr":
         triple = gp_gi_approximation(N, "GP", options)
-        obj, witness = complete_resolution(triple.mid, bound, options)
+        obj, witness = complete_resolution(triple.mid, options)
         _, proj = functors.omega_data(obj)
         q = chain_map(obj, S, {0: ((triple.epi.matrix @ witness.matrix) % p @ proj.matrix) % p})
         if not q.is_epi():
@@ -334,7 +332,7 @@ def stalk_replacement(S: Complex, which: str,
         triple = gp_gi_approximation(N, "GI", options)
         # triple.mid = D(M_op) for a GP module M_op over the opposite algebra
         obj, theta_mono = complete_injective_resolution(
-            modules.dual_module(triple.mid), bound, options)
+            modules.dual_module(triple.mid), options)
         q = chain_map(S, obj, {0: (theta_mono.matrix @ triple.mono.matrix) % p})
         if not q.is_mono():
             raise ValidationError("replacement map is not a mono in degree 0")

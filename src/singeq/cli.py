@@ -211,11 +211,11 @@ def functor(ctx, which, file):
 def _load_family(path, algebra, options):
     if path is None:
         return modelcat.default_family(algebra, options)
-    doc = formats.load_json(path)
+    doc = {"generators": [], "shift_range": options.shift_range, **formats.load_json(path)}
     gens = tuple(formats.load_complex(ref, path)
-                 for ref in doc.get("generators", []))
+                 for ref in formats._list(doc, "generators", path))
     return modelcat.GeneratorFamily(
-        gens, int(doc.get("shift_range", options.shift_range)))
+        gens, formats._int(doc["shift_range"], "shift_range", path))
 
 
 @cli.command()

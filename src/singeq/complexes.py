@@ -297,12 +297,6 @@ class Complex:
     def bounded(self) -> bool:
         return self.neg_tail is None and self.pos_tail is None
 
-    def bounded_below(self) -> bool:
-        return self.neg_tail is None
-
-    def bounded_above(self) -> bool:
-        return self.pos_tail is None
-
     def support_degrees(self):
         """Window degrees with nonzero terms; None-bounded sides excluded."""
         return [n for n in range(self.lo, self.hi + 1) if self.term(n).dim > 0]
@@ -871,17 +865,27 @@ def cokernel_complex(f: ChainMap):
     return f._cokernel
 
 
+def _per_block(f: ChainMap, compute):
+    """n -> compute(f_n as a ModuleMap), computed once per distinct
+    (source term, target term, component): the block tables share these
+    objects across the periodic repeats that complex_from_callable samples."""
+    memo = {}
+
+    def data(n):
+        S, T, m = f.source.term(n), f.target.term(n), f.component(n)
+        key = (id(S), id(T), id(m))
+        if key not in memo:
+            memo[key] = compute(ModuleMap(S, T, m))
+        return memo[key]
+
+    return data
+
+
 def _kernel_complex(f: ChainMap):
     """(K, inclusion K -> source) computed degreewise."""
     p = f.source.algebra.p
     lo, hi, nq, pq = _map_profile(f, f.source, f.target)
-    cache = {}
-
-    def data(n):
-        if n not in cache:
-            fm = ModuleMap(f.source.term(n), f.target.term(n), f.component(n))
-            cache[n] = modules.kernel(fm)
-        return cache[n]
+    data = _per_block(f, modules.kernel)
 
     def diff_fn(n):
         d = linalg.solve_matrix(
@@ -901,13 +905,7 @@ def _cokernel_complex(f: ChainMap):
     """(C, projection target -> C) computed degreewise."""
     p = f.source.algebra.p
     lo, hi, nq, pq = _map_profile(f, f.source, f.target)
-    cache = {}
-
-    def data(n):
-        if n not in cache:
-            fm = ModuleMap(f.source.term(n), f.target.term(n), f.component(n))
-            cache[n] = modules.cokernel(fm)
-        return cache[n]
+    data = _per_block(f, modules.cokernel)
 
     def diff_fn(n):
         rhs = (data(n - 1)[1].matrix @ f.target.diff(n)) % p

@@ -75,17 +75,9 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
     else:
         raise ValueError(f"unknown stable side {side!r}")
 
-    L = solver._common_period(X, Y)
     for m in range(1, options.homotopy_period_bound + 1):
-        if X.bounded() or Y.bounded():
-            B = X if X.bounded() else Y
-            lo, hi, fold = min(B.lo - 1, 0), max(B.hi + 1, 0), 0
-        else:
-            P = m * L
-            lo = min(X.lo, Y.lo, 0) - P
-            hi = max(X.hi, Y.hi, 0) + P
-            fold = P
-        sys = solver.chain_map_system(X, Y, lo, hi, fold, {"aux": aux})
+        sys = solver.graded_system(X, Y, 0, *solver.window(X, Y, (), m, 1, around=(0,)),
+                                   extras={"aux": aux})
         if side == "omega":
             sys.add_equation((phi.matrix @ sx_map.matrix) % p, [
                 (sy_map.matrix, 0, None),
@@ -98,7 +90,7 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
             ], (SX, Y.term(0)))
         comps = sys.solve()
         if comps is None:
-            if fold == 0:
+            if not sys.fold:
                 break
             continue
         f = chain_map(X, Y, *sys.graded(comps))
@@ -110,7 +102,7 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
             ok = homotopy.factors_through_injective(ModuleMap(SX, SY, diff))
         if ok:
             return f
-        if fold == 0:
+        if not sys.fold:
             break
     raise LiftError("PERIODIC-CLOSURE-FAILED: no stable lift within "
                     f"homotopy_period_bound={options.homotopy_period_bound}")

@@ -20,12 +20,32 @@ from .errors import ParseError
 from .modules import Module
 
 
-def _mat(data, p: int) -> np.ndarray:
-    return np.asarray(data, dtype=np.int64) % p
-
-
 def _fail(msg: str, path: str | None = None) -> ParseError:
     return ParseError(msg, line=1, column=1, path=path)
+
+
+def _int(value, field: str, path=None) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise _fail(f"field {field!r} must be an integer, not {value!r}", path) from None
+
+
+def _mat(data, p: int, field: str, path=None) -> np.ndarray:
+    try:
+        return np.asarray(data, dtype=np.int64) % p
+    except (TypeError, ValueError):
+        raise _fail(f"field {field!r} must be a rectangular integer array", path) from None
+
+
+def _list(doc: dict, field: str, path=None) -> list:
+    if not isinstance(doc[field], list):
+        raise _fail(f"field {field!r} must be a list", path)
+    return doc[field]
+
+
+def _ints(doc: dict, field: str, path=None) -> tuple:
+    return tuple(_int(i, field, path) for i in _list(doc, field, path))
 
 
 def load_json(path: str) -> dict:
@@ -57,19 +77,20 @@ _ALGEBRA_INTERN: dict = {}
 
 def algebra_from_doc(doc: dict, path=None) -> Algebra:
     _require(doc, ("p", "basis", "mul", "unit", "idempotents", "radical"), path)
-    p = int(doc["p"])
-    key = (p, _mat(doc["mul"], p).tobytes(), _mat(doc["unit"], p).tobytes(),
-           tuple(doc["idempotents"]), tuple(doc["radical"]))
+    p = _int(doc["p"], "p", path)
+    mul, unit = _mat(doc["mul"], p, "mul", path), _mat(doc["unit"], p, "unit", path)
+    idempotents, radical = _ints(doc, "idempotents", path), _ints(doc, "radical", path)
+    key = (p, mul.tobytes(), unit.tobytes(), idempotents, radical)
     if key in _ALGEBRA_INTERN:
         return _ALGEBRA_INTERN[key]
     alg = Algebra(
         field=Field(p),
-        dim=len(doc["basis"]),
+        dim=len(_list(doc, "basis", path)),
         basis_labels=tuple(doc["basis"]),
-        mul=_mat(doc["mul"], p),
-        unit=_mat(doc["unit"], p),
-        idempotents=tuple(doc["idempotents"]),
-        radical_basis=tuple(doc["radical"]),
+        mul=mul,
+        unit=unit,
+        idempotents=idempotents,
+        radical_basis=radical,
         name=doc.get("name", path or "algebra"),
     )
     alg.validate()
@@ -116,8 +137,8 @@ def module_from_doc(doc: dict, path=None) -> Module:
     _require(doc, ("algebra", "dim", "action"), path)
     alg = load_algebra(doc["algebra"], path)
     p = alg.field.p
-    mod = Module(alg, int(doc["dim"]),
-                 tuple(_mat(m, p) for m in doc["action"]),
+    mod = Module(alg, _int(doc["dim"], "dim", path),
+                 tuple(_mat(m, p, "action", path) for m in _list(doc, "action", path)),
                  name=doc.get("name", path or "module"))
     mod.validate()
     return mod
@@ -142,27 +163,28 @@ def _tail_from_doc(doc, alg, path):
         return None, None
     _require(doc, ("period", "terms", "diffs"), path)
     p = alg.field.p
-    terms = tuple(load_module(t, path) for t in doc["terms"])
-    diffs = tuple(_mat(d, p) for d in doc["diffs"])
-    seam = _mat(doc["seam"], p) if "seam" in doc else None
-    if len(terms) != doc["period"] or len(diffs) != doc["period"]:
+    period = _int(doc["period"], "period", path)
+    terms = tuple(load_module(t, path) for t in _list(doc, "terms", path))
+    diffs = tuple(_mat(d, p, "diffs", path) for d in _list(doc, "diffs", path))
+    seam = _mat(doc["seam"], p, "seam", path) if "seam" in doc else None
+    if len(terms) != period or len(diffs) != period:
         raise _fail("tail terms/diffs length must equal the period", path)
-    return Tail(int(doc["period"]), terms, diffs), seam
+    return Tail(period, terms, diffs), seam
 
 
 def complex_from_doc(doc: dict, path=None) -> Complex:
     _require(doc, ("window",), path)
     win = doc["window"]
     _require(win, ("lo", "hi", "terms", "diffs"), path)
-    lo, hi = int(win["lo"]), int(win["hi"])
-    terms = [load_module(t, path) for t in win["terms"]]
+    lo, hi = _int(win["lo"], "lo", path), _int(win["hi"], "hi", path)
+    terms = [load_module(t, path) for t in _list(win, "terms", path)]
     if len(terms) != hi - lo + 1:
         raise _fail("window terms must cover lo..hi", path)
     if not terms:
         raise _fail("empty window", path)
     alg = terms[0].algebra
     p = alg.field.p
-    diffs = [_mat(d, p) for d in win["diffs"]]
+    diffs = [_mat(d, p, "diffs", path) for d in _list(win, "diffs", path)]
     if len(diffs) != max(hi - lo, 0):
         raise _fail("window needs one differential per adjacent pair", path)
     neg_tail, neg_seam = _tail_from_doc(doc.get("neg_tail"), alg, path)
@@ -210,15 +232,16 @@ def chain_map_from_doc(doc: dict, path=None) -> ChainMap:
     src = load_complex(doc["source"], path)
     tgt = load_complex(doc["target"], path)
     p = src.algebra.p
-    comps = {int(n): _mat(m, p) for n, m in doc["components"].items()}
+    comps = {_int(n, "components", path): _mat(m, p, "components", path)
+             for n, m in doc["components"].items()}
     neg = pos = None
     tails = doc.get("tail_components") or {}
     if "neg" in tails:
-        neg = (int(tails["neg"]["period"]),
-               tuple(_mat(b, p) for b in tails["neg"]["blocks"]))
+        neg = (_int(tails["neg"]["period"], "period", path),
+               tuple(_mat(b, p, "blocks", path) for b in _list(tails["neg"], "blocks", path)))
     if "pos" in tails:
-        pos = (int(tails["pos"]["period"]),
-               tuple(_mat(b, p) for b in tails["pos"]["blocks"]))
+        pos = (_int(tails["pos"]["period"], "period", path),
+               tuple(_mat(b, p, "blocks", path) for b in _list(tails["pos"], "blocks", path)))
     degs = sorted(comps) or [0]
     return chain_map(src, tgt, comps, degs[0], degs[-1], neg, pos)
 

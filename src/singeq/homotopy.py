@@ -7,6 +7,10 @@ periodic-ansatz search otherwise.  null_homotopies decides a list of maps
 with one source and one target; on the bounded side it solves them all in
 one elimination.  UNKNOWN is a value, never upgraded.
 
+The bounded solve and the periodic search both solve d s + s d = f in
+the system solver.graded_system builds with shift 1, on the window that
+solver.window gives with pad 2.
+
 Each certificate is checked once, and the verdict follows the check: a
 YES carries a certificate whose check passed (checked=True), and a found
 witness whose check fails gives UNKNOWN.  verify_certificate checks a
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functors, linalg, modules
-# compose is unused here but stays importable as homotopy.compose, which
-# perfbench/selftest.py uses to test the tracer's alias rebinding
+# compose and FoldedSystem are unused here but stay importable from here,
+# which perfbench/selftest.py uses to test the tracer's alias rebinding
 from .complexes import (ChainMap, Complex, Homotopy, _first_failure,  # noqa: F401
                         _from_tables, _intertwining, _lcm, _map_profile,
                         _per_degree, _Range, _sample, _wrong_shape,
@@ -29,7 +33,7 @@ from .complexes import (ChainMap, Complex, Homotopy, _first_failure,  # noqa: F4
                         compose, cone, identity_chain_map, is_exact)
 from .config import Options
 from .errors import ValidationError
-from .solver import FoldedSystem, solve_module_map
+from .solver import FoldedSystem, graded_system, solve_module_map, window  # noqa: F401
 
 YES = "YES"
 NO = "NO"
@@ -154,53 +158,22 @@ def _verify_inverse_payload(payload: dict) -> bool:
             and verify_null_homotopy(minus_id(g, f, Y), hY))
 
 
-def _homotopy_system(maps: list, lo: int, hi: int, fold: int,
-                     eq_lo: int, eq_hi: int) -> FoldedSystem:
-    """d s + s d = f for each f of maps (one source, one target), one
-    stacked right-hand side per map."""
+def _homotopies(maps: list, m: int) -> list:
+    """Null-homotopy per chain map of maps (one source, one target), or
+    None, from one elimination on window(..., m, 2); each is the homotopy
+    the map's own solve gives.  Complete when a side is bounded."""
     X, Y = maps[0].source, maps[0].target
-    Xb, Yb = X._blocks, Y._blocks
-    blocks = {n: (X.term(n), Y.term(n + 1)) for n in range(lo, hi + 1)}
-    sys = FoldedSystem(X.algebra.p, blocks, lo, hi, fold, width=len(maps))
-    eqs = range(eq_lo, eq_hi + 1)
-    for n, (x, dX), (y, _), (_, dY), *rhs in zip(
-            eqs, Xb.on(eqs), Yb.on(eqs), Yb.on([n + 1 for n in eqs]),
-            *(f._blocks.on(eqs) for f in maps)):
-        # one map: its matrix itself, without the copy np.stack makes
-        sys.add_equation(np.stack(rhs) if len(rhs) > 1 else rhs[0],
-                         [(dY, n, None), (None, n - 1, dX)], (x, y))
-    return sys
-
-
-def _solve_bounded(maps: list) -> list:
-    """Homotopy per map, None where there is none, from one elimination;
-    each is the homotopy the map's own solve gives."""
-    X, Y = maps[0].source, maps[0].target
-    blo, bhi = (X.lo, X.hi) if X.bounded() else (Y.lo, Y.hi)
-    lo, hi = blo - 2, bhi + 2
-    sys = _homotopy_system(maps, lo, hi, 0, lo, hi)
+    sys = graded_system(X, Y, 1, *window(X, Y, maps, m, 2), maps)
     return [None if comps is None else Homotopy(X, Y, *sys.graded(comps))
             for comps in sys.solve_each()]
 
 
 def search_periodic_homotopy(f: ChainMap, m: int):
-    """Homotopy whose tails have period m * lcm of the tail periods, or None."""
-    X, Y = f.source, f.target
-    L = _lcm([X.neg_period, X.pos_period, Y.neg_period, Y.pos_period,
-              f.neg_period, f.pos_period])
-    P = max(1, m) * L
-    lo = min(X.lo, Y.lo, f.clo) - P
-    hi = max(X.hi, Y.hi, f.chi) + P
-    sys = _homotopy_system([f], lo, hi, P, lo - P, hi + P)
-    comps = sys.solve()
-    if comps is None:
-        return None
-    s = Homotopy(f.source, f.target, *sys.graded(comps))
-    return s if verify_null_homotopy(f, s) else None
-
-
-def _gorenstein_dim(algebra, options: Options):
-    return modules.gorenstein_dimension(algebra, options.gorenstein_bound)
+    """Homotopy whose tails have period m * lcm of the tail periods, or
+    None; it is checked before it is returned.  When a side is bounded
+    this is the complete bounded solve, whatever m."""
+    s = _homotopies([f], m)[0]
+    return s if s is not None and verify_null_homotopy(f, s) else None
 
 
 def _in_class(M: modules.Module, which: str) -> bool:
@@ -276,7 +249,7 @@ def null_homotopies(maps: list, options: Options = Options()) -> list:
         raise ValueError("maps do not share one source and one target")
     if not (X.bounded() or Y.bounded()):
         return [_null_homotopy_unbounded(f, options) for f in maps]
-    found = _solve_bounded(maps)
+    found = _homotopies(maps, 0)
     pairs = [(f, s) for f, s in zip(maps, found) if s is not None]
     ok = bool(pairs) and verify_null_homotopy(*pairs[0], *pairs[1:])
     out = []
@@ -295,7 +268,7 @@ def null_homotopies(maps: list, options: Options = Options()) -> list:
 def _null_homotopy_unbounded(f: ChainMap, options: Options) -> NullHomotopyResult:
     X, Y = f.source, f.target
     stable_applies = (
-        _gorenstein_dim(X.algebra, options) is not None
+        modules.gorenstein_dimension(X.algebra, options.gorenstein_bound) is not None
         and is_exP(X, options) and is_exP(Y, options)
     )
     if stable_applies and not stably_zero(f):

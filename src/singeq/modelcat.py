@@ -46,6 +46,11 @@ class GeneratorFamily:
     # sides, as complete resolutions over a self-injective algebra do
     injective: GeneratorFamily | None = None
 
+    def __post_init__(self):
+        # a negative range has no shifts and would certify any orthogonality
+        if self.shift_range < 0:
+            raise ValidationError(f"shift_range {self.shift_range} is negative")
+
     @cached_property
     def shifts(self) -> tuple:
         """T[k] for each generator T and k in -shift_range..shift_range."""
@@ -146,7 +151,7 @@ def default_family(algebra, options: Options = Options()) -> GeneratorFamily:
 
         def family(alg, resolve, injective=None):
             return GeneratorFamily(tuple(
-                resolve(modules.syzygy(S, d), options.periodicity_bound, options)[0]
+                resolve(modules.syzygy(S, d), options)[0]
                 for S in loose(alg)), options.shift_range, injective)
 
         if d == 0:

@@ -528,15 +528,20 @@ class SplitClass(NamedTuple):
 
 
 def _one_sided_inverse(f: ModuleMap, side: str):
-    """Matrix of a section (f s = id) or retraction (r f = id), or None."""
+    """Matrix of a section (f s = id) or retraction (r f = id), or None.
+
+    f s and r f are endomorphisms of M, the target of f for a section and
+    its source for a retraction, so the equation is written at the pivot
+    entries of End(M) only (hom_pivots): row-equivalent to all entries."""
     p = f.source.algebra.p
     section = side == "section"
     H = hom_stack(f.target, f.source)
     if not len(H):
         return None
-    mats = f.matrix @ H if section else H @ f.matrix
-    dim = f.target.dim if section else f.source.dim
-    lam = linalg.solve(mats.reshape(len(H), -1).T % p, linalg.eye(dim).reshape(-1), p)
+    M = f.target if section else f.source
+    rows = hom_pivots(M, M)
+    mats = (f.matrix @ H if section else H @ f.matrix).reshape(len(H), -1)
+    lam = linalg.solve(mats[:, rows].T % p, linalg.eye(M.dim).reshape(-1)[rows], p)
     h, t, s = H.shape
     return None if lam is None else (lam @ H.reshape(h, t * s)).reshape(t, s) % p
 

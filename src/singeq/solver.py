@@ -28,6 +28,10 @@ of each homotopy found, and a failed check gives UNKNOWN.
 The system is row-reduced over F_p and solutions are unpacked to the
 matrices sum c_j H_j.  This is the engine behind null-homotopy search,
 chain-map space bases, periodic lifting and module factorizations.
+
+Every system of graded maps between two complexes, chain maps (shift 0)
+and null-homotopies (shift 1), is written by graded_system on the window
+and fold that window decides.
 """
 
 from __future__ import annotations
@@ -194,32 +198,39 @@ def solve_module_map(pairs: list, rhs: np.ndarray, terms: list, pair: tuple):
     return None if sol is None else sol[0]
 
 
-def _common_period(X: Complex, Y: Complex, *maps) -> int:
-    periods = [X.neg_period, X.pos_period, Y.neg_period, Y.pos_period]
-    for f in maps:
-        periods += [f.neg_period, f.pos_period]
-    return _lcm(periods)
+def window(X: Complex, Y: Complex, maps, m: int, pad: int, around=()) -> tuple:
+    """(lo, hi, fold) of a graded-map system X -> Y: the window of the
+    first bounded one of X and Y widened by pad, unfolded and so complete;
+    else the hull of the windows of X, Y and the maps widened by
+    P = max(1, m) * lcm of all their tail periods, folded with period P.
+    It also contains the degrees of around."""
+    B = X if X.bounded() else Y if Y.bounded() else None
+    if B is not None:
+        return min([B.lo - pad, *around]), max([B.hi + pad, *around]), 0
+    P = max(1, m) * _lcm([q for Z in (X, Y, *maps) for q in (Z.neg_period, Z.pos_period)])
+    return (min(X.lo, Y.lo, *[f.clo for f in maps], *around) - P,
+            max(X.hi, Y.hi, *[f.chi for f in maps], *around) + P, P)
 
 
-def _bounded_side(X: Complex, Y: Complex):
-    """Window of the bounded complex, or None if both are unbounded."""
-    if X.bounded():
-        return X.lo, X.hi
-    if Y.bounded():
-        return Y.lo, Y.hi
-    return None
-
-
-def chain_map_system(X: Complex, Y: Complex, lo: int, hi: int, fold: int,
-                     extras: dict | None = None) -> FoldedSystem:
-    """Homogeneous system whose solutions are chain maps X -> Y."""
-    p = X.algebra.p
-    blocks = {n: (X.term(n), Y.term(n)) for n in range(lo, hi + 1)}
-    sys = FoldedSystem(p, blocks, lo, hi, fold, extras)
-    for n in range(lo - fold, hi + fold + 1):
-        rhs = linalg.zeros(Y.term(n - 1).dim, X.term(n).dim)
-        sys.add_equation(rhs, [(None, n - 1, X.diff(n)), ((-Y.diff(n)) % p, n, None)],
-                         (X.term(n), Y.term(n - 1)))
+def graded_system(X: Complex, Y: Complex, shift: int, lo: int, hi: int, fold: int,
+                  maps=(), extras: dict | None = None) -> FoldedSystem:
+    """System in maps u_n: X_n -> Y_{n+shift} on lo..hi, folded with
+    period fold, and the extras; one equation of maps X_n -> Y_{n+shift-1}
+    per degree n of lo - fold .. hi + fold.  shift 0: d u_n - u_{n-1} d = 0
+    (chain maps).  shift 1: d s_n + s_{n-1} d = f_n, one stacked right-hand
+    side per chain map f of maps (null-homotopies)."""
+    p, Xb, Yb = X.algebra.p, X._blocks, Y._blocks
+    blocks = {n: (X.term(n), Y.term(n + shift)) for n in range(lo, hi + 1)}
+    sys = FoldedSystem(p, blocks, lo, hi, fold, extras, width=max(1, len(maps)))
+    eqs = range(lo - fold, hi + fold + 1)
+    for n, (x, dX), (y, _), (_, dY), *rhs in zip(
+            eqs, Xb.on(eqs), Yb.on([n + shift - 1 for n in eqs]),
+            Yb.on([n + shift for n in eqs]), *(f._blocks.on(eqs) for f in maps)):
+        if not rhs:  # chain maps
+            rhs = [linalg.zeros(y.dim, x.dim)]
+        # one map: its matrix itself, without the copy np.stack makes
+        sys.add_equation(np.stack(rhs) if len(rhs) > 1 else rhs[0],
+                         [(dY, n, None), (None, n - 1, dX if shift else (-dX) % p)], (x, y))
     return sys
 
 
@@ -230,23 +241,11 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
     periodic-tailed maps with tail period map_period_bound * lcm of the
     tail periods, an explicit surrogate for the full hom space.
     """
-    bounded = _bounded_side(X, Y)
-    if bounded is not None:
-        blo, bhi = bounded
-        lo, hi, fold = blo - 1, bhi + 1, 0
-        complete = True
-    else:
-        L = _common_period(X, Y)
-        P = max(1, options.map_period_bound) * L
-        lo = min(X.lo, Y.lo) - P
-        hi = max(X.hi, Y.hi) + P
-        fold = P
-        complete = False
-    sys = chain_map_system(X, Y, lo, hi, fold)
+    sys = graded_system(X, Y, 0, *window(X, Y, (), options.map_period_bound, 1))
     basis = [ChainMap(X, Y, *sys.graded(comps)) for comps in sys.kernel()]
     if basis:
         basis[0].validate(*basis[1:])  # the whole basis in one stacked check
-    return basis, complete
+    return basis, not sys.fold
 
 
 def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
@@ -263,20 +262,9 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
         S, T = through.target, f.target
     else:
         raise ValueError(f"unknown factorization mode {mode!r}")
-    p = S.algebra.p
-    periods = [S.neg_period, S.pos_period, T.neg_period, T.pos_period,
-               f.neg_period, f.pos_period, through.neg_period, through.pos_period]
-    if S.bounded() or T.bounded():
-        B = S if S.bounded() else T
-        lo, hi, fold = B.lo - 1, B.hi + 1, 0
-    else:
-        P = max(1, options.map_period_bound) * _lcm(periods)
-        lo = min(S.lo, T.lo, f.clo, through.clo) - P
-        hi = max(S.hi, T.hi, f.chi, through.chi) + P
-        fold = P
-    sys = chain_map_system(S, T, lo, hi, fold)
-    pad = fold if fold else 1
-    for n in range(lo - pad, hi + pad + 1):
+    sys = graded_system(S, T, 0, *window(S, T, (f, through), options.map_period_bound, 1))
+    pad = sys.fold or 1
+    for n in range(sys.lo - pad, sys.hi + pad + 1):
         terms = [(through.component(n), n, None) if mode == "lift"
                  else (None, n, through.component(n))]
         sys.add_equation(f.component(n), terms, (f.source.term(n), f.target.term(n)))

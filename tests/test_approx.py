@@ -28,8 +28,8 @@ class TestGorenstein:
     def test_cached_dimension_honours_gorenstein_bound(self, T2):
         # T2 has Gorenstein dimension 1, so a bound of 0 finds none, also
         # after a call with the default bound
-        assert homotopy._gorenstein_dim(T2, Options()) == 1
-        assert homotopy._gorenstein_dim(T2, Options(gorenstein_bound=0)) is None
+        assert modules.gorenstein_dimension(T2, Options().gorenstein_bound) == 1
+        assert modules.gorenstein_dimension(T2, 0) is None
 
 
 class TestApproximationTriples:
@@ -64,7 +64,7 @@ class TestApproximationTriples:
 
 class TestCompleteResolution:
     def test_k_over_d2_gives_t_per_shape(self, k):
-        T, witness = approx.complete_resolution(k, 8)
+        T, witness = approx.complete_resolution(k)
         assert complexes.is_exact(T)
         assert T.neg_period == 1 and T.pos_period == 1
         for n in range(T.lo - 1, T.hi + 2):
@@ -75,14 +75,14 @@ class TestCompleteResolution:
         assert witness.is_invertible()
 
     def test_projective_input_gives_split_complex(self, A):
-        T, witness = approx.complete_resolution(A, 8)
+        T, witness = approx.complete_resolution(A)
         assert complexes.is_exact(T)
         assert T.bounded()
         assert witness.is_invertible()
 
     def test_k_over_f2_is_split(self):
         kF2 = fixtures.simple_k_F2()
-        T, _ = approx.complete_resolution(kF2, 8)
+        T, _ = approx.complete_resolution(kF2)
         assert complexes.is_exact(T)
         assert T.bounded()
 
@@ -91,9 +91,9 @@ class TestCompleteResolution:
         # projective; the right half runs along add(A)-approximations
         S1, S2 = simple_modules(triangular_d2())
         with pytest.raises(NotGorensteinError, match="not Gorenstein projective"):
-            approx.complete_resolution(S2, 8)
+            approx.complete_resolution(S2)
         for M in (S1, modules.syzygy(S2, 1)):
-            T, witness = approx.complete_resolution(M, 8)
+            T, witness = approx.complete_resolution(M)
             assert homotopy.is_exP(T) and witness.is_invertible()
             assert homotopy.null_homotopy(complexes.identity_chain_map(T)).verdict == NO
 

@@ -355,6 +355,27 @@ class TestTruncation:
             assert (split.upper.term(n).dim + split.lower.term(n).dim
                     == C.term(n).dim)
 
+    def test_kernel_and_cokernel_once_per_distinct_block(self, monkeypatch, t_per):
+        # x on T_per: one window block and one block per tail; the tails
+        # are sampled over several periods, each repeat the same objects
+        calls = []
+
+        def counting(name):
+            run = getattr(modules, name)
+            return lambda fm: calls.append(name) or run(fm)
+
+        for name in ("kernel", "cokernel"):
+            monkeypatch.setattr(modules, name, counting(name))
+        x = np.array([[0, 0], [1, 0]], dtype=np.int64)
+        f = complexes.chain_map_from_callable(t_per, t_per, 0, 0, lambda n: x, 1, 1)
+        K, incl = complexes.kernel_complex(f)
+        C, proj = cokernel_complex(f)
+        assert calls == ["kernel"] * 3 + ["cokernel"] * 3
+        for n in range(-3, 4):
+            assert K.term(n).dim == C.term(n).dim == 1
+            assert not ((f.component(n) @ incl.component(n)) % 2).any()
+            assert not ((proj.component(n) @ f.component(n)) % 2).any()
+
 
 class TestReindex:
     def test_stalk_shift(self, k):

@@ -234,6 +234,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ValidationError: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc", [
+        {"p": "x", "basis": ["1"], "mul": [[[1]]], "unit": [1], "idempotents": [0],
+         "radical": []},
+        {"algebra": "D2", "dim": "one", "action": [[[1]], [[0]]]},
+        {"p": 2, "basis": ["1", "x"], "mul": [[[1, 0], [0, 1]], [[0, 1]]], "unit": [1, 0],
+         "idempotents": [0], "radical": [1]},
+        {"p": 2, "basis": ["1"], "mul": [[[1]]], "unit": [1], "idempotents": [5],
+         "radical": []},
+    ], ids=["p", "dim", "ragged-mul", "idempotent-index"])
+    def test_65_malformed_document(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith(("parse error: " + str(bad), "error: ValidationError: "))
+
+    @pytest.mark.parametrize("family", [
+        {"generators": ["T_per"], "shift_range": -1},
+        {"generators": ["T_per"], "shift_range": "three"},
+        {"generators": "T_per"},
+    ], ids=["negative", "not-an-integer", "not-a-list"])
+    def test_65_malformed_family(self, tmp_path, capsys, family):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(family))
+        argv = ["classify", fx("xid.map"), "--structure", "ctr", "--family", str(path)]
+        assert main(argv) == 65
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_65_bad_period_bound_in_the_environment(self, monkeypatch, capsys, value):
         monkeypatch.setenv("GH_HOMOTOPY_PERIOD_BOUND", value)

@@ -57,7 +57,7 @@ def same_homotopy(s, t) -> bool:
             and all(np.array_equal(m, t.components[n]) for n, m in s.components.items()))
 
 
-def zero_homotopies(maps):
+def zero_homotopies(maps, m=0):
     """Stand-in for the bounded solve that finds a wrong homotopy: zero."""
     return [Homotopy(f.source, f.target, {}, 0, 0) for f in maps]
 
@@ -117,7 +117,7 @@ class TestNullHomotopies:
 
     def test_failed_check_gives_unknown(self, monkeypatch, contractible):
         f = identity_chain_map(contractible)
-        monkeypatch.setattr(homotopy, "_solve_bounded", zero_homotopies)
+        monkeypatch.setattr(homotopy, "_homotopies", zero_homotopies)
         res = homotopy.null_homotopy(f)
         assert res.verdict == UNKNOWN
         assert res.homotopy is None and res.certificate is None

@@ -11,6 +11,7 @@ import pytest
 from conftest import periodic_complex, triangular_d2, truncated_polynomial
 from singeq import complexes, fixtures, functors, homotopy, modelcat, modules, solver
 from singeq.config import Options
+from singeq.errors import ValidationError
 from singeq.complexes import identity_chain_map, reindex, zero_chain_map
 from singeq.homotopy import NO, UNKNOWN, YES
 from singeq.modelcat import CERTIFIED, REFUTED
@@ -94,10 +95,10 @@ class TestOrthogonality:
         assert homotopy.verify_certificate(res.certificate)
 
     def test_failed_check_gives_unknown(self, monkeypatch, A, fam):
-        def zero_homotopies(maps):
+        def zero_homotopies(maps, m):
             return [homotopy.Homotopy(f.source, f.target, {}, 0, 0) for f in maps]
 
-        monkeypatch.setattr(homotopy, "_solve_bounded", zero_homotopies)
+        monkeypatch.setattr(homotopy, "_homotopies", zero_homotopies)
         res = modelcat.orthogonal_certificate(functors.stalk(A), "left_of_exI", fam)
         assert res.verdict == UNKNOWN and res.certificate is None
 
@@ -184,6 +185,14 @@ class TestDefaultFamily:
 
 
 class TestClassifyMap:
+    def test_a_negative_shift_range_is_rejected(self, t_per, D2):
+        # with no shifts, every orthogonality would be certified vacuously
+        with pytest.raises(ValidationError, match="shift_range"):
+            modelcat.GeneratorFamily((t_per,), -1)
+        f = zero_chain_map(t_per, complexes.zero_complex(D2))
+        fam = modelcat.GeneratorFamily((t_per,), 1)
+        assert modelcat.classify_map(f, "ctr", fam).trivial_fibration.verdict == NO
+
     def test_zero_to_t_per_ctr(self, t_per, D2, fam):
         f = zero_chain_map(complexes.zero_complex(D2), t_per)
         cls = modelcat.classify_map(f, "ctr", fam)

@@ -126,6 +126,35 @@ class TestSplitClass:
         assert cls.is_projective and not cls.is_injective
 
 
+def full_row_inverse(f, side):
+    """modules._one_sided_inverse solved on every entry of the identity,
+    not only on the pivot entries of End(M)."""
+    p = f.source.algebra.p
+    section = side == "section"
+    H = modules.hom_stack(f.target, f.source)
+    if not len(H):
+        return None
+    mats = f.matrix @ H if section else H @ f.matrix
+    dim = f.target.dim if section else f.source.dim
+    lam = linalg.solve(mats.reshape(len(H), -1).T % p, linalg.eye(dim).reshape(-1), p)
+    h, t, s = H.shape
+    return None if lam is None else (lam @ H.reshape(h, t * s)).reshape(t, s) % p
+
+
+def test_one_sided_inverse_matches_the_full_row_solve(duality_algebra):
+    rng = random.Random(9)
+    outcomes = set()
+    for _ in range(16):
+        M = random_module(rng, duality_algebra)
+        for f, side in ((modules.projective_cover(M)[1], "section"),
+                        (modules.injective_envelope(M)[1], "retraction")):
+            ours, full = modules._one_sided_inverse(f, side), full_row_inverse(f, side)
+            assert (ours is None) == (full is None)
+            assert ours is None or np.array_equal(ours, full)
+            outcomes.add(ours is None)
+    assert outcomes == {True, False}
+
+
 class TestSyzygy:
     def test_first_syzygy_of_k(self, k):
         assert modules.find_isomorphism(modules.syzygy(k, 1), k) is not None

@@ -278,3 +278,72 @@ def test_chain_map_space_dimensions_over_truncated_polynomials(n):
             basis, complete = solver.chain_map_space_basis(T[i], complexes.reindex(T[j], s))
             assert not complete
             assert len(basis) == dim, (i, j, s)
+
+
+class TestWindow:
+    """solver.window reproduces the window each system was built on
+    before it decided them all."""
+
+    @staticmethod
+    def periods(*objects):
+        return complexes._lcm([q for Z in objects for q in (Z.neg_period, Z.pos_period)])
+
+    def chain_maps(self, X, Y, m):  # chain_map_space_basis
+        if X.bounded() or Y.bounded():
+            B = X if X.bounded() else Y
+            return B.lo - 1, B.hi + 1, 0
+        P = max(1, m) * self.periods(X, Y)
+        return min(X.lo, Y.lo) - P, max(X.hi, Y.hi) + P, P
+
+    def factor(self, S, T, f, through, m):  # factor_chain_map
+        if S.bounded() or T.bounded():
+            B = S if S.bounded() else T
+            return B.lo - 1, B.hi + 1, 0
+        P = max(1, m) * self.periods(S, T, f, through)
+        return (min(S.lo, T.lo, f.clo, through.clo) - P,
+                max(S.hi, T.hi, f.chi, through.chi) + P, P)
+
+    def homotopies(self, f, m):  # the bounded solve (m = 0) and the periodic search
+        X, Y = f.source, f.target
+        if X.bounded() or Y.bounded():
+            B = X if X.bounded() else Y
+            return B.lo - 2, B.hi + 2, 0
+        P = max(1, m) * self.periods(X, Y, f)
+        return min(X.lo, Y.lo, f.clo) - P, max(X.hi, Y.hi, f.chi) + P, P
+
+    def stable_lift(self, X, Y, m):  # equiv.lift_stable_map
+        if X.bounded() or Y.bounded():
+            B = X if X.bounded() else Y
+            return min(B.lo - 1, 0), max(B.hi + 1, 0), 0
+        P = m * self.periods(X, Y)
+        return min(X.lo, Y.lo, 0) - P, max(X.hi, Y.hi, 0) + P, P
+
+    def cases(self, t_per, k, contractible):
+        D4 = periodic_complex(truncated_polynomial(4, 2), 1)
+        return [t_per, complexes.reindex(t_per, 3), complexes.reindex(t_per, -4),
+                functors.stalk(k), complexes.reindex(functors.stalk(k), 3),
+                complexes.reindex(contractible, -5), D4, complexes.reindex(D4, 5)]
+
+    def test_every_caller_keeps_its_window(self, t_per, k, contractible):
+        cxs = self.cases(t_per, k, contractible)
+        seen = set()
+        for X in cxs:
+            for Y in cxs:
+                if X.algebra is not Y.algebra:
+                    continue
+                # maps with a window and tail period of their own
+                f = complexes.chain_map_from_callable(
+                    X, Y, min(X.lo, Y.lo) - 3, max(X.hi, Y.hi) + 2,
+                    lambda n: linalg.zeros(Y.term(n).dim, X.term(n).dim), 3, 3)
+                g = complexes.zero_chain_map(X, Y)
+                for m in (0, 1, 2):
+                    w = solver.window(X, Y, (), m, 1)
+                    assert w == self.chain_maps(X, Y, m)
+                    assert solver.window(X, Y, (f, g), m, 1) == self.factor(X, Y, f, g, m)
+                    assert solver.window(X, Y, (f,), m, 2) == self.homotopies(f, m)
+                    if m:
+                        around = solver.window(X, Y, (), m, 1, around=(0,))
+                        assert around == self.stable_lift(X, Y, m)
+                        seen.add((bool(w[2]), not w[0] <= 0 <= w[1]))
+        # bounded and unbounded, each also with degree 0 outside the window
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}

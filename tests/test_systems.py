@@ -217,15 +217,13 @@ def systems(X, Y):
     if bounded:
         B = X if X.bounded() else Y
         lo, hi, fold = B.lo - 2, B.hi + 2, 0
-        eq_lo, eq_hi = lo, hi
     else:
         fold = 2
         lo, hi = min(X.lo, Y.lo) - fold, max(X.hi, Y.hi) + fold
-        eq_lo, eq_hi = lo - fold, hi + fold
     basis, _ = solver.chain_map_space_basis(X, Y)
-    out = [solver.chain_map_system(X, Y, lo, hi, fold)]
+    out = [solver.graded_system(X, Y, 0, lo, hi, fold)]
     if basis:
-        out.append(homotopy._homotopy_system(basis, lo, hi, fold, eq_lo, eq_hi))
+        out.append(solver.graded_system(X, Y, 1, lo, hi, fold, basis))
     return out
 
 
@@ -248,7 +246,7 @@ def test_d4_homotopy_system_writes_four_rows_per_equation():
     alg = truncated_polynomial(4, 2)
     X = periodic_complex(alg, 1)
     f = identity_chain_map(X)
-    sys_ = homotopy._homotopy_system([f], -2, 3, 2, -4, 5)
+    sys_ = solver.graded_system(X, X, 1, -2, 3, 2, [f])
     assert len(sys_.rows) == 10
     # Hom(A, A) over D4 has dimension 4; the matrices have 16 entries
     assert {block.shape for block in sys_.rows} == {(4, sys_.total)}
