@@ -271,7 +271,8 @@ class Complex:
 
     @cached_property
     def _membership(self) -> dict:
-        """exP / exI verdicts, filled by homotopy.is_exP and is_exI."""
+        """Verdicts decided once per complex: "exact" (is_exact), and
+        "proj" / "inj" (homotopy.is_exP / is_exI), which share it."""
         return {}
 
     def term(self, n: int) -> Module:
@@ -675,8 +676,13 @@ def is_exact(X: Complex) -> bool:
     """H_n = 0 on the window widened by one tail period and one degree.
 
     H_n = 0 iff rank d_n + rank d_{n+1} = dim X_n, given d_n d_{n+1} = 0,
-    which is checked first (stacked) as homology_data checks it.
+    which is checked first (stacked) as homology_data checks it.  The
+    verdict is memoized on X; a failing d_n d_{n+1} = 0 raises on every
+    call.
     """
+    memo = X._membership
+    if "exact" in memo:
+        return memo["exact"]
     a = X.lo - max(X.neg_period, 1) - 1
     b = X.hi + max(X.pos_period, 1) + 1
     p = X.algebra.p
@@ -693,7 +699,9 @@ def is_exact(X: Complex) -> bool:
     for _, d in B.data:
         if id(d) not in rank:
             rank[id(d)] = linalg.rank(d, p)
-    return all(rank[id(d0)] + rank[id(d1)] == t.dim for _, (t, d0), (_, d1) in rows)
+    memo["exact"] = all(rank[id(d0)] + rank[id(d1)] == t.dim
+                        for _, (t, d0), (_, d1) in rows)
+    return memo["exact"]
 
 
 def reindex(X: Complex, k: int) -> Complex:
@@ -749,20 +757,24 @@ def cone(f: ChainMap) -> Complex:
     hi = max(X.hi + 1, Y.hi, f.chi + 1)
     nq = _lcm([X.neg_period, Y.neg_period, f.neg_period])
     pq = _lcm([X.pos_period, Y.pos_period, f.pos_period])
-    cache = {}
+    # built once per distinct block: the tables share these objects across
+    # the periodic repeats that complex_from_callable samples
+    memo = {}
 
     def term_fn(n):
-        if n not in cache:
-            cache[n] = modules.direct_sum([X.term(n - 1), Y.term(n)])[0]
-        return cache[n]
+        x, y = X.term(n - 1), Y.term(n)
+        key = (id(x), id(y))
+        if key not in memo:
+            memo[key] = modules.direct_sum([x, y])[0]
+        return memo[key]
 
     def diff_fn(n):
-        dX = X.diff(n - 1)
-        dY = Y.diff(n)
-        fn = f.component(n - 1)
-        top = np.hstack([(-dX) % p, linalg.zeros(dX.shape[0], dY.shape[1])])
-        bot = np.hstack([fn, dY])
-        return np.vstack([top, bot]) % p
+        dX, dY, fn = X.diff(n - 1), Y.diff(n), f.component(n - 1)
+        key = (id(dX), id(dY), id(fn))
+        if key not in memo:
+            top = np.hstack([(-dX) % p, linalg.zeros(dX.shape[0], dY.shape[1])])
+            memo[key] = np.vstack([top, np.hstack([fn, dY])]) % p
+        return memo[key]
 
     return complex_from_callable(X.algebra, lo, hi, term_fn, diff_fn,
                                  nq if nq > 0 else 0, pq if pq > 0 else 0)

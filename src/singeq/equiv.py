@@ -18,7 +18,7 @@ from . import approx, functors, homotopy, linalg, modelcat, modules, solver
 from .complexes import ChainMap, Complex, chain_map, compose
 from .config import Options
 from .errors import LiftError, ValidationError
-from .homotopy import UNKNOWN, YES, Certificate
+from .homotopy import UNKNOWN, Certificate
 from .modelcat import GeneratorFamily
 from .modules import ModuleMap
 

@@ -31,11 +31,14 @@ def _int(value, field: str, path=None) -> int:
         raise _fail(f"field {field!r} must be an integer, not {value!r}", path) from None
 
 
-def _mat(data, p: int, field: str, path=None) -> np.ndarray:
+def _mat(data, p: int, field: str, path=None, shape=None) -> np.ndarray:
+    """An integer array mod p.  A matrix with no entries is written [],
+    which loads with shape (0,); given its shape, it gets that shape."""
     try:
-        return np.asarray(data, dtype=np.int64) % p
+        m = np.asarray(data, dtype=np.int64) % p
     except (TypeError, ValueError):
         raise _fail(f"field {field!r} must be a rectangular integer array", path) from None
+    return m.reshape(shape) if shape is not None and m.size == 0 and 0 in shape else m
 
 
 def _list(doc: dict, field: str, path=None) -> list:
@@ -137,8 +140,9 @@ def module_from_doc(doc: dict, path=None) -> Module:
     _require(doc, ("algebra", "dim", "action"), path)
     alg = load_algebra(doc["algebra"], path)
     p = alg.field.p
-    mod = Module(alg, _int(doc["dim"], "dim", path),
-                 tuple(_mat(m, p, "action", path) for m in _list(doc, "action", path)),
+    dim = _int(doc["dim"], "dim", path)
+    mod = Module(alg, dim, tuple(_mat(m, p, "action", path, (dim, dim))
+                                 for m in _list(doc, "action", path)),
                  name=doc.get("name", path or "module"))
     mod.validate()
     return mod
@@ -184,9 +188,10 @@ def complex_from_doc(doc: dict, path=None) -> Complex:
         raise _fail("empty window", path)
     alg = terms[0].algebra
     p = alg.field.p
-    diffs = [_mat(d, p, "diffs", path) for d in _list(win, "diffs", path)]
-    if len(diffs) != max(hi - lo, 0):
+    raw = _list(win, "diffs", path)
+    if len(raw) != max(hi - lo, 0):
         raise _fail("window needs one differential per adjacent pair", path)
+    diffs = [_mat(d, p, "diffs", path, (t.dim, s.dim)) for d, t, s in zip(raw, terms, terms[1:])]
     neg_tail, neg_seam = _tail_from_doc(doc.get("neg_tail"), alg, path)
     pos_tail, pos_seam = _tail_from_doc(doc.get("pos_tail"), alg, path)
     return Complex.build(
@@ -232,8 +237,10 @@ def chain_map_from_doc(doc: dict, path=None) -> ChainMap:
     src = load_complex(doc["source"], path)
     tgt = load_complex(doc["target"], path)
     p = src.algebra.p
-    comps = {_int(n, "components", path): _mat(m, p, "components", path)
-             for n, m in doc["components"].items()}
+    comps = {}
+    for key, m in doc["components"].items():
+        n = _int(key, "components", path)
+        comps[n] = _mat(m, p, "components", path, (tgt.term(n).dim, src.term(n).dim))
     neg = pos = None
     tails = doc.get("tail_components") or {}
     if "neg" in tails:

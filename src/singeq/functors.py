@@ -9,11 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg, modules
 from .complexes import ChainMap, Complex, chain_map
-from .config import Options
 from .errors import ValidationError
 from .modules import Module, ModuleMap
 

@@ -4,12 +4,15 @@ Three strategies decide whether a chain map is null-homotopic: a complete
 finite solve when one side is bounded, the stable syzygy criterion for
 totally acyclic complexes of projectives over a Gorenstein algebra, and a
 periodic-ansatz search otherwise.  null_homotopies decides a list of maps
-with one source and one target; on the bounded side it solves them all in
-one elimination.  UNKNOWN is a value, never upgraded.
+with one source and one target jointly: the bounded solve, and each round
+m of the periodic search, is one elimination per window for all the maps
+still open, and what it finds is checked in one stacked call.  UNKNOWN is
+a value, never upgraded.
 
 The bounded solve and the periodic search both solve d s + s d = f in
 the system solver.graded_system builds with shift 1, on the window that
-solver.window gives with pad 2.
+solver.window gives with pad 2.  search_periodic_homotopy is one round of
+the search for one map.
 
 Each certificate is checked once, and the verdict follows the check: a
 YES carries a certificate whose check passed (checked=True), and a found
@@ -234,57 +237,56 @@ def null_homotopies(maps: list, options: Options = Options()) -> list:
     """NullHomotopyResult per chain map of maps, which share one source and
     one target.
 
-    Bounded side: one homotopy system with a right-hand side per map and
-    one elimination, which decides each map on its own: a map gets exactly
-    the homotopy, or the NO, its own solve gives.  All homotopies found
-    are checked in one stacked verify_null_homotopy call; if it fails
-    they give UNKNOWN.  Unbounded:
-    map by map, the stable criterion and then the periodic search, which
-    checks what it finds.
+    Each system has a right-hand side per map and one elimination, which
+    decides each map on its own: a map gets exactly the homotopy, or the
+    NO, its own solve gives.  The homotopies found by one round are checked
+    in one stacked verify_null_homotopy call.  Bounded side: one complete
+    solve, and if the check fails the homotopies give UNKNOWN.  Unbounded:
+    the stable criterion on each map, then for m = 1..homotopy_period_bound
+    one periodic solve per group of open maps that share their own window
+    (a map whose tails are zero has period 0 and a narrower fold); if the
+    stacked check fails the pairs are checked one by one, and a map whose
+    pair fails stays open for the next m.
     """
     if not maps:
         return []
     X, Y = maps[0].source, maps[0].target
     if any(f.source is not X or f.target is not Y for f in maps):
         raise ValueError("maps do not share one source and one target")
-    if not (X.bounded() or Y.bounded()):
-        return [_null_homotopy_unbounded(f, options) for f in maps]
-    found = _homotopies(maps, 0)
-    pairs = [(f, s) for f, s in zip(maps, found) if s is not None]
-    ok = bool(pairs) and verify_null_homotopy(*pairs[0], *pairs[1:])
-    out = []
-    for f, s in zip(maps, found):
-        if s is None:
-            out.append(NullHomotopyResult(NO, strategy="bounded"))
-        elif not ok:
-            out.append(NullHomotopyResult(UNKNOWN, strategy="bounded"))
-        else:
-            cert = Certificate("null-homotopy", {"map": f, "homotopy": s},
-                               checked=True)
-            out.append(NullHomotopyResult(YES, s, cert, strategy="bounded"))
-    return out
-
-
-def _null_homotopy_unbounded(f: ChainMap, options: Options) -> NullHomotopyResult:
-    X, Y = f.source, f.target
-    stable_applies = (
-        modules.gorenstein_dimension(X.algebra, options.gorenstein_bound) is not None
-        and is_exP(X, options) and is_exP(Y, options)
-    )
-    if stable_applies and not stably_zero(f):
-        return NullHomotopyResult(NO, strategy="stable")
-
+    if X.bounded() or Y.bounded():
+        found = _homotopies(maps, 0)
+        pairs = [(f, s) for f, s in zip(maps, found) if s is not None]
+        ok = bool(pairs) and verify_null_homotopy(*pairs[0], *pairs[1:])
+        return [NullHomotopyResult(NO, strategy="bounded") if s is None
+                else _found(f, s, "bounded") if ok
+                else NullHomotopyResult(UNKNOWN, strategy="bounded")
+                for f, s in zip(maps, found)]
+    stable = (modules.gorenstein_dimension(X.algebra, options.gorenstein_bound) is not None
+              and is_exP(X, options) and is_exP(Y, options))
+    out = [NullHomotopyResult(NO, strategy="stable") if stable and not stably_zero(f)
+           else None for f in maps]
     for m in range(1, options.homotopy_period_bound + 1):
-        s = search_periodic_homotopy(f, m)
-        if s is not None:
-            # already verified inside the search
-            cert = Certificate("null-homotopy", {"map": f, "homotopy": s},
-                               checked=True)
-            strategy = "stable+periodic" if stable_applies else "periodic"
-            return NullHomotopyResult(YES, s, cert, strategy=strategy)
+        groups = {}
+        for i, f in enumerate(maps):
+            if out[i] is None:
+                groups.setdefault(window(X, Y, [f], m, 2), []).append(i)
+        pairs = [(i, s) for idx in groups.values()
+                 for i, s in zip(idx, _homotopies([maps[i] for i in idx], m)) if s is not None]
+        checks = [(maps[i], s) for i, s in pairs]
+        ok = bool(checks) and verify_null_homotopy(*checks[0], *checks[1:])
+        for i, s in pairs:
+            if ok or verify_null_homotopy(maps[i], s):
+                out[i] = _found(maps[i], s, "stable+periodic" if stable else "periodic")
     # The stable criterion may say "homotopic to zero" without a
     # periodic-tailed witness inside the search bound; stay honest.
-    return NullHomotopyResult(UNKNOWN, strategy="stable" if stable_applies else "periodic")
+    return [r or NullHomotopyResult(UNKNOWN, strategy="stable" if stable else "periodic")
+            for r in out]
+
+
+def _found(f: ChainMap, s: Homotopy, strategy: str) -> NullHomotopyResult:
+    """YES for f with the homotopy s, whose check passed."""
+    cert = Certificate("null-homotopy", {"map": f, "homotopy": s}, checked=True)
+    return NullHomotopyResult(YES, s, cert, strategy=strategy)
 
 
 def _cone_blocks(f: ChainMap, s: Homotopy, n: int):

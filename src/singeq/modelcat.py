@@ -14,12 +14,12 @@ failed check gives UNKNOWN, never CERTIFIED.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import homotopy, modules, solver
 from .complexes import (ChainMap, Complex, cokernel_complex, compose,
-                        is_exact, kernel_complex, reindex)
+                        kernel_complex, reindex)
 from .config import Options
 from .errors import NotGorensteinError, ValidationError
 from .homotopy import NO, UNKNOWN, YES, Certificate

@@ -1,5 +1,6 @@
 """Complexes with periodic tails: homology, cones, truncations, shifts."""
 
+import dataclasses
 import glob
 import os
 import random
@@ -140,8 +141,27 @@ class TestRankExactness:
         monkeypatch.setattr(linalg, "rank", lambda d, p: ranked.append(d) or rank(d, p))
         for X in Xs:
             ranked.clear()
-            is_exact(X)
+            # a fresh copy: the verdict of a cached fixture may be memoized
+            is_exact(dataclasses.replace(X))
             assert ranked and len(set(map(id, ranked))) == len(ranked)
+
+
+    def test_second_call_does_no_rank_work(self, monkeypatch):
+        X = dataclasses.replace(T_j(truncated_polynomial(3, 2), 1))
+        ranked = []
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda d, p: ranked.append(d) or rank(d, p))
+        assert is_exact(X) and ranked
+        ranked.clear()
+        assert is_exact(X) and not ranked
+
+    def test_d_squared_nonzero_raises_on_every_call(self, D2, A):
+        X = complexes.Complex.build(D2, 0, 2, {0: A, 1: A, 2: A},
+                                    {1: linalg.eye(2), 2: linalg.eye(2)},
+                                    validate=False)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="boundaries do not land in cycles"):
+                is_exact(X)
 
 
 class TestZeroBlocks:
@@ -318,6 +338,15 @@ class TestCone:
         f = complexes.chain_map_from_callable(
             t_per, t_per, 0, 0, lambda n: x, 1, 1)
         assert is_exact(cone(f))
+
+    def test_each_distinct_block_is_built_once(self, monkeypatch, t_per):
+        # every term of T_per is one module, and every d and f_n one matrix
+        sums = []
+        direct_sum = modules.direct_sum
+        monkeypatch.setattr(modules, "direct_sum", lambda ms: sums.append(ms) or direct_sum(ms))
+        C = cone(identity_chain_map(t_per))
+        assert len(sums) == 1
+        assert len({id(C.term(n)) for n in range(-5, 6)}) == 1
 
     def test_quasi_iso_iff_exact_cone(self, t_per, k):
         zero_to_tper = zero_chain_map(

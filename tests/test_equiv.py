@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from singeq import complexes, equiv, fixtures, functors, homotopy, modules
+from conftest import simple_modules, triangular_d2
+from singeq import approx, complexes, equiv, fixtures, functors, homotopy, modelcat, modules
 from singeq.complexes import identity_chain_map, reindex
 from singeq.config import Options
 from singeq.errors import LiftError, ValidationError
@@ -94,3 +95,17 @@ class TestRoundTrip:
         C = complexes.cone(identity_chain_map(functors.stalk(AT2)))
         rt = equiv.verify_round_trip(C, "P")
         assert rt.verdict == YES
+
+    # over T_2(D_2), which is 1-Gorenstein but not self-injective: side P
+    # on the complete resolutions of the syzygies of the simples, side I
+    # on the generators of the injective side's default family
+    @pytest.mark.parametrize("side, i", [("P", 0), ("P", 1), ("I", 0), ("I", 1)])
+    def test_over_triangular_d2(self, side, i):
+        alg = triangular_d2()
+        if side == "P":
+            X, _ = approx.complete_resolution(modules.syzygy(simple_modules(alg)[i], 1))
+        else:
+            X = modelcat.default_family(alg).injective.generators[i]
+        rt = equiv.verify_round_trip(X, side)
+        assert (rt.verdict, rt.composite_check) == (YES, YES)
+        assert homotopy.verify_certificate(rt.certificate)

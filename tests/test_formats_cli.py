@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import simple_modules, triangular_d2
-from singeq import approx, fixtures, formats
+from singeq import approx, complexes, fixtures, formats, functors, linalg, modules
+from singeq.complexes import zero_chain_map
 from singeq.cli import main
 from singeq.config import default_options
 from singeq.errors import IsomorphismUndecided, LiftError, ParseError
@@ -97,6 +98,31 @@ class TestRoundTrip:
         again = formats.chain_map_from_doc(doc)
         for n in range(-3, 4):
             assert np.array_equal(again.component(n), f.component(n))
+
+    @pytest.mark.parametrize("name", ["k", "A", "kF2", "S1", "S2", "AT2", "0F2", "0D2", "0T2"])
+    def test_module_doc_round_trip(self, name):
+        # 0X is the zero module over the built-in algebra X: its 0 x 0
+        # actions are written as [], which loads with shape (0,)
+        M = modules.zero_module(fixtures.BUILTIN_ALGEBRAS[name[1:]]()) \
+            if name.startswith("0") else fixtures.builtin_module(name)
+        again = formats.module_from_doc(formats.module_to_doc(M, M.algebra.name))
+        assert again.algebra is M.algebra and again.dim == M.dim
+        for a, b in zip(again.action, M.action, strict=True):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_complex_with_a_zero_term_round_trip(self, D2, k):
+        # d_1: k -> 0 has shape (0, 1) and is written as []
+        X = complexes.Complex.build(D2, 0, 1, {0: modules.zero_module(D2), 1: k},
+                                    {1: linalg.zeros(0, 1)})
+        again = formats.complex_from_doc(formats.complex_to_doc(X, "D2"))
+        assert again.diff(1).shape == (0, 1)
+        assert [again.term(n).dim for n in (0, 1)] == [0, 1]
+
+    def test_map_to_a_zero_stalk_round_trip(self, D2, k):
+        f = zero_chain_map(functors.stalk(k), functors.stalk(modules.zero_module(D2)))
+        again = formats.chain_map_from_doc(formats.chain_map_to_doc(f))
+        assert again.component(0).shape == (0, 1)
+        assert again.target.term(0).dim == 0
 
 
 class TestCli:
@@ -204,6 +230,13 @@ class TestExitCodes:
         stalk.write_text(json.dumps({"window": {"lo": 0, "hi": 0, "terms": ["s.mod"],
                                                 "diffs": []}}))
         assert main(["replace", str(stalk), "--which", which]) == 0
+
+    @pytest.mark.parametrize("structure", ["ctr", "co"])
+    def test_classify_a_map_to_the_zero_stalk(self, tmp_path, capsys, D2, k, structure):
+        f = zero_chain_map(functors.stalk(k), functors.stalk(modules.zero_module(D2)))
+        path = tmp_path / "to_zero.map"
+        path.write_text(json.dumps(formats.chain_map_to_doc(f)))
+        assert main(["classify", str(path), "--structure", structure]) in (0, 1, 2)
 
     def test_1_no(self, capsys):
         assert main(["verify-equivalence", fx("kstalk.cx")]) == 1

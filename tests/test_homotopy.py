@@ -5,8 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_combination, random_d2_complex, random_module
-from singeq import complexes, fixtures, functors, homotopy, linalg, modules, solver
+from conftest import (periodic_complex, random_combination, random_d2_complex,
+                      random_module, triangular_d2, truncated_polynomial)
+from singeq import (approx, complexes, fixtures, functors, homotopy, linalg, modelcat,
+                    modules, solver)
+from singeq.config import Options
 from singeq.complexes import (ChainMap, Homotopy, chain_map_from_callable,
                               identity_chain_map, reindex, zero_chain_map)
 from singeq.errors import ValidationError
@@ -121,6 +124,139 @@ class TestNullHomotopies:
         res = homotopy.null_homotopy(f)
         assert res.verdict == UNKNOWN
         assert res.homotopy is None and res.certificate is None
+
+
+def bits(h):
+    """The window, the tails and every block of a graded map, comparable
+    bit for bit."""
+    return (h.clo, h.chi, sorted((n, m.shape, m.tobytes()) for n, m in h.components.items()),
+            [None if t is None else (t[0], [(b.shape, b.tobytes()) for b in t[1]])
+             for t in (h.neg, h.pos)])
+
+
+def one_by_one(f, options=Options()):
+    """Reference for the unbounded side: the map-by-map loop that joint
+    decisions replaced.  (verdict, strategy, homotopy, m that found it)."""
+    X, Y = f.source, f.target
+    stable = (modules.gorenstein_dimension(X.algebra, options.gorenstein_bound) is not None
+              and homotopy.is_exP(X) and homotopy.is_exP(Y))
+    if stable and not homotopy.stably_zero(f):
+        return NO, "stable", None, None
+    for m in range(1, options.homotopy_period_bound + 1):
+        s = homotopy.search_periodic_homotopy(f, m)
+        if s is not None:
+            return YES, "stable+periodic" if stable else "periodic", s, m
+    return UNKNOWN, "stable" if stable else "periodic", None, None
+
+
+def combinations(rng, basis, count):
+    """count random combinations of a basis of chain maps over F_p."""
+    p = basis[0].source.algebra.p
+    out = []
+    for _ in range(count):
+        f = zero_chain_map(basis[0].source, basis[0].target)
+        for b in basis:
+            c = rng.randrange(p)
+            if c:
+                f = complexes.add_maps(f, b, sign=c)
+        out.append(f)
+    return out
+
+
+def kstalk_fibrant_co_bases():
+    """Hom(X, T[k]) for the fibrant-co replacement X of the stalk of k and
+    the shifts T[k] of the default family: bases that mix maps with zero
+    and with nonzero tails."""
+    rep = approx.stalk_replacement(functors.stalk(fixtures.simple_k()), "fibrant_co")
+    fam = modelcat.default_family(fixtures.D2())
+    return [solver.chain_map_space_basis(rep.object, Tk)[0] for Tk in fam.shifts]
+
+
+def unbounded_bases():
+    """Bases of chain maps between unbounded complexes: T_1 -> T_(n-1)[s]
+    over D_n (n = 3, 4, p = 2, 3) with random combinations, Hom between
+    the generators of both default families over T_2(D_2), and the
+    fibrant-co replacement of the stalk of k against T_per."""
+    rng = random.Random(16)
+    bases = []
+    for n, p in [(3, 2), (3, 3), (4, 2), (4, 3)]:
+        alg = truncated_polynomial(n, p)
+        X = periodic_complex(alg, 1)
+        for s in (0, 1):
+            basis, _ = solver.chain_map_space_basis(X, reindex(periodic_complex(alg, n - 1), s))
+            bases.append(basis + combinations(rng, basis, 4))
+    fam = modelcat.default_family(triangular_d2())
+    for gens in (fam.generators, fam.injective.generators):
+        bases += [solver.chain_map_space_basis(S, T)[0] for S in gens for T in gens]
+    return bases + kstalk_fibrant_co_bases()
+
+
+class TestJointUnbounded:
+    def test_joint_decisions_match_the_map_by_map_loop(self):
+        seen, mixed = set(), 0
+        for basis in unbounded_bases():
+            assert not (basis[0].source.bounded() or basis[0].target.bounded())
+            mixed += len({f.neg_period or f.pos_period for f in basis} & {0}) and \
+                any(f.neg_period or f.pos_period for f in basis)
+            for f, res in zip(basis, homotopy.null_homotopies(basis), strict=True):
+                verdict, strategy, s, m = one_by_one(f)
+                assert (res.verdict, res.strategy) == (verdict, strategy)
+                seen.add((verdict, m))
+                if verdict == YES:
+                    assert bits(res.homotopy) == bits(s)
+                    assert res.certificate.checked
+                else:
+                    assert res.homotopy is None and res.certificate is None
+        assert {(NO, None), (UNKNOWN, None), (YES, 1), (YES, 2)} <= seen
+        assert mixed
+
+    def test_one_solve_per_window_group_and_round(self, monkeypatch):
+        basis = max(kstalk_fibrant_co_bases(), key=len)
+        X, Y = basis[0].source, basis[0].target
+        reference = [one_by_one(f) for f in basis]
+        expected = []  # (fold, maps) per system: a map is open at m until decided
+        for m in range(1, Options().homotopy_period_bound + 1):
+            groups = {}
+            for f, (verdict, _, _, k) in zip(basis, reference):
+                if verdict != NO and (k is None or k >= m):
+                    groups.setdefault(solver.window(X, Y, [f], m, 2), []).append(f)
+            expected += [(w[2], len(g)) for w, g in groups.items()]
+        # at m = 1 the maps with zero tails have their own, narrower fold
+        assert (1, 5) in expected and (2, 4) in expected
+        solves = []
+        solve_each = solver.FoldedSystem.solve_each
+
+        def recording(sys_):
+            if sys_.fold:  # not a module-map solve of the stable criterion
+                solves.append((sys_.fold, sys_.width))
+            return solve_each(sys_)
+
+        monkeypatch.setattr(solver.FoldedSystem, "solve_each", recording)
+        homotopy.null_homotopies(basis)
+        assert sorted(solves) == sorted(expected)
+
+    def test_a_failing_pair_leaves_the_others_yes(self, monkeypatch):
+        basis = max(kstalk_fibrant_co_bases(), key=len)
+        reference = [one_by_one(f) for f in basis]
+        bad = next(f for f, r in zip(basis, reference) if r[3] == 1 and not f.is_zero())
+        homotopies = homotopy._homotopies
+
+        def corrupted(maps, m):
+            found = homotopies(maps, m)
+            return [Homotopy(f.source, f.target, {}, 0, 0) if f is bad and m == 1 else s
+                    for f, s in zip(maps, found)]
+
+        monkeypatch.setattr(homotopy, "_homotopies", corrupted)
+        for f, res, (verdict, strategy, s, _) in zip(basis, homotopy.null_homotopies(basis),
+                                                   reference):
+            if f is bad:
+                # its pair fails at m = 1, so it moves on to m = 2
+                assert res.verdict == YES
+                assert bits(res.homotopy) == bits(homotopy.search_periodic_homotopy(f, 2))
+                assert homotopy.verify_certificate(res.certificate)
+            else:
+                assert (res.verdict, res.strategy) == (verdict, strategy)
+                assert verdict != YES or bits(res.homotopy) == bits(s)
 
 
 class TestVerifyNullHomotopy:
