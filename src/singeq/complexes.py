@@ -39,8 +39,10 @@ and for intertwining the same first failing action index, as a check of
 that object alone.
 
 add_maps and compose compute their result from the operands' block
-tables, one array operation per group of distinct blocks of one shape,
-and validate it through the same engine.
+tables, one array operation per group of distinct blocks of one shape.
+A chain map that passed the engine carries the fact (ChainMap.validate);
+a sum or composite of such maps is one by linearity and is not checked
+again, and every other result is validated through the same engine.
 """
 
 from __future__ import annotations
@@ -437,6 +439,10 @@ class GradedMap:
 
 
 class ChainMap(GradedMap):
+    # whether the map is known to be a chain map at every degree: set on the
+    # object by validate or by _proven, never by ChainMap(...) or replace
+    _checked = False
+
     def validate(self, *others: "ChainMap") -> None:
         """Check this map and any others, each over its own check range.
 
@@ -444,10 +450,17 @@ class ChainMap(GradedMap):
         checks stacked, so a whole basis of chain maps costs one batched
         product per group and side.  Errors come in the order shape,
         intertwining, commutation, each at its smallest failing degree.
+
+        Every map that passes is marked as checked.  Without a check, so
+        are identity_chain_map, zero_chain_map, add_maps(f, g) of checked
+        maps with the same source and target objects, and compose(f, g) of
+        checked maps with g.target is f.source: chain maps are closed under
+        sums and composites.  An explicit call always runs the check.
         """
         A = self.source.algebra
         groups = {}
-        for f in (self, *others):
+        maps = (self, *others)
+        for f in maps:
             if f.source.algebra is not A or f.target.algebra is not A:
                 raise DimensionMismatch("chain map across different algebras")
             groups.setdefault((f.source, f.target), []).append(f)
@@ -459,6 +472,8 @@ class ChainMap(GradedMap):
         bad = min(filter(None, [_first_failure(*c) for _, c in checks]), default=None)
         if bad is not None:
             raise ValidationError(f"does not commute with d at degree {bad[0]}")
+        for f in maps:
+            _proven(f)
 
     def _full_rank(self, side: int) -> bool:
         """rank f_n equals the dimension of the source (side 0) or target
@@ -500,6 +515,12 @@ class Homotopy(GradedMap):
 
     def __init__(self, source, target, components, clo, chi, neg=None, pos=None):
         super().__init__(source, target, components, clo, chi, neg, pos, shift=1)
+
+
+def _proven(f: ChainMap) -> ChainMap:
+    """f, marked as a chain map at every degree (ChainMap.validate)."""
+    object.__setattr__(f, "_checked", True)
+    return f
 
 
 def _chain_map_checks(S: Complex, T: Complex, maps: list) -> tuple:
@@ -568,11 +589,13 @@ def identity_chain_map(X: Complex) -> ChainMap:
         neg = (X.neg_period, tuple(linalg.eye(t.dim) for t in X.neg_tail.terms))
     if X.pos_tail:
         pos = (X.pos_period, tuple(linalg.eye(t.dim) for t in X.pos_tail.terms))
-    return chain_map(X, X, comps, X.lo, X.hi, neg, pos)
+    return _proven(chain_map(X, X, comps, X.lo, X.hi, neg, pos, validate=False))
 
 
 def zero_chain_map(X: Complex, Y: Complex) -> ChainMap:
-    return chain_map(X, Y, {}, 0, 0)
+    if X.algebra is not Y.algebra:
+        raise DimensionMismatch("chain map across different algebras")
+    return _proven(chain_map(X, Y, {}, 0, 0, validate=False))
 
 
 def _map_profile(*objects):
@@ -607,7 +630,9 @@ def _from_tables(S, T, profile, op, f, g, validate=True) -> ChainMap:
     The components are read from the tables of f and g.  op runs on the
     distinct pairs of blocks among them, stacked per pair of shapes: one
     array operation per group, where op gets one (k, rows, cols) stack
-    per operand.
+    per operand.  The result is validated, or with validate=False, which
+    a caller passes when the operands prove it a chain map, marked as one
+    (ChainMap.validate).
     """
     lo, hi, nq, pq = profile
     ns = range(lo - nq, hi + pq + 1)
@@ -629,27 +654,33 @@ def _from_tables(S, T, profile, op, f, g, validate=True) -> ChainMap:
                  (pq, pos) if any([nonzero[k] for k in keys[len(keys) - pq:]]) else None)
     if validate:
         h.validate()
+    else:
+        _proven(h)
     return h
 
 
-def compose(f: ChainMap, g: ChainMap, validate=True) -> ChainMap:
+def compose(f: ChainMap, g: ChainMap) -> ChainMap:
     """f after g; DimensionMismatch unless g's target and f's source have
-    terms of equal dimensions."""
+    terms of equal dimensions.  Checked unless both are and g.target is
+    f.source (ChainMap.validate)."""
     if not _same_terms(f.source, g.target):
         raise DimensionMismatch("maps not composable: terms of different dimensions")
     p = f.source.algebra.p
+    known = f._checked and g._checked and g.target is f.source
     return _from_tables(g.source, f.target, _map_profile(f, g, g.source, f.target),
-                        lambda a, b: (a @ b) % p, f, g, validate)
+                        lambda a, b: (a @ b) % p, f, g, validate=not known)
 
 
 def add_maps(f: ChainMap, g: ChainMap, sign: int = 1) -> ChainMap:
     """f + sign g; DimensionMismatch unless their sources, and their
-    targets, have terms of equal dimensions."""
+    targets, have terms of equal dimensions.  Checked unless both are and
+    they share their source and target objects (ChainMap.validate)."""
     if not (_same_terms(f.source, g.source) and _same_terms(f.target, g.target)):
         raise DimensionMismatch("summands have terms of different dimensions")
     p = f.source.algebra.p
+    known = f._checked and g._checked and g.source is f.source and g.target is f.target
     return _from_tables(f.source, f.target, _map_profile(f, g, f.source, f.target),
-                        lambda a, b: (a + sign * b) % p, f, g)
+                        lambda a, b: (a + sign * b) % p, f, g, validate=not known)
 
 
 # -- basic operations ---------------------------------------------------

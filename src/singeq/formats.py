@@ -162,17 +162,30 @@ def load_module(ref, base=None) -> Module:
     return _resolve(ref, module_from_doc, fixtures.builtin_module, base)
 
 
-def _tail_from_doc(doc, alg, path):
+def _tail_from_doc(doc, alg, path, edge, side):
+    """(Tail, seam) of the negative (side -1) or positive (side 1) tail,
+    whose seam meets the window term edge; each block gets its shape by
+    the indexing convention of Complex._blocks."""
     if doc is None:
         return None, None
     _require(doc, ("period", "terms", "diffs"), path)
     p = alg.field.p
     period = _int(doc["period"], "period", path)
     terms = tuple(load_module(t, path) for t in _list(doc, "terms", path))
-    diffs = tuple(_mat(d, p, "diffs", path) for d in _list(doc, "diffs", path))
-    seam = _mat(doc["seam"], p, "seam", path) if "seam" in doc else None
-    if len(terms) != period or len(diffs) != period:
+    raw = _list(doc, "diffs", path)
+    if len(terms) != period or len(raw) != period:
         raise _fail("tail terms/diffs length must equal the period", path)
+    if not period:  # no blocks: an absent tail, as Complex.build drops it
+        return None, None
+    dims = [t.dim for t in terms]
+    if side < 0:  # diffs[i]: block i -> block i + 1; seam: X_lo -> block 0
+        shapes = [(dims[(i + 1) % period], dims[i]) for i in range(period)]
+        seam_shape = (dims[0], edge.dim)
+    else:  # diffs[i]: block i -> block i - 1 (mod period); seam: block 0 -> X_hi
+        shapes = [(dims[i - 1], dims[i]) for i in range(period)]
+        seam_shape = (edge.dim, dims[0])
+    diffs = tuple(_mat(d, p, "diffs", path, shape) for d, shape in zip(raw, shapes))
+    seam = _mat(doc["seam"], p, "seam", path, seam_shape) if "seam" in doc else None
     return Tail(period, terms, diffs), seam
 
 
@@ -192,8 +205,8 @@ def complex_from_doc(doc: dict, path=None) -> Complex:
     if len(raw) != max(hi - lo, 0):
         raise _fail("window needs one differential per adjacent pair", path)
     diffs = [_mat(d, p, "diffs", path, (t.dim, s.dim)) for d, t, s in zip(raw, terms, terms[1:])]
-    neg_tail, neg_seam = _tail_from_doc(doc.get("neg_tail"), alg, path)
-    pos_tail, pos_seam = _tail_from_doc(doc.get("pos_tail"), alg, path)
+    neg_tail, neg_seam = _tail_from_doc(doc.get("neg_tail"), alg, path, terms[0], -1)
+    pos_tail, pos_seam = _tail_from_doc(doc.get("pos_tail"), alg, path, terms[-1], 1)
     return Complex.build(
         alg, lo, hi,
         {lo + i: t for i, t in enumerate(terms)},

@@ -493,10 +493,14 @@ def assert_same_map(f, g):
                        for x, y in zip(a[1], b[1]))
 
 
-def random_combination_of(rng, basis, X, Y):
+def random_combination_of(rng, basis, X, Y, terms=None):
+    """The zero map X -> Y plus each map of basis times a random
+    coefficient; with terms, exactly that many sums, cycling through
+    basis with nonzero coefficients."""
     f = zero_chain_map(X, Y)
-    for b in basis:
-        c = rng.randrange(X.algebra.p)
+    low = 0 if terms is None else 1
+    for b in basis if terms is None else [basis[i % len(basis)] for i in range(terms)]:
+        c = rng.randrange(low, X.algebra.p)
         if c:
             f = add_maps(f, b, sign=c)
     return f
@@ -532,9 +536,13 @@ class TestTableArithmetic:
             for f in fs:
                 for g in fs + first[:4]:
                     for sign in (1, -1):
-                        assert_same_map(add_maps(f, g, sign=sign), callable_sum(f, g, sign))
+                        h = add_maps(f, g, sign=sign)
+                        h.validate()
+                        assert_same_map(h, callable_sum(f, g, sign))
                 for g in gs + second[:4]:
-                    assert_same_map(compose(g, f), callable_composite(g, f))
+                    h = compose(g, f)
+                    h.validate()
+                    assert_same_map(h, callable_composite(g, f))
 
     def test_mismatched_tail_periods(self):
         C = mismatched_cone()
@@ -544,6 +552,89 @@ class TestTableArithmetic:
             assert g.neg_period in (0, 2) and g.pos_period in (0, 1)
         assert_same_map(add_maps(f, f), callable_sum(f, f))
         assert_same_map(compose(f, f), callable_composite(f, f))
+
+
+def count_checks(monkeypatch) -> list:
+    """The calls of the check engine from now on, recorded."""
+    calls = []
+    engine = complexes._first_failure
+
+    def counting(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(complexes, "_first_failure", counting)
+    return calls
+
+
+def d3_maps(p):
+    """T_1 -> T_2[1] over D3/F_p, with a basis of the chain maps between them."""
+    alg = truncated_polynomial(3, p)
+    X, Y = T_j(alg, 1), reindex(T_j(alg, 2), 1)
+    return X, Y, solver.chain_map_space_basis(X, Y)[0]
+
+
+class TestCheckedMaps:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_combination_of_a_checked_basis_is_not_checked_again(self, p, monkeypatch):
+        X, Y, basis = d3_maps(p)
+        assert all(b._checked for b in basis)
+        calls = count_checks(monkeypatch)
+        f = random_combination_of(random.Random(p), basis, X, Y, terms=10)
+        g = compose(identity_chain_map(Y), compose(f, identity_chain_map(X)))
+        assert f._checked and g._checked and not calls
+        assert_same_map(g, f)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_unchecked_operand_is_checked(self, p, monkeypatch):
+        X, Y, basis = d3_maps(p)
+        b = basis[0]
+        raw = complexes.chain_map(X, Y, b.components, b.clo, b.chi, b.neg, b.pos,
+                                  validate=False)
+        assert not raw._checked and not dataclasses.replace(b)._checked
+        calls = count_checks(monkeypatch)
+        f = random_combination_of(random.Random(p), [raw, *basis[1:]], X, Y, terms=10)
+        assert calls and f._checked
+        calls.clear()
+        assert_same_map(f, random_combination_of(random.Random(p), basis, X, Y, terms=10))
+        assert not calls
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_operand_on_other_complex_objects_is_checked(self, p, monkeypatch):
+        X, Y, basis = d3_maps(p)
+        X2, Y2, basis2 = d3_maps(p)  # equal terms and differentials, other objects
+        calls = count_checks(monkeypatch)
+        f = random_combination_of(random.Random(p), [basis2[0], *basis[1:]], X, Y, terms=10)
+        assert calls and f._checked and f.source is X
+        calls.clear()
+        assert_same_map(f, random_combination_of(random.Random(p), basis, X, Y, terms=10))
+        assert not calls
+
+    def test_operands_on_other_complexes_with_other_differentials(self, F2):
+        k1 = modules.Module(F2, 1, (linalg.eye(1),))
+        X, X0 = (complexes.Complex.build(F2, 0, 1, {0: k1, 1: k1}, {1: np.array([[d]])})
+                 for d in (1, 0))
+        f, g = zero_chain_map(X, X0), identity_chain_map(X0)
+        assert f._checked and g._checked
+        # the identity matrices are no chain map k -1-> k => k -0-> k
+        with pytest.raises(ValidationError, match="does not commute"):
+            add_maps(f, g)
+        with pytest.raises(ValidationError, match="does not commute"):
+            compose(g, identity_chain_map(X))
+
+    def test_explicit_validate_always_checks(self, monkeypatch):
+        X, Y, basis = d3_maps(2)
+        f = random_combination_of(random.Random(0), basis, X, Y, terms=10)
+        calls = count_checks(monkeypatch)
+        for h in (f, basis[0], identity_chain_map(X), zero_chain_map(X, Y)):
+            assert h._checked
+            calls.clear()
+            h.validate()
+            assert calls
+
+    def test_zero_map_across_algebras_is_refused(self, F2, k):
+        with pytest.raises(DimensionMismatch):
+            zero_chain_map(functors.stalk(k), functors.stalk(modules.zero_module(F2)))
 
 
 class TestMismatchedOperands:

@@ -118,6 +118,32 @@ class TestRoundTrip:
         assert again.diff(1).shape == (0, 1)
         assert [again.term(n).dim for n in (0, 1)] == [0, 1]
 
+    def test_complex_with_zero_terms_in_its_tails_round_trip(self, D2, k, tmp_path, capsys):
+        # window [k] at 0 and tails of period 2 with terms (0, k) on both
+        # sides: the (0, 1) blocks and seams are written [], the (1, 0) ones [[]]
+        zero = modules.zero_module(D2)
+        blocks = (linalg.zeros(1, 0), linalg.zeros(0, 1))
+        X = complexes.Complex.build(D2, 0, 0, {0: k}, {},
+                                    complexes.Tail(2, (zero, k), blocks),
+                                    complexes.Tail(2, (zero, k), blocks),
+                                    linalg.zeros(0, 1), linalg.zeros(1, 0))
+        doc = formats.complex_to_doc(X, "D2")
+        assert doc["neg_tail"]["seam"] == [] and doc["pos_tail"]["seam"] == [[]]
+        assert doc["neg_tail"]["diffs"] == doc["pos_tail"]["diffs"] == [[[]], []]
+        again = formats.complex_from_doc(doc)
+        assert (again.neg_period, again.pos_period) == (2, 2)
+        for n in range(-6, 7):
+            assert again.term(n).dim == X.term(n).dim == 1 - n % 2
+            assert again.diff(n).shape == X.diff(n).shape
+        # a tail of period 0 has no blocks: the side is bounded
+        doc["pos_tail"] = {"period": 0, "terms": [], "diffs": [], "seam": []}
+        assert formats.complex_from_doc(doc).pos_tail is None
+        del doc["pos_tail"]
+        path = tmp_path / "tails.cx"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        assert "overall: YES" in capsys.readouterr().out
+
     def test_map_to_a_zero_stalk_round_trip(self, D2, k):
         f = zero_chain_map(functors.stalk(k), functors.stalk(modules.zero_module(D2)))
         again = formats.chain_map_from_doc(formats.chain_map_to_doc(f))
