@@ -613,13 +613,32 @@ def _map_profile(*objects):
     return min(los), max(his), _lcm(negs), _lcm(poss)
 
 
+def _joint_blocks(X: Complex, Y: Complex):
+    """The pairs of X's and Y's (term, differential) blocks at each degree
+    of one walk that meets every distinct pair: below both tables each
+    repeats with the lcm of their negative periods, and above them with
+    that of their positive ones, so the walk is the hull of the tables
+    widened by these lcms.  Their windows and periods may differ."""
+    XB, YB = X._blocks, Y._blocks
+    neg, pos = math.lcm(XB.neg, YB.neg), math.lcm(XB.pos, YB.pos)
+    ns = range(min(XB.lo, YB.lo) - neg, max(XB.hi, YB.hi) + pos + 1)
+    return zip(XB.on(ns), YB.on(ns))
+
+
 def _same_terms(X: Complex, Y: Complex) -> bool:
     """Whether the terms of X and Y have equal dimensions in every degree."""
+    return X is Y or all(s.dim == t.dim for (s, _), (t, _) in _joint_blocks(X, Y))
+
+
+def same_complex(X: Complex, Y: Complex) -> bool:
+    """Whether X and Y are one complex: over one algebra, with equal term
+    modules (dimension and action) and equal differentials in every
+    degree, whatever their windows and declared tail periods."""
     if X is Y:
         return True
-    lo, hi, neg, pos = _map_profile(X, Y)
-    ns = range(lo - neg, hi + pos + 1)
-    return all(s.dim == t.dim for (s, _), (t, _) in zip(X._blocks.on(ns), Y._blocks.on(ns)))
+    return X.algebra is Y.algebra and all(
+        (s is t or s.dim == t.dim and np.array_equal(s.stacked_action, t.stacked_action))
+        and np.array_equal(d, e) for (s, d), (t, e) in _joint_blocks(X, Y))
 
 
 def _from_tables(S, T, profile, op, f, g, validate=True) -> ChainMap:

@@ -24,20 +24,42 @@ def _fail(msg: str, path: str | None = None) -> ParseError:
     return ParseError(msg, line=1, column=1, path=path)
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _bad_number(value) -> bool:
+    """Whether value is a bool, a fractional or non-finite float, or a
+    number outside int64: a JSON number that is no integer of ours."""
+    if isinstance(value, bool):
+        return True
+    if isinstance(value, float) and not value.is_integer():
+        return True
+    return isinstance(value, (int, float)) and not _INT64.min <= value <= _INT64.max
+
+
 def _int(value, field: str, path=None) -> int:
+    """An integer within int64, from a JSON integer, an integral float or
+    a digit string (as the keys of a JSON object are)."""
     try:
-        return int(value)
+        n = None if _bad_number(value) else int(value)
     except (TypeError, ValueError):
-        raise _fail(f"field {field!r} must be an integer, not {value!r}", path) from None
+        n = None
+    if n is None or _bad_number(n):
+        raise _fail(f"field {field!r} must be an integer within int64, not {value!r}", path)
+    return n
 
 
 def _mat(data, p: int, field: str, path=None, shape=None) -> np.ndarray:
     """An integer array mod p.  A matrix with no entries is written [],
-    which loads with shape (0,); given its shape, it gets that shape."""
+    which loads with shape (0,); given its shape, it gets that shape.
+    Entries must be integers within int64 (_bad_number)."""
     try:
-        m = np.asarray(data, dtype=np.int64) % p
+        bad = [x for x in np.asarray(data, dtype=object).flat if _bad_number(x)]
+        m = None if bad else np.asarray(data, dtype=np.int64) % p
     except (TypeError, ValueError):
         raise _fail(f"field {field!r} must be a rectangular integer array", path) from None
+    if bad:
+        raise _fail(f"field {field!r} must hold integers within int64, not {bad[0]!r}", path)
     return m.reshape(shape) if shape is not None and m.size == 0 and 0 in shape else m
 
 

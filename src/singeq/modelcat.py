@@ -4,7 +4,11 @@ Tag "ctr": cofibrant objects are exact complexes of projectives, every
 object is fibrant.  Tag "co": every object is cofibrant, fibrant objects
 are exact complexes of injectives.  Orthogonality against the proper
 class is replaced by a certified verdict against a finite generator
-family closed under shifts; the verdict carries the family used.
+family closed under shifts; the verdict carries the family used.  The
+family holds each distinct shifted complex once (GeneratorFamily.shifts),
+so a shift that equals an earlier one in every degree gets no basis,
+decision or pairs of its own: all seven shifts of T_per over the
+built-in D2 are one complex.
 
 Each certificate is checked once, and the verdict follows the check: an
 orthogonality certificate is made only of pairs whose null-homotopy check
@@ -19,7 +23,7 @@ from functools import cached_property
 
 from . import homotopy, modules, solver
 from .complexes import (ChainMap, Complex, cokernel_complex, compose,
-                        kernel_complex, reindex)
+                        kernel_complex, reindex, same_complex)
 from .config import Options
 from .errors import NotGorensteinError, ValidationError
 from .homotopy import NO, UNKNOWN, YES, Certificate
@@ -53,9 +57,19 @@ class GeneratorFamily:
 
     @cached_property
     def shifts(self) -> tuple:
-        """T[k] for each generator T and k in -shift_range..shift_range."""
+        """T[k] for each generator T and k in -shift_range..shift_range, in
+        that order, each distinct complex once: a shift that equals an
+        earlier one in every degree (complexes.same_complex), of any
+        generator, is left out, since orthogonality to it is orthogonality
+        to that one.  All seven shifts of T_per over the built-in D2 are
+        one complex: over F_2 the sign (-1)^k of the shifted differential
+        is 1, and A -x-> A repeats in every degree."""
         r = self.shift_range
-        return tuple(reindex(T, k) for T in self.generators for k in range(-r, r + 1))
+        out = []
+        for Tk in (reindex(T, k) for T in self.generators for k in range(-r, r + 1)):
+            if not any(same_complex(Tk, S) for S in out):
+                out.append(Tk)
+        return tuple(out)
 
 
 @dataclass(eq=False)

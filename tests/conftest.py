@@ -109,6 +109,26 @@ def periodic_complex(alg, j):
         alg, 0, 1, lambda d: A, lambda d: xj if d % 2 == 0 else xnj, 2, 2)
 
 
+def equal_by_degrees(X, Y, periods=4):
+    """Oracle for complexes.same_complex: one algebra, and equal term dimensions,
+    actions and differentials at every degree from `periods` lcms of all
+    tail periods below both windows to as many above them."""
+    q = np.lcm.reduce([X.neg_period or 1, X.pos_period or 1,
+                       Y.neg_period or 1, Y.pos_period or 1])
+    degrees = range(min(X.lo, Y.lo) - periods * q, max(X.hi, Y.hi) + periods * q + 1)
+    return X.algebra is Y.algebra and all(
+        X.term(n).dim == Y.term(n).dim
+        and all(np.array_equal(a, b) for a, b in zip(X.term(n).action, Y.term(n).action))
+        and np.array_equal(X.diff(n), Y.diff(n)) for n in degrees)
+
+
+def t_per_with_period_2_tails():
+    """T_per over the built-in D2, its tails declared with period 2."""
+    A, x = fixtures.regular_D2(), fixtures.t_per().diff(0)
+    tail = complexes.Tail(2, (A, A), (x, x))
+    return complexes.Complex.build(fixtures.D2(), 0, 0, {0: A}, {}, tail, tail, x, x)
+
+
 def mismatched_cone():
     """Cone of the identity of a complex over D4 whose negative tail has
     period 2 (x, x^3) and whose positive tail has period 1 (x^2)."""

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import periodic_complex as T_j
-from conftest import (mismatched_cone, random_contractible, random_d2_complex,
-                      truncated_polynomial)
+from conftest import (equal_by_degrees, mismatched_cone, random_contractible,
+                      random_d2_complex, t_per_with_period_2_tails, truncated_polynomial)
 from singeq import complexes, fixtures, formats, functors, linalg, modules, solver
 from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
                               hard_truncate_above, hard_truncate_below,
@@ -423,6 +423,59 @@ class TestReindex:
             for n in range(-2, 4):
                 assert Y.term(n).dim == X.term(n).dim
                 assert np.array_equal(Y.diff(n) % 2, X.diff(n) % 2)
+
+
+def d2_with_zeros_below(period, zero_at):
+    """The complex over D2 with A in every degree and d_n = x, but d_n = 0
+    for n < 0 with n % period in zero_at; its negative tail has that
+    period."""
+    x = fixtures.t_per().diff(0)
+    return complexes.complex_from_callable(
+        fixtures.D2(), 0, 0, lambda n: fixtures.regular_D2(),
+        lambda n: linalg.zeros(2, 2) if n < 0 and n % period in zero_at else x,
+        period, 1)
+
+
+def same_complex_cases():
+    """(X, Y, whether they are one complex)."""
+    D2, t_per = fixtures.D2(), fixtures.t_per()
+    D2_copy = truncated_polynomial(2, 2)  # D2 again, as another algebra object
+    D3F2, D3F3 = truncated_polynomial(3, 2), truncated_polynomial(3, 3)
+    zero = modules.zero_module(D2)
+    return [
+        (t_per, t_per_with_period_2_tails(), True),
+        (t_per, reindex(t_per, 3), True),
+        (t_per, d2_with_zeros_below(3, ()), True),
+        # d_n below the windows: x 0 x 0 x 0 ... and x 0 x x 0 x ..., which
+        # first differ at n = -4, beyond one period of either tail
+        (d2_with_zeros_below(2, (0,)), d2_with_zeros_below(3, (1,)), False),
+        (reindex(t_per, -2), reindex(t_per, 1), True),
+        (t_per, T_j(D2_copy, 1), False),  # the same matrices over another algebra
+        (T_j(D3F3, 1), reindex(T_j(D3F3, 1), 1), False),  # the sign -1 of T[1]
+        (T_j(D3F3, 1), reindex(T_j(D3F3, 1), 2), True),
+        (T_j(D3F2, 1), reindex(T_j(D3F2, 1), 1), False),  # x and x^2 swap degrees
+        (reindex(T_j(D3F2, 1), 1), T_j(D3F2, 2), True),
+        (functors.stalk(fixtures.S1()), functors.stalk(fixtures.S2()), False),  # actions
+        (functors.stalk(fixtures.regular_D2()), t_per, False),
+        (complexes.zero_complex(D2),
+         complexes.Complex.build(D2, 3, 5, {3: zero, 4: zero, 5: zero},
+                                 {4: linalg.zeros(0, 0), 5: linalg.zeros(0, 0)}), True),
+    ]
+
+
+class TestSameComplex:
+    @pytest.mark.parametrize("case", range(len(same_complex_cases())))
+    def test_cases_match_the_degree_by_degree_oracle(self, case):
+        X, Y, same = same_complex_cases()[case]
+        assert equal_by_degrees(X, Y) == same
+        assert complexes.same_complex(X, Y) == complexes.same_complex(Y, X) == same
+
+    def test_shipped_complexes_and_their_shifts_match_the_oracle(self):
+        cxs = shipped_complexes()
+        cxs += [reindex(X, k) for X in cxs[:4] for k in (-1, 1, 2)]
+        for X in cxs:
+            for Y in cxs:
+                assert complexes.same_complex(X, Y) == equal_by_degrees(X, Y)
 
 
 class TestMaps:

@@ -240,6 +240,28 @@ def _raise(exc):
     return fail
 
 
+def replace_entries(capsys, argv):
+    """(name, verdict, digest) of each entry of a replace report."""
+    assert main(["--format", "json", *argv]) == 0
+    return [(e["name"], e["verdict"], e["digest"])
+            for e in json.loads(capsys.readouterr().out)["entries"]]
+
+
+class TestFamilyFiles:
+    @pytest.mark.parametrize("which", ["cofibrant-ctr", "fibrant-co"])
+    def test_a_shift_of_a_generator_adds_nothing(self, tmp_path, capsys, which):
+        # T_per[1] is T_per again over F_2, so its shifts are all decided
+        # already and the certificates, and their digests, do not change
+        reports = []
+        for gens in (["T_per"], ["T_per", "T_per[1]"]):
+            path = tmp_path / "family.json"
+            path.write_text(json.dumps({"generators": gens}))
+            reports.append(replace_entries(
+                capsys, ["replace", fx("kstalk.cx"), "--which", which, "--family", str(path)]))
+        assert reports[0] == reports[1]
+        assert [v for _, v, _ in reports[0]] == ["YES"] * 5
+
+
 class TestExitCodes:
     def test_0_yes(self, tmp_path, capsys):
         assert main(["validate", write_square_zero_plane(tmp_path)]) == 0
@@ -319,6 +341,35 @@ class TestExitCodes:
         path.write_text(json.dumps(family))
         argv = ["classify", fx("xid.map"), "--structure", "ctr", "--family", str(path)]
         assert main(argv) == 65
+
+    @pytest.mark.parametrize("shift_range", [2.5, True, 2 ** 70],
+                             ids=["fractional", "bool", "beyond-int64"])
+    def test_65_family_shift_range_not_an_integer(self, tmp_path, capsys, shift_range):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"generators": ["T_per"], "shift_range": shift_range}))
+        argv = ["classify", fx("xid.map"), "--structure", "ctr", "--family", str(path)]
+        assert main(argv) == 65
+        assert "field 'shift_range' must be an integer within int64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim, entry", [(1.9, 0), (1, 0.5), (1, True), (1, 2 ** 70),
+                                            (1, 2 ** 63), (1, -2 ** 63 - 1)],
+                             ids=["fractional-dim", "fractional-entry", "bool-entry",
+                                  "entry-beyond-int64", "entry-2^63", "entry-below-int64"])
+    def test_65_module_number_not_an_integer(self, tmp_path, capsys, dim, entry):
+        bad = tmp_path / "bad.mod"
+        bad.write_text(json.dumps({"algebra": "D2", "dim": dim, "action": [[[1]], [[entry]]]}))
+        assert main(["validate", str(bad)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+        assert ("'dim'" if dim != 1 else "'action'") in err
+
+    def test_integral_numbers_and_component_keys_still_load(self, tmp_path, capsys):
+        mod = formats.module_from_doc({"algebra": "D2", "dim": 1.0,
+                                       "action": [[[3.0]], [[-2 ** 63]]]})
+        assert mod.dim == 1 and mod.action[0][0, 0] == 1 and mod.action[1][0, 0] == 0
+        doc = json.load(open(fx("xid.map")))
+        assert all(isinstance(key, str) for key in doc["components"])
+        assert formats.chain_map_from_doc(doc, fx("xid.map")).clo == 0
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_65_bad_period_bound_in_the_environment(self, monkeypatch, capsys, value):

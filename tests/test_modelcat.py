@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import periodic_complex, triangular_d2, truncated_polynomial
+from conftest import (equal_by_degrees, periodic_complex, simple_modules,
+                      t_per_with_period_2_tails, triangular_d2, truncated_polynomial)
 from singeq import complexes, fixtures, functors, homotopy, modelcat, modules, solver
 from singeq.config import Options
 from singeq.errors import ValidationError
@@ -86,7 +87,7 @@ class TestOrthogonality:
         res = modelcat.orthogonal_certificate(functors.stalk(A), "left_of_exI", fam)
         assert res.verdict == CERTIFIED and res.certificate.checked
         pairs = res.certificate.payload["pairs"]
-        assert len(pairs) == 7
+        assert len(pairs) == 1  # the seven shifts of T_per are one complex
         def ids(pairs):
             return sorted((id(f), id(s)) for f, s in pairs)
 
@@ -103,7 +104,7 @@ class TestOrthogonality:
         assert res.verdict == UNKNOWN and res.certificate is None
 
     def test_shifts_are_built_once_per_family(self, monkeypatch, A, fam):
-        assert len(fam.shifts) == len(fam.generators) * (2 * fam.shift_range + 1)
+        assert len(fam.shifts) == 1  # the seven shifts of T_per are one complex
         assert fam.shifts is fam.shifts
 
         def no_reindex(*args):
@@ -118,6 +119,108 @@ class TestOrthogonality:
         for side in ("right_of_exP", "left_of_exI"):
             assert modelcat.orthogonal_certificate(Z, side, fam).verdict \
                 == CERTIFIED
+
+
+def all_shift_runs(X, side, fam):
+    """The loop of orthogonal_certificate over all 2r+1 shifts of each
+    generator, none left out: (verdict, witness, [(T[k], its pairs)])
+    for the shifts run before the verdict."""
+    if side == "left_of_exI" and fam.injective is not None:
+        fam = fam.injective
+    r, runs, unknown = fam.shift_range, [], False
+    for T in fam.generators:
+        for k in range(-r, r + 1):
+            Tk = reindex(T, k)
+            ends = (Tk, X) if side == "right_of_exP" else (X, Tk)
+            basis, _ = solver.chain_map_space_basis(*ends)
+            pairs = []
+            for f, res in zip(basis, homotopy.null_homotopies(basis)):
+                if res.verdict == NO:
+                    return REFUTED, f, runs
+                if res.verdict == UNKNOWN:
+                    unknown = True
+                else:
+                    pairs.append((f, res.homotopy))
+            runs.append((Tk, pairs))
+    return UNKNOWN if unknown else CERTIFIED, None, runs
+
+
+def first_occurrences(complexes_):
+    """The complexes, each that equals an earlier one left out."""
+    out = []
+    for X in complexes_:
+        if not any(equal_by_degrees(X, Y) for Y in out):
+            out.append(X)
+    return out
+
+
+def bits(g):
+    """A graded map and its complexes' windows as plain values."""
+    return (g.source.lo, g.source.hi, g.target.lo, g.target.hi, g.clo, g.chi, g.shift,
+            [(n, m.shape, m.tobytes()) for n, m in sorted(g.components.items())],
+            [t and (t[0], [(b.shape, b.tobytes()) for b in t[1]]) for t in (g.neg, g.pos)])
+
+
+def shift_families():
+    """(name, family, the distinct shifts of each side out of 2r+1 per
+    generator)."""
+    D3F2, D3F3 = truncated_polynomial(3, 2), truncated_polynomial(3, 3)
+    return [
+        ("D2", modelcat.default_family(fixtures.D2()), (7, 1)),
+        ("T_1/D3F2", modelcat.GeneratorFamily((periodic_complex(D3F2, 1),)), (7, 2)),
+        ("T_1/D3F3", modelcat.GeneratorFamily((periodic_complex(D3F3, 1),)), (7, 2)),
+        ("T2(D2)", modelcat.default_family(triangular_d2()), (14, 2)),
+        # complete resolutions whose windows are out of phase with their tails
+        ("D3F2", modelcat.default_family(D3F2), (7, 7)),
+        ("D4F2", modelcat.default_family(truncated_polynomial(4, 2)), (7, 7)),
+    ]
+
+
+def orthogonality_inputs(alg, T):
+    """Complexes to test orthogonality of: stalks of the regular and the
+    simple modules, a simple stalk in degree 2, a contractible complex plus
+    a simple stalk (null-homotopic maps come first in each basis), and a
+    generator T with its shift T[1]."""
+    A = functors.stalk(modules.regular_module(alg))
+    S = [functors.stalk(M) for M in simple_modules(alg)]
+    C = reindex(complexes.cone(identity_chain_map(A)), -1)
+    return [A, *S, reindex(S[0], 2), complexes.direct_sum_complex(C, S[-1])[0],
+            T, reindex(T, 1)]
+
+
+class TestDistinctShifts:
+    @pytest.mark.parametrize("name, fam, counts", shift_families(),
+                             ids=[c[0] for c in shift_families()])
+    def test_certificates_match_the_loop_over_every_shift(self, name, fam, counts):
+        for side_fam in filter(None, (fam, fam.injective)):
+            r = side_fam.shift_range
+            every = [reindex(T, k) for T in side_fam.generators for k in range(-r, r + 1)]
+            kept = first_occurrences(every)
+            assert (len(every), len(kept)) == counts
+            assert [(S.lo, S.hi) for S in side_fam.shifts] == [(S.lo, S.hi) for S in kept]
+            assert all(equal_by_degrees(S, K) for S, K in zip(side_fam.shifts, kept))
+        verdicts = []
+        T = fam.generators[0]
+        for X in orthogonality_inputs(T.algebra, T):
+            for side in ("right_of_exP", "left_of_exI"):
+                verdict, witness, runs = all_shift_runs(X, side, fam)
+                res = modelcat.orthogonal_certificate(X, side, fam)
+                assert res.verdict == verdict
+                verdicts.append(verdict)
+                if verdict == REFUTED:
+                    assert bits(res.witness) == bits(witness)
+                if verdict == CERTIFIED:
+                    # the pairs of each retained shift, bit for bit, each once
+                    retained = first_occurrences([Tk for Tk, _ in runs])
+                    expected = [(bits(f), bits(s)) for Tk, pairs in runs
+                                if any(Tk is K for K in retained) for f, s in pairs]
+                    got = [(bits(f), bits(s)) for f, s in res.certificate.payload["pairs"]]
+                    assert got == expected
+        assert CERTIFIED in verdicts and REFUTED in verdicts
+
+    def test_a_repeated_generator_adds_no_shift(self, t_per):
+        fam = modelcat.GeneratorFamily((t_per, reindex(t_per, 1), t_per_with_period_2_tails()))
+        assert len(fam.shifts) == 1 and fam.shifts[0].lo == -3
 
 
 def family_result(shift_range):
