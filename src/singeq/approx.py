@@ -14,7 +14,7 @@ import numpy as np
 
 from . import functors, linalg, modelcat, modules
 from .complexes import (ChainMap, Complex, chain_map, cokernel_complex,
-                        complex_from_callable, kernel_complex, two_sided_split)
+                        complex_from_callable, dual, kernel_complex, two_sided_split)
 from .config import Options
 from .errors import NotGorensteinError, PeriodicityError, ValidationError
 from .homotopy import UNKNOWN, YES
@@ -235,13 +235,10 @@ def gp_gi_approximation(N: Module, side: str,
         triple.verify()
         return triple
     if side == "GI":
-        DN = modules.dual_module(N)
-        opp = gp_gi_approximation(DN, "GP", options)
-        Yp = modules.dual_module(opp.mid)
-        Xp = modules.dual_module(opp.left)
-        # dualizing the GP sequence flips it; double duals are literal
-        mono = ModuleMap(N, Yp, opp.epi.matrix.T % A.p)
-        epi = ModuleMap(Yp, Xp, opp.mono.matrix.T % A.p)
+        opp = gp_gi_approximation(modules.dual_module(N), "GP", options)
+        # dualizing the GP sequence flips it
+        mono, epi = modules.dual_map(opp.epi), modules.dual_map(opp.mono)
+        Yp, Xp = epi.source, epi.target
         idim = modules.injective_dimension(Xp, bound)
         if idim is None:
             raise ValidationError("preenvelope cokernel has unbounded injective dimension")
@@ -255,32 +252,17 @@ def gp_gi_approximation(N: Module, side: str,
 def complete_injective_resolution(Yp_dual_gp: Module, options: Options = Options()):
     """(J, mono: D(dual) -> J_0) for the Gorenstein injective D(input).
 
-    The input is a Gorenstein projective module over the opposite
-    algebra; J is the degreewise dual of its complete resolution, a
-    totally acyclic complex of injectives whose degree-0 cycles recover
-    the dual module.
+    The input is a Gorenstein projective module over the opposite algebra;
+    J is the dual of its complete resolution, a totally acyclic complex of
+    injectives whose degree-0 cycles recover the dual module.
     """
     Top, iso_op = complete_resolution(Yp_dual_gp, options)
-    A = modules._opposite_of(Yp_dual_gp.algebra)
-    p = A.p
-    OMop, projop = functors.omega_data(Top)
-    # c: Top_0 ->> D(Y') over A^op; its dual is the mono Y' -> J_0
-    c = (iso_op.matrix @ projop.matrix) % p
-
-    def term_fn(n: int) -> Module:
-        return modules.dual_module(Top.term(-n))
-
-    def diff_fn(n: int) -> np.ndarray:
-        return Top.diff(1 - n).T % p
-
-    J = complex_from_callable(A, -Top.hi, -Top.lo, term_fn, diff_fn,
-                              Top.pos_period, Top.neg_period)
-    Yp = modules.dual_module(Yp_dual_gp)
-    mono = ModuleMap(Yp, J.term(0), c.T % p)
+    # Top_0 ->> omega(Top) ~ D(Y') over A^op; its dual is the mono Y' -> J_0
+    mono = modules.dual_map(iso_op.compose(functors.omega_data(Top)[1]))
     mono.validate()
     if not mono.is_injective():
         raise ValidationError("theta witness is not a mono")
-    return J, mono
+    return dual(Top), mono
 
 
 @dataclass(eq=False)

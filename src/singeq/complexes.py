@@ -43,6 +43,11 @@ tables, one array operation per group of distinct blocks of one shape.
 A chain map that passed the engine carries the fact (ChainMap.validate);
 a sum or composite of such maps is one by linearity and is not checked
 again, and every other result is validated through the same engine.
+
+dual gives D(X) = Hom_k(X, k) over the opposite algebra, once per complex,
+and dual_chain_map D(f).  The injective side derives from the projective
+one through them: theta is D . omega . D (functors), and the co side's
+stable criterion and stable lifts run on duals (homotopy, equiv).
 """
 
 from __future__ import annotations
@@ -276,6 +281,16 @@ class Complex:
         """Verdicts decided once per complex: "exact" (is_exact), and
         "proj" / "inj" (homotopy.is_exP / is_exI), which share it."""
         return {}
+
+    @cached_property
+    def _dual(self) -> "Complex":
+        """dual(self), whose own dual is self; one dual per distinct term."""
+        duals = {id(t): modules.dual_module(t) for t, _ in self._blocks.data}
+        D = complex_from_callable(modules._opposite_of(self.algebra), -self.hi, -self.lo,
+                                  lambda n: duals[id(self.term(-n))],
+                                  lambda n: self.diff(1 - n).T, self.pos_period, self.neg_period)
+        object.__setattr__(D, "_dual", self)
+        return D
 
     def term(self, n: int) -> Module:
         return self._blocks.at(n)[0]
@@ -764,6 +779,21 @@ def reindex(X: Complex, k: int) -> Complex:
         lambda n: X.term(n - k),
         lambda n: (sign * X.diff(n - k)) % X.algebra.p,
         X.neg_period, X.pos_period)
+
+
+def dual(X: Complex) -> Complex:
+    """D(X) = Hom_k(X, k) over the opposite algebra: D(X)_n = D(X_{-n})
+    with d_n = D(d_{1-n}).  Built once per complex, and an involution like
+    modules.dual_module: dual(dual(X)) is X."""
+    return X._dual
+
+
+def dual_chain_map(f: ChainMap) -> ChainMap:
+    """D(f): D(target) -> D(source) with D(f)_n = D(f_{-n}); a chain map
+    exactly when f is one, so checked only when f is not (ChainMap.validate)."""
+    return _proven(chain_map_from_callable(
+        dual(f.target), dual(f.source), -f.chi, -f.clo, lambda n: f.component(-n).T,
+        f.pos_period, f.neg_period, validate=not f._checked))
 
 
 def reindex_chain_map(f: ChainMap, k: int) -> ChainMap:

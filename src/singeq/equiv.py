@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approx, functors, homotopy, linalg, modelcat, modules, solver
-from .complexes import ChainMap, Complex, chain_map, compose
+from .complexes import ChainMap, Complex, chain_map, compose, dual, dual_chain_map
 from .config import Options
 from .errors import LiftError, ValidationError
 from .homotopy import UNKNOWN, Certificate
@@ -59,48 +59,33 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
     side "omega": phi: omega(X) -> omega(Y); omega(f) - phi factors
     through a projective.  side "theta": phi: theta(X) -> theta(Y);
     theta(f) - phi factors through an injective.  The lift is searched
-    with growing tail periods; LiftError on exhaustion.
+    with growing tail periods; LiftError on exhaustion.  Since theta is
+    D . omega . D, the theta lift is D of the omega lift of D(phi).
     """
-    p = X.algebra.p
-    if side == "omega":
-        SX, sx_map = functors.omega_data(X)  # projection X_0 ->> omega(X)
-        SY, sy_map = functors.omega_data(Y)
-        Pcov, cov = modules.projective_cover(SY)
-        aux = (SX, Pcov)
-    elif side == "theta":
-        SX, sx_map = functors.theta_data(X)  # inclusion theta(X) -> X_0
-        SY, sy_map = functors.theta_data(Y)
-        Env, env = modules.injective_envelope(SX)
-        aux = (Env, SY)
-    else:
+    if side == "theta":
+        return dual_chain_map(lift_stable_map(modules.dual_map(phi), dual(Y), dual(X),
+                                              "omega", options))
+    if side != "omega":
         raise ValueError(f"unknown stable side {side!r}")
-
+    p = X.algebra.p
+    SX, sx_map = functors.omega_data(X)  # projection X_0 ->> omega(X)
+    SY, sy_map = functors.omega_data(Y)
+    Pcov, cov = modules.projective_cover(SY)
     for m in range(1, options.homotopy_period_bound + 1):
         sys = solver.graded_system(X, Y, 0, *solver.window(X, Y, (), m, 1, around=(0,)),
-                                   extras={"aux": aux})
-        if side == "omega":
-            sys.add_equation((phi.matrix @ sx_map.matrix) % p, [
-                (sy_map.matrix, 0, None),
-                ((-cov.matrix) % p, "aux", sx_map.matrix),
-            ], (X.term(0), SY))
-        else:
-            sys.add_equation((sy_map.matrix @ phi.matrix) % p, [
-                (None, 0, sx_map.matrix),
-                ((-sy_map.matrix) % p, "aux", env.matrix),
-            ], (SX, Y.term(0)))
+                                   extras={"aux": (SX, Pcov)})
+        sys.add_equation((phi.matrix @ sx_map.matrix) % p, [
+            (sy_map.matrix, 0, None),
+            ((-cov.matrix) % p, "aux", sx_map.matrix),
+        ], (X.term(0), SY))
         comps = sys.solve()
         if comps is None:
             if not sys.fold:
                 break
             continue
         f = chain_map(X, Y, *sys.graded(comps))
-        if side == "omega":
-            diff = (functors.omega_map(f).matrix - phi.matrix) % p
-            ok = homotopy.factors_through_projective(ModuleMap(SX, SY, diff))
-        else:
-            diff = (functors.theta_map(f).matrix - phi.matrix) % p
-            ok = homotopy.factors_through_injective(ModuleMap(SX, SY, diff))
-        if ok:
+        diff = (functors.omega_map(f).matrix - phi.matrix) % p
+        if homotopy.factors_through_projective(ModuleMap(SX, SY, diff)):
             return f
         if not sys.fold:
             break

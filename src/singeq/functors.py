@@ -3,6 +3,8 @@
 omega takes X_0 / Im d_1, theta takes Ker d_0, stalk places a module in
 degree zero; F and G are the stalk-valued composites.  Shifted variants
 are obtained by composing with reindex, never by a degree parameter.
+theta is D . omega . D for the duality D = Hom_k(-, k) (complexes.dual):
+D(X_0 / Im D(d_0)) is Ker d_0, on maps as on objects.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg, modules
-from .complexes import ChainMap, Complex, chain_map
+from .complexes import ChainMap, Complex, chain_map, dual, dual_chain_map
 from .errors import ValidationError
 from .modules import Module, ModuleMap
 
@@ -29,10 +31,11 @@ def omega_data(X: Complex):
 
 
 def theta_data(X: Complex):
-    """(Ker d_0, inclusion into X_0)."""
+    """(Ker d_0, inclusion into X_0): D of omega_data(D(X))."""
     key = id(X)
     if key not in _THETA_CACHE:
-        _THETA_CACHE[key] = (X, modules.kernel(X.diff_map(0)))
+        incl = modules.dual_map(omega_data(dual(X))[1])
+        _THETA_CACHE[key] = (X, (incl.source, incl))
     return _THETA_CACHE[key][1]
 
 
@@ -61,14 +64,8 @@ def omega_map(f: ChainMap) -> ModuleMap:
 
 
 def theta_map(f: ChainMap) -> ModuleMap:
-    """Induced map theta(source) -> theta(target)."""
-    p = f.source.algebra.p
-    _, inclX = theta_data(f.source)
-    TY, inclY = theta_data(f.target)
-    m = linalg.solve_matrix(inclY.matrix, (f.component(0) @ inclX.matrix) % p, p)
-    if m is None:
-        raise ValidationError("chain map does not restrict along theta")
-    return ModuleMap(theta(f.source), TY, m)
+    """Induced map theta(source) -> theta(target): D(omega(D(f)))."""
+    return modules.dual_map(omega_map(dual_chain_map(f)))
 
 
 def apply_F(x):

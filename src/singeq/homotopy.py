@@ -2,12 +2,12 @@
 
 Three strategies decide whether a chain map is null-homotopic: a complete
 finite solve when one side is bounded, the stable syzygy criterion for
-totally acyclic complexes of projectives over a Gorenstein algebra, and a
-periodic-ansatz search otherwise.  null_homotopies decides a list of maps
-with one source and one target jointly: the bounded solve, and each round
-m of the periodic search, is one elimination per window for all the maps
-still open, and what it finds is checked in one stacked call.  UNKNOWN is
-a value, never upgraded.
+totally acyclic complexes of projectives over a Gorenstein algebra (of
+injectives through the duality D), and a periodic-ansatz search otherwise.
+null_homotopies decides a list of maps with one source and one target
+jointly: the bounded solve, and each round m of the periodic search, is
+one elimination per window for all the maps still open, and what it
+finds is checked in one stacked call.  UNKNOWN is a value, never upgraded.
 
 The bounded solve and the periodic search both solve d s + s d = f in
 the system solver.graded_system builds with shift 1, on the window that
@@ -32,8 +32,8 @@ from . import functors, linalg, modules
 from .complexes import (ChainMap, Complex, Homotopy, _first_failure,  # noqa: F401
                         _from_tables, _intertwining, _lcm, _map_profile,
                         _per_degree, _Range, _sample, _wrong_shape,
-                        chain_map_from_callable,
-                        compose, cone, identity_chain_map, is_exact)
+                        chain_map_from_callable, compose, cone, dual_chain_map,
+                        identity_chain_map, is_exact)
 from .config import Options
 from .errors import ValidationError
 from .solver import FoldedSystem, graded_system, solve_module_map, window  # noqa: F401
@@ -218,14 +218,9 @@ def factors_through_projective(g: modules.ModuleMap) -> bool:
                             (g.source, g.target)) is not None
 
 
-def factors_through_injective(g: modules.ModuleMap) -> bool:
-    """Whether g extends along the injective envelope of its source: D(g)
-    lifts along the projective cover of D(source)."""
-    return factors_through_projective(modules.dual_map(g))
-
-
 def stably_zero(f: ChainMap) -> bool:
-    """Stable criterion for maps of totally acyclic complexes of projectives."""
+    """Stable criterion for maps of totally acyclic complexes of projectives;
+    of injectives, it applies to D(f), null-homotopic exactly when f is."""
     return factors_through_projective(functors.omega_map(f))
 
 
@@ -242,7 +237,8 @@ def null_homotopies(maps: list, options: Options = Options()) -> list:
     NO, its own solve gives.  The homotopies found by one round are checked
     in one stacked verify_null_homotopy call.  Bounded side: one complete
     solve, and if the check fails the homotopies give UNKNOWN.  Unbounded:
-    the stable criterion on each map, then for m = 1..homotopy_period_bound
+    the stable criterion on each map (on D(f) when X and Y are in exI but
+    not both in exP), then for m = 1..homotopy_period_bound
     one periodic solve per group of open maps that share their own window
     (a map whose tails are zero has period 0 and a narrower fold); if the
     stacked check fails the pairs are checked one by one, and a map whose
@@ -261,10 +257,11 @@ def null_homotopies(maps: list, options: Options = Options()) -> list:
                 else _found(f, s, "bounded") if ok
                 else NullHomotopyResult(UNKNOWN, strategy="bounded")
                 for f, s in zip(maps, found)]
-    stable = (modules.gorenstein_dimension(X.algebra, options.gorenstein_bound) is not None
-              and is_exP(X, options) and is_exP(Y, options))
-    out = [NullHomotopyResult(NO, strategy="stable") if stable and not stably_zero(f)
-           else None for f in maps]
+    gorenstein = modules.gorenstein_dimension(X.algebra, options.gorenstein_bound) is not None
+    ctr = gorenstein and is_exP(X, options) and is_exP(Y, options)
+    stable = ctr or gorenstein and is_exI(X, options) and is_exI(Y, options)
+    out = [NullHomotopyResult(NO, strategy="stable") if stable
+           and not stably_zero(f if ctr else dual_chain_map(f)) else None for f in maps]
     for m in range(1, options.homotopy_period_bound + 1):
         groups = {}
         for i, f in enumerate(maps):
@@ -304,11 +301,14 @@ def homotopy_equivalence_certificate(
     C = cone(f)
     if not is_exact(C):
         return EquivalenceResult(NO)
+    X, Y = f.source, f.target
+    for which in ("proj", "inj"):  # C_n = X_{n-1} + Y_n is in class when both are
+        if X._membership.get(which) and Y._membership.get(which):
+            C._membership[which] = True
     res = null_homotopy(identity_chain_map(C), options)
     if res.verdict != YES:
         return EquivalenceResult(res.verdict)
     s = res.homotopy
-    X, Y = f.source, f.target
     p = X.algebra.p
     lo, hi, nq, pq = _map_profile(f, X, Y)
     sq = _lcm([nq, pq, s.neg_period, s.pos_period])

@@ -63,12 +63,17 @@ class GeneratorFamily:
         generator, is left out, since orthogonality to it is orthogonality
         to that one.  All seven shifts of T_per over the built-in D2 are
         one complex: over F_2 the sign (-1)^k of the shifted differential
-        is 1, and A -x-> A repeats in every degree."""
-        r = self.shift_range
-        out = []
-        for Tk in (reindex(T, k) for T in self.generators for k in range(-r, r + 1)):
-            if not any(same_complex(Tk, S) for S in out):
-                out.append(Tk)
+        is 1, and A -x-> A repeats in every degree.  A generator's shifts
+        stop at its first repeat T[k] = T[j], j < k: then every later
+        T[k + i] = T[j + i] repeats one too."""
+        r, out = self.shift_range, []
+        for T in self.generators:
+            own = []
+            for Tk in (reindex(T, k) for k in range(-r, r + 1)):
+                if any(same_complex(Tk, S) for S in own):
+                    break
+                own.append(Tk)
+            out += [S for S in own if not any(same_complex(S, U) for U in out)]
         return tuple(out)
 
 

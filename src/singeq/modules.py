@@ -26,7 +26,7 @@ first computation.
 What depends on one complex or chain map is memoized on that object, and
 lives and dies with it: the table of its distinct blocks (a complex's or
 graded map's _blocks), the kernel and cokernel complexes of a chain map,
-and a complex's exP / exI verdicts.
+and a complex's exP / exI verdicts and its dual complex (complexes.dual).
 """
 
 from __future__ import annotations
