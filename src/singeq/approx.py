@@ -79,7 +79,7 @@ def complete_resolution(M: Module, options: Options = Options()):
     A = M.algebra
     p = A.p
     bound = options.periodicity_bound
-    if M.dim == 0 or M.split_class.is_projective:
+    if M.is_projective:
         T = Complex.build(A, -1, 0, {0: M, -1: M}, {0: linalg.eye(M.dim)})
         return T, _omega_witness(T, M)
 

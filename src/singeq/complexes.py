@@ -796,14 +796,6 @@ def dual_chain_map(f: ChainMap) -> ChainMap:
         f.pos_period, f.neg_period, validate=not f._checked))
 
 
-def reindex_chain_map(f: ChainMap, k: int) -> ChainMap:
-    S, T = reindex(f.source, k), reindex(f.target, k)
-    return chain_map_from_callable(
-        S, T, f.clo + k, f.chi + k,
-        lambda n: f.component(n - k),
-        f.neg_period, f.pos_period)
-
-
 def direct_sum_complex(X: Complex, Y: Complex):
     """(X + Y, inclusion of X, inclusion of Y, projections)."""
     p = X.algebra.p
@@ -862,26 +854,6 @@ def cone(f: ChainMap) -> Complex:
 
 def is_quasi_isomorphism(f: ChainMap) -> bool:
     return is_exact(cone(f))
-
-
-def hard_truncate_above(X: Complex, n: int) -> Complex:
-    """Keep degrees > n; positive tail survives."""
-    if X.pos_tail is None and X.hi <= n:
-        return zero_complex(X.algebra)
-    hi = max(X.hi, n + 1)
-    # degrees <= n are never sampled: the window starts at n+1 and there
-    # is no negative tail, so the seam differential is implicitly zero
-    return complex_from_callable(X.algebra, n + 1, hi, X.term, X.diff,
-                                 0, X.pos_period)
-
-
-def hard_truncate_below(X: Complex, n: int) -> Complex:
-    """Keep degrees <= n; negative tail survives."""
-    if X.neg_tail is None and X.lo > n:
-        return zero_complex(X.algebra)
-    lo = min(X.lo, n)
-    return complex_from_callable(X.algebra, lo, n, X.term, X.diff,
-                                 X.neg_period, 0)
 
 
 @dataclass

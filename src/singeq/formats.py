@@ -272,20 +272,28 @@ def chain_map_from_doc(doc: dict, path=None) -> ChainMap:
     src = load_complex(doc["source"], path)
     tgt = load_complex(doc["target"], path)
     p = src.algebra.p
+    shape = lambda n: (tgt.term(n).dim, src.term(n).dim)
     comps = {}
     for key, m in doc["components"].items():
         n = _int(key, "components", path)
-        comps[n] = _mat(m, p, "components", path, (tgt.term(n).dim, src.term(n).dim))
-    neg = pos = None
-    tails = doc.get("tail_components") or {}
-    if "neg" in tails:
-        neg = (_int(tails["neg"]["period"], "period", path),
-               tuple(_mat(b, p, "blocks", path) for b in _list(tails["neg"], "blocks", path)))
-    if "pos" in tails:
-        pos = (_int(tails["pos"]["period"], "period", path),
-               tuple(_mat(b, p, "blocks", path) for b in _list(tails["pos"], "blocks", path)))
+        comps[n] = _mat(m, p, "components", path, shape(n))
     degs = sorted(comps) or [0]
-    return chain_map(src, tgt, comps, degs[0], degs[-1], neg, pos)
+    clo, chi = degs[0], degs[-1]
+    tails = doc.get("tail_components") or {}
+
+    def tail(side, degree):
+        """(period, blocks) of one tail; block i sits at degree(i)."""
+        _require(tails[side], ("period", "blocks"), path)
+        period = _int(tails[side]["period"], "period", path)
+        raw = _list(tails[side], "blocks", path)
+        if len(raw) != period:
+            raise _fail("tail blocks length must equal the period", path)
+        return period, tuple(_mat(b, p, "blocks", path, shape(degree(i)))
+                             for i, b in enumerate(raw))
+
+    neg = tail("neg", lambda i: clo - 1 - i) if "neg" in tails else None
+    pos = tail("pos", lambda i: chi + 1 + i) if "pos" in tails else None
+    return chain_map(src, tgt, comps, clo, chi, neg, pos)
 
 
 def chain_map_to_doc(f: ChainMap, source_ref=None, target_ref=None) -> dict:

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import functors, linalg, modules
 # compose and FoldedSystem are unused here but stay importable from here,
 # which perfbench/selftest.py uses to test the tracer's alias rebinding
@@ -46,7 +44,7 @@ UNKNOWN = "UNKNOWN"
 class Certificate:
     """Re-checkable evidence: a payload of maps plus the equations they satisfy."""
 
-    kind: str  # null-homotopy | contraction | homotopy-inverse | splitting | orthogonality
+    kind: str  # null-homotopy | homotopy-inverse | orthogonality
     payload: dict
     checked: bool = False
 
@@ -120,14 +118,10 @@ def _pairs_hold(X: Complex, Y: Complex, pairs: list) -> bool:
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    if cert.kind in ("null-homotopy", "contraction"):
+    if cert.kind == "null-homotopy":
         ok = verify_null_homotopy(cert.payload["map"], cert.payload["homotopy"])
     elif cert.kind == "homotopy-inverse":
         ok = _verify_inverse_payload(cert.payload)
-    elif cert.kind == "splitting":
-        r, sct = cert.payload["retraction"], cert.payload["section"]
-        ok = r.compose(sct).matrix is not None and np.array_equal(
-            r.compose(sct).matrix, linalg.eye(sct.source.dim))
     elif cert.kind == "orthogonality":
         pairs = cert.payload["pairs"]
         ok = not pairs or verify_null_homotopy(*pairs[0], *pairs[1:])
@@ -181,8 +175,7 @@ def search_periodic_homotopy(f: ChainMap, m: int):
 
 def _in_class(M: modules.Module, which: str) -> bool:
     """M is projective (which "proj") or injective (which "inj")."""
-    cls = M.split_class
-    return cls.is_projective if which == "proj" else cls.is_injective
+    return M.is_projective if which == "proj" else M.is_injective
 
 
 def _terms_in_class(X: Complex, which: str) -> bool:

@@ -13,9 +13,10 @@ and cosyzygies are D of the syzygies of D(M).
 Caching rule: data that depends only on module actions is memoized on
 their algebra under the exact action bytes, so equal presentations share
 one entry and a change of basis gets its own.  That covers a module's
-split class, projective cover, injective envelope and left
-add(A)-approximation, and the hom basis of a pair (source, target) with
-its pivot entries, keyed on both actions in that order.  The same
+projective cover, injective envelope and left add(A)-approximation, and
+the hom basis of a pair (source, target) with its pivot entries, keyed
+on both actions in that order.  Module.is_projective and is_injective
+compare dimensions on the memoized cover and envelope.  The same
 per-algebra dict holds what depends on the algebra alone: the zero
 module, one zero matrix per shape (zero_block), the indecomposable
 projectives, the opposite algebra, the action generators, the Gorenstein
@@ -35,7 +36,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -95,18 +95,23 @@ class Module:
         return np.stack(self.action)
 
     @property
-    def split_class(self) -> "SplitClass":
-        """Projectivity/injectivity flags with explicit splitting witnesses."""
-        if self.dim == 0:
-            return SplitClass(True, True, None, None)
+    def is_projective(self) -> bool:
+        """M is projective, read from the memoized projective cover.
 
-        def compute():
-            section = _one_sided_inverse(projective_cover(self)[1], "section")
-            retraction = _one_sided_inverse(injective_envelope(self)[1], "retraction")
-            return SplitClass(section is not None, retraction is not None,
-                              section, retraction)
+        The cover P(M) -> M is onto, so equal dimensions make it an
+        isomorphism.  Conversely projective_cover is minimal, one A*e_i
+        per basis vector of the top of M, so a projective M has a cover
+        of its own dimension: a NO relies on that minimality."""
+        return projective_cover(self)[0].dim == self.dim
 
-        return _by_value("split_class", (self,), compute)
+    @property
+    def is_injective(self) -> bool:
+        """M is injective, read from the memoized injective envelope.
+
+        The envelope M -> I(M) is one to one, and it is D of the minimal
+        projective cover of D(M), so it has the dimension of M exactly
+        when D(M) is projective, that is when M is injective."""
+        return injective_envelope(self)[0].dim == self.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,34 +523,6 @@ def left_projective_approximation(M: Module) -> tuple:
     return P, ModuleMap(M, P, f)
 
 
-class SplitClass(NamedTuple):
-    is_projective: bool
-    is_injective: bool
-    # matrices of the splitting witnesses, against projective_cover(M) and
-    # injective_envelope(M): cover @ section = id, retraction @ envelope = id
-    section: np.ndarray | None
-    retraction: np.ndarray | None
-
-
-def _one_sided_inverse(f: ModuleMap, side: str):
-    """Matrix of a section (f s = id) or retraction (r f = id), or None.
-
-    f s and r f are endomorphisms of M, the target of f for a section and
-    its source for a retraction, so the equation is written at the pivot
-    entries of End(M) only (hom_pivots): row-equivalent to all entries."""
-    p = f.source.algebra.p
-    section = side == "section"
-    H = hom_stack(f.target, f.source)
-    if not len(H):
-        return None
-    M = f.target if section else f.source
-    rows = hom_pivots(M, M)
-    mats = (f.matrix @ H if section else H @ f.matrix).reshape(len(H), -1)
-    lam = linalg.solve(mats[:, rows].T % p, linalg.eye(M.dim).reshape(-1)[rows], p)
-    h, t, s = H.shape
-    return None if lam is None else (lam @ H.reshape(h, t * s)).reshape(t, s) % p
-
-
 def syzygy(M: Module, n: int) -> Module:
     """n-fold kernel of projective covers (n>0), or for n<0 the cosyzygy
     D(syzygy(D(M), -n)): cokernels of envelopes, up to isomorphism."""
@@ -594,7 +571,7 @@ def projective_dimension(M: Module, bound: int):
     """Smallest n with the n-th syzygy projective, or None within bound."""
     cur = M
     for n in range(bound + 1):
-        if cur.dim == 0 or cur.split_class.is_projective:
+        if cur.is_projective:
             return n
         _, epi = projective_cover(cur)
         cur, _ = kernel(epi)

@@ -46,7 +46,7 @@ class TestApproximationTriples:
         triple = approx.gp_gi_approximation(S2, "GP")
         triple.verify()
         # over a hereditary algebra GP modules are projective
-        assert triple.mid.split_class.is_projective
+        assert triple.mid.is_projective
 
     def test_gi_of_k_over_d2(self, k):
         triple = approx.gp_gi_approximation(k, "GI")
@@ -69,7 +69,7 @@ class TestCompleteResolution:
         assert T.neg_period == 1 and T.pos_period == 1
         for n in range(T.lo - 1, T.hi + 2):
             assert T.term(n).dim == 2
-            assert T.term(n).split_class.is_projective
+            assert T.term(n).is_projective
         # the syzygy witness identifies omega of the resolution with the input
         assert witness.source.dim == functors.omega(T).dim
         assert witness.is_invertible()

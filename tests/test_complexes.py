@@ -13,10 +13,8 @@ from conftest import (equal_by_degrees, mismatched_cone, random_contractible,
                       random_d2_complex, t_per_with_period_2_tails, truncated_polynomial)
 from singeq import complexes, fixtures, formats, functors, linalg, modules, solver
 from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
-                              hard_truncate_above, hard_truncate_below,
                               homology, identity_chain_map, is_exact,
-                              is_quasi_isomorphism, reindex,
-                              reindex_chain_map, two_sided_split,
+                              is_quasi_isomorphism, reindex, two_sided_split,
                               zero_chain_map, cokernel_complex)
 from singeq.errors import DimensionMismatch, ValidationError
 
@@ -358,17 +356,6 @@ class TestCone:
 
 
 class TestTruncation:
-    def test_truncate_above_keeps_pos_tail(self, t_per):
-        U = hard_truncate_above(t_per, 0)
-        assert U.term(0).dim == 0
-        assert U.term(1).dim == 2
-        assert U.neg_tail is None and U.pos_tail is not None
-
-    def test_truncate_stalk_below(self, k):
-        S = functors.stalk(k)
-        T = hard_truncate_below(S, 0)
-        assert T.term(0).dim == 1 and T.bounded()
-
     def test_counit_cokernel_split(self, t_per):
         # cokernel of the cycle inclusion in degree 0, split at 0:
         # upper keeps the strictly positive tower, lower the cycle image
@@ -501,13 +488,6 @@ class TestMaps:
         assert compose(pX, iX).is_mono() and compose(pX, iX).is_epi()
         assert compose(pX, iY).is_zero()
         assert iX.is_mono() and pY.is_epi()
-
-    def test_reindex_chain_map(self, t_per):
-        f = identity_chain_map(t_per)
-        g = reindex_chain_map(f, 1)
-        assert g.source.lo == t_per.lo + 1
-        assert not add_maps(g, identity_chain_map(g.source), sign=-1
-                            ).component(1).any()
 
 
 # -- sums and composites from block tables ---------------------------------

@@ -144,6 +144,27 @@ class TestRoundTrip:
         assert main(["validate", str(path)]) == 0
         assert "overall: YES" in capsys.readouterr().out
 
+    def test_map_with_empty_tail_blocks_round_trip(self, D2, A, tmp_path, capsys):
+        # the identity of a complex whose period-2 tails alternate A and 0:
+        # its 0 x 0 tail blocks are written [], and each loads with the
+        # shape of its own degree
+        zero = modules.zero_module(D2)
+        term = lambda n: A if n % 2 == 0 else zero
+        X = complexes.complex_from_callable(
+            D2, 0, 1, term, lambda n: linalg.zeros(term(n - 1).dim, term(n).dim), 2, 2)
+        f = complexes.identity_chain_map(X)
+        doc = json.loads(json.dumps(formats.chain_map_to_doc(f)))
+        assert doc["tail_components"]["neg"]["blocks"][0] == []
+        assert doc["tail_components"]["pos"]["blocks"][1] == []
+        again = formats.chain_map_from_doc(doc)
+        for n in range(-6, 8):
+            assert again.component(n).shape == f.component(n).shape == (A.dim * (1 - n % 2),) * 2
+            assert np.array_equal(again.component(n), f.component(n))
+        path = tmp_path / "id.map"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        assert "overall: YES" in capsys.readouterr().out
+
     def test_map_to_a_zero_stalk_round_trip(self, D2, k):
         f = zero_chain_map(functors.stalk(k), functors.stalk(modules.zero_module(D2)))
         again = formats.chain_map_from_doc(formats.chain_map_to_doc(f))
@@ -323,7 +344,12 @@ class TestExitCodes:
          "idempotents": [0], "radical": [1]},
         {"p": 2, "basis": ["1"], "mul": [[[1]]], "unit": [1], "idempotents": [5],
          "radical": []},
-    ], ids=["p", "dim", "ragged-mul", "idempotent-index"])
+        {"source": "T_per", "target": "T_per", "components": {"0": [[0, 0], [1, 0]]},
+         "tail_components": {"neg": {"period": 2, "blocks": [[[0, 0], [1, 0]]]}}},
+        {"source": "T_per", "target": "T_per", "components": {"0": [[0, 0], [1, 0]]},
+         "tail_components": {"neg": {"period": 1,
+                                     "blocks": [[[0, 0], [1, 0]], [[1, 1], [1, 1]]]}}},
+    ], ids=["p", "dim", "ragged-mul", "idempotent-index", "map-tail-short", "map-tail-long"])
     def test_65_malformed_document(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

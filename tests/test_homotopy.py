@@ -387,6 +387,11 @@ class TestHomotopyEquivalence:
         assert not homotopy.verify_certificate(cert)
         assert not cert.checked
 
+    @pytest.mark.parametrize("kind", ["splitting", "contraction"])
+    def test_unknown_certificate_kinds_are_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown certificate kind"):
+            homotopy.verify_certificate(homotopy.Certificate(kind, {}))
+
     def test_inverse_is_validated_once(self, monkeypatch, t_per):
         calls = []
         validate = ChainMap.validate

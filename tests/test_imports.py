@@ -1,4 +1,5 @@
-"""Every name a module of src/singeq imports is used in that module.
+"""Every name a module of src/singeq imports is used in that module, and
+every public function it defines is reached from outside the tests.
 
 A name counts as used when it is read anywhere in the module, also inside
 a quoted annotation.  An import statement marked `# noqa: F401` on any of
@@ -9,6 +10,7 @@ reaches through it.
 import ast
 import glob
 import os
+import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -57,3 +59,61 @@ def test_the_scan_finds_an_unused_import_and_honours_noqa():
               "    return dataclass\n"
               "from .modules import Module\n")
     assert unused_imports(source) == [(1, "field")]
+
+
+# Public functions that nothing in src/, demos/ or perfbench/ names, kept
+# as documented entry points of the library.
+ENTRY_POINTS = {
+    "complexes.is_quasi_isomorphism",  # a quasi-isomorphism test on the cone
+    "complexes.zero_complex",  # the zero object
+    "formats.chain_map_to_doc",  # the writer of the chain-map format
+}
+
+
+def public_functions(source: str) -> list:
+    """Names of the public module-level functions; a decorated one (a
+    command line command) is reached through its decorator."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and not node.decorator_list]
+
+
+def names_read(source: str) -> set:
+    """Every name the source reads, as a name, an attribute or an import,
+    and each part of a dotted-name string such as "modules.zero_module"."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            names |= set(node.value.split("."))
+    return names
+
+
+def test_every_public_function_is_reached_outside_the_tests():
+    sources = {}
+    for pattern in ("src/singeq/*.py", "demos/*.py", "perfbench/*.py"):
+        for path in sorted(glob.glob(os.path.join(ROOT, pattern))):
+            with open(path) as fh:
+                sources[path] = fh.read()
+    read = set().union(*map(names_read, sources.values()))
+    unreached = {f"{os.path.basename(path)[:-3]}.{name}"
+                 for path, source in sources.items() if os.sep + "singeq" + os.sep in path
+                 for name in public_functions(source) if name not in read}
+    assert unreached == ENTRY_POINTS
+
+
+def test_the_reach_scan_reads_names_attributes_and_dotted_strings():
+    source = ("import click\n"
+              "@click.command()\n"
+              "def command(): pass\n"
+              "def _private(): pass\n"
+              "def public(): return helper() + mod.attr + len('tracer.hooked')\n")
+    assert public_functions(source) == ["public"]
+    assert {"helper", "attr", "tracer", "hooked", "click"} <= names_read(source)
+    assert "public" not in names_read(source)

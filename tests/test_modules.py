@@ -105,30 +105,33 @@ class TestCoversAndEnvelopes:
         assert I.dim == 0
 
     def test_cover_section_exists_iff_projective(self, k, A):
-        for M in (k, A):
+        for M, projective in ((k, False), (A, True)):
             _, epi = modules.projective_cover(M)
-            section = linalg.solve_matrix(epi.matrix, linalg.eye(M.dim), 2)
-            has_section = section is not None and M.split_class.is_projective
-            assert has_section == M.split_class.is_projective
+            assert (full_row_inverse(epi, "section") is not None) == projective
+            assert M.is_projective == projective
 
 
 class TestSplitClass:
+    """A module is projective exactly when its cover splits, and injective
+    exactly when its envelope splits; the flags compare dimensions."""
+
     def test_regular_d2(self, A):
-        cls = A.split_class
-        assert cls.is_projective and cls.is_injective
+        assert A.is_projective and A.is_injective
 
     def test_simple_d2(self, k):
-        cls = k.split_class
-        assert not cls.is_projective and not cls.is_injective
+        assert not k.is_projective and not k.is_injective
 
     def test_s1_over_t2(self):
-        cls = fixtures.S1().split_class
-        assert cls.is_projective and not cls.is_injective
+        S1 = fixtures.S1()
+        assert S1.is_projective and not S1.is_injective
 
 
 def full_row_inverse(f, side):
-    """modules._one_sided_inverse solved on every entry of the identity,
-    not only on the pivot entries of End(M)."""
+    """Matrix of a module-map section (f s = id) or retraction (r f = id)
+    of f, or None: solved in Hom(f.target, f.source) on every entry of
+    the identity.  A nonzero module is projective exactly when its cover
+    has a section, and injective exactly when its envelope has a
+    retraction."""
     p = f.source.algebra.p
     section = side == "section"
     H = modules.hom_stack(f.target, f.source)
@@ -141,18 +144,48 @@ def full_row_inverse(f, side):
     return None if lam is None else (lam @ H.reshape(h, t * s)).reshape(t, s) % p
 
 
+def splits(M):
+    """(projective, injective) by the splitting criterion, the reference
+    for Module.is_projective and is_injective; the zero module is both."""
+    if M.dim == 0:
+        return True, True
+    return (full_row_inverse(modules.projective_cover(M)[1], "section") is not None,
+            full_row_inverse(modules.injective_envelope(M)[1], "retraction") is not None)
+
+
 def test_one_sided_inverse_matches_the_full_row_solve(duality_algebra):
+    # the cover has a section exactly when M is projective, the envelope a
+    # retraction exactly when M is injective; both outcomes occur
     rng = random.Random(9)
     outcomes = set()
     for _ in range(16):
         M = random_module(rng, duality_algebra)
-        for f, side in ((modules.projective_cover(M)[1], "section"),
-                        (modules.injective_envelope(M)[1], "retraction")):
-            ours, full = modules._one_sided_inverse(f, side), full_row_inverse(f, side)
-            assert (ours is None) == (full is None)
-            assert ours is None or np.array_equal(ours, full)
-            outcomes.add(ours is None)
+        for f, side, flag in ((modules.projective_cover(M)[1], "section", M.is_projective),
+                              (modules.injective_envelope(M)[1], "retraction",
+                               M.is_injective)):
+            full = full_row_inverse(f, side)
+            assert (full is not None) == flag
+            outcomes.add(flag)
     assert outcomes == {True, False}
+
+
+def test_flags_match_the_splitting_solve():
+    # random modules over each algebra and its opposite, with their first
+    # syzygies and cosyzygies: 6 algebras x 2 sides x 30 draws x 3 modules
+    algebras = [fixtures.D2(), fixtures.T2(), truncated_polynomial(3, 2),
+                truncated_polynomial(3, 3), truncated_polynomial(4, 2), triangular_d2()]
+    rng = random.Random(20)
+    seen = {}
+    for alg in algebras:
+        for side in (alg, modules._opposite_of(alg)):
+            for _ in range(30):
+                M = random_module(rng, side)
+                for X in (M, modules.syzygy(M, 1), modules.syzygy(M, -1)):
+                    flags = (X.is_projective, X.is_injective)
+                    assert flags == splits(X)
+                    seen[flags] = seen.get(flags, 0) + 1
+    assert sum(seen.values()) == 1080
+    assert len(seen) == 4
 
 
 class TestSyzygy:
@@ -276,27 +309,26 @@ def sample_modules(alg):
     return [A, modules.direct_sum([k, A])[0]]
 
 
-def assert_witnesses_hold(M):
-    """cover @ section = id and retraction @ envelope = id, against M's own."""
-    p = M.algebra.p
-    cls = M.split_class
-    assert (cls.section is not None) == cls.is_projective
-    assert (cls.retraction is not None) == cls.is_injective
-    if cls.is_projective:
-        epi = modules.projective_cover(M)[1]
-        assert epi.target is M
-        assert np.array_equal((epi.matrix @ cls.section) % p, linalg.eye(M.dim))
-    if cls.is_injective:
-        mono = modules.injective_envelope(M)[1]
-        assert mono.source is M
-        assert np.array_equal((cls.retraction @ mono.matrix) % p, linalg.eye(M.dim))
+def assert_flags_hold(M):
+    """The flags agree with the splitting solve, and the memoized cover
+    and envelope they read are attached to M itself."""
+    assert (M.is_projective, M.is_injective) == splits(M)
+    assert modules.projective_cover(M)[1].target is M
+    assert modules.injective_envelope(M)[1].source is M
 
 
-def same_class(c, d):
-    """Equal flags, and witnesses that are both None or equal arrays."""
-    return c[:2] == d[:2] and all(
-        (x is None) == (y is None) and (x is None or np.array_equal(x, y))
-        for x, y in zip(c[2:], d[2:]))
+def entries(M):
+    """M's flags and the memoized cover and envelope they are read from."""
+    (P, epi), (I, mono) = modules.projective_cover(M), modules.injective_envelope(M)
+    return (M.is_projective, M.is_injective), P, epi.matrix, I, mono.matrix
+
+
+def same_entries(c, d):
+    """Equal flags, and covers and envelopes with equal dimensions and arrays."""
+    return c[0] == d[0] and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else
+        x.dim == y.dim and all(np.array_equal(a, b) for a, b in zip(x.action, y.action))
+        for x, y in zip(c[1:], d[1:]))
 
 
 class TestValueMemo:
@@ -304,14 +336,20 @@ class TestValueMemo:
         alg = fresh(truncated_polynomial(3, 3))
         for M in sample_modules(alg):
             N = modules.Module(alg, M.dim, tuple(a.copy() for a in M.action))
-            assert N.split_class is M.split_class
             assert modules.projective_cover(N)[0] is modules.projective_cover(M)[0]
-            assert modules.projective_cover(N)[1].target is N
-            assert_witnesses_hold(N)
-        cls = sample_modules(alg)[0].split_class
-        assert cls.is_projective and cls.is_injective
-        cls = sample_modules(alg)[1].split_class
-        assert not cls.is_projective and not cls.is_injective
+            assert modules.projective_cover(N)[1].matrix is modules.projective_cover(M)[1].matrix
+            assert modules.injective_envelope(N)[0] is modules.injective_envelope(M)[0]
+            assert modules.injective_envelope(N)[1].matrix is \
+                modules.injective_envelope(M)[1].matrix
+            assert (N.is_projective, N.is_injective) == (M.is_projective, M.is_injective)
+            assert_flags_hold(N)
+        A, kA = sample_modules(alg)
+        assert A.is_projective and A.is_injective
+        assert not kA.is_projective and not kA.is_injective
+        # one cover entry and one envelope entry per distinct action
+        kinds = [key[0] for key in alg._modules if isinstance(key, tuple)
+                 and key[0] in ("cover", "envelope")]
+        assert sorted(kinds) == ["cover", "cover", "envelope", "envelope"]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_change_of_basis_gets_its_own_entry(self, p):
@@ -322,13 +360,13 @@ class TestValueMemo:
             N = in_basis(M, g)
             N.validate()
             assert not all(np.array_equal(a, b) for a, b in zip(M.action, N.action))
-            assert N.split_class is not M.split_class
             assert modules.projective_cover(N)[1].matrix is not \
                 modules.projective_cover(M)[1].matrix
-            assert (N.split_class.is_projective, N.split_class.is_injective) == \
-                (M.split_class.is_projective, M.split_class.is_injective)
-            assert_witnesses_hold(M)
-            assert_witnesses_hold(N)
+            assert modules.injective_envelope(N)[1].matrix is not \
+                modules.injective_envelope(M)[1].matrix
+            assert (N.is_projective, N.is_injective) == (M.is_projective, M.is_injective)
+            assert_flags_hold(M)
+            assert_flags_hold(N)
 
     def test_classification_does_not_depend_on_call_order(self):
         rng = random.Random(7)
@@ -340,22 +378,22 @@ class TestValueMemo:
             pairs = [(M, in_basis(M, g)) for M, g in zip(sample_modules(alg), gs)]
             for pair in pairs:
                 for X in pair[::order]:
-                    X.split_class
-            results.append([[X.split_class for X in pair] for pair in pairs])
+                    X.is_projective, X.is_injective
+            results.append([[entries(X) for X in pair] for pair in pairs])
         for first, second in zip(*results):
-            assert all(same_class(c, d) for c, d in zip(first, second))
+            assert all(same_entries(c, d) for c, d in zip(first, second))
 
     def test_unreduced_entries_get_their_own_entry(self):
         alg = fresh(truncated_polynomial(3, 3))
         for M in sample_modules(alg):
             U = modules.Module(alg, M.dim, tuple(a + 3 for a in M.action))
             U.validate()
-            assert U.split_class is not M.split_class
             assert modules.projective_cover(U)[1].matrix is not \
                 modules.projective_cover(M)[1].matrix
-            assert (U.split_class.is_projective, U.split_class.is_injective) == \
-                (M.split_class.is_projective, M.split_class.is_injective)
-            assert_witnesses_hold(U)
+            assert modules.injective_envelope(U)[1].matrix is not \
+                modules.injective_envelope(M)[1].matrix
+            assert (U.is_projective, U.is_injective) == (M.is_projective, M.is_injective)
+            assert_flags_hold(U)
 
     def test_memoized_arrays_are_read_only(self):
         alg = fresh(truncated_polynomial(3, 2))
@@ -363,8 +401,7 @@ class TestValueMemo:
         P, epi = modules.projective_cover(M)
         I, mono = modules.injective_envelope(M)
         Q, incl, gen = modules.indecomposable_projective(alg, 0)
-        for arr in (M.split_class.section, M.split_class.retraction, epi.matrix,
-                    P.action[1], mono.matrix, I.action[1], Q.action[1],
+        for arr in (epi.matrix, P.action[1], mono.matrix, I.action[1], Q.action[1],
                     incl.matrix, gen):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
@@ -531,7 +568,7 @@ class TestDerivedInjectiveSide:
         for M in self.sample(duality_algebra):
             cur, expected = M, None
             for n in range(bound + 1):
-                if cur.dim == 0 or cur.split_class.is_injective:
+                if cur.is_injective:
                     expected = n
                     break
                 cur = _cosyzygy(cur)

@@ -273,13 +273,12 @@ class TestSameChecks:
             q = complexes._lcm([X.neg_period, X.pos_period])
             for which, attr in (("proj", "is_projective"), ("inj", "is_injective")):
                 assert homotopy._terms_in_class(X, which) == all(
-                    getattr(old_term(X, n).split_class, attr)
+                    getattr(old_term(X, n), attr)
                     for n in range(X.lo - q, X.hi + q + 1))
                 q1 = max(q, 1)
                 assert modelcat._cycles_in_class(X, which) == all(
                     getattr(modules.kernel(modules.ModuleMap(
-                        old_term(X, n), old_term(X, n - 1), old_diff(X, n)))[0]
-                        .split_class, attr)
+                        old_term(X, n), old_term(X, n - 1), old_diff(X, n)))[0], attr)
                     for n in range(X.lo - q1, X.hi + q1 + 1))
 
     def test_accessors_match_the_old_fold(self, cone_mixed, htpy_bases):
