@@ -23,19 +23,6 @@ from .modules import Module, ModuleMap
 
 
 @dataclass(eq=False)
-class GorensteinReport:
-    dimension: int | None
-    verdict: str  # GORENSTEIN | NOT-GORENSTEIN-WITHIN-BOUND
-
-
-def check_gorenstein(algebra, bound: int = 8) -> GorensteinReport:
-    d = modules.gorenstein_dimension(algebra, bound)
-    if d is None:
-        return GorensteinReport(None, "NOT-GORENSTEIN-WITHIN-BOUND")
-    return GorensteinReport(d, "GORENSTEIN")
-
-
-@dataclass(eq=False)
 class ApproximationTriple:
     """Verified short exact sequence 0 -> left -> mid -> right -> 0.
 
@@ -66,6 +53,42 @@ class ApproximationTriple:
             raise ValidationError("approximation ranks do not add up")
 
 
+def _syzygy(Z: Module):
+    """(P, pi, Z', kappa): the projective cover pi: P ->> Z and its kernel
+    kappa: Z' -> P."""
+    P, pi = modules.projective_cover(Z)
+    return P, pi, *modules.kernel(pi)
+
+
+def _cosyzygy(C: Module):
+    """(E, iota, C', proj): the minimal left add(A)-approximation
+    iota: C -> E, required to be mono, and its cokernel proj: E ->> C'."""
+    E, iota = modules.left_projective_approximation(C)
+    if not iota.is_injective():
+        raise NotGorensteinError("module is not Gorenstein projective: a cosyzygy does not "
+                                 "embed in a projective module")
+    return E, iota, *modules.cokernel(iota)
+
+
+def _tower(M: Module, step, name: str, options: Options, later_first: bool = False):
+    """Steps (P_k, a_k, C_{k+1}, b_k) = step(C_k) from C_0 = M until C_j is
+    isomorphic to an earlier C_i: (the steps as columns, i, j, the
+    isomorphism found by find_isomorphism(C_i, C_j), or (C_j, C_i) when
+    later_first)."""
+    bound = options.periodicity_bound
+    Cs, steps = [M], []
+    for j in range(1, bound + 1):
+        steps.append(step(Cs[-1]))
+        Cs.append(steps[-1][2])
+        for i in range(j):
+            pair = (Cs[j], Cs[i]) if later_first else (Cs[i], Cs[j])
+            iso = modules.find_isomorphism(*pair, options)
+            if iso is not None:
+                return tuple(zip(*steps)), i, j, iso
+    raise PeriodicityError(f"NO-PERIODICITY-WITHIN-BOUND: no {name} repeats "
+                           f"within periodicity_bound={bound}")
+
+
 def complete_resolution(M: Module, options: Options = Options()):
     """(T, iso: omega(T) -> M) with T totally acyclic with projective terms.
 
@@ -77,92 +100,35 @@ def complete_resolution(M: Module, options: Options = Options()):
     injective: M is then not Gorenstein projective.
     """
     A = M.algebra
-    p = A.p
-    bound = options.periodicity_bound
     if M.is_projective:
         T = Complex.build(A, -1, 0, {0: M, -1: M}, {0: linalg.eye(M.dim)})
         return T, _omega_witness(T, M)
 
-    # left half: projective covers P_0 -> P_1 -> ... with syzygies Z_i
-    Zs = [M]
-    Ps, pis, kappas = [], [], []
-    wrap_pos = None
-    for jdx in range(1, bound + 1):
-        P, pi = modules.projective_cover(Zs[-1])
-        Z, kincl = modules.kernel(pi)
-        Ps.append(P)
-        pis.append(pi)
-        kappas.append(kincl)
-        Zs.append(Z)
-        for idx in range(jdx):
-            psi = modules.find_isomorphism(Zs[idx], Zs[jdx], options)
-            if psi is not None:
-                wrap_pos = (idx, jdx, psi)
-                break
-        if wrap_pos:
-            break
-    if wrap_pos is None:
-        raise PeriodicityError("NO-PERIODICITY-WITHIN-BOUND: no syzygy repeats "
-                               f"within periodicity_bound={bound}")
-    i, j, psi = wrap_pos
-    q_pos = j - i
-    # wrap differential P_i -> P_{j-1}: project to Z_i, transport, include
-    w = ((kappas[j - 1].matrix @ psi.matrix) % p @ pis[i].matrix) % p
+    (Ps, pis, _, kappas), i, j, psi = _tower(M, _syzygy, "syzygy", options)
+    (Es, iotas, _, projs), s, t, phi = _tower(M, _cosyzygy, "cosyzygy", options,
+                                              later_first=True)
 
-    # right half: minimal left add(A)-approximations, required to be mono
-    Cs = [M]
-    Es, iotas, projs = [], [], []
-    wrap_neg = None
-    for tdx in range(1, bound + 1):
-        E, iota = modules.left_projective_approximation(Cs[-1])
-        if not iota.is_injective():
-            raise NotGorensteinError(
-                "module is not Gorenstein projective: a cosyzygy does not "
-                "embed in a projective module")
-        C, cproj = modules.cokernel(iota)
-        Es.append(E)
-        iotas.append(iota)
-        projs.append(cproj)
-        Cs.append(C)
-        for sdx in range(tdx):
-            phi = modules.find_isomorphism(Cs[tdx], Cs[sdx], options)
-            if phi is not None:
-                wrap_neg = (sdx, tdx, phi)
-                break
-        if wrap_neg:
-            break
-    if wrap_neg is None:
-        raise PeriodicityError("NO-PERIODICITY-WITHIN-BOUND: no cosyzygy repeats "
-                               f"within periodicity_bound={bound}")
-    s, t, phi = wrap_neg
-    q_neg = t - s
-    # wrap differential E_{t-1} -> E_s: project to C_t, transport, include
-    v = ((iotas[s].matrix @ phi.matrix) % p @ projs[t - 1].matrix) % p
+    # the wrap differentials P_i -> P_{j-1} and E_{t-1} -> E_s: project to
+    # the repeated (co)syzygy, transport, include
+    w = kappas[j - 1].compose(psi).compose(pis[i]).matrix
+    v = iotas[s].compose(phi).compose(projs[t - 1]).matrix
 
-    def pidx(n: int) -> int:  # degree n >= 0 -> index into Ps
-        return n if n < j else i + (n - i) % q_pos
-
-    def eidx(n: int) -> int:  # envelope count for degree n <= -1
-        c = -1 - n
-        return c if c < t else s + (c - s) % q_neg
+    def fold(c: int, first: int, last: int) -> int:  # tower position of the c-th term
+        return c if c < last else first + (c - first) % (last - first)
 
     def term_fn(n: int) -> Module:
-        return Ps[pidx(n)] if n >= 0 else Es[eidx(n)]
+        return Ps[fold(n, i, j)] if n >= 0 else Es[fold(-1 - n, s, t)]
 
     def diff_fn(n: int) -> np.ndarray:
-        if n >= 1:
-            if n >= j and (n - i) % q_pos == 0:
-                return w
-            k = pidx(n)  # P_k -> Z_k -> P_{k-1}
-            return (kappas[k - 1].matrix @ pis[k].matrix) % p
         if n == 0:
-            return (iotas[0].matrix @ pis[0].matrix) % p
-        src = eidx(n)
-        if eidx(n - 1) != src + 1:
-            return v
-        return (iotas[src + 1].matrix @ projs[src].matrix) % p
+            return iotas[0].compose(pis[0]).matrix
+        if n > 0:  # P_b -> Z_b -> P_a
+            a, b = fold(n - 1, i, j), fold(n, i, j)
+            return kappas[a].compose(pis[b]).matrix if b == a + 1 else w
+        a, b = fold(-1 - n, s, t), fold(-n, s, t)  # E_a -> C_b -> E_b
+        return iotas[b].compose(projs[a]).matrix if b == a + 1 else v
 
-    T = complex_from_callable(A, -t, j - 1, term_fn, diff_fn, q_neg, q_pos)
+    T = complex_from_callable(A, -t, j - 1, term_fn, diff_fn, t - s, j - i)
     return T, _omega_witness(T, M, pis[0])
 
 
@@ -221,10 +187,9 @@ def gp_gi_approximation(N: Module, side: str,
                         options: Options = Options()) -> ApproximationTriple:
     A = N.algebra
     bound = options.gorenstein_bound
-    report = check_gorenstein(A, bound)
-    if report.verdict != "GORENSTEIN":
+    d = modules.gorenstein_dimension(A, bound)
+    if d is None:
         raise NotGorensteinError("approximation needs a Gorenstein base algebra")
-    d = report.dimension
     if side == "GP":
         W, M, e, wincl = _gp_helper(N, d, options)
         T, _ = complete_resolution(M, options)
@@ -320,9 +285,8 @@ def stalk_replacement(S: Complex, which: str,
             raise ValidationError("replacement map is not a mono in degree 0")
         witness = ModuleMap(triple.mid, obj.term(0), theta_mono.matrix)
         rest, side = cokernel_complex(q)[0], "left_of_exI"
-    split = two_sided_split(rest, 0)
-    upper = modelcat.orthogonal_certificate(split.upper, side, fam, options)
-    lower = modelcat.orthogonal_certificate(split.lower, side, fam, options)
+    upper, lower = (modelcat.orthogonal_certificate(piece, side, fam, options)
+                    for piece in two_sided_split(rest, 0))
     verdict = YES if upper.verdict == lower.verdict == CERTIFIED else UNKNOWN
     out = StalkReplacement(obj, q, which, triple, upper, lower, verdict, witness)
     _REPLACEMENT_CACHE[key] = out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import click
 import numpy as np
 
-from . import approx, equiv, fixtures, formats, functors, homotopy, modelcat
+from . import approx, equiv, fixtures, formats, functors, homotopy, modelcat, modules
 from .complexes import ChainMap, Complex, GradedMap
 from .config import default_options
 from .errors import (IsomorphismUndecided, LiftError, ParseError,
@@ -189,21 +189,19 @@ def validate(ctx, file):
     return _emit(ctx, report)
 
 
+_FUNCTORS = {"F": functors.apply_F, "G": functors.apply_G,
+             "omega": functors.omega, "theta": functors.theta}
+
+
 @cli.command()
-@click.argument("which", type=click.Choice(["F", "G", "omega", "theta"]))
+@click.argument("which", type=click.Choice(list(_FUNCTORS)))
 @click.argument("file", type=click.Path())
 @click.pass_context
 def functor(ctx, which, file):
     """Apply a degree-zero functor to the complex in FILE."""
     report = _report(ctx, f"functor {which} {file}")
     t0 = time.perf_counter()
-    X = formats.load_complex(file)
-    if which == "omega":
-        out = functors.omega(X)
-    elif which == "theta":
-        out = functors.theta(X)
-    else:
-        out = functors.apply_FG(which, X)
+    out = _FUNCTORS[which](formats.load_complex(file))
     report.add(f"{which} applied", YES, out, detail=_describe(out), started=t0)
     return _emit(ctx, report)
 
@@ -328,10 +326,9 @@ def demo(ctx, name):
     report = _report(ctx, f"demo {name}")
     X = _DEMO_FIXTURES[name]()
     t0 = time.perf_counter()
-    gor = approx.check_gorenstein(X.algebra, options.gorenstein_bound)
-    report.add("gorenstein base algebra",
-               YES if gor.verdict == "GORENSTEIN" else NO,
-               detail=f"dimension {gor.dimension}", started=t0)
+    d = modules.gorenstein_dimension(X.algebra, options.gorenstein_bound)
+    report.add("gorenstein base algebra", NO if d is None else YES,
+               detail=f"dimension {d}", started=t0)
     t0 = time.perf_counter()
     flags = modelcat.membership_flags(X, options)
     report.add("input in exP and exI",

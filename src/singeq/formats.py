@@ -89,10 +89,14 @@ def load_json(path: str) -> dict:
     return doc
 
 
-def _require(doc: dict, keys, path=None) -> None:
+def _require(doc: dict, keys, path=None, field=None) -> dict:
+    """doc, which must be a JSON object (field names it) holding keys."""
+    if not isinstance(doc, dict):
+        raise _fail(f"field {field!r} must be an object", path)
     for key in keys:
         if key not in doc:
             raise _fail(f"missing required field {key!r}", path)
+    return doc
 
 
 # Algebras compare by identity, so identical presentations loaded from
@@ -190,7 +194,7 @@ def _tail_from_doc(doc, alg, path, edge, side):
     the indexing convention of Complex._blocks."""
     if doc is None:
         return None, None
-    _require(doc, ("period", "terms", "diffs"), path)
+    _require(doc, ("period", "terms", "diffs"), path, "neg_tail" if side < 0 else "pos_tail")
     p = alg.field.p
     period = _int(doc["period"], "period", path)
     terms = tuple(load_module(t, path) for t in _list(doc, "terms", path))
@@ -213,8 +217,7 @@ def _tail_from_doc(doc, alg, path, edge, side):
 
 def complex_from_doc(doc: dict, path=None) -> Complex:
     _require(doc, ("window",), path)
-    win = doc["window"]
-    _require(win, ("lo", "hi", "terms", "diffs"), path)
+    win = _require(doc["window"], ("lo", "hi", "terms", "diffs"), path, "window")
     lo, hi = _int(win["lo"], "lo", path), _int(win["hi"], "hi", path)
     terms = [load_module(t, path) for t in _list(win, "terms", path)]
     if len(terms) != hi - lo + 1:
@@ -274,16 +277,16 @@ def chain_map_from_doc(doc: dict, path=None) -> ChainMap:
     p = src.algebra.p
     shape = lambda n: (tgt.term(n).dim, src.term(n).dim)
     comps = {}
-    for key, m in doc["components"].items():
+    for key, m in _require(doc["components"], (), path, "components").items():
         n = _int(key, "components", path)
         comps[n] = _mat(m, p, "components", path, shape(n))
     degs = sorted(comps) or [0]
     clo, chi = degs[0], degs[-1]
-    tails = doc.get("tail_components") or {}
+    tails = _require(doc.get("tail_components") or {}, (), path, "tail_components")
 
     def tail(side, degree):
         """(period, blocks) of one tail; block i sits at degree(i)."""
-        _require(tails[side], ("period", "blocks"), path)
+        _require(tails[side], ("period", "blocks"), path, side)
         period = _int(tails[side]["period"], "period", path)
         raw = _list(tails[side], "blocks", path)
         if len(raw) != period:

@@ -84,14 +84,6 @@ def apply_G(x):
                      {0: theta_map(x).matrix})
 
 
-def apply_FG(which: str, x):
-    if which == "F":
-        return apply_F(x)
-    if which == "G":
-        return apply_G(x)
-    raise ValueError(f"unknown functor {which!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class AdjunctionWitness:
     """Explicit bijection Hom(F X, Y) <-> Hom(X, G Y) for a fixture pair."""

@@ -26,7 +26,7 @@ from .complexes import (ChainMap, Complex, cokernel_complex, compose,
                         kernel_complex, reindex, same_complex)
 from .config import Options
 from .errors import NotGorensteinError, ValidationError
-from .homotopy import NO, UNKNOWN, YES, Certificate
+from .homotopy import NO, UNKNOWN, YES, Certificate, EquivalenceResult
 
 CERTIFIED = "CERTIFIED"
 REFUTED = "REFUTED"
@@ -98,12 +98,6 @@ class MapClassification:
     trivial_cofibration: Flag
     fibration: Flag
     trivial_fibration: Flag
-
-
-@dataclass(eq=False)
-class WeakEquivalenceResult:
-    verdict: str
-    certificate: Certificate | None = None
 
 
 def _cycles_in_class(X: Complex, which: str) -> bool:
@@ -265,38 +259,30 @@ def _is_stalk_shape(X: Complex) -> bool:
 def is_weak_equivalence(f: ChainMap, tag: str,
                         fam: GeneratorFamily | None = None,
                         options: Options = Options(),
-                        _depth: int = 0) -> WeakEquivalenceResult:
+                        _depth: int = 0) -> EquivalenceResult:
     if tag not in TAGS:
         raise ValueError(f"unknown structure tag {tag!r}")
     which = "proj" if tag == "ctr" else "inj"
     if homotopy._is_ex(f.source, which) and homotopy._is_ex(f.target, which):
-        res = homotopy.homotopy_equivalence_certificate(f, options)
-        return WeakEquivalenceResult(res.verdict, res.certificate)
+        return homotopy.homotopy_equivalence_certificate(f, options)
     if _depth >= 3:
-        return WeakEquivalenceResult(UNKNOWN)
+        return EquivalenceResult(UNKNOWN)
 
     from . import approx  # deferred: approx builds on this module's verdict types
 
-    if tag == "ctr":
-        if _is_stalk_shape(f.target) and not _is_stalk_shape(f.source):
-            rep = approx.stalk_replacement(f.target, "cofibrant_ctr", fam, options)
-            g = solver.factor_chain_map(f, rep.map, "lift", options)
-            if g is None:
-                return WeakEquivalenceResult(UNKNOWN)
-            return is_weak_equivalence(g, tag, fam, options, _depth + 1)
-        if _is_stalk_shape(f.source):
-            rep = approx.stalk_replacement(f.source, "cofibrant_ctr", fam, options)
-            return is_weak_equivalence(compose(f, rep.map), tag, fam, options,
-                                       _depth + 1)
-    else:
-        if _is_stalk_shape(f.source) and not _is_stalk_shape(f.target):
-            rep = approx.stalk_replacement(f.source, "fibrant_co", fam, options)
-            h = solver.factor_chain_map(f, rep.map, "extend", options)
-            if h is None:
-                return WeakEquivalenceResult(UNKNOWN)
-            return is_weak_equivalence(h, tag, fam, options, _depth + 1)
-        if _is_stalk_shape(f.target):
-            rep = approx.stalk_replacement(f.target, "fibrant_co", fam, options)
-            return is_weak_equivalence(compose(rep.map, f), tag, fam, options,
-                                       _depth + 1)
-    return WeakEquivalenceResult(UNKNOWN)
+    # a stalk end is replaced: on the ctr side f lifts along the cofibrant
+    # replacement of its target, on the co side it extends along the
+    # fibrant replacement of its source
+    near, far = (f.target, f.source) if tag == "ctr" else (f.source, f.target)
+    kind, how = ("cofibrant_ctr", "lift") if tag == "ctr" else ("fibrant_co", "extend")
+    if _is_stalk_shape(near) and not _is_stalk_shape(far):
+        rep = approx.stalk_replacement(near, kind, fam, options)
+        g = solver.factor_chain_map(f, rep.map, how, options)
+        if g is None:
+            return EquivalenceResult(UNKNOWN)
+        return is_weak_equivalence(g, tag, fam, options, _depth + 1)
+    if _is_stalk_shape(far):
+        rep = approx.stalk_replacement(far, kind, fam, options)
+        g = compose(f, rep.map) if tag == "ctr" else compose(rep.map, f)
+        return is_weak_equivalence(g, tag, fam, options, _depth + 1)
+    return EquivalenceResult(UNKNOWN)

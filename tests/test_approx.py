@@ -7,23 +7,20 @@ from conftest import simple_modules, triangular_d2
 from singeq import (algebra, approx, complexes, fixtures, functors, homotopy, linalg,
                     modelcat, modules)
 from singeq.config import Options
-from singeq.errors import NotGorensteinError
+from singeq.errors import NotGorensteinError, PeriodicityError
 from singeq.homotopy import NO, UNKNOWN, YES
 from singeq.modelcat import CERTIFIED
 
 
 class TestGorenstein:
     def test_d2_self_injective(self, D2):
-        rep = approx.check_gorenstein(D2, 5)
-        assert rep.verdict == "GORENSTEIN" and rep.dimension == 0
+        assert modules.gorenstein_dimension(D2, 5) == 0
 
     def test_t2_hereditary(self, T2):
-        rep = approx.check_gorenstein(T2, 5)
-        assert rep.verdict == "GORENSTEIN" and rep.dimension == 1
+        assert modules.gorenstein_dimension(T2, 5) == 1
 
     def test_f2_semisimple(self, F2):
-        rep = approx.check_gorenstein(F2, 5)
-        assert rep.verdict == "GORENSTEIN" and rep.dimension == 0
+        assert modules.gorenstein_dimension(F2, 5) == 0
 
     def test_cached_dimension_honours_gorenstein_bound(self, T2):
         # T2 has Gorenstein dimension 1, so a bound of 0 finds none, also
@@ -85,6 +82,22 @@ class TestCompleteResolution:
         T, _ = approx.complete_resolution(kF2)
         assert complexes.is_exact(T)
         assert T.bounded()
+
+    @pytest.mark.parametrize("answered, tower", [(0, "syzygy"), (1, "cosyzygy")])
+    def test_periodicity_error_names_its_tower(self, monkeypatch, k, answered, tower):
+        # find_isomorphism answers only its first `answered` questions; the
+        # first syzygy of k over D2 is k again, so one answer closes the
+        # syzygy tower and leaves the cosyzygy tower open
+        real, calls = modules.find_isomorphism, []
+
+        def find(*args):
+            calls.append(args)
+            return real(*args) if len(calls) <= answered else None
+
+        monkeypatch.setattr(modules, "find_isomorphism", find)
+        with pytest.raises(PeriodicityError, match=f"no {tower} repeats within "
+                                                   "periodicity_bound=8"):
+            approx.complete_resolution(k)
 
     def test_gorenstein_projectives_over_a_non_self_injective_algebra(self):
         # over T_2(D_2) injective envelopes of GP modules need not be

@@ -361,15 +361,33 @@ class TestTruncation:
         # upper keeps the strictly positive tower, lower the cycle image
         eps = functors.counit(t_per)
         C, _ = cokernel_complex(eps)
-        split = two_sided_split(C, 0)
-        for piece in (split.upper, split.lower):
+        upper, lower = two_sided_split(C, 0)
+        for piece in (upper, lower):
             a, b = piece.check_range()
             for n in range(a, b):
                 assert not ((piece.diff(n) @ piece.diff(n + 1)) % 2).any()
         # the split is a degreewise short exact sequence
         for n in range(-3, 4):
-            assert (split.upper.term(n).dim + split.lower.term(n).dim
-                    == C.term(n).dim)
+            assert upper.term(n).dim + lower.term(n).dim == C.term(n).dim
+
+    @pytest.mark.parametrize("patches, message", [
+        ([(complexes.ChainMap, "is_mono", lambda self: False)], "split inclusion not mono"),
+        ([(complexes.ChainMap, "is_epi", lambda self: False)], "split projection not epi"),
+        ([(complexes.ChainMap, "is_zero", lambda self: False)], "split composite nonzero"),
+        # an image as large as X_0 for the zero d_0 of a stalk: a zero
+        # projection, so only the count sees it once is_epi is bypassed
+        ([(complexes.ChainMap, "is_epi", lambda self: True),
+          (modules, "image", lambda f: (f.source, modules.ModuleMap(
+              f.source, f.target, linalg.zeros(f.target.dim, f.source.dim))))],
+         "split ranks do not add up"),
+    ], ids=["mono", "epi", "composite", "count"])
+    def test_each_split_check_fires(self, monkeypatch, k, patches, message):
+        S = functors.stalk(k)
+        two_sided_split(S, 0)
+        for owner, name, value in patches:
+            monkeypatch.setattr(owner, name, value)
+        with pytest.raises(ValidationError, match=message):
+            two_sided_split(S, 0)
 
     def test_kernel_and_cokernel_once_per_distinct_block(self, monkeypatch, t_per):
         # x on T_per: one window block and one block per tail; the tails

@@ -233,6 +233,72 @@ class TestCli:
         assert "line 1" in err
 
 
+# (name, verdict, digest) of every entry of each distinct command of the
+# perfbench cli-session, fixtures by file name.  A refactoring keeps every
+# one of them: a moved digest is a changed certificate or object.
+_PINNED_REPORTS = {
+    ("validate", "d2.alg"): [("algebra well-formed", "YES", "970a2192acbc")],
+    ("validate", "t2.alg"): [("algebra well-formed", "YES", "c4b5d1b63eba")],
+    ("validate", "f2.alg"): [("algebra well-formed", "YES", "960fbdcc73a7")],
+    ("validate", "k.mod"): [("module well-formed", "YES", "a67c7811483f")],
+    ("validate", "a.mod"): [("module well-formed", "YES", "e48af6a16978")],
+    ("validate", "s1.mod"): [("module well-formed", "YES", "0c2cbf5ec7c9")],
+    ("validate", "s2.mod"): [("module well-formed", "YES", "cc680f7a6866")],
+    ("validate", "tper.cx"): [("complex well-formed", "YES", "5b3f5f548c58")],
+    ("validate", "kstalk.cx"): [("complex well-formed", "YES", "a67c7811483f")],
+    ("validate", "contractible.cx"): [("complex well-formed", "YES", "6cb5122aeb78")],
+    ("validate", "xid.map"): [("map well-formed", "YES", "17f4c4d1b2d8")],
+    ("functor", "F", "tper.cx"): [("F applied", "YES", "a67c7811483f")],
+    ("functor", "F", "kstalk.cx"): [("F applied", "YES", "a67c7811483f")],
+    ("functor", "F", "contractible.cx"): [("F applied", "YES", "5feceb66ffc8")],
+    ("functor", "G", "tper.cx"): [("G applied", "YES", "a67c7811483f")],
+    ("functor", "G", "kstalk.cx"): [("G applied", "YES", "a67c7811483f")],
+    ("functor", "G", "contractible.cx"): [("G applied", "YES", "e48af6a16978")],
+    ("functor", "omega", "tper.cx"): [("omega applied", "YES", "a67c7811483f")],
+    ("functor", "omega", "kstalk.cx"): [("omega applied", "YES", "a67c7811483f")],
+    ("functor", "omega", "contractible.cx"): [("omega applied", "YES", "5feceb66ffc8")],
+    ("functor", "theta", "tper.cx"): [("theta applied", "YES", "a67c7811483f")],
+    ("functor", "theta", "kstalk.cx"): [("theta applied", "YES", "a67c7811483f")],
+    ("functor", "theta", "contractible.cx"): [("theta applied", "YES", "e48af6a16978")],
+    ("classify", "xid.map", "--structure", "ctr"): [
+        ("cofibration", "YES", "-"), ("trivial cofibration", "YES", "-"),
+        ("fibration", "YES", "-"), ("trivial fibration", "YES", "-")],
+    ("classify", "xid.map", "--structure", "co"): [
+        ("cofibration", "YES", "-"), ("trivial cofibration", "YES", "-"),
+        ("fibration", "YES", "-"), ("trivial fibration", "YES", "-")],
+    ("replace", "kstalk.cx", "--which", "cofibrant-ctr"): [
+        ("replacement built", "YES", "cc77d628e698"), ("membership", "YES", "-"),
+        ("comparison map mono/epi", "YES", "4cbbd8ca5215"),
+        ("upper piece orthogonal", "YES", "0ac6482facaa"),
+        ("lower piece orthogonal", "YES", "23b9ce62ec49")],
+    ("replace", "kstalk.cx", "--which", "fibrant-co"): [
+        ("replacement built", "YES", "cc77d628e698"), ("membership", "YES", "-"),
+        ("comparison map mono/epi", "YES", "4cbbd8ca5215"),
+        ("upper piece orthogonal", "YES", "2c91b700b931"),
+        ("lower piece orthogonal", "YES", "5b9b1157a38b")],
+    **{("verify-equivalence", "tper.cx", "--side", side): [
+        ("membership", "YES", "-"), ("round trip", "YES", "6f4825ece777"),
+        ("composite weak equivalence", "YES", "-")] for side in ("auto", "P", "I")},
+    ("demo", "D2-Tper"): [
+        ("gorenstein base algebra", "YES", "-"), ("input in exP and exI", "YES", "-"),
+        ("counit weak equivalence", "YES", "0e8efc67c08a"),
+        ("cofibrant stalk replacement", "YES", "cc77d628e698"),
+        ("verify_round_trip side P", "YES", "6f4825ece777"),
+        ("composite check side P", "YES", "-"),
+        ("verify_round_trip side I", "YES", "6f4825ece777"),
+        ("composite check side I", "YES", "-")],
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_REPORTS), ids=" ".join)
+def test_cli_session_reports_are_pinned(capsys, argv):
+    path = [fx(a) if a.endswith((".alg", ".mod", ".cx", ".map")) else a for a in argv]
+    assert main(["--format", "json", *path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    got = [(e["name"], e["verdict"], e["digest"]) for e in report["entries"]]
+    assert got == _PINNED_REPORTS[argv]
+
+
 def write_square_zero_plane(tmp_path):
     """k[x,y]/(x^2, y^2) over F_2, its simple module k, and the stalk of k.
 
@@ -356,6 +422,22 @@ class TestExitCodes:
         assert main(["validate", str(bad)]) == 65
         err = capsys.readouterr().err
         assert err.startswith(("parse error: " + str(bad), "error: ValidationError: "))
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"source": "T_per", "target": "T_per", "components": [[1]]}, "components"),
+        ({"window": "lo hi terms diffs"}, "window"),
+        ({"window": {"lo": 0, "hi": 0, "terms": ["k"], "diffs": []},
+          "neg_tail": "period terms diffs"}, "neg_tail"),
+        ({"source": "T_per", "target": "T_per", "components": {"0": [[0, 0], [1, 0]]},
+          "tail_components": "neg"}, "tail_components"),
+    ], ids=["map-components", "complex-window", "complex-tail", "map-tails"])
+    def test_65_field_not_an_object(self, tmp_path, capsys, doc, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+        assert f"field {field!r} must be an object" in err
 
     @pytest.mark.parametrize("family", [
         {"generators": ["T_per"], "shift_range": -1},

@@ -48,14 +48,14 @@ class TestStalk:
 
 class TestApplyFG:
     def test_f_and_g_of_t_per(self, t_per):
-        for which in ("F", "G"):
-            S = functors.apply_FG(which, t_per)
+        for apply in (functors.apply_F, functors.apply_G):
+            S = apply(t_per)
             assert S.bounded() and S.lo == S.hi == 0
             assert S.term(0).dim == 1
 
     def test_functor_identity_law(self, t_per):
-        for which in ("F", "G"):
-            idm = functors.apply_FG(which, identity_chain_map(t_per))
+        for apply in (functors.apply_F, functors.apply_G):
+            idm = apply(identity_chain_map(t_per))
             assert np.array_equal(idm.component(0), np.eye(1, dtype=np.int64))
 
     def test_fg_equals_g_on_exact_injective_fixtures(self, t_per, contractible):

@@ -1,5 +1,6 @@
 """Every name a module of src/singeq imports is used in that module, and
-every public function it defines is reached from outside the tests.
+every public function, class and method it defines is reached from
+outside the tests.
 
 A name counts as used when it is read anywhere in the module, also inside
 a quoted annotation.  An import statement marked `# noqa: F401` on any of
@@ -61,8 +62,8 @@ def test_the_scan_finds_an_unused_import_and_honours_noqa():
     assert unused_imports(source) == [(1, "field")]
 
 
-# Public functions that nothing in src/, demos/ or perfbench/ names, kept
-# as documented entry points of the library.
+# Public functions, classes and methods that nothing in src/, demos/ or
+# perfbench/ names, kept as documented entry points of the library.
 ENTRY_POINTS = {
     "complexes.is_quasi_isomorphism",  # a quasi-isomorphism test on the cone
     "complexes.zero_complex",  # the zero object
@@ -70,12 +71,20 @@ ENTRY_POINTS = {
 }
 
 
-def public_functions(source: str) -> list:
-    """Names of the public module-level functions; a decorated one (a
-    command line command) is reached through its decorator."""
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-            and not node.decorator_list]
+def public_definitions(source: str) -> list:
+    """Names of the public module-level functions and classes, and
+    "Class.method" for the public methods and properties of each class; a
+    decorated module-level function (a command line command) is reached
+    through its decorator."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.decorator_list:
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out.append(node.name)
+            out += [f"{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return [name for name in out if not name.startswith("_")]
 
 
 def names_read(source: str) -> set:
@@ -104,7 +113,7 @@ def test_every_public_function_is_reached_outside_the_tests():
     read = set().union(*map(names_read, sources.values()))
     unreached = {f"{os.path.basename(path)[:-3]}.{name}"
                  for path, source in sources.items() if os.sep + "singeq" + os.sep in path
-                 for name in public_functions(source) if name not in read}
+                 for name in public_definitions(source) if name.split(".")[-1] not in read}
     assert unreached == ENTRY_POINTS
 
 
@@ -113,7 +122,12 @@ def test_the_reach_scan_reads_names_attributes_and_dotted_strings():
               "@click.command()\n"
               "def command(): pass\n"
               "def _private(): pass\n"
-              "def public(): return helper() + mod.attr + len('tracer.hooked')\n")
-    assert public_functions(source) == ["public"]
+              "def public(): return helper() + mod.attr + len('tracer.hooked')\n"
+              "class Kind:\n"
+              "    def method(self): pass\n"
+              "    def _hidden(self): pass\n"
+              "class _Private:\n"
+              "    def method(self): pass\n")
+    assert public_definitions(source) == ["public", "Kind", "Kind.method"]
     assert {"helper", "attr", "tracer", "hooked", "click"} <= names_read(source)
     assert "public" not in names_read(source)
