@@ -26,17 +26,19 @@ homotopy) pairs, that share one source and one target are walked once,
 over the union of their check ranges; each object's own range lies
 inside it and its periods divide the joint ones, so the joint walk runs
 a superset of each object's checks.  At each walked degree the blocks of
-the objects are stacked, and the degrees are grouped by the modules
-(intertwining) or the shapes (d*d = 0, f d = d f, the homotopy equation)
-they share.  Each group costs one array per operand and one batched
-product per side; intertwining tests every action index
-(modules.intertwining_residue, as ModuleMap.validate does), and over
-several objects multiplies out only the nonzero blocks.  Shapes are
-checked first, at every walked degree of every object.  A failing check
-is reported at the first degree of its object's own range that carries
-it (_Range.first), so an error names the same smallest failing degree,
-and for intertwining the same first failing action index, as a check of
-that object alone.
+the objects are stacked: read from each object's own table, or from one
+stacked table of them all whose block at a degree is already the array
+(objects x rows x cols), as solver.chain_map_space_basis has it from its
+kernel solve.  The degrees are grouped by the modules (intertwining) or
+the shapes (d*d = 0, f d = d f, the homotopy equation) they share.  Each
+group costs one array per operand and one batched product per side;
+intertwining tests every action index (modules.intertwining_residue, as
+ModuleMap.validate does), and over several objects multiplies out only
+the nonzero blocks.  Shapes are checked first, at every walked degree of
+every object.  A failing check is reported at the first degree of its
+object's own range that carries it (_Range.first), so an error names the
+same smallest failing degree, and for intertwining the same first
+failing action index, as a check of that object alone.
 
 add_maps and compose compute their result from the operands' block
 tables, one array operation per group of distinct blocks of one shape.
@@ -157,17 +159,18 @@ def _first_failure(ranges, ns, keys, check, *columns):
 
     Each object, given by its check range in ranges, has one check at
     each walked degree of ns.  A column holds one operand per walked
-    degree: a matrix shared by the objects, or a tuple of one matrix per
-    object (_per_degree).  The walked degrees are grouped by keys (the
-    modules or shapes their operands share), and check(key, *stacks) runs
-    once per group on each column stacked, (g, 1, rows, cols) when shared
-    and (g, objects, rows, cols) otherwise.  It returns an array (g,
-    objects, details, ...) that is nonzero exactly where a check fails:
-    its residue mod p, whose details are rows, or for intertwining one
-    per action index.  A failing check is reported at the first degree of
-    its object's range that carries it, with its first failing detail.
-    A group whose first operand has no rows or whose last has no columns
-    holds.
+    degree: a matrix shared by the objects, a tuple of one matrix per
+    object (_per_degree), or the block of one stacked table, the objects'
+    matrices as one array (objects, rows, cols).  The walked degrees are
+    grouped by keys (the modules or shapes their operands share), and
+    check(key, *stacks) runs once per group on each column stacked, (g, 1,
+    rows, cols) when shared and (g, objects, rows, cols) otherwise.  It
+    returns an array (g, objects, details, ...) that is nonzero exactly
+    where a check fails: its residue mod p, whose details are rows, or for
+    intertwining one per action index.  A failing check is reported at
+    the first degree of its object's range that carries it, with its
+    first failing detail.  A group whose first operand has no rows or
+    whose last has no columns holds.
     """
     groups = {}
     for i, key in enumerate(keys):
@@ -179,7 +182,7 @@ def _first_failure(ranges, ns, keys, check, *columns):
             first = first[0]
         if isinstance(last, tuple):
             last = last[0]
-        if not (first.shape[0] and last.shape[1]):
+        if not (first.shape[-2] and last.shape[-1]):
             continue
         stacks = [np.array([c[i] for i in idx]) for c in columns]
         bad = check(key, *[s if s.ndim == 4 else s[:, None] for s in stacks])
@@ -458,13 +461,20 @@ class ChainMap(GradedMap):
     # object by validate or by _proven, never by ChainMap(...) or replace
     _checked = False
 
-    def validate(self, *others: "ChainMap") -> None:
+    def validate(self, *others: "ChainMap", table: _Blocks | None = None) -> None:
         """Check this map and any others, each over its own check range.
 
         Maps that share a source and a target are walked once and their
         checks stacked, so a whole basis of chain maps costs one batched
         product per group and side.  Errors come in the order shape,
         intertwining, commutation, each at its smallest failing degree.
+
+        table, for maps that share one source and one target, is one
+        stacked table of them all: a _Blocks whose block at each degree n
+        is the array (maps x rows x cols) of their components f_n.  Its
+        window and periods need not be any map's, but its blocks must be
+        theirs at every degree.  The checks then read it in place of the
+        maps' own tables, and raise the same errors.
 
         Every map that passes is marked as checked.  Without a check, so
         are identity_chain_map, zero_chain_map, add_maps(f, g) of checked
@@ -479,7 +489,9 @@ class ChainMap(GradedMap):
             if f.source.algebra is not A or f.target.algebra is not A:
                 raise DimensionMismatch("chain map across different algebras")
             groups.setdefault((f.source, f.target), []).append(f)
-        checks = [_chain_map_checks(S, T, maps) for (S, T), maps in groups.items()]
+        if table is not None and len(groups) > 1:
+            raise ValueError("a stacked table needs maps with one source and one target")
+        checks = [_chain_map_checks(S, T, maps, table) for (S, T), maps in groups.items()]
         bad = min(filter(None, [_first_failure(*c) for c, _ in checks]), default=None)
         if bad is not None:
             raise ValidationError(
@@ -538,10 +550,13 @@ def _proven(f: ChainMap) -> ChainMap:
     return f
 
 
-def _chain_map_checks(S: Complex, T: Complex, maps: list) -> tuple:
+def _chain_map_checks(S: Complex, T: Complex, maps: list, table=None) -> tuple:
     """_first_failure arguments of the intertwining and the commutation
     checks of chain maps S -> T, walked once over the union of their check
-    ranges; raises at once on a component of the wrong shape."""
+    ranges; raises at once on a component of the wrong shape.
+
+    The components are read from each map's own table, or from table, one
+    stacked table of them all (ChainMap.validate)."""
     Sb, Tb = S._blocks, T._blocks
     spans = [f.check_range() for f in maps]
     tables = [f._blocks for f in maps]
@@ -549,11 +564,17 @@ def _chain_map_checks(S: Complex, T: Complex, maps: list) -> tuple:
     ns = _Range.union(ranges).walk(max([b for _, b in spans]))
     prev = [n - 1 for n in ns]
     S1, T1 = Sb.on(ns), Tb.on(ns)
-    comps = [B.on(ns) for B in tables]
-    bad = _wrong_shape(ranges, ns, comps, [(t.dim, s.dim) for (s, _), (t, _) in zip(S1, T1)])
+    shapes = [(t.dim, s.dim) for (s, _), (t, _) in zip(S1, T1)]
+    if table is None:
+        comps = [B.on(ns) for B in tables]
+        bad = _wrong_shape(ranges, ns, comps, shapes)
+        F0, F1 = _per_degree([B.on(prev) for B in tables]), _per_degree(comps)
+    else:
+        F0, F1 = table.on(prev), table.on(ns)
+        # every map reads the same shape from the table
+        bad = _wrong_shape(ranges, ns, [[m[0] for m in F1]] * len(maps), shapes)
     if bad is not None:
         raise ValidationError(f"component at degree {bad} has wrong shape")
-    F0, F1 = _per_degree([B.on(prev) for B in tables]), _per_degree(comps)
     dS, dT = [d for _, d in S1], [d for _, d in T1]
     p = S.algebra.p
     return ((ranges, ns, [(s, t) for (s, _), (t, _) in zip(S1, T1)], _intertwining, F1),

@@ -62,6 +62,11 @@ class Module:
     def validate(self) -> None:
         A = self.algebra
         p = A.p
+        if self.dim < 0:
+            raise ValidationError(f"module dimension {self.dim} is negative")
+        if len(self.action) != A.dim:
+            raise ValidationError(
+                f"module has {len(self.action)} action matrices, algebra has dimension {A.dim}")
         for i, m in enumerate(self.action):
             if m.shape != (self.dim, self.dim):
                 raise ValidationError(f"action matrix {i} has wrong shape")

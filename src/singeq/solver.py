@@ -31,7 +31,15 @@ chain-map space bases, periodic lifting and module factorizations.
 
 Every system of graded maps between two complexes, chain maps (shift 0)
 and null-homotopies (shift 1), is written by graded_system on the window
-and fold that window decides.
+and fold that window decides.  It writes each distinct equation once:
+past the complexes' windows the folded equations repeat with the same
+unknowns and blocks, and a repeat adds only rows already there, so the
+system is row-equivalent to the one with every equation (the same
+reduced form, kernel basis and particular solutions, bit for bit).
+chain_map_space_basis checks its basis in one ChainMap.validate call
+that reads the kernel's per-degree stacks (FoldedSystem.table); each map
+keeps its own check range, so the errors are those of the maps checked
+one by one.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, modules
-from .complexes import ChainMap, Complex, _lcm, _tail, add_maps, chain_map, compose
+from .complexes import ChainMap, Complex, _Blocks, _lcm, add_maps, chain_map, compose
 from .config import Options
 from .errors import ValidationError
 
@@ -75,6 +83,9 @@ class FoldedSystem:
         self.rows = []
         self.rhs = []
         self.width = width
+        # pivot-entry columns per distinct (M, H, N, entries) of a term; each
+        # value keeps its key's objects alive, so their ids stay unique
+        self._columns = {}
         # the window degrees that the blocks of each periodic tail fold to
         self.tail_degrees = ([self.rep(lo - 1 - i) for i in range(self.fold)],
                              [self.rep(hi + 1 + i) for i in range(self.fold)])
@@ -102,6 +113,10 @@ class FoldedSystem:
 
         rhs is one matrix when the width is 1, else a stack (width x rows
         x cols) of right-hand sides that share the left side.
+
+        A term's columns are computed once per system for each distinct
+        (M, H, N, entries) of objects, so a factor passed here must not be
+        changed in place afterwards.
         """
         stack = rhs if rhs.ndim == 3 else rhs[None]
         if len(stack) != self.width:
@@ -132,9 +147,13 @@ class FoldedSystem:
                     ((s, s) if N is None else N.shape) != (s, shape[1]):
                 raise ValidationError("equation term has inconsistent shape")
             if h:
-                # H is reduced mod p, so an identity factor changes nothing
-                MH = H if M is None else (M @ H) % p
-                cols = (MH if N is None else MH @ N).reshape(h, -1).take(entries, axis=1).T
+                key = (id(M), id(H), id(N), id(entries))
+                if key not in self._columns:
+                    # H is reduced mod p, so an identity factor changes nothing
+                    MH = H if M is None else (M @ H) % p
+                    cols = (MH if N is None else MH @ N).reshape(h, -1).take(entries, axis=1).T
+                    self._columns[key] = (cols, M, H, N, entries)
+                cols = self._columns[key][0]
                 block[:, off : off + h] = (block[:, off : off + h] + cols) % p
         self.rows.append(block)
         self.rhs.append(stack.reshape(len(stack), -1).take(entries, axis=1).T % p)
@@ -163,29 +182,64 @@ class FoldedSystem:
         sols = iter(self.unpack(X[:, ok]))
         return [next(sols) if consistent else None for consistent in ok]
 
-    def kernel(self):
-        """Basis of the homogeneous solution space, unpacked per degree."""
+    def kernel(self) -> dict:
+        """Basis of the homogeneous solution space as stacks: {window
+        degree: (basis size x rows x cols) array of the basis solutions'
+        components} (_stacks)."""
         A, _ = self._stack()
-        return self.unpack(linalg.kernel_basis(A, self.p))
+        return self._stacks(linalg.kernel_basis(A, self.p))
 
-    def unpack(self, vecs: np.ndarray) -> list:
-        """Per column of vecs, {window degree: sum_j c_j H_j}."""
+    def _stacks(self, vecs: np.ndarray) -> dict:
+        """{window degree: stack of sum_j c_j H_j, one per column of vecs}."""
         mats = {}
         for n in range(self.lo, self.hi + 1):
             off, H = self.bases[n]
             h, t, s = H.shape
             c = vecs[off : off + h].T
             mats[n] = (c @ H.reshape(h, t * s)).reshape(len(c), t, s) % self.p
+        return mats
+
+    def unpack(self, vecs: np.ndarray) -> list:
+        """Per column of vecs, {window degree: sum_j c_j H_j}."""
+        mats = self._stacks(vecs)
         return [{n: m[j] for n, m in mats.items()} for j in range(vecs.shape[1])]
 
     def graded(self, comps: dict) -> tuple:
         """GradedMap arguments (components, lo, hi, neg, pos) for a solution:
         its window components with entries and its folded periodic tails,
         left out where zero as complexes._sample leaves them."""
-        neg, pos = self.tail_degrees
-        return ({n: m for n, m in comps.items() if m.size}, self.lo, self.hi,
-                _tail(self.fold, tuple(comps[n] for n in neg)),
-                _tail(self.fold, tuple(comps[n] for n in pos)))
+        return self.graded_each({n: m[None] for n, m in comps.items()})[0]
+
+    def graded_each(self, stacks: dict) -> list:
+        """graded for each solution of stacks ({window degree: one
+        component per solution}), with one zero test per tail degree."""
+        k = len(stacks[self.lo])
+        window = {n: m for n, m in stacks.items() if m.size}
+        tails = []
+        for degrees in self.tail_degrees:
+            live = np.zeros(k, dtype=bool)
+            for n in degrees:
+                live |= stacks[n].any(axis=(1, 2))
+            tails.append([(self.fold, tuple(stacks[n][j] for n in degrees)) if live[j] else None
+                          for j in range(k)])
+        return [({n: m[j] for n, m in window.items()}, self.lo, self.hi, neg, pos)
+                for j, (neg, pos) in enumerate(zip(*tails))]
+
+    def table(self, stacks: dict, X: Complex, Y: Complex) -> _Blocks:
+        """The stacked table (ChainMap.validate) of the solutions
+        of stacks as chain maps X -> Y: at each degree n, the stack that n
+        folds to, or zeros outside an unfolded window.  Its window is the
+        hull of the system's and those of X and Y; below and above it the
+        blocks repeat with the fold, or unfolded with the lcm of X's and
+        Y's tail periods, as the zero blocks' shapes do."""
+        k = len(stacks[self.lo])
+        lo, hi = min(self.lo, X.lo, Y.lo), max(self.hi, X.hi, Y.hi)
+        q = self.fold or _lcm([X.neg_period, Y.neg_period])
+        qp = self.fold or _lcm([X.pos_period, Y.pos_period])
+        return _Blocks(lo, hi, q, qp, tuple(
+            np.zeros((k, Y.term(n).dim, X.term(n).dim), dtype=np.int64)
+            if (r := self.rep(n)) is None else stacks[r]
+            for n in range(lo - q, hi + qp + 1)))
 
 
 def solve_module_map(pairs: list, rhs: np.ndarray, terms: list, pair: tuple):
@@ -218,19 +272,37 @@ def graded_system(X: Complex, Y: Complex, shift: int, lo: int, hi: int, fold: in
     period fold, and the extras; one equation of maps X_n -> Y_{n+shift-1}
     per degree n of lo - fold .. hi + fold.  shift 0: d u_n - u_{n-1} d = 0
     (chain maps).  shift 1: d s_n + s_{n-1} d = f_n, one stacked right-hand
-    side per chain map f of maps (null-homotopies)."""
+    side per chain map f of maps (null-homotopies).
+
+    Each distinct equation is written once: an equation is skipped when
+    its folded unknowns (rep(n), rep(n - 1)) and its blocks (the terms,
+    the differentials and each right-hand side) are the same objects as
+    an earlier one's.  It would repeat that equation's rows, so the system
+    is row-equivalent to the one with every equation."""
     p, Xb, Yb = X.algebra.p, X._blocks, Y._blocks
     blocks = {n: (X.term(n), Y.term(n + shift)) for n in range(lo, hi + 1)}
     sys = FoldedSystem(p, blocks, lo, hi, fold, extras, width=max(1, len(maps)))
     eqs = range(lo - fold, hi + fold + 1)
+    # the blocks are the tables' own objects, alive with X, Y and the maps,
+    # so their ids name them for the whole loop
+    written, negated = set(), {}
     for n, (x, dX), (y, _), (_, dY), *rhs in zip(
             eqs, Xb.on(eqs), Yb.on([n + shift - 1 for n in eqs]),
             Yb.on([n + shift for n in eqs]), *(f._blocks.on(eqs) for f in maps)):
+        if not x.dim * y.dim:
+            continue  # maps with no entries: the equation has no rows
+        key = (sys.rep(n), sys.rep(n - 1), *map(id, (x, y, dX, dY, *rhs)))
+        if key in written:
+            continue
+        written.add(key)
         if not rhs:  # chain maps
             rhs = [linalg.zeros(y.dim, x.dim)]
+        if not shift and id(dX) not in negated:
+            negated[id(dX)] = (-dX) % p
         # one map: its matrix itself, without the copy np.stack makes
         sys.add_equation(np.stack(rhs) if len(rhs) > 1 else rhs[0],
-                         [(dY, n, None), (None, n - 1, dX if shift else (-dX) % p)], (x, y))
+                         [(dY, n, None), (None, n - 1, dX if shift else negated[id(dX)])],
+                         (x, y))
     return sys
 
 
@@ -242,9 +314,11 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
     tail periods, an explicit surrogate for the full hom space.
     """
     sys = graded_system(X, Y, 0, *window(X, Y, (), options.map_period_bound, 1))
-    basis = [ChainMap(X, Y, *sys.graded(comps)) for comps in sys.kernel()]
+    stacks = sys.kernel()
+    basis = [ChainMap(X, Y, *args) for args in sys.graded_each(stacks)]
     if basis:
-        basis[0].validate(*basis[1:])  # the whole basis in one stacked check
+        # the whole basis in one check, read from the kernel's own stacks
+        basis[0].validate(*basis[1:], table=sys.table(stacks, X, Y))
     return basis, not sys.fold
 
 

@@ -145,6 +145,13 @@ def mismatched_cone():
     return complexes.cone(complexes.identity_chain_map(X))
 
 
+def kernel_solutions(sys_) -> list:
+    """FoldedSystem.kernel split into one {degree: matrix} per basis
+    solution."""
+    stacks = sys_.kernel()
+    return [{n: m[j] for n, m in stacks.items()} for j in range(len(stacks[sys_.lo]))]
+
+
 # -- seeded generators over any algebra --------------------------------
 
 

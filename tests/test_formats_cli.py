@@ -415,7 +415,11 @@ class TestExitCodes:
         {"source": "T_per", "target": "T_per", "components": {"0": [[0, 0], [1, 0]]},
          "tail_components": {"neg": {"period": 1,
                                      "blocks": [[[0, 0], [1, 0]], [[1, 1], [1, 1]]]}}},
-    ], ids=["p", "dim", "ragged-mul", "idempotent-index", "map-tail-short", "map-tail-long"])
+        {"algebra": "D2", "dim": 1, "action": [[[1]]]},
+        {"algebra": "D2", "dim": 1, "action": [[[1]], [[0]], [[0]]]},
+        {"algebra": "D2", "dim": -1, "action": []},
+    ], ids=["p", "dim", "ragged-mul", "idempotent-index", "map-tail-short", "map-tail-long",
+            "action-short", "action-long", "dim-negative"])
     def test_65_malformed_document(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

@@ -1,14 +1,16 @@
 """Chain-map space solver and factorization."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from conftest import (module_map_equations, periodic_complex, random_combination,
-                      random_d2_module, random_invertible, truncated_polynomial)
-from singeq import complexes, fixtures, functors, linalg, modules, solver
-from singeq.complexes import add_maps, compose, identity_chain_map
+from conftest import (kernel_solutions, module_map_equations, periodic_complex,
+                      random_combination, random_d2_complex, random_d2_module,
+                      random_invertible, truncated_polynomial)
+from singeq import complexes, fixtures, functors, homotopy, linalg, modules, solver
+from singeq.complexes import ChainMap, add_maps, compose, identity_chain_map
 from singeq.errors import ValidationError
 from singeq.modules import Module, ModuleMap
 
@@ -166,7 +168,7 @@ class TestHomCoordinateSystems:
             total, rank, consistent = reference_system(
                 p, pairs, [(rhs, terms) for rhs, terms, _ in equations])
 
-            kernel = sys_.kernel()
+            kernel = kernel_solutions(sys_)
             assert len(kernel) == total - rank
             solution = sys_.solve()
             assert (solution is not None) == consistent
@@ -278,6 +280,118 @@ def test_chain_map_space_dimensions_over_truncated_polynomials(n):
             basis, complete = solver.chain_map_space_basis(T[i], complexes.reindex(T[j], s))
             assert not complete
             assert len(basis) == dim, (i, j, s)
+
+
+def basis_digest(n: int, p: int) -> str:
+    """Digest of chain_map_space_basis(T_i, T_j[s]) over F_p[x]/(x^n) for
+    every i, j and s = 0, 1: the length and complete flag of each basis,
+    every component of every basis map over its check range, and the
+    verdict and homotopy (over its check range) of null_homotopy on the
+    middle basis map and on the sum of the first, middle and last."""
+    alg = truncated_polynomial(n, p)
+    T = {j: periodic_complex(alg, j) for j in range(1, n)}
+    h = hashlib.sha256()
+
+    def feed(f):
+        a, b = f.check_range()
+        for m in range(a, b + 1):
+            c = f.component(m)
+            h.update(repr((m, c.shape)).encode() + c.astype(np.int64).tobytes())
+
+    for i in T:
+        for j in T:
+            for s in (0, 1):
+                basis, complete = solver.chain_map_space_basis(T[i], complexes.reindex(T[j], s))
+                h.update(repr((i, j, s, len(basis), complete)).encode())
+                for f in basis:
+                    feed(f)
+                mid = basis[len(basis) // 2]
+                # YES and NO respectively on every pair here
+                for f in (mid, add_maps(add_maps(basis[0], mid), basis[-1])):
+                    res = homotopy.null_homotopy(f)
+                    h.update(res.verdict.encode())
+                    if res.homotopy is not None:
+                        feed(res.homotopy)
+    return h.hexdigest()[:12]
+
+
+# basis_digest keyed (n, p), recorded before the stacked basis check
+BASIS_DIGESTS = {(3, 2): "b9821c4eefe3", (3, 3): "91d64646d8de",
+                 (4, 2): "3556e5131d88", (4, 3): "13a9c8bc8b8d"}
+
+
+@pytest.mark.parametrize("n, p", sorted(BASIS_DIGESTS))
+def test_chain_map_space_bases_are_pinned(n, p):
+    assert basis_digest(n, p) == BASIS_DIGESTS[n, p]
+
+
+# -- the stacked basis check against the per-map check ----------------------
+
+
+def parity_pairs():
+    """A periodic pair over D4/F2 and a bounded pair over D2, each with a
+    basis of at least three chain maps; the bounded complexes have nonzero
+    differentials, so that a chain map can fail to commute with them."""
+    D4 = truncated_polynomial(4, 2)
+    yield periodic_complex(D4, 1), complexes.reindex(periodic_complex(D4, 3), 1)
+    rng = random.Random(5)
+    while True:
+        X, Y = random_d2_complex(rng), random_d2_complex(rng)
+        if all(any(Z.diff(n).any() for n in range(Z.lo, Z.hi + 1)) for Z in (X, Y)) \
+                and len(solver.chain_map_space_basis(X, Y)[0]) >= 3:
+            yield X, Y
+            return
+
+
+def changes(sys_, stacks):
+    """(kind, stacks with one component of one map changed) per window
+    degree: by a unit entry ("entry"), which leaves Hom, and by each hom
+    basis matrix of the degree ("hom"), which stays a module map."""
+    for n, m in stacks.items():
+        H = sys_.bases[n][1]
+        j = len(m) // 2
+        unit = np.zeros(m.shape[1:], dtype=np.int64)
+        if unit.size:
+            unit[0, 0] = 1
+            for kind, delta in [("entry", unit), *(("hom", h) for h in H)]:
+                bad = m.copy()
+                bad[j] = (bad[j] + delta) % sys_.p
+                yield kind, {**stacks, n: bad}
+
+
+@pytest.mark.parametrize("pair", ["periodic D4/F2", "bounded D2"])
+def test_stacked_basis_check_raises_the_per_map_error(monkeypatch, pair):
+    X, Y = dict(zip(["periodic D4/F2", "bounded D2"], parity_pairs()))[pair]
+    kernel = solver.FoldedSystem.kernel
+    seen = []
+
+    def record(sys_):
+        seen.append((sys_, kernel(sys_)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(solver.FoldedSystem, "kernel", record)
+    solver.chain_map_space_basis(X, Y)
+    sys_, stacks = seen[-1]
+    messages = set()
+    for kind, wrong in changes(sys_, stacks):
+        monkeypatch.setattr(solver.FoldedSystem, "kernel", lambda _, wrong=wrong: wrong)
+        maps = [ChainMap(X, Y, *args) for args in sys_.graded_each(wrong)]
+        try:
+            maps[0].validate(*maps[1:])
+        except ValidationError as err:
+            alone = str(err)
+        else:
+            alone = None
+        try:
+            solver.chain_map_space_basis(X, Y)
+        except ValidationError as err:
+            assert str(err) == alone, kind
+        else:
+            assert alone is None, kind
+        if alone is not None:
+            messages.add(alone.split(" at ")[0])
+    # the module-map check and the commutation check each failed
+    assert messages == {"component", "does not commute with d"}
 
 
 class TestWindow:

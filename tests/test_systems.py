@@ -13,8 +13,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import (module_map_equations, periodic_complex, random_combination,
-                      random_d2_complex, random_invertible, truncated_polynomial)
+from conftest import (kernel_solutions, module_map_equations, periodic_complex,
+                      random_combination, random_d2_complex, random_invertible,
+                      truncated_polynomial)
 from singeq import algebra, complexes, fixtures, homotopy, linalg, modules, solver
 from singeq.complexes import Homotopy, identity_chain_map
 from singeq.errors import ValidationError
@@ -172,7 +173,7 @@ def test_pivot_rows_give_the_full_row_answers(name):
         assert sum(len(b) for b in sys_.rows) == sum(
             len(modules.hom_pivots(*pair)) for _, _, pair in equations)
         kernel, solutions = full_row_answers(p, pairs, equations, width)
-        got = sys_.kernel()
+        got = kernel_solutions(sys_)
         assert len(got) == len(kernel)
         assert all(same_solution(a, b) for a, b in zip(got, kernel))
         each = sys_.solve_each()
@@ -211,19 +212,21 @@ def bounded_pairs():
         yield random_d2_complex(rng), random_d2_complex(rng)
 
 
-def systems(X, Y):
-    """The chain-map system of (X, Y) and the homotopy system of its basis."""
-    bounded = X.bounded() or Y.bounded()
-    if bounded:
+def system_window(X, Y):
+    """(lo, hi, fold) of the systems of (X, Y) below."""
+    if X.bounded() or Y.bounded():
         B = X if X.bounded() else Y
-        lo, hi, fold = B.lo - 2, B.hi + 2, 0
-    else:
-        fold = 2
-        lo, hi = min(X.lo, Y.lo) - fold, max(X.hi, Y.hi) + fold
+        return B.lo - 2, B.hi + 2, 0
+    return min(X.lo, Y.lo) - 2, max(X.hi, Y.hi) + 2, 2
+
+
+def systems(X, Y, build=solver.graded_system):
+    """The chain-map system of (X, Y) and the homotopy system of its basis."""
+    window = system_window(X, Y)
     basis, _ = solver.chain_map_space_basis(X, Y)
-    out = [solver.graded_system(X, Y, 0, lo, hi, fold)]
+    out = [build(X, Y, 0, *window)]
     if basis:
-        out.append(solver.graded_system(X, Y, 1, lo, hi, fold, basis))
+        out.append(build(X, Y, 1, *window, basis))
     return out
 
 
@@ -236,10 +239,37 @@ def test_chain_map_and_homotopy_systems_match_their_full_row_versions(monkeypatc
     for ours, theirs in zip(restricted, full, strict=True):
         for a, b in zip(ours, theirs, strict=True):
             smaller += sum(map(len, a.rows)) < sum(map(len, b.rows))
-            ka, kb = a.kernel(), b.kernel()
+            ka, kb = kernel_solutions(a), kernel_solutions(b)
             assert len(ka) == len(kb) and all(map(same_solution, ka, kb))
             assert all(map(same_solution, a.solve_each(), b.solve_each()))
     assert smaller
+
+
+def every_equation(X, Y, shift, lo, hi, fold, maps=()):
+    """solver.graded_system writing every equation, one per degree of
+    lo - fold .. hi + fold, read through the accessors."""
+    p = X.algebra.p
+    sys_ = solver.FoldedSystem(p, {n: (X.term(n), Y.term(n + shift)) for n in range(lo, hi + 1)},
+                               lo, hi, fold, width=max(1, len(maps)))
+    for n in range(lo - fold, hi + fold + 1):
+        x, y, dX = X.term(n), Y.term(n + shift - 1), X.diff(n)
+        rhs = (np.stack([f.component(n) for f in maps]) if maps
+               else linalg.zeros(y.dim, x.dim))
+        sys_.add_equation(rhs, [(Y.diff(n + shift), n, None),
+                                (None, n - 1, dX if shift else (-dX) % p)], (x, y))
+    return sys_
+
+
+def test_each_distinct_equation_is_written_once():
+    fewer = 0
+    for X, Y in [*periodic_pairs(), *bounded_pairs()]:
+        for ours, theirs in zip(systems(X, Y), systems(X, Y, every_equation), strict=True):
+            fewer += sum(map(len, ours.rows)) < sum(map(len, theirs.rows))
+            ka, kb = ours.kernel(), theirs.kernel()
+            assert ka.keys() == kb.keys()
+            assert all(np.array_equal(ka[n], kb[n]) for n in ka)
+            assert all(map(same_solution, ours.solve_each(), theirs.solve_each()))
+    assert fewer
 
 
 def test_d4_homotopy_system_writes_four_rows_per_equation():
@@ -247,7 +277,9 @@ def test_d4_homotopy_system_writes_four_rows_per_equation():
     X = periodic_complex(alg, 1)
     f = identity_chain_map(X)
     sys_ = solver.graded_system(X, X, 1, -2, 3, 2, [f])
-    assert len(sys_.rows) == 10
+    # 10 equations, at -4..5; those at -2 and 5 repeat the ones at -4 and 3
+    # (the same folded unknowns and block objects) and are written once
+    assert len(sys_.rows) == 8
     # Hom(A, A) over D4 has dimension 4; the matrices have 16 entries
     assert {block.shape for block in sys_.rows} == {(4, sys_.total)}
     assert sys_.total == 4 * 6
