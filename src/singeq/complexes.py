@@ -10,16 +10,27 @@ read-only table cached on the object (_Blocks): its data on the window,
 the seams and one period of each tail.  The accessors read this table,
 and its size depends only on the object.
 
-Constructors validate by default.  Complex.validate and ChainMap.validate
-cover every degree of a check range: the window (for a chain map, the
-hull of its own window and those of its complexes) widened by 2q+1 on
-each side, where q is the lcm of all tail periods.  They, is_exact and
-homotopy.verify_null_homotopy walk only the degrees that carry distinct
-checks (_Range.walk).  Below the windows of the objects a check reads, the
-check at n equals the check at n + L, L the lcm of their negative tail
-periods; above them it equals the check at n - L', L' the lcm of the
-positive ones.  So the walk keeps the first L degrees of the range, the
-windows, and the first L' degrees after them.
+Checked by construction.  A Complex or ChainMap that passed its check
+carries the fact (_checked, set by validate through _proven; never by the
+dataclass constructor, Complex.build(validate=False) or replace).  A
+construction whose inputs all carry it marks what it returns and runs no
+check: a sum or composite of chain maps on the same complex objects
+(add_maps, compose), and the complexes and structure maps of reindex,
+dual, direct_sum_complex, cone, kernel_complex, cokernel_complex and
+two_sided_split, whose tail periods are the lcm of their inputs' periods.
+Every other constructor validates by default, and a construction with an
+unmarked input validates as a constructor does, raising the same errors.
+An explicit validate() always runs the check.
+
+Complex.validate and ChainMap.validate cover every degree of a check
+range: the window (for a chain map, the hull of its own window and those
+of its complexes) widened by 2q+1 on each side, where q is the lcm of all
+tail periods.  They, is_exact and homotopy.verify_null_homotopy walk only
+the degrees that carry distinct checks (_Range.walk).  Below the windows
+of the objects a check reads, the check at n equals the check at n + L,
+L the lcm of their negative tail periods; above them it equals the check
+at n - L', L' the lcm of the positive ones.  So the walk keeps the first
+L degrees of the range, the windows, and the first L' degrees after them.
 
 One engine runs the checks (_first_failure).  Chain maps, or (map,
 homotopy) pairs, that share one source and one target are walked once,
@@ -41,10 +52,9 @@ same smallest failing degree, and for intertwining the same first
 failing action index, as a check of that object alone.
 
 add_maps and compose compute their result from the operands' block
-tables, one array operation per group of distinct blocks of one shape.
-A chain map that passed the engine carries the fact (ChainMap.validate);
-a sum or composite of such maps is one by linearity and is not checked
-again, and every other result is validated through the same engine.
+tables, one array operation per group of distinct blocks of one shape,
+and hand the result the table they computed when it is the one
+GradedMap._blocks would build.
 
 dual gives D(X) = Hom_k(X, k) over the opposite algebra, once per complex,
 and dual_chain_map D(f).  The injective side derives from the projective
@@ -237,6 +247,10 @@ class Complex:
     pos_tail: Tail | None = None
     neg_seam: np.ndarray | None = None  # d_lo into neg block 0
     pos_seam: np.ndarray | None = None  # d_{hi+1} out of pos block 0
+    # whether the complex is known to pass validate: set on the object by
+    # validate or by _proven, never by Complex(...), build(validate=False)
+    # or replace
+    _checked = False
 
     @staticmethod
     def build(algebra, lo, hi, terms, diffs, neg_tail=None, pos_tail=None,
@@ -289,9 +303,10 @@ class Complex:
     def _dual(self) -> "Complex":
         """dual(self), whose own dual is self; one dual per distinct term."""
         duals = {id(t): modules.dual_module(t) for t, _ in self._blocks.data}
-        D = complex_from_callable(modules._opposite_of(self.algebra), -self.hi, -self.lo,
-                                  lambda n: duals[id(self.term(-n))],
-                                  lambda n: self.diff(1 - n).T, self.pos_period, self.neg_period)
+        D = _proven(complex_from_callable(
+            modules._opposite_of(self.algebra), -self.hi, -self.lo,
+            lambda n: duals[id(self.term(-n))], lambda n: self.diff(1 - n).T,
+            self.pos_period, self.neg_period, validate=not self._checked))
         object.__setattr__(D, "_dual", self)
         return D
 
@@ -352,6 +367,7 @@ class Complex:
                              _composite(self.algebra.p), d0, d1)
         if bad is not None:
             raise ValidationError(f"d*d != 0 at degree {bad[0]}")
+        _proven(self)
 
 
 def zero_complex(algebra: Algebra) -> Complex:
@@ -363,7 +379,10 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
     """Assemble a complex by sampling term/diff functions.
 
     Outside lo..hi the functions must be periodic with the given periods;
-    one extra period is sampled and compared to catch wrong periods.
+    one extra period is sampled and compared to catch wrong periods, and
+    the result is validated.  validate=False means the caller proves the
+    result a complex with these periods, so neither runs; the caller marks
+    it (_proven).
     """
     terms = {n: term_fn(n) for n in range(lo, hi + 1)}
     diffs = {n: diff_fn(n) % algebra.p for n in range(lo + 1, hi + 1)}
@@ -373,7 +392,7 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
         q = neg_period
         blocks = tuple(term_fn(lo - 1 - i) for i in range(q))
         bdiffs = tuple(diff_fn(lo - 1 - i) % algebra.p for i in range(q))
-        for i in range(q + 1):
+        for i in range(q + 1 if validate else 0):
             n = lo - 1 - i - q
             if term_fn(n).dim != term_fn(n + q).dim or not np.array_equal(
                 diff_fn(n) % algebra.p, diff_fn(n + q) % algebra.p
@@ -386,7 +405,7 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
         blocks = tuple(term_fn(hi + 1 + i) for i in range(q))
         bdiffs = tuple(diff_fn(hi + 1 + i if i else hi + 1 + q) % algebra.p
                        for i in range(q))
-        for i in range(q + 1):
+        for i in range(q + 1 if validate else 0):
             n = hi + 1 + i + q
             if term_fn(n).dim != term_fn(n - q).dim or not np.array_equal(
                 diff_fn(n + 1) % algebra.p, diff_fn(n + 1 - q) % algebra.p
@@ -478,9 +497,11 @@ class ChainMap(GradedMap):
 
         Every map that passes is marked as checked.  Without a check, so
         are identity_chain_map, zero_chain_map, add_maps(f, g) of checked
-        maps with the same source and target objects, and compose(f, g) of
-        checked maps with g.target is f.source: chain maps are closed under
-        sums and composites.  An explicit call always runs the check.
+        maps with the same source and target objects, compose(f, g) of
+        checked maps with g.target is f.source (chain maps are closed under
+        sums and composites), dual_chain_map of a checked map, and the
+        structure maps of the constructions on checked inputs that the
+        module docstring lists.  An explicit call always runs the check.
         """
         A = self.source.algebra
         groups = {}
@@ -544,10 +565,10 @@ class Homotopy(GradedMap):
         super().__init__(source, target, components, clo, chi, neg, pos, shift=1)
 
 
-def _proven(f: ChainMap) -> ChainMap:
-    """f, marked as a chain map at every degree (ChainMap.validate)."""
-    object.__setattr__(f, "_checked", True)
-    return f
+def _proven(x):
+    """x, a Complex or ChainMap, marked as passing its validate."""
+    object.__setattr__(x, "_checked", True)
+    return x
 
 
 def _chain_map_checks(S: Complex, T: Complex, maps: list, table=None) -> tuple:
@@ -688,6 +709,11 @@ def _from_tables(S, T, profile, op, f, g, validate=True) -> ChainMap:
     per operand.  The result is validated, or with validate=False, which
     a caller passes when the operands prove it a chain map, marked as one
     (ChainMap.validate).
+
+    The result gets the table computed here, with the shared zero blocks
+    on a zero tail, as GradedMap._blocks would build it.  A zero tail
+    whose period is not the lcm of S's and T's on its side has another
+    table there, which the property builds.
     """
     lo, hi, nq, pq = profile
     ns = range(lo - nq, hi + pq + 1)
@@ -704,9 +730,16 @@ def _from_tables(S, T, profile, op, f, g, validate=True) -> ChainMap:
         nonzero.update(zip(group, res.reshape(len(res), -1).any(axis=1).tolist()))
     data = [out[k] for k in keys]
     neg, pos = tuple(data[nq - 1::-1]), tuple(data[len(data) - pq:])
+    live_neg = any([nonzero[k] for k in keys[:nq]])
+    live_pos = any([nonzero[k] for k in keys[len(keys) - pq:]])
     h = ChainMap(S, T, dict(zip(range(lo, hi + 1), data[nq:len(data) - pq])), lo, hi,
-                 (nq, neg) if any([nonzero[k] for k in keys[:nq]]) else None,
-                 (pq, pos) if any([nonzero[k] for k in keys[len(keys) - pq:]]) else None)
+                 (nq, neg) if live_neg else None, (pq, pos) if live_pos else None)
+    if ((live_neg or nq == _lcm([S.neg_period, T.neg_period]))
+            and (live_pos or pq == _lcm([S.pos_period, T.pos_period]))):
+        zero = [*range(0 if live_neg else nq), *range(len(ns) - (0 if live_pos else pq), len(ns))]
+        for i in zero:
+            data[i] = modules.zero_block(S.algebra, T.term(ns[i]).dim, S.term(ns[i]).dim)
+        object.__setattr__(h, "_blocks", _Blocks(lo, hi, nq, pq, tuple(data)))
     if validate:
         h.validate()
     else:
@@ -787,11 +820,11 @@ def reindex(X: Complex, k: int) -> Complex:
     if k == 0:
         return X
     sign = 1 if k % 2 == 0 else -1
-    return complex_from_callable(
+    return _proven(complex_from_callable(
         X.algebra, X.lo + k, X.hi + k,
         lambda n: X.term(n - k),
         lambda n: (sign * X.diff(n - k)) % X.algebra.p,
-        X.neg_period, X.pos_period)
+        X.neg_period, X.pos_period, validate=not X._checked))
 
 
 def dual(X: Complex) -> Complex:
@@ -810,8 +843,10 @@ def dual_chain_map(f: ChainMap) -> ChainMap:
 
 
 def direct_sum_complex(X: Complex, Y: Complex):
-    """(X + Y, inclusion of X, inclusion of Y, projections)."""
+    """(X + Y, inclusion of X, inclusion of Y, projections); checked unless
+    X and Y are, over one algebra."""
     p = X.algebra.p
+    known = X._checked and Y._checked and X.algebra is Y.algebra
     lo, hi, nq, pq = _map_profile(X, Y)
     cache = {}
 
@@ -826,16 +861,20 @@ def direct_sum_complex(X: Complex, Y: Complex):
         bot = np.hstack([linalg.zeros(dY.shape[0], dX.shape[1]), dY])
         return np.vstack([top, bot]) % p
 
-    S = complex_from_callable(X.algebra, lo, hi, lambda n: parts(n)[0], diff_fn, nq, pq)
-    iX = chain_map_from_callable(X, S, lo, hi, lambda n: parts(n)[1][0].matrix, nq, pq)
-    iY = chain_map_from_callable(Y, S, lo, hi, lambda n: parts(n)[1][1].matrix, nq, pq)
-    pX = chain_map_from_callable(S, X, lo, hi, lambda n: parts(n)[2][0].matrix, nq, pq)
-    pY = chain_map_from_callable(S, Y, lo, hi, lambda n: parts(n)[2][1].matrix, nq, pq)
-    return S, iX, iY, pX, pY
+    S = _proven(complex_from_callable(X.algebra, lo, hi, lambda n: parts(n)[0], diff_fn,
+                                      nq, pq, validate=not known))
+
+    def part(source, target, i, j):  # the structure map of parts(n)[i][j]
+        return _proven(chain_map_from_callable(source, target, lo, hi,
+                                               lambda n: parts(n)[i][j].matrix, nq, pq,
+                                               validate=not known))
+
+    return S, part(X, S, 1, 0), part(Y, S, 1, 1), part(S, X, 2, 0), part(S, Y, 2, 1)
 
 
 def cone(f: ChainMap) -> Complex:
-    """Mapping cone; C_n = X_{n-1} + Y_n, d = [[-dX, 0], [f, dY]]."""
+    """Mapping cone; C_n = X_{n-1} + Y_n, d = [[-dX, 0], [f, dY]].
+    Checked unless f, X and Y are."""
     X, Y = f.source, f.target
     p = X.algebra.p
     lo = min(X.lo + 1, Y.lo, f.clo + 1)
@@ -861,8 +900,8 @@ def cone(f: ChainMap) -> Complex:
             memo[key] = np.vstack([top, np.hstack([fn, dY])]) % p
         return memo[key]
 
-    return complex_from_callable(X.algebra, lo, hi, term_fn, diff_fn,
-                                 nq if nq > 0 else 0, pq if pq > 0 else 0)
+    return _proven(complex_from_callable(X.algebra, lo, hi, term_fn, diff_fn, nq, pq,
+                                         validate=not _inputs_checked(f)))
 
 
 def is_quasi_isomorphism(f: ChainMap) -> bool:
@@ -874,9 +913,11 @@ def two_sided_split(X: Complex, n: int) -> tuple:
 
     Returns (upper, lower) of the short exact sequence
     0 -> upper -> X -> lower -> 0 with Ker(d_n) placed at degree n of upper
-    and Im(d_n) at degree n of lower.
+    and Im(d_n) at degree n of lower.  The pieces and the maps of the
+    sequence are checked unless X is; its exactness is decided either way.
     """
     p = X.algebra.p
+    known = X._checked
     d_n = X.diff_map(n)
     W, iota = modules.image(d_n)
     pi = linalg.solve_matrix(iota.matrix, d_n.matrix, p)
@@ -888,27 +929,27 @@ def two_sided_split(X: Complex, n: int) -> tuple:
         raise UnsupportedShape("image factorization failed to produce complex maps")
 
     hi_u = max(X.hi, n + 1)
-    upper = complex_from_callable(
+    upper = _proven(complex_from_callable(
         X.algebra, n, hi_u,
         lambda m: K if m == n else (X.term(m) if m > n else zero),
         lambda m: corestr if m == n + 1 else X.diff(m),
-        0, X.pos_period)
+        0, X.pos_period, validate=not known))
     lo_l = min(X.lo, n - 1)
-    lower = complex_from_callable(
+    lower = _proven(complex_from_callable(
         X.algebra, lo_l, n,
         lambda m: W if m == n else (X.term(m) if m < n else zero),
         lambda m: iota.matrix if m == n else X.diff(m),
-        X.neg_period, 0)
-    incl = chain_map_from_callable(
+        X.neg_period, 0, validate=not known))
+    incl = _proven(chain_map_from_callable(
         upper, X, n, hi_u,
         lambda m: kincl.matrix if m == n else (
             linalg.eye(X.term(m).dim) if m > n else linalg.zeros(X.term(m).dim, 0)),
-        0, X.pos_period)
-    proj = chain_map_from_callable(
+        0, X.pos_period, validate=not known))
+    proj = _proven(chain_map_from_callable(
         X, lower, lo_l, n,
         lambda m: pi if m == n else (
             linalg.eye(X.term(m).dim) if m < n else linalg.zeros(0, X.term(m).dim)),
-        X.neg_period, 0)
+        X.neg_period, 0, validate=not known))
     # exactness of 0 -> upper -> X -> lower -> 0: given a mono, an epi and a
     # zero composite, dim upper_m + dim lower_m <= dim X_m at every degree,
     # so one sum of the term dimensions over the check range decides equality
@@ -925,13 +966,20 @@ def two_sided_split(X: Complex, n: int) -> tuple:
 
 
 def kernel_complex(f: ChainMap):
-    """(K, inclusion K -> source), built once per map."""
+    """(K, inclusion K -> source), built once per map; checked unless f
+    and its source and target are."""
     return f._kernel
 
 
 def cokernel_complex(f: ChainMap):
-    """(C, projection target -> C), built once per map."""
+    """(C, projection target -> C), built once per map; checked unless f
+    and its source and target are."""
     return f._cokernel
+
+
+def _inputs_checked(f: ChainMap) -> bool:
+    """Whether f and its source and target are all checked."""
+    return f._checked and f.source._checked and f.target._checked
 
 
 def _per_block(f: ChainMap, compute):
@@ -963,10 +1011,11 @@ def _kernel_complex(f: ChainMap):
             raise ValidationError("differential does not restrict to the kernel")
         return d
 
-    K = complex_from_callable(f.source.algebra, lo, hi,
-                              lambda n: data(n)[0], diff_fn, nq, pq)
-    incl = chain_map_from_callable(K, f.source, lo, hi,
-                                   lambda n: data(n)[1].matrix, nq, pq)
+    known = _inputs_checked(f)
+    K = _proven(complex_from_callable(f.source.algebra, lo, hi, lambda n: data(n)[0],
+                                      diff_fn, nq, pq, validate=not known))
+    incl = _proven(chain_map_from_callable(K, f.source, lo, hi, lambda n: data(n)[1].matrix,
+                                           nq, pq, validate=not known))
     return K, incl
 
 
@@ -983,8 +1032,9 @@ def _cokernel_complex(f: ChainMap):
             raise ValidationError("differential does not descend to the cokernel")
         return dT.T % p
 
-    C = complex_from_callable(f.source.algebra, lo, hi,
-                              lambda n: data(n)[0], diff_fn, nq, pq)
-    proj = chain_map_from_callable(f.target, C, lo, hi,
-                                   lambda n: data(n)[1].matrix, nq, pq)
+    known = _inputs_checked(f)
+    C = _proven(complex_from_callable(f.source.algebra, lo, hi, lambda n: data(n)[0],
+                                      diff_fn, nq, pq, validate=not known))
+    proj = _proven(chain_map_from_callable(f.target, C, lo, hi, lambda n: data(n)[1].matrix,
+                                           nq, pq, validate=not known))
     return C, proj

@@ -89,15 +89,20 @@ def simple_modules(alg) -> list:
             for P in tops]
 
 
-@pytest.fixture(scope="module", params=["D2", "T2", "D3/F2", "D3/F3", "D4/F2"])
-def duality_algebra(request):
-    """The algebras the derived injective side is tested over: D2, T2 and
-    D_n = F_p[x]/(x^n) written as Dn/Fp."""
-    builtin = fixtures.BUILTIN_ALGEBRAS.get(request.param)
+def named_algebra(name: str) -> algebra.Algebra:
+    """A built-in algebra (D2, T2, F2), or D_n = F_p[x]/(x^n) written as
+    Dn/Fp."""
+    builtin = fixtures.BUILTIN_ALGEBRAS.get(name)
     if builtin:
         return builtin()
-    n, p = request.param[1:].split("/F")
+    n, p = name[1:].split("/F")
     return truncated_polynomial(int(n), int(p))
+
+
+@pytest.fixture(scope="module", params=["D2", "T2", "D3/F2", "D3/F3", "D4/F2"])
+def duality_algebra(request):
+    """The algebras the derived injective side is tested over."""
+    return named_algebra(request.param)
 
 
 def periodic_complex(alg, j):
@@ -298,6 +303,20 @@ def mono_quasi_iso(rng: random.Random):
     C = random_contractible(rng)
     _, iX, _, _, _ = complexes.direct_sum_complex(X, C)
     return iX
+
+
+def count_checks(monkeypatch) -> list:
+    """The calls of the check engine (complexes._first_failure) from now
+    on, recorded."""
+    calls = []
+    engine = complexes._first_failure
+
+    def counting(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(complexes, "_first_failure", counting)
+    return calls
 
 
 def random_chain_map(rng: random.Random, X: Complex, Y: Complex):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import periodic_complex as T_j
-from conftest import (equal_by_degrees, mismatched_cone, random_contractible,
+from conftest import (count_checks, equal_by_degrees, mismatched_cone, random_contractible,
                       random_d2_complex, t_per_with_period_2_tails, truncated_polynomial)
 from singeq import complexes, fixtures, formats, functors, linalg, modules, solver
 from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
@@ -605,19 +605,6 @@ class TestTableArithmetic:
         assert_same_map(compose(f, f), callable_composite(f, f))
 
 
-def count_checks(monkeypatch) -> list:
-    """The calls of the check engine from now on, recorded."""
-    calls = []
-    engine = complexes._first_failure
-
-    def counting(*args):
-        calls.append(args)
-        return engine(*args)
-
-    monkeypatch.setattr(complexes, "_first_failure", counting)
-    return calls
-
-
 def d3_maps(p):
     """T_1 -> T_2[1] over D3/F_p, with a basis of the chain maps between them."""
     alg = truncated_polynomial(3, p)
@@ -686,6 +673,42 @@ class TestCheckedMaps:
     def test_zero_map_across_algebras_is_refused(self, F2, k):
         with pytest.raises(DimensionMismatch):
             zero_chain_map(functors.stalk(k), functors.stalk(modules.zero_module(F2)))
+
+
+def installed_table(h):
+    """The block table add_maps or compose handed h, or None; read before
+    anything else builds h's table."""
+    table = h.__dict__.get("_blocks")
+    if table is not None:
+        fresh = complexes.GradedMap._blocks.func(h)
+        assert table[:4] == fresh[:4]
+        assert all(a is b for a, b in zip(table.data, fresh.data, strict=True))
+    return table
+
+
+class TestInstalledTables:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_every_partial_sum_and_composite_gets_the_table_blocks_builds(self, p):
+        rng = random.Random(p)
+        X, Y, basis = d3_maps(p)
+        maps = []
+        for _ in range(5):
+            f = zero_chain_map(X, Y)
+            for b in rng.sample(basis, len(basis)):
+                f = add_maps(f, b, sign=rng.randrange(p))
+                maps.append(f)
+        maps += [compose(identity_chain_map(Y), f) for f in maps[::7]]
+        assert all(installed_table(f) is not None for f in maps)
+
+    def test_zero_tails_of_another_period_are_left_to_the_property(self, t_per):
+        x = t_per.diff(0)
+        f = complexes.chain_map_from_callable(
+            t_per, t_per, 0, 0, lambda n: x if n % 2 == 0 else 0 * x, 2, 2)
+        assert (f.neg_period, f.pos_period) == (2, 2)
+        h = add_maps(f, f)  # zero over F_2, on tails of period 2 against 1
+        assert installed_table(h) is None
+        assert h.is_zero() and (h._blocks.neg, h._blocks.pos) == (1, 1)
+        assert installed_table(add_maps(f, identity_chain_map(t_per))) is not None
 
 
 class TestMismatchedOperands:
