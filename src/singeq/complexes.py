@@ -17,7 +17,9 @@ construction whose inputs all carry it marks what it returns and runs no
 check: a sum or composite of chain maps on the same complex objects
 (add_maps, compose), and the complexes and structure maps of reindex,
 dual, direct_sum_complex, cone, kernel_complex, cokernel_complex and
-two_sided_split, whose tail periods are the lcm of their inputs' periods.
+two_sided_split, whose tail periods are the lcm of their inputs' periods;
+functors.stalk marks its one-term complex, which has no differential,
+and is_exact takes d*d = 0 on a marked complex as known.
 Every other constructor validates by default, and a construction with an
 unmarked input validates as a constructor does, raising the same errors.
 An explicit validate() always runs the check.
@@ -297,6 +299,14 @@ class Complex:
     def _membership(self) -> dict:
         """Verdicts decided once per complex: "exact" (is_exact), and
         "proj" / "inj" (homotopy.is_exP / is_exI), which share it."""
+        return {}
+
+    @cached_property
+    def _equivalences(self) -> dict:
+        """homotopy.homotopy_equivalence_certificate of the maps out of this
+        complex: (target, verdict, payload of a YES certificate without its
+        map) under the target's id, the map's window, periods and blocks,
+        and the Options."""
         return {}
 
     @cached_property
@@ -787,9 +797,9 @@ def is_exact(X: Complex) -> bool:
     """H_n = 0 on the window widened by one tail period and one degree.
 
     H_n = 0 iff rank d_n + rank d_{n+1} = dim X_n, given d_n d_{n+1} = 0,
-    which is checked first (stacked) as homology checks it.  The
-    verdict is memoized on X; a failing d_n d_{n+1} = 0 raises on every
-    call.
+    which is checked first (stacked) as homology checks it, unless X is
+    marked as checked.  The verdict is memoized on X; a failing
+    d_n d_{n+1} = 0 raises on every call.
     """
     memo = X._membership
     if "exact" in memo:
@@ -802,10 +812,11 @@ def is_exact(X: Complex) -> bool:
     ns = r.walk(b)
     rows = list(zip(ns, B.on(ns), B.on([n + 1 for n in ns])))
     d0, d1 = [d for _, (_, d), _ in rows], [d for _, _, (_, d) in rows]
-    bad = _first_failure([r], ns, [(x.shape, y.shape) for x, y in zip(d0, d1)],
-                         _composite(p), d0, d1)
-    if bad is not None:
-        raise ValidationError(f"boundaries do not land in cycles at degree {bad[0]}")
+    if not X._checked:
+        bad = _first_failure([r], ns, [(x.shape, y.shape) for x, y in zip(d0, d1)],
+                             _composite(p), d0, d1)
+        if bad is not None:
+            raise ValidationError(f"boundaries do not land in cycles at degree {bad[0]}")
     rank = {}  # per distinct differential; the table keeps each alive
     for _, d in B.data:
         if id(d) not in rank:

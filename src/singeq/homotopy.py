@@ -18,6 +18,13 @@ Each certificate is checked once, and the verdict follows the check: a
 YES carries a certificate whose check passed (checked=True), and a found
 witness whose check fails gives UNKNOWN.  verify_certificate checks a
 certificate again whenever it is called.
+
+homotopy_equivalence_certificate decides each map once per target,
+value and Options, and memoizes the result on the source complex.  A
+remembered NO or UNKNOWN is returned as it is.  A remembered YES is
+checked again in every call, with the caller's map in place of the one
+it was solved for, so every YES carries a certificate checked against
+the caller's objects; if that check fails, the map is solved afresh.
 """
 
 from __future__ import annotations
@@ -290,7 +297,32 @@ def _cone_blocks(f: ChainMap, s: Homotopy, n: int):
 def homotopy_equivalence_certificate(
     f: ChainMap, options: Options = Options()
 ) -> EquivalenceResult:
-    """Homotopy inverse with both homotopies, extracted from a cone contraction."""
+    """Homotopy inverse with both homotopies, extracted from a cone
+    contraction; decided once per target, map value and Options, and
+    memoized on the source.  A remembered YES is checked again with f as
+    its map, and solved afresh if that check fails."""
+    X, Y = f.source, f.target
+    key = (id(Y), *_map_profile(f), tuple((b.shape, b.tobytes()) for b in f._blocks.data),
+           options)
+    hit = X._equivalences.get(key)
+    if hit is not None and hit[0] is Y:
+        _, verdict, payload = hit
+        if verdict != YES:
+            return EquivalenceResult(verdict)
+        cert = Certificate("homotopy-inverse", {**payload, "map": f})
+        if verify_certificate(cert):
+            return EquivalenceResult(YES, cert)
+    res = _equivalence(f, options)
+    # kept apart from the caller's certificate, which the caller may
+    # change, and without its map: each hit puts its caller's map in
+    payload = None if res.certificate is None else {
+        k: v for k, v in res.certificate.payload.items() if k != "map"}
+    X._equivalences[key] = (Y, res.verdict, payload)
+    return res
+
+
+def _equivalence(f: ChainMap, options: Options) -> EquivalenceResult:
+    """homotopy_equivalence_certificate, solved."""
     C = cone(f)
     if not is_exact(C):
         return EquivalenceResult(NO)

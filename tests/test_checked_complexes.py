@@ -181,10 +181,23 @@ class TestEngineRuns:
         cokernel_complex(f)
         assert not calls
 
-    # what is left: the d*d = 0 check of is_exact on the cokernel, and on
-    # the co side the two checks of the chain-map basis that
-    # orthogonal_certificate solves for
-    @pytest.mark.parametrize("tag, runs", [("ctr", 1), ("co", 3)])
+    def test_a_stalk_is_checked_by_construction(self, monkeypatch):
+        calls = count_checks(monkeypatch)
+        S = functors.stalk(random_module(random.Random(6), fixtures.D2()))
+        assert not calls and S._checked
+        S.validate()
+
+    def test_is_exact_on_a_checked_complex_runs_no_check(self, monkeypatch):
+        X = random_d2_complex(random.Random(5))
+        calls = count_checks(monkeypatch)
+        exact = complexes.is_exact(X)
+        assert not calls
+        assert complexes.is_exact(dataclasses.replace(X)) == exact and calls
+
+    # what is left: on the co side the two checks of the chain-map basis
+    # that orthogonal_certificate solves for; is_exact takes d*d = 0 on
+    # the marked cokernel as known
+    @pytest.mark.parametrize("tag, runs", [("ctr", 0), ("co", 2)])
     def test_classify_map_checks_no_derived_object(self, tag, runs, monkeypatch):
         fam = modelcat.default_family(fixtures.D2())
         modelcat.classify_map(d2_cofibration(4), tag, fam)  # fills the family's memos

@@ -299,6 +299,17 @@ def test_cli_session_reports_are_pinned(capsys, argv):
     assert got == _PINNED_REPORTS[argv]
 
 
+def test_cli_session_reports_do_not_depend_on_order(capsys):
+    # in one process, so every memo is warm from the commands before
+    for argv in reversed(list(_PINNED_REPORTS)):
+        path = [fx(a) if a.endswith((".alg", ".mod", ".cx", ".map")) else a for a in argv]
+        for _ in range(2):
+            assert main(["--format", "json", *path]) == 0
+            report = json.loads(capsys.readouterr().out)
+            got = [(e["name"], e["verdict"], e["digest"]) for e in report["entries"]]
+            assert got == _PINNED_REPORTS[argv], argv
+
+
 def write_square_zero_plane(tmp_path):
     """k[x,y]/(x^2, y^2) over F_2, its simple module k, and the stalk of k.
 

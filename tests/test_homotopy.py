@@ -1,14 +1,21 @@
 """Null-homotopy solving, the stable criterion, and homotopy equivalences."""
 
+import dataclasses
+import gc
+import json
+import os
 import random
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import (periodic_complex, random_combination, random_d2_complex,
                       random_module, triangular_d2, truncated_polynomial)
-from singeq import (approx, complexes, fixtures, functors, homotopy, linalg, modelcat,
-                    modules, solver)
+from singeq import (approx, cli, complexes, fixtures, functors, homotopy, linalg,
+                    modelcat, modules, solver)
 from singeq.config import Options
 from singeq.complexes import (ChainMap, Homotopy, chain_map_from_callable,
                               identity_chain_map, reindex, zero_chain_map)
@@ -410,3 +417,121 @@ class TestHomotopyEquivalence:
         z = zero_chain_map(contractible, complexes.zero_complex(D2))
         res = homotopy.homotopy_equivalence_certificate(z)
         assert res.verdict == YES
+
+
+def one_plus_x(X, Y=None):
+    """1 + x on every term, an automorphism of X, a copy of T_per; to Y,
+    another copy, when it is given."""
+    u = (linalg.eye(2) + X.diff(0)) % 2
+    return chain_map_from_callable(X, X if Y is None else Y, 0, 0, lambda n: u, 1, 1)
+
+
+def fresh_t_per():
+    """A checked copy of T_per, whose memos start empty."""
+    X = dataclasses.replace(fixtures.t_per())
+    X.validate()
+    return X
+
+
+def equivalence_outcomes(bounds) -> list:
+    """[verdict, certificate digest] of the equivalence 1 + x of one fresh
+    copy of T_per under each homotopy_period_bound of bounds in turn, as
+    plain values."""
+    X = fresh_t_per()
+    out = []
+    for b in bounds:
+        res = homotopy.homotopy_equivalence_certificate(
+            one_plus_x(X), Options(homotopy_period_bound=b))
+        out.append([res.verdict, cli.digest(res.certificate)])
+    return out
+
+
+def cold_equivalence_outcome(bound) -> list:
+    """equivalence_outcomes([bound])[0] in a new process, whose memos
+    start empty."""
+    paths = [os.path.dirname(os.path.dirname(homotopy.__file__)),
+             os.path.dirname(__file__)]
+    code = ("import json, sys; sys.path[:0] = %r; from test_homotopy import "
+            "equivalence_outcomes; print(json.dumps(equivalence_outcomes([%d])[0]))"
+            % (paths, bound))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    return json.loads(out.stdout)
+
+
+def count_solves(monkeypatch) -> list:
+    """The maps homotopy_equivalence_certificate solves for from now on,
+    its memo missed."""
+    calls = []
+    solve = homotopy._equivalence
+    monkeypatch.setattr(homotopy, "_equivalence",
+                        lambda f, options: calls.append(f) or solve(f, options))
+    return calls
+
+
+class TestEquivalenceMemo:
+    def test_a_hit_is_checked_against_the_callers_map(self, monkeypatch):
+        X = fresh_t_per()
+        first = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
+        solves = count_solves(monkeypatch)
+        checked = []
+        verify = homotopy.verify_certificate
+        monkeypatch.setattr(homotopy, "verify_certificate",
+                            lambda cert: checked.append(cert) or verify(cert))
+        f = one_plus_x(X)
+        hit = homotopy.homotopy_equivalence_certificate(f)
+        cert = hit.certificate
+        assert not solves and hit.verdict == YES
+        assert cert is not first.certificate and cert.payload["map"] is f
+        assert cert.checked and checked == [cert]
+        assert verify(cert)
+        assert [hit.verdict, cli.digest(cert)] == cold_equivalence_outcome(4)
+
+    def test_a_refutation_is_remembered(self, monkeypatch, k):
+        X, S = fresh_t_per(), functors.stalk(k)
+        first = homotopy.homotopy_equivalence_certificate(zero_chain_map(S, X))
+        solves = count_solves(monkeypatch)
+        again = homotopy.homotopy_equivalence_certificate(zero_chain_map(S, X))
+        assert first.verdict == again.verdict == NO and not solves
+
+    def test_an_equal_map_to_another_target_misses(self, monkeypatch):
+        X, Y = fresh_t_per(), fresh_t_per()
+        homotopy.homotopy_equivalence_certificate(one_plus_x(X))
+        solves = count_solves(monkeypatch)
+        res = homotopy.homotopy_equivalence_certificate(one_plus_x(X, Y))
+        assert len(solves) == 1 and res.verdict == YES
+        assert res.certificate.payload["inverse"].source is Y
+
+    def test_each_options_gets_its_own_entry(self, monkeypatch):
+        solves = count_solves(monkeypatch)
+        warm = equivalence_outcomes([4, 1, 4, 1])
+        assert len(solves) == 2
+        assert warm == [cold_equivalence_outcome(b) for b in (4, 1)] * 2
+
+    def test_the_memo_does_not_keep_its_complex_alive(self):
+        X = fresh_t_per()
+        res = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
+        assert res.verdict == YES and X._equivalences
+        ref = weakref.ref(X)
+        del X, res
+        gc.collect()
+        assert ref() is None
+
+    def test_a_corrupted_stored_inverse_is_solved_again(self, monkeypatch):
+        X = fresh_t_per()
+        cold = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
+        cold_digest = cli.digest(cold.certificate)
+        (_, _, payload), = X._equivalences.values()
+        g = payload["inverse"]
+        n = g.clo
+        bad = ChainMap(g.source, g.target, {**g.components, n: (g.components[n] + 1) % 2},
+                       g.clo, g.chi, g.neg, g.pos)
+        payload["inverse"] = bad
+        assert not homotopy.verify_certificate(
+            homotopy.Certificate("homotopy-inverse", {**payload, "map": one_plus_x(X)}))
+        solves = count_solves(monkeypatch)
+        res = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
+        assert len(solves) == 1 and res.verdict == cold.verdict == YES
+        assert cli.digest(res.certificate) == cold_digest
+        (_, _, now), = X._equivalences.values()
+        assert now["inverse"] is res.certificate.payload["inverse"] is not bad
