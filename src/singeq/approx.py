@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import functors, linalg, modelcat, modules
-from .complexes import (ChainMap, Complex, _proven, chain_map, cokernel_complex,
+from .complexes import (ChainMap, Complex, chain_map, cokernel_complex,
                         complex_from_callable, dual, kernel_complex, two_sided_split)
 from .config import Options
 from .errors import NotGorensteinError, PeriodicityError, ValidationError
@@ -259,16 +259,16 @@ def stalk_replacement(S: Complex, which: str,
     if fam is None:
         fam = modelcat.default_family(S.algebra, options)
     # replacements depend only on the stalk module's presentation and on
-    # every search bound, so the key holds the full Options
-    key = (id(S.algebra), which, N.dim,
-           tuple(a.tobytes() for a in N.action), id(fam), options)
+    # every search bound, so the key holds the full Options; the algebra
+    # and the family hash by identity, and the key keeps them alive, so a
+    # recycled id never reads another family's entry
+    key = (S.algebra, which, N.dim, tuple(a.tobytes() for a in N.action), fam, options)
     cached = _REPLACEMENT_CACHE.get(key)
     if cached is not None:
         # the cached map is a chain map on any checked stalk of the key's module
         ends = (cached.object, S) if which == "cofibrant_ctr" else (S, cached.object)
-        q = chain_map(*ends, dict(cached.map.components),
-                      validate=not (S._checked and cached.map._checked))
-        return replace(cached, map=_proven(q))
+        return replace(cached, map=chain_map(*ends, dict(cached.map.components),
+                                             checked=S._checked and cached.map._checked))
 
     if which == "cofibrant_ctr":
         triple = gp_gi_approximation(N, "GP", options)

@@ -11,47 +11,51 @@ the seams and one period of each tail.  The accessors read this table,
 and its size depends only on the object.
 
 Checked by construction.  A Complex or ChainMap that passed its check
-carries the fact (_checked, set by validate through _proven; never by the
-dataclass constructor, Complex.build(validate=False) or replace).  A
-construction whose inputs all carry it marks what it returns and runs no
-check: a sum or composite of chain maps on the same complex objects
-(add_maps, compose), and the complexes and structure maps of reindex,
-dual, direct_sum_complex, cone, kernel_complex, cokernel_complex and
-two_sided_split, whose tail periods are the lcm of their inputs' periods;
-functors.stalk marks its one-term complex, which has no differential,
-and is_exact takes d*d = 0 on a marked complex as known.
-Every other constructor validates by default, and a construction with an
-unmarked input validates as a constructor does, raising the same errors.
-An explicit validate() always runs the check.
+carries the fact (_checked; never set by the dataclass constructor or
+replace).  Complex.build, complex_from_callable, chain_map and
+chain_map_from_callable validate what they build, or, given checked=True
+by a caller that proves it, mark it without a check.  Constructions pass
+checked=True when all their inputs are marked: add_maps and compose of
+chain maps on the same complex objects, and the complexes and structure
+maps of reindex, dual, direct_sum_complex, cone, kernel_complex,
+cokernel_complex and two_sided_split, whose tail periods are the lcm of
+their inputs' periods; functors.stalk, whose one term has no
+differential, always does.  With an unmarked input they validate,
+raising the same errors, and is_exact validates an unmarked complex.  An
+explicit validate() always runs the check.
 
 Complex.validate and ChainMap.validate cover every degree of a check
-range: the window (for a chain map, the hull of its own window and those
-of its complexes) widened by 2q+1 on each side, where q is the lcm of all
-tail periods.  They, is_exact and homotopy.verify_null_homotopy walk only
-the degrees that carry distinct checks (_Range.walk).  Below the windows
-of the objects a check reads, the check at n equals the check at n + L,
-L the lcm of their negative tail periods; above them it equals the check
-at n - L', L' the lcm of the positive ones.  So the walk keeps the first
-L degrees of the range, the windows, and the first L' degrees after them.
+range (_check_range): the hull of the windows of the objects a check
+reads, widened by 2q+1 on each side, where q is the lcm of all their tail
+periods.  The checks walk only the degrees that carry distinct checks
+(_Range.walk).  Below the windows of the objects a check reads, the check
+at n equals the check at n + L, L the lcm of their negative tail periods;
+above them it equals the check at n - L', L' the lcm of the positive
+ones.  So the walk keeps the first L degrees of the range, the windows,
+and the first L' degrees after them.
 
-One engine runs the checks (_first_failure).  Chain maps, or (map,
-homotopy) pairs, that share one source and one target are walked once,
-over the union of their check ranges; each object's own range lies
-inside it and its periods divide the joint ones, so the joint walk runs
-a superset of each object's checks.  At each walked degree the blocks of
-the objects are stacked: read from each object's own table, or from one
-stacked table of them all whose block at a degree is already the array
-(objects x rows x cols), as solver.chain_map_space_basis has it from its
-kernel solve.  The degrees are grouped by the modules (intertwining) or
-the shapes (d*d = 0, f d = d f, the homotopy equation) they share.  Each
-group costs one array per operand and one batched product per side;
-intertwining tests every action index (modules.intertwining_residue, as
-ModuleMap.validate does), and over several objects multiplies out only
-the nonzero blocks.  Shapes are checked first, at every walked degree of
-every object.  A failing check is reported at the first degree of its
-object's own range that carries it (_Range.first), so an error names the
-same smallest failing degree, and for intertwining the same first
-failing action index, as a check of that object alone.
+One engine runs the checks (_first_failure), and one walk feeds it the
+checks of graded maps g: S_n -> T_{n+k} (_graded_checks): the shapes, g a
+module map at every action index, and the equation, f d = d f for chain
+maps (ChainMap.validate) and d s + s d = f for null-homotopies
+(homotopy.verify_null_homotopy).  Maps that share one source and one
+target are walked once, over the union of their check ranges; each
+object's own range lies inside it and its periods divide the joint ones,
+so the joint walk runs a superset of each object's checks.  At each
+walked degree the blocks of the objects are stacked: read from each
+object's own table, or from one stacked table of them all whose block at
+a degree is already the array (objects x rows x cols), as
+solver.chain_map_space_basis has it from its kernel solve.  The degrees
+are grouped by the modules (intertwining) or the shapes (d*d = 0, the
+equation) they share.  Each group costs one array per operand and one
+batched product per side; intertwining tests every action index
+(modules.intertwining_residue, as ModuleMap.validate does), and over
+several objects multiplies out only the nonzero blocks.  Shapes are
+checked first, at every walked degree of every object.  A failing check
+is reported at the first degree of its object's own range that carries
+it (_Range.first), so an error names the same smallest failing degree,
+and for intertwining the same first failing action index, as a check of
+that object alone.
 
 add_maps and compose compute their result from the operands' block
 tables, one array operation per group of distinct blocks of one shape,
@@ -92,6 +96,30 @@ class Tail:
 
 def _lcm(values) -> int:
     return math.lcm(*[v for v in values if v])
+
+
+def _map_profile(*objects):
+    """Common window and tail periods of complexes / graded maps."""
+    los, his, negs, poss = [], [], [], []
+    for o in objects:
+        if isinstance(o, Complex):
+            los.append(o.lo)
+            his.append(o.hi)
+        else:
+            los.append(o.clo)
+            his.append(o.chi)
+        negs.append(o.neg_period)
+        poss.append(o.pos_period)
+    return min(los), max(his), _lcm(negs), _lcm(poss)
+
+
+def _check_range(*objects) -> tuple:
+    """The degrees a check of complexes / graded maps read together
+    covers: the hull of their windows widened by 2q + 1 on each side, q
+    the lcm of all their tail periods."""
+    lo, hi, nq, pq = _map_profile(*objects)
+    q = math.lcm(nq, pq)
+    return lo - 2 * q - 1, hi + 2 * q + 1
 
 
 class _Blocks(NamedTuple):
@@ -233,11 +261,6 @@ def _intertwining(key, F):
     return bad
 
 
-def _composite(p: int):
-    """Check for _first_failure of d_{n-1} d_n = 0."""
-    return lambda _, d0, d1: (d0 @ d1) % p
-
-
 @dataclass(frozen=True, eq=False)
 class Complex:
     algebra: Algebra
@@ -250,22 +273,20 @@ class Complex:
     neg_seam: np.ndarray | None = None  # d_lo into neg block 0
     pos_seam: np.ndarray | None = None  # d_{hi+1} out of pos block 0
     # whether the complex is known to pass validate: set on the object by
-    # validate or by _proven, never by Complex(...), build(validate=False)
-    # or replace
+    # validate or by a constructor given checked=True, never by
+    # Complex(...) or replace
     _checked = False
 
     @staticmethod
     def build(algebra, lo, hi, terms, diffs, neg_tail=None, pos_tail=None,
-              neg_seam=None, pos_seam=None, validate=True) -> "Complex":
+              neg_seam=None, pos_seam=None, checked=False) -> "Complex":
+        """The complex, validated, or marked when the caller proves it (checked)."""
         if neg_tail is not None and all(t.dim == 0 for t in neg_tail.terms):
             neg_tail, neg_seam = None, None
         if pos_tail is not None and all(t.dim == 0 for t in pos_tail.terms):
             pos_tail, pos_seam = None, None
-        X = Complex(algebra, lo, hi, dict(terms), dict(diffs),
-                    neg_tail, pos_tail, neg_seam, pos_seam)
-        if validate:
-            X.validate()
-        return X
+        return _settled(Complex(algebra, lo, hi, dict(terms), dict(diffs),
+                                neg_tail, pos_tail, neg_seam, pos_seam), checked)
 
     # -- accessors -----------------------------------------------------
 
@@ -313,10 +334,10 @@ class Complex:
     def _dual(self) -> "Complex":
         """dual(self), whose own dual is self; one dual per distinct term."""
         duals = {id(t): modules.dual_module(t) for t, _ in self._blocks.data}
-        D = _proven(complex_from_callable(
+        D = complex_from_callable(
             modules._opposite_of(self.algebra), -self.hi, -self.lo,
             lambda n: duals[id(self.term(-n))], lambda n: self.diff(1 - n).T,
-            self.pos_period, self.neg_period, validate=not self._checked))
+            self.pos_period, self.neg_period, checked=self._checked)
         object.__setattr__(D, "_dual", self)
         return D
 
@@ -343,16 +364,8 @@ class Complex:
     def bounded(self) -> bool:
         return self.neg_tail is None and self.pos_tail is None
 
-    def support_degrees(self):
-        """Window degrees with nonzero terms; None-bounded sides excluded."""
-        return [n for n in range(self.lo, self.hi + 1) if self.term(n).dim > 0]
-
-    def is_zero(self) -> bool:
-        return self.bounded() and not self.support_degrees()
-
     def check_range(self) -> tuple:
-        q = _lcm([self.neg_period, self.pos_period])
-        return (self.lo - 2 * max(q, 1) - 1, self.hi + 2 * max(q, 1) + 1)
+        return _check_range(self)
 
     def validate(self) -> None:
         for n in range(self.lo, self.hi + 1):
@@ -372,9 +385,10 @@ class Complex:
         if bad is not None:
             raise ValidationError(
                 f"differential at degree {bad[0]} does not intertwine action {bad[1]}")
+        p = self.algebra.p
         bad = _first_failure([r._replace(a=a + 1)], ns,
                              [(x.shape, y.shape) for x, y in zip(d0, d1)],
-                             _composite(self.algebra.p), d0, d1)
+                             lambda _, d0, d1: (d0 @ d1) % p, d0, d1)
         if bad is not None:
             raise ValidationError(f"d*d != 0 at degree {bad[0]}")
         _proven(self)
@@ -385,14 +399,14 @@ def zero_complex(algebra: Algebra) -> Complex:
 
 
 def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
-                          neg_period=0, pos_period=0, validate=True) -> Complex:
+                          neg_period=0, pos_period=0, checked=False) -> Complex:
     """Assemble a complex by sampling term/diff functions.
 
     Outside lo..hi the functions must be periodic with the given periods;
     one extra period is sampled and compared to catch wrong periods, and
-    the result is validated.  validate=False means the caller proves the
-    result a complex with these periods, so neither runs; the caller marks
-    it (_proven).
+    the result is validated.  checked=True means the caller proves the
+    result a complex with these periods, so neither runs and the result is
+    marked (Complex.build).
     """
     terms = {n: term_fn(n) for n in range(lo, hi + 1)}
     diffs = {n: diff_fn(n) % algebra.p for n in range(lo + 1, hi + 1)}
@@ -402,7 +416,7 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
         q = neg_period
         blocks = tuple(term_fn(lo - 1 - i) for i in range(q))
         bdiffs = tuple(diff_fn(lo - 1 - i) % algebra.p for i in range(q))
-        for i in range(q + 1 if validate else 0):
+        for i in range(0 if checked else q + 1):
             n = lo - 1 - i - q
             if term_fn(n).dim != term_fn(n + q).dim or not np.array_equal(
                 diff_fn(n) % algebra.p, diff_fn(n + q) % algebra.p
@@ -415,7 +429,7 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
         blocks = tuple(term_fn(hi + 1 + i) for i in range(q))
         bdiffs = tuple(diff_fn(hi + 1 + i if i else hi + 1 + q) % algebra.p
                        for i in range(q))
-        for i in range(q + 1 if validate else 0):
+        for i in range(0 if checked else q + 1):
             n = hi + 1 + i + q
             if term_fn(n).dim != term_fn(n - q).dim or not np.array_equal(
                 diff_fn(n + 1) % algebra.p, diff_fn(n + 1 - q) % algebra.p
@@ -424,7 +438,7 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
         pos_tail = Tail(q, blocks, bdiffs)
         pos_seam = diff_fn(hi + 1) % algebra.p
     return Complex.build(algebra, lo, hi, terms, diffs,
-                         neg_tail, pos_tail, neg_seam, pos_seam, validate=validate)
+                         neg_tail, pos_tail, neg_seam, pos_seam, checked=checked)
 
 
 # -- chain maps and homotopies -----------------------------------------
@@ -477,17 +491,13 @@ class GradedMap:
         return self.pos[0] if self.pos else 0
 
     def check_range(self) -> tuple:
-        q = _lcm([self.neg_period, self.pos_period,
-                  self.source.neg_period, self.source.pos_period,
-                  self.target.neg_period, self.target.pos_period])
-        a = min(self.clo, self.source.lo, self.target.lo)
-        b = max(self.chi, self.source.hi, self.target.hi)
-        return (a - 2 * q - 1, b + 2 * q + 1)
+        return _check_range(self, self.source, self.target)
 
 
 class ChainMap(GradedMap):
     # whether the map is known to be a chain map at every degree: set on the
-    # object by validate or by _proven, never by ChainMap(...) or replace
+    # object by validate or by a constructor given checked=True, never by
+    # ChainMap(...) or replace
     _checked = False
 
     def validate(self, *others: "ChainMap", table: _Blocks | None = None) -> None:
@@ -522,12 +532,16 @@ class ChainMap(GradedMap):
             groups.setdefault((f.source, f.target), []).append(f)
         if table is not None and len(groups) > 1:
             raise ValueError("a stacked table needs maps with one source and one target")
-        checks = [_chain_map_checks(S, T, maps, table) for (S, T), maps in groups.items()]
-        bad = min(filter(None, [_first_failure(*c) for c, _ in checks]), default=None)
+        shapes, twists, equations = zip(*[_graded_checks(S, T, 0, fs, table=table)
+                                          for (S, T), fs in groups.items()])
+        bad = min([n for n in shapes if n is not None], default=None)
+        if bad is not None:
+            raise ValidationError(f"component at degree {bad} has wrong shape")
+        bad = min(filter(None, [_first_failure(*c) for c in twists]), default=None)
         if bad is not None:
             raise ValidationError(
                 f"component at degree {bad[0]} does not intertwine action {bad[1]}")
-        bad = min(filter(None, [_first_failure(*c) for _, c in checks]), default=None)
+        bad = min(filter(None, [_first_failure(*c) for c in equations]), default=None)
         if bad is not None:
             raise ValidationError(f"does not commute with d at degree {bad[0]}")
         for f in maps:
@@ -581,50 +595,69 @@ def _proven(x):
     return x
 
 
-def _chain_map_checks(S: Complex, T: Complex, maps: list, table=None) -> tuple:
-    """_first_failure arguments of the intertwining and the commutation
-    checks of chain maps S -> T, walked once over the union of their check
-    ranges; raises at once on a component of the wrong shape.
+def _settled(x, checked: bool):
+    """x, marked when its constructor's caller proves it (checked), else validated."""
+    if checked:
+        return _proven(x)
+    x.validate()
+    return x
 
-    The components are read from each map's own table, or from table, one
-    stacked table of them all (ChainMap.validate)."""
+
+def _graded_checks(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = None,
+                   table: _Blocks | None = None) -> tuple:
+    """The checks of graded maps g: S_n -> T_{n+k}, walked once over the
+    union of their check ranges: (smallest reported degree of a block of
+    the wrong shape, or None; _first_failure arguments of the check that
+    each g is a module map; _first_failure arguments of the equation).
+
+    The equation is f d = d f for chain maps (k = 0, rhs None) and
+    d s + s d = f for homotopies (k = 1, rhs the map f of each), whose
+    check range is that of the pair.  It reads g at n - 1 and n, reported
+    from a + 1 for chain maps and from a for homotopies, whose walk starts
+    at a - 1.  The components are read from each map's own table, or from
+    table, one stacked table of them all (ChainMap.validate)."""
     Sb, Tb = S._blocks, T._blocks
-    spans = [f.check_range() for f in maps]
-    tables = [f._blocks for f in maps]
-    ranges = [_Range.of(a, Sb, Tb, B) for (a, _), B in zip(spans, tables)]
-    ns = _Range.union(ranges).walk(max([b for _, b in spans]))
+    objects = [(g,) for g in maps] if rhs is None else list(zip(maps, rhs))
+    spans = [_check_range(S, T, *o) for o in objects]
+    ranges = [_Range.of(a, Sb, Tb, *[x._blocks for x in o]) for (a, _), o in zip(spans, objects)]
+    union = _Range.union(ranges)
+    ns = union._replace(a=union.a - k).walk(max([b for _, b in spans]))
     prev = [n - 1 for n in ns]
-    S1, T1 = Sb.on(ns), Tb.on(ns)
+    S1, T1 = Sb.on(ns), Tb.on([n + k for n in ns])
     shapes = [(t.dim, s.dim) for (s, _), (t, _) in zip(S1, T1)]
     if table is None:
-        comps = [B.on(ns) for B in tables]
-        bad = _wrong_shape(ranges, ns, comps, shapes)
-        F0, F1 = _per_degree([B.on(prev) for B in tables]), _per_degree(comps)
+        G1 = [g._blocks.on(ns) for g in maps]
+        bad = [_wrong_shape(ranges, ns, G1, shapes)]
+        G0, G1 = _per_degree([g._blocks.on(prev) for g in maps]), _per_degree(G1)
     else:
-        F0, F1 = table.on(prev), table.on(ns)
+        G0, G1 = table.on(prev), table.on(ns)
         # every map reads the same shape from the table
-        bad = _wrong_shape(ranges, ns, [[m[0] for m in F1]] * len(maps), shapes)
-    if bad is not None:
-        raise ValidationError(f"component at degree {bad} has wrong shape")
+        bad = [_wrong_shape(ranges, ns, [[m[0] for m in G1]] * len(maps), shapes)]
     dS, dT = [d for _, d in S1], [d for _, d in T1]
     p = S.algebra.p
-    return ((ranges, ns, [(s, t) for (s, _), (t, _) in zip(S1, T1)], _intertwining, F1),
-            ([r._replace(a=r.a + 1) for r in ranges], ns,
-             [(x.shape, y.shape) for x, y in zip(dS, dT)],
-             lambda _, f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p, F0, dS, dT, F1))
+    if rhs is None:
+        equation = (lambda _, f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p, G0, dS, dT, G1)
+    else:
+        F = [f._blocks.on(ns) for f in rhs]
+        bad.append(_wrong_shape(ranges, ns, F, [(t.dim, s.dim) for (s, _), (t, _)
+                                                in zip(S1, Tb.on(ns))]))
+        equation = (lambda _, dT, s1, s0, dS, f: (dT @ s1 + s0 @ dS) % p - f,
+                    dT, G1, G0, dS, _per_degree(F))
+    return (min([n for n in bad if n is not None], default=None),
+            (ranges, ns, [(s, t) for (s, _), (t, _) in zip(S1, T1)], _intertwining, G1),
+            ([r._replace(a=r.a + 1 - k) for r in ranges], ns,
+             [(x.shape, y.shape) for x, y in zip(dS, dT)], *equation))
 
 
 def chain_map(source, target, components, clo=None, chi=None,
-              neg=None, pos=None, validate=True) -> ChainMap:
+              neg=None, pos=None, checked=False) -> ChainMap:
+    """The chain map, validated, or marked when the caller proves it (checked)."""
     components = {n: np.asarray(m, dtype=np.int64) % source.algebra.p
                   for n, m in components.items()}
     if clo is None:
         degs = sorted(components) or [0]
         clo, chi = degs[0], degs[-1]
-    f = ChainMap(source, target, components, clo, chi, neg, pos)
-    if validate:
-        f.validate()
-    return f
+    return _settled(ChainMap(source, target, components, clo, chi, neg, pos), checked)
 
 
 def _tail(period: int, blocks: tuple):
@@ -643,10 +676,10 @@ def _sample(clo: int, chi: int, comp_fn, neg_period: int, pos_period: int,
 
 
 def chain_map_from_callable(source, target, clo, chi, comp_fn,
-                            neg_period=0, pos_period=0, validate=True) -> ChainMap:
+                            neg_period=0, pos_period=0, checked=False) -> ChainMap:
     return chain_map(source, target,
                      *_sample(clo, chi, comp_fn, neg_period, pos_period, source.algebra.p),
-                     validate=validate)
+                     checked=checked)
 
 
 def identity_chain_map(X: Complex) -> ChainMap:
@@ -656,28 +689,13 @@ def identity_chain_map(X: Complex) -> ChainMap:
         neg = (X.neg_period, tuple(linalg.eye(t.dim) for t in X.neg_tail.terms))
     if X.pos_tail:
         pos = (X.pos_period, tuple(linalg.eye(t.dim) for t in X.pos_tail.terms))
-    return _proven(chain_map(X, X, comps, X.lo, X.hi, neg, pos, validate=False))
+    return chain_map(X, X, comps, X.lo, X.hi, neg, pos, checked=True)
 
 
 def zero_chain_map(X: Complex, Y: Complex) -> ChainMap:
     if X.algebra is not Y.algebra:
         raise DimensionMismatch("chain map across different algebras")
-    return _proven(chain_map(X, Y, {}, 0, 0, validate=False))
-
-
-def _map_profile(*objects):
-    """Common window and tail periods of complexes / graded maps."""
-    los, his, negs, poss = [], [], [], []
-    for o in objects:
-        if isinstance(o, Complex):
-            los.append(o.lo)
-            his.append(o.hi)
-        else:
-            los.append(o.clo)
-            his.append(o.chi)
-        negs.append(o.neg_period)
-        poss.append(o.pos_period)
-    return min(los), max(his), _lcm(negs), _lcm(poss)
+    return chain_map(X, Y, {}, 0, 0, checked=True)
 
 
 def _joint_blocks(X: Complex, Y: Complex):
@@ -708,7 +726,7 @@ def same_complex(X: Complex, Y: Complex) -> bool:
         and np.array_equal(d, e) for (s, d), (t, e) in _joint_blocks(X, Y))
 
 
-def _from_tables(S, T, profile, op, f, g, validate=True) -> ChainMap:
+def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
     """The chain map S -> T whose component at n is op(f_n, g_n), on the
     window lo..hi and one period nq, pq of each tail (profile), as
     chain_map_from_callable samples them.
@@ -716,8 +734,8 @@ def _from_tables(S, T, profile, op, f, g, validate=True) -> ChainMap:
     The components are read from the tables of f and g.  op runs on the
     distinct pairs of blocks among them, stacked per pair of shapes: one
     array operation per group, where op gets one (k, rows, cols) stack
-    per operand.  The result is validated, or with validate=False, which
-    a caller passes when the operands prove it a chain map, marked as one
+    per operand.  The result is validated, or with checked=True, which a
+    caller passes when the operands prove it a chain map, marked as one
     (ChainMap.validate).
 
     The result gets the table computed here, with the shared zero blocks
@@ -750,11 +768,7 @@ def _from_tables(S, T, profile, op, f, g, validate=True) -> ChainMap:
         for i in zero:
             data[i] = modules.zero_block(S.algebra, T.term(ns[i]).dim, S.term(ns[i]).dim)
         object.__setattr__(h, "_blocks", _Blocks(lo, hi, nq, pq, tuple(data)))
-    if validate:
-        h.validate()
-    else:
-        _proven(h)
-    return h
+    return _settled(h, checked)
 
 
 def compose(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -766,7 +780,7 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
     p = f.source.algebra.p
     known = f._checked and g._checked and g.target is f.source
     return _from_tables(g.source, f.target, _map_profile(f, g, g.source, f.target),
-                        lambda a, b: (a @ b) % p, f, g, validate=not known)
+                        lambda a, b: (a @ b) % p, f, g, checked=known)
 
 
 def add_maps(f: ChainMap, g: ChainMap, sign: int = 1) -> ChainMap:
@@ -778,7 +792,7 @@ def add_maps(f: ChainMap, g: ChainMap, sign: int = 1) -> ChainMap:
     p = f.source.algebra.p
     known = f._checked and g._checked and g.source is f.source and g.target is f.target
     return _from_tables(f.source, f.target, _map_profile(f, g, f.source, f.target),
-                        lambda a, b: (a + sign * b) % p, f, g, validate=not known)
+                        lambda a, b: (a + sign * b) % p, f, g, checked=known)
 
 
 # -- basic operations ---------------------------------------------------
@@ -797,32 +811,24 @@ def is_exact(X: Complex) -> bool:
     """H_n = 0 on the window widened by one tail period and one degree.
 
     H_n = 0 iff rank d_n + rank d_{n+1} = dim X_n, given d_n d_{n+1} = 0,
-    which is checked first (stacked) as homology checks it, unless X is
-    marked as checked.  The verdict is memoized on X; a failing
-    d_n d_{n+1} = 0 raises on every call.
+    which holds on a complex marked as checked; an unmarked X is validated
+    first, and raises as validate does.  The verdict is memoized on X; an
+    invalid X raises on every call.
     """
     memo = X._membership
     if "exact" in memo:
         return memo["exact"]
-    a = X.lo - max(X.neg_period, 1) - 1
-    b = X.hi + max(X.pos_period, 1) + 1
+    if not X._checked:
+        X.validate()
     p = X.algebra.p
     B = X._blocks
-    r = _Range.of(a, B)
-    ns = r.walk(b)
-    rows = list(zip(ns, B.on(ns), B.on([n + 1 for n in ns])))
-    d0, d1 = [d for _, (_, d), _ in rows], [d for _, _, (_, d) in rows]
-    if not X._checked:
-        bad = _first_failure([r], ns, [(x.shape, y.shape) for x, y in zip(d0, d1)],
-                             _composite(p), d0, d1)
-        if bad is not None:
-            raise ValidationError(f"boundaries do not land in cycles at degree {bad[0]}")
+    ns = _Range.of(X.lo - max(X.neg_period, 1) - 1, B).walk(X.hi + max(X.pos_period, 1) + 1)
     rank = {}  # per distinct differential; the table keeps each alive
     for _, d in B.data:
         if id(d) not in rank:
             rank[id(d)] = linalg.rank(d, p)
     memo["exact"] = all(rank[id(d0)] + rank[id(d1)] == t.dim
-                        for _, (t, d0), (_, d1) in rows)
+                        for (t, d0), (_, d1) in zip(B.on(ns), B.on([n + 1 for n in ns])))
     return memo["exact"]
 
 
@@ -831,11 +837,11 @@ def reindex(X: Complex, k: int) -> Complex:
     if k == 0:
         return X
     sign = 1 if k % 2 == 0 else -1
-    return _proven(complex_from_callable(
+    return complex_from_callable(
         X.algebra, X.lo + k, X.hi + k,
         lambda n: X.term(n - k),
         lambda n: (sign * X.diff(n - k)) % X.algebra.p,
-        X.neg_period, X.pos_period, validate=not X._checked))
+        X.neg_period, X.pos_period, checked=X._checked)
 
 
 def dual(X: Complex) -> Complex:
@@ -848,9 +854,9 @@ def dual(X: Complex) -> Complex:
 def dual_chain_map(f: ChainMap) -> ChainMap:
     """D(f): D(target) -> D(source) with D(f)_n = D(f_{-n}); a chain map
     exactly when f is one, so checked only when f is not (ChainMap.validate)."""
-    return _proven(chain_map_from_callable(
+    return chain_map_from_callable(
         dual(f.target), dual(f.source), -f.chi, -f.clo, lambda n: f.component(-n).T,
-        f.pos_period, f.neg_period, validate=not f._checked))
+        f.pos_period, f.neg_period, checked=f._checked)
 
 
 def direct_sum_complex(X: Complex, Y: Complex):
@@ -859,12 +865,10 @@ def direct_sum_complex(X: Complex, Y: Complex):
     p = X.algebra.p
     known = X._checked and Y._checked and X.algebra is Y.algebra
     lo, hi, nq, pq = _map_profile(X, Y)
-    cache = {}
+    sums = _once(lambda x, y: modules.direct_sum([x, y]))
 
     def parts(n):
-        if n not in cache:
-            cache[n] = modules.direct_sum([X.term(n), Y.term(n)])
-        return cache[n]
+        return sums(X.term(n), Y.term(n))
 
     def diff_fn(n):
         dX, dY = X.diff(n), Y.diff(n)
@@ -872,13 +876,12 @@ def direct_sum_complex(X: Complex, Y: Complex):
         bot = np.hstack([linalg.zeros(dY.shape[0], dX.shape[1]), dY])
         return np.vstack([top, bot]) % p
 
-    S = _proven(complex_from_callable(X.algebra, lo, hi, lambda n: parts(n)[0], diff_fn,
-                                      nq, pq, validate=not known))
+    S = complex_from_callable(X.algebra, lo, hi, lambda n: parts(n)[0], diff_fn,
+                              nq, pq, checked=known)
 
     def part(source, target, i, j):  # the structure map of parts(n)[i][j]
-        return _proven(chain_map_from_callable(source, target, lo, hi,
-                                               lambda n: parts(n)[i][j].matrix, nq, pq,
-                                               validate=not known))
+        return chain_map_from_callable(source, target, lo, hi,
+                                       lambda n: parts(n)[i][j].matrix, nq, pq, checked=known)
 
     return S, part(X, S, 1, 0), part(Y, S, 1, 1), part(S, X, 2, 0), part(S, Y, 2, 1)
 
@@ -892,27 +895,13 @@ def cone(f: ChainMap) -> Complex:
     hi = max(X.hi + 1, Y.hi, f.chi + 1)
     nq = _lcm([X.neg_period, Y.neg_period, f.neg_period])
     pq = _lcm([X.pos_period, Y.pos_period, f.pos_period])
-    # built once per distinct block: the tables share these objects across
-    # the periodic repeats that complex_from_callable samples
-    memo = {}
-
-    def term_fn(n):
-        x, y = X.term(n - 1), Y.term(n)
-        key = (id(x), id(y))
-        if key not in memo:
-            memo[key] = modules.direct_sum([x, y])[0]
-        return memo[key]
-
-    def diff_fn(n):
-        dX, dY, fn = X.diff(n - 1), Y.diff(n), f.component(n - 1)
-        key = (id(dX), id(dY), id(fn))
-        if key not in memo:
-            top = np.hstack([(-dX) % p, linalg.zeros(dX.shape[0], dY.shape[1])])
-            memo[key] = np.vstack([top, np.hstack([fn, dY])]) % p
-        return memo[key]
-
-    return _proven(complex_from_callable(X.algebra, lo, hi, term_fn, diff_fn, nq, pq,
-                                         validate=not _inputs_checked(f)))
+    term = _once(lambda x, y: modules.direct_sum([x, y])[0])
+    diff = _once(lambda dX, dY, fn: np.vstack([
+        np.hstack([(-dX) % p, linalg.zeros(dX.shape[0], dY.shape[1])]),
+        np.hstack([fn, dY])]) % p)
+    return complex_from_callable(X.algebra, lo, hi, lambda n: term(X.term(n - 1), Y.term(n)),
+                                 lambda n: diff(X.diff(n - 1), Y.diff(n), f.component(n - 1)),
+                                 nq, pq, checked=_inputs_checked(f))
 
 
 def is_quasi_isomorphism(f: ChainMap) -> bool:
@@ -940,27 +929,27 @@ def two_sided_split(X: Complex, n: int) -> tuple:
         raise UnsupportedShape("image factorization failed to produce complex maps")
 
     hi_u = max(X.hi, n + 1)
-    upper = _proven(complex_from_callable(
+    upper = complex_from_callable(
         X.algebra, n, hi_u,
         lambda m: K if m == n else (X.term(m) if m > n else zero),
         lambda m: corestr if m == n + 1 else X.diff(m),
-        0, X.pos_period, validate=not known))
+        0, X.pos_period, checked=known)
     lo_l = min(X.lo, n - 1)
-    lower = _proven(complex_from_callable(
+    lower = complex_from_callable(
         X.algebra, lo_l, n,
         lambda m: W if m == n else (X.term(m) if m < n else zero),
         lambda m: iota.matrix if m == n else X.diff(m),
-        X.neg_period, 0, validate=not known))
-    incl = _proven(chain_map_from_callable(
+        X.neg_period, 0, checked=known)
+    incl = chain_map_from_callable(
         upper, X, n, hi_u,
         lambda m: kincl.matrix if m == n else (
             linalg.eye(X.term(m).dim) if m > n else linalg.zeros(X.term(m).dim, 0)),
-        0, X.pos_period, validate=not known))
-    proj = _proven(chain_map_from_callable(
+        0, X.pos_period, checked=known)
+    proj = chain_map_from_callable(
         X, lower, lo_l, n,
         lambda m: pi if m == n else (
             linalg.eye(X.term(m).dim) if m < n else linalg.zeros(0, X.term(m).dim)),
-        X.neg_period, 0, validate=not known))
+        X.neg_period, 0, checked=known)
     # exactness of 0 -> upper -> X -> lower -> 0: given a mono, an epi and a
     # zero composite, dim upper_m + dim lower_m <= dim X_m at every degree,
     # so one sum of the term dimensions over the check range decides equality
@@ -993,20 +982,27 @@ def _inputs_checked(f: ChainMap) -> bool:
     return f._checked and f.source._checked and f.target._checked
 
 
-def _per_block(f: ChainMap, compute):
-    """n -> compute(f_n as a ModuleMap), computed once per distinct
-    (source term, target term, component): the block tables share these
-    objects across the periodic repeats that complex_from_callable samples."""
+def _once(compute):
+    """compute, run once per distinct tuple of arguments, by identity: the
+    block tables share their blocks across the periodic repeats that
+    complex_from_callable samples.  The memo holds the arguments, so no
+    id it is keyed on is reused while it lives."""
     memo = {}
 
-    def data(n):
-        S, T, m = f.source.term(n), f.target.term(n), f.component(n)
-        key = (id(S), id(T), id(m))
+    def once(*blocks):
+        key = tuple(map(id, blocks))
         if key not in memo:
-            memo[key] = compute(ModuleMap(S, T, m))
-        return memo[key]
+            memo[key] = (blocks, compute(*blocks))
+        return memo[key][1]
 
-    return data
+    return once
+
+
+def _per_block(f: ChainMap, compute):
+    """n -> compute(f_n as a ModuleMap), computed once per distinct
+    (source term, target term, component)."""
+    data = _once(lambda S, T, m: compute(ModuleMap(S, T, m)))
+    return lambda n: data(f.source.term(n), f.target.term(n), f.component(n))
 
 
 def _kernel_complex(f: ChainMap):
@@ -1023,10 +1019,10 @@ def _kernel_complex(f: ChainMap):
         return d
 
     known = _inputs_checked(f)
-    K = _proven(complex_from_callable(f.source.algebra, lo, hi, lambda n: data(n)[0],
-                                      diff_fn, nq, pq, validate=not known))
-    incl = _proven(chain_map_from_callable(K, f.source, lo, hi, lambda n: data(n)[1].matrix,
-                                           nq, pq, validate=not known))
+    K = complex_from_callable(f.source.algebra, lo, hi, lambda n: data(n)[0],
+                              diff_fn, nq, pq, checked=known)
+    incl = chain_map_from_callable(K, f.source, lo, hi, lambda n: data(n)[1].matrix,
+                                   nq, pq, checked=known)
     return K, incl
 
 
@@ -1044,8 +1040,8 @@ def _cokernel_complex(f: ChainMap):
         return dT.T % p
 
     known = _inputs_checked(f)
-    C = _proven(complex_from_callable(f.source.algebra, lo, hi, lambda n: data(n)[0],
-                                      diff_fn, nq, pq, validate=not known))
-    proj = _proven(chain_map_from_callable(f.target, C, lo, hi, lambda n: data(n)[1].matrix,
-                                           nq, pq, validate=not known))
+    C = complex_from_callable(f.source.algebra, lo, hi, lambda n: data(n)[0],
+                              diff_fn, nq, pq, checked=known)
+    proj = chain_map_from_callable(f.target, C, lo, hi, lambda n: data(n)[1].matrix,
+                                   nq, pq, checked=known)
     return C, proj

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg, modules
-from .complexes import ChainMap, Complex, _proven, chain_map, dual, dual_chain_map
+from .complexes import ChainMap, Complex, chain_map, dual, dual_chain_map
 from .errors import ValidationError
 from .modules import Module, ModuleMap
 
@@ -49,7 +49,7 @@ def theta(X: Complex) -> Module:
 
 def stalk(M: Module) -> Complex:
     """M in degree zero: a complex by construction, having no differential."""
-    return _proven(Complex.build(M.algebra, 0, 0, {0: M}, {}, validate=False))
+    return Complex.build(M.algebra, 0, 0, {0: M}, {}, checked=True)
 
 
 def omega_map(f: ChainMap) -> ModuleMap:

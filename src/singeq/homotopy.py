@@ -32,16 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import functors, linalg, modules
+from .complexes import (ChainMap, Complex, Homotopy, _first_failure, _from_tables,
+                        _graded_checks, _lcm, _map_profile, _sample, cone, dual_chain_map,
+                        identity_chain_map, is_exact)
 # compose and FoldedSystem are unused here but stay importable from here,
 # which perfbench/selftest.py uses to test the tracer's alias rebinding
-from .complexes import (ChainMap, Complex, Homotopy, _first_failure,  # noqa: F401
-                        _from_tables, _intertwining, _lcm, _map_profile,
-                        _per_degree, _Range, _sample, _wrong_shape,
-                        chain_map_from_callable, compose, cone, dual_chain_map,
-                        identity_chain_map, is_exact)
+from .complexes import compose  # noqa: F401
 from .config import Options
 from .errors import ValidationError
-from .solver import FoldedSystem, graded_system, solve_module_map, window  # noqa: F401
+from .solver import FoldedSystem  # noqa: F401
+from .solver import graded_system, solve_module_map, window
 
 YES = "YES"
 NO = "NO"
@@ -74,11 +74,13 @@ def verify_null_homotopy(f: ChainMap, s: Homotopy, *others: tuple) -> bool:
     """f_n == d s_n + s_{n-1} d at every degree of the pair's check range,
     for (f, s) and for each further (map, homotopy) pair in others.
 
-    The check range of a pair is the hull of the windows of f, s and
-    their complexes, widened by 2q + 1 on each side, q the lcm of all
-    their tail periods.  Pairs that share one source and one target are
-    walked once, over the union of their ranges, which runs a superset
-    of each pair's checks (see complexes).  Every shape is checked; then
+    One walk runs these checks and those of ChainMap.validate
+    (complexes._graded_checks, here for maps of degree 1).  The check
+    range of a pair is the hull of the windows of f, s and their
+    complexes, widened by 2q + 1 on each side, q the lcm of all their
+    tail periods (complexes._check_range).  Pairs that share one source
+    and one target are walked once, over the union of their ranges, which
+    runs a superset of each pair's checks.  Every shape is checked; then
     each s_n is checked to be a module map at every action index, and
     the equation at every entry, each stacked across the walked degrees
     and the pairs, with one batched product per group and side.
@@ -89,39 +91,10 @@ def verify_null_homotopy(f: ChainMap, s: Homotopy, *others: tuple) -> bool:
         if g.source.algebra.p != p:
             return False
         groups.setdefault((g.source, g.target), []).append((g, h))
-    return all(_pairs_hold(X, Y, pairs) for (X, Y), pairs in groups.items())
-
-
-def _pairs_hold(X: Complex, Y: Complex, pairs: list) -> bool:
-    """verify_null_homotopy for pairs of maps X -> Y and their homotopies."""
-    Xb, Yb = X._blocks, Y._blocks
-    ranges, spans, tables = [], [], []
-    for f, s in pairs:
-        q = _lcm([f.neg_period, f.pos_period, s.neg_period, s.pos_period,
-                  X.neg_period, X.pos_period, Y.neg_period, Y.pos_period])
-        a = min(f.clo, s.clo, X.lo, Y.lo) - 2 * q - 1
-        spans.append((a, max(f.chi, s.chi, X.hi, Y.hi) + 2 * q + 1))
-        ranges.append(_Range.of(a, Xb, Yb, f._blocks, s._blocks))
-        tables.append((f._blocks, s._blocks))
-    # s_{a-1} enters the equation at degree a
-    union = _Range.union(ranges)
-    ns = union._replace(a=union.a - 1).walk(max([b for _, b in spans]))
-    X1, Y1, Y2 = Xb.on(ns), Yb.on(ns), Yb.on([n + 1 for n in ns])
-    F = [fb.on(ns) for fb, _ in tables]
-    S1 = [sb.on(ns) for _, sb in tables]
-    if any(_wrong_shape(ranges, ns, cols, [(y.dim, x.dim) for (x, _), (y, _) in zip(X1, ys)])
-           is not None for cols, ys in ((F, Y1), (S1, Y2))):
-        return False
-    S1 = _per_degree(S1)
-    if _first_failure(ranges, ns, [(x, y) for (x, _), (y, _) in zip(X1, Y2)], _intertwining, S1):
-        return False
-    dX, dY = [d for _, d in X1], [d for _, d in Y2]
-    S0 = _per_degree([sb.on([n - 1 for n in ns]) for _, sb in tables])
-    p = X.algebra.p
-    return _first_failure(
-        ranges, ns, [(x.shape, y.shape) for x, y in zip(dX, dY)],
-        lambda _, dY, sn, sm, dX, fn: (dY @ sn + sm @ dX) % p - fn,
-        dY, S1, S0, dX, _per_degree(F)) is None
+    checks = (_graded_checks(X, Y, 1, [h for _, h in pairs], [g for g, _ in pairs])
+              for (X, Y), pairs in groups.items())
+    return all(shape is None and _first_failure(*twist) is None
+               and _first_failure(*equation) is None for shape, twist, equation in checks)
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -156,7 +129,7 @@ def _verify_inverse_payload(payload: dict) -> bool:
     def minus_id(first, second, Z):
         """second after first, minus the identity of Z, with no re-validation."""
         return _from_tables(Z, Z, profile, lambda a, b: (b @ a - linalg.eye(b.shape[1])) % p,
-                            first, second, validate=False)
+                            first, second, checked=True)
 
     return (verify_null_homotopy(minus_id(f, g, X), hX)
             and verify_null_homotopy(minus_id(g, f, Y), hY))
@@ -340,9 +313,7 @@ def _equivalence(f: ChainMap, options: Options) -> EquivalenceResult:
     lo, hi = min(lo, s.clo), max(hi, s.chi)
 
     # validated once, stacked with f, by verify_certificate
-    g = chain_map_from_callable(Y, X, lo, hi,
-                                lambda n: _cone_blocks(f, s, n)[1], sq, sq,
-                                validate=False)
+    g = ChainMap(Y, X, *_sample(lo, hi, lambda n: _cone_blocks(f, s, n)[1], sq, sq, p))
     hX = Homotopy(X, X, *_sample(lo, hi, lambda n: _cone_blocks(f, s, n + 1)[0], sq, sq, p))
     hY = Homotopy(Y, Y, *_sample(lo, hi, lambda n: -_cone_blocks(f, s, n)[3], sq, sq, p))
     cert = Certificate("homotopy-inverse", {

@@ -96,9 +96,6 @@ class Module:
                 out = (out + int(coords[i]) * self.action[i]) % p
         return out
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     @cached_property
     def stacked_action(self) -> np.ndarray:
         """The action matrices as one (algebra.dim x dim x dim) array."""

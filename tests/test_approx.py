@@ -1,5 +1,7 @@
 """Gorenstein checks, approximations, complete resolutions, replacements."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,23 @@ class TestStalkReplacement:
         assert warm_up.verdict == YES
         assert cold.verdict == UNKNOWN
         assert warm.verdict == UNKNOWN
+
+    def test_a_recycled_family_id_gets_its_own_replacement(self, D2, k):
+        # a two-sided family whose co side certifies against one generator,
+        # then dropped: a fresh empty family may get its id
+        fam = modelcat.GeneratorFamily((), 0, injective=modelcat.default_family(D2))
+        approx.stalk_replacement(functors.stalk(k), "fibrant_co", fam)
+        old = id(fam)
+        del fam
+        gc.collect()
+        fresh = []
+        for _ in range(5000):
+            fresh.append(modelcat.GeneratorFamily((), 0))
+            if id(fresh[-1]) == old:
+                break
+        rep = approx.stalk_replacement(functors.stalk(k), "fibrant_co", fresh[-1])
+        assert rep.upper.family is rep.lower.family is fresh[-1]
+        assert rep.verdict == YES
 
     def test_rejects_non_stalk(self, t_per):
         from singeq.errors import ValidationError

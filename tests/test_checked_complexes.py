@@ -87,7 +87,7 @@ class TestSoundness:
         assert X._checked and reindex(X, 1)._checked
         assert not dataclasses.replace(X)._checked
         assert not dataclasses.replace(reindex(X, 1))._checked
-        unbuilt = Complex.build(X.algebra, X.lo, X.hi, X.terms, X.diffs, validate=False)
+        unbuilt = Complex(X.algebra, X.lo, X.hi, X.terms, X.diffs)
         assert not unbuilt._checked
 
 
@@ -149,7 +149,7 @@ class TestUnmarkedInputs:
 
     def test_an_unmarked_valid_input_is_checked(self, monkeypatch):
         X = random_d2_complex(random.Random(2))
-        raw = Complex.build(X.algebra, X.lo, X.hi, X.terms, X.diffs, validate=False)
+        raw = Complex(X.algebra, X.lo, X.hi, X.terms, X.diffs)
         calls = count_checks(monkeypatch)
         for build in (lambda: reindex(raw, 1), lambda: direct_sum_complex(raw, X),
                       lambda: cone(identity_chain_map(raw)),
@@ -221,7 +221,7 @@ class TestReplacementCache:
     def test_a_hit_on_an_unmarked_stalk_is_checked(self, monkeypatch):
         k = fixtures.simple_k()
         approx.stalk_replacement(functors.stalk(k), "fibrant_co")
-        S = Complex.build(k.algebra, 0, 0, {0: k}, {}, validate=False)
+        S = Complex(k.algebra, 0, 0, {0: k}, {})
         calls = count_checks(monkeypatch)
         hit = approx.stalk_replacement(S, "fibrant_co")
         assert calls and hit.map._checked and hit.map.source is S

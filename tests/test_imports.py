@@ -62,6 +62,47 @@ def test_the_scan_finds_an_unused_import_and_honours_noqa():
     assert unused_imports(source) == [(1, "field")]
 
 
+# The module-level dicts of src/singeq: caches that the benchmark reads by
+# name.  Every other cache lives on the object it describes (see modules).
+MODULE_CACHES = {"functors._OMEGA_CACHE", "functors._THETA_CACHE",
+                 "approx._REPLACEMENT_CACHE", "formats._ALGEBRA_INTERN"}
+
+
+def module_level_dicts(source: str) -> list:
+    """Names assigned an empty dict, {} or dict(), at module level."""
+    out = []
+    for node in ast.parse(source).body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(value, ast.Dict) and not value.keys
+                or isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id == "dict" and not value.args and not value.keywords):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
+def test_module_level_caches_are_the_known_four():
+    found = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "singeq", "*.py"))):
+        with open(path) as fh:
+            found |= {f"{os.path.basename(path)[:-3]}.{name}"
+                      for name in module_level_dicts(fh.read())}
+    assert found == MODULE_CACHES
+
+
+def test_the_cache_scan_finds_empty_dicts_at_module_level():
+    source = ("_A: dict = {}\n"
+              "_B = dict()\n"
+              "_C = {1: 2}\n"
+              "_D: dict\n"
+              "def f():\n"
+              "    _E = {}\n"
+              "class K:\n"
+              "    _F = {}\n")
+    assert module_level_dicts(source) == ["_A", "_B"]
+
+
 # Public functions, classes and methods that nothing in src/, demos/ or
 # perfbench/ names, kept as documented entry points of the library.
 ENTRY_POINTS = {

@@ -109,13 +109,6 @@ def old_homotopy_walk(*pairs):
     return entries, checks
 
 
-def old_exact_walk(X):
-    a = X.lo - max(X.neg_period, 1) - 1
-    b = X.hi + max(X.pos_period, 1) + 1
-    diffs = [old_diff(X, n) for n in range(a, b + 2)]
-    return list(zip(range(a, b + 1), diffs, diffs[1:]))
-
-
 def first_degrees(tuples) -> dict:
     """Distinct tuple of objects (by identity) -> its smallest degree."""
     out = {}
@@ -206,7 +199,7 @@ class TestSameChecks:
         for X in [*bounded_complexes(), *htpy_complexes(), t_per, cone_mixed]:
             # a fresh copy: the verdict of a cached fixture may be memoized
             _, checks = recorded(lambda: complexes.is_exact(dataclasses.replace(X)))
-            assert first_degrees(checks) == first_degrees(old_exact_walk(X))
+            assert first_degrees(checks) == first_degrees(old_complex_walk(X)[1])
 
     def test_chain_map_validate_bounded(self):
         rng = random.Random(5)
