@@ -71,6 +71,7 @@ stable criterion and stable lifts run on duals (homotopy, equiv).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -331,6 +332,14 @@ class Complex:
         return {}
 
     @cached_property
+    def _bases(self) -> weakref.WeakKeyDictionary:
+        """solver.chain_map_space_basis out of this complex: {target, held
+        weakly so its entry goes with it: {Options: the system without
+        rows, with read-only kernel coefficients}}; a hit is not checked
+        again, as no caller data enters it."""
+        return weakref.WeakKeyDictionary()
+
+    @cached_property
     def _dual(self) -> "Complex":
         """dual(self), whose own dual is self; one dual per distinct term."""
         duals = {id(t): modules.dual_module(t) for t, _ in self._blocks.data}
@@ -408,14 +417,16 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
     result a complex with these periods, so neither runs and the result is
     marked (Complex.build).
     """
+    # one reduced copy per distinct sampled object, so repeats share it
+    sample = _once(lambda d: d % algebra.p)
     terms = {n: term_fn(n) for n in range(lo, hi + 1)}
-    diffs = {n: diff_fn(n) % algebra.p for n in range(lo + 1, hi + 1)}
+    diffs = {n: sample(diff_fn(n)) for n in range(lo + 1, hi + 1)}
     neg_tail = pos_tail = None
     neg_seam = pos_seam = None
     if neg_period:
         q = neg_period
         blocks = tuple(term_fn(lo - 1 - i) for i in range(q))
-        bdiffs = tuple(diff_fn(lo - 1 - i) % algebra.p for i in range(q))
+        bdiffs = tuple(sample(diff_fn(lo - 1 - i)) for i in range(q))
         for i in range(0 if checked else q + 1):
             n = lo - 1 - i - q
             if term_fn(n).dim != term_fn(n + q).dim or not np.array_equal(
@@ -423,12 +434,11 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
             ):
                 raise ValidationError(f"negative tail not {q}-periodic at {n}")
         neg_tail = Tail(q, blocks, bdiffs)
-        neg_seam = diff_fn(lo) % algebra.p
+        neg_seam = sample(diff_fn(lo))
     if pos_period:
         q = pos_period
         blocks = tuple(term_fn(hi + 1 + i) for i in range(q))
-        bdiffs = tuple(diff_fn(hi + 1 + i if i else hi + 1 + q) % algebra.p
-                       for i in range(q))
+        bdiffs = tuple(sample(diff_fn(hi + 1 + i if i else hi + 1 + q)) for i in range(q))
         for i in range(0 if checked else q + 1):
             n = hi + 1 + i + q
             if term_fn(n).dim != term_fn(n - q).dim or not np.array_equal(
@@ -436,7 +446,7 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
             ):
                 raise ValidationError(f"positive tail not {q}-periodic at {n}")
         pos_tail = Tail(q, blocks, bdiffs)
-        pos_seam = diff_fn(hi + 1) % algebra.p
+        pos_seam = sample(diff_fn(hi + 1))
     return Complex.build(algebra, lo, hi, terms, diffs,
                          neg_tail, pos_tail, neg_seam, pos_seam, checked=checked)
 
@@ -652,8 +662,8 @@ def _graded_checks(S: Complex, T: Complex, k: int, maps: list, rhs: list | None 
 def chain_map(source, target, components, clo=None, chi=None,
               neg=None, pos=None, checked=False) -> ChainMap:
     """The chain map, validated, or marked when the caller proves it (checked)."""
-    components = {n: np.asarray(m, dtype=np.int64) % source.algebra.p
-                  for n, m in components.items()}
+    reduce = _once(lambda m: np.asarray(m, dtype=np.int64) % source.algebra.p)
+    components = {n: reduce(m) for n, m in components.items()}
     if clo is None:
         degs = sorted(components) or [0]
         clo, chi = degs[0], degs[-1]
@@ -683,12 +693,13 @@ def chain_map_from_callable(source, target, clo, chi, comp_fn,
 
 
 def identity_chain_map(X: Complex) -> ChainMap:
-    comps = {n: linalg.eye(X.term(n).dim) for n in range(X.lo, X.hi + 1)}
+    eye = _once(lambda t: linalg.eye(t.dim))  # one per distinct term
+    comps = {n: eye(X.term(n)) for n in range(X.lo, X.hi + 1)}
     neg = pos = None
     if X.neg_tail:
-        neg = (X.neg_period, tuple(linalg.eye(t.dim) for t in X.neg_tail.terms))
+        neg = (X.neg_period, tuple(eye(t) for t in X.neg_tail.terms))
     if X.pos_tail:
-        pos = (X.pos_period, tuple(linalg.eye(t.dim) for t in X.pos_tail.terms))
+        pos = (X.pos_period, tuple(eye(t) for t in X.pos_tail.terms))
     return chain_map(X, X, comps, X.lo, X.hi, neg, pos, checked=True)
 
 

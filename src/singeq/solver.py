@@ -39,7 +39,12 @@ reduced form, kernel basis and particular solutions, bit for bit).
 chain_map_space_basis checks its basis in one ChainMap.validate call
 that reads the kernel's per-degree stacks (FoldedSystem.table); each map
 keeps its own check range, so the errors are those of the maps checked
-one by one.
+one by one.  It memoizes each basis on X (Complex._bases) under Y, by
+identity and held weakly so the entry goes with Y, and the full Options.
+An entry is the system without rows or column cache: window, fold, hom
+bases and read-only kernel coefficients.  A hit rebuilds fresh maps from
+it by the code that built the checked ones and marks them checked
+without a second check: X and Y are frozen, and no caller data enters.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, modules
-from .complexes import ChainMap, Complex, _Blocks, _lcm, add_maps, chain_map, compose
+from .complexes import ChainMap, Complex, _Blocks, _lcm, _proven, add_maps, chain_map, compose
 from .config import Options
 from .errors import ValidationError
 
@@ -86,6 +91,7 @@ class FoldedSystem:
         # pivot-entry columns per distinct (M, H, N, entries) of a term; each
         # value keeps its key's objects alive, so their ids stay unique
         self._columns = {}
+        self.kernel_coeffs = None  # set by kernel
         # the window degrees that the blocks of each periodic tail fold to
         self.tail_degrees = ([self.rep(lo - 1 - i) for i in range(self.fold)],
                              [self.rep(hi + 1 + i) for i in range(self.fold)])
@@ -185,9 +191,12 @@ class FoldedSystem:
     def kernel(self) -> dict:
         """Basis of the homogeneous solution space as stacks: {window
         degree: (basis size x rows x cols) array of the basis solutions'
-        components} (_stacks)."""
+        components} (_stacks).  Its coefficient matrix, one column per
+        basis solution, is kept read-only as self.kernel_coeffs."""
         A, _ = self._stack()
-        return self._stacks(linalg.kernel_basis(A, self.p))
+        self.kernel_coeffs = linalg.kernel_basis(A, self.p)
+        self.kernel_coeffs.flags.writeable = False
+        return self._stacks(self.kernel_coeffs)
 
     def _stacks(self, vecs: np.ndarray) -> dict:
         """{window degree: stack of sum_j c_j H_j, one per column of vecs}."""
@@ -312,13 +321,25 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
     Complete when one side is bounded; otherwise the basis spans the
     periodic-tailed maps with tail period map_period_bound * lcm of the
     tail periods, an explicit surrogate for the full hom space.
+
+    Memoized on X per Y (by identity, held weakly) and Options: an entry
+    is the system without its rows, with read-only kernel coefficients,
+    and a hit rebuilds fresh maps from it, marked without a second check
+    as no caller data enters it.  A call that raises stores nothing.
     """
+    sys = X._bases.get(Y, {}).get(options)
+    if sys is not None:
+        return [_proven(ChainMap(X, Y, *args))
+                for args in sys.graded_each(sys._stacks(sys.kernel_coeffs))], not sys.fold
     sys = graded_system(X, Y, 0, *window(X, Y, (), options.map_period_bound, 1))
     stacks = sys.kernel()
     basis = [ChainMap(X, Y, *args) for args in sys.graded_each(stacks)]
     if basis:
         # the whole basis in one check, read from the kernel's own stacks
         basis[0].validate(*basis[1:], table=sys.table(stacks, X, Y))
+    # the rows and column cache are the bulk, and the cache holds X's and Y's blocks
+    sys.rows, sys.rhs, sys._columns = [], [], {}
+    X._bases.setdefault(Y, {})[options] = sys
     return basis, not sys.fold
 
 

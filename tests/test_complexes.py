@@ -143,6 +143,18 @@ class TestRankExactness:
             assert ranked and len(set(map(id, ranked))) == len(ranked)
 
 
+    def test_constructions_share_a_block_across_periodic_repeats(self, t_per, monkeypatch):
+        # complex_from_callable, chain_map and identity_chain_map reduce
+        # each distinct object once: the identity's window components share
+        # one copy, its tails the one eye they hold, and the cone's
+        # differential blocks follow them
+        C = cone(identity_chain_map(t_per))
+        assert len({id(d) for _, d in C._blocks.data}) == 2
+        rank = linalg.rank
+        ranked = []
+        monkeypatch.setattr(linalg, "rank", lambda d, p: ranked.append(d) or rank(d, p))
+        assert is_exact(dataclasses.replace(C)) and len(ranked) == 2
+
     def test_second_call_does_no_rank_work(self, monkeypatch):
         X = dataclasses.replace(T_j(truncated_polynomial(3, 2), 1))
         ranked = []

@@ -1,7 +1,14 @@
 """Chain-map space solver and factorization."""
 
+import dataclasses
+import gc
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +18,7 @@ from conftest import (kernel_solutions, module_map_equations, periodic_complex,
                       random_invertible, truncated_polynomial)
 from singeq import complexes, fixtures, functors, homotopy, linalg, modules, solver
 from singeq.complexes import ChainMap, add_maps, compose, identity_chain_map
+from singeq.config import Options
 from singeq.errors import ValidationError
 from singeq.modules import Module, ModuleMap
 
@@ -370,12 +378,15 @@ def test_stacked_basis_check_raises_the_per_map_error(monkeypatch, pair):
         return seen[-1][1]
 
     monkeypatch.setattr(solver.FoldedSystem, "kernel", record)
-    solver.chain_map_space_basis(X, Y)
+    solver.chain_map_space_basis(X, dataclasses.replace(Y))  # a fresh target: a cold solve
     sys_, stacks = seen[-1]
     messages = set()
     for kind, wrong in changes(sys_, stacks):
         monkeypatch.setattr(solver.FoldedSystem, "kernel", lambda _, wrong=wrong: wrong)
-        maps = [ChainMap(X, Y, *args) for args in sys_.graded_each(wrong)]
+        # a fresh target per call, so the basis memo misses and the
+        # corrupted kernel meets the stacked check
+        Z = dataclasses.replace(Y)
+        maps = [ChainMap(X, Z, *args) for args in sys_.graded_each(wrong)]
         try:
             maps[0].validate(*maps[1:])
         except ValidationError as err:
@@ -383,7 +394,7 @@ def test_stacked_basis_check_raises_the_per_map_error(monkeypatch, pair):
         else:
             alone = None
         try:
-            solver.chain_map_space_basis(X, Y)
+            solver.chain_map_space_basis(X, Z)
         except ValidationError as err:
             assert str(err) == alone, kind
         else:
@@ -392,6 +403,134 @@ def test_stacked_basis_check_raises_the_per_map_error(monkeypatch, pair):
             messages.add(alone.split(" at ")[0])
     # the module-map check and the commutation check each failed
     assert messages == {"component", "does not commute with d"}
+
+
+# -- the basis memo -----------------------------------------------------------
+
+
+MEMO_PAIRS = ["periodic D3/F3", "periodic D4/F2", "bounded D2"]
+
+
+def memo_pair(name: str) -> tuple:
+    """A new (X, Y) pair of MEMO_PAIRS, built the same way in every process."""
+    if name == "bounded D2":
+        # new objects: the search of parity_pairs filled the memo of its own
+        X, Y = list(parity_pairs())[1]
+        return dataclasses.replace(X), dataclasses.replace(Y)
+    n, p = {"periodic D3/F3": (3, 3), "periodic D4/F2": (4, 2)}[name]
+    alg = truncated_polynomial(n, p)
+    return periodic_complex(alg, 1), complexes.reindex(periodic_complex(alg, n - 1), 1)
+
+
+def memo_digest(basis, complete) -> str:
+    """Digest of a chain_map_space_basis result: the flag, and per map in
+    order its window, its window components and its tails' blocks."""
+    h = hashlib.sha256(repr((complete, len(basis))).encode())
+    for f in basis:
+        tails = [t and (t[0], len(t[1])) for t in (f.neg, f.pos)]
+        h.update(repr((f.clo, f.chi, sorted(f.components), tails)).encode())
+        for m in [*f.components.values(), *(f.neg or (0, ()))[1], *(f.pos or (0, ()))[1]]:
+            h.update(repr(m.shape).encode() + m.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+def cold_memo_digests(name: str, bounds=(2,)) -> list:
+    """memo_digest of a cold chain_map_space_basis on memo_pair(name), per
+    map_period_bound, in a new process, whose memos start empty."""
+    paths = [os.path.dirname(os.path.dirname(solver.__file__)), os.path.dirname(__file__)]
+    code = ("import json, sys; sys.path[:0] = %r; from test_solver import cold_digests; "
+            "print(json.dumps(cold_digests(%r, %r)))" % (paths, name, list(bounds)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    return json.loads(out.stdout)
+
+
+def cold_digests(name: str, bounds: list) -> list:
+    """memo_digest per map_period_bound, each on a new memo_pair(name)."""
+    return [memo_digest(*solver.chain_map_space_basis(
+        *memo_pair(name), Options(map_period_bound=m))) for m in bounds]
+
+
+def count_basis_solves(monkeypatch) -> list:
+    """The (X, Y) of each system chain_map_space_basis builds from now on,
+    its memo missed."""
+    calls = []
+    build = solver.graded_system
+    monkeypatch.setattr(solver, "graded_system",
+                        lambda X, Y, *a, **k: calls.append((X, Y)) or build(X, Y, *a, **k))
+    return calls
+
+
+class TestBasisMemo:
+    def test_three_calls_on_one_pair_run_one_solve(self, monkeypatch):
+        X, Y = memo_pair("periodic D4/F2")
+        solves = count_basis_solves(monkeypatch)
+        digests = {memo_digest(*solver.chain_map_space_basis(X, Y)) for _ in range(3)}
+        assert len(solves) == 1 and len(digests) == 1
+
+    @pytest.mark.parametrize("name", MEMO_PAIRS)
+    def test_a_hit_equals_a_cold_call_in_a_new_process(self, name, monkeypatch):
+        X, Y = memo_pair(name)
+        solves = count_basis_solves(monkeypatch)
+        cold = solver.chain_map_space_basis(X, Y)
+        hit = solver.chain_map_space_basis(X, Y)
+        assert len(solves) == 1 and len(hit[0]) >= 3
+        assert all(f._checked for f in hit[0])
+        assert memo_digest(*hit) == memo_digest(*cold) == cold_memo_digests(name)[0]
+
+    def test_each_map_period_bound_has_its_own_entry(self, monkeypatch):
+        X, Y = memo_pair("periodic D3/F3")
+        solves = count_basis_solves(monkeypatch)
+        warm = [memo_digest(*solver.chain_map_space_basis(X, Y, Options(map_period_bound=m)))
+                for m in (2, 1, 2)]
+        assert len(solves) == 2
+        assert warm[0] != warm[1]
+        assert warm == cold_memo_digests("periodic D3/F3", (2, 1, 2))
+
+    def test_an_entry_goes_with_its_target_and_keeps_no_source_alive(self):
+        X, Y = memo_pair("periodic D4/F2")
+        basis, _ = solver.chain_map_space_basis(X, Y)
+        assert len(X._bases) == 1
+        target, source, bases = weakref.ref(Y), weakref.ref(X), X._bases
+        del basis, Y
+        gc.collect()
+        assert target() is None and len(bases) == 0
+        del X
+        gc.collect()
+        assert source() is None
+
+    def test_writing_into_a_returned_map_leaves_the_next_hit(self):
+        X, Y = memo_pair("periodic D4/F2")
+        for _ in range(2):  # the cold call's maps, then a hit's
+            basis, complete = solver.chain_map_space_basis(X, Y)
+            before = memo_digest(basis, complete)
+            for f in basis:
+                for m in [*f.components.values(), *(f.neg or (0, ()))[1]]:
+                    m += 1
+            assert memo_digest(*solver.chain_map_space_basis(X, Y)) == before
+
+    def test_the_stored_coefficients_are_read_only(self):
+        X, Y = memo_pair("periodic D4/F2")
+        solver.chain_map_space_basis(X, Y)
+        coeffs = X._bases[Y][Options()].kernel_coeffs
+        assert coeffs.size
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs[0, 0] = 1
+
+    def test_a_cold_call_that_raises_leaves_no_entry(self, monkeypatch):
+        X, Y = memo_pair("bounded D2")
+
+        def refuse(*maps, table=None):
+            raise ValidationError("refused")
+
+        monkeypatch.setattr(ChainMap, "validate", refuse)
+        with pytest.raises(ValidationError, match="refused"):
+            solver.chain_map_space_basis(X, Y)
+        assert Y not in X._bases
+        monkeypatch.undo()
+        solves = count_basis_solves(monkeypatch)
+        assert memo_digest(*solver.chain_map_space_basis(X, Y)) == cold_memo_digests("bounded D2")[0]
+        assert len(solves) == 1
 
 
 class TestWindow:

@@ -277,9 +277,10 @@ def test_d4_homotopy_system_writes_four_rows_per_equation():
     X = periodic_complex(alg, 1)
     f = identity_chain_map(X)
     sys_ = solver.graded_system(X, X, 1, -2, 3, 2, [f])
-    # 10 equations, at -4..5; those at -2 and 5 repeat the ones at -4 and 3
-    # (the same folded unknowns and block objects) and are written once
-    assert len(sys_.rows) == 8
+    # 10 equations, at -4..5; those at -2, -1 and 5 repeat the ones at -4,
+    # -3 and 3 (the same folded unknowns and block objects) and are written
+    # once; -1 repeats -3 because X's negative seam is the tail's block
+    assert len(sys_.rows) == 7
     # Hom(A, A) over D4 has dimension 4; the matrices have 16 entries
     assert {block.shape for block in sys_.rows} == {(4, sys_.total)}
     assert sys_.total == 4 * 6
