@@ -114,6 +114,12 @@ def _map_profile(*objects):
     return min(los), max(his), _lcm(negs), _lcm(poss)
 
 
+def _value(f) -> tuple:
+    """A graded map's window, periods and blocks as (shape, bytes): equal
+    for two maps between the same complexes exactly when they are equal."""
+    return (*_map_profile(f), tuple((b.shape, b.tobytes()) for b in f._blocks.data))
+
+
 def _check_range(*objects) -> tuple:
     """The degrees a check of complexes / graded maps read together
     covers: the hull of their windows widened by 2q + 1 on each side, q
@@ -332,11 +338,11 @@ class Complex:
         return {}
 
     @cached_property
-    def _bases(self) -> weakref.WeakKeyDictionary:
-        """solver.chain_map_space_basis out of this complex: {target, held
-        weakly so its entry goes with it: {Options: the system without
-        rows, with read-only kernel coefficients}}; a hit is not checked
-        again, as no caller data enters it."""
+    def _solved(self) -> weakref.WeakKeyDictionary:
+        """What the solver found for maps out of this complex: {target, held
+        weakly so its entries go with it: {key: entry}}; a chain-map basis
+        under the Options, a factorization or stable lift under (mode, ...,
+        Options), as the solver docstring says."""
         return weakref.WeakKeyDictionary()
 
     @cached_property
@@ -662,8 +668,10 @@ def _graded_checks(S: Complex, T: Complex, k: int, maps: list, rhs: list | None 
 def chain_map(source, target, components, clo=None, chi=None,
               neg=None, pos=None, checked=False) -> ChainMap:
     """The chain map, validated, or marked when the caller proves it (checked)."""
+    # one reduced copy per distinct block, so the window and tails share it
     reduce = _once(lambda m: np.asarray(m, dtype=np.int64) % source.algebra.p)
     components = {n: reduce(m) for n, m in components.items()}
+    neg, pos = [t and (t[0], tuple(map(reduce, t[1]))) for t in (neg, pos)]
     if clo is None:
         degs = sorted(components) or [0]
         clo, chi = degs[0], degs[-1]
@@ -679,10 +687,12 @@ def _tail(period: int, blocks: tuple):
 def _sample(clo: int, chi: int, comp_fn, neg_period: int, pos_period: int,
             p: int) -> tuple:
     """GradedMap arguments (components, clo, chi, neg, pos) sampled from
-    comp_fn mod p on the window clo..chi and one period of each tail."""
-    return ({n: comp_fn(n) % p for n in range(clo, chi + 1)}, clo, chi,
-            _tail(neg_period, tuple(comp_fn(clo - 1 - i) % p for i in range(neg_period))),
-            _tail(pos_period, tuple(comp_fn(chi + 1 + i) % p for i in range(pos_period))))
+    comp_fn mod p on the window clo..chi and one period of each tail, one
+    reduced copy per distinct object comp_fn returns."""
+    sample = _once(lambda m: m % p)
+    return ({n: sample(comp_fn(n)) for n in range(clo, chi + 1)}, clo, chi,
+            _tail(neg_period, tuple(sample(comp_fn(clo - 1 - i)) for i in range(neg_period))),
+            _tail(pos_period, tuple(sample(comp_fn(chi + 1 + i)) for i in range(pos_period))))
 
 
 def chain_map_from_callable(source, target, clo, chi, comp_fn,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approx, functors, homotopy, linalg, modelcat, modules, solver
-from .complexes import ChainMap, Complex, chain_map, compose, dual, dual_chain_map
+from .complexes import ChainMap, Complex, compose, dual, dual_chain_map
 from .config import Options
 from .errors import LiftError, ValidationError
 from .homotopy import UNKNOWN, Certificate
@@ -60,7 +60,8 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
     through a projective.  side "theta": phi: theta(X) -> theta(Y);
     theta(f) - phi factors through an injective.  The lift is searched
     with growing tail periods; LiftError on exhaustion.  Since theta is
-    D . omega . D, the theta lift is D of the omega lift of D(phi).
+    D . omega . D, the theta lift is D of the omega lift of D(phi).  An
+    omega lift is memoized, and a hit checked again (solver._remembered).
     """
     if side == "theta":
         return dual_chain_map(lift_stable_map(modules.dual_map(phi), dual(Y), dual(X),
@@ -71,26 +72,31 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
     SX, sx_map = functors.omega_data(X)  # projection X_0 ->> omega(X)
     SY, sy_map = functors.omega_data(Y)
     Pcov, cov = modules.projective_cover(SY)
-    for m in range(1, options.homotopy_period_bound + 1):
-        sys = solver.graded_system(X, Y, 0, *solver.window(X, Y, (), m, 1, around=(0,)),
-                                   extras={"aux": (SX, Pcov)})
-        sys.add_equation((phi.matrix @ sx_map.matrix) % p, [
-            (sy_map.matrix, 0, None),
-            ((-cov.matrix) % p, "aux", sx_map.matrix),
-        ], (X.term(0), SY))
-        comps = sys.solve()
-        if comps is None:
+
+    def found():
+        for m in range(1, options.homotopy_period_bound + 1):
+            sys = solver.graded_system(X, Y, 0, *solver.window(X, Y, (), m, 1, around=(0,)),
+                                       extras={"aux": (SX, Pcov)})
+            sys.add_equation((phi.matrix @ sx_map.matrix) % p, [
+                (sy_map.matrix, 0, None),
+                ((-cov.matrix) % p, "aux", sx_map.matrix),
+            ], (X.term(0), SY))
+            comps = sys.solve()
+            if comps is not None:
+                yield sys.graded(comps)
             if not sys.fold:
-                break
-            continue
-        f = chain_map(X, Y, *sys.graded(comps))
+                return
+
+    def holds(f):
         diff = (functors.omega_map(f).matrix - phi.matrix) % p
-        if homotopy.factors_through_projective(ModuleMap(SX, SY, diff)):
-            return f
-        if not sys.fold:
-            break
-    raise LiftError("PERIODIC-CLOSURE-FAILED: no stable lift within "
-                    f"homotopy_period_bound={options.homotopy_period_bound}")
+        return homotopy.factors_through_projective(ModuleMap(SX, SY, diff))
+
+    key = ("omega", phi.matrix.shape, phi.matrix.tobytes(), options)
+    f = solver._remembered(X, Y, key, (), found, holds)
+    if f is None:
+        raise LiftError("PERIODIC-CLOSURE-FAILED: no stable lift within "
+                        f"homotopy_period_bound={options.homotopy_period_bound}")
+    return f
 
 
 @dataclass(eq=False)

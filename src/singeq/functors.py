@@ -4,7 +4,9 @@ omega takes X_0 / Im d_1, theta takes Ker d_0, stalk places a module in
 degree zero; F and G are the stalk-valued composites.  Shifted variants
 are obtained by composing with reindex, never by a degree parameter.
 theta is D . omega . D for the duality D = Hom_k(-, k) (complexes.dual):
-D(X_0 / Im D(d_0)) is Ker d_0, on maps as on objects.
+D(X_0 / Im D(d_0)) is Ker d_0, on maps as on objects.  stalk(M) is one
+complex per module object, kept on M, so F and G of one complex give one
+stalk object, and what is memoized on it serves every later call.
 """
 
 from __future__ import annotations
@@ -48,8 +50,11 @@ def theta(X: Complex) -> Module:
 
 
 def stalk(M: Module) -> Complex:
-    """M in degree zero: a complex by construction, having no differential."""
-    return Complex.build(M.algebra, 0, 0, {0: M}, {}, checked=True)
+    """M in degree zero: a complex by construction, having no differential.
+    One stalk per module object, kept on it."""
+    if "_stalk" not in vars(M):
+        object.__setattr__(M, "_stalk", Complex.build(M.algebra, 0, 0, {0: M}, {}, checked=True))
+    return M._stalk
 
 
 def omega_map(f: ChainMap) -> ModuleMap:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 from . import functors, linalg, modules
 from .complexes import (ChainMap, Complex, Homotopy, _first_failure, _from_tables,
-                        _graded_checks, _lcm, _map_profile, _sample, cone, dual_chain_map,
-                        identity_chain_map, is_exact)
+                        _graded_checks, _lcm, _map_profile, _sample, _value, cone,
+                        dual_chain_map, identity_chain_map, is_exact)
 # compose and FoldedSystem are unused here but stay importable from here,
 # which perfbench/selftest.py uses to test the tracer's alias rebinding
 from .complexes import compose  # noqa: F401
@@ -275,8 +275,7 @@ def homotopy_equivalence_certificate(
     memoized on the source.  A remembered YES is checked again with f as
     its map, and solved afresh if that check fails."""
     X, Y = f.source, f.target
-    key = (id(Y), *_map_profile(f), tuple((b.shape, b.tobytes()) for b in f._blocks.data),
-           options)
+    key = (id(Y), *_value(f), options)
     hit = X._equivalences.get(key)
     if hit is not None and hit[0] is Y:
         _, verdict, payload = hit

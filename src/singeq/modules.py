@@ -24,15 +24,16 @@ dimension per bound and the generator family per Options.  Memoized
 arrays are read-only, and every check a computation makes runs on its
 first computation.
 
-What depends on one complex or chain map is memoized on that object, and
-lives and dies with it: the table of its distinct blocks (a complex's or
-graded map's _blocks), the kernel and cokernel complexes of a chain map,
-a complex's exP / exI verdicts and its dual complex (complexes.dual), and
-the homotopy-equivalence verdicts of the maps out of a complex
-(homotopy.homotopy_equivalence_certificate), keyed on the target object
-(held by the entry and compared by identity), the map's window, periods
-and blocks, and the full Options.  A remembered YES is checked again on
-every hit.
+What depends on one module, complex or chain map is memoized on that
+object, and lives and dies with it: a module's stalk (functors.stalk),
+the table of its distinct blocks (a complex's or graded map's _blocks),
+the kernel and cokernel complexes of a chain map, a complex's exP / exI
+verdicts, its dual complex (complexes.dual) and the chain-map solves out
+of it (solver), and the homotopy-equivalence verdicts of the maps out of
+a complex (homotopy.homotopy_equivalence_certificate), keyed on the
+target object (held by the entry and compared by identity), the map's
+window, periods and blocks, and the full Options.  A remembered YES is
+checked again on every hit.
 """
 
 from __future__ import annotations

@@ -39,20 +39,29 @@ reduced form, kernel basis and particular solutions, bit for bit).
 chain_map_space_basis checks its basis in one ChainMap.validate call
 that reads the kernel's per-degree stacks (FoldedSystem.table); each map
 keeps its own check range, so the errors are those of the maps checked
-one by one.  It memoizes each basis on X (Complex._bases) under Y, by
-identity and held weakly so the entry goes with Y, and the full Options.
-An entry is the system without rows or column cache: window, fold, hom
-bases and read-only kernel coefficients.  A hit rebuilds fresh maps from
-it by the code that built the checked ones and marks them checked
-without a second check: X and Y are frozen, and no caller data enters.
+one by one.
+
+Each chain-map solve is memoized per pair of complexes: in its source's
+store (Complex._solved) under its target, held weakly so an entry goes
+with it, then under a key that ends in the full Options.  A basis entry
+is the system without rows, with read-only kernel coefficients; a hit
+rebuilds fresh maps and marks them without a second check, as X and Y
+are frozen and no caller data enters.  factor_chain_map and
+equiv.lift_stable_map key on the mode and the maps' values, match the
+maps' complexes by identity, and store only a map found (_remembered); a
+hit is rebuilt the same way and post-checked against the caller's maps,
+or else solved again.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import linalg, modules
-from .complexes import ChainMap, Complex, _Blocks, _lcm, _proven, add_maps, chain_map, compose
+from .complexes import (ChainMap, Complex, _Blocks, _lcm, _proven, _value, add_maps, chain_map,
+                        compose)
 from .config import Options
 from .errors import ValidationError
 
@@ -327,7 +336,7 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
     and a hit rebuilds fresh maps from it, marked without a second check
     as no caller data enters it.  A call that raises stores nothing.
     """
-    sys = X._bases.get(Y, {}).get(options)
+    sys = X._solved.get(Y, {}).get(options)
     if sys is not None:
         return [_proven(ChainMap(X, Y, *args))
                 for args in sys.graded_each(sys._stacks(sys.kernel_coeffs))], not sys.fold
@@ -339,8 +348,33 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
         basis[0].validate(*basis[1:], table=sys.table(stacks, X, Y))
     # the rows and column cache are the bulk, and the cache holds X's and Y's blocks
     sys.rows, sys.rhs, sys._columns = [], [], {}
-    X._bases.setdefault(Y, {})[options] = sys
+    X._solved.setdefault(Y, {})[options] = sys
     return basis, not sys.fold
+
+
+def _remembered(S: Complex, T: Complex, key: tuple, ends: tuple, found, holds):
+    """The first chain map S -> T from the GradedMap arguments found()
+    yields that passes holds, or None; memoized in S._solved[T] under key,
+    which names the complexes of ends by id (held weakly, matched by
+    identity).  A hit is rebuilt from read-only arguments, marked as a
+    basis hit is, and found again unless it passes holds."""
+    entry = S._solved.get(T, {}).get(key)
+    if entry is not None and all(r() is e for r, e in zip(entry[0], ends)):
+        try:
+            g = chain_map(S, T, *entry[1], checked=True)
+            if holds(g):
+                return g
+        except ValidationError:
+            pass  # a damaged entry, found again below
+    for args in found():
+        g = chain_map(S, T, *args)  # copies every block, so args stay the solver's
+        if holds(g):
+            comps, _, _, neg, pos = args
+            for m in [*comps.values(), *(neg or (0, ()))[1], *(pos or (0, ()))[1]]:
+                m.flags.writeable = False
+            S._solved.setdefault(T, {})[key] = (tuple(map(weakref.ref, ends)), args)
+            return g
+    return None
 
 
 def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
@@ -349,7 +383,8 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
 
     mode "lift": through: Q -> Y and f: X -> Y; find g: X -> Q with
     through . g = f.  mode "extend": through: X -> J and f: X -> Y; find
-    h: J -> Y with h . through = f.
+    h: J -> Y with h . through = f.  Memoized, and a hit checked again
+    (_remembered).
     """
     if mode == "lift":
         S, T = f.source, through.source
@@ -357,17 +392,22 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
         S, T = through.target, f.target
     else:
         raise ValueError(f"unknown factorization mode {mode!r}")
-    sys = graded_system(S, T, 0, *window(S, T, (f, through), options.map_period_bound, 1))
-    pad = sys.fold or 1
-    for n in range(sys.lo - pad, sys.hi + pad + 1):
-        terms = [(through.component(n), n, None) if mode == "lift"
-                 else (None, n, through.component(n))]
-        sys.add_equation(f.component(n), terms, (f.source.term(n), f.target.term(n)))
-    comps = sys.solve()
-    if comps is None:
-        return None
-    g = chain_map(S, T, *sys.graded(comps))
-    composite = compose(through, g) if mode == "lift" else compose(g, through)
-    if not add_maps(composite, f, sign=-1).is_zero():
-        return None
-    return g
+
+    def found():
+        sys = graded_system(S, T, 0, *window(S, T, (f, through), options.map_period_bound, 1))
+        pad = sys.fold or 1
+        for n in range(sys.lo - pad, sys.hi + pad + 1):
+            terms = [(through.component(n), n, None) if mode == "lift"
+                     else (None, n, through.component(n))]
+            sys.add_equation(f.component(n), terms, (f.source.term(n), f.target.term(n)))
+        comps = sys.solve()
+        if comps is not None:
+            yield sys.graded(comps)
+
+    def holds(g):
+        composite = compose(through, g) if mode == "lift" else compose(g, through)
+        return add_maps(composite, f, sign=-1).is_zero()
+
+    ends = (f.source, f.target, through.source, through.target)
+    key = (mode, *map(id, ends), _value(f), _value(through), options)
+    return _remembered(S, T, key, ends, found, holds)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -317,6 +322,46 @@ def count_checks(monkeypatch) -> list:
 
     monkeypatch.setattr(complexes, "_first_failure", counting)
     return calls
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """The arguments of each call of owner.name from now on, recorded."""
+    calls = []
+    run = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or run(*a, **k))
+    return calls
+
+
+def count_solves(monkeypatch) -> list:
+    """The (X, Y, ...) of each graded system built from now on: one per
+    chain-map solve whose memo missed."""
+    from singeq import solver
+
+    return count_calls(monkeypatch, solver, "graded_system")
+
+
+def memo_digest(maps, complete=True) -> str:
+    """Digest of a list of chain maps and a flag: per map in order its
+    window, its window components and its tails' blocks."""
+    h = hashlib.sha256(repr((complete, len(maps))).encode())
+    for f in maps:
+        tails = [t and (t[0], len(t[1])) for t in (f.neg, f.pos)]
+        h.update(repr((f.clo, f.chi, sorted(f.components), tails)).encode())
+        for m in [*f.components.values(), *(f.neg or (0, ()))[1], *(f.pos or (0, ()))[1]]:
+            h.update(repr(m.shape).encode() + m.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+def in_new_process(module: str, call: str):
+    """The JSON value of call, evaluated after `from module import *` in a
+    new process, whose memos start empty."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    paths = [os.path.join(os.path.dirname(here), "src"), here]
+    code = ("import json, sys; sys.path[:0] = %r; from %s import *; print(json.dumps(%s))"
+            % (paths, module, call))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    return json.loads(out.stdout)
 
 
 def random_chain_map(rng: random.Random, X: Complex, Y: Complex):

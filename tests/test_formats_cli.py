@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import simple_modules, triangular_d2
-from singeq import approx, complexes, fixtures, formats, functors, linalg, modules
+from conftest import count_calls, count_solves, simple_modules, triangular_d2
+from singeq import approx, complexes, fixtures, formats, functors, homotopy, linalg, modules
 from singeq.complexes import zero_chain_map
 from singeq.cli import main
 from singeq.config import default_options
@@ -308,6 +308,23 @@ def test_cli_session_reports_do_not_depend_on_order(capsys):
             report = json.loads(capsys.readouterr().out)
             got = [(e["name"], e["verdict"], e["digest"]) for e in report["entries"]]
             assert got == _PINNED_REPORTS[argv], argv
+
+
+# Solves (graded systems built) and certificate re-checks of a command run
+# a second time in one process: the memos answer every repeated solve, and
+# every remembered equivalence is still checked again.
+@pytest.mark.parametrize("argv, solves, rechecks", [
+    (("demo", "D2-Tper"), 0, 5),
+    (("verify-equivalence", "tper.cx", "--side", "P"), 1, 2),
+], ids=["demo", "verify-equivalence-P"])
+def test_a_warm_command_runs_its_pinned_solves_and_rechecks(capsys, monkeypatch, argv,
+                                                            solves, rechecks):
+    path = [fx(a) if a.endswith(".cx") else a for a in argv]
+    assert main(path) == 0
+    solved = count_solves(monkeypatch)
+    checked = count_calls(monkeypatch, homotopy, "verify_certificate")
+    assert main(path) == 0
+    assert (len(solved), len(checked)) == (solves, rechecks)
 
 
 def write_square_zero_plane(tmp_path):

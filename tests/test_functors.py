@@ -1,5 +1,8 @@
 """Degree-zero functors, adjunction transposes, unit and counit."""
 
+import gc
+import weakref
+
 import numpy as np
 
 from singeq import complexes, functors, homotopy, modules, solver
@@ -44,6 +47,23 @@ class TestStalk:
 
     def test_stalk_not_exact(self, k):
         assert not complexes.is_exact(functors.stalk(k))
+
+    def test_one_stalk_per_module_object(self, t_per, k):
+        assert functors.stalk(k) is functors.stalk(k)
+        assert functors.apply_F(t_per) is functors.apply_F(t_per)
+        assert functors.apply_G(t_per) is functors.apply_G(t_per)
+        # an equal module that is another object has a stalk of its own
+        assert functors.stalk(modules.Module(k.algebra, k.dim, k.action)) is not functors.stalk(k)
+        # the kept stalk is still marked, and passes its check
+        assert functors.stalk(k)._checked
+        functors.stalk(k).validate()
+
+    def test_a_stalk_goes_with_its_module(self, k):
+        M = modules.Module(k.algebra, k.dim, k.action)
+        module, complex_ = weakref.ref(M), weakref.ref(functors.stalk(M))
+        del M
+        gc.collect()
+        assert module() is None and complex_() is None
 
 
 class TestApplyFG:

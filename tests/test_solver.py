@@ -3,20 +3,17 @@
 import dataclasses
 import gc
 import hashlib
-import json
-import os
 import random
-import subprocess
-import sys
 import weakref
 
 import numpy as np
 import pytest
 
-from conftest import (kernel_solutions, module_map_equations, periodic_complex,
-                      random_combination, random_d2_complex, random_d2_module,
-                      random_invertible, truncated_polynomial)
-from singeq import complexes, fixtures, functors, homotopy, linalg, modules, solver
+from conftest import (count_solves, in_new_process, kernel_solutions, memo_digest,
+                      module_map_equations, periodic_complex, random_combination,
+                      random_d2_complex, random_d2_module, random_invertible,
+                      truncated_polynomial)
+from singeq import approx, complexes, fixtures, functors, homotopy, linalg, modules, solver
 from singeq.complexes import ChainMap, add_maps, compose, identity_chain_map
 from singeq.config import Options
 from singeq.errors import ValidationError
@@ -422,27 +419,10 @@ def memo_pair(name: str) -> tuple:
     return periodic_complex(alg, 1), complexes.reindex(periodic_complex(alg, n - 1), 1)
 
 
-def memo_digest(basis, complete) -> str:
-    """Digest of a chain_map_space_basis result: the flag, and per map in
-    order its window, its window components and its tails' blocks."""
-    h = hashlib.sha256(repr((complete, len(basis))).encode())
-    for f in basis:
-        tails = [t and (t[0], len(t[1])) for t in (f.neg, f.pos)]
-        h.update(repr((f.clo, f.chi, sorted(f.components), tails)).encode())
-        for m in [*f.components.values(), *(f.neg or (0, ()))[1], *(f.pos or (0, ()))[1]]:
-            h.update(repr(m.shape).encode() + m.astype(np.int64).tobytes())
-    return h.hexdigest()
-
-
 def cold_memo_digests(name: str, bounds=(2,)) -> list:
     """memo_digest of a cold chain_map_space_basis on memo_pair(name), per
     map_period_bound, in a new process, whose memos start empty."""
-    paths = [os.path.dirname(os.path.dirname(solver.__file__)), os.path.dirname(__file__)]
-    code = ("import json, sys; sys.path[:0] = %r; from test_solver import cold_digests; "
-            "print(json.dumps(cold_digests(%r, %r)))" % (paths, name, list(bounds)))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=120, check=True)
-    return json.loads(out.stdout)
+    return in_new_process("test_solver", f"cold_digests({name!r}, {list(bounds)!r})")
 
 
 def cold_digests(name: str, bounds: list) -> list:
@@ -451,27 +431,17 @@ def cold_digests(name: str, bounds: list) -> list:
         *memo_pair(name), Options(map_period_bound=m))) for m in bounds]
 
 
-def count_basis_solves(monkeypatch) -> list:
-    """The (X, Y) of each system chain_map_space_basis builds from now on,
-    its memo missed."""
-    calls = []
-    build = solver.graded_system
-    monkeypatch.setattr(solver, "graded_system",
-                        lambda X, Y, *a, **k: calls.append((X, Y)) or build(X, Y, *a, **k))
-    return calls
-
-
 class TestBasisMemo:
     def test_three_calls_on_one_pair_run_one_solve(self, monkeypatch):
         X, Y = memo_pair("periodic D4/F2")
-        solves = count_basis_solves(monkeypatch)
+        solves = count_solves(monkeypatch)
         digests = {memo_digest(*solver.chain_map_space_basis(X, Y)) for _ in range(3)}
         assert len(solves) == 1 and len(digests) == 1
 
     @pytest.mark.parametrize("name", MEMO_PAIRS)
     def test_a_hit_equals_a_cold_call_in_a_new_process(self, name, monkeypatch):
         X, Y = memo_pair(name)
-        solves = count_basis_solves(monkeypatch)
+        solves = count_solves(monkeypatch)
         cold = solver.chain_map_space_basis(X, Y)
         hit = solver.chain_map_space_basis(X, Y)
         assert len(solves) == 1 and len(hit[0]) >= 3
@@ -480,7 +450,7 @@ class TestBasisMemo:
 
     def test_each_map_period_bound_has_its_own_entry(self, monkeypatch):
         X, Y = memo_pair("periodic D3/F3")
-        solves = count_basis_solves(monkeypatch)
+        solves = count_solves(monkeypatch)
         warm = [memo_digest(*solver.chain_map_space_basis(X, Y, Options(map_period_bound=m)))
                 for m in (2, 1, 2)]
         assert len(solves) == 2
@@ -490,8 +460,8 @@ class TestBasisMemo:
     def test_an_entry_goes_with_its_target_and_keeps_no_source_alive(self):
         X, Y = memo_pair("periodic D4/F2")
         basis, _ = solver.chain_map_space_basis(X, Y)
-        assert len(X._bases) == 1
-        target, source, bases = weakref.ref(Y), weakref.ref(X), X._bases
+        assert len(X._solved) == 1
+        target, source, bases = weakref.ref(Y), weakref.ref(X), X._solved
         del basis, Y
         gc.collect()
         assert target() is None and len(bases) == 0
@@ -512,7 +482,7 @@ class TestBasisMemo:
     def test_the_stored_coefficients_are_read_only(self):
         X, Y = memo_pair("periodic D4/F2")
         solver.chain_map_space_basis(X, Y)
-        coeffs = X._bases[Y][Options()].kernel_coeffs
+        coeffs = X._solved[Y][Options()].kernel_coeffs
         assert coeffs.size
         with pytest.raises(ValueError, match="read-only"):
             coeffs[0, 0] = 1
@@ -526,10 +496,167 @@ class TestBasisMemo:
         monkeypatch.setattr(ChainMap, "validate", refuse)
         with pytest.raises(ValidationError, match="refused"):
             solver.chain_map_space_basis(X, Y)
-        assert Y not in X._bases
+        assert Y not in X._solved
         monkeypatch.undo()
-        solves = count_basis_solves(monkeypatch)
+        solves = count_solves(monkeypatch)
         assert memo_digest(*solver.chain_map_space_basis(X, Y)) == cold_memo_digests("bounded D2")[0]
+        assert len(solves) == 1
+
+
+# -- the factorization memo ---------------------------------------------------
+
+
+FACTOR_CASES = ["T_per over D2", "D3/F3"]
+
+
+def factor_case(name: str, mode: str) -> tuple:
+    """(f, through) of a new factorization of FACTOR_CASES, as
+    modelcat.is_weak_equivalence meets it, built the same way in every
+    process: the unit of a 1-periodic complex X lifted along the cofibrant
+    replacement of its stalk target ("lift"), or its counit extended along
+    the fibrant replacement of its stalk source ("extend")."""
+    alg = fixtures.D2() if name == "T_per over D2" else truncated_polynomial(3, 3)
+    X = periodic_complex(alg, 1)
+    if mode == "lift":
+        f = functors.unit(X)
+        return f, approx.stalk_replacement(f.target, "cofibrant_ctr").map
+    f = functors.counit(X)
+    return f, approx.stalk_replacement(f.source, "fibrant_co").map
+
+
+def factor_ends(f, through, mode) -> tuple:
+    """The (source, target) of the factor, whose memo holds its entry."""
+    return (f.source, through.source) if mode == "lift" else (through.target, f.target)
+
+
+def factor_entries(f, through, mode) -> dict:
+    S, T = factor_ends(f, through, mode)
+    return {key: e for key, e in S._solved.get(T, {}).items()
+            if isinstance(key, tuple) and key[0] == mode}
+
+
+def cold_factor_digests(name: str, mode: str, bounds=(2,)) -> list:
+    """memo_digest of a cold factor_chain_map on factor_case(name, mode),
+    per map_period_bound, in a new process."""
+    return in_new_process("test_solver", f"cold_factors({name!r}, {mode!r}, {list(bounds)!r})")
+
+
+def cold_factors(name: str, mode: str, bounds: list) -> list:
+    return [memo_digest([solver.factor_chain_map(*factor_case(name, mode), mode,
+                                                 Options(map_period_bound=m))])
+            for m in bounds]
+
+
+class TestFactorMemo:
+    @pytest.mark.parametrize("mode", ["lift", "extend"])
+    def test_three_equal_calls_run_one_solve(self, mode, monkeypatch):
+        f, through = factor_case("D3/F3", mode)
+        solves = count_solves(monkeypatch)
+        # equal maps that are other objects hit too
+        digests = {memo_digest([solver.factor_chain_map(g, through, mode)])
+                   for g in (f, dataclasses.replace(f), dataclasses.replace(f))}
+        assert len(solves) == 1 and len(digests) == 1
+
+    @pytest.mark.parametrize("mode", ["lift", "extend"])
+    @pytest.mark.parametrize("name", FACTOR_CASES)
+    def test_a_hit_equals_a_cold_call_in_a_new_process(self, name, mode, monkeypatch):
+        f, through = factor_case(name, mode)
+        solves = count_solves(monkeypatch)
+        cold = solver.factor_chain_map(f, through, mode)
+        hit = solver.factor_chain_map(f, through, mode)
+        assert len(solves) == 1 and hit is not cold and hit._checked
+        assert (hit.source, hit.target) == factor_ends(f, through, mode)
+        assert memo_digest([hit]) == memo_digest([cold]) == cold_factor_digests(name, mode)[0]
+        composite = compose(through, hit) if mode == "lift" else compose(hit, through)
+        assert add_maps(composite, f, sign=-1).is_zero()
+
+    @pytest.mark.parametrize("mode", ["lift", "extend"])
+    def test_a_corrupted_entry_is_solved_again(self, mode, monkeypatch):
+        f, through = factor_case("T_per over D2", mode)
+        solver.factor_chain_map(f, through, mode)
+        [(_, (comps, *_))] = factor_entries(f, through, mode).values()
+        block = comps[0]
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1
+        block.flags.writeable = True
+        block[0, 0] += 1
+        solves = count_solves(monkeypatch)
+        g = solver.factor_chain_map(f, through, mode)
+        assert len(solves) == 1
+        assert memo_digest([g]) == cold_factor_digests("T_per over D2", mode)[0]
+        # the entry was overwritten, and hits again
+        assert memo_digest([solver.factor_chain_map(f, through, mode)]) == memo_digest([g])
+        assert len(solves) == 1
+
+    def test_an_entry_made_for_other_complex_objects_misses(self, monkeypatch):
+        # as after a recycled id: the key's ids match, the held complexes not
+        f, through = factor_case("T_per over D2", "extend")
+        solver.factor_chain_map(f, through, "extend")
+        [(key, (refs, args))] = factor_entries(f, through, "extend").items()
+        others = [dataclasses.replace(r()) for r in refs]
+        S, T = factor_ends(f, through, "extend")
+        S._solved[T][key] = (tuple(map(weakref.ref, others)), args)
+        solves = count_solves(monkeypatch)
+        g = solver.factor_chain_map(f, through, "extend")
+        assert len(solves) == 1
+        assert memo_digest([g]) == cold_factor_digests("T_per over D2", "extend")[0]
+
+    def test_each_options_has_its_own_entry(self, monkeypatch):
+        f, through = factor_case("D3/F3", "lift")
+        solves = count_solves(monkeypatch)
+        warm = [memo_digest([solver.factor_chain_map(f, through, "lift",
+                                                     Options(map_period_bound=m))])
+                for m in (2, 1, 2)]
+        assert len(solves) == 2 and len(factor_entries(f, through, "lift")) == 2
+        assert warm[0] != warm[1]
+        assert warm == cold_factor_digests("D3/F3", "lift", (2, 1, 2))
+
+    def test_an_entry_goes_with_its_target_and_keeps_no_source_alive(self):
+        X, Y = memo_pair("periodic D4/F2")
+        f = solver.chain_map_space_basis(X, Y)[0][0]
+        g = solver.factor_chain_map(f, identity_chain_map(Y), "lift")
+        assert add_maps(g, f, sign=-1).is_zero()
+        target, source, store = weakref.ref(Y), weakref.ref(X), X._solved
+        assert any(isinstance(key, tuple) for key in store[Y])
+        del f, g, Y
+        gc.collect()
+        assert target() is None and len(store) == 0
+        del X
+        gc.collect()
+        assert source() is None
+
+    def test_writing_into_a_returned_map_leaves_the_next_hit(self):
+        f, through = factor_case("D3/F3", "extend")
+        for _ in range(2):  # the cold call's map, then a hit's
+            g = solver.factor_chain_map(f, through, "extend")
+            before = memo_digest([g])
+            for m in [*g.components.values(), *(g.neg or (0, ()))[1], *(g.pos or (0, ()))[1]]:
+                m += 1
+            assert memo_digest([solver.factor_chain_map(f, through, "extend")]) == before
+
+    def test_a_cold_call_that_finds_nothing_or_raises_stores_nothing(self, t_per, k,
+                                                                      monkeypatch):
+        # the cycle inclusion stalk(k) -> T_per does not lift through zero
+        eps = functors.counit(t_per)
+        z = complexes.zero_chain_map(functors.stalk(k), t_per)
+        solves = count_solves(monkeypatch)
+        assert solver.factor_chain_map(eps, z, "lift") is None
+        assert solver.factor_chain_map(eps, z, "lift") is None
+        assert len(solves) == 2 and not factor_entries(eps, z, "lift")
+
+        f, through = factor_case("T_per over D2", "lift")
+
+        def refuse(*maps, table=None):
+            raise ValidationError("refused")
+
+        monkeypatch.setattr(ChainMap, "validate", refuse)
+        with pytest.raises(ValidationError, match="refused"):
+            solver.factor_chain_map(f, through, "lift")
+        assert not factor_entries(f, through, "lift")
+        monkeypatch.undo()
+        solves = count_solves(monkeypatch)
+        g = solver.factor_chain_map(f, through, "lift")
+        assert memo_digest([g]) == cold_factor_digests("T_per over D2", "lift")[0]
         assert len(solves) == 1
 
 
