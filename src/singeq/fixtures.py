@@ -147,6 +147,8 @@ def contractible_AA() -> complexes.Complex:
 BUILTIN_ALGEBRAS = {"F2": F2, "D2": D2, "T2": T2}
 
 
+# one object per name, so the documents that name it share memo entries
+@lru_cache(maxsize=None)
 def builtin_module(name: str) -> Module:
     table = {
         "k": simple_k,
@@ -159,6 +161,7 @@ def builtin_module(name: str) -> Module:
     return table[name]()
 
 
+@lru_cache(maxsize=None)  # as builtin_module
 def builtin_complex(name: str) -> complexes.Complex:
     from .complexes import reindex
 

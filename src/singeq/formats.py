@@ -4,6 +4,11 @@ One self-describing textual format; matrices are row-major integer
 arrays reduced mod p on load.  References to other documents may be a
 file path (resolved relative to the referring file), a built-in fixture
 name, or an inline document.
+
+Parsed modules, complexes and chain maps are memoized by content on
+their algebra, with read-only arrays (see modules), so equal loads share
+one object and its memos.  Every check on the text runs on every load; a
+hit skips only the object check that identical content already passed.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import os
 
 import numpy as np
 
-from . import fixtures
+from . import fixtures, modules
 from .algebra import Algebra, Field
 from .complexes import ChainMap, Complex, Tail, chain_map
 from .errors import ParseError
@@ -73,17 +78,25 @@ def _ints(doc: dict, field: str, path=None) -> tuple:
     return tuple(_int(i, field, path) for i in _list(doc, field, path))
 
 
+def _name(doc: dict, default, path=None) -> str:
+    if isinstance(name := doc.get("name", default), str):
+        return name
+    raise _fail(f"field 'name' must be a string, not {name!r}", path)
+
+
 def load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except OSError as exc:
         raise ParseError(str(exc), line=0, column=0, path=path) from exc
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno,
                          path=path) from exc
+    except UnicodeDecodeError as exc:
+        raise _fail(f"not UTF-8 text (byte {exc.start})", path) from None
+    except RecursionError:
+        raise _fail("JSON nested too deeply", path) from None
     if not isinstance(doc, dict):
         raise _fail("top-level document must be a JSON object", path)
     return doc
@@ -109,6 +122,7 @@ def algebra_from_doc(doc: dict, path=None) -> Algebra:
     p = _int(doc["p"], "p", path)
     mul, unit = _mat(doc["mul"], p, "mul", path), _mat(doc["unit"], p, "unit", path)
     idempotents, radical = _ints(doc, "idempotents", path), _ints(doc, "radical", path)
+    name = _name(doc, path or "algebra", path)
     key = (p, mul.tobytes(), unit.tobytes(), idempotents, radical)
     if key in _ALGEBRA_INTERN:
         return _ALGEBRA_INTERN[key]
@@ -120,7 +134,7 @@ def algebra_from_doc(doc: dict, path=None) -> Algebra:
         unit=unit,
         idempotents=idempotents,
         radical_basis=radical,
-        name=doc.get("name", path or "algebra"),
+        name=name,
     )
     alg.validate()
     _ALGEBRA_INTERN[key] = alg
@@ -162,16 +176,36 @@ def load_algebra(ref, base=None) -> Algebra:
     return _resolve(ref, algebra_from_doc, _builtin_algebra, base)
 
 
+def _content(x):
+    """x as a hashable key: an array by dtype, shape and bytes, a Tail, a
+    dict (sorted) or a sequence item by item, and an int, a string, None or
+    an interned module or complex as itself."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (Tail, dict)):
+        x = (x.period, x.terms, x.diffs) if isinstance(x, Tail) else sorted(x.items())
+    return tuple(map(_content, x)) if isinstance(x, (tuple, list)) else x
+
+
+def _parsed(alg: Algebra, build, *args):
+    """build(*args), which checks what it builds, memoized on alg by the
+    content of args; a call that raises stores nothing."""
+    return modules._memo(alg, ("parsed", build, _content(args)), lambda: build(*args))
+
+
+def _module(alg, dim, action, name) -> Module:
+    mod = Module(alg, dim, action, name=name)
+    mod.validate()
+    return mod
+
+
 def module_from_doc(doc: dict, path=None) -> Module:
     _require(doc, ("algebra", "dim", "action"), path)
     alg = load_algebra(doc["algebra"], path)
     p = alg.field.p
     dim = _int(doc["dim"], "dim", path)
-    mod = Module(alg, dim, tuple(_mat(m, p, "action", path, (dim, dim))
-                                 for m in _list(doc, "action", path)),
-                 name=doc.get("name", path or "module"))
-    mod.validate()
-    return mod
+    action = tuple(_mat(m, p, "action", path, (dim, dim)) for m in _list(doc, "action", path))
+    return _parsed(alg, _module, alg, dim, action, _name(doc, path or "module", path))
 
 
 def module_to_doc(mod: Module, algebra_ref=None) -> dict:
@@ -217,6 +251,7 @@ def _tail_from_doc(doc, alg, path, edge, side):
 
 def complex_from_doc(doc: dict, path=None) -> Complex:
     _require(doc, ("window",), path)
+    _name(doc, "", path)
     win = _require(doc["window"], ("lo", "hi", "terms", "diffs"), path, "window")
     lo, hi = _int(win["lo"], "lo", path), _int(win["hi"], "hi", path)
     terms = [load_module(t, path) for t in _list(win, "terms", path)]
@@ -232,8 +267,8 @@ def complex_from_doc(doc: dict, path=None) -> Complex:
     diffs = [_mat(d, p, "diffs", path, (t.dim, s.dim)) for d, t, s in zip(raw, terms, terms[1:])]
     neg_tail, neg_seam = _tail_from_doc(doc.get("neg_tail"), alg, path, terms[0], -1)
     pos_tail, pos_seam = _tail_from_doc(doc.get("pos_tail"), alg, path, terms[-1], 1)
-    return Complex.build(
-        alg, lo, hi,
+    return _parsed(
+        alg, Complex.build, alg, lo, hi,
         {lo + i: t for i, t in enumerate(terms)},
         {lo + 1 + i: d for i, d in enumerate(diffs)},
         neg_tail, pos_tail, neg_seam, pos_seam)
@@ -296,7 +331,7 @@ def chain_map_from_doc(doc: dict, path=None) -> ChainMap:
 
     neg = tail("neg", lambda i: clo - 1 - i) if "neg" in tails else None
     pos = tail("pos", lambda i: chi + 1 + i) if "pos" in tails else None
-    return chain_map(src, tgt, comps, clo, chi, neg, pos)
+    return _parsed(src.algebra, chain_map, src, tgt, comps, clo, chi, neg, pos)
 
 
 def chain_map_to_doc(f: ChainMap, source_ref=None, target_ref=None) -> dict:

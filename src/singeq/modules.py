@@ -20,9 +20,13 @@ compare dimensions on the memoized cover and envelope.  The same
 per-algebra dict holds what depends on the algebra alone: the zero
 module, one zero matrix per shape (zero_block), the indecomposable
 projectives, the opposite algebra, the action generators, the Gorenstein
-dimension per bound and the generator family per Options.  Memoized
-arrays are read-only, and every check a computation makes runs on its
-first computation.
+dimension per bound and the generator family per Options.  It also
+holds each module, complex and chain map that formats parses, under its
+content: dimensions, names, windows, each matrix's shape and bytes, and
+the interned modules and complexes it refers to.  Memoized arrays are
+read-only, and every check a computation makes runs on its first
+computation; a parse hit skips only the object check that identical
+content already passed.
 
 What depends on one module, complex or chain map is memoized on that
 object, and lives and dies with it: a module's stalk (functors.stalk),
@@ -194,6 +198,8 @@ def _read_only(value):
     elif isinstance(value, tuple):
         for v in value:
             _read_only(v)
+    elif hasattr(value, "_blocks"):  # a Complex or ChainMap: its distinct blocks
+        _read_only(value._blocks.data)
     return value
 
 

@@ -315,8 +315,10 @@ def test_cli_session_reports_do_not_depend_on_order(capsys):
 # every remembered equivalence is still checked again.
 @pytest.mark.parametrize("argv, solves, rechecks", [
     (("demo", "D2-Tper"), 0, 5),
-    (("verify-equivalence", "tper.cx", "--side", "P"), 1, 2),
-], ids=["demo", "verify-equivalence-P"])
+    (("verify-equivalence", "tper.cx", "--side", "P"), 0, 2),
+    (("verify-equivalence", "tper.cx", "--side", "I"), 0, 2),
+    (("verify-equivalence", "tper.cx", "--side", "auto"), 0, 2),
+], ids=["demo", "verify-equivalence-P", "verify-equivalence-I", "verify-equivalence-auto"])
 def test_a_warm_command_runs_its_pinned_solves_and_rechecks(capsys, monkeypatch, argv,
                                                             solves, rechecks):
     path = [fx(a) if a.endswith(".cx") else a for a in argv]
@@ -502,6 +504,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and err.count("\n") == 1
         assert ("'dim'" if dim != 1 else "'action'") in err
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"algebra": "D2", "dim": 0, "action": [[], []], "name": "\xe9"}', "not UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    ], ids=["not-utf-8", "deep-array"])
+    def test_65_unreadable_json(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        assert main(["validate", str(bad)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: " + str(bad)) and message in err
+
+    @pytest.mark.parametrize("name", [5, [1], None])
+    @pytest.mark.parametrize("doc", [
+        {"p": 2, "basis": ["1"], "mul": [[[1]]], "unit": [1], "idempotents": [0],
+         "radical": []},
+        {"algebra": "D2", "dim": 1, "action": [[[1]], [[0]]]},
+        {"window": {"lo": 0, "hi": 0, "terms": ["k"], "diffs": []}},
+    ], ids=["algebra", "module", "complex"])
+    def test_65_name_not_a_string(self, tmp_path, capsys, doc, name):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "name": name}))
+        assert main(["validate", str(bad)]) == 65
+        assert "field 'name' must be a string" in capsys.readouterr().err
+        bad.write_text(json.dumps({**doc, "name": "ok"}))
+        assert main(["validate", str(bad)]) == 0
 
     def test_integral_numbers_and_component_keys_still_load(self, tmp_path, capsys):
         mod = formats.module_from_doc({"algebra": "D2", "dim": 1.0,
