@@ -19,10 +19,11 @@ checked=True when all their inputs are marked: add_maps and compose of
 chain maps on the same complex objects, and the complexes and structure
 maps of reindex, dual, direct_sum_complex, cone, kernel_complex,
 cokernel_complex and two_sided_split, whose tail periods are the lcm of
-their inputs' periods; functors.stalk, whose one term has no
-differential, always does.  With an unmarked input they validate,
-raising the same errors, and is_exact validates an unmarked complex.  An
-explicit validate() always runs the check.
+their inputs' periods, and functors.unit, counit, apply_F and apply_G on
+maps; functors.stalk, whose one term has no differential, always does.
+With an unmarked input they validate, raising the same errors, and
+is_exact validates an unmarked complex.  An explicit validate() always
+runs the check.
 
 Complex.validate and ChainMap.validate cover every degree of a check
 range (_check_range): the hull of the windows of the objects a check
@@ -56,6 +57,15 @@ is reported at the first degree of its object's own range that carries
 it (_Range.first), so an error names the same smallest failing degree,
 and for intertwining the same first failing action index, as a check of
 that object alone.
+
+Each walk has a plan (_Walk): the check ranges, the walked degrees, the
+shapes, the grouping by modules and by shapes, the differentials stacked
+per group, and where each block table's blocks at those degrees sit.  It
+depends only on S, T, the degree k, whether there is a right-hand side
+and each object's window and tail periods, never on a map's values, and
+holds no check result: every check runs on every call, on the caller's
+maps.  A plan is kept in S._solved[T], so it goes with T, from the second
+walk of its key on; a walk made once keeps only its key.
 
 add_maps and compose compute their result from the operands' block
 tables, one array operation per group of distinct blocks of one shape,
@@ -148,6 +158,14 @@ class _Blocks(NamedTuple):
             n = hi + 1 + (n - hi - 1) % pos
         return data[n - lo + neg]
 
+    def index(self, degrees) -> tuple:
+        """The position in data of the block at each of degrees."""
+        lo, hi, neg, pos, _ = self
+        base = neg - lo
+        return tuple([n + base if lo <= n <= hi
+                      else lo - 1 - (lo - 1 - n) % neg + base if n < lo
+                      else hi + 1 + (n - hi - 1) % pos + base for n in degrees])
+
     def on(self, degrees) -> list:
         """[self.at(n) for n in degrees], with the fold inlined."""
         lo, hi, neg, pos, data = self
@@ -201,6 +219,48 @@ class _Range(NamedTuple):
                 *range(right, min(b + 1, right + pos))]
 
 
+def _grouped(keys) -> tuple:
+    """The groups keys make: ((key, (indices of its degrees)), ...) in
+    order of first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return tuple([(key, tuple(idx)) for key, idx in groups.items()])
+
+
+class _Keys(list):
+    """Group keys for _first_failure: the key of each of size walked
+    degrees, laid out from the groups they make (_grouped), so equal keys
+    are one object."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: tuple, size: int):
+        keys = [None] * size
+        for key, idx in groups:
+            for i in idx:
+                keys[i] = key
+        super().__init__(keys)
+        self.groups = groups
+
+
+class _Stacked(list):
+    """A column for _first_failure that is the same on every call: its
+    operand per walked degree, stacked (g, 1, rows, cols) per group of
+    keys the first time the engine reads that group."""
+
+    __slots__ = ("_groups", "_stacks")
+
+    def __init__(self, operands, keys: _Keys):
+        super().__init__(operands)
+        self._groups, self._stacks = keys.groups, {}
+
+    def stack(self, g: int) -> np.ndarray:
+        if g not in self._stacks:
+            self._stacks[g] = np.array([[self[i]] for i in self._groups[g][1]])
+        return self._stacks[g]
+
+
 def _first_failure(ranges, ns, keys, check, *columns):
     """Smallest (degree, detail) over the checks that fail, or None.
 
@@ -218,12 +278,13 @@ def _first_failure(ranges, ns, keys, check, *columns):
     the first degree of its object's range that carries it, with its
     first failing detail.  A group whose first operand has no rows or
     whose last has no columns holds.
+
+    keys may be a _Keys, whose grouping is computed once, and a column a
+    _Stacked, whose stacks are.
     """
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
+    groups = keys.groups if isinstance(keys, _Keys) else _grouped(keys)
     failures = []
-    for key, idx in groups.items():
+    for g, (key, idx) in enumerate(groups):
         first, last = columns[0][idx[0]], columns[-1][idx[0]]
         if isinstance(first, tuple):
             first = first[0]
@@ -231,7 +292,8 @@ def _first_failure(ranges, ns, keys, check, *columns):
             last = last[0]
         if not (first.shape[-2] and last.shape[-1]):
             continue
-        stacks = [np.array([c[i] for i in idx]) for c in columns]
+        stacks = [c.stack(g) if isinstance(c, _Stacked) else np.array([c[i] for i in idx])
+                  for c in columns]
         bad = check(key, *[s if s.ndim == 4 else s[:, None] for s in stacks])
         failures += [(ranges[j].first(ns[idx[i]]), int(d))
                      for i, j, d, *_ in zip(*bad.nonzero())]
@@ -245,12 +307,12 @@ def _per_degree(columns: list) -> list:
     return columns[0] if len(columns) == 1 else list(zip(*columns))
 
 
-def _wrong_shape(ranges, ns, columns, shapes):
+def _wrong_shape(ranges, ns, columns, shapes: tuple):
     """Smallest reported degree (see _first_failure) at which a block of
     an object's column (one block per walked degree) does not have the
     shape given for its degree in shapes, or None."""
     return min([r.first(n) for r, col in zip(ranges, columns)
-                if [m.shape for m in col] != shapes
+                if tuple([m.shape for m in col]) != shapes
                 for n, m, shape in zip(ns, col, shapes) if m.shape != shape], default=None)
 
 
@@ -342,7 +404,8 @@ class Complex:
         """What the solver found for maps out of this complex: {target, held
         weakly so its entries go with it: {key: entry}}; a chain-map basis
         under the Options, a factorization or stable lift under (mode, ...,
-        Options), as the solver docstring says."""
+        Options), as the solver docstring says, and the plan of a check
+        walk under ("walk", ...) (_graded_checks)."""
         return weakref.WeakKeyDictionary()
 
     @cached_property
@@ -619,6 +682,72 @@ def _settled(x, checked: bool):
     return x
 
 
+class _Walk:
+    """The plan of one check walk of _graded_checks: everything but the
+    maps' values.  It depends only on S, T, k, whether there is a
+    right-hand side, and the profile (window and tail periods) of each
+    object, and holds no map value and no check result.
+
+    Check ranges are computed once per distinct profile.  The plan holds
+    the walked degrees ns, the shapes of g (and of the right-hand side)
+    there, the groups of degrees by module pair (twists) and by
+    differential shapes (equations) as _first_failure groups them, the
+    differential columns with their stacks per equation group, and, per
+    block table read, where its blocks at ns and at n - 1 sit in its data.
+    It holds no object of T but arrays: a module of T may hold T, as
+    functors.stalk keeps a stalk on its module.  Equal group keys are held
+    once, and the columns of ints are tuples, which the garbage collector
+    stops tracking: a kept plan adds few objects to its full passes."""
+
+    __slots__ = ("ranges", "eq_ranges", "ns", "prev", "shapes", "rhs_shapes", "twists",
+                 "equations", "dS", "dT", "_index", "__weakref__")
+
+    def __init__(self, S: Complex, T: Complex, k: int, objects: list, profiles: tuple):
+        Sb, Tb = S._blocks, T._blocks
+        by_profile = {}
+        for o, profile in zip(objects, profiles):
+            if profile not in by_profile:
+                a, b = _check_range(S, T, *o)
+                r = _Range.of(a, Sb, Tb, *[x._blocks for x in o])
+                by_profile[profile] = (r, r._replace(a=r.a + 1 - k), b)
+        self.ranges = tuple([by_profile[profile][0] for profile in profiles])
+        self.eq_ranges = tuple([by_profile[profile][1] for profile in profiles])
+        union = _Range.union([r for r, _, _ in by_profile.values()])
+        ns = union._replace(a=union.a - k).walk(max([b for *_, b in by_profile.values()]))
+        self.ns, self.prev = tuple(ns), tuple([n - 1 for n in ns])
+        at = Tb.index([n + k for n in ns])
+        S1, T1 = Sb.on(ns), [Tb.data[i] for i in at]
+        self.shapes = tuple([(t.dim, s.dim) for (s, _), (t, _) in zip(S1, T1)])
+        self.rhs_shapes = self.shapes if not k else tuple(
+            [(t.dim, s.dim) for (s, _), (t, _) in zip(S1, Tb.on(ns))])
+        # per group of module pairs, S's module and where T's sits in its table
+        self.twists = tuple([((s, at[idx[0]]), idx) for (s, _), idx
+                             in _grouped([(s, t) for (s, _), (t, _) in zip(S1, T1)])])
+        dS, dT = [d for _, d in S1], [d for _, d in T1]
+        self.equations = _Keys(_grouped([(x.shape, y.shape) for x, y in zip(dS, dT)]), len(ns))
+        self.dS, self.dT = _Stacked(dS, self.equations), _Stacked(dT, self.equations)
+        self._index = {}
+
+    def twist_keys(self, T: Complex) -> _Keys:
+        """The module pairs (S_n, T_{n+k}) at the walked degrees, grouped."""
+        data = T._blocks.data
+        return _Keys(tuple([((s, data[i][0]), idx) for (s, i), idx in self.twists]),
+                     len(self.ns))
+
+    def read(self, table: _Blocks, at: int) -> list:
+        """table's blocks at n - 1 (at 0) or at n (at 1) for n in ns."""
+        frame = table[:4]
+        index = self._index.get(frame)
+        if index is None:
+            index = self._index[frame] = (table.index(self.prev), table.index(self.ns))
+        data = table.data
+        return [data[i] for i in index[at]]
+
+
+def _profile(g: GradedMap) -> tuple:
+    return g.clo, g.chi, g.neg_period, g.pos_period
+
+
 def _graded_checks(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = None,
                    table: _Blocks | None = None) -> tuple:
     """The checks of graded maps g: S_n -> T_{n+k}, walked once over the
@@ -631,38 +760,46 @@ def _graded_checks(S: Complex, T: Complex, k: int, maps: list, rhs: list | None 
     check range is that of the pair.  It reads g at n - 1 and n, reported
     from a + 1 for chain maps and from a for homotopies, whose walk starts
     at a - 1.  The components are read from each map's own table, or from
-    table, one stacked table of them all (ChainMap.validate)."""
-    Sb, Tb = S._blocks, T._blocks
+    table, one stacked table of them all (ChainMap.validate).
+
+    The walk's plan (_Walk) is kept in S._solved[T] under ("walk", k,
+    whether there is a right-hand side, the objects' profiles) from the
+    second walk of that key on; every check reads the caller's maps on
+    every call."""
     objects = [(g,) for g in maps] if rhs is None else list(zip(maps, rhs))
-    spans = [_check_range(S, T, *o) for o in objects]
-    ranges = [_Range.of(a, Sb, Tb, *[x._blocks for x in o]) for (a, _), o in zip(spans, objects)]
-    union = _Range.union(ranges)
-    ns = union._replace(a=union.a - k).walk(max([b for _, b in spans]))
-    prev = [n - 1 for n in ns]
-    S1, T1 = Sb.on(ns), Tb.on([n + k for n in ns])
-    shapes = [(t.dim, s.dim) for (s, _), (t, _) in zip(S1, T1)]
+    one = {}  # equal profiles as one object, so that a kept key is small
+    profiles = tuple([one.setdefault(q, q) for q in [tuple(map(_profile, o)) for o in objects]])
+    key = ("walk", k, rhs is not None, profiles)
+    plans = S._solved.get(T)
+    if plans is None:
+        plans = S._solved[T] = {}
+    plan = plans.get(key)
+    if plan is None:
+        plan = _Walk(S, T, k, objects, profiles)
+        # None marks a walk made once: a plan is kept from its second walk
+        # on, so a walk made once keeps nothing but its key
+        plans[key] = plan if key in plans else None
+    ranges, ns = plan.ranges, plan.ns
     if table is None:
-        G1 = [g._blocks.on(ns) for g in maps]
-        bad = [_wrong_shape(ranges, ns, G1, shapes)]
-        G0, G1 = _per_degree([g._blocks.on(prev) for g in maps]), _per_degree(G1)
+        G1 = [plan.read(g._blocks, 1) for g in maps]
+        bad = [_wrong_shape(ranges, ns, G1, plan.shapes)]
+        G0, G1 = _per_degree([plan.read(g._blocks, 0) for g in maps]), _per_degree(G1)
     else:
-        G0, G1 = table.on(prev), table.on(ns)
+        G0, G1 = plan.read(table, 0), plan.read(table, 1)
         # every map reads the same shape from the table
-        bad = [_wrong_shape(ranges, ns, [[m[0] for m in G1]] * len(maps), shapes)]
-    dS, dT = [d for _, d in S1], [d for _, d in T1]
+        bad = [_wrong_shape(ranges, ns, [[m[0] for m in G1]] * len(maps), plan.shapes)]
     p = S.algebra.p
     if rhs is None:
-        equation = (lambda _, f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p, G0, dS, dT, G1)
+        equation = (lambda _, f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p,
+                    G0, plan.dS, plan.dT, G1)
     else:
-        F = [f._blocks.on(ns) for f in rhs]
-        bad.append(_wrong_shape(ranges, ns, F, [(t.dim, s.dim) for (s, _), (t, _)
-                                                in zip(S1, Tb.on(ns))]))
+        F = [plan.read(f._blocks, 1) for f in rhs]
+        bad.append(_wrong_shape(ranges, ns, F, plan.rhs_shapes))
         equation = (lambda _, dT, s1, s0, dS, f: (dT @ s1 + s0 @ dS) % p - f,
-                    dT, G1, G0, dS, _per_degree(F))
+                    plan.dT, G1, G0, plan.dS, _per_degree(F))
     return (min([n for n in bad if n is not None], default=None),
-            (ranges, ns, [(s, t) for (s, _), (t, _) in zip(S1, T1)], _intertwining, G1),
-            ([r._replace(a=r.a + 1 - k) for r in ranges], ns,
-             [(x.shape, y.shape) for x, y in zip(dS, dT)], *equation))
+            (ranges, ns, plan.twist_keys(T), _intertwining, G1),
+            (plan.eq_ranges, ns, plan.equations, *equation))
 
 
 def chain_map(source, target, components, clo=None, chi=None,

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import complexes
 from .algebra import Algebra, Field
+from .errors import ValidationError
 from .modules import Module, regular_module
 
 
@@ -170,6 +171,9 @@ def builtin_complex(name: str) -> complexes.Complex:
     if name == "contractible":
         return contractible_AA()
     if name.startswith("T_per["):
-        k = int(name[len("T_per[") : -1])
+        try:
+            k = int(name[len("T_per[") : -1])
+        except ValueError:
+            raise ValidationError(f"shift of {name!r} is not an integer") from None
         return reindex(t_per(), k)
     raise KeyError(name)

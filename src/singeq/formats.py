@@ -123,13 +123,17 @@ def algebra_from_doc(doc: dict, path=None) -> Algebra:
     mul, unit = _mat(doc["mul"], p, "mul", path), _mat(doc["unit"], p, "unit", path)
     idempotents, radical = _ints(doc, "idempotents", path), _ints(doc, "radical", path)
     name = _name(doc, path or "algebra", path)
-    key = (p, mul.tobytes(), unit.tobytes(), idempotents, radical)
+    basis = _list(doc, "basis", path)
+    # everything the algebra reports, so two documents share one object
+    # only when they describe the same algebra under the same names
+    key = (name, json.dumps(basis), p, mul.shape, mul.tobytes(), unit.tobytes(),
+           idempotents, radical)
     if key in _ALGEBRA_INTERN:
         return _ALGEBRA_INTERN[key]
     alg = Algebra(
         field=Field(p),
-        dim=len(_list(doc, "basis", path)),
-        basis_labels=tuple(doc["basis"]),
+        dim=len(basis),
+        basis_labels=tuple(basis),
         mul=mul,
         unit=unit,
         idempotents=idempotents,

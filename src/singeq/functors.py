@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg, modules
-from .complexes import ChainMap, Complex, chain_map, dual, dual_chain_map
+from .complexes import ChainMap, Complex, _inputs_checked, chain_map, dual, dual_chain_map
 from .errors import ValidationError
 from .modules import Module, ModuleMap
 
@@ -75,19 +75,21 @@ def theta_map(f: ChainMap) -> ModuleMap:
 
 
 def apply_F(x):
-    """F = stalk . omega, on complexes or chain maps."""
+    """F = stalk . omega, on complexes or chain maps.  On a map, a module
+    map between stalks induced by a chain map: checked unless the map and
+    its complexes are (complexes.ChainMap.validate)."""
     if isinstance(x, Complex):
         return stalk(omega(x))
     return chain_map(apply_F(x.source), apply_F(x.target),
-                     {0: omega_map(x).matrix})
+                     {0: omega_map(x).matrix}, checked=_inputs_checked(x))
 
 
 def apply_G(x):
-    """G = stalk . theta, on complexes or chain maps."""
+    """G = stalk . theta, on complexes or chain maps; checked as apply_F."""
     if isinstance(x, Complex):
         return stalk(theta(x))
     return chain_map(apply_G(x.source), apply_G(x.target),
-                     {0: theta_map(x).matrix})
+                     {0: theta_map(x).matrix}, checked=_inputs_checked(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +122,16 @@ class AdjunctionWitness:
 
 
 def counit(Y: Complex) -> ChainMap:
-    """FG(Y) -> Y: the cycle inclusion in degree zero, zero elsewhere."""
+    """FG(Y) -> Y: the cycle inclusion in degree zero, zero elsewhere; a
+    chain map when Y is a complex, so checked unless Y is."""
     _, incl = theta_data(Y)
     FGY = apply_F(apply_G(Y))
-    return chain_map(FGY, Y, {0: incl.matrix})
+    return chain_map(FGY, Y, {0: incl.matrix}, checked=Y._checked)
 
 
 def unit(X: Complex) -> ChainMap:
-    """X -> GF(X): the boundary-quotient projection in degree zero."""
+    """X -> GF(X): the boundary-quotient projection in degree zero, zero
+    elsewhere; a chain map when X is a complex, so checked unless X is."""
     _, proj = omega_data(X)
     GFX = apply_G(apply_F(X))
-    return chain_map(X, GFX, {0: proj.matrix})
+    return chain_map(X, GFX, {0: proj.matrix}, checked=X._checked)

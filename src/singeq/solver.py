@@ -50,7 +50,9 @@ are frozen and no caller data enters.  factor_chain_map and
 equiv.lift_stable_map key on the mode and the maps' values, match the
 maps' complexes by identity, and store only a map found (_remembered); a
 hit is rebuilt the same way and post-checked against the caller's maps,
-or else solved again.
+or else solved again.  The same store holds the plans of the check walks
+of maps between the pair that run more than once (complexes._Walk):
+bookkeeping only, with no map value and no check result.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 construction: they carry the mark, pass an explicit validate, and cost
 no run of the check engine; an unmarked input is checked as before."""
 
+import contextlib
 import dataclasses
+import io
+import os
 import random
 
 import numpy as np
@@ -16,6 +19,8 @@ from singeq.complexes import (ChainMap, Complex, Tail, cokernel_complex, cone,
                               kernel_complex, reindex, two_sided_split, zero_chain_map)
 from singeq.errors import ValidationError
 from singeq.modules import ModuleMap
+
+FIXDIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 
 
 def random_complex(rng, alg) -> Complex:
@@ -225,3 +230,88 @@ class TestReplacementCache:
         calls = count_checks(monkeypatch)
         hit = approx.stalk_replacement(S, "fibrant_co")
         assert calls and hit.map._checked and hit.map.source is S
+
+
+class TestFunctorMaps:
+    """counit, unit and F, G on maps are chain maps by construction: the
+    cycle inclusion into Y_0, the boundary-quotient projection, and module
+    maps between stalks induced by a chain map."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(12)
+        Xs = [fixtures.t_per(), reindex(fixtures.t_per(), 1), fixtures.contractible_AA(),
+              functors.stalk(fixtures.simple_k()), random_d2_complex(rng)]
+        return Xs, [random_chain_map(rng, X, Y) for X in Xs[:3] for Y in Xs]
+
+    @staticmethod
+    def builds(Xs, maps) -> list:
+        """One call per construction and input."""
+        return [*[lambda X=X, c=c: c(X) for X in Xs for c in (functors.counit, functors.unit)],
+                *[lambda f=f, c=c: c(f) for f in maps
+                  for c in (functors.apply_F, functors.apply_G)]]
+
+    def test_marked_inputs_run_no_check(self, monkeypatch):
+        Xs, maps = self.inputs()
+        assert all(x._checked for x in Xs + maps)
+        calls = count_checks(monkeypatch)
+        out = [build() for build in self.builds(Xs, maps)]
+        assert not calls and all(f._checked for f in out)
+        monkeypatch.undo()
+        for f in out:
+            f.validate()
+
+    def test_unmarked_inputs_are_checked(self, monkeypatch):
+        Xs, maps = self.inputs()
+        Xs = [dataclasses.replace(X) for X in Xs]
+        maps = [dataclasses.replace(f) for f in maps]
+        validated = []
+        validate = ChainMap.validate
+        monkeypatch.setattr(ChainMap, "validate",
+                            lambda f, *a, **k: validated.append(f) or validate(f, *a, **k))
+        for build in self.builds(Xs, maps):
+            f = build()
+            assert f._checked and any(g is f for g in validated)
+
+
+# Check-engine runs (complexes._first_failure) of a command run a second
+# time in one process: every one re-checks a remembered certificate, and
+# counit, unit, F and G on the marked parsed inputs run none.
+@pytest.mark.parametrize("argv, runs", [
+    (("demo", "D2-Tper"), 18),
+    (("verify-equivalence", "tper.cx", "--side", "P"), 6),
+    (("verify-equivalence", "tper.cx", "--side", "I"), 8),
+    (("functor", "F", "tper.cx"), 0),
+    (("functor", "G", "kstalk.cx"), 0),
+    (("classify", "xid.map", "--structure", "co"), 0),
+], ids=["demo", "verify-equivalence-P", "verify-equivalence-I", "functor-F", "functor-G",
+        "classify-co"])
+def test_a_warm_command_runs_the_engine_only_to_recheck(monkeypatch, argv, runs):
+    from singeq import homotopy
+    from singeq.cli import main
+
+    path = [os.path.join(FIXDIR, a) if a.endswith((".cx", ".map")) else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(path) == 0
+        depth, outside = [0], []
+        verify = homotopy.verify_certificate
+
+        def rechecking(cert):
+            depth[0] += 1
+            try:
+                return verify(cert)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(homotopy, "verify_certificate", rechecking)
+        calls = count_checks(monkeypatch)
+        engine = complexes._first_failure
+
+        def where(*args):
+            if not depth[0]:
+                outside.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(complexes, "_first_failure", where)
+        assert main(path) == 0
+    assert (len(calls), len(outside)) == (runs, 0)

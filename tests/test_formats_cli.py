@@ -432,6 +432,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ValidationError: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("ref", ["T_per[x]", "T_per[1.5]", "T_per[2"])
+    def test_65_built_in_shift_not_an_integer(self, capsys, ref):
+        assert main(["functor", "F", ref]) == 65
+        err = capsys.readouterr().err
+        assert err == f"error: ValidationError: shift of {ref!r} is not an integer\n"
+
     @pytest.mark.parametrize("doc", [
         {"p": "x", "basis": ["1"], "mul": [[[1]]], "unit": [1], "idempotents": [0],
          "radical": []},

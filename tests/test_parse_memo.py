@@ -108,6 +108,24 @@ class TestDistinctContent:
         X, Y = (formats.complex_from_doc(stalk(x_module(n))) for n in "MN")
         assert X is not Y and (X.term(0).name, Y.term(0).name) == ("M", "N")
 
+    def test_an_algebra_name_gives_its_own_object(self, tmp_path):
+        with open(fx("d2.alg")) as fh:
+            doc = json.load(fh)
+        paths = []
+        for name, labels in (("first", ["1", "x"]), ("second", ["1", "x"]),
+                             ("second", ["e", "t"])):
+            paths.append(tmp_path / f"{name}-{labels[1]}.alg")
+            paths[-1].write_text(json.dumps({**doc, "name": name, "basis": labels}))
+        algs = [formats.load_algebra(str(path)) for path in paths]
+        assert [(A.name, A.basis_labels) for A in algs] == [
+            ("first", ("1", "x")), ("second", ("1", "x")), ("second", ("e", "t"))]
+        assert formats.load_algebra(str(paths[1])) is algs[1]
+        for path, name in zip(paths, ("first", "second", "second")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["--format", "json", "validate", str(path)]) == 0
+            assert json.loads(out.getvalue())["entries"][0]["detail"] == f"algebra {name} of dim 2"
+
     def test_one_matrix_entry_gives_its_own_object(self):
         M = formats.module_from_doc(x_module(x=((0, 0), (1, 0))))
         N = formats.module_from_doc(x_module(x=((0, 0), (0, 0))))
