@@ -20,10 +20,17 @@ chain maps on the same complex objects, and the complexes and structure
 maps of reindex, dual, direct_sum_complex, cone, kernel_complex,
 cokernel_complex and two_sided_split, whose tail periods are the lcm of
 their inputs' periods, and functors.unit, counit, apply_F and apply_G on
-maps; functors.stalk, whose one term has no differential, always does.
-With an unmarked input they validate, raising the same errors, and
-is_exact validates an unmarked complex.  An explicit validate() always
-runs the check.
+maps; functors.stalk, whose one term has no differential, and
+zero_complex always do.  With an unmarked input they validate, raising
+the same errors, and is_exact validates an unmarked complex.  An explicit
+validate() always runs the check.
+
+One object per input, so the memos on it serve every later call:
+reindex(X, k) per complex and shift and direct_sum_complex(X, Y) per pair,
+kept on X (Complex._built) and gone with it, dual(X) per complex and
+zero_complex per algebra.  The structure maps of a sum of checked
+summands carry their kernels and cokernels, the summands or 0; every
+other map computes them once (kernel_complex, cokernel_complex).
 
 Complex.validate and ChainMap.validate cover every degree of a check
 range (_check_range): the hull of the windows of the objects a check
@@ -409,6 +416,12 @@ class Complex:
         return weakref.WeakKeyDictionary()
 
     @cached_property
+    def _built(self) -> dict:
+        """reindex(self, k) under k, which does not hold self, and
+        direct_sum_complex(self, Y) under Y, whose maps hold Y."""
+        return {}
+
+    @cached_property
     def _dual(self) -> "Complex":
         """dual(self), whose own dual is self; one dual per distinct term."""
         duals = {id(t): modules.dual_module(t) for t, _ in self._blocks.data}
@@ -473,7 +486,13 @@ class Complex:
 
 
 def zero_complex(algebra: Algebra) -> Complex:
-    return Complex.build(algebra, 0, 0, {0: modules.zero_module(algebra)}, {})
+    """The zero complex, checked by construction; one per algebra."""
+    return _zero(algebra)
+
+
+def _zero(algebra: Algebra) -> Complex:
+    return modules._memo(algebra, ("zero", "complex"), lambda: Complex.build(
+        algebra, 0, 0, {0: modules.zero_module(algebra)}, {}, checked=True))
 
 
 def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
@@ -991,15 +1010,18 @@ def is_exact(X: Complex) -> bool:
 
 
 def reindex(X: Complex, k: int) -> Complex:
-    """Degree shift X[k] with d^{X[k]} = (-1)^k d^X."""
+    """Degree shift X[k] with d^{X[k]} = (-1)^k d^X, built once per complex
+    and shift and kept on X; X[k] does not hold X."""
     if k == 0:
         return X
-    sign = 1 if k % 2 == 0 else -1
-    return complex_from_callable(
-        X.algebra, X.lo + k, X.hi + k,
-        lambda n: X.term(n - k),
-        lambda n: (sign * X.diff(n - k)) % X.algebra.p,
-        X.neg_period, X.pos_period, checked=X._checked)
+    if k not in X._built:
+        sign = 1 if k % 2 == 0 else -1
+        X._built[k] = complex_from_callable(
+            X.algebra, X.lo + k, X.hi + k,
+            lambda n: X.term(n - k),
+            lambda n: (sign * X.diff(n - k)) % X.algebra.p,
+            X.neg_period, X.pos_period, checked=X._checked)
+    return X._built[k]
 
 
 def dual(X: Complex) -> Complex:
@@ -1018,10 +1040,15 @@ def dual_chain_map(f: ChainMap) -> ChainMap:
 
 
 def direct_sum_complex(X: Complex, Y: Complex):
-    """(X + Y, inclusion of X, inclusion of Y, projections); checked unless
-    X and Y are, over one algebra."""
+    """(X + Y, inclusion of X, of Y, projection to X, to Y), built once per
+    pair and kept on X; DimensionMismatch unless over one algebra.  Checked
+    unless X and Y are; then 0 -> X -> X + Y -> Y -> 0 splits, so the maps
+    carry their kernels and cokernels: coker i_X = (Y, p_Y), ker p_Y =
+    (X, i_X), ker i_X = coker p_X = 0, and likewise with X and Y swapped."""
+    if Y in X._built:
+        return X._built[Y]
     p = X.algebra.p
-    known = X._checked and Y._checked and X.algebra is Y.algebra
+    known = X._checked and Y._checked
     lo, hi, nq, pq = _map_profile(X, Y)
     sums = _once(lambda x, y: modules.direct_sum([x, y]))
 
@@ -1041,7 +1068,18 @@ def direct_sum_complex(X: Complex, Y: Complex):
         return chain_map_from_callable(source, target, lo, hi,
                                        lambda n: parts(n)[i][j].matrix, nq, pq, checked=known)
 
-    return S, part(X, S, 1, 0), part(Y, S, 1, 1), part(S, X, 2, 0), part(S, Y, 2, 1)
+    iX, iY, pX, pY = maps = (part(X, S, 1, 0), part(Y, S, 1, 1),
+                             part(S, X, 2, 0), part(S, Y, 2, 1))
+    if known:
+        zero = _zero(X.algebra)
+        for i, p_i, p_j in ((iX, pX, pY), (iY, pY, pX)):
+            # i includes one summand, p_i projects to it, p_j to the other
+            object.__setattr__(i, "_kernel", (zero, zero_chain_map(zero, i.source)))
+            object.__setattr__(i, "_cokernel", (p_j.target, p_j))
+            object.__setattr__(p_j, "_kernel", (i.source, i))
+            object.__setattr__(p_i, "_cokernel", (zero, zero_chain_map(i.source, zero)))
+    X._built[Y] = (S, *maps)
+    return X._built[Y]
 
 
 def cone(f: ChainMap) -> Complex:
@@ -1124,14 +1162,14 @@ def two_sided_split(X: Complex, n: int) -> tuple:
 
 
 def kernel_complex(f: ChainMap):
-    """(K, inclusion K -> source), built once per map; checked unless f
-    and its source and target are."""
+    """(K, inclusion K -> source), built once per map unless a direct sum
+    gave it (direct_sum_complex); checked unless f, source and target are."""
     return f._kernel
 
 
 def cokernel_complex(f: ChainMap):
-    """(C, projection target -> C), built once per map; checked unless f
-    and its source and target are."""
+    """(C, projection target -> C), built once per map unless a direct sum
+    gave it (direct_sum_complex); checked unless f, source and target are."""
     return f._cokernel
 
 

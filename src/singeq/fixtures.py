@@ -162,8 +162,8 @@ def builtin_module(name: str) -> Module:
     return table[name]()
 
 
-@lru_cache(maxsize=None)  # as builtin_module
 def builtin_complex(name: str) -> complexes.Complex:
+    """One object per name: the fixtures are cached, and T_per keeps its shifts."""
     from .complexes import reindex
 
     if name == "T_per":

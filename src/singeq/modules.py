@@ -18,26 +18,26 @@ the hom basis of a pair (source, target) with its pivot entries, keyed
 on both actions in that order.  Module.is_projective and is_injective
 compare dimensions on the memoized cover and envelope.  The same
 per-algebra dict holds what depends on the algebra alone: the zero
-module, one zero matrix per shape (zero_block), the indecomposable
-projectives, the opposite algebra, the action generators, the Gorenstein
-dimension per bound and the generator family per Options.  It also
-holds each module, complex and chain map that formats parses, under its
-content: dimensions, names, windows, each matrix's shape and bytes, and
-the interned modules and complexes it refers to.  Memoized arrays are
-read-only, and every check a computation makes runs on its first
-computation; a parse hit skips only the object check that identical
-content already passed.
+module and complex, one zero matrix per shape (zero_block), the
+indecomposable projectives, the opposite algebra, the action generators,
+the Gorenstein dimension per bound and the generator family per Options.
+It also holds each module, complex and chain map that formats parses,
+under its content: dimensions, names, windows, each matrix's shape and
+bytes, and the interned modules and complexes it refers to.  Memoized
+arrays are read-only, and every check a computation makes runs on its
+first computation; a parse hit skips only the object check that
+identical content already passed.
 
 What depends on one module, complex or chain map is memoized on that
 object, and lives and dies with it: a module's stalk (functors.stalk),
 the table of its distinct blocks (a complex's or graded map's _blocks),
 the kernel and cokernel complexes of a chain map, a complex's exP / exI
-verdicts, its dual complex (complexes.dual) and the chain-map solves out
-of it (solver), and the homotopy-equivalence verdicts of the maps out of
-a complex (homotopy.homotopy_equivalence_certificate), keyed on the
-target object (held by the entry and compared by identity), the map's
-window, periods and blocks, and the full Options.  A remembered YES is
-checked again on every hit.
+verdicts, its dual, shifts and direct sums (complexes), the chain-map
+solves out of it (solver), and the homotopy-equivalence verdicts of the
+maps out of a complex (homotopy.homotopy_equivalence_certificate), keyed
+on the target object (held by the entry and compared by identity), the
+map's window, periods and blocks, and the full Options.  A remembered
+YES is checked again on every hit.
 """
 
 from __future__ import annotations
@@ -241,10 +241,12 @@ def regular_module(algebra: Algebra) -> Module:
 
 
 def direct_sum(modules: list) -> tuple:
-    """(sum, inclusions, projections)."""
+    """(sum, inclusions, projections) of modules over one algebra."""
     if not modules:
         raise ValueError("empty direct sum needs an algebra; use zero_module")
     A = modules[0].algebra
+    if any(m.algebra is not A for m in modules):
+        raise DimensionMismatch("direct sum across different algebras")
     dims = [m.dim for m in modules]
     total = sum(dims)
     action = []

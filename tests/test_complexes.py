@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import periodic_complex as T_j
-from conftest import (count_checks, equal_by_degrees, mismatched_cone, random_contractible,
-                      random_d2_complex, t_per_with_period_2_tails, truncated_polynomial)
+from conftest import (count_calls, count_checks, equal_by_degrees, mismatched_cone,
+                      random_contractible, random_d2_complex, t_per_with_period_2_tails,
+                      truncated_polynomial)
 from singeq import complexes, fixtures, formats, functors, linalg, modules, solver
 from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
                               homology, identity_chain_map, is_exact,
@@ -391,12 +392,17 @@ class TestCone:
             return len(calls[name]), len({tuple(id(b(n)) for b in blocks)
                                           for n in range(-20, 21)})
 
-        assert count(lambda: direct_sum_complex(fixtures.t_per(), fixtures.t_per()),
+        def fresh_sum(X, Y):
+            """direct_sum_complex of new copies of X and Y, so no kept sum
+            answers: a copy shares the terms of its original"""
+            return direct_sum_complex(dataclasses.replace(X), dataclasses.replace(Y))
+
+        assert count(lambda: fresh_sum(fixtures.t_per(), fixtures.t_per()),
                      "direct_sum", fixtures.t_per().term) == (1, 1)
         for Xs, maps in groups:
             for X in Xs:
                 for Y in Xs:
-                    made, distinct = count(lambda: direct_sum_complex(X, Y), "direct_sum",
+                    made, distinct = count(lambda: fresh_sum(X, Y), "direct_sum",
                                            X.term, Y.term)
                     assert made == distinct
             for f in maps:
@@ -807,3 +813,12 @@ class TestMismatchedOperands:
         S2b = functors.stalk(modules.Module(F2, 2, (linalg.eye(2),)))
         g2 = complexes.chain_map(S2b, S2b, {0: linalg.eye(2)})
         assert np.array_equal(compose(h, g2).component(0), linalg.eye(2))
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_direct_sum_across_algebras(self, monkeypatch, T2, order):
+        # raised by the first sum of two terms: no complex or map is built
+        X, Y = [fixtures.t_per(), functors.stalk(modules.regular_module(T2))][::order]
+        built = count_calls(monkeypatch, complexes.Complex, "build")
+        with pytest.raises(DimensionMismatch, match="direct sum across different algebras"):
+            direct_sum_complex(X, Y)
+        assert not built and Y not in X._built

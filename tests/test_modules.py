@@ -258,6 +258,13 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             modules.ModuleMap(Z, A, linalg.zeros(1, 0)).validate()
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_direct_sum_across_algebras(self, D2, T2, order):
+        # D2 has 2 action matrices and T2 3: neither order builds a sum
+        mods = [modules.regular_module(D2), modules.regular_module(T2)][::order]
+        with pytest.raises(DimensionMismatch, match="direct sum across different algebras"):
+            modules.direct_sum(mods)
+
 
 class TestSubmodule:
     def test_socle_of_regular_d2(self, A, k):

@@ -520,8 +520,11 @@ class TestKernelCokernelMemo:
         rng = random.Random(7)
         C = complexes.direct_sum_complex(complexes.reindex(contractible, -1),
                                          complexes.reindex(contractible, 2))[0]
-        f, g = (complexes.direct_sum_complex(random_d2_complex(rng, 3, 2), C)[1]
-                for _ in range(2))
+        # i composed with the identity: the inclusion i of a sum carries its
+        # kernel and cokernel, and this map, equal to i, computes them
+        f, g = (complexes.compose(identity_chain_map(i.target), i) for i in (
+            complexes.direct_sum_complex(random_d2_complex(rng, 3, 2), C)[1]
+            for _ in range(2)))
         fam = modelcat.default_family(f.source.algebra)
         flags = []
         for h in (f, g):
@@ -541,7 +544,8 @@ class TestMembershipMemo:
     def test_verdicts_live_and_die_with_the_complex(self, t_per):
         rng = random.Random(2)
         for make in (lambda: random_contractible(rng),
-                     lambda: complexes.reindex(t_per, 1),
+                     # a shift is kept by its source: shift a new copy of T_per
+                     lambda: complexes.reindex(dataclasses.replace(t_per), 1),
                      lambda: random_d2_complex(rng)):
             X = make()
             cold = (homotopy.is_exP(X), homotopy.is_exI(X))
