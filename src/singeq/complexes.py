@@ -399,20 +399,9 @@ class Complex:
         return {}
 
     @cached_property
-    def _equivalences(self) -> dict:
-        """homotopy.homotopy_equivalence_certificate of the maps out of this
-        complex: (target, verdict, payload of a YES certificate without its
-        map) under the target's id, the map's window, periods and blocks,
-        and the Options."""
-        return {}
-
-    @cached_property
     def _solved(self) -> weakref.WeakKeyDictionary:
-        """What the solver found for maps out of this complex: {target, held
-        weakly so its entries go with it: {key: entry}}; a chain-map basis
-        under the Options, a factorization or stable lift under (mode, ...,
-        Options), as the solver docstring says, and the plan of a check
-        walk under ("walk", ...) (_graded_checks)."""
+        """{target, held weakly: {key: entry}}, what was solved for maps out
+        of this complex; the modules docstring lists the entries."""
         return weakref.WeakKeyDictionary()
 
     @cached_property
@@ -779,12 +768,8 @@ def _graded_checks(S: Complex, T: Complex, k: int, maps: list, rhs: list | None 
     check range is that of the pair.  It reads g at n - 1 and n, reported
     from a + 1 for chain maps and from a for homotopies, whose walk starts
     at a - 1.  The components are read from each map's own table, or from
-    table, one stacked table of them all (ChainMap.validate).
-
-    The walk's plan (_Walk) is kept in S._solved[T] under ("walk", k,
-    whether there is a right-hand side, the objects' profiles) from the
-    second walk of that key on; every check reads the caller's maps on
-    every call."""
+    table, one stacked table of them all (ChainMap.validate).  The walk's
+    plan (_Walk) is kept as the module docstring says."""
     objects = [(g,) for g in maps] if rhs is None else list(zip(maps, rhs))
     one = {}  # equal profiles as one object, so that a kept key is small
     profiles = tuple([one.setdefault(q, q) for q in [tuple(map(_profile, o)) for o in objects]])
@@ -824,14 +809,20 @@ def _graded_checks(S: Complex, T: Complex, k: int, maps: list, rhs: list | None 
 def chain_map(source, target, components, clo=None, chi=None,
               neg=None, pos=None, checked=False) -> ChainMap:
     """The chain map, validated, or marked when the caller proves it (checked)."""
-    # one reduced copy per distinct block, so the window and tails share it
-    reduce = _once(lambda m: np.asarray(m, dtype=np.int64) % source.algebra.p)
-    components = {n: reduce(m) for n, m in components.items()}
-    neg, pos = [t and (t[0], tuple(map(reduce, t[1]))) for t in (neg, pos)]
     if clo is None:
         degs = sorted(components) or [0]
         clo, chi = degs[0], degs[-1]
-    return _settled(ChainMap(source, target, components, clo, chi, neg, pos), checked)
+    p = source.algebra.p
+    args = _blockwise(lambda m: np.asarray(m, dtype=np.int64) % p, components, clo, chi, neg, pos)
+    return _settled(ChainMap(source, target, *args), checked)
+
+
+def _blockwise(compute, components: dict, clo: int, chi: int, neg, pos) -> tuple:
+    """GradedMap arguments with compute run once per distinct block, so
+    the window and tails share each result."""
+    once = _once(compute)
+    return ({n: once(m) for n, m in components.items()}, clo, chi,
+            *[t and (t[0], tuple(map(once, t[1]))) for t in (neg, pos)])
 
 
 def _tail(period: int, blocks: tuple):

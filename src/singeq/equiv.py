@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approx, functors, homotopy, linalg, modelcat, modules, solver
-from .complexes import ChainMap, Complex, compose, dual, dual_chain_map
+from .complexes import ChainMap, Complex, chain_map, compose, dual, dual_chain_map
 from .config import Options
 from .errors import LiftError, ValidationError
 from .homotopy import UNKNOWN, Certificate
@@ -83,7 +83,8 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
             ], (X.term(0), SY))
             comps = sys.solve()
             if comps is not None:
-                yield sys.graded(comps)
+                args = sys.graded(comps)
+                yield chain_map(X, Y, *args), args
             if not sys.fold:
                 return
 
@@ -92,7 +93,8 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
         return homotopy.factors_through_projective(ModuleMap(SX, SY, diff))
 
     key = ("omega", phi.matrix.shape, phi.matrix.tobytes(), options)
-    f = solver._remembered(X, Y, key, (), found, holds)
+    f = solver._remembered(X, Y, key, (), found,
+                           lambda args: chain_map(X, Y, *args, checked=True), holds)
     if f is None:
         raise LiftError("PERIODIC-CLOSURE-FAILED: no stable lift within "
                         f"homotopy_period_bound={options.homotopy_period_bound}")

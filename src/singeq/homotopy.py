@@ -19,21 +19,19 @@ YES carries a certificate whose check passed (checked=True), and a found
 witness whose check fails gives UNKNOWN.  verify_certificate checks a
 certificate again whenever it is called.
 
-homotopy_equivalence_certificate decides each map once per target,
-value and Options, and memoizes the result on the source complex.  A
-remembered NO or UNKNOWN is returned as it is.  A remembered YES is
-checked again in every call, with the caller's map in place of the one
-it was solved for, so every YES carries a certificate checked against
-the caller's objects; if that check fails, the map is solved afresh.
+homotopy_equivalence_certificate remembers each decision; the modules
+docstring says where and how a hit is checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import functors, linalg, modules
 from .complexes import (ChainMap, Complex, Homotopy, _first_failure, _from_tables,
-                        _graded_checks, _lcm, _map_profile, _sample, _value, cone,
+                        _blockwise, _graded_checks, _lcm, _map_profile, _sample, _value, cone,
                         dual_chain_map, identity_chain_map, is_exact)
 # compose and FoldedSystem are unused here but stay importable from here,
 # which perfbench/selftest.py uses to test the tracer's alias rebinding
@@ -41,7 +39,7 @@ from .complexes import compose  # noqa: F401
 from .config import Options
 from .errors import ValidationError
 from .solver import FoldedSystem  # noqa: F401
-from .solver import graded_system, solve_module_map, window
+from .solver import _remembered, graded_system, solve_module_map, window
 
 YES = "YES"
 NO = "NO"
@@ -271,55 +269,55 @@ def homotopy_equivalence_certificate(
     f: ChainMap, options: Options = Options()
 ) -> EquivalenceResult:
     """Homotopy inverse with both homotopies, extracted from a cone
-    contraction; decided once per target, map value and Options, and
-    memoized on the source.  A remembered YES is checked again with f as
-    its map, and solved afresh if that check fails."""
+    contraction; solved once per target, map value and Options
+    (solver._remembered).  A remembered NO or UNKNOWN is returned as it
+    is; a remembered YES is rebuilt with f as its map and checked again."""
     X, Y = f.source, f.target
-    key = (id(Y), *_value(f), options)
-    hit = X._equivalences.get(key)
-    if hit is not None and hit[0] is Y:
-        _, verdict, payload = hit
-        if verdict != YES:
+
+    def rebuild(value):
+        verdict, parts = value
+        if parts is None:
             return EquivalenceResult(verdict)
-        cert = Certificate("homotopy-inverse", {**payload, "map": f})
-        if verify_certificate(cert):
-            return EquivalenceResult(YES, cert)
-    res = _equivalence(f, options)
-    # kept apart from the caller's certificate, which the caller may
-    # change, and without its map: each hit puts its caller's map in
-    payload = None if res.certificate is None else {
-        k: v for k, v in res.certificate.payload.items() if k != "map"}
-    X._equivalences[key] = (Y, res.verdict, payload)
-    return res
+        # copies of the kept blocks, so a caller's write cannot reach the entry
+        g, hX, hY = (_blockwise(np.ndarray.copy, *parts[k])
+                     for k in ("inverse", "homotopy_source", "homotopy_target"))
+        return EquivalenceResult(YES, Certificate("homotopy-inverse", {
+            "map": f, "inverse": ChainMap(Y, X, *g), "homotopy_source": Homotopy(X, X, *hX),
+            "homotopy_target": Homotopy(Y, Y, *hY), "contraction": parts["contraction"]}))
+
+    def holds(res):
+        return res.verdict != YES or verify_certificate(res.certificate)
+
+    def solve():
+        value = _equivalence(f, options)
+        yield rebuild(value), value
+        yield EquivalenceResult(UNKNOWN), (UNKNOWN, None)  # the found inverse failed its check
+
+    return _remembered(X, Y, ("equivalence", _value(f), options), (), solve, rebuild, holds)
 
 
-def _equivalence(f: ChainMap, options: Options) -> EquivalenceResult:
-    """homotopy_equivalence_certificate, solved."""
+def _equivalence(f: ChainMap, options: Options) -> tuple:
+    """(verdict, and for a YES the GradedMap arguments of the inverse g and
+    the homotopies hX, hY with the contraction of the cone, else None),
+    solved; homotopy_equivalence_certificate checks them."""
     C = cone(f)
     if not is_exact(C):
-        return EquivalenceResult(NO)
+        return NO, None
     X, Y = f.source, f.target
     for which in ("proj", "inj"):  # C_n = X_{n-1} + Y_n is in class when both are
         if X._membership.get(which) and Y._membership.get(which):
             C._membership[which] = True
     res = null_homotopy(identity_chain_map(C), options)
     if res.verdict != YES:
-        return EquivalenceResult(res.verdict)
+        return res.verdict, None
     s = res.homotopy
     p = X.algebra.p
     lo, hi, nq, pq = _map_profile(f, X, Y)
     sq = _lcm([nq, pq, s.neg_period, s.pos_period])
     lo, hi = min(lo, s.clo), max(hi, s.chi)
-
-    # validated once, stacked with f, by verify_certificate
-    g = ChainMap(Y, X, *_sample(lo, hi, lambda n: _cone_blocks(f, s, n)[1], sq, sq, p))
-    hX = Homotopy(X, X, *_sample(lo, hi, lambda n: _cone_blocks(f, s, n + 1)[0], sq, sq, p))
-    hY = Homotopy(Y, Y, *_sample(lo, hi, lambda n: -_cone_blocks(f, s, n)[3], sq, sq, p))
-    cert = Certificate("homotopy-inverse", {
-        "map": f, "inverse": g, "homotopy_source": hX, "homotopy_target": hY,
+    return YES, {
+        "inverse": _sample(lo, hi, lambda n: _cone_blocks(f, s, n)[1], sq, sq, p),
+        "homotopy_source": _sample(lo, hi, lambda n: _cone_blocks(f, s, n + 1)[0], sq, sq, p),
+        "homotopy_target": _sample(lo, hi, lambda n: -_cone_blocks(f, s, n)[3], sq, sq, p),
         "contraction": s,
-    })
-    if not verify_certificate(cert):
-        return EquivalenceResult(UNKNOWN)
-    return EquivalenceResult(YES, cert)
-
+    }

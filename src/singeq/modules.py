@@ -28,16 +28,29 @@ arrays are read-only, and every check a computation makes runs on its
 first computation; a parse hit skips only the object check that
 identical content already passed.
 
-What depends on one module, complex or chain map is memoized on that
-object, and lives and dies with it: a module's stalk (functors.stalk),
-the table of its distinct blocks (a complex's or graded map's _blocks),
-the kernel and cokernel complexes of a chain map, a complex's exP / exI
-verdicts, its dual, shifts and direct sums (complexes), the chain-map
-solves out of it (solver), and the homotopy-equivalence verdicts of the
-maps out of a complex (homotopy.homotopy_equivalence_certificate), keyed
-on the target object (held by the entry and compared by identity), the
-map's window, periods and blocks, and the full Options.  A remembered
-YES is checked again on every hit.
+The stores, each with its key, holder, lifetime and re-check rule.  The
+per-algebra memo above (_memo, the parse memo included) lives with its
+algebra; a value depends on its key alone and is not checked again.  A
+complex X holds, alive with it: _membership, its "exact", "proj" and
+"inj" verdicts; _dual, dual(X); _built, reindex(X, k) under k and
+direct_sum_complex(X, Y) under Y, an entry that holds Y while X lives;
+and _solved, the results for maps out of X under their target Y, held
+weakly, so an entry goes with Y and holds neither X nor Y.  There a
+chain-map basis is kept under the Options, and a factorization, stable
+lift or homotopy equivalence under its kind, the maps' values and the
+Options, as read-only GradedMap arguments (solver._remembered): a hit
+is rebuilt and checked again against the caller's maps, and solved
+afresh if the check fails; a basis hit takes no caller data, and a
+remembered NO or UNKNOWN is returned as it is.  _solved also keeps the
+plans of check walks (complexes._Walk), with no value and no result.
+A module keeps its stalk (M._stalk), and each complex or graded map
+its block table, and each chain map its kernel and cokernel; like X's
+verdicts, dual and constructions, they are built from frozen inputs and
+not checked again.  Four module-level dicts never shrink:
+functors._OMEGA_CACHE and _THETA_CACHE under id(X), holding X;
+approx._REPLACEMENT_CACHE under the algebra, the stalk module's action
+bytes, the family and the Options, whose hit rebuilds the map on the
+caller's stalk; and formats._ALGEBRA_INTERN under a document's content.
 """
 
 from __future__ import annotations
@@ -195,8 +208,8 @@ def _read_only(value):
         _read_only(value.action)
     elif isinstance(value, ModuleMap):
         _read_only(value.matrix)
-    elif isinstance(value, tuple):
-        for v in value:
+    elif isinstance(value, (tuple, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
             _read_only(v)
     elif hasattr(value, "_blocks"):  # a Complex or ChainMap: its distinct blocks
         _read_only(value._blocks.data)

@@ -41,18 +41,8 @@ that reads the kernel's per-degree stacks (FoldedSystem.table); each map
 keeps its own check range, so the errors are those of the maps checked
 one by one.
 
-Each chain-map solve is memoized per pair of complexes: in its source's
-store (Complex._solved) under its target, held weakly so an entry goes
-with it, then under a key that ends in the full Options.  A basis entry
-is the system without rows, with read-only kernel coefficients; a hit
-rebuilds fresh maps and marks them without a second check, as X and Y
-are frozen and no caller data enters.  factor_chain_map and
-equiv.lift_stable_map key on the mode and the maps' values, match the
-maps' complexes by identity, and store only a map found (_remembered); a
-hit is rebuilt the same way and post-checked against the caller's maps,
-or else solved again.  The same store holds the plans of the check walks
-of maps between the pair that run more than once (complexes._Walk):
-bookkeeping only, with no map value and no check result.
+Each chain-map solve is memoized per pair of complexes in its source's
+store (Complex._solved); the modules docstring lists the stores.
 """
 
 from __future__ import annotations
@@ -333,10 +323,9 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
     periodic-tailed maps with tail period map_period_bound * lcm of the
     tail periods, an explicit surrogate for the full hom space.
 
-    Memoized on X per Y (by identity, held weakly) and Options: an entry
-    is the system without its rows, with read-only kernel coefficients,
-    and a hit rebuilds fresh maps from it, marked without a second check
-    as no caller data enters it.  A call that raises stores nothing.
+    Memoized in X._solved[Y] under the Options: an entry is the system
+    without its rows, with read-only kernel coefficients, from which a hit
+    rebuilds fresh maps.  A call that raises stores nothing.
     """
     sys = X._solved.get(Y, {}).get(options)
     if sys is not None:
@@ -354,28 +343,29 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
     return basis, not sys.fold
 
 
-def _remembered(S: Complex, T: Complex, key: tuple, ends: tuple, found, holds):
-    """The first chain map S -> T from the GradedMap arguments found()
-    yields that passes holds, or None; memoized in S._solved[T] under key,
-    which names the complexes of ends by id (held weakly, matched by
-    identity).  A hit is rebuilt from read-only arguments, marked as a
-    basis hit is, and found again unless it passes holds."""
+def _remembered(S: Complex, T: Complex, key: tuple, ends: tuple, solve, rebuild, holds):
+    """The first result of solve() that passes holds, or None; memoized in
+    S._solved[T] under key, which names the complexes of ends by id (held
+    weakly, matched by identity).
+
+    solve() yields (result, value) pairs, value what an entry keeps of
+    result, made read-only; a result holds its own copies of the arrays a
+    caller may write.  A hit is rebuild(value), checked again by holds; if
+    the check fails, or a damaged entry raises, the result is solved
+    afresh and the entry overwritten."""
     entry = S._solved.get(T, {}).get(key)
     if entry is not None and all(r() is e for r, e in zip(entry[0], ends)):
         try:
-            g = chain_map(S, T, *entry[1], checked=True)
-            if holds(g):
-                return g
+            result = rebuild(entry[1])
+            if holds(result):
+                return result
         except ValidationError:
-            pass  # a damaged entry, found again below
-    for args in found():
-        g = chain_map(S, T, *args)  # copies every block, so args stay the solver's
-        if holds(g):
-            comps, _, _, neg, pos = args
-            for m in [*comps.values(), *(neg or (0, ()))[1], *(pos or (0, ()))[1]]:
-                m.flags.writeable = False
-            S._solved.setdefault(T, {})[key] = (tuple(map(weakref.ref, ends)), args)
-            return g
+            pass  # a damaged entry, solved again below
+    for result, value in solve():
+        if holds(result):
+            S._solved.setdefault(T, {})[key] = (tuple(map(weakref.ref, ends)),
+                                                modules._read_only(value))
+            return result
     return None
 
 
@@ -404,7 +394,8 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
             sys.add_equation(f.component(n), terms, (f.source.term(n), f.target.term(n)))
         comps = sys.solve()
         if comps is not None:
-            yield sys.graded(comps)
+            args = sys.graded(comps)
+            yield chain_map(S, T, *args), args
 
     def holds(g):
         composite = compose(through, g) if mode == "lift" else compose(g, through)
@@ -412,4 +403,7 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
 
     ends = (f.source, f.target, through.source, through.target)
     key = (mode, *map(id, ends), _value(f), _value(through), options)
-    return _remembered(S, T, key, ends, found, holds)
+    # a hit is marked as a basis hit is: its arguments passed chain_map's
+    # check on the same frozen S and T
+    return _remembered(S, T, key, ends, found,
+                       lambda args: chain_map(S, T, *args, checked=True), holds)

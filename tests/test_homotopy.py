@@ -12,8 +12,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (periodic_complex, random_combination, random_d2_complex,
-                      random_module, triangular_d2, truncated_polynomial)
+from conftest import (periodic_complex, random_combination, random_contractible,
+                      random_d2_complex, random_module, triangular_d2, truncated_polynomial)
 from singeq import (approx, cli, complexes, fixtures, functors, homotopy, linalg,
                     modelcat, modules, solver)
 from singeq.config import Options
@@ -469,6 +469,12 @@ def count_solves(monkeypatch) -> list:
     return calls
 
 
+def equivalence_entries(X, Y) -> dict:
+    """The remembered equivalences X -> Y, in X's store under Y."""
+    return {key: e for key, e in X._solved.get(Y, {}).items()
+            if isinstance(key, tuple) and key[0] == "equivalence"}
+
+
 class TestEquivalenceMemo:
     def test_a_hit_is_checked_against_the_callers_map(self, monkeypatch):
         X = fresh_t_per()
@@ -511,27 +517,51 @@ class TestEquivalenceMemo:
     def test_the_memo_does_not_keep_its_complex_alive(self):
         X = fresh_t_per()
         res = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
-        assert res.verdict == YES and X._equivalences
+        assert res.verdict == YES and equivalence_entries(X, X)
         ref = weakref.ref(X)
         del X, res
         gc.collect()
         assert ref() is None
 
+    def test_an_entry_keeps_no_target_alive(self, D2):
+        # one shared source, the zero complex, and five targets it certifies
+        rng = random.Random(71)
+        zero = complexes.zero_complex(D2)
+        targets = [random_contractible(rng) for _ in range(5)]
+        for X in targets:
+            res = homotopy.homotopy_equivalence_certificate(zero_chain_map(zero, X))
+            assert res.verdict == YES and equivalence_entries(zero, X)
+        refs = [weakref.ref(X) for X in targets]
+        del X, res, targets
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert not any(equivalence_entries(zero, Y) for Y in list(zero._solved))
+
     def test_a_corrupted_stored_inverse_is_solved_again(self, monkeypatch):
         X = fresh_t_per()
         cold = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
         cold_digest = cli.digest(cold.certificate)
-        (_, _, payload), = X._equivalences.values()
-        g = payload["inverse"]
-        n = g.clo
-        bad = ChainMap(g.source, g.target, {**g.components, n: (g.components[n] + 1) % 2},
-                       g.clo, g.chi, g.neg, g.pos)
-        payload["inverse"] = bad
-        assert not homotopy.verify_certificate(
-            homotopy.Certificate("homotopy-inverse", {**payload, "map": one_plus_x(X)}))
+        [(_, (verdict, parts))] = equivalence_entries(X, X).values()
+        comps = parts["inverse"][0]
+        block = comps[min(comps)]
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1
+        block.flags.writeable = True
+        block[0, 0] += 1
         solves = count_solves(monkeypatch)
         res = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
-        assert len(solves) == 1 and res.verdict == cold.verdict == YES
+        assert len(solves) == 1 and res.verdict == cold.verdict == verdict == YES
         assert cli.digest(res.certificate) == cold_digest
-        (_, _, now), = X._equivalences.values()
-        assert now["inverse"] is res.certificate.payload["inverse"] is not bad
+        # the entry was overwritten, and hits again
+        again = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
+        assert len(solves) == 1 and cli.digest(again.certificate) == cold_digest
+
+    def test_writing_into_a_returned_inverse_leaves_the_next_hit(self):
+        X, cold = fresh_t_per(), cold_equivalence_outcome(4)[1]
+        for _ in range(2):  # the cold call's certificate, then a hit's
+            cert = homotopy.homotopy_equivalence_certificate(one_plus_x(X)).certificate
+            before, g = cli.digest(cert), cert.payload["inverse"]
+            for m in [*g.components.values(), *(g.neg or (0, ()))[1], *(g.pos or (0, ()))[1]]:
+                m += 1
+            hit = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
+            assert cli.digest(hit.certificate) == before == cold
