@@ -21,7 +21,7 @@ import numpy as np
 from . import approx, equiv, fixtures, formats, functors, homotopy, modelcat, modules
 from .complexes import ChainMap, Complex, GradedMap
 from .config import default_options
-from .errors import (IsomorphismUndecided, LiftError, ParseError,
+from .errors import (AlgebraMismatch, IsomorphismUndecided, LiftError, ParseError,
                      PeriodicityError, SingeqError)
 from .homotopy import NO, UNKNOWN, YES, Certificate
 from .modules import Module, ModuleMap
@@ -212,6 +212,12 @@ def _load_family(path, algebra, options):
     doc = {"generators": [], "shift_range": options.shift_range, **formats.load_json(path)}
     gens = tuple(formats.load_complex(ref, path)
                  for ref in formats._list(doc, "generators", path))
+    for i, T in enumerate(gens):  # else a check fails deep inside, or passes
+        if T.algebra is not algebra:
+            raise AlgebraMismatch(
+                f"{path}: generator {i} lives over {_describe(T.algebra)}"
+                + " (another algebra of that name)" * (T.algebra.name == algebra.name)
+                + f", but the input over {_describe(algebra)}")
     return modelcat.GeneratorFamily(
         gens, formats._int(doc["shift_range"], "shift_range", path))
 

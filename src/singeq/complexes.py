@@ -476,10 +476,6 @@ class Complex:
 
 def zero_complex(algebra: Algebra) -> Complex:
     """The zero complex, checked by construction; one per algebra."""
-    return _zero(algebra)
-
-
-def _zero(algebra: Algebra) -> Complex:
     return modules._memo(algebra, ("zero", "complex"), lambda: Complex.build(
         algebra, 0, 0, {0: modules.zero_module(algebra)}, {}, checked=True))
 
@@ -851,13 +847,8 @@ def chain_map_from_callable(source, target, clo, chi, comp_fn,
 
 def identity_chain_map(X: Complex) -> ChainMap:
     eye = _once(lambda t: linalg.eye(t.dim))  # one per distinct term
-    comps = {n: eye(X.term(n)) for n in range(X.lo, X.hi + 1)}
-    neg = pos = None
-    if X.neg_tail:
-        neg = (X.neg_period, tuple(eye(t) for t in X.neg_tail.terms))
-    if X.pos_tail:
-        pos = (X.pos_period, tuple(eye(t) for t in X.pos_tail.terms))
-    return chain_map(X, X, comps, X.lo, X.hi, neg, pos, checked=True)
+    return chain_map_from_callable(X, X, X.lo, X.hi, lambda n: eye(X.term(n)),
+                                   X.neg_period, X.pos_period, checked=True)
 
 
 def zero_chain_map(X: Complex, Y: Complex) -> ChainMap:
@@ -1062,7 +1053,7 @@ def direct_sum_complex(X: Complex, Y: Complex):
     iX, iY, pX, pY = maps = (part(X, S, 1, 0), part(Y, S, 1, 1),
                              part(S, X, 2, 0), part(S, Y, 2, 1))
     if known:
-        zero = _zero(X.algebra)
+        zero = zero_complex(X.algebra)
         for i, p_i, p_j in ((iX, pX, pY), (iY, pY, pX)):
             # i includes one summand, p_i projects to it, p_j to the other
             object.__setattr__(i, "_kernel", (zero, zero_chain_map(zero, i.source)))

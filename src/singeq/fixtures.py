@@ -1,89 +1,82 @@
-"""Built-in desk-scale fixtures: F2, D2 = F_2[x]/(x^2), T2 = upper
-triangular 2x2 matrices over F_2, their standard modules, and the
-periodic complex T_per together with a contractible companion."""
+"""Built-in desk-scale fixtures, and the two builders of algebras they use:
+truncated_polynomial gives D_n = F_p[x]/(x^n), and upper_triangular
+gives T_2(A), the upper triangular 2x2 matrices over A.  F2, D2 and T2
+are D_1, D_2 and T_2(F2) over F_2; k, kF2, S1 and S2 are their simple
+modules (modules.simple_modules).  T_per over D2 is periodic, with a
+contractible companion."""
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
 
-from . import complexes
+from . import complexes, linalg
 from .algebra import Algebra, Field
 from .errors import ValidationError
-from .modules import Module, regular_module
+from .modules import Module, regular_module, simple_modules
 
 
-def _mat(rows):
-    return np.array(rows, dtype=np.int64)
+def truncated_polynomial(n: int, p: int, name: str) -> Algebra:
+    """D_n = F_p[x]/(x^n) in the basis 1, x, x^2, ..., x^(n-1), validated;
+    a new algebra on every call."""
+    mul = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n - i):
+            mul[i, j, i + j] = 1
+    labels = ("1", "x", *(f"x^{i}" for i in range(2, n)))[:n]
+    alg = Algebra(Field(p), n, labels, mul, linalg.eye(n)[0], (0,), tuple(range(1, n)), name)
+    alg.validate()
+    return alg
+
+
+# the matrix units e11, e22, e12 as (row, column)
+_UNITS = ((0, 0), (1, 1), (0, 1))
+
+
+def upper_triangular(A: Algebra, name: str) -> Algebra:
+    """T_2(A), validated and new on every call.  Basis element 3 i + u is
+    a_i e_u for a_i the i-th basis element of A and e_u = e11, e22, e12,
+    labelled like xe12 (a label "1" is dropped).  The idempotents are
+    e e11, e e22 for each idempotent e of A; the radical is spanned by r
+    e11, r e22 for r in rad A and by every a e12."""
+    n = 3 * A.dim
+    mul = np.zeros((n, n, n), dtype=np.int64)
+    for u, (r, c) in enumerate(_UNITS):
+        for v, (r2, c2) in enumerate(_UNITS):
+            if c == r2:  # (a e_rc)(b e_cc2) = ab e_rc2
+                mul[u::3, v::3, _UNITS.index((r, c2))::3] = A.mul
+    labels = tuple(("" if a == "1" else a) + e
+                   for a in A.basis_labels for e in ("e11", "e22", "e12"))
+    radical = sorted([3 * i + u for i in A.radical_basis for u in (0, 1)]
+                     + [3 * i + 2 for i in range(A.dim)])
+    alg = Algebra(A.field, n, labels, mul, np.kron(A.unit, [1, 1, 0]),
+                  tuple(3 * i + u for i in A.idempotents for u in (0, 1)),
+                  tuple(radical), name)
+    alg.validate()
+    return alg
 
 
 @lru_cache(maxsize=None)
 def F2() -> Algebra:
-    alg = Algebra(
-        field=Field(2),
-        dim=1,
-        basis_labels=("1",),
-        mul=np.ones((1, 1, 1), dtype=np.int64),
-        unit=_mat([1]),
-        idempotents=(0,),
-        radical_basis=(),
-        name="F2",
-    )
-    alg.validate()
-    return alg
+    return truncated_polynomial(1, 2, "F2")
 
 
 @lru_cache(maxsize=None)
 def D2() -> Algebra:
-    # basis (1, x) with x^2 = 0
-    mul = np.zeros((2, 2, 2), dtype=np.int64)
-    mul[0, 0, 0] = 1
-    mul[0, 1, 1] = 1
-    mul[1, 0, 1] = 1
-    alg = Algebra(
-        field=Field(2),
-        dim=2,
-        basis_labels=("1", "x"),
-        mul=mul,
-        unit=_mat([1, 0]),
-        idempotents=(0,),
-        radical_basis=(1,),
-        name="D2",
-    )
-    alg.validate()
-    return alg
+    return truncated_polynomial(2, 2, "D2")
 
 
 @lru_cache(maxsize=None)
 def T2() -> Algebra:
-    # basis (e11, e22, e12)
-    labels = ("e11", "e22", "e12")
-    mul = np.zeros((3, 3, 3), dtype=np.int64)
-    mul[0, 0, 0] = 1  # e11 e11 = e11
-    mul[1, 1, 1] = 1  # e22 e22 = e22
-    mul[0, 2, 2] = 1  # e11 e12 = e12
-    mul[2, 1, 2] = 1  # e12 e22 = e12
-    alg = Algebra(
-        field=Field(2),
-        dim=3,
-        basis_labels=labels,
-        mul=mul,
-        unit=_mat([1, 1, 0]),
-        idempotents=(0, 1),
-        radical_basis=(2,),
-        name="T2",
-    )
-    alg.validate()
-    return alg
+    return upper_triangular(F2(), "T2")
 
 
 @lru_cache(maxsize=None)
 def simple_k() -> Module:
     """The unique simple module over D2."""
-    m = Module(D2(), 1, (_mat([[1]]), _mat([[0]])), name="k")
-    m.validate()
-    return m
+    return dataclasses.replace(simple_modules(D2())[0], name="k")
 
 
 @lru_cache(maxsize=None)
@@ -93,32 +86,26 @@ def regular_D2() -> Module:
 
 @lru_cache(maxsize=None)
 def simple_k_F2() -> Module:
-    m = Module(F2(), 1, (_mat([[1]]),), name="k")
-    m.validate()
-    return m
+    return dataclasses.replace(simple_modules(F2())[0], name="k")
 
 
 @lru_cache(maxsize=None)
 def S1() -> Module:
     """Simple projective module of T2 (vertex e11)."""
-    m = Module(T2(), 1, (_mat([[1]]), _mat([[0]]), _mat([[0]])), name="S1")
-    m.validate()
-    return m
+    return dataclasses.replace(simple_modules(T2())[0], name="S1")
 
 
 @lru_cache(maxsize=None)
 def S2() -> Module:
     """Second simple module of T2; not projective."""
-    m = Module(T2(), 1, (_mat([[0]]), _mat([[1]]), _mat([[0]])), name="S2")
-    m.validate()
-    return m
+    return dataclasses.replace(simple_modules(T2())[1], name="S2")
 
 
 @lru_cache(maxsize=None)
 def t_per() -> complexes.Complex:
     """The 1-periodic exact complex ... -> A -x-> A -x-> A -> ... over D2."""
     A = regular_D2()
-    x = _mat([[0, 0], [1, 0]])  # left multiplication by x on basis (1, x)
+    x = np.array([[0, 0], [1, 0]], dtype=np.int64)  # left multiplication by x
     return complexes.Complex.build(
         algebra=D2(),
         lo=0,

@@ -146,10 +146,8 @@ def default_family(algebra, options: Options = Options()) -> GeneratorFamily:
     bound = options.gorenstein_bound
 
     def loose(alg):  # the simple modules of infinite projective dimension
-        tops = (modules.indecomposable_projective(alg, i)[0] for i in alg.idempotents)
-        simples = (modules.quotient_module(P, modules.radical_submodule_basis(P))[0]
-                   for P in tops)
-        return [S for S in simples if modules.projective_dimension(S, bound) is None]
+        return [S for S in modules.simple_modules(alg)
+                if modules.projective_dimension(S, bound) is None]
 
     def compute():
         if algebra is fixtures.D2():

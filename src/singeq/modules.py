@@ -435,6 +435,13 @@ def indecomposable_projective(algebra: Algebra, idem_index: int) -> tuple:
     return _memo(algebra, ("projective", idem_index), compute)
 
 
+def simple_modules(algebra: Algebra) -> list:
+    """The simple modules in idempotent order: the tops of the
+    indecomposable projectives."""
+    tops = (indecomposable_projective(algebra, i)[0] for i in algebra.idempotents)
+    return [quotient_module(P, radical_submodule_basis(P))[0] for P in tops]
+
+
 def projective_cover(M: Module) -> tuple:
     """(P, epi) with P a sum of indecomposable projectives covering M."""
     if M.dim == 0:

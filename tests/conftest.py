@@ -56,42 +56,15 @@ def contractible():
 
 
 def truncated_polynomial(n: int, p: int) -> algebra.Algebra:
-    """F_p[x]/(x^n) in the basis 1, x, ..., x^(n-1)."""
-    mul = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n - i):
-            mul[i, j, i + j] = 1
-    alg = algebra.Algebra(algebra.Field(p), n, tuple(f"x^{i}" for i in range(n)),
-                          mul, linalg.eye(n)[0], (0,), tuple(range(1, n)),
-                          name=f"D{n}/F{p}")
-    alg.validate()
-    return alg
+    """F_p[x]/(x^n) in the basis 1, x, ..., x^(n-1), named Dn/Fp."""
+    return fixtures.truncated_polynomial(n, p, f"D{n}/F{p}")
 
 
 def triangular_d2() -> algebra.Algebra:
     """T_2(D_2): upper triangular 2x2 matrices over F_2[x]/(x^2), in the
     basis x^a e for a = 0, 1 and e = e11, e22, e12.  It is 1-Gorenstein,
     not self-injective, and of infinite global dimension."""
-    units = ((0, 0), (1, 1), (0, 1))
-    basis = [(a, e) for a in range(2) for e in range(3)]
-    mul = np.zeros((6, 6, 6), dtype=np.int64)
-    for i, (a, e) in enumerate(basis):
-        for j, (b, f) in enumerate(basis):
-            (r, c), (r2, c2) = units[e], units[f]
-            if a + b < 2 and c == r2:
-                mul[i, j, basis.index((a + b, units.index((r, c2))))] = 1
-    labels = tuple(("x" if a else "") + ("e11", "e22", "e12")[e] for a, e in basis)
-    alg = algebra.Algebra(algebra.Field(2), 6, labels, mul, linalg.eye(6)[0] + linalg.eye(6)[1],
-                          (0, 1), (2, 3, 4, 5), name="T2(D2)")
-    alg.validate()
-    return alg
-
-
-def simple_modules(alg) -> list:
-    """The simple modules, one per idempotent, as tops of the projectives."""
-    tops = (modules.indecomposable_projective(alg, i)[0] for i in alg.idempotents)
-    return [modules.quotient_module(P, modules.radical_submodule_basis(P))[0]
-            for P in tops]
+    return fixtures.upper_triangular(fixtures.D2(), "T2(D2)")
 
 
 def named_algebra(name: str) -> algebra.Algebra:

@@ -5,9 +5,9 @@ import gc
 import numpy as np
 import pytest
 
-from conftest import simple_modules, triangular_d2
-from singeq import (algebra, approx, complexes, fixtures, functors, homotopy, linalg,
-                    modelcat, modules)
+from conftest import triangular_d2, truncated_polynomial
+from singeq import (approx, complexes, fixtures, functors, homotopy, linalg, modelcat,
+                    modules)
 from singeq.config import Options
 from singeq.errors import NotGorensteinError, PeriodicityError
 from singeq.homotopy import NO, UNKNOWN, YES
@@ -104,7 +104,7 @@ class TestCompleteResolution:
     def test_gorenstein_projectives_over_a_non_self_injective_algebra(self):
         # over T_2(D_2) injective envelopes of GP modules need not be
         # projective; the right half runs along add(A)-approximations
-        S1, S2 = simple_modules(triangular_d2())
+        S1, S2 = modules.simple_modules(triangular_d2())
         with pytest.raises(NotGorensteinError, match="not Gorenstein projective"):
             approx.complete_resolution(S2)
         for M in (S1, modules.syzygy(S2, 1)):
@@ -116,15 +116,7 @@ class TestCompleteResolution:
 @pytest.fixture(scope="module", params=[2, 3, 2 ** 26 - 5], ids=["F2", "F3", "Fmax"])
 def cubic(request):
     """F_p[x]/(x^3) in the basis 1, x, x^2; Fmax is the largest allowed p."""
-    n = 3
-    mul = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n - i):
-            mul[i, j, i + j] = 1
-    alg = algebra.Algebra(algebra.Field(request.param), n, ("1", "x", "x^2"), mul,
-                          linalg.eye(n)[0], (0,), (1, 2), name=f"D3/F{request.param}")
-    alg.validate()
-    return alg
+    return truncated_polynomial(3, request.param)
 
 
 class TestStalkReplacement:
@@ -187,7 +179,7 @@ class TestStalkReplacement:
     def test_simple_over_a_non_self_injective_algebra(self, which):
         # the simple of T_2(D_2) that is not GP: the GP approximation has
         # depth 1, and the default family has a generator per side
-        S = simple_modules(triangular_d2())[1]
+        S = modules.simple_modules(triangular_d2())[1]
         rep = approx.stalk_replacement(functors.stalk(S), which)
         assert rep.verdict == YES
         rep.triple.verify()

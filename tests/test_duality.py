@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (periodic_complex, random_chain_map, random_d2_complex,
-                      simple_modules, t_per_with_period_2_tails, triangular_d2,
-                      truncated_polynomial)
+                      t_per_with_period_2_tails, triangular_d2, truncated_polynomial)
 from singeq import (approx, complexes, equiv, fixtures, functors, homotopy, linalg, modelcat,
                     modules, solver)
 from singeq.complexes import dual, dual_chain_map, same_complex
@@ -128,7 +127,7 @@ class TestCompleteInjectiveResolution:
             inputs = [modules.dual_module(fixtures.simple_k())]
         else:
             op = modules._opposite_of(triangular_d2())
-            inputs = [modules.syzygy(S, 1) for S in simple_modules(op)]
+            inputs = [modules.syzygy(S, 1) for S in modules.simple_modules(op)]
         for M in inputs:
             J, mono = approx.complete_injective_resolution(M)
             ref, ref_mono = hand_built_injective_resolution(M)

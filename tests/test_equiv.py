@@ -7,8 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (count_solves, in_new_process, memo_digest, periodic_complex,
-                      simple_modules, triangular_d2, truncated_polynomial)
+from conftest import (count_solves, in_new_process, memo_digest, periodic_complex, triangular_d2,
+                      truncated_polynomial)
 from singeq import approx, complexes, equiv, fixtures, functors, homotopy, modelcat, modules
 from singeq.complexes import ChainMap, identity_chain_map, reindex
 from singeq.config import Options
@@ -244,7 +244,7 @@ class TestRoundTrip:
     def test_over_triangular_d2(self, side, i):
         alg = triangular_d2()
         if side == "P":
-            X, _ = approx.complete_resolution(modules.syzygy(simple_modules(alg)[i], 1))
+            X, _ = approx.complete_resolution(modules.syzygy(modules.simple_modules(alg)[i], 1))
         else:
             X = modelcat.default_family(alg).injective.generators[i]
         rt = equiv.verify_round_trip(X, side)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import count_calls, count_solves, simple_modules, triangular_d2
+from conftest import count_calls, count_solves, triangular_d2
 from singeq import approx, complexes, fixtures, formats, functors, homotopy, linalg, modules
 from singeq.complexes import zero_chain_map
 from singeq.cli import main
@@ -389,7 +389,7 @@ class TestExitCodes:
         # add(A)-approximations, not from non-projective injective envelopes
         alg = triangular_d2()
         (tmp_path / "t2d2.alg").write_text(json.dumps(formats.algebra_to_doc(alg)))
-        S = simple_modules(alg)[1]
+        S = modules.simple_modules(alg)[1]
         (tmp_path / "s.mod").write_text(json.dumps(formats.module_to_doc(S, "t2d2.alg")))
         stalk = tmp_path / "s.cx"
         stalk.write_text(json.dumps({"window": {"lo": 0, "hi": 0, "terms": ["s.mod"],
@@ -489,6 +489,32 @@ class TestExitCodes:
         path.write_text(json.dumps(family))
         argv = ["classify", fx("xid.map"), "--structure", "ctr", "--family", str(path)]
         assert main(argv) == 65
+
+    @pytest.mark.parametrize("argv", [
+        ["replace", fx("kstalk.cx"), "--which", "cofibrant-ctr"],
+        ["classify", fx("xid.map"), "--structure", "ctr"],
+    ], ids=["replace", "classify"])
+    @pytest.mark.parametrize("generator, names", [
+        ({"window": {"lo": 0, "hi": 0, "terms": ["S2"], "diffs": []}}, ("T2 of dim 3", "D2")),
+        ("tper-over-d2-file.cx", ("D2 of dim 2 (another algebra of that name)", "D2")),
+    ], ids=["T2-stalk", "T_per-over-a-D2-file"])
+    def test_65_family_over_another_algebra(self, tmp_path, capsys, argv, generator, names):
+        # the input lives over the built-in D2; a T2 stalk, or T_per over
+        # d2.alg loaded by path (an algebra object of its own), is named
+        # with both algebras, before any check runs on the family
+        with open(fx("tper.cx")) as fh:
+            doc = json.load(fh)
+        for part in (doc["window"], doc["neg_tail"], doc["pos_tail"]):
+            part["terms"] = [{"algebra": os.path.abspath(fx("d2.alg")), "dim": 2,
+                              "action": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]]}]
+        (tmp_path / "tper-over-d2-file.cx").write_text(json.dumps(doc))
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"generators": [generator]}))
+        assert main([*argv, "--family", str(path)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("error: AlgebraMismatch: ") and err.count("\n") == 1
+        assert (f"generator 0 lives over algebra {names[0]}, "
+                f"but the input over algebra {names[1]} of dim 2") in err
 
     @pytest.mark.parametrize("shift_range", [2.5, True, 2 ** 70],
                              ids=["fractional", "bool", "beyond-int64"])

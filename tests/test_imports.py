@@ -107,7 +107,6 @@ def test_the_cache_scan_finds_empty_dicts_at_module_level():
 # perfbench/ names, kept as documented entry points of the library.
 ENTRY_POINTS = {
     "complexes.is_quasi_isomorphism",  # a quasi-isomorphism test on the cone
-    "complexes.zero_complex",  # the zero object
     "formats.chain_map_to_doc",  # the writer of the chain-map format
 }
 

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import (equal_by_degrees, periodic_complex, simple_modules,
-                      t_per_with_period_2_tails, triangular_d2, truncated_polynomial)
+from conftest import (equal_by_degrees, periodic_complex, t_per_with_period_2_tails,
+                      triangular_d2, truncated_polynomial)
 from singeq import complexes, fixtures, functors, homotopy, modelcat, modules, solver
 from singeq.config import Options
 from singeq.errors import ValidationError
@@ -182,7 +182,7 @@ def orthogonality_inputs(alg, T):
     a simple stalk (null-homotopic maps come first in each basis), and a
     generator T with its shift T[1]."""
     A = functors.stalk(modules.regular_module(alg))
-    S = [functors.stalk(M) for M in simple_modules(alg)]
+    S = [functors.stalk(M) for M in modules.simple_modules(alg)]
     C = reindex(complexes.cone(identity_chain_map(A)), -1)
     return [A, *S, reindex(S[0], 2), complexes.direct_sum_complex(C, S[-1])[0],
             T, reindex(T, 1)]

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import (random_d2_module, random_invertible, random_module, simple_modules,
-                      triangular_d2, truncated_polynomial)
+from conftest import (random_d2_module, random_invertible, random_module, triangular_d2,
+                      truncated_polynomial)
 from singeq import fixtures, linalg, modules
 from singeq.config import Options
 from singeq.errors import DimensionMismatch, IsomorphismUndecided, ValidationError
@@ -605,7 +605,7 @@ class TestLeftProjectiveApproximation:
         else:
             n, p = request.param[1:].split("/F")
             alg = truncated_polynomial(int(n), int(p))
-        simples = simple_modules(alg)
+        simples = modules.simple_modules(alg)
         return ([*simples, *(modules.syzygy(S, 1) for S in simples)]
                 + [random_module(rng, alg) for _ in range(6)])
 
@@ -639,7 +639,7 @@ class TestLeftProjectiveApproximation:
         # over the 1-Gorenstein T_2(D_2) a module embeds in a projective when
         # it is GP; the second simple has no nonzero map to A at all, and
         # the first syzygies of both simples are GP
-        S1, S2 = simple_modules(triangular_d2())
+        S1, S2 = modules.simple_modules(triangular_d2())
         assert modules.left_projective_approximation(S1)[1].is_injective()
         assert not modules.left_projective_approximation(S2)[1].is_injective()
         for S in (S1, S2):
