@@ -4,6 +4,16 @@ An algebra is presented by structure constants together with a designated
 complete set of orthogonal idempotents and a basis of the Jacobson
 radical.  validate() checks all of it, so downstream code can rely on
 projective covers and radicals being pure linear algebra.
+
+validate() checks the shapes of the tensor and the unit, associativity,
+that the unit is one on both sides, that the idempotents are idempotent,
+orthogonal and sum to the unit, and that the radical basis indices avoid
+them and span a nilpotent two-sided ideal of codimension their number.
+Associativity is the relation a_i a_j = sum_k c_ijk a_k asked of the left
+multiplications (relation_failure), and Module.validate asks the same of
+its action matrices.  The other checks read slices of the tensor, plus
+one column-space step per power of the radical.  The relation check is
+one batched product per i, and still costs dim^5 at dimension dim.
 """
 
 from __future__ import annotations
@@ -70,103 +80,74 @@ class Algebra:
             self._left_mul[i] = (self.mul[i].T % self.p).copy()
         return self._left_mul[i]
 
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of two elements given by coordinate vectors."""
-        p = self.p
-        out = np.zeros(self.dim, dtype=np.int64)
-        for i in range(self.dim):
-            c = int(a[i]) % p
-            if c:
-                out = (out + c * ((self.left_multiplication(i) @ (b % p)) % p)) % p
-        return out
+    def relation_failure(self, a: np.ndarray):
+        """The first (i, j), in row-major order, at which the stack a
+        (dim x m x m) fails a_i a_j = sum_k c_ijk a_k mod p, or None.
+
+        One batched product per i: a_i against the whole stack, and the
+        row mul[i] against the stack flattened."""
+        p, n = self.p, self.dim
+        a = a % p
+        flat = a.reshape(n, -1)
+        for i in range(n):
+            lhs = (a[i] @ a).reshape(n, -1) % p
+            bad = (lhs != (self.mul[i] % p) @ flat % p).any(axis=1)
+            if bad.any():
+                return i, int(bad.argmax())
+        return None
 
     def validate(self) -> None:
-        p = self.p
-        n = self.dim
+        p, n = self.p, self.dim
         mul = self.mul % p
         if mul.shape != (n, n, n):
             raise ValidationError("structure constant tensor has wrong shape")
+        if np.shape(self.unit) != (n,):
+            raise ValidationError(f"unit has shape {np.shape(self.unit)}, not ({n},)")
         if any(not 0 <= i < n for i in (*self.idempotents, *self.radical_basis)):
             raise ValidationError("idempotent or radical index outside the basis")
-        # associativity: (b_i b_j) b_k == b_i (b_j b_k)
-        L = [self.left_multiplication(i) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                # L_i L_j should equal sum_k c[i,j,k] L_k
-                rhs = sum(int(mul[i, j, k]) * L[k] for k in range(n)) % p
-                lhs = (L[i] @ L[j]) % p
-                if not np.array_equal(lhs, rhs):
-                    raise ValidationError(f"multiplication not associative at ({i},{j})")
-        # unit
+        # associativity: L_i L_j == sum_k c[i,j,k] L_k on the left multiplications
+        bad = self.relation_failure(mul.transpose(0, 2, 1))
+        if bad is not None:
+            raise ValidationError(f"multiplication not associative at ({bad[0]},{bad[1]})")
+        # unit: sum_i u_i c[i,j,k] and sum_j u_j c[i,j,k] are both delta
         u = self.unit % p
-        umat = sum(int(u[i]) * L[i] for i in range(n)) % p
-        if not np.array_equal(umat, linalg.eye(n)):
+        eye = linalg.eye(n)
+        # (an algebra of dimension 0 is refused here)
+        if not n or not np.array_equal(np.tensordot(u, mul, 1) % p, eye):
             raise ValidationError("designated unit is not a left unit")
-        # right unit: b_i * u == b_i
-        for i in range(n):
-            if not np.array_equal((L[i] @ u) % p, self._basis_vector(i)):
-                raise ValidationError("designated unit is not a right unit")
-        # idempotents: orthogonal, idempotent, summing to the unit
-        for i in self.idempotents:
-            ei = self._basis_vector(i)
-            if not np.array_equal(self.multiply(ei, ei), ei):
+        if not np.array_equal(np.tensordot(mul, u, (1, 0)) % p, eye):
+            raise ValidationError("designated unit is not a right unit")
+        # idempotents: idempotent, orthogonal, summing to the unit
+        E = list(self.idempotents)
+        for i in E:
+            if not np.array_equal(mul[i, i], eye[i]):
                 raise ValidationError(f"basis element {i} is not idempotent")
-        for i in self.idempotents:
-            for j in self.idempotents:
-                if i != j:
-                    prod = self.multiply(self._basis_vector(i), self._basis_vector(j))
-                    if prod.any():
-                        raise ValidationError(f"idempotents {i},{j} not orthogonal")
-        esum = np.zeros(n, dtype=np.int64)
-        for i in self.idempotents:
-            esum = (esum + self._basis_vector(i)) % p
-        if not np.array_equal(esum, u):
+        bad = np.argwhere(mul[np.ix_(E, E)].any(axis=2) & np.not_equal.outer(E, E))
+        if len(bad):
+            raise ValidationError(f"idempotents {E[bad[0, 0]]},{E[bad[0, 1]]} not orthogonal")
+        if not np.array_equal(eye[E].sum(axis=0) % p, u):
             raise ValidationError("idempotents do not sum to the unit")
-        self._validate_radical()
-
-    def _validate_radical(self) -> None:
-        p = self.p
-        n = self.dim
         J = sorted(self.radical_basis)
         if set(J) & set(self.idempotents):
             raise ValidationError("radical basis overlaps the idempotents")
-        span = linalg.zeros(n, len(J))
-        for c, i in enumerate(J):
-            span[i, c] = 1
-        # two-sided ideal: b_i * r and r * b_i stay in span(J)
-        for i in range(n):
-            Li = self.left_multiplication(i)
-            for c, j in enumerate(J):
-                for v in (Li @ span[:, c], self.multiply(span[:, c], self._basis_vector(i))):
-                    if linalg.solve(span, v % p, p) is None:
-                        raise ValidationError("radical span is not a two-sided ideal")
-        # nilpotent: J^m = 0 for some m <= dim
-        layer = [span[:, c] for c in range(len(J))]
+        # two-sided ideal: b_i * r and r * b_i have no coordinate outside J
+        outside = np.ones(n, dtype=bool)
+        outside[J] = False
+        if mul[:, J][..., outside].any() or mul[J][..., outside].any():
+            raise ValidationError("radical span is not a two-sided ideal")
+        # nilpotent: J^m = 0 for some m <= dim; the columns of layer span J^m
+        layer = linalg.eye(n)[:, J]
         for _ in range(n + 1):
-            if not layer:
+            # v * b_j for each column v of layer and each j in J
+            products = (layer.T @ mul[:, J].reshape(n, -1)).reshape(-1, n).T % p
+            if not products.any():
                 break
-            nxt = []
-            for v in layer:
-                for c in range(len(J)):
-                    w = self.multiply(v, span[:, c])
-                    if w.any():
-                        nxt.append(w)
-            if not nxt:
-                layer = []
-                break
-            stacked = np.column_stack(nxt) % p
-            basis = linalg.column_space_basis(stacked, p)
-            layer = [basis[:, c] for c in range(basis.shape[1])]
+            layer = linalg.column_space_basis(products, p)
         else:
             raise ValidationError("radical span is not nilpotent")
         # split basic: dim A / rad A == number of idempotents
         if n - len(J) != len(self.idempotents):
             raise ValidationError("quotient by the radical is not split basic")
-
-    def _basis_vector(self, i: int) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[i] = 1
-        return v
 
     def opposite(self) -> "Algebra":
         """The opposite algebra; idempotents and radical carry over."""

@@ -97,7 +97,7 @@ import numpy as np
 
 from . import linalg, modules
 from .algebra import Algebra
-from .errors import DimensionMismatch, UnsupportedShape, ValidationError
+from .errors import AlgebraMismatch, DimensionMismatch, UnsupportedShape, ValidationError
 from .modules import Module, ModuleMap
 
 
@@ -451,8 +451,12 @@ class Complex:
         for n in range(self.lo, self.hi + 1):
             if n not in self.terms:
                 raise ValidationError(f"missing term at degree {n}")
-        a, b = self.check_range()
         B = self._blocks
+        for n, (t, _) in enumerate(B.data, B.lo - B.neg):  # every term (_Blocks)
+            if t.algebra is not self.algebra:
+                raise AlgebraMismatch(f"term at degree {n} lives over another algebra "
+                                      f"({t.algebra.name}) than the complex ({self.algebra.name})")
+        a, b = self.check_range()
         r = _Range.of(a, B)
         ns = r.walk(b)
         prev, cur = B.on([n - 1 for n in ns]), B.on(ns)

@@ -126,8 +126,7 @@ def algebra_from_doc(doc: dict, path=None) -> Algebra:
     basis = _list(doc, "basis", path)
     # everything the algebra reports, so two documents share one object
     # only when they describe the same algebra under the same names
-    key = (name, json.dumps(basis), p, mul.shape, mul.tobytes(), unit.tobytes(),
-           idempotents, radical)
+    key = (name, json.dumps(basis), p, _content(mul), _content(unit), idempotents, radical)
     if key in _ALGEBRA_INTERN:
         return _ALGEBRA_INTERN[key]
     alg = Algebra(

@@ -93,26 +93,12 @@ class Module:
         for i, m in enumerate(self.action):
             if m.shape != (self.dim, self.dim):
                 raise ValidationError(f"action matrix {i} has wrong shape")
-        unit = sum(int(A.unit[i]) * self.action[i] for i in range(A.dim))
-        unit = np.asarray(unit, dtype=np.int64) % p if self.dim else linalg.zeros(0, 0)
+        unit = np.tensordot(A.unit % p, self.stacked_action % p, 1) % p
         if not np.array_equal(unit, linalg.eye(self.dim)):
             raise ValidationError("unit does not act as the identity")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                lhs = (self.action[i] @ self.action[j]) % p
-                rhs = sum(int(A.mul[i, j, k]) * self.action[k] for k in range(A.dim))
-                rhs = np.asarray(rhs, dtype=np.int64) % p if self.dim else lhs
-                if not np.array_equal(lhs, rhs):
-                    raise ValidationError(f"action violates relation ({i},{j})")
-
-    def act(self, coords: np.ndarray) -> np.ndarray:
-        """Matrix by which the element with given coordinates acts."""
-        p = self.algebra.p
-        out = linalg.zeros(self.dim, self.dim)
-        for i in range(self.algebra.dim):
-            if coords[i] % p:
-                out = (out + int(coords[i]) * self.action[i]) % p
-        return out
+        bad = A.relation_failure(self.stacked_action)
+        if bad is not None:
+            raise ValidationError(f"action violates relation ({bad[0]},{bad[1]})")
 
     @cached_property
     def stacked_action(self) -> np.ndarray:
@@ -467,13 +453,9 @@ def _projective_cover(M: Module) -> tuple:
             v = linalg.solve(pi_top.matrix, t, p)
             m = (M.action[i] @ v) % p
             P, incl, _ = indecomposable_projective(A, i)
-            # inclusion basis columns are elements of A; act on m
-            col = linalg.zeros(M.dim, P.dim)
-            for j in range(P.dim):
-                a_coords = incl.matrix[:, j]
-                col[:, j] = (M.act(a_coords) @ m) % p
+            # column j is a_j m, for a_j the j-th inclusion basis column
             summands.append(P)
-            blocks.append(col)
+            blocks.append(((M.stacked_action @ m) % p).T @ incl.matrix)
     if not summands:
         raise ValidationError("nonzero module with zero top")
     S, _, _ = direct_sum(summands)

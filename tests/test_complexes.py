@@ -17,7 +17,7 @@ from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
                               homology, identity_chain_map, is_exact,
                               is_quasi_isomorphism, reindex, two_sided_split,
                               zero_chain_map, cokernel_complex)
-from singeq.errors import DimensionMismatch, ValidationError
+from singeq.errors import AlgebraMismatch, DimensionMismatch, ValidationError
 
 
 class TestHomology:
@@ -278,6 +278,22 @@ class TestValidationCoversEveryDegree:
         with pytest.raises(ValidationError, match=r"d\*d != 0 at degree -4$"):
             complexes.Complex.build(A.algebra, 0, 0, {0: A}, {}, neg_tail=tail,
                                     neg_seam=X_D2)
+
+    @pytest.mark.parametrize("where, degree", [("window", 1), ("neg_tail", -2),
+                                               ("pos_tail", 2)])
+    def test_a_term_over_another_algebra_is_named_by_degree(self, k, where, degree):
+        # S1 lives over T2 and k over D2; in a tail S1 is the block at offset 1
+        S1, zero = fixtures.S1(), np.zeros((1, 1), dtype=np.int64)
+        terms, tails = {0: k}, {}
+        if where == "window":
+            terms[1] = S1
+        else:
+            tails[where] = complexes.Tail(2, (k, S1), (zero, zero))
+            tails[where[:3] + "_seam"] = zero
+        with pytest.raises(AlgebraMismatch, match=f"^term at degree {degree} lives over "
+                           r"another algebra \(T2\) than the complex \(D2\)$"):
+            complexes.Complex.build(k.algebra, 0, len(terms) - 1, terms,
+                                    {1: zero} if len(terms) > 1 else {}, **tails)
 
 
 class TestStackedValidation:

@@ -463,6 +463,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(("parse error: " + str(bad), "error: ValidationError: "))
 
+    @pytest.mark.parametrize("unit, shape", [([1], "(1,)"), ([1, 0, 0], "(3,)"),
+                                             ([[1, 0]], "(1, 2)")],
+                             ids=["short", "long", "matrix"])
+    def test_65_unit_of_the_wrong_shape(self, tmp_path, capsys, unit, shape):
+        # the shipped D2 is interned first: a unit with its bytes but
+        # another shape must not resolve to it
+        formats.load_algebra(fx("d2.alg"))
+        with open(fx("d2.alg")) as fh:
+            doc = {**json.load(fh), "unit": unit}
+        bad = tmp_path / "bad.alg"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 65
+        assert capsys.readouterr().err == (
+            f"error: ValidationError: unit has shape {shape}, not (2,)\n")
+
+    @pytest.mark.parametrize("doc", [
+        {"window": {"lo": 0, "hi": 1, "terms": ["k", "S1"], "diffs": [[[0]]]}},
+        {"window": {"lo": 0, "hi": 0, "terms": ["k"], "diffs": []},
+         "pos_tail": {"period": 1, "terms": ["S1"], "diffs": [[[0]]]}},
+    ], ids=["window", "tail"])
+    def test_65_terms_over_another_algebra(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.cx"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 65
+        assert capsys.readouterr().err == (
+            "error: AlgebraMismatch: term at degree 1 lives over another algebra (T2) "
+            "than the complex (D2)\n")
+
     @pytest.mark.parametrize("doc, field", [
         ({"source": "T_per", "target": "T_per", "components": [[1]]}, "components"),
         ({"window": "lo hi terms diffs"}, "window"),
