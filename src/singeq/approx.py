@@ -102,7 +102,7 @@ def complete_resolution(M: Module, options: Options = Options()):
     A = M.algebra
     if M.is_projective:
         T = Complex.build(A, -1, 0, {0: M, -1: M}, {0: linalg.eye(M.dim)})
-        return T, _omega_witness(T, M)
+        return T, _omega_witness(T, M, modules.identity_map(M))
 
     (Ps, pis, _, kappas), i, j, psi = _tower(M, _syzygy, "syzygy", options)
     (Es, iotas, _, projs), s, t, phi = _tower(M, _cosyzygy, "cosyzygy", options,
@@ -132,15 +132,11 @@ def complete_resolution(M: Module, options: Options = Options()):
     return T, _omega_witness(T, M, pis[0])
 
 
-def _omega_witness(T: Complex, M: Module, pi0: ModuleMap | None = None) -> ModuleMap:
-    """Isomorphism omega(T) -> M descending the degree-0 data."""
+def _omega_witness(T: Complex, M: Module, pi0: ModuleMap) -> ModuleMap:
+    """Isomorphism omega(T) -> M descending pi0: T_0 -> M."""
     p = T.algebra.p
     OM, proj = functors.omega_data(T)
-    if pi0 is None:  # split-complex shortcut: T_0 = M, omega(T) = M
-        mat = linalg.solve_matrix(proj.matrix.T, linalg.eye(M.dim).T, p).T % p
-    else:
-        mat = linalg.solve_matrix(proj.matrix.T, pi0.matrix.T, p).T % p
-    iso = ModuleMap(OM, M, mat)
+    iso = ModuleMap(OM, M, linalg.solve_matrix(proj.matrix.T, pi0.matrix.T, p).T % p)
     iso.validate()
     if not iso.is_invertible():
         raise ValidationError("omega witness is not an isomorphism")

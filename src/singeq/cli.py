@@ -86,16 +86,19 @@ class Entry:
 
 @dataclass
 class Report:
+    """A command's entries; each entry's time runs from the previous add,
+    the first's from the report's creation at the command's start."""
+
     command: str
     seed: int
     entries: list = field(default_factory=list)
+    # the clock at the last add; looked up per report, as add looks it up
+    mark: float = field(default_factory=lambda: time.perf_counter())
 
-    def add(self, name, verdict, evidence=None, detail="", required=True,
-            started=None):
-        self.entries.append(Entry(
-            name, verdict, digest(evidence),
-            0.0 if started is None else time.perf_counter() - started,
-            detail, required))
+    def add(self, name, verdict, evidence=None, detail="", required=True):
+        self.entries.append(Entry(name, verdict, digest(evidence),
+                                  (now := time.perf_counter()) - self.mark, detail, required))
+        self.mark = now
 
     @property
     def overall(self) -> str:
@@ -182,10 +185,8 @@ def _describe(obj) -> str:
 def validate(ctx, file):
     """Check an algebra/module/complex/map file for well-formedness."""
     report = _report(ctx, f"validate {file}")
-    t0 = time.perf_counter()
     kind, obj = formats.load_any(file)
-    report.add(f"{kind} well-formed", YES, obj, detail=_describe(obj),
-               started=t0)
+    report.add(f"{kind} well-formed", YES, obj, detail=_describe(obj))
     return _emit(ctx, report)
 
 
@@ -200,9 +201,8 @@ _FUNCTORS = {"F": functors.apply_F, "G": functors.apply_G,
 def functor(ctx, which, file):
     """Apply a degree-zero functor to the complex in FILE."""
     report = _report(ctx, f"functor {which} {file}")
-    t0 = time.perf_counter()
     out = _FUNCTORS[which](formats.load_complex(file))
-    report.add(f"{which} applied", YES, out, detail=_describe(out), started=t0)
+    report.add(f"{which} applied", YES, out, detail=_describe(out))
     return _emit(ctx, report)
 
 
@@ -235,7 +235,6 @@ def classify(ctx, file, structure, family_path):
     report = _report(ctx, f"classify {file} --structure {structure}")
     f = formats.load_chain_map(file)
     fam = _load_family(family_path, f.source.algebra, options)
-    t0 = time.perf_counter()
     cls = modelcat.classify_map(f, structure, fam, options)
     # the entry verdict records whether the class was decided; the decision
     # itself ("is"/"is not") is the detail, since a map failing to be a
@@ -249,8 +248,7 @@ def classify(ctx, file, structure, family_path):
                   ("is" if flag.verdict == YES else "is not")
                   + (f" ({flag.reason})" if flag.reason else ""))
         report.add(name, YES if decided else UNKNOWN, flag.certificate,
-                   detail=detail, required=False, started=t0)
-        t0 = time.perf_counter()
+                   detail=detail, required=False)
     return _emit(ctx, report)
 
 
@@ -266,18 +264,13 @@ def replace(ctx, file, which, family_path):
     report = _report(ctx, f"replace {file} --which {which}")
     S = formats.load_complex(file)
     fam = _load_family(family_path, S.algebra, options)
-    t0 = time.perf_counter()
     rep = approx.stalk_replacement(S, which.replace("-", "_"), fam, options)
-    report.add("replacement built", YES, rep.object,
-               detail=_describe(rep.object), started=t0)
-    t0 = time.perf_counter()
+    report.add("replacement built", YES, rep.object, detail=_describe(rep.object))
     member = homotopy.is_exP if which == "cofibrant-ctr" else homotopy.is_exI
     ok = member(rep.object, options)
-    report.add("membership", YES if ok else NO, started=t0)
-    t0 = time.perf_counter()
+    report.add("membership", YES if ok else NO)
     surj = rep.map.is_epi() if which == "cofibrant-ctr" else rep.map.is_mono()
-    report.add("comparison map mono/epi", YES if surj else NO, rep.map,
-               started=t0)
+    report.add("comparison map mono/epi", YES if surj else NO, rep.map)
     report.add("upper piece orthogonal", _orth_verdict(rep.upper),
                rep.upper.certificate)
     report.add("lower piece orthogonal", _orth_verdict(rep.lower),
@@ -301,7 +294,6 @@ def verify_equivalence(ctx, file, side):
     options = ctx.obj["options"]
     report = _report(ctx, f"verify-equivalence {file}")
     X = formats.load_complex(file)
-    t0 = time.perf_counter()
     if side == "auto":
         if homotopy.is_exP(X, options):
             side = "P"
@@ -310,12 +302,11 @@ def verify_equivalence(ctx, file, side):
         else:
             report.add("membership", NO,
                        detail="input is neither an exact complex of "
-                              "projectives nor of injectives", started=t0)
+                              "projectives nor of injectives")
             return _emit(ctx, report)
-    report.add("membership", YES, detail=f"side {side}", started=t0)
-    t0 = time.perf_counter()
+    report.add("membership", YES, detail=f"side {side}")
     rt = equiv.verify_round_trip(X, side, options=options)
-    report.add("round trip", rt.verdict, rt.certificate, started=t0)
+    report.add("round trip", rt.verdict, rt.certificate)
     report.add("composite weak equivalence", rt.composite_check)
     return _emit(ctx, report)
 
@@ -331,29 +322,19 @@ def demo(ctx, name):
     options = ctx.obj["options"]
     report = _report(ctx, f"demo {name}")
     X = _DEMO_FIXTURES[name]()
-    t0 = time.perf_counter()
     d = modules.gorenstein_dimension(X.algebra, options.gorenstein_bound)
-    report.add("gorenstein base algebra", NO if d is None else YES,
-               detail=f"dimension {d}", started=t0)
-    t0 = time.perf_counter()
+    report.add("gorenstein base algebra", NO if d is None else YES, detail=f"dimension {d}")
     flags = modelcat.membership_flags(X, options)
-    report.add("input in exP and exI",
-               YES if flags.in_exP and flags.in_exI else NO, started=t0)
-    t0 = time.perf_counter()
+    report.add("input in exP and exI", YES if flags.in_exP and flags.in_exI else NO)
     eps = functors.counit(X)
     wk = modelcat.is_weak_equivalence(eps, "co", options=options)
-    report.add("counit weak equivalence", wk.verdict, wk.certificate,
-               started=t0)
-    t0 = time.perf_counter()
+    report.add("counit weak equivalence", wk.verdict, wk.certificate)
     rep = approx.stalk_replacement(functors.apply_F(X), "cofibrant_ctr",
                                    options=options)
-    report.add("cofibrant stalk replacement", rep.verdict, rep.object,
-               started=t0)
+    report.add("cofibrant stalk replacement", rep.verdict, rep.object)
     for side in ("P", "I"):
-        t0 = time.perf_counter()
         rt = equiv.verify_round_trip(X, side, options=options)
-        report.add(f"verify_round_trip side {side}", rt.verdict,
-                   rt.certificate, started=t0)
+        report.add(f"verify_round_trip side {side}", rt.verdict, rt.certificate)
         report.add(f"composite check side {side}", rt.composite_check)
     return _emit(ctx, report)
 

@@ -5,14 +5,15 @@ finite solve when one side is bounded, the stable syzygy criterion for
 totally acyclic complexes of projectives over a Gorenstein algebra (of
 injectives through the duality D), and a periodic-ansatz search otherwise.
 null_homotopies decides a list of maps with one source and one target
-jointly: the bounded solve, and each round m of the periodic search, is
-one elimination per window for all the maps still open, and what it
-finds is checked in one stacked call.  UNKNOWN is a value, never upgraded.
+jointly, in one loop of rounds m: each round is one elimination per
+window for all the maps still open, and what it finds is checked in one
+stacked call.  When a side is bounded the window is complete whatever m,
+so round 1 is the complete solve and the only round.  UNKNOWN is a value,
+never upgraded.
 
-The bounded solve and the periodic search both solve d s + s d = f in
-the system solver.graded_system builds with shift 1, on the window that
-solver.window gives with pad 2.  search_periodic_homotopy is one round of
-the search for one map.
+Each round solves d s + s d = f in the system solver.graded_system
+builds with shift 1, on the window that solver.window gives with pad 2.
+search_periodic_homotopy is one round of the search for one map.
 
 Each certificate is checked once, and the verdict follows the check: a
 YES carries a certificate whose check passed (checked=True), and a found
@@ -129,8 +130,7 @@ def _verify_inverse_payload(payload: dict) -> bool:
         return _from_tables(Z, Z, profile, lambda a, b: (b @ a - linalg.eye(b.shape[1])) % p,
                             first, second, checked=True)
 
-    return (verify_null_homotopy(minus_id(f, g, X), hX)
-            and verify_null_homotopy(minus_id(g, f, Y), hY))
+    return verify_null_homotopy(minus_id(f, g, X), hX, (minus_id(g, f, Y), hY))
 
 
 def _homotopies(maps: list, m: int) -> list:
@@ -205,49 +205,46 @@ def null_homotopies(maps: list, options: Options = Options()) -> list:
 
     Each system has a right-hand side per map and one elimination, which
     decides each map on its own: a map gets exactly the homotopy, or the
-    NO, its own solve gives.  The homotopies found by one round are checked
-    in one stacked verify_null_homotopy call.  Bounded side: one complete
-    solve, and if the check fails the homotopies give UNKNOWN.  Unbounded:
-    the stable criterion on each map (on D(f) when X and Y are in exI but
-    not both in exP), then for m = 1..homotopy_period_bound
-    one periodic solve per group of open maps that share their own window
-    (a map whose tails are zero has period 0 and a narrower fold); if the
-    stacked check fails the pairs are checked one by one, and a map whose
-    pair fails stays open for the next m.
+    NO, its own solve gives.  Unbounded: the stable criterion runs first on
+    each map (on D(f) when X and Y are in exI but not both in exP).  Then
+    round m, for m = 1..homotopy_period_bound, is one solve per group of
+    open maps that share their own window (a map whose tails are zero has
+    period 0 and a narrower fold).  The homotopies a round finds are
+    checked in one stacked verify_null_homotopy call; if it fails the
+    pairs are checked one by one, and a map whose pair fails stays open.
+    Bounded side: round 1 is the complete solve and the only round, so a
+    map with no solution is NO and a map whose pair fails is UNKNOWN.
     """
     if not maps:
         return []
     X, Y = maps[0].source, maps[0].target
     if any(f.source is not X or f.target is not Y for f in maps):
         raise ValueError("maps do not share one source and one target")
-    if X.bounded() or Y.bounded():
-        found = _homotopies(maps, 0)
-        pairs = [(f, s) for f, s in zip(maps, found) if s is not None]
-        ok = bool(pairs) and verify_null_homotopy(*pairs[0], *pairs[1:])
-        return [NullHomotopyResult(NO, strategy="bounded") if s is None
-                else _found(f, s, "bounded") if ok
-                else NullHomotopyResult(UNKNOWN, strategy="bounded")
-                for f, s in zip(maps, found)]
-    gorenstein = modules.gorenstein_dimension(X.algebra, options.gorenstein_bound) is not None
+    bounded = X.bounded() or Y.bounded()
+    gorenstein = not bounded and modules.gorenstein_dimension(
+        X.algebra, options.gorenstein_bound) is not None
     ctr = gorenstein and is_exP(X, options) and is_exP(Y, options)
     stable = ctr or gorenstein and is_exI(X, options) and is_exI(Y, options)
+    strategy = "bounded" if bounded else "stable+periodic" if stable else "periodic"
     out = [NullHomotopyResult(NO, strategy="stable") if stable
            and not stably_zero(f if ctr else dual_chain_map(f)) else None for f in maps]
-    for m in range(1, options.homotopy_period_bound + 1):
+    for m in range(1, (1 if bounded else options.homotopy_period_bound) + 1):
         groups = {}
         for i, f in enumerate(maps):
             if out[i] is None:
                 groups.setdefault(window(X, Y, [f], m, 2), []).append(i)
-        pairs = [(i, s) for idx in groups.values()
-                 for i, s in zip(idx, _homotopies([maps[i] for i in idx], m)) if s is not None]
-        checks = [(maps[i], s) for i, s in pairs]
+        found = [(i, s) for idx in groups.values()
+                 for i, s in zip(idx, _homotopies([maps[i] for i in idx], m))]
+        checks = [(maps[i], s) for i, s in found if s is not None]
         ok = bool(checks) and verify_null_homotopy(*checks[0], *checks[1:])
-        for i, s in pairs:
-            if ok or verify_null_homotopy(maps[i], s):
-                out[i] = _found(maps[i], s, "stable+periodic" if stable else "periodic")
+        for i, s in found:
+            if s is None and bounded:
+                out[i] = NullHomotopyResult(NO, strategy=strategy)
+            elif s is not None and (ok or verify_null_homotopy(maps[i], s)):
+                out[i] = _found(maps[i], s, strategy)
     # The stable criterion may say "homotopic to zero" without a
     # periodic-tailed witness inside the search bound; stay honest.
-    return [r or NullHomotopyResult(UNKNOWN, strategy="stable" if stable else "periodic")
+    return [r or NullHomotopyResult(UNKNOWN, strategy="stable" if stable else strategy)
             for r in out]
 
 

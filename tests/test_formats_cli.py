@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 from conftest import count_calls, count_solves, triangular_d2
-from singeq import approx, complexes, fixtures, formats, functors, homotopy, linalg, modules
+from singeq import (approx, cli, complexes, fixtures, formats, functors, homotopy, linalg,
+                    modules)
 from singeq.complexes import zero_chain_map
 from singeq.cli import main
 from singeq.config import default_options
@@ -206,6 +208,30 @@ class TestCli:
         for e in first["entries"] + second["entries"]:
             e.pop("time")
         assert first == second
+
+    @pytest.mark.parametrize("argv", [("classify", "xid.map", "--structure", "ctr"),
+                                      ("demo", "D2-Tper")], ids=["classify", "demo"])
+    def test_entry_times_add_up_to_the_command(self, capsys, monkeypatch, argv):
+        # a clock at 0 when the command starts, moving 1 s per reading and
+        # 100 s per input file read
+        now, readings = [0], []
+
+        def perf_counter():
+            readings.append(now[0])
+            now[0] += 1
+            return readings[-1]
+
+        def load_json(path, read=formats.load_json):
+            now[0] += 100
+            return read(path)
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=perf_counter))
+        monkeypatch.setattr(formats, "load_json", load_json)
+        assert main(["--format", "json", *[fx(a) if a.endswith(".map") else a
+                                           for a in argv]]) == 0
+        times = [e["time"] for e in json.loads(capsys.readouterr().out)["entries"]]
+        assert min(times) >= 0
+        assert sum(times) == readings[-1]  # the reading at the last entry
 
     def test_classify(self, capsys):
         assert main(["classify", fx("xid.map"), "--structure", "ctr"]) == 0

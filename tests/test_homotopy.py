@@ -142,9 +142,12 @@ def bits(h):
 
 
 def one_by_one(f, options=Options()):
-    """Reference for the unbounded side: the map-by-map loop that joint
-    decisions replaced.  (verdict, strategy, homotopy, m that found it)."""
+    """Reference: the map-by-map loop that joint decisions replaced.
+    (verdict, strategy, homotopy, m that found it)."""
     X, Y = f.source, f.target
+    if X.bounded() or Y.bounded():
+        s = homotopy.search_periodic_homotopy(f, 1)  # the complete solve
+        return (NO, "bounded", None, None) if s is None else (YES, "bounded", s, 1)
     gorenstein = modules.gorenstein_dimension(X.algebra, options.gorenstein_bound) is not None
     ctr = gorenstein and homotopy.is_exP(X) and homotopy.is_exP(Y)
     stable = ctr or gorenstein and homotopy.is_exI(X) and homotopy.is_exI(Y)
@@ -248,27 +251,34 @@ class TestJointUnbounded:
         assert sorted(solves) == sorted(expected)
 
     def test_a_failing_pair_leaves_the_others_yes(self, monkeypatch):
-        basis = max(kstalk_fibrant_co_bases(), key=len)
-        reference = [one_by_one(f) for f in basis]
-        bad = next(f for f, r in zip(basis, reference) if r[3] == 1 and not f.is_zero())
         homotopies = homotopy._homotopies
+        rng = random.Random(0)
+        bounded, _ = solver.chain_map_space_basis(random_d2_complex(rng), random_d2_complex(rng))
+        for basis in (max(kstalk_fibrant_co_bases(), key=len), bounded):
+            reference = [one_by_one(f) for f in basis]
+            assert [r[0] for r in reference].count(YES) >= 2
+            bad = next(f for f, r in zip(basis, reference) if r[3] == 1 and not f.is_zero())
 
-        def corrupted(maps, m):
-            found = homotopies(maps, m)
-            return [Homotopy(f.source, f.target, {}, 0, 0) if f is bad and m == 1 else s
-                    for f, s in zip(maps, found)]
+            def corrupted(maps, m, bad=bad):
+                found = homotopies(maps, m)
+                return [Homotopy(f.source, f.target, {}, 0, 0) if f is bad and m <= 1 else s
+                        for f, s in zip(maps, found)]
 
-        monkeypatch.setattr(homotopy, "_homotopies", corrupted)
-        for f, res, (verdict, strategy, s, _) in zip(basis, homotopy.null_homotopies(basis),
-                                                   reference):
-            if f is bad:
-                # its pair fails at m = 1, so it moves on to m = 2
-                assert res.verdict == YES
-                assert bits(res.homotopy) == bits(homotopy.search_periodic_homotopy(f, 2))
-                assert homotopy.verify_certificate(res.certificate)
-            else:
-                assert (res.verdict, res.strategy) == (verdict, strategy)
-                assert verdict != YES or bits(res.homotopy) == bits(s)
+            monkeypatch.setattr(homotopy, "_homotopies", corrupted)
+            for f, res, (verdict, strategy, s, _) in zip(
+                    basis, homotopy.null_homotopies(basis), reference, strict=True):
+                if f is bad and strategy == "bounded":
+                    # round 1 is the complete solve and the only round
+                    assert (res.verdict, res.strategy) == (UNKNOWN, "bounded")
+                    assert res.homotopy is None and res.certificate is None
+                elif f is bad:
+                    # its pair fails at m = 1, so it moves on to m = 2
+                    assert res.verdict == YES
+                    assert bits(res.homotopy) == bits(homotopy.search_periodic_homotopy(f, 2))
+                    assert homotopy.verify_certificate(res.certificate)
+                else:
+                    assert (res.verdict, res.strategy) == (verdict, strategy)
+                    assert verdict != YES or bits(res.homotopy) == bits(s)
 
 
 class TestVerifyNullHomotopy:
