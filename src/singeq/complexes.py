@@ -42,28 +42,27 @@ above them it equals the check at n - L', L' the lcm of the positive
 ones.  So the walk keeps the first L degrees of the range, the windows,
 and the first L' degrees after them.
 
-One engine runs the checks (_first_failure), and one walk feeds it the
-checks of graded maps g: S_n -> T_{n+k} (_graded_checks): the shapes, g a
-module map at every action index, and the equation, f d = d f for chain
-maps (ChainMap.validate) and d s + s d = f for null-homotopies
-(homotopy.verify_null_homotopy).  Maps that share one source and one
-target are walked once, over the union of their check ranges; each
-object's own range lies inside it and its periods divide the joint ones,
-so the joint walk runs a superset of each object's checks.  At each
-walked degree the blocks of the objects are stacked: read from each
-object's own table, or from one stacked table of them all whose block at
-a degree is already the array (objects x rows x cols), as
-solver.chain_map_space_basis has it from its kernel solve.  The degrees
-are grouped by the modules (intertwining) or the shapes (d*d = 0, the
-equation) they share.  Each group costs one array per operand and one
-batched product per side; intertwining tests every action index
-(modules.intertwining_residue, as ModuleMap.validate does), and over
-several objects multiplies out only the nonzero blocks.  Shapes are
-checked first, at every walked degree of every object.  A failing check
-is reported at the first degree of its object's own range that carries
-it (_Range.first), so an error names the same smallest failing degree,
-and for intertwining the same first failing action index, as a check of
-that object alone.
+One engine runs the checks (_first_failure), and one function walks the
+checks of graded maps g: S_n -> T_{n+k} and returns the first that fails
+(_check_walk): the shapes, then g a module map at every action index,
+then the equation, f d = d f for chain maps (ChainMap.validate) and
+d s + s d = f for null-homotopies (homotopy.verify_null_homotopy, which
+reaches it as complexes._check_walk: this module holds the only binding
+of either, so one patch here sees every check).  Maps that share one
+source and one target are walked once, over the union of their check
+ranges; each object's own range lies inside it and its periods divide
+the joint ones, so the joint walk runs a superset of each object's
+checks.  At each walked degree the blocks of the objects, read from
+each object's own table, are stacked.  The degrees are grouped by the
+modules (intertwining) or the shapes (d*d = 0, the equation) they share.
+Each group costs one array per operand and one batched product per side;
+intertwining tests every action index (modules.intertwining_residue, as
+ModuleMap.validate does), and over several objects multiplies out only
+the nonzero blocks.  Shapes are checked first, at every walked degree of
+every object.  A failing check is reported at the first degree of its
+object's own range that carries it (_Range.first), so an error names the
+same smallest failing degree, and for intertwining the same first
+failing action index, as a check of that object alone.
 
 Each walk has a plan (_Walk): the check ranges, the walked degrees, the
 shapes, the grouping by modules and by shapes, the differentials stacked
@@ -264,27 +263,28 @@ class _Stacked(list):
 
     def stack(self, g: int) -> np.ndarray:
         if g not in self._stacks:
-            self._stacks[g] = np.array([[self[i]] for i in self._groups[g][1]])
+            self._stacks[g] = _stack([self[i] for i in self._groups[g][1]])
         return self._stacks[g]
 
 
 def _first_failure(ranges, ns, keys, check, *columns):
-    """Smallest (degree, detail) over the checks that fail, or None.
+    """Smallest (degree, detail) over the checks that fail, or None; the
+    check engine, run only from this module (Complex.validate and
+    _check_walk).
 
     Each object, given by its check range in ranges, has one check at
     each walked degree of ns.  A column holds one operand per walked
-    degree: a matrix shared by the objects, a tuple of one matrix per
-    object (_per_degree), or the block of one stacked table, the objects'
-    matrices as one array (objects, rows, cols).  The walked degrees are
-    grouped by keys (the modules or shapes their operands share), and
-    check(key, *stacks) runs once per group on each column stacked, (g, 1,
-    rows, cols) when shared and (g, objects, rows, cols) otherwise.  It
-    returns an array (g, objects, details, ...) that is nonzero exactly
-    where a check fails: its residue mod p, whose details are rows, or for
-    intertwining one per action index.  A failing check is reported at
-    the first degree of its object's range that carries it, with its
-    first failing detail.  A group whose first operand has no rows or
-    whose last has no columns holds.
+    degree: a matrix shared by the objects, or a tuple of one matrix per
+    object (_per_degree).  The walked degrees are grouped by keys (the
+    modules or shapes their operands share), and check(key, *stacks) runs
+    once per group on each column stacked, (g, 1, rows, cols) when shared
+    and (g, objects, rows, cols) otherwise.  It returns an array (g,
+    objects, details, ...) that is nonzero exactly where a check fails:
+    its residue mod p, whose details are rows, or for intertwining one per
+    action index.  A failing check is reported at the first degree of its
+    object's range that carries it, with its first failing detail.  A
+    group whose first operand has no rows or whose last has no columns
+    holds.
 
     keys may be a _Keys, whose grouping is computed once, and a column a
     _Stacked, whose stacks are.
@@ -299,12 +299,23 @@ def _first_failure(ranges, ns, keys, check, *columns):
             last = last[0]
         if not (first.shape[-2] and last.shape[-1]):
             continue
-        stacks = [c.stack(g) if isinstance(c, _Stacked) else np.array([c[i] for i in idx])
-                  for c in columns]
-        bad = check(key, *[s if s.ndim == 4 else s[:, None] for s in stacks])
+        bad = check(key, *[c.stack(g) if isinstance(c, _Stacked) else _stack([c[i] for i in idx])
+                           for c in columns])
         failures += [(ranges[j].first(ns[idx[i]]), int(d))
                      for i, j, d, *_ in zip(*bad.nonzero())]
     return min(failures, default=None)
+
+
+def _stack(operands: list) -> np.ndarray:
+    """The operands of a group as one array (g, objects, rows, cols): each
+    a matrix, or a tuple of one matrix per object, all of one shape.  One
+    concatenate of the matrices, which costs less per matrix than
+    np.array of the tuples."""
+    if isinstance(operands[0], tuple):
+        objects, flat = len(operands[0]), [m for t in operands for m in t]
+    else:
+        objects, flat = 1, operands
+    return np.concatenate(flat).reshape(len(operands), objects, *flat[0].shape)
 
 
 def _per_degree(columns: list) -> list:
@@ -587,20 +598,14 @@ class ChainMap(GradedMap):
     # ChainMap(...) or replace
     _checked = False
 
-    def validate(self, *others: "ChainMap", table: _Blocks | None = None) -> None:
+    def validate(self, *others: "ChainMap") -> None:
         """Check this map and any others, each over its own check range.
 
         Maps that share a source and a target are walked once and their
         checks stacked, so a whole basis of chain maps costs one batched
         product per group and side.  Errors come in the order shape,
-        intertwining, commutation, each at its smallest failing degree.
-
-        table, for maps that share one source and one target, is one
-        stacked table of them all: a _Blocks whose block at each degree n
-        is the array (maps x rows x cols) of their components f_n.  Its
-        window and periods need not be any map's, but its blocks must be
-        theirs at every degree.  The checks then read it in place of the
-        maps' own tables, and raise the same errors.
+        intertwining, commutation, each at its smallest failing degree:
+        the least first failure (_check_walk) over the groups.
 
         Every map that passes is marked as checked.  Without a check, so
         are identity_chain_map, zero_chain_map, add_maps(f, g) of checked
@@ -617,20 +622,13 @@ class ChainMap(GradedMap):
             if f.source.algebra is not A or f.target.algebra is not A:
                 raise DimensionMismatch("chain map across different algebras")
             groups.setdefault((f.source, f.target), []).append(f)
-        if table is not None and len(groups) > 1:
-            raise ValueError("a stacked table needs maps with one source and one target")
-        shapes, twists, equations = zip(*[_graded_checks(S, T, 0, fs, table=table)
-                                          for (S, T), fs in groups.items()])
-        bad = min([n for n in shapes if n is not None], default=None)
+        bad = min(filter(None, [_check_walk(S, T, 0, fs) for (S, T), fs in groups.items()]),
+                  default=None)
         if bad is not None:
-            raise ValidationError(f"component at degree {bad} has wrong shape")
-        bad = min(filter(None, [_first_failure(*c) for c in twists]), default=None)
-        if bad is not None:
-            raise ValidationError(
-                f"component at degree {bad[0]} does not intertwine action {bad[1]}")
-        bad = min(filter(None, [_first_failure(*c) for c in equations]), default=None)
-        if bad is not None:
-            raise ValidationError(f"does not commute with d at degree {bad[0]}")
+            kind, n, i = bad
+            raise ValidationError((f"component at degree {n} has wrong shape",
+                                   f"component at degree {n} does not intertwine action {i}",
+                                   f"does not commute with d at degree {n}")[kind])
         for f in maps:
             _proven(f)
 
@@ -691,7 +689,7 @@ def _settled(x, checked: bool):
 
 
 class _Walk:
-    """The plan of one check walk of _graded_checks: everything but the
+    """The plan of one check walk of _check_walk: everything but the
     maps' values.  It depends only on S, T, k, whether there is a
     right-hand side, and the profile (window and tail periods) of each
     object, and holds no map value and no check result.
@@ -756,20 +754,20 @@ def _profile(g: GradedMap) -> tuple:
     return g.clo, g.chi, g.neg_period, g.pos_period
 
 
-def _graded_checks(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = None,
-                   table: _Blocks | None = None) -> tuple:
-    """The checks of graded maps g: S_n -> T_{n+k}, walked once over the
-    union of their check ranges: (smallest reported degree of a block of
-    the wrong shape, or None; _first_failure arguments of the check that
-    each g is a module map; _first_failure arguments of the equation).
+def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = None):
+    """The first failing check of graded maps g: S_n -> T_{n+k}, walked
+    once over the union of their check ranges, as (kind, degree, detail),
+    or None.  The kinds run in order, each only when the ones before it
+    pass: 0 a block of the wrong shape (detail 0), 1 a g that is no module
+    map (detail the first failing action index), 2 the equation (detail
+    the first failing row); each at its smallest reported degree.
 
     The equation is f d = d f for chain maps (k = 0, rhs None) and
     d s + s d = f for homotopies (k = 1, rhs the map f of each), whose
     check range is that of the pair.  It reads g at n - 1 and n, reported
     from a + 1 for chain maps and from a for homotopies, whose walk starts
-    at a - 1.  The components are read from each map's own table, or from
-    table, one stacked table of them all (ChainMap.validate).  The walk's
-    plan (_Walk) is kept as the module docstring says."""
+    at a - 1.  The walk's plan (_Walk) is kept as the module docstring
+    says."""
     objects = [(g,) for g in maps] if rhs is None else list(zip(maps, rhs))
     one = {}  # equal profiles as one object, so that a kept key is small
     profiles = tuple([one.setdefault(q, q) for q in [tuple(map(_profile, o)) for o in objects]])
@@ -784,26 +782,28 @@ def _graded_checks(S: Complex, T: Complex, k: int, maps: list, rhs: list | None 
         # on, so a walk made once keeps nothing but its key
         plans[key] = plan if key in plans else None
     ranges, ns = plan.ranges, plan.ns
-    if table is None:
-        G1 = [plan.read(g._blocks, 1) for g in maps]
-        bad = [_wrong_shape(ranges, ns, G1, plan.shapes)]
-        G0, G1 = _per_degree([plan.read(g._blocks, 0) for g in maps]), _per_degree(G1)
-    else:
-        G0, G1 = plan.read(table, 0), plan.read(table, 1)
-        # every map reads the same shape from the table
-        bad = [_wrong_shape(ranges, ns, [[m[0] for m in G1]] * len(maps), plan.shapes)]
-    p = S.algebra.p
-    if rhs is None:
-        equation = (lambda _, f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p,
-                    G0, plan.dS, plan.dT, G1)
-    else:
+    G1 = [plan.read(g._blocks, 1) for g in maps]
+    bad = [_wrong_shape(ranges, ns, G1, plan.shapes)]
+    if rhs is not None:
         F = [plan.read(f._blocks, 1) for f in rhs]
         bad.append(_wrong_shape(ranges, ns, F, plan.rhs_shapes))
-        equation = (lambda _, dT, s1, s0, dS, f: (dT @ s1 + s0 @ dS) % p - f,
-                    plan.dT, G1, G0, plan.dS, _per_degree(F))
-    return (min([n for n in bad if n is not None], default=None),
-            (ranges, ns, plan.twist_keys(T), _intertwining, G1),
-            (plan.eq_ranges, ns, plan.equations, *equation))
+    bad = min([n for n in bad if n is not None], default=None)
+    if bad is not None:
+        return 0, bad, 0
+    G1 = _per_degree(G1)
+    bad = _first_failure(ranges, ns, plan.twist_keys(T), _intertwining, G1)
+    if bad is not None:
+        return 1, *bad
+    G0, p = _per_degree([plan.read(g._blocks, 0) for g in maps]), S.algebra.p
+    if rhs is None:
+        bad = _first_failure(plan.eq_ranges, ns, plan.equations,
+                             lambda _, f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p,
+                             G0, plan.dS, plan.dT, G1)
+    else:
+        bad = _first_failure(plan.eq_ranges, ns, plan.equations,
+                             lambda _, dT, s1, s0, dS, f: (dT @ s1 + s0 @ dS) % p - f,
+                             plan.dT, G1, G0, plan.dS, _per_degree(F))
+    return bad and (2, *bad)
 
 
 def chain_map(source, target, components, clo=None, chi=None,

@@ -323,12 +323,15 @@ def chain_map_from_doc(doc: dict, path=None) -> ChainMap:
     tails = _require(doc.get("tail_components") or {}, (), path, "tail_components")
 
     def tail(side, degree):
-        """(period, blocks) of one tail; block i sits at degree(i)."""
+        """(period, blocks) of one tail, block i at degree(i), or None
+        when it has no blocks (period 0)."""
         _require(tails[side], ("period", "blocks"), path, side)
         period = _int(tails[side]["period"], "period", path)
         raw = _list(tails[side], "blocks", path)
         if len(raw) != period:
             raise _fail("tail blocks length must equal the period", path)
+        if not period:  # no blocks: an absent tail, as _tail_from_doc has it
+            return None
         return period, tuple(_mat(b, p, "blocks", path, shape(degree(i)))
                              for i, b in enumerate(raw))
 

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import functors, linalg, modules
-from .complexes import (ChainMap, Complex, Homotopy, _first_failure, _from_tables,
-                        _blockwise, _graded_checks, _lcm, _map_profile, _sample, _value, cone,
-                        dual_chain_map, identity_chain_map, is_exact)
+from . import complexes, functors, linalg, modules
+from .complexes import (ChainMap, Complex, Homotopy, _from_tables, _blockwise, _lcm,
+                        _map_profile, _sample, _value, cone, dual_chain_map,
+                        identity_chain_map, is_exact)
 # compose and FoldedSystem are unused here but stay importable from here,
 # which perfbench/selftest.py uses to test the tracer's alias rebinding
 from .complexes import compose  # noqa: F401
@@ -73,16 +73,17 @@ def verify_null_homotopy(f: ChainMap, s: Homotopy, *others: tuple) -> bool:
     """f_n == d s_n + s_{n-1} d at every degree of the pair's check range,
     for (f, s) and for each further (map, homotopy) pair in others.
 
-    One walk runs these checks and those of ChainMap.validate
-    (complexes._graded_checks, here for maps of degree 1).  The check
+    The walk of ChainMap.validate runs these checks, for maps of degree 1
+    (complexes._check_walk, which stops at the first failure).  The check
     range of a pair is the hull of the windows of f, s and their
     complexes, widened by 2q + 1 on each side, q the lcm of all their
     tail periods (complexes._check_range).  Pairs that share one source
     and one target are walked once, over the union of their ranges, which
-    runs a superset of each pair's checks.  Every shape is checked; then
-    each s_n is checked to be a module map at every action index, and
-    the equation at every entry, each stacked across the walked degrees
-    and the pairs, with one batched product per group and side.
+    runs a superset of each pair's checks; a failing walk ends the check.
+    Every shape is checked; then each s_n is checked to be a module map
+    at every action index, and the equation at every entry, each stacked
+    across the walked degrees and the pairs, with one batched product per
+    group and side.
     """
     p = f.source.algebra.p
     groups = {}
@@ -90,10 +91,8 @@ def verify_null_homotopy(f: ChainMap, s: Homotopy, *others: tuple) -> bool:
         if g.source.algebra.p != p:
             return False
         groups.setdefault((g.source, g.target), []).append((g, h))
-    checks = (_graded_checks(X, Y, 1, [h for _, h in pairs], [g for g, _ in pairs])
-              for (X, Y), pairs in groups.items())
-    return all(shape is None and _first_failure(*twist) is None
-               and _first_failure(*equation) is None for shape, twist, equation in checks)
+    return all(complexes._check_walk(X, Y, 1, [h for _, h in pairs], [g for g, _ in pairs])
+               is None for (X, Y), pairs in groups.items())
 
 
 def verify_certificate(cert: Certificate) -> bool:

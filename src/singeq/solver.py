@@ -36,10 +36,10 @@ past the complexes' windows the folded equations repeat with the same
 unknowns and blocks, and a repeat adds only rows already there, so the
 system is row-equivalent to the one with every equation (the same
 reduced form, kernel basis and particular solutions, bit for bit).
-chain_map_space_basis checks its basis in one ChainMap.validate call
-that reads the kernel's per-degree stacks (FoldedSystem.table); each map
-keeps its own check range, so the errors are those of the maps checked
-one by one.
+chain_map_space_basis checks its basis in one ChainMap.validate call,
+which reads each map's own block table, the one that the map's next user
+(graded_system, complexes.add_maps) reads too; each map keeps its own
+check range, so the errors are those of the maps checked one by one.
 
 Each chain-map solve is memoized per pair of complexes in its source's
 store (Complex._solved); the modules docstring lists the stores.
@@ -52,7 +52,7 @@ import weakref
 import numpy as np
 
 from . import linalg, modules
-from .complexes import (ChainMap, Complex, _Blocks, _lcm, _proven, _value, add_maps, chain_map,
+from .complexes import (ChainMap, Complex, _lcm, _proven, _value, add_maps, chain_map,
                         compose)
 from .config import Options
 from .errors import ValidationError
@@ -235,22 +235,6 @@ class FoldedSystem:
         return [({n: m[j] for n, m in window.items()}, self.lo, self.hi, neg, pos)
                 for j, (neg, pos) in enumerate(zip(*tails))]
 
-    def table(self, stacks: dict, X: Complex, Y: Complex) -> _Blocks:
-        """The stacked table (ChainMap.validate) of the solutions
-        of stacks as chain maps X -> Y: at each degree n, the stack that n
-        folds to, or zeros outside an unfolded window.  Its window is the
-        hull of the system's and those of X and Y; below and above it the
-        blocks repeat with the fold, or unfolded with the lcm of X's and
-        Y's tail periods, as the zero blocks' shapes do."""
-        k = len(stacks[self.lo])
-        lo, hi = min(self.lo, X.lo, Y.lo), max(self.hi, X.hi, Y.hi)
-        q = self.fold or _lcm([X.neg_period, Y.neg_period])
-        qp = self.fold or _lcm([X.pos_period, Y.pos_period])
-        return _Blocks(lo, hi, q, qp, tuple(
-            np.zeros((k, Y.term(n).dim, X.term(n).dim), dtype=np.int64)
-            if (r := self.rep(n)) is None else stacks[r]
-            for n in range(lo - q, hi + qp + 1)))
-
 
 def solve_module_map(pairs: list, rhs: np.ndarray, terms: list, pair: tuple):
     """u_0 of module maps u_k: pairs[k] = (source, target) with
@@ -332,11 +316,9 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
         return [_proven(ChainMap(X, Y, *args))
                 for args in sys.graded_each(sys._stacks(sys.kernel_coeffs))], not sys.fold
     sys = graded_system(X, Y, 0, *window(X, Y, (), options.map_period_bound, 1))
-    stacks = sys.kernel()
-    basis = [ChainMap(X, Y, *args) for args in sys.graded_each(stacks)]
+    basis = [ChainMap(X, Y, *args) for args in sys.graded_each(sys.kernel())]
     if basis:
-        # the whole basis in one check, read from the kernel's own stacks
-        basis[0].validate(*basis[1:], table=sys.table(stacks, X, Y))
+        basis[0].validate(*basis[1:])  # the whole basis in one check
     # the rows and column cache are the bulk, and the cache holds X's and Y's blocks
     sys.rows, sys.rhs, sys._columns = [], [], {}
     X._solved.setdefault(Y, {})[options] = sys

@@ -429,6 +429,22 @@ class TestExitCodes:
         path.write_text(json.dumps(formats.chain_map_to_doc(f)))
         assert main(["classify", str(path), "--structure", structure]) in (0, 1, 2)
 
+    @pytest.mark.parametrize("side", ["neg", "pos"])
+    def test_0_a_map_tail_of_period_0_is_absent(self, tmp_path, capsys, side):
+        # a tail with no blocks loads as no tail, as a complex's tail does
+        with open(fx("xid.map")) as fh:
+            doc = {**json.load(fh), "source": fx("tper.cx"), "target": fx("tper.cx")}
+        tails = doc["tail_components"]
+
+        def digest(tails):
+            path = tmp_path / "tails.map"
+            path.write_text(json.dumps({**doc, "tail_components": tails}))
+            assert main(["--format", "json", "validate", str(path)]) == 0
+            return json.loads(capsys.readouterr().out)["entries"][0]["digest"]
+
+        without = {k: v for k, v in tails.items() if k != side}
+        assert digest({**tails, side: {"period": 0, "blocks": []}}) == digest(without)
+
     def test_1_no(self, capsys):
         assert main(["verify-equivalence", fx("kstalk.cx")]) == 1
 

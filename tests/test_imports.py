@@ -62,6 +62,28 @@ def test_the_scan_finds_an_unused_import_and_honours_noqa():
     assert unused_imports(source) == [(1, "field")]
 
 
+# The check engine and the walk that drives it are bound in complexes
+# alone, so that one patch of either there sees every check: other modules
+# reach the walk as complexes._check_walk.
+ENGINE = {"_first_failure", "_check_walk"}
+
+
+def imported_names(source: str) -> set:
+    """Every name the source imports from a module."""
+    return {a.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            for a in node.names}
+
+
+def test_only_complexes_binds_the_check_engine():
+    found = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "singeq", "*.py"))):
+        with open(path) as fh:
+            bound = imported_names(fh.read()) & ENGINE
+        if bound:
+            found[os.path.basename(path)] = sorted(bound)
+    assert found == {}
+
+
 # The module-level dicts of src/singeq: caches that the benchmark reads by
 # name.  Every other cache lives on the object it describes (see modules).
 MODULE_CACHES = {"functors._OMEGA_CACHE", "functors._THETA_CACHE",

@@ -46,8 +46,7 @@ def engine_results(check) -> list:
         return results[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (complexes, homotopy):
-            mp.setattr(mod, "_first_failure", first_failure)
+        mp.setattr(complexes, "_first_failure", first_failure)
         return [check(), results]
 
 

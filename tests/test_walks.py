@@ -139,8 +139,7 @@ def recorded(check):
         return real(ranges, ns, keys, test, *columns)
 
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (complexes, homotopy):
-            mp.setattr(mod, "_first_failure", first_failure)
+        mp.setattr(complexes, "_first_failure", first_failure)
         check()
     return seen
 
@@ -476,6 +475,39 @@ class TestJointChecks:
                 with pytest.raises(ValidationError) as err:
                     maps[0].validate(*maps[1:])
                 assert str(err.value) == alone
+
+    def test_errors_compare_by_kind_then_degree_across_groups(self, t_per):
+        # maps with other ends are walked apart; the error raised is the
+        # first kind (shape, intertwining, commutation) that fails in any
+        # group, at its smallest degree over the groups
+        X, Y = t_per, complexes.reindex(t_per, 1)
+        unit = linalg.zeros(2, 2)
+        unit[0, 0] = 1  # no module map: it does not commute with x
+
+        def only(Z, n, m):
+            return ChainMap(Z, Z, {n: m}, n, n)
+
+        cases = [((only(X, 3, linalg.zeros(1, 1)), only(Y, -2, linalg.eye(2))),
+                  "component at degree 3 has wrong shape"),
+                 ((only(X, 4, unit), only(Y, 1, unit)),
+                  "component at degree 1 does not intertwine action 1"),
+                 ((only(X, 1, unit), only(Y, 4, unit)),
+                  "component at degree 1 does not intertwine action 1")]
+        for maps, message in cases:
+            for f, g in (maps, maps[::-1]):
+                with pytest.raises(ValidationError) as err:
+                    f.validate(g)
+                assert str(err.value) == message
+        # alone, each map fails at its own degree: the shape error beats a
+        # smaller one
+        alone = []
+        for f in [f for maps, _ in cases for f in maps]:
+            with pytest.raises(ValidationError) as err:
+                f.validate()
+            alone.append(str(err.value).split(" at degree ")[1])
+        assert alone == ["3 has wrong shape", "-2", "4 does not intertwine action 1",
+                         "1 does not intertwine action 1", "1 does not intertwine action 1",
+                         "4 does not intertwine action 1"]
 
     def test_one_corrupted_homotopy_fails_the_joint_check(self, htpy_bases):
         rng = random.Random(3)
