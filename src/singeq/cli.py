@@ -44,13 +44,9 @@ def _digest_bytes(obj, h) -> None:
         h.update(str(obj.dim).encode())
         for a in obj.action:
             _digest_bytes(a, h)
-    elif isinstance(obj, GradedMap):
-        for n in range(obj.clo, obj.chi + 1):
-            _digest_bytes(obj.component(n), h)
-        for tail in (obj.neg, obj.pos):
-            if tail is not None:
-                for b in tail[1]:
-                    _digest_bytes(b, h)
+    elif isinstance(obj, GradedMap):  # its window, then each tail's blocks
+        for b in [*obj.components.values(), *(obj.neg or (0, ()))[1], *(obj.pos or (0, ()))[1]]:
+            _digest_bytes(b, h)
     elif isinstance(obj, Complex):
         for n in range(obj.lo, obj.hi + 1):
             _digest_bytes(obj.term(n), h)

@@ -6,9 +6,9 @@ Everything outside the window is reached through the term/diff accessors,
 which fold degrees into the periodic blocks.
 
 Each complex and each graded map describes its distinct blocks once, in a
-read-only table cached on the object (_Blocks): its data on the window,
-the seams and one period of each tail.  The accessors read this table,
-and its size depends only on the object.
+read-only table (_Blocks): its data on the window, the seams and one
+period of each tail, built on first use (Complex) or with the map
+(GradedMap).  The accessors read it, and its size depends only on the object.
 
 Checked by construction.  A Complex or ChainMap that passed its check
 carries the fact (_checked; never set by the dataclass constructor or
@@ -75,8 +75,8 @@ walk of its key on; a walk made once keeps only its key.
 
 add_maps and compose compute their result from the operands' block
 tables, one array operation per group of distinct blocks of one shape,
-and hand the result the table they computed when it is the one
-GradedMap._blocks would build.
+into the result's table.  A tail of zero blocks that a producer samples
+or computes is no tail (_tail); a constructor keeps the tails it gets.
 
 dual gives D(X) = Hom_k(X, k) over the opposite algebra, once per complex,
 and dual_chain_map D(f).  The injective side derives from the projective
@@ -542,51 +542,56 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
 # -- chain maps and homotopies -----------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GradedMap:
-    """Shared shape for chain maps (shift 0) and homotopies (shift +1)."""
+    """A graded map S_n -> T_{n+shift}: chain maps (shift 0) and
+    homotopies (shift +1).  It holds one form: its window clo..chi, its
+    block table (_blocks) and its own tail periods (0 where it has none),
+    built once by _table, or kept and handed over (_of).  components, neg
+    and pos are read-only views of the table, and dataclass fields, so
+    dataclasses.replace makes a new, unmarked map from them."""
 
     source: Complex
     target: Complex
     components: dict  # degree -> matrix on window clo..chi
     clo: int
     chi: int
-    neg: tuple | None = None  # (period, blocks) for degrees < clo
-    pos: tuple | None = None  # (period, blocks) for degrees > chi
-    shift: int = 0
+    neg: tuple | None  # (period, blocks) for degrees < clo
+    pos: tuple | None  # (period, blocks) for degrees > chi
+    shift = 0
 
-    @cached_property
-    def _blocks(self) -> _Blocks:
-        """Component at lo - q .. hi + q' over the hull lo..hi of the map's
-        window and its complexes' windows.  q is the map's own negative tail
-        period, or where it has none the lcm of its complexes' ones, with
-        which its zero blocks repeat; likewise q' on the positive side."""
-        S, T, k = self.source, self.target, self.shift
-        clo, chi, neg, pos = self.clo, self.chi, self.neg, self.pos
-        lo, hi = min(clo, S.lo, T.lo - k), max(chi, S.hi, T.hi - k)
-        q = neg[0] if neg else _lcm([S.neg_period, T.neg_period])
-        qp = pos[0] if pos else _lcm([S.pos_period, T.pos_period])
-        get = self.components.get
-        data = [neg[1][(clo - 1 - n) % q] if n < clo and neg
-                else pos[1][(n - chi - 1) % qp] if n > chi and pos
-                else get(n) if clo <= n <= chi else None
-                for n in range(lo - q, hi + qp + 1)]
-        for i, m in enumerate(data):
-            if m is None:
-                n = lo - q + i
-                data[i] = modules.zero_block(S.algebra, T.term(n + k).dim, S.term(n).dim)
-        return _Blocks(lo, hi, q, qp, tuple(data))
+    def __new__(cls, source, target, components, clo, chi, neg=None, pos=None):
+        outside = [n for n in components if not clo <= n <= chi]
+        if outside:
+            raise ValidationError(
+                f"component at degree {min(outside)} lies outside the window {clo}..{chi}")
+        return cls._of(source, target, clo, chi, *_table(source, target, cls.shift, clo, chi, [
+            components.get(n) for n in range(clo, chi + 1)], neg, pos))
+
+    @classmethod
+    def _of(cls, source, target, clo, chi, table, neg_period, pos_period):
+        """The map holding its one form, as _table built it or as it was kept."""
+        h = object.__new__(cls)
+        vars(h).update(source=source, target=target, clo=clo, chi=chi, _blocks=table,
+                       neg_period=neg_period, pos_period=pos_period)
+        return h
+
+    @property
+    def components(self) -> dict:
+        return {n: self._blocks.at(n) for n in range(self.clo, self.chi + 1)}
+
+    @property
+    def neg(self) -> tuple | None:
+        q, clo = self.neg_period, self.clo
+        return (q, tuple(self._blocks.on(range(clo - 1, clo - 1 - q, -1)))) if q else None
+
+    @property
+    def pos(self) -> tuple | None:
+        q, chi = self.pos_period, self.chi
+        return (q, tuple(self._blocks.on(range(chi + 1, chi + 1 + q)))) if q else None
 
     def component(self, n: int) -> np.ndarray:
         return self._blocks.at(n)
-
-    @property
-    def neg_period(self) -> int:
-        return self.neg[0] if self.neg else 0
-
-    @property
-    def pos_period(self) -> int:
-        return self.pos[0] if self.pos else 0
 
     def check_range(self) -> tuple:
         return _check_range(self, self.source, self.target)
@@ -670,8 +675,7 @@ class ChainMap(GradedMap):
 class Homotopy(GradedMap):
     """Degree +1 maps s_n: X_n -> Y_{n+1}; meaning fixed by its consumer."""
 
-    def __init__(self, source, target, components, clo, chi, neg=None, pos=None):
-        super().__init__(source, target, components, clo, chi, neg, pos, shift=1)
+    shift = 1
 
 
 def _proven(x):
@@ -812,41 +816,57 @@ def chain_map(source, target, components, clo=None, chi=None,
     if clo is None:
         degs = sorted(components) or [0]
         clo, chi = degs[0], degs[-1]
-    p = source.algebra.p
-    args = _blockwise(lambda m: np.asarray(m, dtype=np.int64) % p, components, clo, chi, neg, pos)
-    return _settled(ChainMap(source, target, *args), checked)
+    # one reduced copy per distinct block, so the window and tails share it
+    once = _once(lambda m: np.asarray(m, dtype=np.int64) % source.algebra.p)
+    neg, pos = (t and (t[0], tuple(map(once, t[1]))) for t in (neg, pos))
+    return _settled(ChainMap(source, target, {n: once(m) for n, m in components.items()},
+                             clo, chi, neg, pos), checked)
 
 
-def _blockwise(compute, components: dict, clo: int, chi: int, neg, pos) -> tuple:
-    """GradedMap arguments with compute run once per distinct block, so
-    the window and tails share each result."""
-    once = _once(compute)
-    return ({n: once(m) for n, m in components.items()}, clo, chi,
-            *[t and (t[0], tuple(map(once, t[1]))) for t in (neg, pos)])
+def _table(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
+           neg, pos) -> tuple:
+    """(table, own tail periods) of the graded map S_n -> T_{n+k} with the
+    blocks window on clo..chi (None for zero) and the tails neg, pos:
+    (period, blocks), block i at clo - 1 - i, resp. chi + 1 + i, or None.
+    The table holds the block at lo - q .. hi + q', lo..hi the hull of the
+    map's and its complexes' windows, q its own negative tail period or,
+    where it has none, the lcm of its complexes' ones; likewise q'."""
+    nq, pq = neg[0] if neg else 0, pos[0] if pos else 0
+    lo, hi = min(clo, S.lo, T.lo - k), max(chi, S.hi, T.hi - k)
+    q = nq or _lcm([S.neg_period, T.neg_period])
+    qp = pq or _lcm([S.pos_period, T.pos_period])
+    data = [(neg[1][(clo - 1 - n) % nq] if nq else None) if n < clo
+            else (pos[1][(n - chi - 1) % pq] if pq else None) if n > chi
+            else window[n - clo] for n in range(lo - q, hi + qp + 1)]
+    for i, m in enumerate(data):
+        if m is None:
+            n = lo - q + i
+            data[i] = modules.zero_block(S.algebra, T.term(n + k).dim, S.term(n).dim)
+    return _Blocks(lo, hi, q, qp, tuple(data)), nq, pq
 
 
-def _tail(period: int, blocks: tuple):
-    """A graded map's tail (period, blocks), or None when every block is
-    zero: then the map is zero on that side."""
-    return (period, blocks) if any(b.any() for b in blocks) else None
+def _tail(period: int, blocks) -> tuple | None:
+    """A tail (period, blocks) that a producer sampled or computed, or None
+    when every block is zero."""
+    return (period, tuple(blocks)) if any(map(np.count_nonzero, blocks)) else None
 
 
-def _sample(clo: int, chi: int, comp_fn, neg_period: int, pos_period: int,
-            p: int) -> tuple:
-    """GradedMap arguments (components, clo, chi, neg, pos) sampled from
-    comp_fn mod p on the window clo..chi and one period of each tail, one
-    reduced copy per distinct object comp_fn returns."""
-    sample = _once(lambda m: m % p)
-    return ({n: sample(comp_fn(n)) for n in range(clo, chi + 1)}, clo, chi,
-            _tail(neg_period, tuple(sample(comp_fn(clo - 1 - i)) for i in range(neg_period))),
-            _tail(pos_period, tuple(sample(comp_fn(chi + 1 + i)) for i in range(pos_period))))
+def _sample(kind, S: Complex, T: Complex, clo: int, chi: int, comp_fn,
+            neg_period: int, pos_period: int) -> GradedMap:
+    """The kind (ChainMap or Homotopy) S -> T sampled from comp_fn mod p on
+    the window clo..chi and one period of each tail (_tail), one reduced
+    copy per distinct object comp_fn returns, so its repeats share it."""
+    sample = _once(lambda m: np.asarray(m, dtype=np.int64) % S.algebra.p)
+    window = [sample(comp_fn(n)) for n in range(clo, chi + 1)]
+    neg = _tail(neg_period, [sample(comp_fn(clo - 1 - i)) for i in range(neg_period)])
+    pos = _tail(pos_period, [sample(comp_fn(chi + 1 + i)) for i in range(pos_period)])
+    return kind._of(S, T, clo, chi, *_table(S, T, kind.shift, clo, chi, window, neg, pos))
 
 
 def chain_map_from_callable(source, target, clo, chi, comp_fn,
                             neg_period=0, pos_period=0, checked=False) -> ChainMap:
-    return chain_map(source, target,
-                     *_sample(clo, chi, comp_fn, neg_period, pos_period, source.algebra.p),
-                     checked=checked)
+    return _settled(_sample(ChainMap, source, target, clo, chi, comp_fn,
+                            neg_period, pos_period), checked)
 
 
 def identity_chain_map(X: Complex) -> ChainMap:
@@ -891,20 +911,15 @@ def same_complex(X: Complex, Y: Complex) -> bool:
 
 def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
     """The chain map S -> T whose component at n is op(f_n, g_n), on the
-    window lo..hi and one period nq, pq of each tail (profile), as
-    chain_map_from_callable samples them.
+    window lo..hi and one period nq, pq of each tail (profile, which
+    covers S and T), as chain_map_from_callable samples them.
 
     The components are read from the tables of f and g.  op runs on the
     distinct pairs of blocks among them, stacked per pair of shapes: one
     array operation per group, where op gets one (k, rows, cols) stack
-    per operand.  The result is validated, or with checked=True, which a
-    caller passes when the operands prove it a chain map, marked as one
-    (ChainMap.validate).
-
-    The result gets the table computed here, with the shared zero blocks
-    on a zero tail, as GradedMap._blocks would build it.  A zero tail
-    whose period is not the lcm of S's and T's on its side has another
-    table there, which the property builds.
+    per operand, and the results go straight into the result's table.
+    The result is validated, or with checked=True, which a caller passes
+    when the operands prove it a chain map, marked as one (ChainMap.validate).
     """
     lo, hi, nq, pq = profile
     ns = range(lo - nq, hi + pq + 1)
@@ -914,24 +929,14 @@ def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
     groups = {}
     for key, (a, b) in pairs.items():
         groups.setdefault((a.shape, b.shape), []).append(key)
-    out, nonzero = {}, {}
+    out = {}
     for group in groups.values():
-        res = op(np.array([pairs[k][0] for k in group]), np.array([pairs[k][1] for k in group]))
-        out.update(zip(group, res))
-        nonzero.update(zip(group, res.reshape(len(res), -1).any(axis=1).tolist()))
+        out.update(zip(group, op(np.array([pairs[k][0] for k in group]),
+                                 np.array([pairs[k][1] for k in group]))))
     data = [out[k] for k in keys]
-    neg, pos = tuple(data[nq - 1::-1]), tuple(data[len(data) - pq:])
-    live_neg = any([nonzero[k] for k in keys[:nq]])
-    live_pos = any([nonzero[k] for k in keys[len(keys) - pq:]])
-    h = ChainMap(S, T, dict(zip(range(lo, hi + 1), data[nq:len(data) - pq])), lo, hi,
-                 (nq, neg) if live_neg else None, (pq, pos) if live_pos else None)
-    if ((live_neg or nq == _lcm([S.neg_period, T.neg_period]))
-            and (live_pos or pq == _lcm([S.pos_period, T.pos_period]))):
-        zero = [*range(0 if live_neg else nq), *range(len(ns) - (0 if live_pos else pq), len(ns))]
-        for i in zero:
-            data[i] = modules.zero_block(S.algebra, T.term(ns[i]).dim, S.term(ns[i]).dim)
-        object.__setattr__(h, "_blocks", _Blocks(lo, hi, nq, pq, tuple(data)))
-    return _settled(h, checked)
+    return _settled(ChainMap._of(S, T, lo, hi, *_table(
+        S, T, 0, lo, hi, data[nq:len(data) - pq], _tail(nq, data[:nq][::-1]),
+        _tail(pq, data[len(data) - pq:]))), checked)
 
 
 def compose(f: ChainMap, g: ChainMap) -> ChainMap:

@@ -321,17 +321,18 @@ def chain_map_from_doc(doc: dict, path=None) -> ChainMap:
     degs = sorted(comps) or [0]
     clo, chi = degs[0], degs[-1]
     tails = _require(doc.get("tail_components") or {}, (), path, "tail_components")
+    unknown = sorted(set(tails) - {"neg", "pos"})
+    if unknown:
+        raise _fail(f"unknown tail_components key {unknown[0]!r} (expected neg or pos)", path)
 
     def tail(side, degree):
-        """(period, blocks) of one tail, block i at degree(i), or None
-        when it has no blocks (period 0)."""
+        """(period, blocks) of one tail, block i at degree(i); with period 0
+        it has no blocks, and the map no tail there (GradedMap)."""
         _require(tails[side], ("period", "blocks"), path, side)
         period = _int(tails[side]["period"], "period", path)
         raw = _list(tails[side], "blocks", path)
         if len(raw) != period:
             raise _fail("tail blocks length must equal the period", path)
-        if not period:  # no blocks: an absent tail, as _tail_from_doc has it
-            return None
         return period, tuple(_mat(b, p, "blocks", path, shape(degree(i)))
                              for i, b in enumerate(raw))
 
@@ -346,16 +347,10 @@ def chain_map_to_doc(f: ChainMap, source_ref=None, target_ref=None) -> dict:
         else complex_to_doc(f.source),
         "target": target_ref if target_ref is not None
         else complex_to_doc(f.target),
-        "components": {str(n): f.component(n).tolist()
-                       for n in range(f.clo, f.chi + 1)},
+        "components": {str(n): m.tolist() for n, m in f.components.items()},
     }
-    tails = {}
-    if f.neg is not None:
-        tails["neg"] = {"period": f.neg[0],
-                        "blocks": [b.tolist() for b in f.neg[1]]}
-    if f.pos is not None:
-        tails["pos"] = {"period": f.pos[0],
-                        "blocks": [b.tolist() for b in f.pos[1]]}
+    tails = {side: {"period": t[0], "blocks": [b.tolist() for b in t[1]]}
+             for side, t in (("neg", f.neg), ("pos", f.pos)) if t}
     if tails:
         doc["tail_components"] = tails
     return doc

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complexes, functors, linalg, modules
-from .complexes import (ChainMap, Complex, Homotopy, _from_tables, _blockwise, _lcm,
-                        _map_profile, _sample, _value, cone, dual_chain_map,
-                        identity_chain_map, is_exact)
+from .complexes import (ChainMap, Complex, Homotopy, _from_tables, _lcm, _map_profile,
+                        _once, _sample, _value, cone, dual_chain_map, identity_chain_map,
+                        is_exact)
 # compose and FoldedSystem are unused here but stay importable from here,
 # which perfbench/selftest.py uses to test the tracer's alias rebinding
 from .complexes import compose  # noqa: F401
@@ -274,12 +274,16 @@ def homotopy_equivalence_certificate(
         verdict, parts = value
         if parts is None:
             return EquivalenceResult(verdict)
-        # copies of the kept blocks, so a caller's write cannot reach the entry
-        g, hX, hY = (_blockwise(np.ndarray.copy, *parts[k])
-                     for k in ("inverse", "homotopy_source", "homotopy_target"))
+        # copies of the kept tables, one per distinct block, handed over
+        g, hX, hY = (kind._of(S, T, clo, chi, table._replace(
+                         data=tuple(map(_once(np.ndarray.copy), table.data))), *periods)
+                     for kind, S, T, (clo, chi, table, *periods) in (
+                         (ChainMap, Y, X, parts["inverse"]),
+                         (Homotopy, X, X, parts["homotopy_source"]),
+                         (Homotopy, Y, Y, parts["homotopy_target"])))
         return EquivalenceResult(YES, Certificate("homotopy-inverse", {
-            "map": f, "inverse": ChainMap(Y, X, *g), "homotopy_source": Homotopy(X, X, *hX),
-            "homotopy_target": Homotopy(Y, Y, *hY), "contraction": parts["contraction"]}))
+            "map": f, "inverse": g, "homotopy_source": hX, "homotopy_target": hY,
+            "contraction": parts["contraction"]}))
 
     def holds(res):
         return res.verdict != YES or verify_certificate(res.certificate)
@@ -293,9 +297,9 @@ def homotopy_equivalence_certificate(
 
 
 def _equivalence(f: ChainMap, options: Options) -> tuple:
-    """(verdict, and for a YES the GradedMap arguments of the inverse g and
-    the homotopies hX, hY with the contraction of the cone, else None),
-    solved; homotopy_equivalence_certificate checks them."""
+    """(verdict, and for a YES the inverse g and the homotopies hX, hY, each
+    as its window, table and tail periods, with the contraction of the
+    cone, else None), solved; homotopy_equivalence_certificate checks them."""
     C = cone(f)
     if not is_exact(C):
         return NO, None
@@ -307,13 +311,12 @@ def _equivalence(f: ChainMap, options: Options) -> tuple:
     if res.verdict != YES:
         return res.verdict, None
     s = res.homotopy
-    p = X.algebra.p
     lo, hi, nq, pq = _map_profile(f, X, Y)
     sq = _lcm([nq, pq, s.neg_period, s.pos_period])
     lo, hi = min(lo, s.clo), max(hi, s.chi)
-    return YES, {
-        "inverse": _sample(lo, hi, lambda n: _cone_blocks(f, s, n)[1], sq, sq, p),
-        "homotopy_source": _sample(lo, hi, lambda n: _cone_blocks(f, s, n + 1)[0], sq, sq, p),
-        "homotopy_target": _sample(lo, hi, lambda n: -_cone_blocks(f, s, n)[3], sq, sq, p),
-        "contraction": s,
-    }
+    maps = {name: _sample(kind, S, T, lo, hi, comp_fn, sq, sq) for name, kind, S, T, comp_fn in (
+        ("inverse", ChainMap, Y, X, lambda n: _cone_blocks(f, s, n)[1]),
+        ("homotopy_source", Homotopy, X, X, lambda n: _cone_blocks(f, s, n + 1)[0]),
+        ("homotopy_target", Homotopy, Y, Y, lambda n: -_cone_blocks(f, s, n)[3]))}
+    return YES, {"contraction": s, **{name: (h.clo, h.chi, h._blocks, h.neg_period, h.pos_period)
+                                      for name, h in maps.items()}}

@@ -38,15 +38,16 @@ and _solved, the results for maps out of X under their target Y, held
 weakly, so an entry goes with Y and holds neither X nor Y.  There a
 chain-map basis is kept under the Options, and a factorization, stable
 lift or homotopy equivalence under its kind, the maps' values and the
-Options, as read-only GradedMap arguments (solver._remembered): a hit
-is rebuilt and checked again against the caller's maps, and solved
-afresh if the check fails; a basis hit takes no caller data, and a
-remembered NO or UNKNOWN is returned as it is.  _solved also keeps the
-plans of check walks (complexes._Walk), with no value and no result.
-A module keeps its stalk (M._stalk), and each complex or graded map
-its block table, and each chain map its kernel and cokernel; like X's
-verdicts, dual and constructions, they are built from frozen inputs and
-not checked again.  Four module-level dicts never shrink:
+Options, read-only (solver._remembered): a factorization or lift as
+GradedMap arguments, an equivalence as each map's window, block table
+and tail periods.  A hit is checked again against the caller's maps,
+and solved afresh if the check fails; a basis hit takes no caller data,
+and a remembered NO or UNKNOWN is returned as it is.  _solved also keeps
+the plans of check walks (complexes._Walk), with no value and no
+result.  A module keeps its stalk (M._stalk), each complex its block
+table, and each chain map its kernel and cokernel; like X's verdicts,
+dual and constructions, they are built from frozen inputs and not
+checked again.  Four module-level dicts never shrink:
 functors._OMEGA_CACHE and _THETA_CACHE under id(X), holding X;
 approx._REPLACEMENT_CACHE under the algebra, the stalk module's action
 bytes, the family and the Options, whose hit rebuilds the map on the

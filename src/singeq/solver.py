@@ -37,8 +37,8 @@ unknowns and blocks, and a repeat adds only rows already there, so the
 system is row-equivalent to the one with every equation (the same
 reduced form, kernel basis and particular solutions, bit for bit).
 chain_map_space_basis checks its basis in one ChainMap.validate call,
-which reads each map's own block table, the one that the map's next user
-(graded_system, complexes.add_maps) reads too; each map keeps its own
+which reads each map's block table, built with the map, as its next
+users (graded_system, complexes.add_maps) do; each map keeps its own
 check range, so the errors are those of the maps checked one by one.
 
 Each chain-map solve is memoized per pair of complexes in its source's
@@ -52,8 +52,8 @@ import weakref
 import numpy as np
 
 from . import linalg, modules
-from .complexes import (ChainMap, Complex, _lcm, _proven, _value, add_maps, chain_map,
-                        compose)
+from .complexes import (ChainMap, Complex, _lcm, _proven, _tail, _value, add_maps,
+                        chain_map, compose)
 from .config import Options
 from .errors import ValidationError
 
@@ -93,9 +93,6 @@ class FoldedSystem:
         # value keeps its key's objects alive, so their ids stay unique
         self._columns = {}
         self.kernel_coeffs = None  # set by kernel
-        # the window degrees that the blocks of each periodic tail fold to
-        self.tail_degrees = ([self.rep(lo - 1 - i) for i in range(self.fold)],
-                             [self.rep(hi + 1 + i) for i in range(self.fold)])
 
     def rep(self, n):
         """Window degree, folded representative, extra-block name, or None."""
@@ -217,23 +214,20 @@ class FoldedSystem:
     def graded(self, comps: dict) -> tuple:
         """GradedMap arguments (components, lo, hi, neg, pos) for a solution:
         its window components with entries and its folded periodic tails,
-        left out where zero as complexes._sample leaves them."""
+        each left out where its blocks are zero (complexes._tail)."""
         return self.graded_each({n: m[None] for n, m in comps.items()})[0]
 
     def graded_each(self, stacks: dict) -> list:
         """graded for each solution of stacks ({window degree: one
-        component per solution}), with one zero test per tail degree."""
-        k = len(stacks[self.lo])
+        component per solution})."""
+        lo, hi, q = self.lo, self.hi, self.fold
         window = {n: m for n, m in stacks.items() if m.size}
-        tails = []
-        for degrees in self.tail_degrees:
-            live = np.zeros(k, dtype=bool)
-            for n in degrees:
-                live |= stacks[n].any(axis=(1, 2))
-            tails.append([(self.fold, tuple(stacks[n][j] for n in degrees)) if live[j] else None
-                          for j in range(k)])
-        return [({n: m[j] for n, m in window.items()}, self.lo, self.hi, neg, pos)
-                for j, (neg, pos) in enumerate(zip(*tails))]
+        # the window stacks that the blocks of each periodic tail fold to
+        tails = [[stacks[self.rep(n)] for n in degrees]
+                 for degrees in (range(lo - 1, lo - 1 - q, -1), range(hi + 1, hi + 1 + q))]
+        return [({n: m[j] for n, m in window.items()}, lo, hi,
+                 *[_tail(q, [m[j] for m in tail]) for tail in tails])
+                for j in range(len(stacks[lo]))]
 
 
 def solve_module_map(pairs: list, rhs: np.ndarray, terms: list, pair: tuple):

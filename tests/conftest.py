@@ -325,6 +325,17 @@ def memo_digest(maps, complete=True) -> str:
     return h.hexdigest()
 
 
+def assert_one_table(h):
+    """h carries the block table that its class's constructor builds from
+    its components, neg and pos: the same frame and the same blocks, bit
+    for bit (shape, dtype and entries)."""
+    table = h._blocks
+    fresh = type(h)(h.source, h.target, h.components, h.clo, h.chi, h.neg, h.pos)._blocks
+    assert table[:4] == fresh[:4] and len(table.data) == len(fresh.data)
+    assert all(a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in zip(table.data, fresh.data))
+
+
 def in_new_process(module: str, call: str):
     """The JSON value of call, evaluated after `from module import *` in a
     new process, whose memos start empty."""

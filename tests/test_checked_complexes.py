@@ -95,6 +95,16 @@ class TestSoundness:
         unbuilt = Complex(X.algebra, X.lo, X.hi, X.terms, X.diffs)
         assert not unbuilt._checked
 
+    def test_replace_of_a_homotopy_is_an_unmarked_homotopy(self):
+        res = homotopy.null_homotopy(identity_chain_map(fixtures.contractible_AA()))
+        s = res.homotopy
+        copy = dataclasses.replace(s)
+        assert type(copy) is complexes.Homotopy and copy is not s and copy.shift == 1
+        assert not getattr(copy, "_checked", False)
+        assert copy._blocks[:4] == s._blocks[:4]
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(copy._blocks.data, s._blocks.data, strict=True))
+
 
 def tail_with_nonzero_d_squared() -> Complex:
     """An unmarked complex A over D2 at 0 whose positive tail A -1-> A

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import periodic_complex as T_j
-from conftest import (count_calls, count_checks, equal_by_degrees, mismatched_cone,
-                      random_contractible, random_d2_complex, t_per_with_period_2_tails,
-                      truncated_polynomial)
+from conftest import (assert_one_table, count_calls, count_checks, equal_by_degrees,
+                      mismatched_cone, random_contractible, random_d2_complex,
+                      t_per_with_period_2_tails, truncated_polynomial)
 from singeq import complexes, fixtures, formats, functors, linalg, modules, solver
 from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
                               homology, identity_chain_map, is_exact,
@@ -760,18 +760,10 @@ class TestCheckedMaps:
             zero_chain_map(functors.stalk(k), functors.stalk(modules.zero_module(F2)))
 
 
-def installed_table(h):
-    """The block table add_maps or compose handed h, or None; read before
-    anything else builds h's table."""
-    table = h.__dict__.get("_blocks")
-    if table is not None:
-        fresh = complexes.GradedMap._blocks.func(h)
-        assert table[:4] == fresh[:4]
-        assert all(a is b for a, b in zip(table.data, fresh.data, strict=True))
-    return table
-
-
 class TestInstalledTables:
+    """Every map carries the one table its constructor would build from its
+    components and tails, however it was made."""
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_every_partial_sum_and_composite_gets_the_table_blocks_builds(self, p):
         rng = random.Random(p)
@@ -783,17 +775,51 @@ class TestInstalledTables:
                 f = add_maps(f, b, sign=rng.randrange(p))
                 maps.append(f)
         maps += [compose(identity_chain_map(Y), f) for f in maps[::7]]
-        assert all(installed_table(f) is not None for f in maps)
+        for f in maps:
+            assert_one_table(f)
 
-    def test_zero_tails_of_another_period_are_left_to_the_property(self, t_per):
+    def test_zero_tails_of_another_period_get_the_canonical_table(self, t_per):
         x = t_per.diff(0)
         f = complexes.chain_map_from_callable(
             t_per, t_per, 0, 0, lambda n: x if n % 2 == 0 else 0 * x, 2, 2)
         assert (f.neg_period, f.pos_period) == (2, 2)
-        h = add_maps(f, f)  # zero over F_2, on tails of period 2 against 1
-        assert installed_table(h) is None
-        assert h.is_zero() and (h._blocks.neg, h._blocks.pos) == (1, 1)
-        assert installed_table(add_maps(f, identity_chain_map(t_per))) is not None
+        # zero over F_2 (x + x, and x x in D2), on tails of period 2 against 1
+        for h in (add_maps(f, f), compose(f, f)):
+            assert (h.neg, h.pos) == (None, None) and h.is_zero()
+            assert (h._blocks.neg, h._blocks.pos) == (1, 1)
+            assert_one_table(h)
+        assert_one_table(add_maps(f, identity_chain_map(t_per)))
+
+    def test_cold_and_hit_basis_maps(self):
+        _, cases = table_arithmetic_cases()
+        maps = 0
+        for X, Y, _ in cases:
+            X, Y = dataclasses.replace(X), dataclasses.replace(Y)  # a cold solve
+            cold, hit = (solver.chain_map_space_basis(X, Y)[0] for _ in range(2))
+            assert len(cold) == len(hit)
+            for f in cold + hit:
+                assert_one_table(f)
+            maps += len(cold)
+        assert maps
+
+    def test_sampled_maps(self, t_per):
+        x, C = t_per.diff(0), mismatched_cone()
+        maps = [identity_chain_map(C), identity_chain_map(t_per),
+                complexes.chain_map_from_callable(
+                    t_per, t_per, 0, 0, lambda n: x if n % 2 == 0 else 0 * x, 2, 2),
+                complexes.chain_map_from_callable(t_per, t_per, -1, 1, lambda n: 0 * x, 1, 1)]
+        for f in list(maps):
+            maps += [complexes.dual_chain_map(f), complexes.kernel_complex(f)[1],
+                     cokernel_complex(f)[1]]
+        maps += [*direct_sum_complex(C, reindex(C, 1))[1:], *direct_sum_complex(t_per, t_per)[1:]]
+        for f in maps:
+            assert_one_table(f)
+
+    def test_a_component_outside_the_window_is_refused(self, t_per):
+        with pytest.raises(ValidationError, match=r"degree 5 lies outside the window 0\.\.0"):
+            complexes.ChainMap(t_per, t_per, {0: I2, 5: I2}, 0, 0)
+        with pytest.raises(ValidationError, match=r"degree -1 lies outside the window 0\.\.1"):
+            complexes.chain_map(t_per, t_per, {-1: I2, 0: I2, 1: I2}, 0, 1)
 
 
 class TestMismatchedOperands:

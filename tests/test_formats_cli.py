@@ -445,6 +445,19 @@ class TestExitCodes:
         without = {k: v for k, v in tails.items() if k != side}
         assert digest({**tails, side: {"period": 0, "blocks": []}}) == digest(without)
 
+    @pytest.mark.parametrize("key, renamed", [("negative", "neg"), ("positive", "pos"),
+                                              ("middle", None)])
+    def test_65_an_unknown_map_tail_key(self, tmp_path, capsys, key, renamed):
+        # "negative" for "neg" used to load the map without its negative tail
+        with open(fx("xid.map")) as fh:
+            doc = {**json.load(fh), "source": fx("tper.cx"), "target": fx("tper.cx")}
+        tails = dict(doc["tail_components"])
+        tails[key] = tails.pop(renamed) if renamed else tails["neg"]
+        path = tmp_path / "tails.map"
+        path.write_text(json.dumps({**doc, "tail_components": tails}))
+        assert main(["validate", str(path)]) == 65
+        assert f"unknown tail_components key '{key}'" in capsys.readouterr().err
+
     def test_1_no(self, capsys):
         assert main(["verify-equivalence", fx("kstalk.cx")]) == 1
 

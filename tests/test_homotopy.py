@@ -12,8 +12,9 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (periodic_complex, random_combination, random_contractible,
-                      random_d2_complex, random_module, triangular_d2, truncated_polynomial)
+from conftest import (assert_one_table, periodic_complex, random_combination,
+                      random_contractible, random_d2_complex, random_module, triangular_d2,
+                      truncated_polynomial)
 from singeq import (approx, cli, complexes, fixtures, functors, homotopy, linalg,
                     modelcat, modules, solver)
 from singeq.config import Options
@@ -547,13 +548,38 @@ class TestEquivalenceMemo:
         assert all(r() is None for r in refs)
         assert not any(equivalence_entries(zero, Y) for Y in list(zero._solved))
 
+    def test_a_hit_is_handed_copies_of_the_kept_tables(self, monkeypatch):
+        X, Y = fresh_t_per(), fresh_t_per()
+        cold = homotopy.homotopy_equivalence_certificate(one_plus_x(X, Y)).certificate
+        [(_, (_, parts))] = equivalence_entries(X, Y).values()
+        names = ("inverse", "homotopy_source", "homotopy_target")
+        built, checked = [], []
+        table, from_tables = complexes._table, homotopy._from_tables
+        monkeypatch.setattr(complexes, "_table", lambda *a: built.append(table(*a)) or built[-1])
+        monkeypatch.setattr(homotopy, "_from_tables",
+                            lambda *a, **k: checked.append(from_tables(*a, **k)) or checked[-1])
+        hit = homotopy.homotopy_equivalence_certificate(one_plus_x(X, Y)).certificate
+        maps = [hit.payload[name] for name in names]
+        # no table is built for g, hX or hY: each is a copy of its kept table,
+        # with one copy per distinct kept block
+        assert hit.checked and not any(h._blocks is t for h in maps for t, *_ in built)
+        for h, name in zip(maps, names):
+            clo, chi, kept, *periods = parts[name]
+            assert (h.clo, h.chi, h._blocks[:4], [h.neg_period, h.pos_period]) == (
+                clo, chi, kept[:4], periods)
+            assert not {id(b) for b in h._blocks.data} & {id(b) for b in kept.data}
+            assert len({id(b) for b in h._blocks.data}) == len({id(b) for b in kept.data})
+        assert len(checked) == 2  # g f - 1 and f g - 1, on the hit's check
+        for h in [*maps, *checked, *[cold.payload[name] for name in names]]:
+            assert_one_table(h)
+
     def test_a_corrupted_stored_inverse_is_solved_again(self, monkeypatch):
         X = fresh_t_per()
         cold = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
         cold_digest = cli.digest(cold.certificate)
         [(_, (verdict, parts))] = equivalence_entries(X, X).values()
-        comps = parts["inverse"][0]
-        block = comps[min(comps)]
+        clo, _, table = parts["inverse"][:3]
+        block = table.at(clo)
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 1
         block.flags.writeable = True
