@@ -5,10 +5,16 @@ optional periodic tails on either side; absent tails mean zero modules.
 Everything outside the window is reached through the term/diff accessors,
 which fold degrees into the periodic blocks.
 
-Each complex and each graded map describes its distinct blocks once, in a
-read-only table (_Blocks): its data on the window, the seams and one
-period of each tail, built on first use (Complex) or with the map
-(GradedMap).  The accessors read it, and its size depends only on the object.
+Each complex and each graded map describes its blocks once, in a table
+(_Blocks): its data on the window, the seams and one period of each
+tail, built on first use (Complex, read-only) or with the map
+(GradedMap).  The accessors read it, and its size depends only on the
+object.  A graded map's blocks are stacked: its table names its family
+(_Family), one array per block shape whose column j is map j at every
+degree, and its blocks are views of those arrays, made with the table
+(where a map's own matrix is alone in its array, the array is the view
+instead).  A basis from one solve is one family; every other map is a
+family of one.
 
 Checked by construction.  A Complex or ChainMap that passed its check
 carries the fact (_checked; never set by the dataclass constructor or
@@ -52,9 +58,10 @@ of either, so one patch here sees every check).  Maps that share one
 source and one target are walked once, over the union of their check
 ranges; each object's own range lies inside it and its periods divide
 the joint ones, so the joint walk runs a superset of each object's
-checks.  At each walked degree the blocks of the objects, read from
-each object's own table, are stacked.  The degrees are grouped by the
-modules (intertwining) or the shapes (d*d = 0, the equation) they share.
+checks.  The degrees are grouped by the modules (intertwining) or the
+shapes (d*d = 0, the equation) they share, and the maps' blocks of a
+group are read from their families, one gather per run of maps of one
+family (_Read); a complex's differentials are stacked once per plan.
 Each group costs one array per operand and one batched product per side;
 intertwining tests every action index (modules.intertwining_residue, as
 ModuleMap.validate does), and over several objects multiplies out only
@@ -66,17 +73,20 @@ failing action index, as a check of that object alone.
 
 Each walk has a plan (_Walk): the check ranges, the walked degrees, the
 shapes, the grouping by modules and by shapes, the differentials stacked
-per group, and where each block table's blocks at those degrees sit.  It
-depends only on S, T, the degree k, whether there is a right-hand side
-and each object's window and tail periods, never on a map's values, and
-holds no check result: every check runs on every call, on the caller's
-maps.  A plan is kept in S._solved[T], so it goes with T, from the second
+per group, and where the blocks at those degrees sit in each frame read,
+a table's or a family's.  It depends only on S, T, the degree k, whether
+there is a right-hand side and each object's window and tail periods,
+never on a map's values, and holds no check result: every check runs on
+every call, on the caller's maps.  A plan is kept in S._solved[T], so it goes with T, from the second
 walk of its key on; a walk made once keeps only its key.
 
-add_maps and compose compute their result from the operands' block
-tables, one array operation per group of distinct blocks of one shape,
-into the result's table.  A tail of zero blocks that a producer samples
-or computes is no tail (_tail); a constructor keeps the tails it gets.
+add_maps and compose compute their result on the operands' families,
+one array operation per pair of arrays that meet: on whole arrays when
+the operands are held on one frame with one layout of slots, after a
+gather by index where they are not; the results are the arrays of the
+result's family.  A tail of zero blocks that a producer samples or
+computes is no tail, decided on the stacked tails of a whole family at
+once (_own_periods); a constructor keeps the tails it gets.
 
 dual gives D(X) = Hom_k(X, k) over the opposite algebra, once per complex,
 and dual_chain_map D(f).  The injective side derives from the projective
@@ -117,17 +127,9 @@ def _lcm(values) -> int:
 
 def _map_profile(*objects):
     """Common window and tail periods of complexes / graded maps."""
-    los, his, negs, poss = [], [], [], []
-    for o in objects:
-        if isinstance(o, Complex):
-            los.append(o.lo)
-            his.append(o.hi)
-        else:
-            los.append(o.clo)
-            his.append(o.chi)
-        negs.append(o.neg_period)
-        poss.append(o.pos_period)
-    return min(los), max(his), _lcm(negs), _lcm(poss)
+    ends = [(o.lo, o.hi) if isinstance(o, Complex) else (o.clo, o.chi) for o in objects]
+    return (min([lo for lo, _ in ends]), max([hi for _, hi in ends]),
+            _lcm([o.neg_period for o in objects]), _lcm([o.pos_period for o in objects]))
 
 
 def _value(f) -> tuple:
@@ -148,16 +150,24 @@ def _check_range(*objects) -> tuple:
 class _Blocks(NamedTuple):
     """The distinct blocks of a graded object: its data at each degree of
     lo - neg .. hi + pos.  Below lo the data repeats with period neg, and
-    above hi with period pos, so these degrees hold every block."""
+    above hi with period pos, so these degrees hold every block.
+
+    A graded map's table also names the family its blocks are stacked in
+    and its column there (_Family): its data share memory with the
+    family's arrays (views of their rows, or the block an array of one
+    block views), and where the map has no block they are the shared zero
+    block (modules.zero_block).  A complex's table has no family."""
 
     lo: int
     hi: int
     neg: int
     pos: int
     data: tuple
+    family: "_Family | None" = None
+    member: int = 0
 
     def at(self, n: int):
-        lo, hi, neg, pos, data = self
+        lo, hi, neg, pos, data, _, _ = self
         if n < lo:
             n = lo - 1 - (lo - 1 - n) % neg
         elif n > hi:
@@ -166,7 +176,7 @@ class _Blocks(NamedTuple):
 
     def index(self, degrees) -> tuple:
         """The position in data of the block at each of degrees."""
-        lo, hi, neg, pos, _ = self
+        lo, hi, neg, pos, _, _, _ = self
         base = neg - lo
         return tuple([n + base if lo <= n <= hi
                       else lo - 1 - (lo - 1 - n) % neg + base if n < lo
@@ -174,11 +184,50 @@ class _Blocks(NamedTuple):
 
     def on(self, degrees) -> list:
         """[self.at(n) for n in degrees], with the fold inlined."""
-        lo, hi, neg, pos, data = self
+        lo, hi, neg, pos, data, _, _ = self
         base = neg - lo
         return [data[n + base] if lo <= n <= hi
                 else data[lo - 1 - (lo - 1 - n) % neg + base] if n < lo
                 else data[hi + 1 + (n - hi - 1) % pos + base] for n in degrees]
+
+
+class _Family(NamedTuple):
+    """The blocks of k graded maps S_n -> T_{n+shift}, stacked: one array
+    (count, k, rows, cols) per block shape, and where the block at each
+    position of a frame sits (slots: a _Blocks whose data are (array,
+    row) pairs).  Column j of the arrays is map j at every degree; the
+    frame may be wider than a map's own table.
+    layouts keeps how a table reads the family (_tables), for families
+    with these slots and these shapes of arrays."""
+
+    slots: _Blocks
+    arrays: tuple
+    layouts: dict
+
+
+def _family(frame: tuple, blocks: list) -> tuple:
+    """(family, held): the family whose block at each position of frame
+    (lo, hi, neg, pos) is blocks[i], a (k, rows, cols) array, or for a
+    family of one a matrix; equal objects are one block.  Each array is
+    one concatenate of its blocks, viewed as (count, k, rows, cols), or a
+    view of its only block.  For a family of one, held gives, per block
+    object, what its map's table holds for it: the block itself where
+    its array views it alone, else the view of its row."""
+    groups = {}
+    for b in {id(b): b for b in blocks}.values():
+        groups.setdefault(b.shape, []).append(b)
+    slots, held, arrays = {}, {}, []
+    for s, g in enumerate(groups.values()):
+        one = g[0].ndim == 2  # a family of one, whose blocks are matrices
+        if len(g) == 1:
+            arrays.append(g[0][None, None] if one else g[0][None])
+            slots[id(g[0])], held[id(g[0])] = (s, 0), g[0]
+        else:
+            arrays.append(np.concatenate(g).reshape(len(g), *(1,) * one, *g[0].shape))
+            slots.update({id(b): (s, r) for r, b in enumerate(g)})
+            if one:
+                held.update(zip(map(id, g), arrays[-1][:, 0]))
+    return _Family(_Blocks(*frame, tuple([slots[id(b)] for b in blocks])), tuple(arrays), {}), held
 
 
 class _Range(NamedTuple):
@@ -255,15 +304,15 @@ class _Stacked(list):
     operand per walked degree, stacked (g, 1, rows, cols) per group of
     keys the first time the engine reads that group."""
 
-    __slots__ = ("_groups", "_stacks")
+    __slots__ = ("_stacks",)
 
-    def __init__(self, operands, keys: _Keys):
+    def __init__(self, operands):
         super().__init__(operands)
-        self._groups, self._stacks = keys.groups, {}
+        self._stacks = {}
 
-    def stack(self, g: int) -> np.ndarray:
+    def stack(self, g: int, idx: tuple) -> np.ndarray:
         if g not in self._stacks:
-            self._stacks[g] = _stack([self[i] for i in self._groups[g][1]])
+            self._stacks[g] = _stack([self[i] for i in idx])
         return self._stacks[g]
 
 
@@ -275,63 +324,106 @@ def _first_failure(ranges, ns, keys, check, *columns):
     Each object, given by its check range in ranges, has one check at
     each walked degree of ns.  A column holds one operand per walked
     degree: a matrix shared by the objects, or a tuple of one matrix per
-    object (_per_degree).  The walked degrees are grouped by keys (the
-    modules or shapes their operands share), and check(key, *stacks) runs
-    once per group on each column stacked, (g, 1, rows, cols) when shared
-    and (g, objects, rows, cols) otherwise.  It returns an array (g,
-    objects, details, ...) that is nonzero exactly where a check fails:
-    its residue mod p, whose details are rows, or for intertwining one per
-    action index.  A failing check is reported at the first degree of its
-    object's range that carries it, with its first failing detail.  A
-    group whose first operand has no rows or whose last has no columns
-    holds.
+    object (_Read, whose column[i] it is).  The walked degrees are grouped
+    by keys (the modules or shapes their operands share), and check(key,
+    *stacks) runs once per group on each column stacked, (g, 1, rows,
+    cols) when shared and (g, objects, rows, cols) otherwise.  It returns
+    an array (g, objects, details, ...) that is nonzero exactly where a
+    check fails: its residue mod p, whose details are rows, or for
+    intertwining one per action index.  A failing check is reported at
+    the first degree of its object's range that carries it, with its
+    first failing detail.  A group whose first operand has no rows or
+    whose last has no columns holds.
 
     keys may be a _Keys, whose grouping is computed once, and a column a
-    _Stacked, whose stacks are.
+    _Stacked, whose stacks are, or a _Read, which reads its stacks from
+    the maps' families.
     """
     groups = keys.groups if isinstance(keys, _Keys) else _grouped(keys)
     failures = []
+    first, last = columns[0], columns[-1]
     for g, (key, idx) in enumerate(groups):
-        first, last = columns[0][idx[0]], columns[-1][idx[0]]
-        if isinstance(first, tuple):
-            first = first[0]
-        if isinstance(last, tuple):
-            last = last[0]
-        if not (first.shape[-2] and last.shape[-1]):
+        if not ((first.shape(idx[0]) if isinstance(first, _Read) else first[idx[0]].shape)[-2]
+                and (last.shape(idx[0]) if isinstance(last, _Read) else last[idx[0]].shape)[-1]):
             continue
-        bad = check(key, *[c.stack(g) if isinstance(c, _Stacked) else _stack([c[i] for i in idx])
-                           for c in columns])
+        bad = check(key, *[c.stack(g, idx) if isinstance(c, (_Read, _Stacked))
+                           else _stack([c[i] for i in idx]) for c in columns])
         failures += [(ranges[j].first(ns[idx[i]]), int(d))
                      for i, j, d, *_ in zip(*bad.nonzero())]
     return min(failures, default=None)
 
 
 def _stack(operands: list) -> np.ndarray:
-    """The operands of a group as one array (g, objects, rows, cols): each
-    a matrix, or a tuple of one matrix per object, all of one shape.  One
-    concatenate of the matrices, which costs less per matrix than
-    np.array of the tuples."""
-    if isinstance(operands[0], tuple):
-        objects, flat = len(operands[0]), [m for t in operands for m in t]
-    else:
-        objects, flat = 1, operands
-    return np.concatenate(flat).reshape(len(operands), objects, *flat[0].shape)
+    """Matrices of one shape as one array (g, 1, rows, cols): one
+    concatenate, which costs less per matrix than np.array."""
+    return np.concatenate(operands).reshape(len(operands), 1, *operands[0].shape)
 
 
-def _per_degree(columns: list) -> list:
-    """One column for _first_failure from one column per object: per
-    walked degree, the tuple of the objects' blocks, or for a single
-    object its blocks themselves."""
-    return columns[0] if len(columns) == 1 else list(zip(*columns))
+class _Read:
+    """A column for _first_failure: the blocks of graded maps at the
+    walked degrees of a plan, at n - 1 (at 0) or at n (at 1).  column[i]
+    is the tuple of the maps' blocks at walked degree i, from their
+    tables (for one map, its block).  stack reads a group from the maps'
+    families: one gather per run of maps of one family, so a basis
+    costs one gather per group, not one matrix per map and degree."""
+
+    __slots__ = ("maps", "plan", "at", "runs")
+
+    def __init__(self, plan: "_Walk", maps: list, at: int):
+        # runs: (family, its maps' columns, or None for all of them in
+        # order, the first map's place in maps, (array, row) per walked degree)
+        self.maps, self.plan, self.at, runs = maps, plan, at, []
+        for j, g in enumerate(maps):
+            family, member = g._blocks.family, g._blocks.member
+            if runs and runs[-1][0] is family:
+                runs[-1][1].append(member)
+            else:
+                runs.append((family, [member], j,
+                             [family.slots.data[i] for i in plan.positions(family.slots, at)]))
+        self.runs = [(family, None if members == list(range(family.arrays[0].shape[1]))
+                      else members, j, where) for family, members, j, where in runs]
+
+    def __getitem__(self, i: int):
+        blocks = tuple([g._blocks.data[self.plan.positions(g._blocks, self.at)[i]]
+                        for g in self.maps])
+        return blocks if len(blocks) > 1 else blocks[0]
+
+    def shape(self, i: int) -> tuple:
+        """The shape of the first map's block at walked degree i."""
+        family, _, _, where = self.runs[0]
+        return family.arrays[where[i][0]].shape[2:]
+
+    def stack(self, g: int, idx: tuple) -> np.ndarray:
+        parts = []
+        for family, members, _, where in self.runs:
+            part = _rows(family.arrays[where[idx[0]][0]], [where[i][1] for i in idx])
+            parts.append(part if members is None else part[:, members])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+    def wrong_shape(self, ranges, ns, shapes: tuple):
+        """Smallest reported degree (see _first_failure) at which a map's
+        block does not have the shape given for its degree in shapes, or
+        None.  The maps of one family share their blocks' shapes, except
+        where a map has no block: its zero block there has the shape of
+        its complexes' terms, which shapes gives."""
+        bad = []
+        for family, members, start, where in self.runs:
+            have = tuple([family.arrays[s].shape[2:] for s, _ in where])
+            if have != shapes:
+                wrong = [n for n, a, b in zip(ns, have, shapes) if a != b]
+                count = family.arrays[0].shape[1] if members is None else len(members)
+                for j in range(start, start + count):
+                    g = self.maps[j]
+                    bad += [ranges[j].first(n) for n in wrong if g.clo <= n + self.at - 1 <= g.chi
+                            or (g.neg_period if n + self.at - 1 < g.clo else g.pos_period)]
+        return min(bad, default=None)
 
 
-def _wrong_shape(ranges, ns, columns, shapes: tuple):
-    """Smallest reported degree (see _first_failure) at which a block of
-    an object's column (one block per walked degree) does not have the
-    shape given for its degree in shapes, or None."""
-    return min([r.first(n) for r, col in zip(ranges, columns)
-                if tuple([m.shape for m in col]) != shapes
-                for n, m, shape in zip(ns, col, shapes) if m.shape != shape], default=None)
+def _rows(array: np.ndarray, rows: list) -> np.ndarray:
+    """array's rows at rows: a slice, with no copy, where they are
+    consecutive."""
+    r = rows[0]
+    return array[r:r + len(rows)] if rows == list(range(r, r + len(rows))) else array.take(rows, 0)
 
 
 def _intertwining(key, F):
@@ -546,10 +638,11 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
 class GradedMap:
     """A graded map S_n -> T_{n+shift}: chain maps (shift 0) and
     homotopies (shift +1).  It holds one form: its window clo..chi, its
-    block table (_blocks) and its own tail periods (0 where it has none),
-    built once by _table, or kept and handed over (_of).  components, neg
-    and pos are read-only views of the table, and dataclass fields, so
-    dataclasses.replace makes a new, unmarked map from them."""
+    block table (_blocks, whose blocks are views of its family's arrays)
+    and its own tail periods (0 where it has none), made once by its
+    producer (_tables).  components, neg and pos read the table, and are
+    dataclass fields, so dataclasses.replace makes a new, unmarked map
+    from them."""
 
     source: Complex
     target: Complex
@@ -660,8 +753,9 @@ class ChainMap(GradedMap):
         return self._full_rank(1)
 
     def is_zero(self) -> bool:
-        # the table holds every distinct component of the check range
-        return not any(m.any() for m in self._blocks.data)
+        # the family's column holds the map's block at every degree
+        table = self._blocks
+        return not any(a[:, table.member].any() for a in table.family.arrays)
 
     @cached_property
     def _kernel(self) -> tuple:
@@ -703,7 +797,8 @@ class _Walk:
     there, the groups of degrees by module pair (twists) and by
     differential shapes (equations) as _first_failure groups them, the
     differential columns with their stacks per equation group, and, per
-    block table read, where its blocks at ns and at n - 1 sit in its data.
+    frame read (a table's or a family's), where its blocks at ns and at
+    n - 1 sit in its data.
     It holds no object of T but arrays: a module of T may hold T, as
     functors.stalk keeps a stalk on its module.  Equal group keys are held
     once, and the columns of ints are tuples, which the garbage collector
@@ -735,7 +830,7 @@ class _Walk:
                              in _grouped([(s, t) for (s, _), (t, _) in zip(S1, T1)])])
         dS, dT = [d for _, d in S1], [d for _, d in T1]
         self.equations = _Keys(_grouped([(x.shape, y.shape) for x, y in zip(dS, dT)]), len(ns))
-        self.dS, self.dT = _Stacked(dS, self.equations), _Stacked(dT, self.equations)
+        self.dS, self.dT = _Stacked(dS), _Stacked(dT)
         self._index = {}
 
     def twist_keys(self, T: Complex) -> _Keys:
@@ -744,14 +839,14 @@ class _Walk:
         return _Keys(tuple([((s, data[i][0]), idx) for (s, i), idx in self.twists]),
                      len(self.ns))
 
-    def read(self, table: _Blocks, at: int) -> list:
-        """table's blocks at n - 1 (at 0) or at n (at 1) for n in ns."""
+    def positions(self, table: _Blocks, at: int) -> tuple:
+        """Where table's blocks at n - 1 (at 0) or at n (at 1) for n in ns
+        sit in its data; computed once per frame."""
         frame = table[:4]
         index = self._index.get(frame)
         if index is None:
             index = self._index[frame] = (table.index(self.prev), table.index(self.ns))
-        data = table.data
-        return [data[i] for i in index[at]]
+        return index[at]
 
 
 def _profile(g: GradedMap) -> tuple:
@@ -786,19 +881,18 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
         # on, so a walk made once keeps nothing but its key
         plans[key] = plan if key in plans else None
     ranges, ns = plan.ranges, plan.ns
-    G1 = [plan.read(g._blocks, 1) for g in maps]
-    bad = [_wrong_shape(ranges, ns, G1, plan.shapes)]
+    G1 = _Read(plan, maps, 1)
+    bad = [G1.wrong_shape(ranges, ns, plan.shapes)]
     if rhs is not None:
-        F = [plan.read(f._blocks, 1) for f in rhs]
-        bad.append(_wrong_shape(ranges, ns, F, plan.rhs_shapes))
+        F = _Read(plan, rhs, 1)
+        bad.append(F.wrong_shape(ranges, ns, plan.rhs_shapes))
     bad = min([n for n in bad if n is not None], default=None)
     if bad is not None:
         return 0, bad, 0
-    G1 = _per_degree(G1)
     bad = _first_failure(ranges, ns, plan.twist_keys(T), _intertwining, G1)
     if bad is not None:
         return 1, *bad
-    G0, p = _per_degree([plan.read(g._blocks, 0) for g in maps]), S.algebra.p
+    G0, p = _Read(plan, maps, 0), S.algebra.p
     if rhs is None:
         bad = _first_failure(plan.eq_ranges, ns, plan.equations,
                              lambda _, f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p,
@@ -806,7 +900,7 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
     else:
         bad = _first_failure(plan.eq_ranges, ns, plan.equations,
                              lambda _, dT, s1, s0, dS, f: (dT @ s1 + s0 @ dS) % p - f,
-                             plan.dT, G1, G0, plan.dS, _per_degree(F))
+                             plan.dT, G1, G0, plan.dS, F)
     return bad and (2, *bad)
 
 
@@ -823,44 +917,143 @@ def chain_map(source, target, components, clo=None, chi=None,
                              clo, chi, neg, pos), checked)
 
 
+def _frame(S: Complex, T: Complex, k: int, clo: int, chi: int, nq: int, pq: int) -> tuple:
+    """The frame (lo, hi, q, q') of the table of a graded map S_n ->
+    T_{n+k} with the window clo..chi and own tail periods nq, pq: lo..hi
+    the hull of its and its complexes' windows, q its own negative tail
+    period or, where it has none, the lcm of its complexes' ones; likewise q'."""
+    return (min(clo, S.lo, T.lo - k), max(chi, S.hi, T.hi - k),
+            nq or _lcm([S.neg_period, T.neg_period]), pq or _lcm([S.pos_period, T.pos_period]))
+
+
+def _held(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
+          neg, pos) -> tuple:
+    """(family, table) of the one graded map S_n -> T_{n+k} with the
+    blocks window on clo..chi (None for zero) and the tails neg, pos:
+    (period, blocks), block i at clo - 1 - i, resp. chi + 1 + i, or None.
+    The family's frame is that of the map's table (_frame), with a row
+    per distinct block object (_family); the table holds what the family
+    holds of each block, and the shared zero block where the map has none."""
+    nq, pq = neg[0] if neg else 0, pos[0] if pos else 0
+    lo, hi, q, qp = frame = _frame(S, T, k, clo, chi, nq, pq)
+    blocks, zeros = [], {}
+    for n in range(lo - q, hi + qp + 1):
+        m = ((neg[1][(clo - 1 - n) % nq] if nq else None) if n < clo
+             else (pos[1][(n - chi - 1) % pq] if pq else None) if n > chi else window[n - clo])
+        if m is None:
+            m = zeros[len(blocks)] = modules.zero_block(S.algebra, T.term(n + k).dim,
+                                                        S.term(n).dim)
+        blocks.append(m if type(m) is np.ndarray else np.asarray(m))
+    family, held = _family(frame, blocks)
+    return family, _Blocks(*frame, tuple([zeros[i] if i in zeros else held[id(b)]
+                                          for i, b in enumerate(blocks)]), family)
+
+
+def _tables(S: Complex, T: Complex, k: int, clo: int, chi: int, family: _Family,
+            periods: list, zero=None) -> list:
+    """The tables of the graded maps S_n -> T_{n+k} with the window
+    clo..chi held in family, map j with own tail periods periods[j].  A
+    table (frame: _frame) holds at each degree the view of the map's
+    block in the family's arrays, one view per distinct block, and where
+    the map has none (outside its window and tails) the shared zero block
+    of modules.zero_block, or zero(that block)."""
+    out, frames = [], {}
+    for j, (nq, pq) in enumerate(periods):
+        if (nq, pq) not in frames:
+            frames[nq, pq] = _frame(S, T, k, clo, chi, nq, pq)
+        lo, hi, q, qp = frame = frames[nq, pq]
+        key = (frame, clo, chi, nq, pq)
+        where = None if zero else family.layouts.get(key)
+        if where is None:
+            where = list(family.slots.data if family.slots[:4] == frame
+                         else family.slots.on(range(lo - q, hi + qp + 1)))
+            for n in [*(range(lo - q, clo) if not nq else ()),
+                      *(range(chi + 1, hi + qp + 1) if not pq else ())]:
+                # the family's block there has the map's shape
+                z = modules.zero_block(S.algebra, *family.arrays[where[n + q - lo][0]].shape[2:])
+                where[n + q - lo] = zero(z) if zero else z
+            if not zero:
+                family.layouts[key] = where
+        out.append(_Blocks(*frame, _data(family, j, where), family, j))
+    return out
+
+
+def _data(family: _Family, j: int, where: list) -> tuple:
+    """Map j's blocks at the positions where: the view of its row at each
+    (array, row) of the family, one view per row, and each other entry (a
+    zero block) as it is."""
+    views = [list(a[:, j]) for a in family.arrays]
+    return tuple([views[w[0]][w[1]] if type(w) is tuple else w for w in where])
+
+
+def _members(kind, S: Complex, T: Complex, clo: int, chi: int, family: _Family,
+             periods: list, zero=None) -> list:
+    """The maps kind (ChainMap or Homotopy) S -> T with the window
+    clo..chi held in family, map j with own tail periods periods[j]
+    (_tables)."""
+    return [kind._of(S, T, clo, chi, table, *q) for table, q in zip(
+        _tables(S, T, kind.shift, clo, chi, family, periods, zero), periods)]
+
+
 def _table(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
            neg, pos) -> tuple:
     """(table, own tail periods) of the graded map S_n -> T_{n+k} with the
-    blocks window on clo..chi (None for zero) and the tails neg, pos:
-    (period, blocks), block i at clo - 1 - i, resp. chi + 1 + i, or None.
-    The table holds the block at lo - q .. hi + q', lo..hi the hull of the
-    map's and its complexes' windows, q its own negative tail period or,
-    where it has none, the lcm of its complexes' ones; likewise q'."""
-    nq, pq = neg[0] if neg else 0, pos[0] if pos else 0
-    lo, hi = min(clo, S.lo, T.lo - k), max(chi, S.hi, T.hi - k)
-    q = nq or _lcm([S.neg_period, T.neg_period])
-    qp = pq or _lcm([S.pos_period, T.pos_period])
-    data = [(neg[1][(clo - 1 - n) % nq] if nq else None) if n < clo
-            else (pos[1][(n - chi - 1) % pq] if pq else None) if n > chi
-            else window[n - clo] for n in range(lo - q, hi + qp + 1)]
-    for i, m in enumerate(data):
-        if m is None:
-            n = lo - q + i
-            data[i] = modules.zero_block(S.algebra, T.term(n + k).dim, S.term(n).dim)
-    return _Blocks(lo, hi, q, qp, tuple(data)), nq, pq
+    blocks window on clo..chi (None for zero) and the tails neg, pos, as
+    given (_held): a constructor keeps the tails it gets."""
+    return _held(S, T, k, clo, chi, window, neg, pos)[1], neg[0] if neg else 0, \
+        pos[0] if pos else 0
 
 
-def _tail(period: int, blocks) -> tuple | None:
-    """A tail (period, blocks) that a producer sampled or computed, or None
-    when every block is zero."""
-    return (period, tuple(blocks)) if any(map(np.count_nonzero, blocks)) else None
+def _own_periods(family: _Family, lo: int, hi: int, nq: int, pq: int) -> list:
+    """Per map of family, its own tail periods as a map with the window
+    lo..hi and a tail of period nq, pq (0 for none) on each side: 0 on a
+    side where its blocks at lo - nq .. lo - 1, resp. hi + 1 .. hi + pq,
+    are all zero, for a tail of zero blocks that a producer computes is no
+    tail (as one that _sample samples).  One test per array, for every
+    map at once."""
+    if not (nq or pq):
+        return [(0, 0)] * family.arrays[0].shape[1]
+    key = ("tails", lo, hi, nq, pq)
+    sides = family.layouts.get(key)
+    if sides is None:
+        slots = family.slots
+        own = slots[:4] == (lo, hi, nq, pq)  # the tails are the frame's ends
+        neg = slots.data[:nq] if own else slots.on(range(lo - nq, lo))
+        pos = slots.data[len(slots.data) - pq:] if own else slots.on(range(hi + 1, hi + pq + 1))
+        sides = family.layouts[key] = [(nq, set(neg)), (pq, set(pos))]
+    # per array a tail reads: per row, per map, whether the block is nonzero
+    live = {s: family.arrays[s].any(axis=(2, 3)).tolist()
+            for s in {s for _, tail in sides for s, _ in tail}}
+    return [tuple([q if any(live[s][r][j] for s, r in tail) else 0 for q, tail in sides])
+            for j in range(family.arrays[0].shape[1])]
 
 
 def _sample(kind, S: Complex, T: Complex, clo: int, chi: int, comp_fn,
             neg_period: int, pos_period: int) -> GradedMap:
     """The kind (ChainMap or Homotopy) S -> T sampled from comp_fn mod p on
-    the window clo..chi and one period of each tail (_tail), one reduced
-    copy per distinct object comp_fn returns, so its repeats share it."""
+    the window clo..chi and one period of each tail, one reduced copy per
+    distinct object comp_fn returns, so its repeats share it.  A tail of
+    zero blocks that it samples is no tail."""
     sample = _once(lambda m: np.asarray(m, dtype=np.int64) % S.algebra.p)
     window = [sample(comp_fn(n)) for n in range(clo, chi + 1)]
-    neg = _tail(neg_period, [sample(comp_fn(clo - 1 - i)) for i in range(neg_period)])
-    pos = _tail(pos_period, [sample(comp_fn(chi + 1 + i)) for i in range(pos_period)])
+    tails = [(q, [sample(comp_fn(n)) for n in degrees]) for q, degrees in (
+        (neg_period, range(clo - 1, clo - 1 - neg_period, -1)),
+        (pos_period, range(chi + 1, chi + 1 + pos_period)))]
+    neg, pos = [t if any(map(np.count_nonzero, {id(m): m for m in t[1]}.values())) else None
+                for t in tails]
     return kind._of(S, T, clo, chi, *_table(S, T, kind.shift, clo, chi, window, neg, pos))
+
+
+def _copied(kind, S: Complex, T: Complex, kept: tuple) -> GradedMap:
+    """The map kind S -> T that kept (clo, chi, table, own tail periods)
+    describes, on a copy of each of the table's arrays and of each of its
+    distinct zero blocks: what a remembered map hands a caller, who may
+    write into it."""
+    clo, chi, table, nq, pq = kept
+    j = table.member
+    family = table.family._replace(
+        arrays=tuple([a[:, j:j + 1].copy() for a in table.family.arrays]))
+    return _members(kind, S, T, clo, chi, family, [(nq, pq)], _once(np.ndarray.copy))[0]
 
 
 def chain_map_from_callable(source, target, clo, chi, comp_fn,
@@ -914,29 +1107,55 @@ def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
     window lo..hi and one period nq, pq of each tail (profile, which
     covers S and T), as chain_map_from_callable samples them.
 
-    The components are read from the tables of f and g.  op runs on the
-    distinct pairs of blocks among them, stacked per pair of shapes: one
-    array operation per group, where op gets one (k, rows, cols) stack
-    per operand, and the results go straight into the result's table.
-    The result is validated, or with checked=True, which a caller passes
-    when the operands prove it a chain map, marked as one (ChainMap.validate).
+    op runs on the operands' families, once per pair of arrays whose
+    blocks meet at some degree, on (count, rows, cols) stacks of the rows
+    that meet there; its results are the result's arrays.  Operands held
+    on the result's frame with one layout of slots meet row by row, so op
+    runs on their whole arrays, with no gather.  The result is validated,
+    or with checked=True, which a caller passes when the operands prove it
+    a chain map, marked as one (ChainMap.validate).
     """
     lo, hi, nq, pq = profile
-    ns = range(lo - nq, hi + pq + 1)
-    fs, gs = f._blocks.on(ns), g._blocks.on(ns)
-    keys = list(zip(map(id, fs), map(id, gs)))
-    pairs = dict(zip(keys, zip(fs, gs)))
-    groups = {}
-    for key, (a, b) in pairs.items():
-        groups.setdefault((a.shape, b.shape), []).append(key)
-    out = {}
-    for group in groups.values():
-        out.update(zip(group, op(np.array([pairs[k][0] for k in group]),
-                                 np.array([pairs[k][1] for k in group]))))
-    data = [out[k] for k in keys]
-    return _settled(ChainMap._of(S, T, lo, hi, *_table(
-        S, T, 0, lo, hi, data[nq:len(data) - pq], _tail(nq, data[:nq][::-1]),
-        _tail(pq, data[len(data) - pq:]))), checked)
+    (F, jf), (G, jg) = [(h._blocks.family, h._blocks.member) for h in (f, g)]
+    # a frame holds the result if it covers the window and its periods are
+    # multiples of the profile's; an operand's own frame spares its gather.
+    # Else a side with no tail reads one zero block
+    frame = (lo, hi, nq or 1, pq or 1)
+    for H in (F, G):
+        if H.slots.lo <= lo and H.slots.hi >= hi and not (
+                H.slots.neg % (nq or 1) or H.slots.pos % (pq or 1)):
+            frame = H.slots[:4]
+    ns = range(frame[0] - frame[2], frame[1] + frame[3] + 1)
+    fw, gw = [H.slots.data if H.slots[:4] == frame else tuple(H.slots.on(ns)) for H in (F, G)]
+    if fw == gw and F.slots[:4] == G.slots[:4] == frame:
+        slots = fw
+        parts = [(a, a, list(range(len(m))), list(range(len(m)))) for a, m in enumerate(F.arrays)]
+    else:
+        pairs, groups = {}, {}
+        for a, b in dict.fromkeys(zip(fw, gw)):
+            i, fr, gr = groups.setdefault((a[0], b[0]), (len(groups), [], []))
+            pairs[a, b] = (i, len(fr))
+            fr.append(a[1])
+            gr.append(b[1])
+        slots = [pairs[pair] for pair in zip(fw, gw)]
+        parts = [(a, b, fr, gr) for (a, b), (_, fr, gr) in groups.items()]
+    arrays = [op(_rows(F.arrays[a], fr)[:, jf], _rows(G.arrays[b], gr)[:, jg])
+              for a, b, fr, gr in parts]
+    shapes = _grouped([m.shape[1:] for m in arrays]) if len(arrays) > 1 else ()
+    if 0 < len(shapes) < len(arrays):  # pairs of arrays with one result shape share an array
+        at = {i: (s, sum(len(arrays[j]) for j in idx[:idx.index(i)]))
+              for s, (_, idx) in enumerate(shapes) for i in idx}
+        slots = [(at[i][0], at[i][1] + r) for i, r in slots]
+        arrays = [np.concatenate([arrays[i] for i in idx]) for _, idx in shapes]
+    if slots is F.slots.data and [a.shape[2:] for a in F.arrays] == [m.shape[1:] for m in arrays]:
+        family = _Family(F.slots, tuple([m[:, None] for m in arrays]), F.layouts)
+    else:
+        family = _Family(_Blocks(*frame, tuple(slots)), tuple([m[:, None] for m in arrays]), {})
+    own = _own_periods(family, lo, hi, nq, pq)[0]
+    if frame == (lo, hi, *own):  # its table is its family's frame, every block its row
+        return _settled(ChainMap._of(S, T, lo, hi, _Blocks(*frame, _data(family, 0, slots),
+                                                           family), *own), checked)
+    return _settled(_members(ChainMap, S, T, lo, hi, family, [own])[0], checked)
 
 
 def compose(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -951,10 +1170,22 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
                         lambda a, b: (a @ b) % p, f, g, checked=known)
 
 
+def _one_algebra(A: Algebra, B: Algebra) -> bool:
+    """Whether A and B are one algebra: one object, or over one field
+    with equal structure constants and unit."""
+    return A is B or A.p == B.p and np.array_equal(A.mul, B.mul) and np.array_equal(A.unit, B.unit)
+
+
 def add_maps(f: ChainMap, g: ChainMap, sign: int = 1) -> ChainMap:
-    """f + sign g; DimensionMismatch unless their sources, and their
-    targets, have terms of equal dimensions.  Checked unless both are and
-    they share their source and target objects (ChainMap.validate)."""
+    """f + sign g; DimensionMismatch unless they live over one algebra
+    (_one_algebra) and their sources, and their targets, have terms of
+    equal dimensions.
+    Checked unless both are and they share their source and target
+    objects (ChainMap.validate)."""
+    A = f.source.algebra
+    if not (g.source.algebra is A is g.target.algebra or all(
+            _one_algebra(A, Z.algebra) for Z in (g.source, g.target))):
+        raise DimensionMismatch("chain map across different algebras")
     if not (_same_terms(f.source, g.source) and _same_terms(f.target, g.target)):
         raise DimensionMismatch("summands have terms of different dimensions")
     p = f.source.algebra.p

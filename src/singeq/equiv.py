@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approx, functors, homotopy, linalg, modelcat, modules, solver
-from .complexes import ChainMap, Complex, chain_map, compose, dual, dual_chain_map
+from .complexes import ChainMap, Complex, compose, dual, dual_chain_map
 from .config import Options
 from .errors import LiftError, ValidationError
 from .homotopy import UNKNOWN, Certificate
@@ -83,8 +83,7 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
             ], (X.term(0), SY))
             comps = sys.solve()
             if comps is not None:
-                args = sys.graded(comps)
-                yield chain_map(X, Y, *args), args
+                yield solver._solved_map(sys, X, Y, comps)
             if not sys.fold:
                 return
 
@@ -93,8 +92,7 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
         return homotopy.factors_through_projective(ModuleMap(SX, SY, diff))
 
     key = ("omega", phi.matrix.shape, phi.matrix.tobytes(), options)
-    f = solver._remembered(X, Y, key, (), found,
-                           lambda args: chain_map(X, Y, *args, checked=True), holds)
+    f = solver._remembered(X, Y, key, (), found, solver._kept_map(X, Y), holds)
     if f is None:
         raise LiftError("PERIODIC-CLOSURE-FAILED: no stable lift within "
                         f"homotopy_period_bound={options.homotopy_period_bound}")

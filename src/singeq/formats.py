@@ -320,6 +320,16 @@ def chain_map_from_doc(doc: dict, path=None) -> ChainMap:
         comps[n] = _mat(m, p, "components", path, shape(n))
     degs = sorted(comps) or [0]
     clo, chi = degs[0], degs[-1]
+    # the map's table spans its window and the complexes' ones, one block
+    # per degree, so a gap in or beside the components would be stored
+    gap = next(((a + 1, b - 1) for a, b in zip(degs, degs[1:]) if b > a + 1), None)
+    if gap:
+        raise _fail(f"components skip degrees {gap[0]}..{gap[1]}", path)
+    lo, hi = min(src.lo, tgt.lo), max(src.hi, tgt.hi)
+    if clo > hi + 1 or chi < lo - 1:
+        a, b = (hi + 1, clo - 1) if clo > hi + 1 else (chi + 1, lo - 1)
+        raise _fail(f"components at {clo}..{chi} leave degrees {a}..{b} between them and "
+                    f"the complexes' windows {lo}..{hi}", path)
     tails = _require(doc.get("tail_components") or {}, (), path, "tail_components")
     unknown = sorted(set(tails) - {"neg", "pos"})
     if unknown:

@@ -28,12 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import complexes, functors, linalg, modules
-from .complexes import (ChainMap, Complex, Homotopy, _from_tables, _lcm, _map_profile,
-                        _once, _sample, _value, cone, dual_chain_map, identity_chain_map,
-                        is_exact)
+from .complexes import (ChainMap, Complex, Homotopy, _copied, _from_tables, _lcm,
+                        _map_profile, _sample, _value, cone, dual_chain_map,
+                        identity_chain_map, is_exact)
 # compose and FoldedSystem are unused here but stay importable from here,
 # which perfbench/selftest.py uses to test the tracer's alias rebinding
 from .complexes import compose  # noqa: F401
@@ -138,7 +136,7 @@ def _homotopies(maps: list, m: int) -> list:
     the map's own solve gives.  Complete when a side is bounded."""
     X, Y = maps[0].source, maps[0].target
     sys = graded_system(X, Y, 1, *window(X, Y, maps, m, 2), maps)
-    return [None if comps is None else Homotopy(X, Y, *sys.graded(comps))
+    return [None if comps is None else sys.graded(Homotopy, X, Y, comps)
             for comps in sys.solve_each()]
 
 
@@ -274,13 +272,11 @@ def homotopy_equivalence_certificate(
         verdict, parts = value
         if parts is None:
             return EquivalenceResult(verdict)
-        # copies of the kept tables, one per distinct block, handed over
-        g, hX, hY = (kind._of(S, T, clo, chi, table._replace(
-                         data=tuple(map(_once(np.ndarray.copy), table.data))), *periods)
-                     for kind, S, T, (clo, chi, table, *periods) in (
-                         (ChainMap, Y, X, parts["inverse"]),
-                         (Homotopy, X, X, parts["homotopy_source"]),
-                         (Homotopy, Y, Y, parts["homotopy_target"])))
+        # copies of the kept tables, handed over
+        g, hX, hY = (_copied(kind, S, T, kept) for kind, S, T, kept in (
+            (ChainMap, Y, X, parts["inverse"]),
+            (Homotopy, X, X, parts["homotopy_source"]),
+            (Homotopy, Y, Y, parts["homotopy_target"])))
         return EquivalenceResult(YES, Certificate("homotopy-inverse", {
             "map": f, "inverse": g, "homotopy_source": hX, "homotopy_target": hY,
             "contraction": parts["contraction"]}))

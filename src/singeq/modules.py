@@ -12,10 +12,11 @@ and cosyzygies are D of the syzygies of D(M).
 
 Caching rule: data that depends only on module actions is memoized on
 their algebra under the exact action bytes, so equal presentations share
-one entry and a change of basis gets its own.  That covers a module's
-projective cover, injective envelope and left add(A)-approximation, and
-the hom basis of a pair (source, target) with its pivot entries, keyed
-on both actions in that order.  Module.is_projective and is_injective
+one entry and a change of basis gets its own; each module makes its key
+once (Module._value).  That covers a module's projective cover,
+injective envelope and left add(A)-approximation, and the hom basis of
+a pair (source, target) with its pivot entries, keyed on both actions in
+that order.  Module.is_projective and is_injective
 compare dimensions on the memoized cover and envelope.  The same
 per-algebra dict holds what depends on the algebra alone: the zero
 module and complex, one zero matrix per shape (zero_block), the
@@ -36,15 +37,17 @@ complex X holds, alive with it: _membership, its "exact", "proj" and
 direct_sum_complex(X, Y) under Y, an entry that holds Y while X lives;
 and _solved, the results for maps out of X under their target Y, held
 weakly, so an entry goes with Y and holds neither X nor Y.  There a
-chain-map basis is kept under the Options, and a factorization, stable
-lift or homotopy equivalence under its kind, the maps' values and the
-Options, read-only (solver._remembered): a factorization or lift as
-GradedMap arguments, an equivalence as each map's window, block table
-and tail periods.  A hit is checked again against the caller's maps,
-and solved afresh if the check fails; a basis hit takes no caller data,
-and a remembered NO or UNKNOWN is returned as it is.  _solved also keeps
-the plans of check walks (complexes._Walk), with no value and no
-result.  A module keeps its stalk (M._stalk), each complex its block
+chain-map basis is kept under the Options as its system without rows,
+with read-only kernel coefficients, from which a hit rebuilds the basis
+as one family (solver.FoldedSystem.graded_each).  A factorization,
+stable lift or homotopy equivalence is kept under its kind, the maps'
+values and the Options, read-only (solver._remembered): each map as its
+window, block table (with its family's arrays) and tail periods, of
+which a hit hands over copies (complexes._copied).  A hit is checked
+again against the caller's maps, and solved afresh if the check fails;
+a basis hit takes no caller data, and a remembered NO or UNKNOWN is
+returned as it is.  _solved also keeps the plans of check walks
+(complexes._Walk), with no value and no result.  A module keeps its stalk (M._stalk), each complex its block
 table, and each chain map its kernel and cokernel; like X's verdicts,
 dual and constructions, they are built from frozen inputs and not
 checked again.  Four module-level dicts never shrink:
@@ -105,6 +108,13 @@ class Module:
     def stacked_action(self) -> np.ndarray:
         """The action matrices as one (algebra.dim x dim x dim) array."""
         return np.stack(self.action)
+
+    @cached_property
+    def _value(self) -> tuple:
+        """The module's key in the by-value memos (_by_value): its
+        dimension and the exact bytes of its action, made once."""
+        action = self.stacked_action
+        return self.dim, action.dtype.str, action.tobytes()
 
     @property
     def is_projective(self) -> bool:
@@ -195,20 +205,21 @@ def _read_only(value):
         _read_only(value.action)
     elif isinstance(value, ModuleMap):
         _read_only(value.matrix)
+    elif hasattr(value, "_blocks"):  # a Complex or graded map: its table
+        _read_only(value._blocks)
+    elif getattr(value, "family", None) is not None:  # a graded map's table: its blocks
+        _read_only(value.data)  # and its family's arrays
+        _read_only(value.family.arrays)
     elif isinstance(value, (tuple, dict)):
         for v in value.values() if isinstance(value, dict) else value:
             _read_only(v)
-    elif hasattr(value, "_blocks"):  # a Complex or ChainMap: its distinct blocks
-        _read_only(value._blocks.data)
     return value
 
 
 def _by_value(kind: str, mods: tuple, compute):
     """compute(), memoized on the algebra of mods under the exact bytes of
     each module's action, in the order given."""
-    key = (kind, *[(M.dim, M.stacked_action.dtype.str, M.stacked_action.tobytes())
-                   for M in mods])
-    return _memo(mods[0].algebra, key, compute)
+    return _memo(mods[0].algebra, (kind, *[M._value for M in mods]), compute)
 
 
 def zero_module(algebra: Algebra) -> Module:

@@ -36,10 +36,12 @@ past the complexes' windows the folded equations repeat with the same
 unknowns and blocks, and a repeat adds only rows already there, so the
 system is row-equivalent to the one with every equation (the same
 reduced form, kernel basis and particular solutions, bit for bit).
-chain_map_space_basis checks its basis in one ChainMap.validate call,
-which reads each map's block table, built with the map, as its next
-users (graded_system, complexes.add_maps) do; each map keeps its own
-check range, so the errors are those of the maps checked one by one.
+chain_map_space_basis makes its basis one family (graded_each): the
+kernel's per-degree stacks are its arrays, and each map's table is made
+of views of its column.  It checks the basis in one ChainMap.validate
+call, whose walk reads each group of the family in one gather; each map
+keeps its own check range, so the errors are those of the maps checked
+one by one.
 
 Each chain-map solve is memoized per pair of complexes in its source's
 store (Complex._solved); the modules docstring lists the stores.
@@ -52,8 +54,8 @@ import weakref
 import numpy as np
 
 from . import linalg, modules
-from .complexes import (ChainMap, Complex, _lcm, _proven, _tail, _value, add_maps,
-                        chain_map, compose)
+from .complexes import (ChainMap, Complex, _copied, _family, _frame, _lcm, _members,
+                        _own_periods, _proven, _value, add_maps, compose)
 from .config import Options
 from .errors import ValidationError
 
@@ -211,23 +213,41 @@ class FoldedSystem:
         mats = self._stacks(vecs)
         return [{n: m[j] for n, m in mats.items()} for j in range(vecs.shape[1])]
 
-    def graded(self, comps: dict) -> tuple:
-        """GradedMap arguments (components, lo, hi, neg, pos) for a solution:
-        its window components with entries and its folded periodic tails,
-        each left out where its blocks are zero (complexes._tail)."""
-        return self.graded_each({n: m[None] for n, m in comps.items()})[0]
+    def graded(self, kind, S: Complex, T: Complex, comps: dict):
+        """The map kind (ChainMap or Homotopy) S -> T of one solution
+        ({window degree: matrix}), as graded_each makes it."""
+        return self.graded_each(kind, S, T, {n: m[None] for n, m in comps.items()})[0]
 
-    def graded_each(self, stacks: dict) -> list:
-        """graded for each solution of stacks ({window degree: one
-        component per solution})."""
+    def graded_each(self, kind, S: Complex, T: Complex, stacks: dict) -> list:
+        """The maps kind S -> T of the solutions in stacks ({window degree:
+        one component per solution}), one family (complexes._family): the
+        kernel's stacks are its arrays, each tail block is the window
+        block it folds to, and past an unfolded window every block is
+        zero.  A solution whose blocks on a tail are all zero has no tail
+        there, decided for all solutions at once (complexes._own_periods)."""
         lo, hi, q = self.lo, self.hi, self.fold
-        window = {n: m for n, m in stacks.items() if m.size}
-        # the window stacks that the blocks of each periodic tail fold to
-        tails = [[stacks[self.rep(n)] for n in degrees]
-                 for degrees in (range(lo - 1, lo - 1 - q, -1), range(hi + 1, hi + 1 + q))]
-        return [({n: m[j] for n, m in window.items()}, lo, hi,
-                 *[_tail(q, [m[j] for m in tail]) for tail in tails])
-                for j in range(len(stacks[lo]))]
+        k = len(stacks[lo])
+        if not k:
+            return []
+        flo, fhi, nq, pq = frame = _frame(S, T, kind.shift, lo, hi, q, q)
+        window = [stacks[n] for n in range(lo, hi + 1)]
+        if q:  # the frame is the window and one fold period on each side, whose
+            # blocks are rows of their own, equal to the window blocks they fold to
+            blocks = [*[m[...] for m in window[:q]], *window,
+                      *[m[...] for m in window[len(window) - q:]]]
+        else:  # past the window every block is zero: one zero stack per shape
+            zeros, blocks = {}, []
+            for n in range(flo - nq, fhi + pq + 1):
+                if lo <= n <= hi:
+                    blocks.append(window[n - lo])
+                    continue
+                shape = (k, T.term(n + kind.shift).dim, S.term(n).dim)
+                if shape not in zeros:
+                    zeros[shape] = np.zeros(shape, dtype=np.int64)
+                blocks.append(zeros[shape])
+        family = _family(frame, blocks)[0]
+        periods = _own_periods(family, lo, hi, q, q) if q else [(0, 0)] * k
+        return _members(kind, S, T, lo, hi, family, periods)
 
 
 def solve_module_map(pairs: list, rhs: np.ndarray, terms: list, pair: tuple):
@@ -307,10 +327,10 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
     """
     sys = X._solved.get(Y, {}).get(options)
     if sys is not None:
-        return [_proven(ChainMap(X, Y, *args))
-                for args in sys.graded_each(sys._stacks(sys.kernel_coeffs))], not sys.fold
+        return [_proven(f) for f in sys.graded_each(
+            ChainMap, X, Y, sys._stacks(sys.kernel_coeffs))], not sys.fold
     sys = graded_system(X, Y, 0, *window(X, Y, (), options.map_period_bound, 1))
-    basis = [ChainMap(X, Y, *args) for args in sys.graded_each(sys.kernel())]
+    basis = sys.graded_each(ChainMap, X, Y, sys.kernel())
     if basis:
         basis[0].validate(*basis[1:])  # the whole basis in one check
     # the rows and column cache are the bulk, and the cache holds X's and Y's blocks
@@ -345,6 +365,23 @@ def _remembered(S: Complex, T: Complex, key: tuple, ends: tuple, solve, rebuild,
     return None
 
 
+def _solved_map(sys: FoldedSystem, S: Complex, T: Complex, comps: dict) -> tuple:
+    """(chain map, value) for _remembered from one solution of sys: the
+    chain map S -> T it gives, validated, and what a memo keeps of it, its
+    window, table and own tail periods, of which the map is a copy."""
+    g = sys.graded(ChainMap, S, T, comps)
+    g.validate()
+    kept = g.clo, g.chi, g._blocks, g.neg_period, g.pos_period
+    return _proven(_copied(ChainMap, S, T, kept)), kept
+
+
+def _kept_map(S: Complex, T: Complex):
+    """The rebuild for _remembered of a value of _solved_map: a copy of
+    the kept chain map, marked as a basis hit is, since its table passed
+    the check on the same frozen S and T."""
+    return lambda kept: _proven(_copied(ChainMap, S, T, kept))
+
+
 def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
                      options: Options = Options()):
     """Factor f through another chain map, or None.
@@ -370,8 +407,7 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
             sys.add_equation(f.component(n), terms, (f.source.term(n), f.target.term(n)))
         comps = sys.solve()
         if comps is not None:
-            args = sys.graded(comps)
-            yield chain_map(S, T, *args), args
+            yield _solved_map(sys, S, T, comps)
 
     def holds(g):
         composite = compose(through, g) if mode == "lift" else compose(g, through)
@@ -379,7 +415,4 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
 
     ends = (f.source, f.target, through.source, through.target)
     key = (mode, *map(id, ends), _value(f), _value(through), options)
-    # a hit is marked as a basis hit is: its arguments passed chain_map's
-    # check on the same frozen S and T
-    return _remembered(S, T, key, ends, found,
-                       lambda args: chain_map(S, T, *args, checked=True), holds)
+    return _remembered(S, T, key, ends, found, _kept_map(S, T), holds)

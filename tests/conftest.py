@@ -336,6 +336,59 @@ def assert_one_table(h):
                for a, b in zip(table.data, fresh.data))
 
 
+def reference_from_tables(S, T, profile, op, f, g):
+    """The chain map complexes._from_tables(S, T, profile, op, f, g) is,
+    made degree by degree: component n is op(f_n, g_n), on the window
+    lo..hi of profile and one period of each of its tails, sampled block
+    by block, and a tail whose blocks are all zero is no tail."""
+    lo, hi, nq, pq = profile
+
+    def at(n):
+        return op(f.component(n)[None], g.component(n)[None])[0]
+
+    def tail(q, degrees):
+        blocks = tuple(at(n) for n in degrees)
+        return (q, blocks) if any(b.any() for b in blocks) else None
+
+    return complexes.ChainMap(S, T, {n: at(n) for n in range(lo, hi + 1)}, lo, hi,
+                              tail(nq, range(lo - 1, lo - 1 - nq, -1)),
+                              tail(pq, range(hi + 1, hi + pq + 1)))
+
+
+def assert_same_table(h, ref):
+    """h and ref have one frame, own tail periods, blocks bit for bit
+    (shape, dtype and entries) and value (complexes._value)."""
+    assert h._blocks[:4] == ref._blocks[:4]
+    assert (h.clo, h.chi, h.neg_period, h.pos_period) == \
+        (ref.clo, ref.chi, ref.neg_period, ref.pos_period)
+    assert len(h._blocks.data) == len(ref._blocks.data)
+    assert all(a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in zip(h._blocks.data, ref._blocks.data))
+    assert complexes._value(h) == complexes._value(ref)
+
+
+def assert_views_of_stacks(h):
+    """Every block of h's table is a view of its family's array at its
+    slot, except where h has no block (outside its window and tails, or
+    a component left out), which holds a zero block; and asking for a
+    component twice gives the same object."""
+    table = h._blocks
+    family = table.family
+    degrees = range(table.lo - table.neg, table.hi + table.pos + 1)
+    for n, m, (s, r) in zip(degrees, table.data, family.slots.on(degrees)):
+        if not m.size:
+            continue  # no entries to share
+        if m is modules.zero_block(h.source.algebra, *m.shape) or not np.shares_memory(
+                m, family.arrays[s]):
+            assert not m.any() and (m is modules.zero_block(h.source.algebra, *m.shape) or (
+                not h.neg_period if n < h.clo else not h.pos_period if n > h.chi else False))
+        else:
+            assert np.array_equal(m, family.arrays[s][r, table.member])
+    for n in range(h.clo - 2 * table.neg - 1, h.chi + 2 * table.pos + 2):
+        assert h.component(n) is h.component(n)
+    assert all(h.component(n) is m for n, m in h.components.items())
+
+
 def in_new_process(module: str, call: str):
     """The JSON value of call, evaluated after `from module import *` in a
     new process, whose memos start empty."""

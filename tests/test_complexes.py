@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import periodic_complex as T_j
-from conftest import (assert_one_table, count_calls, count_checks, equal_by_degrees,
-                      mismatched_cone, random_contractible, random_d2_complex,
+from conftest import (assert_one_table, assert_same_table, assert_views_of_stacks,
+                      count_calls, count_checks, equal_by_degrees, mismatched_cone,
+                      random_contractible, random_d2_complex, reference_from_tables,
                       t_per_with_period_2_tails, truncated_polynomial)
-from singeq import complexes, fixtures, formats, functors, linalg, modules, solver
+from singeq import complexes, fixtures, formats, functors, homotopy, linalg, modules, solver
 from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
                               homology, identity_chain_map, is_exact,
                               is_quasi_isomorphism, reindex, two_sided_split,
@@ -822,7 +823,147 @@ class TestInstalledTables:
             complexes.chain_map(t_per, t_per, {-1: I2, 0: I2, 1: I2}, 0, 1)
 
 
+def t2_complexes():
+    """Complexes over T2 whose terms differ in dimension: P1 -> P2 (the
+    inclusion of the simple projective), its shift and its sum with its
+    shift."""
+    alg = fixtures.T2()
+    P1, P2 = (modules.indecomposable_projective(alg, i)[0] for i in alg.idempotents)
+    X = complexes.Complex.build(alg, 0, 1, {0: P2, 1: P1}, {1: modules.hom_stack(P1, P2)[0]})
+    return [X, reindex(X, 1), direct_sum_complex(X, reindex(X, 1))[0]]
+
+
+def zero_tail_pair(t_per):
+    """x on even degrees, 0 on odd ones, on tails of period 2 over T_per
+    (period 1): its sum with itself and its square are zero, tails of
+    another period than the lcm of the complexes'."""
+    x = t_per.diff(0)
+    f = complexes.chain_map_from_callable(
+        t_per, t_per, 0, 0, lambda n: x if n % 2 == 0 else 0 * x, 2, 2)
+    return f, identity_chain_map(t_per)
+
+
+class TestStackedTables:
+    """Sums and composites computed on the operands' stacked families give
+    the map made degree by degree, and every map's table is a view of its
+    family."""
+
+    def recorded_operations(self, monkeypatch, run) -> list:
+        """(arguments, result) of each _from_tables call of run()."""
+        calls, real = [], complexes._from_tables
+
+        def record(S, T, profile, op, f, g, checked=False):
+            calls.append(((S, T, profile, op, f, g), real(S, T, profile, op, f, g, checked)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(complexes, "_from_tables", record)
+        run()
+        monkeypatch.undo()
+        return calls
+
+    def test_sums_and_composites_match_the_per_degree_reference(self, monkeypatch, t_per):
+        rng, cases = table_arithmetic_cases()
+        cases += [(X, Y, X) for X in t2_complexes() for Y in t2_complexes()]
+
+        def run():
+            for X, Y, Z in cases:
+                first = solver.chain_map_space_basis(X, Y)[0]
+                second = solver.chain_map_space_basis(Y, Z)[0]
+                fs = [random_combination_of(rng, first, X, Y) for _ in range(2)] + first[:2]
+                gs = [random_combination_of(rng, second, Y, Z) for _ in range(2)] + second[:2]
+                # operands on other frames: tails written over twice their periods
+                fs += [complexes.ChainMap(X, Y, f.components, f.clo, f.chi,
+                                          *[(2 * t[0], t[1] * 2) if t else None
+                                            for t in (f.neg, f.pos)]) for f in first[:2]]
+                for f in fs:
+                    for g in fs[:3]:
+                        add_maps(f, g, sign=rng.randrange(1, X.algebra.p + 1))
+                    for g in gs:
+                        compose(g, f)
+            f, one = zero_tail_pair(t_per)
+            for g in (f, one):
+                add_maps(f, g)
+                compose(f, g)
+                compose(g, f)
+
+        calls = self.recorded_operations(monkeypatch, run)
+        assert len(calls) > 500
+        shapes = set()
+        for (S, T, profile, op, f, g), h in calls:
+            assert_same_table(h, reference_from_tables(S, T, profile, op, f, g))
+            assert_views_of_stacks(h)
+            shapes.add(len({m.shape for m in h._blocks.data}))
+        assert max(shapes) > 1
+        assert any(f._blocks.family.slots[:4] != g._blocks.family.slots[:4]
+                   for (*_, f, g), _ in calls)
+        assert any(h.neg_period != profile[2] and profile[2] for (_, _, profile, *_), h in calls)
+
+    def test_basis_maps_are_views_of_one_family(self):
+        _, cases = table_arithmetic_cases()
+        for X, Y, _ in cases + [(X, X, X) for X in t2_complexes()]:
+            X, Y = dataclasses.replace(X), dataclasses.replace(Y)  # a cold solve
+            cold, hit = (solver.chain_map_space_basis(X, Y)[0] for _ in range(2))
+            for basis in (cold, hit):
+                if not basis:
+                    continue
+                family = basis[0]._blocks.family
+                assert all(f._blocks.family is family for f in basis)
+                assert [f._blocks.member for f in basis] == list(range(len(basis)))
+                for f in basis:
+                    assert_views_of_stacks(f)
+            assert not cold or hit[0]._blocks.family is not cold[0]._blocks.family
+            for f, g in zip(cold, hit, strict=True):
+                assert_same_table(g, f)
+
+    def test_sampled_and_constructed_maps_are_views(self, t_per):
+        C = mismatched_cone()
+        f, one = zero_tail_pair(t_per)
+        for h in (identity_chain_map(C), f, one, zero_chain_map(C, C),
+                  complexes.dual_chain_map(f), complexes.kernel_complex(f)[1],
+                  complexes.ChainMap(t_per, t_per, {0: I2, 2: X_D2}, 0, 2)):
+            assert_views_of_stacks(h)
+            assert_one_table(h)
+
+    def test_kept_stacks_are_read_only(self):
+        X, Y = periodic_complex_pair()
+        f = solver.chain_map_space_basis(X, Y)[0][0]
+        res = homotopy.homotopy_equivalence_certificate(identity_chain_map(X))
+        assert res.verdict == homotopy.YES
+        [(_, (_, parts))] = [v for k, v in X._solved[X].items()
+                             if isinstance(k, tuple) and k[0] == "equivalence"]
+        kept = [parts[name][2] for name in ("inverse", "homotopy_source", "homotopy_target")]
+        through = complexes.compose(identity_chain_map(Y), f)
+        assert solver.factor_chain_map(through, identity_chain_map(Y), "lift") is not None
+        [(_, factor)] = [v for k, v in X._solved[Y].items()
+                         if isinstance(k, tuple) and k[0] == "lift"]
+        kept.append(factor[2])
+        for table in kept:
+            for a in table.family.arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+            for m in table.data:
+                assert not m.flags.writeable
+
+
+def periodic_complex_pair():
+    """T_1 -> T_3 over D4/F2, a fresh pair: period-4 chain maps between
+    period-2 complexes."""
+    alg = truncated_polynomial(4, 2)
+    return T_j(alg, 1), T_j(alg, 3)
+
+
 class TestMismatchedOperands:
+    def test_sum_across_algebras(self):
+        # D2 over F2 and over F3: equal dimensions, and the identities over
+        # F2 summed to zero, which passed its check
+        X, Y = (functors.stalk(modules.regular_module(
+            fixtures.truncated_polynomial(2, p, f"D2/F{p}"))) for p in (2, 3))
+        f, g = identity_chain_map(X), identity_chain_map(Y)
+        for a, b in ((f, g), (g, f)):
+            for combine in (add_maps, compose):
+                with pytest.raises(DimensionMismatch, match="chain map across different algebras"):
+                    combine(a, b)
+
     def test_sum_over_f2(self, F2):
         k2 = modules.Module(F2, 2, (linalg.eye(2),))
         k1 = modules.Module(F2, 1, (linalg.eye(1),))

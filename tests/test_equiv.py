@@ -137,8 +137,8 @@ class TestLiftMemo:
     def test_a_corrupted_entry_is_solved_again(self, monkeypatch):
         phi, X = lift_case("T_per over D2")
         equiv.lift_stable_map(phi, X, X, "omega")
-        [(_, (comps, *_))] = lift_entries(X, X).values()
-        block = comps[0]
+        [(_, (_, _, table, *_))] = lift_entries(X, X).values()
+        block = table.at(0)
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 1
         block.flags.writeable = True

@@ -458,6 +458,26 @@ class TestExitCodes:
         assert main(["validate", str(path)]) == 65
         assert f"unknown tail_components key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("components, gap", [
+        ({"100000": [[0, 0], [1, 0]]}, "leave degrees 1..99999 between them"),
+        ({"-7": [[0, 0], [1, 0]]}, "leave degrees -6..-1 between them"),
+        ({"0": [[1, 0], [0, 1]], "3": [[1, 0], [0, 1]]}, "skip degrees 1..2")])
+    def test_65_a_map_whose_components_leave_a_gap(self, tmp_path, capsys, components, gap):
+        # its table spans the window and the complexes' ones, one block per
+        # degree: key 100000 stored 100000 blocks and exited 0
+        path = tmp_path / "gap.map"
+        path.write_text(json.dumps({"source": fx("tper.cx"), "target": fx("tper.cx"),
+                                    "components": components}))
+        assert main(["validate", str(path)]) == 65
+        assert gap in capsys.readouterr().err
+
+    def test_0_a_map_beside_its_complexes(self, tmp_path, capsys):
+        # a window that adjoins the complexes' windows leaves no gap
+        path = tmp_path / "beside.map"
+        path.write_text(json.dumps({"source": fx("tper.cx"), "target": fx("tper.cx"),
+                                    "components": {"1": [[0, 0], [1, 0]]}}))
+        assert main(["validate", str(path)]) == 0
+
     def test_1_no(self, capsys):
         assert main(["verify-equivalence", fx("kstalk.cx")]) == 1
 

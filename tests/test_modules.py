@@ -339,6 +339,24 @@ def same_entries(c, d):
 
 
 class TestValueMemo:
+    def test_a_second_lookup_serializes_nothing(self):
+        # the by-value key is made once per module; a lookup after it reads
+        # no action bytes
+        alg = fresh(truncated_polynomial(3, 2))
+        for M in sample_modules(alg):
+            H, pivots = modules.hom_stack(M, M), modules.hom_pivots(M, M)
+            key = M._value
+            assert key == (M.dim, M.stacked_action.dtype.str, M.stacked_action.tobytes())
+
+            class Unread(np.ndarray):
+                def tobytes(self, *args, **kwargs):
+                    raise AssertionError("serialized again")
+
+            vars(M)["stacked_action"] = M.stacked_action.view(Unread)
+            assert modules.hom_stack(M, M) is H and modules.hom_pivots(M, M) is pivots
+            assert modules.projective_cover(M)[0] is modules.projective_cover(M)[0]
+            assert M._value is key
+
     def test_equal_actions_share_flags_and_witnesses(self):
         alg = fresh(truncated_polynomial(3, 3))
         for M in sample_modules(alg):

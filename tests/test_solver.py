@@ -365,6 +365,30 @@ def changes(sys_, stacks):
 
 
 @pytest.mark.parametrize("pair", ["periodic D4/F2", "bounded D2"])
+def test_a_block_of_the_wrong_shape_in_a_basis_family_is_reported_as_alone(pair):
+    # every map of the family has the wrong shape at that degree; the joint
+    # check reports the smallest degree any map alone reports
+    X, Y = dict(zip(["periodic D4/F2", "bounded D2"], parity_pairs()))[pair]
+    solver.chain_map_space_basis(X, Y)
+    sys_ = X._solved[Y][Options()]
+    stacks = sys_._stacks(sys_.kernel_coeffs)
+    for n, m in stacks.items():
+        if not m.shape[2]:
+            continue
+        wide = {**stacks, n: np.concatenate([m, m[:, :, :1]], axis=2)}
+        maps = sys_.graded_each(ChainMap, X, Y, wide)
+        alone = []
+        for f in maps:
+            with pytest.raises(ValidationError) as err:
+                f.validate()
+            alone.append(str(err.value))
+        with pytest.raises(ValidationError) as err:
+            maps[0].validate(*maps[1:])
+        assert str(err.value) == min(alone, key=lambda e: int(e.split()[3]))
+        assert all(e.endswith("has wrong shape") for e in alone)
+
+
+@pytest.mark.parametrize("pair", ["periodic D4/F2", "bounded D2"])
 def test_stacked_basis_check_raises_the_per_map_error(monkeypatch, pair):
     X, Y = dict(zip(["periodic D4/F2", "bounded D2"], parity_pairs()))[pair]
     kernel = solver.FoldedSystem.kernel
@@ -383,7 +407,7 @@ def test_stacked_basis_check_raises_the_per_map_error(monkeypatch, pair):
         # a fresh target per call, so the basis memo misses and the
         # corrupted kernel meets the stacked check
         Z = dataclasses.replace(Y)
-        maps = [ChainMap(X, Z, *args) for args in sys_.graded_each(wrong)]
+        maps = sys_.graded_each(ChainMap, X, Z, wrong)
         try:
             maps[0].validate(*maps[1:])
         except ValidationError as err:
@@ -574,8 +598,8 @@ class TestFactorMemo:
     def test_a_corrupted_entry_is_solved_again(self, mode, monkeypatch):
         f, through = factor_case("T_per over D2", mode)
         solver.factor_chain_map(f, through, mode)
-        [(_, (comps, *_))] = factor_entries(f, through, mode).values()
-        block = comps[0]
+        [(_, (_, _, table, *_))] = factor_entries(f, through, mode).values()
+        block = table.at(0)
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 1
         block.flags.writeable = True
