@@ -7,14 +7,18 @@ which fold degrees into the periodic blocks.
 
 Each complex and each graded map describes its blocks once, in a table
 (_Blocks): its data on the window, the seams and one period of each
-tail, built on first use (Complex, read-only) or with the map
-(GradedMap).  The accessors read it, and its size depends only on the
-object.  A graded map's blocks are stacked: its table names its family
-(_Family), one array per block shape whose column j is map j at every
-degree, and its blocks are views of those arrays, made with the table
-(where a map's own matrix is alone in its array, the array is the view
-instead).  A basis from one solve is one family; every other map is a
-family of one.
+tail.  The accessors read it, and its size depends only on the object.
+A complex builds its table on first use (read-only).  A graded map's
+blocks are stacked: its table names its family (_Family), one array per
+block shape whose column j is map j at every degree, and its blocks are
+views of those arrays, made with the table (where a map's own matrix is
+alone in its array, the array is the view instead).  A basis from one
+solve, or the homotopies of one joint solve, are one family, whose
+producer hands each map its table when it makes the map; so are sums,
+composites and copies of kept maps.  A lone map made from blocks (the
+constructor, and _sample) is a family of one that keeps its blocks and
+builds its table the first time it is read (_held), so a map nothing
+reads, such as most structure maps of a direct sum, builds none.
 
 Checked by construction.  A Complex or ChainMap that passed its check
 carries the fact (_checked; never set by the dataclass constructor or
@@ -639,10 +643,17 @@ class GradedMap:
     """A graded map S_n -> T_{n+shift}: chain maps (shift 0) and
     homotopies (shift +1).  It holds one form: its window clo..chi, its
     block table (_blocks, whose blocks are views of its family's arrays)
-    and its own tail periods (0 where it has none), made once by its
-    producer (_tables).  components, neg and pos read the table, and are
-    dataclass fields, so dataclasses.replace makes a new, unmarked map
-    from them."""
+    and its own tail periods (0 where it has none).  A producer that
+    holds a family hands each map its table when it makes it (_of); a
+    lone map made from blocks (the constructor, _sample) keeps them and
+    builds its table the first time it is read (_lone).  components, neg
+    and pos read the table, and are dataclass fields, so
+    dataclasses.replace makes a new, unmarked map from them.
+
+    The constructor checks its input when it is called: every component
+    lies in the window, converts to an array, and each tail (period,
+    blocks) has an int period >= 0 equal to its number of blocks ((0, ())
+    is no tail)."""
 
     source: Complex
     target: Complex
@@ -658,16 +669,43 @@ class GradedMap:
         if outside:
             raise ValidationError(
                 f"component at degree {min(outside)} lies outside the window {clo}..{chi}")
-        return cls._of(source, target, clo, chi, *_table(source, target, cls.shift, clo, chi, [
-            components.get(n) for n in range(clo, chi + 1)], neg, pos))
+        for tail in (neg, pos):
+            if tail and not (type(tail[0]) is int and 0 <= tail[0] == len(tail[1])):
+                raise ValidationError("tail period does not match block count")
+        window = [None if m is None else np.asarray(m)
+                  for m in map(components.get, range(clo, chi + 1))]
+        return cls._lone(source, target, clo, chi, window,
+                         *[tail and (tail[0], tuple(map(np.asarray, tail[1]))) for tail in (neg, pos)])
 
     @classmethod
     def _of(cls, source, target, clo, chi, table, neg_period, pos_period):
-        """The map holding its one form, as _table built it or as it was kept."""
+        """The map holding its one form, as its producer built or kept it."""
         h = object.__new__(cls)
         vars(h).update(source=source, target=target, clo=clo, chi=chi, _blocks=table,
                        neg_period=neg_period, pos_period=pos_period)
         return h
+
+    @classmethod
+    def _lone(cls, source, target, clo, chi, window, neg, pos):
+        """The map with the blocks window on clo..chi (None for zero) and
+        the tails neg, pos, as given (a tail of period 0 is none): it keeps
+        them, and builds its table from them (_held) when _blocks is first
+        read."""
+        h = object.__new__(cls)
+        vars(h).update(source=source, target=target, clo=clo, chi=chi,
+                       _given=(window, neg, pos),
+                       neg_period=neg[0] if neg else 0, pos_period=pos[0] if pos else 0)
+        return h
+
+    @cached_property
+    def _blocks(self) -> _Blocks:
+        """The table of a lone map, built from the blocks it keeps on the
+        first read, which drops them (every other map is made with its
+        table)."""
+        table = _held(self.source, self.target, self.shift, self.clo, self.chi,
+                      *self._given)[1]
+        del vars(self)["_given"]
+        return table
 
     @property
     def components(self) -> dict:
@@ -921,19 +959,23 @@ def _frame(S: Complex, T: Complex, k: int, clo: int, chi: int, nq: int, pq: int)
     """The frame (lo, hi, q, q') of the table of a graded map S_n ->
     T_{n+k} with the window clo..chi and own tail periods nq, pq: lo..hi
     the hull of its and its complexes' windows, q its own negative tail
-    period or, where it has none, the lcm of its complexes' ones; likewise q'."""
+    period or, where it has none, the lcm of its complexes' ones (their
+    tables' periods, which are 1 where a complex has no tail); likewise q'."""
     return (min(clo, S.lo, T.lo - k), max(chi, S.hi, T.hi - k),
-            nq or _lcm([S.neg_period, T.neg_period]), pq or _lcm([S.pos_period, T.pos_period]))
+            nq or math.lcm(S._blocks.neg, T._blocks.neg),
+            pq or math.lcm(S._blocks.pos, T._blocks.pos))
 
 
 def _held(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
           neg, pos) -> tuple:
     """(family, table) of the one graded map S_n -> T_{n+k} with the
-    blocks window on clo..chi (None for zero) and the tails neg, pos:
-    (period, blocks), block i at clo - 1 - i, resp. chi + 1 + i, or None.
-    The family's frame is that of the map's table (_frame), with a row
-    per distinct block object (_family); the table holds what the family
-    holds of each block, and the shared zero block where the map has none."""
+    blocks window on clo..chi (arrays, None for zero) and the tails neg,
+    pos: (period, blocks), block i at clo - 1 - i, resp. chi + 1 + i, or
+    None.  The family's frame is that of the map's table (_frame), with a
+    row per distinct block object (_family); the table holds what the
+    family holds of each block, and the shared zero block where the map
+    has none.  It runs when a lone map's table is first read
+    (GradedMap._blocks), not when the map is made."""
     nq, pq = neg[0] if neg else 0, pos[0] if pos else 0
     lo, hi, q, qp = frame = _frame(S, T, k, clo, chi, nq, pq)
     blocks, zeros = [], {}
@@ -943,7 +985,7 @@ def _held(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
         if m is None:
             m = zeros[len(blocks)] = modules.zero_block(S.algebra, T.term(n + k).dim,
                                                         S.term(n).dim)
-        blocks.append(m if type(m) is np.ndarray else np.asarray(m))
+        blocks.append(m)
     family, held = _family(frame, blocks)
     return family, _Blocks(*frame, tuple([zeros[i] if i in zeros else held[id(b)]
                                           for i, b in enumerate(blocks)]), family)
@@ -995,15 +1037,6 @@ def _members(kind, S: Complex, T: Complex, clo: int, chi: int, family: _Family,
         _tables(S, T, kind.shift, clo, chi, family, periods, zero), periods)]
 
 
-def _table(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
-           neg, pos) -> tuple:
-    """(table, own tail periods) of the graded map S_n -> T_{n+k} with the
-    blocks window on clo..chi (None for zero) and the tails neg, pos, as
-    given (_held): a constructor keeps the tails it gets."""
-    return _held(S, T, k, clo, chi, window, neg, pos)[1], neg[0] if neg else 0, \
-        pos[0] if pos else 0
-
-
 def _own_periods(family: _Family, lo: int, hi: int, nq: int, pq: int) -> list:
     """Per map of family, its own tail periods as a map with the window
     lo..hi and a tail of period nq, pq (0 for none) on each side: 0 on a
@@ -1041,7 +1074,7 @@ def _sample(kind, S: Complex, T: Complex, clo: int, chi: int, comp_fn,
         (pos_period, range(chi + 1, chi + 1 + pos_period)))]
     neg, pos = [t if any(map(np.count_nonzero, {id(m): m for m in t[1]}.values())) else None
                 for t in tails]
-    return kind._of(S, T, clo, chi, *_table(S, T, kind.shift, clo, chi, window, neg, pos))
+    return kind._lone(S, T, clo, chi, window, neg, pos)
 
 
 def _copied(kind, S: Complex, T: Complex, kept: tuple) -> GradedMap:

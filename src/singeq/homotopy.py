@@ -133,11 +133,14 @@ def _verify_inverse_payload(payload: dict) -> bool:
 def _homotopies(maps: list, m: int) -> list:
     """Null-homotopy per chain map of maps (one source, one target), or
     None, from one elimination on window(..., m, 2); each is the homotopy
-    the map's own solve gives.  Complete when a side is bounded."""
+    the map's own solve gives, and those found are one family, made from
+    the solve's stacks.  Complete when a side is bounded."""
     X, Y = maps[0].source, maps[0].target
     sys = graded_system(X, Y, 1, *window(X, Y, maps, m, 2), maps)
-    return [None if comps is None else sys.graded(Homotopy, X, Y, comps)
-            for comps in sys.solve_each()]
+    sols = sys.solve_each()
+    found = iter(sys.graded_each(Homotopy, X, Y, sys.solutions)
+                 if any(s is not None for s in sols) else ())
+    return [None if comps is None else next(found) for comps in sols]
 
 
 def search_periodic_homotopy(f: ChainMap, m: int):

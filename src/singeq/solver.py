@@ -41,7 +41,9 @@ kernel's per-degree stacks are its arrays, and each map's table is made
 of views of its column.  It checks the basis in one ChainMap.validate
 call, whose walk reads each group of the family in one gather; each map
 keeps its own check range, so the errors are those of the maps checked
-one by one.
+one by one.  Likewise the particular solutions of one joint solve
+(solve_each) keep their per-degree stacks, and the null-homotopies made
+from them are one family.
 
 Each chain-map solve is memoized per pair of complexes in its source's
 store (Complex._solved); the modules docstring lists the stores.
@@ -180,12 +182,15 @@ class FoldedSystem:
         """Per right-hand side, a particular solution as {degree: matrix},
         or None where it is inconsistent.  One elimination decides them
         all, and each is the solution its right-hand side gets alone
-        (linalg.solve_columns)."""
+        (linalg.solve_columns).  When any is consistent, their components
+        are kept as self.solutions, one stack per window degree in their
+        order (_stacks), of which the matrices returned are the rows."""
         A, B = self._stack()
         X, ok = linalg.solve_columns(A, B, self.p)
         if not ok.any():
             return [None] * len(ok)
-        sols = iter(self.unpack(X[:, ok]))
+        stacks = self.solutions = self._stacks(X[:, ok])
+        sols = iter([{n: m[j] for n, m in stacks.items()} for j in range(int(ok.sum()))])
         return [next(sols) if consistent else None for consistent in ok]
 
     def kernel(self) -> dict:
@@ -207,11 +212,6 @@ class FoldedSystem:
             c = vecs[off : off + h].T
             mats[n] = (c @ H.reshape(h, t * s)).reshape(len(c), t, s) % self.p
         return mats
-
-    def unpack(self, vecs: np.ndarray) -> list:
-        """Per column of vecs, {window degree: sum_j c_j H_j}."""
-        mats = self._stacks(vecs)
-        return [{n: m[j] for n, m in mats.items()} for j in range(vecs.shape[1])]
 
     def graded(self, kind, S: Complex, T: Complex, comps: dict):
         """The map kind (ChainMap or Homotopy) S -> T of one solution

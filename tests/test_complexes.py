@@ -945,6 +945,67 @@ class TestStackedTables:
                 assert not m.flags.writeable
 
 
+class TestLoneTables:
+    """A lone map made from blocks builds its table on the first read, and
+    that table is the one its constructor's blocks give; its input is
+    checked when it is made."""
+
+    def test_a_checked_direct_sum_and_a_zero_map_build_no_table_until_read(self, monkeypatch):
+        rng = random.Random(5)
+        X, Y = random_d2_complex(rng), random_d2_complex(rng)
+        held = count_calls(monkeypatch, complexes, "_held")
+        _, *maps = direct_sum_complex(X, Y)
+        maps += [f._kernel[1] for f in maps[:2]] + [f._cokernel[1] for f in maps[2:]]
+        maps.append(zero_chain_map(X, Y))
+        assert all(f._checked for f in maps) and not held
+        tables = [f._blocks for f in maps]
+        assert len(held) == len(maps)
+        assert all(f._blocks is t for f, t in zip(maps, tables)) and len(held) == len(maps)
+        for f in maps:
+            assert_one_table(f)
+            assert_views_of_stacks(f)
+
+    @pytest.mark.parametrize("make", [complexes.ChainMap, complexes.chain_map])
+    def test_constructor_errors_are_raised_at_construction(self, monkeypatch, t_per, make):
+        held = count_calls(monkeypatch, complexes, "_held")
+        with pytest.raises(ValidationError, match=r"degree 2 lies outside the window 0\.\.1"):
+            make(t_per, t_per, {0: I2, 2: I2}, 0, 1)
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            make(t_per, t_per, {0: [[0, 0], [1]]}, 0, 0)
+        z = 0 * I2
+        for tail in [(1, (I2, z)), (2, (I2,)), (1, ()), (-1, (I2,)), (0, (I2,)), (1.0, (I2,))]:
+            for side in ({"neg": tail}, {"pos": tail}):
+                with pytest.raises(ValidationError, match="tail period does not match block count"):
+                    make(t_per, t_per, {0: I2}, 0, 0, **side)
+        assert not held
+        f = make(t_per, t_per, {0: z}, 0, 0, (0, ()), (1, (z,)))
+        assert (f.neg, f.neg_period, f.pos_period) == (None, 0, 1)
+        assert_one_table(f)
+
+    def test_the_homotopies_of_one_solve_are_one_family(self):
+        rng = random.Random(0)
+        cases = [solver.chain_map_space_basis(random_d2_complex(rng), random_d2_complex(rng))[0]
+                 for _ in range(6)]
+        cases.append(solver.chain_map_space_basis(*periodic_complex_pair())[0])
+        shared = 0
+        for basis in filter(None, cases):
+            X, Y = basis[0].source, basis[0].target
+            for m in (1, 2):
+                found = homotopy._homotopies(basis, m)
+                sys_ = solver.graded_system(X, Y, 1, *solver.window(X, Y, basis, m, 2), basis)
+                ref = [None if c is None else sys_.graded(complexes.Homotopy, X, Y, c)
+                       for c in sys_.solve_each()]
+                assert [h is None for h in found] == [h is None for h in ref]
+                found = [h for h in found if h is not None]
+                assert len({id(h._blocks.family) for h in found}) <= 1
+                assert [h._blocks.member for h in found] == list(range(len(found)))
+                for h, r in zip(found, filter(None, ref)):
+                    assert_same_table(h, r)
+                    assert_views_of_stacks(h)
+                shared += len(found) > 1 and bool(X.neg_period)
+        assert shared
+
+
 def periodic_complex_pair():
     """T_1 -> T_3 over D4/F2, a fresh pair: period-4 chain maps between
     period-2 complexes."""

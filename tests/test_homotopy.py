@@ -554,15 +554,15 @@ class TestEquivalenceMemo:
         [(_, (_, parts))] = equivalence_entries(X, Y).values()
         names = ("inverse", "homotopy_source", "homotopy_target")
         built, checked = [], []
-        table, from_tables = complexes._table, homotopy._from_tables
-        monkeypatch.setattr(complexes, "_table", lambda *a: built.append(table(*a)) or built[-1])
+        held, from_tables = complexes._held, homotopy._from_tables
+        monkeypatch.setattr(complexes, "_held", lambda *a: built.append(held(*a)) or built[-1])
         monkeypatch.setattr(homotopy, "_from_tables",
                             lambda *a, **k: checked.append(from_tables(*a, **k)) or checked[-1])
         hit = homotopy.homotopy_equivalence_certificate(one_plus_x(X, Y)).certificate
         maps = [hit.payload[name] for name in names]
         # no table is built for g, hX or hY: each is a copy of its kept table,
         # with one copy per distinct kept block
-        assert hit.checked and not any(h._blocks is t for h in maps for t, *_ in built)
+        assert hit.checked and not any(h._blocks is t for h in maps for _, t in built)
         for h, name in zip(maps, names):
             clo, chi, kept, *periods = parts[name]
             assert (h.clo, h.chi, h._blocks[:4], [h.neg_period, h.pos_period]) == (

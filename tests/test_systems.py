@@ -294,21 +294,22 @@ def x_id(t_per):
     return complexes.chain_map_from_callable(t_per, t_per, 0, 0, lambda n: x, 1, 1)
 
 
-def corrupted(unpack, kind):
-    """FoldedSystem.unpack with the first component of each solution that
-    can change changed: by one entry ("entry"), which leaves Hom, or by
-    its last hom basis matrix ("hom"), which stays a module map."""
+def corrupted(solve_each, kind):
+    """FoldedSystem.solve_each with the first component of each solution
+    that can change changed, in the stack the solutions are rows of
+    (sys_.solutions): by one entry ("entry"), which leaves Hom, or by its
+    last hom basis matrix ("hom"), which stays a module map."""
 
-    def wrong(sys_, vecs):
-        out = unpack(sys_, vecs)
-        for comps in out:
-            n = next(n for n in comps if len(sys_.bases[n][1]))
-            m = comps[n].copy()
+    def wrong(sys_):
+        out = solve_each(sys_)
+        if any(comps is not None for comps in out):
+            n = next(n for n in sys_.solutions if len(sys_.bases[n][1]))
+            m = sys_.solutions[n]
             if kind == "entry":
-                m[0, 0] += 1
+                m[:, 0, 0] += 1
             else:
                 m += sys_.bases[n][1][-1]
-            comps[n] = m % sys_.p
+            m %= sys_.p
         return out
 
     return wrong
@@ -318,8 +319,8 @@ def corrupted(unpack, kind):
 def test_corrupted_homotopy_gives_unknown(monkeypatch, t_per, contractible, kind):
     maps = [x_id(t_per), identity_chain_map(contractible)]
     assert [homotopy.null_homotopy(f).verdict for f in maps] == [YES, YES]
-    monkeypatch.setattr(solver.FoldedSystem, "unpack",
-                        corrupted(solver.FoldedSystem.unpack, kind))
+    monkeypatch.setattr(solver.FoldedSystem, "solve_each",
+                        corrupted(solver.FoldedSystem.solve_each, kind))
     for f in maps:
         res = homotopy.null_homotopy(f)
         assert res.verdict == UNKNOWN
