@@ -55,17 +55,21 @@ and the first L' degrees after them.
 One engine runs the checks (_first_failure), and one function walks the
 checks of graded maps g: S_n -> T_{n+k} and returns the first that fails
 (_check_walk): the shapes, then g a module map at every action index,
-then the equation, f d = d f for chain maps (ChainMap.validate) and
-d s + s d = f for null-homotopies (homotopy.verify_null_homotopy, which
-reaches it as complexes._check_walk: this module holds the only binding
-of either, so one patch here sees every check).  Maps that share one
-source and one target are walked once, over the union of their check
-ranges; each object's own range lies inside it and its periods divide
-the joint ones, so the joint walk runs a superset of each object's
-checks.  The degrees are grouped by the modules (intertwining) or the
-shapes (d*d = 0, the equation) they share, and the maps' blocks of a
-group are read from their families, one gather per run of maps of one
-family (_Read); a complex's differentials are stacked once per plan.
+then the equation: f d = d f for chain maps (ChainMap.validate),
+d s + s d = f for null-homotopies (homotopy.verify_null_homotopy), and
+d s + s d = g f - 1 for the homotopies of a homotopy inverse, from the
+blocks of f and g with no map built (homotopy._verify_inverse_payload).
+homotopy reaches it as complexes._check_walk: this module holds the
+only binding of either, so one patch here sees every check.  Maps that
+share one source and one target are walked once, over the union of
+their check ranges; each object's own range lies inside it and its
+periods divide the joint ones, so the joint walk runs a superset of
+each object's checks.  The degrees are grouped by the modules
+(intertwining) or the shapes (d*d = 0, the equation; for g f - 1 also
+the shape of f_n, which the third complex sets) they share, and the
+maps' blocks of a group are read from their families, one gather per
+run of maps of one family (_Read); a complex's differentials are
+stacked once per plan.
 Each group costs one array per operand and one batched product per side;
 intertwining tests every action index (modules.intertwining_residue, as
 ModuleMap.validate does), and over several objects multiplies out only
@@ -78,8 +82,8 @@ failing action index, as a check of that object alone.
 Each walk has a plan (_Walk): the check ranges, the walked degrees, the
 shapes, the grouping by modules and by shapes, the differentials stacked
 per group, and where the blocks at those degrees sit in each frame read,
-a table's or a family's.  It depends only on S, T, the degree k, whether
-there is a right-hand side and each object's window and tail periods,
+a table's or a family's.  It depends only on S, T, the degree k, the
+kind of right-hand side and each object's window and tail periods,
 never on a map's values, and holds no check result: every check runs on
 every call, on the caller's maps.  A plan is kept in S._solved[T], so it goes with T, from the second
 walk of its key on; a walk made once keeps only its key.
@@ -246,11 +250,12 @@ class _Range(NamedTuple):
     pos: int
 
     @staticmethod
-    def of(a: int, *tables) -> "_Range":
-        return _Range(a, min([t.lo for t in tables]) - 1,
-                      max([t.hi for t in tables]) + 1,
-                      math.lcm(*[t.neg for t in tables]),
-                      math.lcm(*[t.pos for t in tables]))
+    def of(a: int, *frames) -> "_Range":
+        """frames: tables, or their frames (lo, hi, neg, pos)."""
+        return _Range(a, min([t[0] for t in frames]) - 1,
+                      max([t[1] for t in frames]) + 1,
+                      math.lcm(*[t[2] for t in frames]),
+                      math.lcm(*[t[3] for t in frames]))
 
     @staticmethod
     def union(ranges) -> "_Range":
@@ -305,8 +310,10 @@ class _Keys(list):
 
 class _Stacked(list):
     """A column for _first_failure that is the same on every call: its
-    operand per walked degree, stacked (g, 1, rows, cols) per group of
-    keys the first time the engine reads that group."""
+    operand per walked degree, stacked (g, 1, rows, cols) per group the
+    first time the engine reads that group.  A stack is kept under the
+    group's degrees, not its number, as walks that group the degrees
+    differently share the column."""
 
     __slots__ = ("_stacks",)
 
@@ -315,9 +322,9 @@ class _Stacked(list):
         self._stacks = {}
 
     def stack(self, g: int, idx: tuple) -> np.ndarray:
-        if g not in self._stacks:
-            self._stacks[g] = _stack([self[i] for i in idx])
-        return self._stacks[g]
+        if idx not in self._stacks:
+            self._stacks[idx] = _stack([self[i] for i in idx])
+        return self._stacks[idx]
 
 
 def _first_failure(ranges, ns, keys, check, *columns):
@@ -826,11 +833,15 @@ def _settled(x, checked: bool):
 
 class _Walk:
     """The plan of one check walk of _check_walk: everything but the
-    maps' values.  It depends only on S, T, k, whether there is a
-    right-hand side, and the profile (window and tail periods) of each
-    object, and holds no map value and no check result.
+    maps' values.  It depends only on S, T, k, the kind of right-hand
+    side, and the profile (window and tail periods) of each object, and
+    holds no map value and no check result.
 
-    Check ranges are computed once per distinct profile.  The plan holds
+    Check ranges are computed once per distinct profile, from the table
+    of each object's walked map and the own window and tail periods of
+    its right-hand side's maps, over which their blocks repeat as values
+    (1 where a map has no tail): the tables of a loop's maps depend on a
+    third complex, which the key does not fix.  The plan holds
     the walked degrees ns, the shapes of g (and of the right-hand side)
     there, the groups of degrees by module pair (twists) and by
     differential shapes (equations) as _first_failure groups them, the
@@ -843,7 +854,7 @@ class _Walk:
     stops tracking: a kept plan adds few objects to its full passes."""
 
     __slots__ = ("ranges", "eq_ranges", "ns", "prev", "shapes", "rhs_shapes", "twists",
-                 "equations", "dS", "dT", "_index", "__weakref__")
+                 "equations", "dS", "dT", "_index", "_loops", "__weakref__")
 
     def __init__(self, S: Complex, T: Complex, k: int, objects: list, profiles: tuple):
         Sb, Tb = S._blocks, T._blocks
@@ -851,7 +862,8 @@ class _Walk:
         for o, profile in zip(objects, profiles):
             if profile not in by_profile:
                 a, b = _check_range(S, T, *o)
-                r = _Range.of(a, Sb, Tb, *[x._blocks for x in o])
+                r = _Range.of(a, Sb, Tb, o[0]._blocks, *[(x.clo, x.chi, x.neg_period or 1,
+                                                          x.pos_period or 1) for x in o[1:]])
                 by_profile[profile] = (r, r._replace(a=r.a + 1 - k), b)
         self.ranges = tuple([by_profile[profile][0] for profile in profiles])
         self.eq_ranges = tuple([by_profile[profile][1] for profile in profiles])
@@ -869,13 +881,24 @@ class _Walk:
         dS, dT = [d for _, d in S1], [d for _, d in T1]
         self.equations = _Keys(_grouped([(x.shape, y.shape) for x, y in zip(dS, dT)]), len(ns))
         self.dS, self.dT = _Stacked(dS), _Stacked(dT)
-        self._index = {}
+        self._index, self._loops = {}, {}
 
     def twist_keys(self, T: Complex) -> _Keys:
         """The module pairs (S_n, T_{n+k}) at the walked degrees, grouped."""
         data = T._blocks.data
         return _Keys(tuple([((s, data[i][0]), idx) for (s, i), idx in self.twists]),
                      len(self.ns))
+
+    def loop_keys(self, f: "_Read") -> _Keys:
+        """The equation groups split by the shape of the maps' blocks at
+        each walked degree in f, which a third complex sets (the loops of
+        _check_walk); computed once per distinct shapes."""
+        shapes = tuple([f.shape(i) for i in range(len(self.ns))])
+        keys = self._loops.get(shapes)
+        if keys is None:
+            keys = self._loops[shapes] = _Keys(_grouped(list(zip(self.equations, shapes))),
+                                               len(self.ns))
+        return keys
 
     def positions(self, table: _Blocks, at: int) -> tuple:
         """Where table's blocks at n - 1 (at 0) or at n (at 1) for n in ns
@@ -891,7 +914,8 @@ def _profile(g: GradedMap) -> tuple:
     return g.clo, g.chi, g.neg_period, g.pos_period
 
 
-def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = None):
+def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = None,
+                loops: list | None = None):
     """The first failing check of graded maps g: S_n -> T_{n+k}, walked
     once over the union of their check ranges, as (kind, degree, detail),
     or None.  The kinds run in order, each only when the ones before it
@@ -899,16 +923,27 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
     map (detail the first failing action index), 2 the equation (detail
     the first failing row); each at its smallest reported degree.
 
-    The equation is f d = d f for chain maps (k = 0, rhs None) and
-    d s + s d = f for homotopies (k = 1, rhs the map f of each), whose
-    check range is that of the pair.  It reads g at n - 1 and n, reported
-    from a + 1 for chain maps and from a for homotopies, whose walk starts
-    at a - 1.  The walk's plan (_Walk) is kept as the module docstring
+    The equation is f d = d f for chain maps (k = 0, no right-hand side),
+    d s + s d = f for homotopies (k = 1, rhs the map f of each), and
+    d s + s d = g f - 1 for homotopies on S = T (k = 1, loops the pair
+    (f, g) of each: chain maps f: S -> Z and g: Z -> S that passed
+    ChainMap.validate, every f into one Z).  A homotopy's check range is
+    that of it and its right-hand side's maps.  g_n f_n is one batched
+    product per group, with no map built: the degrees are grouped by the
+    shapes of f_n too, which Z sets, and each product is reduced mod p
+    before the sum.  The equation reads g at n - 1 and n, reported from
+    a + 1 for chain maps and from a for homotopies, whose walk starts at
+    a - 1.  The walk's plan (_Walk) is kept as the module docstring
     says."""
-    objects = [(g,) for g in maps] if rhs is None else list(zip(maps, rhs))
+    if loops is not None:
+        objects, kind = [(h, *loop) for h, loop in zip(maps, loops)], "g f - 1"
+    elif rhs is not None:
+        objects, kind = list(zip(maps, rhs)), True
+    else:
+        objects, kind = [(g,) for g in maps], False
     one = {}  # equal profiles as one object, so that a kept key is small
     profiles = tuple([one.setdefault(q, q) for q in [tuple(map(_profile, o)) for o in objects]])
-    key = ("walk", k, rhs is not None, profiles)
+    key = ("walk", k, kind, profiles)
     plans = S._solved.get(T)
     if plans is None:
         plans = S._solved[T] = {}
@@ -931,7 +966,18 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
     if bad is not None:
         return 1, *bad
     G0, p = _Read(plan, maps, 0), S.algebra.p
-    if rhs is None:
+    if loops is not None:
+        f, g = _Read(plan, [f for f, _ in loops], 1), _Read(plan, [g for _, g in loops], 1)
+
+        def minus_one(_, dT, s1, s0, dS, g, f):  # d s + s d - (g f - 1)
+            r = dT @ s1 % p + s0 @ dS % p - g @ f % p
+            m = r.shape[-1]
+            r.reshape(*r.shape[:-2], m * m)[..., ::m + 1] += 1  # a view of each diagonal
+            return r % p
+
+        bad = _first_failure(plan.eq_ranges, ns, plan.loop_keys(f), minus_one,
+                             plan.dT, G1, G0, plan.dS, g, f)
+    elif rhs is None:
         bad = _first_failure(plan.eq_ranges, ns, plan.equations,
                              lambda _, f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p,
                              G0, plan.dS, plan.dT, G1)
@@ -1107,16 +1153,17 @@ def zero_chain_map(X: Complex, Y: Complex) -> ChainMap:
     return chain_map(X, Y, {}, 0, 0, checked=True)
 
 
-def _joint_blocks(X: Complex, Y: Complex):
-    """The pairs of X's and Y's (term, differential) blocks at each degree
-    of one walk that meets every distinct pair: below both tables each
-    repeats with the lcm of their negative periods, and above them with
-    that of their positive ones, so the walk is the hull of the tables
-    widened by these lcms.  Their windows and periods may differ."""
-    XB, YB = X._blocks, Y._blocks
-    neg, pos = math.lcm(XB.neg, YB.neg), math.lcm(XB.pos, YB.pos)
-    ns = range(min(XB.lo, YB.lo) - neg, max(XB.hi, YB.hi) + pos + 1)
-    return zip(XB.on(ns), YB.on(ns))
+def _joint_blocks(*objects):
+    """The tuples of the objects' blocks ((term, differential) of a
+    complex, the matrix of a graded map) at each degree of one walk that
+    meets every distinct tuple: below all their tables each repeats with
+    the lcm of their negative periods, and above them with that of their
+    positive ones, so the walk is the hull of the tables widened by these
+    lcms.  Their windows and periods may differ."""
+    tables = [o._blocks for o in objects]
+    neg, pos = math.lcm(*[t.neg for t in tables]), math.lcm(*[t.pos for t in tables])
+    ns = range(min([t.lo for t in tables]) - neg, max([t.hi for t in tables]) + pos + 1)
+    return zip(*[t.on(ns) for t in tables])
 
 
 def _same_terms(X: Complex, Y: Complex) -> bool:
@@ -1131,8 +1178,12 @@ def same_complex(X: Complex, Y: Complex) -> bool:
     if X is Y:
         return True
     return X.algebra is Y.algebra and all(
-        (s is t or s.dim == t.dim and np.array_equal(s.stacked_action, t.stacked_action))
-        and np.array_equal(d, e) for (s, d), (t, e) in _joint_blocks(X, Y))
+        _same_module(s, t) and np.array_equal(d, e) for (s, d), (t, e) in _joint_blocks(X, Y))
+
+
+def _same_module(M: Module, N: Module) -> bool:
+    """Whether M and N are one module by value: dimension and action."""
+    return M is N or M.dim == N.dim and np.array_equal(M.stacked_action, N.stacked_action)
 
 
 def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
@@ -1209,22 +1260,37 @@ def _one_algebra(A: Algebra, B: Algebra) -> bool:
     return A is B or A.p == B.p and np.array_equal(A.mul, B.mul) and np.array_equal(A.unit, B.unit)
 
 
+def _summable(S: Complex, T: Complex, g: ChainMap) -> None:
+    """DimensionMismatch unless a map S -> T and g can be summed (add_maps)."""
+    A = S.algebra
+    if not (g.source.algebra is A is g.target.algebra or all(
+            _one_algebra(A, Z.algebra) for Z in (g.source, g.target))):
+        raise DimensionMismatch("chain map across different algebras")
+    if not (_same_terms(S, g.source) and _same_terms(T, g.target)):
+        raise DimensionMismatch("summands have terms of different dimensions")
+
+
 def add_maps(f: ChainMap, g: ChainMap, sign: int = 1) -> ChainMap:
     """f + sign g; DimensionMismatch unless they live over one algebra
     (_one_algebra) and their sources, and their targets, have terms of
     equal dimensions.
     Checked unless both are and they share their source and target
     objects (ChainMap.validate)."""
-    A = f.source.algebra
-    if not (g.source.algebra is A is g.target.algebra or all(
-            _one_algebra(A, Z.algebra) for Z in (g.source, g.target))):
-        raise DimensionMismatch("chain map across different algebras")
-    if not (_same_terms(f.source, g.source) and _same_terms(f.target, g.target)):
-        raise DimensionMismatch("summands have terms of different dimensions")
+    _summable(f.source, f.target, g)
     p = f.source.algebra.p
     known = f._checked and g._checked and g.source is f.source and g.target is f.target
     return _from_tables(f.source, f.target, _map_profile(f, g, f.source, f.target),
                         lambda a, b: (a + sign * b) % p, f, g, checked=known)
+
+
+def _factors(f: ChainMap, outer: ChainMap, inner: ChainMap) -> bool:
+    """Whether outer after inner, where inner.target is outer.source,
+    equals f mod p, with no map built: one product per degree of one walk
+    of the three maps' tables (_joint_blocks).  DimensionMismatch where
+    the sum of that composite and f would raise it (add_maps)."""
+    _summable(inner.source, outer.target, f)
+    p = f.source.algebra.p
+    return not any(((a @ b - c) % p).any() for a, b, c in _joint_blocks(outer, inner, f))
 
 
 # -- basic operations ---------------------------------------------------

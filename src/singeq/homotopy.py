@@ -12,7 +12,8 @@ so round 1 is the complete solve and the only round.  UNKNOWN is a value,
 never upgraded.
 
 Each round solves d s + s d = f in the system solver.graded_system
-builds with shift 1, on the window that solver.window gives with pad 2.
+builds with shift 1, on the window that solver.window gives with pad 2
+and shift 1.
 search_periodic_homotopy is one round of the search for one map.
 
 Each certificate is checked once, and the verdict follows the check: a
@@ -28,10 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import complexes, functors, linalg, modules
-from .complexes import (ChainMap, Complex, Homotopy, _copied, _from_tables, _lcm,
-                        _map_profile, _sample, _value, cone, dual_chain_map,
-                        identity_chain_map, is_exact)
+from . import complexes, functors, modules
+from .complexes import (ChainMap, Complex, Homotopy, _copied, _lcm, _map_profile, _sample,
+                        _value, cone, dual_chain_map, identity_chain_map, is_exact)
 # compose and FoldedSystem are unused here but stay importable from here,
 # which perfbench/selftest.py uses to test the tracer's alias rebinding
 from .complexes import compose  # noqa: F401
@@ -109,7 +109,11 @@ def verify_certificate(cert: Certificate) -> bool:
 
 def _verify_inverse_payload(payload: dict) -> bool:
     """f: X -> Y and g: Y -> X are chain maps (one stacked check), and
-    g f - id and f g - id are null-homotopic through the two homotopies."""
+    d hX + hX d = g f - 1 on X and d hY + hY d = f g - 1 on Y, checked in
+    the walk (complexes._check_walk, with loops) from the blocks of f and
+    g, so no map is built for g f - 1 or f g - 1.  When X is Y both
+    homotopies are checked in one walk, as verify_null_homotopy groups
+    pairs."""
     f, g = payload["map"], payload["inverse"]
     hX, hY = payload["homotopy_source"], payload["homotopy_target"]
     X, Y = f.source, f.target
@@ -119,24 +123,20 @@ def _verify_inverse_payload(payload: dict) -> bool:
         f.validate(g)
     except ValidationError:
         return False
-    p = X.algebra.p
-    profile = _map_profile(f, g, X, Y)
-
-    def minus_id(first, second, Z):
-        """second after first, minus the identity of Z, with no re-validation."""
-        return _from_tables(Z, Z, profile, lambda a, b: (b @ a - linalg.eye(b.shape[1])) % p,
-                            first, second, checked=True)
-
-    return verify_null_homotopy(minus_id(f, g, X), hX, (minus_id(g, f, Y), hY))
+    sides = {}
+    for Z, h, loop in ((X, hX, (f, g)), (Y, hY, (g, f))):
+        sides.setdefault(Z, []).append((h, loop))
+    return all(complexes._check_walk(Z, Z, 1, [h for h, _ in side], loops=[l for _, l in side])
+               is None for Z, side in sides.items())
 
 
 def _homotopies(maps: list, m: int) -> list:
     """Null-homotopy per chain map of maps (one source, one target), or
-    None, from one elimination on window(..., m, 2); each is the homotopy
-    the map's own solve gives, and those found are one family, made from
-    the solve's stacks.  Complete when a side is bounded."""
+    None, from one elimination on window(..., m, 2, shift=1); each is the
+    homotopy the map's own solve gives, and those found are one family,
+    made from the solve's stacks.  Complete when a side is bounded."""
     X, Y = maps[0].source, maps[0].target
-    sys = graded_system(X, Y, 1, *window(X, Y, maps, m, 2), maps)
+    sys = graded_system(X, Y, 1, *window(X, Y, maps, m, 2, shift=1), maps)
     sols = sys.solve_each()
     found = iter(sys.graded_each(Homotopy, X, Y, sys.solutions)
                  if any(s is not None for s in sols) else ())
@@ -232,7 +232,7 @@ def null_homotopies(maps: list, options: Options = Options()) -> list:
         groups = {}
         for i, f in enumerate(maps):
             if out[i] is None:
-                groups.setdefault(window(X, Y, [f], m, 2), []).append(i)
+                groups.setdefault(window(X, Y, [f], m, 2, shift=1), []).append(i)
         found = [(i, s) for idx in groups.values()
                  for i, s in zip(idx, _homotopies([maps[i] for i in idx], m))]
         checks = [(maps[i], s) for i, s in found if s is not None]

@@ -45,8 +45,12 @@ values and the Options, read-only (solver._remembered): each map as its
 window, block table (with its family's arrays) and tail periods, of
 which a hit hands over copies (complexes._copied).  A hit is checked
 again against the caller's maps, and solved afresh if the check fails;
-a basis hit takes no caller data, and a remembered NO or UNKNOWN is
-returned as it is.  _solved also keeps the plans of check walks
+the check builds no map: a factorization compares the composite with
+the caller's map on the three tables (complexes._factors), and an
+equivalence validates f and g, then checks d h + h d = g f - 1 and
+f g - 1 in the walk (homotopy._verify_inverse_payload).  A basis hit
+takes no caller data, and a remembered NO or UNKNOWN is returned as it
+is.  _solved also keeps the plans of check walks
 (complexes._Walk), with no value and no result.  A module keeps its stalk (M._stalk), each complex its block
 table, and each chain map its kernel and cokernel; like X's verdicts,
 dual and constructions, they are built from frozen inputs and not

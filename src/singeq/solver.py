@@ -56,8 +56,8 @@ import weakref
 import numpy as np
 
 from . import linalg, modules
-from .complexes import (ChainMap, Complex, _copied, _family, _frame, _lcm, _members,
-                        _own_periods, _proven, _value, add_maps, compose)
+from .complexes import (ChainMap, Complex, _copied, _factors, _family, _frame, _lcm,
+                        _members, _own_periods, _proven, _same_module, _value)
 from .config import Options
 from .errors import ValidationError
 
@@ -260,18 +260,25 @@ def solve_module_map(pairs: list, rhs: np.ndarray, terms: list, pair: tuple):
     return None if sol is None else sol[0]
 
 
-def window(X: Complex, Y: Complex, maps, m: int, pad: int, around=()) -> tuple:
-    """(lo, hi, fold) of a graded-map system X -> Y: the window of the
-    first bounded one of X and Y widened by pad, unfolded and so complete;
-    else the hull of the windows of X, Y and the maps widened by
-    P = max(1, m) * lcm of all their tail periods, folded with period P.
-    It also contains the degrees of around."""
+def window(X: Complex, Y: Complex, maps, m: int, pad: int, around=(), shift: int = 0) -> tuple:
+    """(lo, hi, fold) of a system in graded maps u_n: X_n -> Y_{n+shift}:
+    the window of the first bounded one of X and Y widened by pad,
+    unfolded and so complete; else the hull of the windows of X, Y and
+    the maps widened by P = max(1, m) * lcm of all their tail periods,
+    folded with period P.  It also contains the degrees of around.
+
+    Folded, u_{lo-1+P} stands for u_{lo-1}, so Y's term at lo - 1 +
+    shift + P must be, by value, its term P below.  For shift 1 it can be
+    the window term of Y at the hull's low edge, which may differ; then lo
+    moves down by P, into the tails."""
     B = X if X.bounded() else Y if Y.bounded() else None
     if B is not None:
         return min([B.lo - pad, *around]), max([B.hi + pad, *around]), 0
     P = max(1, m) * _lcm([q for Z in (X, Y, *maps) for q in (Z.neg_period, Z.pos_period)])
-    return (min(X.lo, Y.lo, *[f.clo for f in maps], *around) - P,
-            max(X.hi, Y.hi, *[f.chi for f in maps], *around) + P, P)
+    lo = min(X.lo, Y.lo, *[f.clo for f in maps], *around) - P
+    if not _same_module(Y.term(lo - 1 + shift + P), Y.term(lo - 1 + shift)):
+        lo -= P
+    return lo, max(X.hi, Y.hi, *[f.chi for f in maps], *around) + P, P
 
 
 def graded_system(X: Complex, Y: Complex, shift: int, lo: int, hi: int, fold: int,
@@ -389,7 +396,9 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
     mode "lift": through: Q -> Y and f: X -> Y; find g: X -> Q with
     through . g = f.  mode "extend": through: X -> J and f: X -> Y; find
     h: J -> Y with h . through = f.  Memoized, and a hit checked again
-    (_remembered).
+    (_remembered); the check, of a found factor too, compares the
+    composite with f on the three maps' tables (complexes._factors), with
+    no map built.
     """
     if mode == "lift":
         S, T = f.source, through.source
@@ -410,8 +419,7 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
             yield _solved_map(sys, S, T, comps)
 
     def holds(g):
-        composite = compose(through, g) if mode == "lift" else compose(g, through)
-        return add_maps(composite, f, sign=-1).is_zero()
+        return _factors(f, through, g) if mode == "lift" else _factors(f, g, through)
 
     ends = (f.source, f.target, through.source, through.target)
     key = (mode, *map(id, ends), _value(f), _value(through), options)

@@ -355,6 +355,62 @@ def reference_from_tables(S, T, profile, op, f, g):
                               tail(pq, range(hi + 1, hi + pq + 1)))
 
 
+def reference_inverse_check(payload: dict) -> bool:
+    """The homotopy-inverse check as it was made with maps: f and g chain
+    maps (one stacked check), then g f - 1 and f g - 1 built as chain
+    maps and checked null-homotopic through hX and hY."""
+    from singeq import homotopy
+    from singeq.errors import ValidationError
+
+    f, g = payload["map"], payload["inverse"]
+    hX, hY = payload["homotopy_source"], payload["homotopy_target"]
+    X, Y = f.source, f.target
+    if g.source is not Y or g.target is not X:
+        return False
+    try:
+        f.validate(g)
+    except ValidationError:
+        return False
+    p = X.algebra.p
+    profile = complexes._map_profile(f, g, X, Y)
+
+    def minus_id(first, second, Z):
+        return complexes._from_tables(
+            Z, Z, profile, lambda a, b: (b @ a - linalg.eye(b.shape[1])) % p,
+            first, second, checked=True)
+
+    return homotopy.verify_null_homotopy(minus_id(f, g, X), hX, (minus_id(g, f, Y), hY))
+
+
+def reference_factor_check(f, through, g, mode: str) -> bool:
+    """The factorization check as it was made with maps: through . g
+    ("lift") or g . through ("extend") built as a chain map, and its
+    difference with f zero."""
+    composite = complexes.compose(through, g) if mode == "lift" else complexes.compose(g, through)
+    return complexes.add_maps(composite, f, sign=-1).is_zero()
+
+
+def with_entry(h, n: int):
+    """h (a chain map or homotopy) with 1 added to the first entry of its
+    block at degree n: a window component, or the block of its negative
+    tail that n reads, a tail of its table's period where h has none."""
+    p = h.source.algebra.p
+    comps, neg = dict(h.components), h.neg
+    if n >= h.clo:
+        unit = linalg.zeros(*comps[n].shape)
+        unit[0, 0] = 1
+        comps[n] = (comps[n] + unit) % p
+    else:
+        q = h._blocks.neg
+        blocks = list(neg[1] if neg else [h.component(h.clo - 1 - i) for i in range(q)])
+        i = (h.clo - 1 - n) % q
+        unit = linalg.zeros(*blocks[i].shape)
+        unit[0, 0] = 1
+        blocks[i] = (blocks[i] + unit) % p
+        neg = (q, tuple(blocks))
+    return type(h)(h.source, h.target, comps, h.clo, h.chi, neg, h.pos)
+
+
 def assert_same_table(h, ref):
     """h and ref have one frame, own tail periods, blocks bit for bit
     (shape, dtype and entries) and value (complexes._value)."""

@@ -12,9 +12,9 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (assert_one_table, periodic_complex, random_combination,
-                      random_contractible, random_d2_complex, random_module, triangular_d2,
-                      truncated_polynomial)
+from conftest import (assert_one_table, count_calls, periodic_complex, random_combination,
+                      random_contractible, random_d2_complex, random_module,
+                      reference_inverse_check, triangular_d2, truncated_polynomial, with_entry)
 from singeq import (approx, cli, complexes, fixtures, functors, homotopy, linalg,
                     modelcat, modules, solver)
 from singeq.config import Options
@@ -553,24 +553,23 @@ class TestEquivalenceMemo:
         cold = homotopy.homotopy_equivalence_certificate(one_plus_x(X, Y)).certificate
         [(_, (_, parts))] = equivalence_entries(X, Y).values()
         names = ("inverse", "homotopy_source", "homotopy_target")
-        built, checked = [], []
-        held, from_tables = complexes._held, homotopy._from_tables
-        monkeypatch.setattr(complexes, "_held", lambda *a: built.append(held(*a)) or built[-1])
-        monkeypatch.setattr(homotopy, "_from_tables",
-                            lambda *a, **k: checked.append(from_tables(*a, **k)) or checked[-1])
-        hit = homotopy.homotopy_equivalence_certificate(one_plus_x(X, Y)).certificate
+        f = one_plus_x(X, Y)
+        f._blocks  # the caller's map, whose table is read for the memo key
+        held = count_calls(monkeypatch, complexes, "_held")
+        from_tables = count_calls(monkeypatch, complexes, "_from_tables")
+        hit = homotopy.homotopy_equivalence_certificate(f).certificate
         maps = [hit.payload[name] for name in names]
-        # no table is built for g, hX or hY: each is a copy of its kept table,
-        # with one copy per distinct kept block
-        assert hit.checked and not any(h._blocks is t for h in maps for _, t in built)
+        # the hit's check builds no map: g, hX and hY are copies of their
+        # kept tables, with one copy per distinct kept block, and g f - 1 and
+        # f g - 1 are checked in the walk
+        assert hit.checked and not held and not from_tables
         for h, name in zip(maps, names):
             clo, chi, kept, *periods = parts[name]
             assert (h.clo, h.chi, h._blocks[:4], [h.neg_period, h.pos_period]) == (
                 clo, chi, kept[:4], periods)
             assert not {id(b) for b in h._blocks.data} & {id(b) for b in kept.data}
             assert len({id(b) for b in h._blocks.data}) == len({id(b) for b in kept.data})
-        assert len(checked) == 2  # g f - 1 and f g - 1, on the hit's check
-        for h in [*maps, *checked, *[cold.payload[name] for name in names]]:
+        for h in [*maps, *[cold.payload[name] for name in names]]:
             assert_one_table(h)
 
     def test_a_corrupted_stored_inverse_is_solved_again(self, monkeypatch):
@@ -601,3 +600,85 @@ class TestEquivalenceMemo:
                 m += 1
             hit = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
             assert cli.digest(hit.certificate) == before == cold
+
+
+def inverse_certificates(seeds) -> list:
+    """Homotopy-inverse certificates, cold and hit: 1 + x on a copy of
+    T_per (X is Y) and to another copy, and the inclusion and projection
+    of split sums X + C over T_per and random D2 complexes (test_metamorphic),
+    with the identity of each sum (X is Y)."""
+    from test_metamorphic import split_sum
+
+    X, Y = fresh_t_per(), fresh_t_per()
+    maps = [one_plus_x(X), one_plus_x(X, Y)]
+    for seed in seeds:
+        for Z in (fixtures.t_per(), random_d2_complex(random.Random(1000 + seed))):
+            iX, pX = split_sum(Z, seed)
+            maps += [iX, pX, identity_chain_map(iX.target)]
+    certs = []
+    for f in maps:
+        for _ in range(2):  # cold, then a hit
+            res = homotopy.homotopy_equivalence_certificate(f)
+            assert res.verdict == YES
+            certs.append(res.certificate)
+    return certs
+
+
+def corruptions(payload: dict) -> list:
+    """(map, place, payload) for each copy of payload with one entry of g,
+    hX or hY changed: at each window degree ("window") and at each tail
+    block ("tail", a new tail where the map has none) where it has one."""
+    out = []
+    for name in ("inverse", "homotopy_source", "homotopy_target"):
+        h = payload[name]
+        for place, degrees in (("window", range(h.clo, h.chi + 1)),
+                               ("tail", range(h.clo - h._blocks.neg, h.clo))):
+            out += [(name, place, {**payload, name: with_entry(h, n)})
+                    for n in degrees if h.component(n).size]
+    return out
+
+
+class TestInverseRecheck:
+    """The inverse check reads g f - 1 and f g - 1 in the walk; it gives the
+    verdicts of the check that built them as maps (reference_inverse_check)."""
+
+    def test_certificates_pass_both_checks(self):
+        for cert in inverse_certificates(range(40)):
+            assert reference_inverse_check(cert.payload)
+            assert homotopy._verify_inverse_payload(cert.payload)
+
+    def test_corrupted_payloads_get_the_reference_verdicts(self):
+        # a changed entry can leave a valid certificate (d e + e d = 0, as
+        # on a complex with zero differentials); every map and place has
+        # changes that both checks reject
+        changed, rejected = set(), set()
+        for cert in inverse_certificates(range(8))[::2]:  # the cold ones
+            payload = cert.payload
+            for name, place, bad in corruptions(payload):
+                verdict = homotopy._verify_inverse_payload(bad)
+                assert verdict == reference_inverse_check(bad)
+                changed.add((name, place))
+                if not verdict:
+                    rejected.add((name, place))
+            swapped = {**payload, "homotopy_source": payload["homotopy_target"],
+                       "homotopy_target": payload["homotopy_source"]}
+            X, Y = payload["map"].source, payload["map"].target
+            verdict = homotopy._verify_inverse_payload(swapped)
+            assert verdict == reference_inverse_check(swapped)
+            assert not verdict or complexes._same_terms(X, Y)
+            assert homotopy._verify_inverse_payload(payload)
+        assert rejected == changed and len(changed) == 6
+
+    def test_one_walk_per_side_and_one_when_x_is_y(self):
+        # one walk per side, and one for both when X is Y, as
+        # verify_null_homotopy groups its pairs
+        X, Y = fresh_t_per(), fresh_t_per()
+        for f, walks in ((one_plus_x(X), 1), (one_plus_x(X, Y), 2)):
+            for _ in range(2):  # cold, then a hit
+                cert = homotopy.homotopy_equivalence_certificate(f).certificate
+                with pytest.MonkeyPatch.context() as mp:
+                    calls = count_calls(mp, complexes, "_check_walk")
+                    assert homotopy._verify_inverse_payload(cert.payload)
+                loops = [c for c in calls if c[3][0] in (cert.payload["homotopy_source"],
+                                                         cert.payload["homotopy_target"])]
+                assert len(loops) == walks

@@ -12,11 +12,11 @@ import pytest
 from conftest import (count_solves, in_new_process, kernel_solutions, memo_digest,
                       module_map_equations, periodic_complex, random_combination,
                       random_d2_complex, random_d2_module, random_invertible,
-                      truncated_polynomial)
+                      reference_factor_check, truncated_polynomial, with_entry)
 from singeq import approx, complexes, fixtures, functors, homotopy, linalg, modules, solver
 from singeq.complexes import ChainMap, add_maps, compose, identity_chain_map
 from singeq.config import Options
-from singeq.errors import ValidationError
+from singeq.errors import DimensionMismatch, ValidationError
 from singeq.modules import Module, ModuleMap
 
 
@@ -684,6 +684,68 @@ class TestFactorMemo:
         assert len(solves) == 1
 
 
+class TestFactorRecheck:
+    """A remembered factorization is checked again on the three maps'
+    tables (complexes._factors); it gives the verdicts of the check that
+    built the composite and the difference as maps (reference_factor_check)."""
+
+    @staticmethod
+    def holds(f, through, g, mode):
+        return complexes._factors(f, through, g) if mode == "lift" else \
+            complexes._factors(f, g, through)
+
+    @staticmethod
+    def case(name: str, mode: str) -> tuple:
+        """(f, through) of FACTOR_CASES, or for "periodic D4/F2" a basis map
+        X -> Y and the identity of its target ("lift") or source ("extend"),
+        which reads the tails of the factor."""
+        if name in FACTOR_CASES:
+            return factor_case(name, mode)
+        f = solver.chain_map_space_basis(*memo_pair(name))[0][0]
+        return f, identity_chain_map(f.target if mode == "lift" else f.source)
+
+    @pytest.mark.parametrize("mode", ["lift", "extend"])
+    @pytest.mark.parametrize("name", [*FACTOR_CASES, "periodic D4/F2"])
+    def test_cold_and_hit_factors_and_their_corruptions(self, name, mode):
+        f, through = self.case(name, mode)
+        changed, rejected = set(), set()
+        for _ in range(2):  # cold, then a hit
+            g = solver.factor_chain_map(f, through, mode)
+            assert self.holds(f, through, g, mode) and reference_factor_check(f, through, g, mode)
+            # one entry of g, f or through changed, at each window degree and
+            # each tail block
+            for which in ("g", "f", "through"):
+                h = {"g": g, "f": f, "through": through}[which]
+                for place, degrees in (("window", range(h.clo, h.chi + 1)),
+                                       ("tail", range(h.clo - h._blocks.neg, h.clo))):
+                    for n in degrees:
+                        if not h.component(n).size:
+                            continue
+                        # marked, as a rebuilt entry is, so no map is validated
+                        bad = complexes._proven(with_entry(h, n))
+                        args = {"g": g, "f": f, "through": through, which: bad}
+                        verdict = self.holds(args["f"], args["through"], args["g"], mode)
+                        assert verdict is reference_factor_check(
+                            args["f"], args["through"], args["g"], mode)
+                        changed.add((which, place))
+                        if not verdict:
+                            rejected.add((which, place))
+        # a change that the other factor kills leaves a factorization: the
+        # stalk end of FACTOR_CASES is zero below its window, and a basis
+        # map has rows of zeros
+        assert rejected >= ({(which, "window") for which in ("g", "f", "through")}
+                            if name in FACTOR_CASES else
+                            {(which, place) for which in ("g", "f") for place in ("window", "tail")})
+
+    def test_ends_of_other_dimensions_raise_as_the_sum_did(self, t_per, k):
+        f = identity_chain_map(t_per)
+        other = complexes.zero_chain_map(t_per, functors.stalk(k))
+        with pytest.raises(DimensionMismatch, match="summands have terms of different"):
+            reference_factor_check(f, other, f, "lift")
+        with pytest.raises(DimensionMismatch, match="summands have terms of different"):
+            complexes._factors(f, other, f)
+
+
 class TestWindow:
     """solver.window reproduces the window each system was built on
     before it decided them all."""
@@ -751,3 +813,23 @@ class TestWindow:
                         seen.add((bool(w[2]), not w[0] <= 0 <= w[1]))
         # bounded and unbounded, each also with degree 0 outside the window
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_a_homotopy_window_leaves_a_window_term_out_of_its_fold(self, t_per):
+        # the cone of the inclusion T_per -> T_per + C: its terms have
+        # dimension 4 in the tails and 7 at degree 0, where the fold's
+        # first unknown s_lo: C_lo -> C_{lo+1} stood for s_{lo-1} into C_lo
+        from test_metamorphic import split_sum
+
+        C = complexes.cone(split_sum(t_per, 0)[0])
+        one = identity_chain_map(C)
+        lo, hi, P = solver.window(C, C, [one], 1, 2)
+        assert (lo, hi, P) == (-1, 4, 1) and C.term(lo + 1).dim != C.term(lo).dim
+        with pytest.raises(ValidationError, match="inconsistent shape"):
+            solver.graded_system(C, C, 1, lo, hi, P, [one])
+        assert solver.window(C, C, [one], 1, 2, shift=1) == (lo - P, hi, P)
+        sys = solver.graded_system(C, C, 1, lo - P, hi, P, [one])
+        assert sys.solve() is not None
+        for m in (1, 2):  # a term P below the edge equal by value keeps the window
+            D = fixtures.t_per()
+            assert solver.window(D, D, [identity_chain_map(D)], m, 2, shift=1) == \
+                solver.window(D, D, [identity_chain_map(D)], m, 2)
