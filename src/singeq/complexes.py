@@ -12,13 +12,15 @@ A complex builds its table on first use (read-only).  A graded map's
 blocks are stacked: its table names its family (_Family), one array per
 block shape whose column j is map j at every degree, and its blocks are
 views of those arrays, made with the table (where a map's own matrix is
-alone in its array, the array is the view instead).  A basis from one
-solve, or the homotopies of one joint solve, are one family, whose
-producer hands each map its table when it makes the map; so are sums,
-composites and copies of kept maps.  A lone map made from blocks (the
-constructor, and _sample) is a family of one that keeps its blocks and
-builds its table the first time it is read (_held), so a map nothing
-reads, such as most structure maps of a direct sum, builds none.
+alone in its array, the array is the view instead).  The solutions of
+one solve are one family (_from_stacks), whose producer hands each map
+its table when it makes the map; so are sums, composites and copies of
+kept maps (_kept, _copied).  A lone map made from blocks (the
+constructor, which _sample calls) is a family of one that keeps its
+blocks and builds its table the first time it is read (_held), so a map
+nothing reads, such as most structure maps of a direct sum, builds none.
+The table format (_family, _frame, _tables, _members, _own_periods,
+_held, _data) is this module's alone; others use these producers.
 
 Checked by construction.  A Complex or ChainMap that passed its check
 carries the fact (_checked; never set by the dataclass constructor or
@@ -125,8 +127,15 @@ class Tail:
     diffs: tuple  # see Complex._blocks for the indexing convention
 
     def __post_init__(self):
-        if self.period != len(self.terms) or self.period != len(self.diffs):
-            raise ValidationError("tail period does not match block count")
+        object.__setattr__(self, "period", _period(self.period, len(self.terms), len(self.diffs)))
+
+
+def _period(q, *counts: int) -> int:
+    """q as an int, the one rule for a tail period (Tail, GradedMap): an
+    integer, not a bool, equal to each block count."""
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or any(q != c for c in counts):
+        raise ValidationError("tail period does not match block count")
+    return int(q)
 
 
 def _lcm(values) -> int:
@@ -307,13 +316,18 @@ class _Keys(list):
         super().__init__(keys)
         self.groups = groups
 
+    @classmethod
+    def of(cls, keys: list) -> "_Keys":
+        """keys, grouped (_grouped)."""
+        return cls(_grouped(keys), len(keys))
+
 
 class _Stacked(list):
-    """A column for _first_failure that is the same on every call: its
-    operand per walked degree, stacked (g, 1, rows, cols) per group the
-    first time the engine reads that group.  A stack is kept under the
-    group's degrees, not its number, as walks that group the degrees
-    differently share the column."""
+    """A column for _first_failure of one operand per walked degree,
+    stacked (g, 1, rows, cols) per group the first time the engine reads
+    that group: one concatenate, which costs less per matrix than
+    np.array.  A stack is kept under the group's degrees, not its number,
+    so walks that group the degrees differently share a kept column."""
 
     __slots__ = ("_stacks",)
 
@@ -321,93 +335,93 @@ class _Stacked(list):
         super().__init__(operands)
         self._stacks = {}
 
-    def stack(self, g: int, idx: tuple) -> np.ndarray:
+    def shape(self, i: int) -> tuple:
+        return self[i].shape
+
+    def stack(self, idx: tuple) -> np.ndarray:
         if idx not in self._stacks:
-            self._stacks[idx] = _stack([self[i] for i in idx])
+            self._stacks[idx] = np.concatenate([self[i] for i in idx]).reshape(
+                len(idx), 1, *self[idx[0]].shape)
         return self._stacks[idx]
 
 
-def _first_failure(ranges, ns, keys, check, *columns):
+def _first_failure(ranges, ns, keys: _Keys, check, *columns):
     """Smallest (degree, detail) over the checks that fail, or None; the
     check engine, run only from this module (Complex.validate and
     _check_walk).
 
     Each object, given by its check range in ranges, has one check at
     each walked degree of ns.  A column holds one operand per walked
-    degree: a matrix shared by the objects, or a tuple of one matrix per
-    object (_Read, whose column[i] it is).  The walked degrees are grouped
-    by keys (the modules or shapes their operands share), and check(key,
-    *stacks) runs once per group on each column stacked, (g, 1, rows,
-    cols) when shared and (g, objects, rows, cols) otherwise.  It returns
-    an array (g, objects, details, ...) that is nonzero exactly where a
-    check fails: its residue mod p, whose details are rows, or for
-    intertwining one per action index.  A failing check is reported at
-    the first degree of its object's range that carries it, with its
-    first failing detail.  A group whose first operand has no rows or
-    whose last has no columns holds.
-
-    keys may be a _Keys, whose grouping is computed once, and a column a
-    _Stacked, whose stacks are, or a _Read, which reads its stacks from
-    the maps' families.
+    degree: a matrix shared by the objects (_Stacked), or a tuple of one
+    matrix per object (_Read), column[i] at walked degree i; column.shape(i)
+    is the shape of its (first) matrix there.  The walked degrees are
+    grouped by keys (the modules or shapes their operands share), and
+    check(key, *stacks) runs once per group on each column stacked
+    (column.stack), (g, 1, rows, cols) when shared and (g, objects, rows,
+    cols) otherwise.  It returns an array (g, objects, details, ...) that
+    is nonzero exactly where a check fails: its residue mod p, whose
+    details are rows, or for intertwining one per action index.  A
+    failing check is reported at the first degree of its object's range
+    that carries it, with its first failing detail.  A group whose first
+    operand has no rows or whose last has no columns holds.
     """
-    groups = keys.groups if isinstance(keys, _Keys) else _grouped(keys)
     failures = []
     first, last = columns[0], columns[-1]
-    for g, (key, idx) in enumerate(groups):
-        if not ((first.shape(idx[0]) if isinstance(first, _Read) else first[idx[0]].shape)[-2]
-                and (last.shape(idx[0]) if isinstance(last, _Read) else last[idx[0]].shape)[-1]):
+    for key, idx in keys.groups:
+        if not (first.shape(idx[0])[-2] and last.shape(idx[0])[-1]):
             continue
-        bad = check(key, *[c.stack(g, idx) if isinstance(c, (_Read, _Stacked))
-                           else _stack([c[i] for i in idx]) for c in columns])
+        bad = check(key, *[c.stack(idx) for c in columns])
         failures += [(ranges[j].first(ns[idx[i]]), int(d))
                      for i, j, d, *_ in zip(*bad.nonzero())]
     return min(failures, default=None)
 
 
-def _stack(operands: list) -> np.ndarray:
-    """Matrices of one shape as one array (g, 1, rows, cols): one
-    concatenate, which costs less per matrix than np.array."""
-    return np.concatenate(operands).reshape(len(operands), 1, *operands[0].shape)
-
-
 class _Read:
     """A column for _first_failure: the blocks of graded maps at the
-    walked degrees of a plan, at n - 1 (at 0) or at n (at 1).  column[i]
-    is the tuple of the maps' blocks at walked degree i, from their
-    tables (for one map, its block).  stack reads a group from the maps'
-    families: one gather per run of maps of one family, so a basis
-    costs one gather per group, not one matrix per map and degree."""
+    walked degrees of a plan, at n (at 1), or at n - 1 for the read
+    before() gives, which shares its runs.  column[i] is the tuple of the
+    maps' blocks at walked degree i, from their tables (for one map, its
+    block).  stack reads a group from the maps' families: one gather per
+    run of maps of one family, so a basis costs one gather per group, not
+    one matrix per map and degree."""
 
     __slots__ = ("maps", "plan", "at", "runs")
 
-    def __init__(self, plan: "_Walk", maps: list, at: int):
+    def __init__(self, plan: "_Walk", maps: list):
         # runs: (family, its maps' columns, or None for all of them in
-        # order, the first map's place in maps, (array, row) per walked degree)
-        self.maps, self.plan, self.at, runs = maps, plan, at, []
+        # order, the first map's place in maps, where the family's slots at
+        # n - 1 and at n sit in its frame (_Walk.positions))
+        self.maps, self.plan, self.at, runs = maps, plan, 1, []
         for j, g in enumerate(maps):
             family, member = g._blocks.family, g._blocks.member
             if runs and runs[-1][0] is family:
                 runs[-1][1].append(member)
             else:
-                runs.append((family, [member], j,
-                             [family.slots.data[i] for i in plan.positions(family.slots, at)]))
+                runs.append((family, [member], j, plan.positions(family.slots)))
         self.runs = [(family, None if members == list(range(family.arrays[0].shape[1]))
-                      else members, j, where) for family, members, j, where in runs]
+                      else members, j, index) for family, members, j, index in runs]
+
+    def before(self) -> "_Read":
+        """The same maps' blocks at n - 1, read on the same runs."""
+        read = object.__new__(_Read)
+        read.maps, read.plan, read.at, read.runs = self.maps, self.plan, 0, self.runs
+        return read
 
     def __getitem__(self, i: int):
-        blocks = tuple([g._blocks.data[self.plan.positions(g._blocks, self.at)[i]]
+        blocks = tuple([g._blocks.data[self.plan.positions(g._blocks)[self.at][i]]
                         for g in self.maps])
         return blocks if len(blocks) > 1 else blocks[0]
 
     def shape(self, i: int) -> tuple:
         """The shape of the first map's block at walked degree i."""
-        family, _, _, where = self.runs[0]
-        return family.arrays[where[i][0]].shape[2:]
+        family, _, _, index = self.runs[0]
+        return family.arrays[family.slots.data[index[self.at][i]][0]].shape[2:]
 
-    def stack(self, g: int, idx: tuple) -> np.ndarray:
+    def stack(self, idx: tuple) -> np.ndarray:
         parts = []
-        for family, members, _, where in self.runs:
-            part = _rows(family.arrays[where[idx[0]][0]], [where[i][1] for i in idx])
+        for family, members, _, index in self.runs:
+            data, at = family.slots.data, index[self.at]
+            part = _rows(family.arrays[data[at[idx[0]]][0]], [data[at[i]][1] for i in idx])
             parts.append(part if members is None else part[:, members])
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
@@ -418,8 +432,9 @@ class _Read:
         where a map has no block: its zero block there has the shape of
         its complexes' terms, which shapes gives."""
         bad = []
-        for family, members, start, where in self.runs:
-            have = tuple([family.arrays[s].shape[2:] for s, _ in where])
+        for family, members, start, index in self.runs:
+            have = tuple([family.arrays[family.slots.data[i][0]].shape[2:]
+                          for i in index[self.at]])
             if have != shapes:
                 wrong = [n for n, a, b in zip(ns, have, shapes) if a != b]
                 count = family.arrays[0].shape[1] if members is None else len(members)
@@ -577,15 +592,15 @@ class Complex:
         for n, (tgt, _), (src, d) in zip(ns, prev, cur):
             if d.shape != (tgt.dim, src.dim):
                 raise ValidationError(f"differential at degree {n} has wrong shape")
-        d0, d1 = [d for _, d in prev], [d for _, d in cur]
-        bad = _first_failure([r], ns, [(s, t) for (t, _), (s, _) in zip(prev, cur)],
+        d0, d1 = _Stacked([d for _, d in prev]), _Stacked([d for _, d in cur])
+        bad = _first_failure([r], ns, _Keys.of([(s, t) for (t, _), (s, _) in zip(prev, cur)]),
                              _intertwining, d1)
         if bad is not None:
             raise ValidationError(
                 f"differential at degree {bad[0]} does not intertwine action {bad[1]}")
         p = self.algebra.p
         bad = _first_failure([r._replace(a=a + 1)], ns,
-                             [(x.shape, y.shape) for x, y in zip(d0, d1)],
+                             _Keys.of([(x.shape, y.shape) for x, y in zip(d0, d1)]),
                              lambda _, d0, d1: (d0 @ d1) % p, d0, d1)
         if bad is not None:
             raise ValidationError(f"d*d != 0 at degree {bad[0]}")
@@ -612,32 +627,24 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
     sample = _once(lambda d: d % algebra.p)
     terms = {n: term_fn(n) for n in range(lo, hi + 1)}
     diffs = {n: sample(diff_fn(n)) for n in range(lo + 1, hi + 1)}
-    neg_tail = pos_tail = None
-    neg_seam = pos_seam = None
-    if neg_period:
-        q = neg_period
-        blocks = tuple(term_fn(lo - 1 - i) for i in range(q))
-        bdiffs = tuple(sample(diff_fn(lo - 1 - i)) for i in range(q))
+    tails = []
+    for side, q, e, s in (("negative", neg_period, lo - 1, -1),
+                          ("positive", pos_period, hi + 1, 1)):
+        if not q:
+            tails.append((None, None))
+            continue
+        # block i sits at e + s i with the differential out of it, except
+        # that above the window d_{hi+1} is the seam: block 0 keeps d_{hi+1+q}
+        blocks = tuple(term_fn(e + s * i) for i in range(q))
+        bdiffs = tuple(sample(diff_fn(e + s * i if s < 0 or i else e + q)) for i in range(q))
         for i in range(0 if checked else q + 1):
-            n = lo - 1 - i - q
-            if term_fn(n).dim != term_fn(n + q).dim or not np.array_equal(
-                diff_fn(n) % algebra.p, diff_fn(n + q) % algebra.p
-            ):
-                raise ValidationError(f"negative tail not {q}-periodic at {n}")
-        neg_tail = Tail(q, blocks, bdiffs)
-        neg_seam = sample(diff_fn(lo))
-    if pos_period:
-        q = pos_period
-        blocks = tuple(term_fn(hi + 1 + i) for i in range(q))
-        bdiffs = tuple(sample(diff_fn(hi + 1 + i if i else hi + 1 + q)) for i in range(q))
-        for i in range(0 if checked else q + 1):
-            n = hi + 1 + i + q
-            if term_fn(n).dim != term_fn(n - q).dim or not np.array_equal(
-                diff_fn(n + 1) % algebra.p, diff_fn(n + 1 - q) % algebra.p
-            ):
-                raise ValidationError(f"positive tail not {q}-periodic at {n}")
-        pos_tail = Tail(q, blocks, bdiffs)
-        pos_seam = sample(diff_fn(hi + 1))
+            n = e + s * (i + q)
+            m = n + (s > 0)  # the differential between n and the next degree out
+            if term_fn(n).dim != term_fn(n - s * q).dim or not np.array_equal(
+                    diff_fn(m) % algebra.p, diff_fn(m - s * q) % algebra.p):
+                raise ValidationError(f"{side} tail not {q}-periodic at {n}")
+        tails.append((Tail(q, blocks, bdiffs), sample(diff_fn(e + (s < 0)))))
+    (neg_tail, neg_seam), (pos_tail, pos_seam) = tails
     return Complex.build(algebra, lo, hi, terms, diffs,
                          neg_tail, pos_tail, neg_seam, pos_seam, checked=checked)
 
@@ -652,15 +659,15 @@ class GradedMap:
     block table (_blocks, whose blocks are views of its family's arrays)
     and its own tail periods (0 where it has none).  A producer that
     holds a family hands each map its table when it makes it (_of); a
-    lone map made from blocks (the constructor, _sample) keeps them and
-    builds its table the first time it is read (_lone).  components, neg
-    and pos read the table, and are dataclass fields, so
+    lone map made from blocks (the constructor, which _sample calls)
+    keeps them and builds its table the first time it is read.
+    components, neg and pos read the table, and are dataclass fields, so
     dataclasses.replace makes a new, unmarked map from them.
 
     The constructor checks its input when it is called: every component
     lies in the window, converts to an array, and each tail (period,
-    blocks) has an int period >= 0 equal to its number of blocks ((0, ())
-    is no tail)."""
+    blocks) has a period equal to its number of blocks, as a Tail has
+    (_period; (0, ()) is no tail)."""
 
     source: Complex
     target: Complex
@@ -676,13 +683,16 @@ class GradedMap:
         if outside:
             raise ValidationError(
                 f"component at degree {min(outside)} lies outside the window {clo}..{chi}")
-        for tail in (neg, pos):
-            if tail and not (type(tail[0]) is int and 0 <= tail[0] == len(tail[1])):
-                raise ValidationError("tail period does not match block count")
+        neg, pos = [tail and (_period(tail[0], len(tail[1])), tuple(map(np.asarray, tail[1])))
+                    for tail in (neg, pos)]
+        # the blocks on clo..chi (None for zero) and the tails, as given,
+        # from which _blocks builds the table on its first read
         window = [None if m is None else np.asarray(m)
                   for m in map(components.get, range(clo, chi + 1))]
-        return cls._lone(source, target, clo, chi, window,
-                         *[tail and (tail[0], tuple(map(np.asarray, tail[1]))) for tail in (neg, pos)])
+        h = object.__new__(cls)
+        vars(h).update(source=source, target=target, clo=clo, chi=chi, _given=(window, neg, pos),
+                       neg_period=neg[0] if neg else 0, pos_period=pos[0] if pos else 0)
+        return h
 
     @classmethod
     def _of(cls, source, target, clo, chi, table, neg_period, pos_period):
@@ -690,18 +700,6 @@ class GradedMap:
         h = object.__new__(cls)
         vars(h).update(source=source, target=target, clo=clo, chi=chi, _blocks=table,
                        neg_period=neg_period, pos_period=pos_period)
-        return h
-
-    @classmethod
-    def _lone(cls, source, target, clo, chi, window, neg, pos):
-        """The map with the blocks window on clo..chi (None for zero) and
-        the tails neg, pos, as given (a tail of period 0 is none): it keeps
-        them, and builds its table from them (_held) when _blocks is first
-        read."""
-        h = object.__new__(cls)
-        vars(h).update(source=source, target=target, clo=clo, chi=chi,
-                       _given=(window, neg, pos),
-                       neg_period=neg[0] if neg else 0, pos_period=pos[0] if pos else 0)
         return h
 
     @cached_property
@@ -879,7 +877,7 @@ class _Walk:
         self.twists = tuple([((s, at[idx[0]]), idx) for (s, _), idx
                              in _grouped([(s, t) for (s, _), (t, _) in zip(S1, T1)])])
         dS, dT = [d for _, d in S1], [d for _, d in T1]
-        self.equations = _Keys(_grouped([(x.shape, y.shape) for x, y in zip(dS, dT)]), len(ns))
+        self.equations = _Keys.of([(x.shape, y.shape) for x, y in zip(dS, dT)])
         self.dS, self.dT = _Stacked(dS), _Stacked(dT)
         self._index, self._loops = {}, {}
 
@@ -896,18 +894,17 @@ class _Walk:
         shapes = tuple([f.shape(i) for i in range(len(self.ns))])
         keys = self._loops.get(shapes)
         if keys is None:
-            keys = self._loops[shapes] = _Keys(_grouped(list(zip(self.equations, shapes))),
-                                               len(self.ns))
+            keys = self._loops[shapes] = _Keys.of(list(zip(self.equations, shapes)))
         return keys
 
-    def positions(self, table: _Blocks, at: int) -> tuple:
-        """Where table's blocks at n - 1 (at 0) or at n (at 1) for n in ns
-        sit in its data; computed once per frame."""
+    def positions(self, table: _Blocks) -> tuple:
+        """Where table's blocks at n - 1 and at n for n in ns sit in its
+        data, as a pair indexed by 0 and 1; computed once per frame."""
         frame = table[:4]
         index = self._index.get(frame)
         if index is None:
             index = self._index[frame] = (table.index(self.prev), table.index(self.ns))
-        return index[at]
+        return index
 
 
 def _profile(g: GradedMap) -> tuple:
@@ -954,10 +951,10 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
         # on, so a walk made once keeps nothing but its key
         plans[key] = plan if key in plans else None
     ranges, ns = plan.ranges, plan.ns
-    G1 = _Read(plan, maps, 1)
+    G1 = _Read(plan, maps)
     bad = [G1.wrong_shape(ranges, ns, plan.shapes)]
     if rhs is not None:
-        F = _Read(plan, rhs, 1)
+        F = _Read(plan, rhs)
         bad.append(F.wrong_shape(ranges, ns, plan.rhs_shapes))
     bad = min([n for n in bad if n is not None], default=None)
     if bad is not None:
@@ -965,9 +962,9 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
     bad = _first_failure(ranges, ns, plan.twist_keys(T), _intertwining, G1)
     if bad is not None:
         return 1, *bad
-    G0, p = _Read(plan, maps, 0), S.algebra.p
+    G0, p = G1.before(), S.algebra.p
     if loops is not None:
-        f, g = _Read(plan, [f for f, _ in loops], 1), _Read(plan, [g for _, g in loops], 1)
+        f, g = _Read(plan, [f for f, _ in loops]), _Read(plan, [g for _, g in loops])
 
         def minus_one(_, dT, s1, s0, dS, g, f):  # d s + s d - (g f - 1)
             r = dT @ s1 % p + s0 @ dS % p - g @ f % p
@@ -1038,30 +1035,29 @@ def _held(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
 
 
 def _tables(S: Complex, T: Complex, k: int, clo: int, chi: int, family: _Family,
-            periods: list, zero=None) -> list:
+            periods: list) -> list:
     """The tables of the graded maps S_n -> T_{n+k} with the window
     clo..chi held in family, map j with own tail periods periods[j].  A
     table (frame: _frame) holds at each degree the view of the map's
     block in the family's arrays, one view per distinct block, and where
     the map has none (outside its window and tails) the shared zero block
-    of modules.zero_block, or zero(that block)."""
+    of modules.zero_block."""
     out, frames = [], {}
     for j, (nq, pq) in enumerate(periods):
         if (nq, pq) not in frames:
             frames[nq, pq] = _frame(S, T, k, clo, chi, nq, pq)
         lo, hi, q, qp = frame = frames[nq, pq]
         key = (frame, clo, chi, nq, pq)
-        where = None if zero else family.layouts.get(key)
+        where = family.layouts.get(key)
         if where is None:
             where = list(family.slots.data if family.slots[:4] == frame
                          else family.slots.on(range(lo - q, hi + qp + 1)))
             for n in [*(range(lo - q, clo) if not nq else ()),
                       *(range(chi + 1, hi + qp + 1) if not pq else ())]:
                 # the family's block there has the map's shape
-                z = modules.zero_block(S.algebra, *family.arrays[where[n + q - lo][0]].shape[2:])
-                where[n + q - lo] = zero(z) if zero else z
-            if not zero:
-                family.layouts[key] = where
+                where[n + q - lo] = modules.zero_block(
+                    S.algebra, *family.arrays[where[n + q - lo][0]].shape[2:])
+            family.layouts[key] = where
         out.append(_Blocks(*frame, _data(family, j, where), family, j))
     return out
 
@@ -1075,12 +1071,40 @@ def _data(family: _Family, j: int, where: list) -> tuple:
 
 
 def _members(kind, S: Complex, T: Complex, clo: int, chi: int, family: _Family,
-             periods: list, zero=None) -> list:
+             periods: list) -> list:
     """The maps kind (ChainMap or Homotopy) S -> T with the window
     clo..chi held in family, map j with own tail periods periods[j]
     (_tables)."""
     return [kind._of(S, T, clo, chi, table, *q) for table, q in zip(
-        _tables(S, T, kind.shift, clo, chi, family, periods, zero), periods)]
+        _tables(S, T, kind.shift, clo, chi, family, periods), periods)]
+
+
+def _from_stacks(kind, S: Complex, T: Complex, lo: int, hi: int, fold: int,
+                 stacks: dict) -> list:
+    """The maps kind (ChainMap or Homotopy) S -> T of the solutions of a
+    system on lo..hi folded with period fold (solver.FoldedSystem), whose
+    components at window degree n are stacks[n], one per solution: one
+    family, whose arrays are the stacks.  Each tail block is the window
+    block it folds to, as a row of its own, and past an unfolded window
+    every block is zero, one zero stack per shape.  A solution whose
+    blocks on a tail are all zero has no tail there (_own_periods)."""
+    k = len(stacks[lo])
+    if not k:
+        return []
+    flo, fhi, nq, pq = frame = _frame(S, T, kind.shift, lo, hi, fold, fold)
+    blocks, zeros = [], {}
+    for n in range(flo - nq, fhi + pq + 1):
+        if lo <= n <= hi:
+            blocks.append(stacks[n])
+        elif fold:
+            blocks.append(stacks[lo + (n - lo) % fold if n < lo else hi - (hi - n) % fold][...])
+        else:
+            shape = (k, T.term(n + kind.shift).dim, S.term(n).dim)
+            if shape not in zeros:
+                zeros[shape] = np.zeros(shape, dtype=np.int64)
+            blocks.append(zeros[shape])
+    family = _family(frame, blocks)[0]
+    return _members(kind, S, T, lo, hi, family, _own_periods(family, lo, hi, fold, fold))
 
 
 def _own_periods(family: _Family, lo: int, hi: int, nq: int, pq: int) -> list:
@@ -1114,25 +1138,31 @@ def _sample(kind, S: Complex, T: Complex, clo: int, chi: int, comp_fn,
     distinct object comp_fn returns, so its repeats share it.  A tail of
     zero blocks that it samples is no tail."""
     sample = _once(lambda m: np.asarray(m, dtype=np.int64) % S.algebra.p)
-    window = [sample(comp_fn(n)) for n in range(clo, chi + 1)]
+    window = {n: sample(comp_fn(n)) for n in range(clo, chi + 1)}
     tails = [(q, [sample(comp_fn(n)) for n in degrees]) for q, degrees in (
         (neg_period, range(clo - 1, clo - 1 - neg_period, -1)),
         (pos_period, range(chi + 1, chi + 1 + pos_period)))]
     neg, pos = [t if any(map(np.count_nonzero, {id(m): m for m in t[1]}.values())) else None
                 for t in tails]
-    return kind._lone(S, T, clo, chi, window, neg, pos)
+    return kind(S, T, window, clo, chi, neg, pos)
+
+
+def _kept(h: GradedMap) -> tuple:
+    """What a memo keeps of h, from which _copied makes copies: (clo, chi,
+    table, own tail periods)."""
+    return h.clo, h.chi, h._blocks, h.neg_period, h.pos_period
 
 
 def _copied(kind, S: Complex, T: Complex, kept: tuple) -> GradedMap:
-    """The map kind S -> T that kept (clo, chi, table, own tail periods)
-    describes, on a copy of each of the table's arrays and of each of its
-    distinct zero blocks: what a remembered map hands a caller, who may
-    write into it."""
+    """The map kind S -> T that kept (_kept) describes, on a copy of each
+    of the table's arrays: what a remembered map hands a caller, who may
+    write into it.  Where the map has no block it reads the shared
+    read-only zero block, as every table does."""
     clo, chi, table, nq, pq = kept
     j = table.member
     family = table.family._replace(
         arrays=tuple([a[:, j:j + 1].copy() for a in table.family.arrays]))
-    return _members(kind, S, T, clo, chi, family, [(nq, pq)], _once(np.ndarray.copy))[0]
+    return _members(kind, S, T, clo, chi, family, [(nq, pq)])[0]
 
 
 def chain_map_from_callable(source, target, clo, chi, comp_fn,
@@ -1515,50 +1545,50 @@ def _once(compute):
     return once
 
 
-def _per_block(f: ChainMap, compute):
-    """n -> compute(f_n as a ModuleMap), computed once per distinct
-    (source term, target term, component)."""
-    data = _once(lambda S, T, m: compute(ModuleMap(S, T, m)))
-    return lambda n: data(f.source.term(n), f.target.term(n), f.component(n))
-
-
 def _kernel_complex(f: ChainMap):
-    """(K, inclusion K -> source) computed degreewise."""
+    """(K, inclusion K -> source) computed degreewise (_degreewise)."""
     p = f.source.algebra.p
-    lo, hi, nq, pq = _map_profile(f, f.source, f.target)
-    data = _per_block(f, modules.kernel)
 
-    def diff_fn(n):
+    def diff_fn(data, n):
         d = linalg.solve_matrix(
             data(n - 1)[1].matrix, (f.source.diff(n) @ data(n)[1].matrix) % p, p)
         if d is None:
             raise ValidationError("differential does not restrict to the kernel")
         return d
 
-    known = _inputs_checked(f)
-    K = complex_from_callable(f.source.algebra, lo, hi, lambda n: data(n)[0],
-                              diff_fn, nq, pq, checked=known)
-    incl = chain_map_from_callable(K, f.source, lo, hi, lambda n: data(n)[1].matrix,
-                                   nq, pq, checked=known)
-    return K, incl
+    return _degreewise(f, modules.kernel, diff_fn)
 
 
 def _cokernel_complex(f: ChainMap):
-    """(C, projection target -> C) computed degreewise."""
+    """(C, projection target -> C) computed degreewise (_degreewise)."""
     p = f.source.algebra.p
-    lo, hi, nq, pq = _map_profile(f, f.source, f.target)
-    data = _per_block(f, modules.cokernel)
 
-    def diff_fn(n):
+    def diff_fn(data, n):
         rhs = (data(n - 1)[1].matrix @ f.target.diff(n)) % p
         dT = linalg.solve_matrix(data(n)[1].matrix.T, rhs.T, p)
         if dT is None:
             raise ValidationError("differential does not descend to the cokernel")
         return dT.T % p
 
+    return _degreewise(f, modules.cokernel, diff_fn)
+
+
+def _degreewise(f: ChainMap, compute, diff_fn) -> tuple:
+    """(Z, its map) with Z_n and the map at n from compute(f_n as a
+    ModuleMap), which is modules.kernel (the map includes Z in the source)
+    or modules.cokernel (it projects the target onto Z), computed once per
+    distinct (source term, target term, component), and d_n =
+    diff_fn(data, n); on f's window and tail periods, and checked unless
+    f, source and target are."""
+    lo, hi, nq, pq = _map_profile(f, f.source, f.target)
+    blockwise = _once(lambda S, T, m: compute(ModuleMap(S, T, m)))
+
+    def data(n):
+        return blockwise(f.source.term(n), f.target.term(n), f.component(n))
+
     known = _inputs_checked(f)
-    C = complex_from_callable(f.source.algebra, lo, hi, lambda n: data(n)[0],
-                              diff_fn, nq, pq, checked=known)
-    proj = chain_map_from_callable(f.target, C, lo, hi, lambda n: data(n)[1].matrix,
-                                   nq, pq, checked=known)
-    return C, proj
+    Z = complex_from_callable(f.source.algebra, lo, hi, lambda n: data(n)[0],
+                              lambda n: diff_fn(data, n), nq, pq, checked=known)
+    ends = (Z, f.source) if compute is modules.kernel else (f.target, Z)
+    return Z, chain_map_from_callable(*ends, lo, hi, lambda n: data(n)[1].matrix,
+                                      nq, pq, checked=known)

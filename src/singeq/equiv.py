@@ -81,9 +81,8 @@ def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
                 (sy_map.matrix, 0, None),
                 ((-cov.matrix) % p, "aux", sx_map.matrix),
             ], (X.term(0), SY))
-            comps = sys.solve()
-            if comps is not None:
-                yield solver._solved_map(sys, X, Y, comps)
+            if sys.solve() is not None:
+                yield solver._solved_map(sys, X, Y)
             if not sys.fold:
                 return
 

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import complexes, functors, modules
-from .complexes import (ChainMap, Complex, Homotopy, _copied, _lcm, _map_profile, _sample,
-                        _value, cone, dual_chain_map, identity_chain_map, is_exact)
+from .complexes import (ChainMap, Complex, Homotopy, _copied, _kept, _lcm, _map_profile,
+                        _sample, _value, cone, dual_chain_map, identity_chain_map, is_exact)
 # compose and FoldedSystem are unused here but stay importable from here,
 # which perfbench/selftest.py uses to test the tracer's alias rebinding
 from .complexes import compose  # noqa: F401
@@ -313,9 +313,8 @@ def _equivalence(f: ChainMap, options: Options) -> tuple:
     lo, hi, nq, pq = _map_profile(f, X, Y)
     sq = _lcm([nq, pq, s.neg_period, s.pos_period])
     lo, hi = min(lo, s.clo), max(hi, s.chi)
-    maps = {name: _sample(kind, S, T, lo, hi, comp_fn, sq, sq) for name, kind, S, T, comp_fn in (
-        ("inverse", ChainMap, Y, X, lambda n: _cone_blocks(f, s, n)[1]),
-        ("homotopy_source", Homotopy, X, X, lambda n: _cone_blocks(f, s, n + 1)[0]),
-        ("homotopy_target", Homotopy, Y, Y, lambda n: -_cone_blocks(f, s, n)[3]))}
-    return YES, {"contraction": s, **{name: (h.clo, h.chi, h._blocks, h.neg_period, h.pos_period)
-                                      for name, h in maps.items()}}
+    return YES, {"contraction": s, **{
+        name: _kept(_sample(kind, S, T, lo, hi, comp_fn, sq, sq)) for name, kind, S, T, comp_fn in (
+            ("inverse", ChainMap, Y, X, lambda n: _cone_blocks(f, s, n)[1]),
+            ("homotopy_source", Homotopy, X, X, lambda n: _cone_blocks(f, s, n + 1)[0]),
+            ("homotopy_target", Homotopy, Y, Y, lambda n: -_cone_blocks(f, s, n)[3]))}}

@@ -42,8 +42,9 @@ with read-only kernel coefficients, from which a hit rebuilds the basis
 as one family (solver.FoldedSystem.graded_each).  A factorization,
 stable lift or homotopy equivalence is kept under its kind, the maps'
 values and the Options, read-only (solver._remembered): each map as its
-window, block table (with its family's arrays) and tail periods, of
-which a hit hands over copies (complexes._copied).  A hit is checked
+window, block table (with its family's arrays) and tail periods
+(complexes._kept), of which a hit hands over copies on copied arrays
+(complexes._copied).  A hit is checked
 again against the caller's maps, and solved afresh if the check fails;
 the check builds no map: a factorization compares the composite with
 the caller's map on the three tables (complexes._factors), and an
@@ -209,11 +210,8 @@ def _read_only(value):
         _read_only(value.action)
     elif isinstance(value, ModuleMap):
         _read_only(value.matrix)
-    elif hasattr(value, "_blocks"):  # a Complex or graded map: its table
-        _read_only(value._blocks)
-    elif getattr(value, "family", None) is not None:  # a graded map's table: its blocks
-        _read_only(value.data)  # and its family's arrays
-        _read_only(value.family.arrays)
+    elif hasattr(value, "_blocks"):  # a Complex or graded map: its table, whose
+        _read_only(value._blocks)  # tuples reach its blocks and its family's arrays
     elif isinstance(value, (tuple, dict)):
         for v in value.values() if isinstance(value, dict) else value:
             _read_only(v)

@@ -36,14 +36,14 @@ past the complexes' windows the folded equations repeat with the same
 unknowns and blocks, and a repeat adds only rows already there, so the
 system is row-equivalent to the one with every equation (the same
 reduced form, kernel basis and particular solutions, bit for bit).
-chain_map_space_basis makes its basis one family (graded_each): the
-kernel's per-degree stacks are its arrays, and each map's table is made
-of views of its column.  It checks the basis in one ChainMap.validate
-call, whose walk reads each group of the family in one gather; each map
-keeps its own check range, so the errors are those of the maps checked
-one by one.  Likewise the particular solutions of one joint solve
-(solve_each) keep their per-degree stacks, and the null-homotopies made
-from them are one family.
+chain_map_space_basis makes its basis one family (graded_each, which
+complexes._from_stacks lays out): the kernel's per-degree stacks are its
+arrays, and each map's table is made of views of its column.  It checks
+the basis in one ChainMap.validate call, whose walk reads each group of
+the family in one gather; each map keeps its own check range, so the
+errors are those of the maps checked one by one.  Likewise the
+particular solutions of a solve (solve_each) keep their per-degree
+stacks, from which its null-homotopies, factor or lift are made.
 
 Each chain-map solve is memoized per pair of complexes in its source's
 store (Complex._solved); the modules docstring lists the stores.
@@ -56,8 +56,8 @@ import weakref
 import numpy as np
 
 from . import linalg, modules
-from .complexes import (ChainMap, Complex, _copied, _factors, _family, _frame, _lcm,
-                        _members, _own_periods, _proven, _same_module, _value)
+from .complexes import (ChainMap, Complex, _copied, _factors, _from_stacks, _kept, _lcm,
+                        _proven, _same_module, _value)
 from .config import Options
 from .errors import ValidationError
 
@@ -213,41 +213,11 @@ class FoldedSystem:
             mats[n] = (c @ H.reshape(h, t * s)).reshape(len(c), t, s) % self.p
         return mats
 
-    def graded(self, kind, S: Complex, T: Complex, comps: dict):
-        """The map kind (ChainMap or Homotopy) S -> T of one solution
-        ({window degree: matrix}), as graded_each makes it."""
-        return self.graded_each(kind, S, T, {n: m[None] for n, m in comps.items()})[0]
-
     def graded_each(self, kind, S: Complex, T: Complex, stacks: dict) -> list:
-        """The maps kind S -> T of the solutions in stacks ({window degree:
-        one component per solution}), one family (complexes._family): the
-        kernel's stacks are its arrays, each tail block is the window
-        block it folds to, and past an unfolded window every block is
-        zero.  A solution whose blocks on a tail are all zero has no tail
-        there, decided for all solutions at once (complexes._own_periods)."""
-        lo, hi, q = self.lo, self.hi, self.fold
-        k = len(stacks[lo])
-        if not k:
-            return []
-        flo, fhi, nq, pq = frame = _frame(S, T, kind.shift, lo, hi, q, q)
-        window = [stacks[n] for n in range(lo, hi + 1)]
-        if q:  # the frame is the window and one fold period on each side, whose
-            # blocks are rows of their own, equal to the window blocks they fold to
-            blocks = [*[m[...] for m in window[:q]], *window,
-                      *[m[...] for m in window[len(window) - q:]]]
-        else:  # past the window every block is zero: one zero stack per shape
-            zeros, blocks = {}, []
-            for n in range(flo - nq, fhi + pq + 1):
-                if lo <= n <= hi:
-                    blocks.append(window[n - lo])
-                    continue
-                shape = (k, T.term(n + kind.shift).dim, S.term(n).dim)
-                if shape not in zeros:
-                    zeros[shape] = np.zeros(shape, dtype=np.int64)
-                blocks.append(zeros[shape])
-        family = _family(frame, blocks)[0]
-        periods = _own_periods(family, lo, hi, q, q) if q else [(0, 0)] * k
-        return _members(kind, S, T, lo, hi, family, periods)
+        """The maps kind (ChainMap or Homotopy) S -> T of the solutions in
+        stacks ({window degree: one component per solution}), one family
+        whose arrays are the stacks (complexes._from_stacks)."""
+        return _from_stacks(kind, S, T, self.lo, self.hi, self.fold, stacks)
 
 
 def solve_module_map(pairs: list, rhs: np.ndarray, terms: list, pair: tuple):
@@ -372,13 +342,14 @@ def _remembered(S: Complex, T: Complex, key: tuple, ends: tuple, solve, rebuild,
     return None
 
 
-def _solved_map(sys: FoldedSystem, S: Complex, T: Complex, comps: dict) -> tuple:
-    """(chain map, value) for _remembered from one solution of sys: the
-    chain map S -> T it gives, validated, and what a memo keeps of it, its
-    window, table and own tail periods, of which the map is a copy."""
-    g = sys.graded(ChainMap, S, T, comps)
+def _solved_map(sys: FoldedSystem, S: Complex, T: Complex) -> tuple:
+    """(chain map, value) for _remembered from the one solution of sys,
+    made from the solve's stacks: the chain map S -> T it gives,
+    validated, and what a memo keeps of it (complexes._kept), of which the
+    map is a copy."""
+    g = sys.graded_each(ChainMap, S, T, sys.solutions)[0]
     g.validate()
-    kept = g.clo, g.chi, g._blocks, g.neg_period, g.pos_period
+    kept = _kept(g)
     return _proven(_copied(ChainMap, S, T, kept)), kept
 
 
@@ -414,9 +385,8 @@ def factor_chain_map(f: ChainMap, through: ChainMap, mode: str,
             terms = [(through.component(n), n, None) if mode == "lift"
                      else (None, n, through.component(n))]
             sys.add_equation(f.component(n), terms, (f.source.term(n), f.target.term(n)))
-        comps = sys.solve()
-        if comps is not None:
-            yield _solved_map(sys, S, T, comps)
+        if sys.solve() is not None:
+            yield _solved_map(sys, S, T)
 
     def holds(g):
         return _factors(f, through, g) if mode == "lift" else _factors(f, g, through)

@@ -993,8 +993,10 @@ class TestLoneTables:
             for m in (1, 2):
                 found = homotopy._homotopies(basis, m)
                 sys_ = solver.graded_system(X, Y, 1, *solver.window(X, Y, basis, m, 2), basis)
-                ref = [None if c is None else sys_.graded(complexes.Homotopy, X, Y, c)
-                       for c in sys_.solve_each()]
+                # each solution as a family of its own
+                ref = [None if c is None else sys_.graded_each(
+                    complexes.Homotopy, X, Y, {n: m[None] for n, m in c.items()})[0]
+                    for c in sys_.solve_each()]
                 assert [h is None for h in found] == [h is None for h in ref]
                 found = [h for h in found if h is not None]
                 assert len({id(h._blocks.family) for h in found}) <= 1
@@ -1066,3 +1068,40 @@ class TestMismatchedOperands:
         with pytest.raises(DimensionMismatch, match="direct sum across different algebras"):
             direct_sum_complex(X, Y)
         assert not built and Y not in X._built
+
+
+class TestTailPeriods:
+    """One rule for a tail period, in Tail and in the graded-map
+    constructor: an integer, not a bool, equal to the block count, kept
+    as an int."""
+
+    def numpy_periods(self, t_per):
+        """T_per with tails whose periods are numpy integers."""
+        X = t_per
+        return complexes.Complex.build(
+            X.algebra, X.lo, X.hi, X.terms, X.diffs,
+            complexes.Tail(np.int64(1), X.neg_tail.terms, X.neg_tail.diffs),
+            complexes.Tail(np.int32(1), X.pos_tail.terms, X.pos_tail.diffs),
+            X.neg_seam, X.pos_seam)
+
+    def test_a_numpy_integer_period_is_kept_as_an_int(self, t_per):
+        Y = self.numpy_periods(t_per)
+        assert [type(q) for q in (Y.neg_period, Y.pos_period)] == [int, int]
+        f = identity_chain_map(Y)
+        g = dataclasses.replace(f)
+        g.validate()
+        assert (g.neg_period, g.pos_period) == (f.neg_period, f.pos_period) == (1, 1)
+        assert_same_map(g, f)
+        h = complexes.ChainMap(Y, Y, {0: I2}, 0, 0, (np.int64(1), (I2,)), (np.uint8(1), (I2,)))
+        assert [type(q) for q in (h.neg_period, h.pos_period, h.neg[0], h.pos[0])] == [int] * 4
+        assert_same_map(h, f)
+
+    def test_a_bool_period_is_refused(self, t_per):
+        X = t_per
+        for q in (True, np.bool_(True), 1.0):
+            with pytest.raises(ValidationError, match="tail period does not match block count"):
+                complexes.Tail(q, X.neg_tail.terms, X.neg_tail.diffs)
+            with pytest.raises(ValidationError, match="tail period does not match block count"):
+                complexes.ChainMap(X, X, {0: I2}, 0, 0, (q, (I2,)))
+        with pytest.raises(ValidationError, match="tail period does not match block count"):
+            complexes.Tail(1, X.neg_tail.terms, X.neg_tail.diffs * 2)

@@ -561,13 +561,18 @@ class TestEquivalenceMemo:
         maps = [hit.payload[name] for name in names]
         # the hit's check builds no map: g, hX and hY are copies of their
         # kept tables, with one copy per distinct kept block, and g f - 1 and
-        # f g - 1 are checked in the walk
+        # f g - 1 are checked in the walk; the only blocks a copy shares with
+        # its kept table are the read-only zero blocks every table reads
+        # where its map has no block
         assert hit.checked and not held and not from_tables
         for h, name in zip(maps, names):
             clo, chi, kept, *periods = parts[name]
             assert (h.clo, h.chi, h._blocks[:4], [h.neg_period, h.pos_period]) == (
                 clo, chi, kept[:4], periods)
-            assert not {id(b) for b in h._blocks.data} & {id(b) for b in kept.data}
+            shared = {id(b) for b in h._blocks.data} & {id(b) for b in kept.data}
+            assert all(not (b.flags.writeable or b.any())
+                       for b in h._blocks.data if id(b) in shared)
+            assert all(b.flags.writeable for b in h._blocks.data if id(b) not in shared)
             assert len({id(b) for b in h._blocks.data}) == len({id(b) for b in kept.data})
         for h in [*maps, *[cold.payload[name] for name in names]]:
             assert_one_table(h)

@@ -84,6 +84,27 @@ def test_only_complexes_binds_the_check_engine():
     assert found == {}
 
 
+# The block-table format of graded maps stays behind complexes: other
+# modules make and keep maps through its producers (_from_stacks, _kept,
+# _copied, _sample), never from the pieces of the format.
+TABLE_FORMAT = {"_family", "_frame", "_tables", "_members", "_own_periods", "_held", "_data"}
+
+
+def test_only_complexes_binds_the_table_format():
+    found = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "singeq", "*.py"))):
+        if os.path.basename(path) == "complexes.py":
+            continue
+        with open(path) as fh:
+            source = fh.read()
+        bound = imported_names(source) | {
+            node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "complexes"}
+        if bound & TABLE_FORMAT:
+            found[os.path.basename(path)] = sorted(bound & TABLE_FORMAT)
+    assert found == {}
+
+
 # The module-level dicts of src/singeq: caches that the benchmark reads by
 # name.  Every other cache lives on the object it describes (see modules).
 MODULE_CACHES = {"functors._OMEGA_CACHE", "functors._THETA_CACHE",
