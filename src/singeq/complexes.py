@@ -9,16 +9,18 @@ Each complex and each graded map describes its blocks once, in a table
 (_Blocks): its data on the window, the seams and one period of each
 tail.  The accessors read it, and its size depends only on the object.
 A complex builds its table on first use (read-only).  A graded map's
-blocks are stacked: its table names its family (_Family), one array per
-block shape whose column j is map j at every degree, and its blocks are
-views of those arrays, made with the table (where a map's own matrix is
-alone in its array, the array is the view instead).  The solutions of
-one solve are one family (_from_stacks), whose producer hands each map
-its table when it makes the map; so are sums, composites and copies of
-kept maps (_kept, _copied).  A lone map made from blocks (the
-constructor, which _sample calls) is a family of one that keeps its
-blocks and builds its table the first time it is read (_held), so a map
-nothing reads, such as most structure maps of a direct sum, builds none.
+blocks are stacked: its table names its family (_Family), arrays whose
+column j is map j at every degree, and its blocks are views of those
+arrays, made with the table (where a map's own matrix is alone in its
+array, the array is the view instead).  A tail position that repeats a
+window block names that block's row: no block is stored twice.  The
+solutions of one solve are one family (_from_stacks), whose producer
+hands each map its table when it makes the map; so are sums, composites
+and copies of kept maps (_kept, _copied; a copy owns its arrays).  A
+lone map made from blocks (the constructor, which _sample calls) is a
+family of one that keeps its blocks and builds its table the first time
+it is read (_held), so a map nothing reads, such as most structure maps
+of a direct sum, builds none.
 The table format (_family, _frame, _tables, _members, _own_periods,
 _held, _data) is this module's alone; others use these producers.
 
@@ -94,9 +96,10 @@ add_maps and compose compute their result on the operands' families,
 one array operation per pair of arrays that meet: on whole arrays when
 the operands are held on one frame with one layout of slots, after a
 gather by index where they are not; the results are the arrays of the
-result's family.  A tail of zero blocks that a producer samples or
-computes is no tail, decided on the stacked tails of a whole family at
-once (_own_periods); a constructor keeps the tails it gets.
+result's family, one per pair.  A tail of zero blocks that a producer
+samples or computes is no tail, decided on the rows a family's tails
+read, for all its maps at once (_own_periods); a constructor keeps the
+tails it gets.
 
 dual gives D(X) = Hom_k(X, k) over the opposite algebra, once per complex,
 and dual_chain_map D(f).  The injective side derives from the projective
@@ -209,11 +212,13 @@ class _Blocks(NamedTuple):
 
 
 class _Family(NamedTuple):
-    """The blocks of k graded maps S_n -> T_{n+shift}, stacked: one array
-    (count, k, rows, cols) per block shape, and where the block at each
-    position of a frame sits (slots: a _Blocks whose data are (array,
-    row) pairs).  Column j of the arrays is map j at every degree; the
-    frame may be wider than a map's own table.
+    """The blocks of k graded maps S_n -> T_{n+shift}, stacked: arrays
+    (count, k, rows, cols), one per block shape (_family) or per pair of
+    operand arrays (_from_tables), and where the block at each position
+    of a frame sits (slots: a _Blocks whose data are (array, row) pairs;
+    a solve's tail position names the window row it folds to).  Column j
+    of the arrays is map j at every degree; the frame may be wider than a
+    map's own table.
     layouts keeps how a table reads the family (_tables), for families
     with these slots and these shapes of arrays."""
 
@@ -1064,10 +1069,10 @@ def _tables(S: Complex, T: Complex, k: int, clo: int, chi: int, family: _Family,
 
 def _data(family: _Family, j: int, where: list) -> tuple:
     """Map j's blocks at the positions where: the view of its row at each
-    (array, row) of the family, one view per row, and each other entry (a
-    zero block) as it is."""
-    views = [list(a[:, j]) for a in family.arrays]
-    return tuple([views[w[0]][w[1]] if type(w) is tuple else w for w in where])
+    (array, row) of the family, one view per (array, row) that where
+    names, and each other entry (a zero block) as it is."""
+    views = {w: family.arrays[w[0]][w[1], j] for w in {w for w in where if type(w) is tuple}}
+    return tuple([views[w] if type(w) is tuple else w for w in where])
 
 
 def _members(kind, S: Complex, T: Complex, clo: int, chi: int, family: _Family,
@@ -1084,8 +1089,8 @@ def _from_stacks(kind, S: Complex, T: Complex, lo: int, hi: int, fold: int,
     """The maps kind (ChainMap or Homotopy) S -> T of the solutions of a
     system on lo..hi folded with period fold (solver.FoldedSystem), whose
     components at window degree n are stacks[n], one per solution: one
-    family, whose arrays are the stacks.  Each tail block is the window
-    block it folds to, as a row of its own, and past an unfolded window
+    family, whose arrays are the stacks.  A tail block is the row of the
+    window block it folds to, not a copy, and past an unfolded window
     every block is zero, one zero stack per shape.  A solution whose
     blocks on a tail are all zero has no tail there (_own_periods)."""
     k = len(stacks[lo])
@@ -1097,7 +1102,7 @@ def _from_stacks(kind, S: Complex, T: Complex, lo: int, hi: int, fold: int,
         if lo <= n <= hi:
             blocks.append(stacks[n])
         elif fold:
-            blocks.append(stacks[lo + (n - lo) % fold if n < lo else hi - (hi - n) % fold][...])
+            blocks.append(stacks[lo + (n - lo) % fold if n < lo else hi - (hi - n) % fold])
         else:
             shape = (k, T.term(n + kind.shift).dim, S.term(n).dim)
             if shape not in zeros:
@@ -1112,18 +1117,12 @@ def _own_periods(family: _Family, lo: int, hi: int, nq: int, pq: int) -> list:
     lo..hi and a tail of period nq, pq (0 for none) on each side: 0 on a
     side where its blocks at lo - nq .. lo - 1, resp. hi + 1 .. hi + pq,
     are all zero, for a tail of zero blocks that a producer computes is no
-    tail (as one that _sample samples).  One test per array, for every
-    map at once."""
+    tail (as one that _sample samples).  One test per array a tail's
+    slots name (window rows, where it folds), for every map at once."""
     if not (nq or pq):
         return [(0, 0)] * family.arrays[0].shape[1]
-    key = ("tails", lo, hi, nq, pq)
-    sides = family.layouts.get(key)
-    if sides is None:
-        slots = family.slots
-        own = slots[:4] == (lo, hi, nq, pq)  # the tails are the frame's ends
-        neg = slots.data[:nq] if own else slots.on(range(lo - nq, lo))
-        pos = slots.data[len(slots.data) - pq:] if own else slots.on(range(hi + 1, hi + pq + 1))
-        sides = family.layouts[key] = [(nq, set(neg)), (pq, set(pos))]
+    sides = [(nq, set(family.slots.on(range(lo - nq, lo)))),
+             (pq, set(family.slots.on(range(hi + 1, hi + pq + 1))))]
     # per array a tail reads: per row, per map, whether the block is nonzero
     live = {s: family.arrays[s].any(axis=(2, 3)).tolist()
             for s in {s for _, tail in sides for s, _ in tail}}
@@ -1223,11 +1222,14 @@ def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
 
     op runs on the operands' families, once per pair of arrays whose
     blocks meet at some degree, on (count, rows, cols) stacks of the rows
-    that meet there; its results are the result's arrays.  Operands held
-    on the result's frame with one layout of slots meet row by row, so op
-    runs on their whole arrays, with no gather.  The result is validated,
-    or with checked=True, which a caller passes when the operands prove it
-    a chain map, marked as one (ChainMap.validate).
+    that meet there; its results are the result's arrays, one per pair.
+    Operands held on the result's frame with one layout of slots meet
+    row by row, so op runs on their whole arrays, with no gather, and
+    the result shares f's slots and layouts where its shapes match.  A
+    result whose table is its family's frame reads its rows with no
+    layout (_tables).  The result is validated, or with checked=True,
+    which a caller passes when the operands prove it a chain map, marked
+    as one (ChainMap.validate).
     """
     lo, hi, nq, pq = profile
     (F, jf), (G, jg) = [(h._blocks.family, h._blocks.member) for h in (f, g)]
@@ -1255,12 +1257,6 @@ def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
         parts = [(a, b, fr, gr) for (a, b), (_, fr, gr) in groups.items()]
     arrays = [op(_rows(F.arrays[a], fr)[:, jf], _rows(G.arrays[b], gr)[:, jg])
               for a, b, fr, gr in parts]
-    shapes = _grouped([m.shape[1:] for m in arrays]) if len(arrays) > 1 else ()
-    if 0 < len(shapes) < len(arrays):  # pairs of arrays with one result shape share an array
-        at = {i: (s, sum(len(arrays[j]) for j in idx[:idx.index(i)]))
-              for s, (_, idx) in enumerate(shapes) for i in idx}
-        slots = [(at[i][0], at[i][1] + r) for i, r in slots]
-        arrays = [np.concatenate([arrays[i] for i in idx]) for _, idx in shapes]
     if slots is F.slots.data and [a.shape[2:] for a in F.arrays] == [m.shape[1:] for m in arrays]:
         family = _Family(F.slots, tuple([m[:, None] for m in arrays]), F.layouts)
     else:

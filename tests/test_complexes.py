@@ -894,6 +894,11 @@ class TestStackedTables:
             assert_views_of_stacks(h)
             shapes.add(len({m.shape for m in h._blocks.data}))
         assert max(shapes) > 1
+        # composites of T2 maps with mixed block shapes in which two pairs
+        # of operand arrays give one result shape: each pair keeps its array
+        assert any(S.algebra.name == "T2" and f.source is not g.source and len(
+            {a.shape[2:] for a in h._blocks.family.arrays}) < len(h._blocks.family.arrays)
+            for (S, _, _, _, f, g), h in calls)
         assert any(f._blocks.family.slots[:4] != g._blocks.family.slots[:4]
                    for (*_, f, g), _ in calls)
         assert any(h.neg_period != profile[2] and profile[2] for (_, _, profile, *_), h in calls)
@@ -914,6 +919,27 @@ class TestStackedTables:
             assert not cold or hit[0]._blocks.family is not cold[0]._blocks.family
             for f, g in zip(cold, hit, strict=True):
                 assert_same_table(g, f)
+
+    @pytest.mark.parametrize("pair", ["T_per over D2", "T_1 -> T_3 over D4/F2"])
+    def test_a_folded_basis_reads_its_tails_from_its_window_rows(self, t_per, pair):
+        X, Y = (t_per, t_per) if pair == "T_per over D2" else periodic_complex_pair()
+        X, Y = dataclasses.replace(X), dataclasses.replace(Y)  # a cold solve
+        for basis in (solver.chain_map_space_basis(X, Y)[0] for _ in range(2)):
+            lo, hi = basis[0].clo, basis[0].chi
+            family = basis[0]._blocks.family
+            window = len(basis) * sum(basis[0]._blocks.at(n).nbytes for n in range(lo, hi + 1))
+            assert sum(a.nbytes for a in family.arrays) <= window
+            folded = 0
+            for f in basis:
+                table = f._blocks
+                for n in range(table.lo - table.neg, table.hi + table.pos + 1):
+                    q = f.neg_period if n < lo else f.pos_period if n > hi else 0
+                    if q:
+                        m = table.at(n)
+                        w = table.at(lo + (n - lo) % q if n < lo else hi - (hi - n) % q)
+                        assert m is w and m.size and np.shares_memory(m, w)
+                        folded += 1
+            assert folded
 
     def test_sampled_and_constructed_maps_are_views(self, t_per):
         C = mismatched_cone()
