@@ -9,18 +9,17 @@ Each complex and each graded map describes its blocks once, in a table
 (_Blocks): its data on the window, the seams and one period of each
 tail.  The accessors read it, and its size depends only on the object.
 A complex builds its table on first use (read-only).  A graded map's
-blocks are stacked: its table names its family (_Family), arrays whose
-column j is map j at every degree, and its blocks are views of those
-arrays, made with the table (where a map's own matrix is alone in its
-array, the array is the view instead).  A tail position that repeats a
-window block names that block's row: no block is stored twice.  The
-solutions of one solve are one family (_from_stacks), whose producer
-hands each map its table when it makes the map; so are sums, composites
-and copies of kept maps (_kept, _copied; a copy owns its arrays).  A
-lone map made from blocks (the constructor, which _sample calls) is a
-family of one that keeps its blocks and builds its table the first time
-it is read (_held), so a map nothing reads, such as most structure maps
-of a direct sum, builds none.
+blocks are stacked: its table names its family (_Family), one array per
+block shape whose column j is map j at every degree, and its blocks are
+views of those arrays, made with the table (where a map's own matrix is
+alone in its array, the array is the view instead); a tail position
+names the row of the window block it repeats.  The solutions of one
+solve are one family (_from_stacks), whose producer hands each map its
+table when it makes the map; so are sums, composites and copies of
+kept maps (_kept, _copied).  A lone map made from blocks (the
+constructor, which _sample calls) is a family of one that keeps its
+blocks and builds its table the first time it is read (_held), so a map
+nothing reads, such as most structure maps of a direct sum, builds none.
 The table format (_family, _frame, _tables, _members, _own_periods,
 _held, _data) is this module's alone; others use these producers.
 
@@ -96,10 +95,9 @@ add_maps and compose compute their result on the operands' families,
 one array operation per pair of arrays that meet: on whole arrays when
 the operands are held on one frame with one layout of slots, after a
 gather by index where they are not; the results are the arrays of the
-result's family, one per pair.  A tail of zero blocks that a producer
-samples or computes is no tail, decided on the rows a family's tails
-read, for all its maps at once (_own_periods); a constructor keeps the
-tails it gets.
+result's family.  A tail of zero blocks that a producer samples or
+computes is no tail, decided on the stacked tails of a whole family at
+once (_own_periods); a constructor keeps the tails it gets.
 
 dual gives D(X) = Hom_k(X, k) over the opposite algebra, once per complex,
 and dual_chain_map D(f).  The injective side derives from the projective
@@ -212,13 +210,11 @@ class _Blocks(NamedTuple):
 
 
 class _Family(NamedTuple):
-    """The blocks of k graded maps S_n -> T_{n+shift}, stacked: arrays
-    (count, k, rows, cols), one per block shape (_family) or per pair of
-    operand arrays (_from_tables), and where the block at each position
-    of a frame sits (slots: a _Blocks whose data are (array, row) pairs;
-    a solve's tail position names the window row it folds to).  Column j
-    of the arrays is map j at every degree; the frame may be wider than a
-    map's own table.
+    """The blocks of k graded maps S_n -> T_{n+shift}, stacked: one array
+    (count, k, rows, cols) per block shape, and where the block at each
+    position of a frame sits (slots: a _Blocks of (array, row) pairs; a
+    tail position may name a window row).  Column j of the arrays is map
+    j at every degree; the frame may be wider than a map's own table.
     layouts keeps how a table reads the family (_tables), for families
     with these slots and these shapes of arrays."""
 
@@ -1222,14 +1218,11 @@ def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
 
     op runs on the operands' families, once per pair of arrays whose
     blocks meet at some degree, on (count, rows, cols) stacks of the rows
-    that meet there; its results are the result's arrays, one per pair.
-    Operands held on the result's frame with one layout of slots meet
-    row by row, so op runs on their whole arrays, with no gather, and
-    the result shares f's slots and layouts where its shapes match.  A
-    result whose table is its family's frame reads its rows with no
-    layout (_tables).  The result is validated, or with checked=True,
-    which a caller passes when the operands prove it a chain map, marked
-    as one (ChainMap.validate).
+    that meet there, one array of the result per shape (_Read.stack).
+    Operands held on the result's frame with one layout of slots meet row
+    by row, so op runs on their whole arrays, with no gather.  The result
+    is validated, or with checked=True, which a caller passes when the
+    operands prove it a chain map, marked as one (ChainMap.validate).
     """
     lo, hi, nq, pq = profile
     (F, jf), (G, jg) = [(h._blocks.family, h._blocks.member) for h in (f, g)]
@@ -1257,6 +1250,12 @@ def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
         parts = [(a, b, fr, gr) for (a, b), (_, fr, gr) in groups.items()]
     arrays = [op(_rows(F.arrays[a], fr)[:, jf], _rows(G.arrays[b], gr)[:, jg])
               for a, b, fr, gr in parts]
+    shapes = _grouped([m.shape[1:] for m in arrays]) if len(arrays) > 1 else ()
+    if 0 < len(shapes) < len(arrays):  # pairs of arrays with one result shape share an array
+        at = {i: (s, sum(len(arrays[j]) for j in idx[:idx.index(i)]))
+              for s, (_, idx) in enumerate(shapes) for i in idx}
+        slots = [(at[i][0], at[i][1] + r) for i, r in slots]
+        arrays = [np.concatenate([arrays[i] for i in idx]) for _, idx in shapes]
     if slots is F.slots.data and [a.shape[2:] for a in F.arrays] == [m.shape[1:] for m in arrays]:
         family = _Family(F.slots, tuple([m[:, None] for m in arrays]), F.layouts)
     else:

@@ -843,6 +843,14 @@ def zero_tail_pair(t_per):
     return f, identity_chain_map(t_per)
 
 
+def operand_pairs(f, g, h) -> int:
+    """The number of pairs of f's and g's arrays whose blocks meet on the
+    frame of h's family."""
+    lo, hi, neg, pos = h._blocks.family.slots[:4]
+    ns = range(lo - neg, hi + pos + 1)
+    return len({(a, b) for (a, _), (b, _) in zip(*[m._blocks.family.slots.on(ns) for m in (f, g)])})
+
+
 class TestStackedTables:
     """Sums and composites computed on the operands' stacked families give
     the map made degree by degree, and every map's table is a view of its
@@ -888,20 +896,46 @@ class TestStackedTables:
 
         calls = self.recorded_operations(monkeypatch, run)
         assert len(calls) > 500
-        shapes = set()
+        shapes, shared = set(), 0
         for (S, T, profile, op, f, g), h in calls:
-            assert_same_table(h, reference_from_tables(S, T, profile, op, f, g))
+            reference = reference_from_tables(S, T, profile, op, f, g)
+            assert_same_table(h, reference)
             assert_views_of_stacks(h)
             shapes.add(len({m.shape for m in h._blocks.data}))
+            if operand_pairs(f, g, h) > len(h._blocks.family.arrays):
+                # two pairs of operand arrays give one result shape: a walk
+                # of the result reads what a walk of the reference reads
+                shared += S.algebra.name == "T2" and f.source is not g.source
+                h.validate()
+                zero = complexes.Homotopy(S, T, {}, 0, 0)
+                assert (homotopy.verify_null_homotopy(h, zero)
+                        == homotopy.verify_null_homotopy(reference, zero))
         assert max(shapes) > 1
-        # composites of T2 maps with mixed block shapes in which two pairs
-        # of operand arrays give one result shape: each pair keeps its array
-        assert any(S.algebra.name == "T2" and f.source is not g.source and len(
-            {a.shape[2:] for a in h._blocks.family.arrays}) < len(h._blocks.family.arrays)
-            for (S, _, _, _, f, g), h in calls)
+        assert shared  # composites of T2 maps with mixed block shapes
         assert any(f._blocks.family.slots[:4] != g._blocks.family.slots[:4]
                    for (*_, f, g), _ in calls)
         assert any(h.neg_period != profile[2] and profile[2] for (_, _, profile, *_), h in calls)
+
+    def test_a_walk_reads_each_degree_from_its_own_block(self, t_per):
+        # T_per + D2 in degree 0: its inclusion i and projection p of T_per
+        # have 4x2 and 2x4 blocks in degree 0 and 2x2 ones elsewhere, so both
+        # pairs of their arrays give 2x2 blocks of p i, and a walk over T_per
+        # checks all its degrees in one group
+        D2 = functors.stalk(modules.regular_module(t_per.algebra))
+        Y, i, _, p, _ = direct_sum_complex(t_per, D2)
+        x = t_per.diff(0)
+        k = complexes.chain_map_from_callable(  # x in degree 0 alone
+            t_per, t_per, 0, 0, lambda n: x if n == 0 else 0 * x, 0, 0)
+        one, zero = identity_chain_map(t_per), complexes.Homotopy(t_per, t_per, {}, 0, 0)
+        # p on a copy of Y, so that compose checks p i
+        q = complexes.ChainMap(dataclasses.replace(Y), t_per, p.components, p.clo, p.chi,
+                               p.neg, p.pos)
+        for pi in (compose(p, i), compose(q, i)):
+            pi.validate()
+            z = add_maps(add_maps(pi, k), one, sign=-1)
+            assert np.array_equal(z.component(0), x) and not z.component(1).any()
+            assert not homotopy.verify_null_homotopy(z, zero)
+            assert homotopy.verify_null_homotopy(add_maps(z, k, sign=-1), zero)
 
     def test_basis_maps_are_views_of_one_family(self):
         _, cases = table_arithmetic_cases()
