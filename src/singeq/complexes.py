@@ -9,19 +9,18 @@ Each complex and each graded map describes its blocks once, in a table
 (_Blocks): its data on the window, the seams and one period of each
 tail.  The accessors read it, and its size depends only on the object.
 A complex builds its table on first use (read-only).  A graded map's
-blocks are stacked: its table names its family (_Family), one array per
-block shape whose column j is map j at every degree, and its blocks are
-views of those arrays, made with the table (where a map's own matrix is
-alone in its array, the array is the view instead); a tail position
-names the row of the window block it repeats.  The solutions of one
-solve are one family (_from_stacks), whose producer hands each map its
-table when it makes the map; so are sums, composites and copies of
-kept maps (_kept, _copied).  A lone map made from blocks (the
-constructor, which _sample calls) is a family of one that keeps its
-blocks and builds its table the first time it is read (_held), so a map
-nothing reads, such as most structure maps of a direct sum, builds none.
-The table format (_family, _frame, _tables, _members, _own_periods,
-_held, _data) is this module's alone; others use these producers.
+blocks are stacked in a family (_Family) whose column j is map j at
+every degree; a tail position names the row of the window block it
+repeats.  The solutions of one solve are one family (_from_stacks), as
+is each sum, composite and copy of a kept map (_kept, _copied); a lone
+map made from blocks (the constructor, which _sample calls) keeps them.
+One rule for every map: its table is built on its first read, from its
+family column or from the blocks a lone map keeps (_held).  Walks, sums
+and is_zero read only the column (_column) and frame (_frame), so a map
+nothing reads block by block, such as a partial sum or a basis map that
+is only walked, builds none.  The table format (_family, _frame,
+_table, _members, _own_periods, _held) is this module's alone; others
+use these producers.
 
 Checked by construction.  A Complex or ChainMap that passed its check
 carries the fact (_checked; never set by the dataclass constructor or
@@ -95,9 +94,11 @@ add_maps and compose compute their result on the operands' families,
 one array operation per pair of arrays that meet: on whole arrays when
 the operands are held on one frame with one layout of slots, after a
 gather by index where they are not; the results are the arrays of the
-result's family.  A tail of zero blocks that a producer samples or
-computes is no tail, decided on the stacked tails of a whole family at
-once (_own_periods); a constructor keeps the tails it gets.
+result's family, which may hold two arrays of one block shape, so a
+walk reads each degree from the array its own slot names (_Read.stack).
+A tail of zero blocks that a producer samples or computes is no tail,
+decided on the stacked tails of a whole family at once (_own_periods);
+a constructor keeps the tails it gets.
 
 dual gives D(X) = Hom_k(X, k) over the opposite algebra, once per complex,
 and dual_chain_map D(f).  The injective side derives from the projective
@@ -210,17 +211,15 @@ class _Blocks(NamedTuple):
 
 
 class _Family(NamedTuple):
-    """The blocks of k graded maps S_n -> T_{n+shift}, stacked: one array
-    (count, k, rows, cols) per block shape, and where the block at each
-    position of a frame sits (slots: a _Blocks of (array, row) pairs; a
-    tail position may name a window row).  Column j of the arrays is map
-    j at every degree; the frame may be wider than a map's own table.
-    layouts keeps how a table reads the family (_tables), for families
-    with these slots and these shapes of arrays."""
+    """The blocks of k graded maps S_n -> T_{n+shift}, stacked: arrays
+    (count, k, rows, cols), and where the block at each position of a
+    frame sits (slots: a _Blocks of (array, row) pairs; a tail position
+    may name a window row).  Column j of the arrays is map j at every
+    degree, from which its table is built on its first read (_table); the
+    frame may be wider than a map's own table."""
 
     slots: _Blocks
     arrays: tuple
-    layouts: dict
 
 
 def _family(frame: tuple, blocks: list) -> tuple:
@@ -245,7 +244,7 @@ def _family(frame: tuple, blocks: list) -> tuple:
             slots.update({id(b): (s, r) for r, b in enumerate(g)})
             if one:
                 held.update(zip(map(id, g), arrays[-1][:, 0]))
-    return _Family(_Blocks(*frame, tuple([slots[id(b)] for b in blocks])), tuple(arrays), {}), held
+    return _Family(_Blocks(*frame, tuple([slots[id(b)] for b in blocks])), tuple(arrays)), held
 
 
 class _Range(NamedTuple):
@@ -353,9 +352,9 @@ def _first_failure(ranges, ns, keys: _Keys, check, *columns):
 
     Each object, given by its check range in ranges, has one check at
     each walked degree of ns.  A column holds one operand per walked
-    degree: a matrix shared by the objects (_Stacked), or a tuple of one
-    matrix per object (_Read), column[i] at walked degree i; column.shape(i)
-    is the shape of its (first) matrix there.  The walked degrees are
+    degree: a matrix shared by the objects (_Stacked), or one matrix per
+    object (_Read); column.shape(i) is the shape of its (first) matrix at
+    walked degree i.  The walked degrees are
     grouped by keys (the modules or shapes their operands share), and
     check(key, *stacks) runs once per group on each column stacked
     (column.stack), (g, 1, rows, cols) when shared and (g, objects, rows,
@@ -380,11 +379,10 @@ def _first_failure(ranges, ns, keys: _Keys, check, *columns):
 class _Read:
     """A column for _first_failure: the blocks of graded maps at the
     walked degrees of a plan, at n (at 1), or at n - 1 for the read
-    before() gives, which shares its runs.  column[i] is the tuple of the
-    maps' blocks at walked degree i, from their tables (for one map, its
-    block).  stack reads a group from the maps' families: one gather per
-    run of maps of one family, so a basis costs one gather per group, not
-    one matrix per map and degree."""
+    before() gives, which shares its runs.  stack reads a group from the
+    maps' family columns (GradedMap._column), with no table built: one
+    gather per run of maps of one family, so a basis costs one gather per
+    group, not one matrix per map and degree."""
 
     __slots__ = ("maps", "plan", "at", "runs")
 
@@ -394,7 +392,7 @@ class _Read:
         # n - 1 and at n sit in its frame (_Walk.positions))
         self.maps, self.plan, self.at, runs = maps, plan, 1, []
         for j, g in enumerate(maps):
-            family, member = g._blocks.family, g._blocks.member
+            family, member = g._column
             if runs and runs[-1][0] is family:
                 runs[-1][1].append(member)
             else:
@@ -408,21 +406,20 @@ class _Read:
         read.maps, read.plan, read.at, read.runs = self.maps, self.plan, 0, self.runs
         return read
 
-    def __getitem__(self, i: int):
-        blocks = tuple([g._blocks.data[self.plan.positions(g._blocks)[self.at][i]]
-                        for g in self.maps])
-        return blocks if len(blocks) > 1 else blocks[0]
-
     def shape(self, i: int) -> tuple:
         """The shape of the first map's block at walked degree i."""
         family, _, _, index = self.runs[0]
         return family.arrays[family.slots.data[index[self.at][i]][0]].shape[2:]
 
     def stack(self, idx: tuple) -> np.ndarray:
+        # each degree's rows from the array its own slot names
         parts = []
         for family, members, _, index in self.runs:
             data, at = family.slots.data, index[self.at]
-            part = _rows(family.arrays[data[at[idx[0]]][0]], [data[at[i]][1] for i in idx])
+            arrays, rows = zip(*[data[at[i]] for i in idx])
+            part = (_rows(family.arrays[arrays[0]], list(rows))
+                    if arrays.count(arrays[0]) == len(arrays)
+                    else np.stack([family.arrays[a][r] for a, r in zip(arrays, rows)]))
             parts.append(part if members is None else part[:, members])
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
@@ -656,12 +653,11 @@ def complex_from_callable(algebra, lo, hi, term_fn, diff_fn,
 @dataclass(frozen=True, eq=False, init=False)
 class GradedMap:
     """A graded map S_n -> T_{n+shift}: chain maps (shift 0) and
-    homotopies (shift +1).  It holds one form: its window clo..chi, its
-    block table (_blocks, whose blocks are views of its family's arrays)
-    and its own tail periods (0 where it has none).  A producer that
-    holds a family hands each map its table when it makes it (_of); a
-    lone map made from blocks (the constructor, which _sample calls)
-    keeps them and builds its table the first time it is read.
+    homotopies (shift +1).  It holds its window clo..chi, its own tail
+    periods (0 where it has none) and its family column (_column), which
+    a producer that holds a family hands it (_of) and a lone map made
+    from blocks (the constructor, which _sample calls) makes from the
+    blocks it keeps.  Its table (_blocks) is built on its first read.
     components, neg and pos read the table, and are dataclass fields, so
     dataclasses.replace makes a new, unmarked map from them.
 
@@ -696,20 +692,28 @@ class GradedMap:
         return h
 
     @classmethod
-    def _of(cls, source, target, clo, chi, table, neg_period, pos_period):
-        """The map holding its one form, as its producer built or kept it."""
+    def _of(cls, source, target, clo, chi, family, member, neg_period, pos_period):
+        """Map member of family, as its producer made or kept it."""
         h = object.__new__(cls)
-        vars(h).update(source=source, target=target, clo=clo, chi=chi, _blocks=table,
+        vars(h).update(source=source, target=target, clo=clo, chi=chi, _column=(family, member),
                        neg_period=neg_period, pos_period=pos_period)
         return h
 
     @cached_property
+    def _column(self) -> tuple:
+        """(family, member) of a lone map: its family of one, made with its
+        table (every other map is made with its column)."""
+        return self._blocks.family, 0
+
+    @cached_property
     def _blocks(self) -> _Blocks:
-        """The table of a lone map, built from the blocks it keeps on the
-        first read, which drops them (every other map is made with its
-        table)."""
-        table = _held(self.source, self.target, self.shift, self.clo, self.chi,
-                      *self._given)[1]
+        """The table, built on the first read: a lone map's from the blocks
+        it keeps, which it then drops, every other map's from its column."""
+        given = vars(self).get("_given")
+        if given is None:
+            return _table(self.source, self.target, self.shift, self.clo, self.chi,
+                          *self._column, self.neg_period, self.pos_period)
+        table = _held(self.source, self.target, self.shift, self.clo, self.chi, *given)
         del vars(self)["_given"]
         return table
 
@@ -798,8 +802,8 @@ class ChainMap(GradedMap):
 
     def is_zero(self) -> bool:
         # the family's column holds the map's block at every degree
-        table = self._blocks
-        return not any(a[:, table.member].any() for a in table.family.arrays)
+        family, member = self._column
+        return not any(a[:, member].any() for a in family.arrays)
 
     @cached_property
     def _kernel(self) -> tuple:
@@ -836,17 +840,17 @@ class _Walk:
     side, and the profile (window and tail periods) of each object, and
     holds no map value and no check result.
 
-    Check ranges are computed once per distinct profile, from the table
-    of each object's walked map and the own window and tail periods of
-    its right-hand side's maps, over which their blocks repeat as values
-    (1 where a map has no tail): the tables of a loop's maps depend on a
-    third complex, which the key does not fix.  The plan holds
-    the walked degrees ns, the shapes of g (and of the right-hand side)
-    there, the groups of degrees by module pair (twists) and by
-    differential shapes (equations) as _first_failure groups them, the
-    differential columns with their stacks per equation group, and, per
-    frame read (a table's or a family's), where its blocks at ns and at
-    n - 1 sit in its data.
+    Check ranges are computed once per distinct profile, from the frame
+    (_frame) of each object's walked map and the own window and tail
+    periods of its right-hand side's maps, over which their blocks
+    repeat as values (1 where a map has no tail): the frames of a loop's
+    maps depend on a third complex, which the key does not fix.  The
+    plan holds the walked degrees ns, the shapes of g (and of the
+    right-hand side) there, the groups of degrees by module pair
+    (twists) and by differential shapes (equations) as _first_failure
+    groups them, the differential columns with their stacks per equation
+    group, and, per frame read (a table's or a family's), where its
+    blocks at ns and at n - 1 sit in its data.
     It holds no object of T but arrays: a module of T may hold T, as
     functors.stalk keeps a stalk on its module.  Equal group keys are held
     once, and the columns of ints are tuples, which the garbage collector
@@ -861,8 +865,8 @@ class _Walk:
         for o, profile in zip(objects, profiles):
             if profile not in by_profile:
                 a, b = _check_range(S, T, *o)
-                r = _Range.of(a, Sb, Tb, o[0]._blocks, *[(x.clo, x.chi, x.neg_period or 1,
-                                                          x.pos_period or 1) for x in o[1:]])
+                r = _Range.of(a, Sb, Tb, _frame(S, T, k, *profile[0]), *[
+                    (lo, hi, nq or 1, pq or 1) for lo, hi, nq, pq in profile[1:]])
                 by_profile[profile] = (r, r._replace(a=r.a + 1 - k), b)
         self.ranges = tuple([by_profile[profile][0] for profile in profiles])
         self.eq_ranges = tuple([by_profile[profile][1] for profile in profiles])
@@ -1011,14 +1015,14 @@ def _frame(S: Complex, T: Complex, k: int, clo: int, chi: int, nq: int, pq: int)
 
 
 def _held(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
-          neg, pos) -> tuple:
-    """(family, table) of the one graded map S_n -> T_{n+k} with the
-    blocks window on clo..chi (arrays, None for zero) and the tails neg,
-    pos: (period, blocks), block i at clo - 1 - i, resp. chi + 1 + i, or
-    None.  The family's frame is that of the map's table (_frame), with a
-    row per distinct block object (_family); the table holds what the
-    family holds of each block, and the shared zero block where the map
-    has none.  It runs when a lone map's table is first read
+          neg, pos) -> _Blocks:
+    """The table of the one graded map S_n -> T_{n+k} with the blocks
+    window on clo..chi (arrays, None for zero) and the tails neg, pos:
+    (period, blocks), block i at clo - 1 - i, resp. chi + 1 + i, or None.
+    Its family's frame is that of the table (_frame), with a row per
+    distinct block object (_family); the table holds what the family
+    holds of each block, and the shared zero block where the map has
+    none.  It runs when a lone map's table or column is first read
     (GradedMap._blocks), not when the map is made."""
     nq, pq = neg[0] if neg else 0, pos[0] if pos else 0
     lo, hi, q, qp = frame = _frame(S, T, k, clo, chi, nq, pq)
@@ -1031,53 +1035,34 @@ def _held(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
                                                         S.term(n).dim)
         blocks.append(m)
     family, held = _family(frame, blocks)
-    return family, _Blocks(*frame, tuple([zeros[i] if i in zeros else held[id(b)]
-                                          for i, b in enumerate(blocks)]), family)
+    return _Blocks(*frame, tuple([zeros[i] if i in zeros else held[id(b)]
+                                  for i, b in enumerate(blocks)]), family)
 
 
-def _tables(S: Complex, T: Complex, k: int, clo: int, chi: int, family: _Family,
-            periods: list) -> list:
-    """The tables of the graded maps S_n -> T_{n+k} with the window
-    clo..chi held in family, map j with own tail periods periods[j].  A
-    table (frame: _frame) holds at each degree the view of the map's
-    block in the family's arrays, one view per distinct block, and where
-    the map has none (outside its window and tails) the shared zero block
-    of modules.zero_block."""
-    out, frames = [], {}
-    for j, (nq, pq) in enumerate(periods):
-        if (nq, pq) not in frames:
-            frames[nq, pq] = _frame(S, T, k, clo, chi, nq, pq)
-        lo, hi, q, qp = frame = frames[nq, pq]
-        key = (frame, clo, chi, nq, pq)
-        where = family.layouts.get(key)
-        if where is None:
-            where = list(family.slots.data if family.slots[:4] == frame
-                         else family.slots.on(range(lo - q, hi + qp + 1)))
-            for n in [*(range(lo - q, clo) if not nq else ()),
-                      *(range(chi + 1, hi + qp + 1) if not pq else ())]:
-                # the family's block there has the map's shape
-                where[n + q - lo] = modules.zero_block(
-                    S.algebra, *family.arrays[where[n + q - lo][0]].shape[2:])
-            family.layouts[key] = where
-        out.append(_Blocks(*frame, _data(family, j, where), family, j))
-    return out
-
-
-def _data(family: _Family, j: int, where: list) -> tuple:
-    """Map j's blocks at the positions where: the view of its row at each
-    (array, row) of the family, one view per (array, row) that where
-    names, and each other entry (a zero block) as it is."""
-    views = {w: family.arrays[w[0]][w[1], j] for w in {w for w in where if type(w) is tuple}}
-    return tuple([views[w] if type(w) is tuple else w for w in where])
+def _table(S: Complex, T: Complex, k: int, clo: int, chi: int, family: _Family, j: int,
+           nq: int, pq: int) -> _Blocks:
+    """The table of map j of family, a graded map S_n -> T_{n+k} with the
+    window clo..chi and own tail periods nq, pq: at each degree of its
+    frame (_frame) the view of its row in the family's arrays, one view
+    per distinct (array, row), and where the map has none (outside its
+    window and tails) the shared zero block of modules.zero_block."""
+    lo, hi, q, qp = frame = _frame(S, T, k, clo, chi, nq, pq)
+    where = (family.slots.data if family.slots[:4] == frame
+             else family.slots.on(range(lo - q, hi + qp + 1)))
+    views = {w: family.arrays[w[0]][w[1], j] for w in set(where)}
+    data = [views[w] for w in where]
+    for n in [*(range(lo - q, clo) if not nq else ()),
+              *(range(chi + 1, hi + qp + 1) if not pq else ())]:
+        data[n + q - lo] = modules.zero_block(S.algebra, *data[n + q - lo].shape)
+    return _Blocks(*frame, tuple(data), family, j)
 
 
 def _members(kind, S: Complex, T: Complex, clo: int, chi: int, family: _Family,
              periods: list) -> list:
     """The maps kind (ChainMap or Homotopy) S -> T with the window
-    clo..chi held in family, map j with own tail periods periods[j]
-    (_tables)."""
-    return [kind._of(S, T, clo, chi, table, *q) for table, q in zip(
-        _tables(S, T, kind.shift, clo, chi, family, periods), periods)]
+    clo..chi held in family, map j with own tail periods periods[j]; each
+    builds its table on its first read (_table)."""
+    return [kind._of(S, T, clo, chi, family, j, *q) for j, q in enumerate(periods)]
 
 
 def _from_stacks(kind, S: Complex, T: Complex, lo: int, hi: int, fold: int,
@@ -1085,10 +1070,11 @@ def _from_stacks(kind, S: Complex, T: Complex, lo: int, hi: int, fold: int,
     """The maps kind (ChainMap or Homotopy) S -> T of the solutions of a
     system on lo..hi folded with period fold (solver.FoldedSystem), whose
     components at window degree n are stacks[n], one per solution: one
-    family, whose arrays are the stacks.  A tail block is the row of the
-    window block it folds to, not a copy, and past an unfolded window
-    every block is zero, one zero stack per shape.  A solution whose
-    blocks on a tail are all zero has no tail there (_own_periods)."""
+    family, whose arrays are the stacks, from which each map builds its
+    table on its first read.  A tail block is the row of the window block
+    it folds to, not a copy, and past an unfolded window every block is
+    zero, one zero stack per shape.  A solution whose blocks on a tail are
+    all zero has no tail there (_own_periods)."""
     k = len(stacks[lo])
     if not k:
         return []
@@ -1216,16 +1202,17 @@ def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
     window lo..hi and one period nq, pq of each tail (profile, which
     covers S and T), as chain_map_from_callable samples them.
 
-    op runs on the operands' families, once per pair of arrays whose
-    blocks meet at some degree, on (count, rows, cols) stacks of the rows
-    that meet there, one array of the result per shape (_Read.stack).
+    op runs on the operands' family columns, once per pair of arrays
+    whose blocks meet at some degree, on (count, rows, cols) stacks of the
+    rows that meet there, one array of the result's family per pair.
     Operands held on the result's frame with one layout of slots meet row
     by row, so op runs on their whole arrays, with no gather.  The result
-    is validated, or with checked=True, which a caller passes when the
-    operands prove it a chain map, marked as one (ChainMap.validate).
+    builds its table on its first read, and is validated, or with
+    checked=True, which a caller passes when the operands prove it a
+    chain map, marked as one (ChainMap.validate).
     """
     lo, hi, nq, pq = profile
-    (F, jf), (G, jg) = [(h._blocks.family, h._blocks.member) for h in (f, g)]
+    (F, jf), (G, jg) = f._column, g._column
     # a frame holds the result if it covers the window and its periods are
     # multiples of the profile's; an operand's own frame spares its gather.
     # Else a side with no tail reads one zero block
@@ -1246,25 +1233,13 @@ def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
             pairs[a, b] = (i, len(fr))
             fr.append(a[1])
             gr.append(b[1])
-        slots = [pairs[pair] for pair in zip(fw, gw)]
+        slots = tuple([pairs[pair] for pair in zip(fw, gw)])
         parts = [(a, b, fr, gr) for (a, b), (_, fr, gr) in groups.items()]
-    arrays = [op(_rows(F.arrays[a], fr)[:, jf], _rows(G.arrays[b], gr)[:, jg])
-              for a, b, fr, gr in parts]
-    shapes = _grouped([m.shape[1:] for m in arrays]) if len(arrays) > 1 else ()
-    if 0 < len(shapes) < len(arrays):  # pairs of arrays with one result shape share an array
-        at = {i: (s, sum(len(arrays[j]) for j in idx[:idx.index(i)]))
-              for s, (_, idx) in enumerate(shapes) for i in idx}
-        slots = [(at[i][0], at[i][1] + r) for i, r in slots]
-        arrays = [np.concatenate([arrays[i] for i in idx]) for _, idx in shapes]
-    if slots is F.slots.data and [a.shape[2:] for a in F.arrays] == [m.shape[1:] for m in arrays]:
-        family = _Family(F.slots, tuple([m[:, None] for m in arrays]), F.layouts)
-    else:
-        family = _Family(_Blocks(*frame, tuple(slots)), tuple([m[:, None] for m in arrays]), {})
-    own = _own_periods(family, lo, hi, nq, pq)[0]
-    if frame == (lo, hi, *own):  # its table is its family's frame, every block its row
-        return _settled(ChainMap._of(S, T, lo, hi, _Blocks(*frame, _data(family, 0, slots),
-                                                           family), *own), checked)
-    return _settled(_members(ChainMap, S, T, lo, hi, family, [own])[0], checked)
+    family = _Family(_Blocks(*frame, slots), tuple([
+        op(_rows(F.arrays[a], fr)[:, jf], _rows(G.arrays[b], gr)[:, jg])[:, None]
+        for a, b, fr, gr in parts]))
+    return _settled(_members(ChainMap, S, T, lo, hi, family,
+                             _own_periods(family, lo, hi, nq, pq))[0], checked)
 
 
 def compose(f: ChainMap, g: ChainMap) -> ChainMap:

@@ -38,11 +38,11 @@ system is row-equivalent to the one with every equation (the same
 reduced form, kernel basis and particular solutions, bit for bit).
 chain_map_space_basis makes its basis one family (graded_each, which
 complexes._from_stacks lays out): the kernel's per-degree stacks are its
-arrays, and each map's table is made of views of its column, a tail
-block the view of the window row it folds to.  It checks the basis in
-one ChainMap.validate call, whose walk reads each group of the family
-in one gather; each map keeps its own check range, so the errors are
-those of the maps checked one by one.  Likewise the particular
+arrays, and each map builds its table on its first read, of views of its
+column, a tail block the view of the window row it folds to.  It checks
+the basis in one ChainMap.validate call, whose walk reads each group of
+the family in one gather, with no table built; each map keeps its own
+check range, so the errors are those of the maps checked one by one.  Likewise the particular
 solutions of a solve (solve_each) keep their per-degree stacks, from
 which its null-homotopies, factor or lift are made.
 

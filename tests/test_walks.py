@@ -133,7 +133,8 @@ def recorded(check):
         entries = test is complexes._intertwining
         for j, r in enumerate(ranges):
             for i, n in enumerate(ns):
-                objs = [c[i][j] if isinstance(c[i], tuple) else c[i] for c in columns]
+                objs = [c.maps[j].component(n - 1 + c.at) if isinstance(c, complexes._Read)
+                        else c[i] for c in columns]
                 seen[0 if entries else 1].append(
                     (r.first(n), *(keys[i] if entries else ()), *objs))
         return real(ranges, ns, keys, test, *columns)

@@ -8,9 +8,12 @@ module k (modules.simple_modules) and k's complete resolution T
 all under tracemalloc in a fresh process.  It prints the verdict, the
 CPU seconds, the traced memory still held once the round trip has
 returned (the report, T and the memos kept on them) and the traced
-peak, both in MB of 2^20 bytes.  CPU time includes tracemalloc's own
-overhead, so compare it only between runs of this script."""
+peak, both in MB of 2^20 bytes, then how many graded maps (chain maps
+and homotopies) the round trip leaves alive and how many of them hold a
+block table.  CPU time includes tracemalloc's own overhead, so compare
+it only between runs of this script."""
 
+import gc
 import os
 import sys
 import time
@@ -18,7 +21,7 @@ import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from singeq import approx, equiv, fixtures, modules  # noqa: E402
+from singeq import approx, complexes, equiv, fixtures, modules  # noqa: E402
 
 
 def main(argv: list) -> int:
@@ -35,8 +38,11 @@ def main(argv: list) -> int:
     cpu = time.process_time() - start
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    maps = [o for o in gc.get_objects() if isinstance(o, complexes.GradedMap)]
+    tables = sum("_blocks" in vars(o) for o in maps)
     print(f"{argv[0]} {side}: verdict {report.verdict}, cpu {cpu:.2f} s, "
-          f"held {held / 2**20:.1f} MB, peak {peak / 2**20:.1f} MB")
+          f"held {held / 2**20:.1f} MB, peak {peak / 2**20:.1f} MB, "
+          f"{len(maps)} graded maps alive, {tables} with a table")
     return 0
 
 
