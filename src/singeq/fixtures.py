@@ -20,7 +20,9 @@ from .modules import Module, regular_module, simple_modules
 
 def truncated_polynomial(n: int, p: int, name: str) -> Algebra:
     """D_n = F_p[x]/(x^n) in the basis 1, x, x^2, ..., x^(n-1), validated;
-    a new algebra on every call."""
+    a new algebra on every call.  n must be at least 1."""
+    if n < 1:
+        raise ValidationError(f"D_n needs n >= 1, not n = {n}")
     mul = np.zeros((n, n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n - i):

@@ -1,20 +1,23 @@
-"""Exact dense linear algebra over prime fields F_p.
+"""Exact linear algebra over prime fields F_p.
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Everything
-rests on one Gauss-Jordan elimination, ``rref``, whose pivot steps are
-whole-array operations: the pivot is found with one vector operation on
-the column, only the pivot row's tail is scaled, and the column is cleared
-with a single rank-one update restricted to the rows where it is nonzero.
-The systems built by ``solver`` are tall and sparse, so that restriction
-touches a small share of the rows.  Solving, kernels, inverses and basis
-completion each run one elimination on an augmented matrix.
+rests on one elimination, ``rref``, which works on sparse rows of Python
+ints: each nonzero row of the input becomes a dict {column: value} and is
+reduced against the pivot rows found so far until its leading column is
+new, then scaled to a leading 1.  One back substitution, from the last
+pivot up, clears the other pivot columns each pivot row holds, and the
+rows are written into a dense R.  The systems built by ``solver`` are tall
+and sparse, so a row meets few pivots.  The reduced row echelon form is
+unique, so R and the pivots do not depend on the order of the work.
+Solving, kernels, inverses and basis completion each run one elimination
+on an augmented matrix.
 
 Overflow bound: a product of two reduced entries is below p^2, and a
 matrix product with inner dimension m sums m of them, so int64 is exact
 while m * (p - 1)^2 < 2^63.  ``algebra.Field`` accepts only p < 2^26
 (``MAX_MODULUS``), which keeps that true for inner dimensions up to 2^11;
-a chain of products is reduced mod p after each product.  The row update
-in ``rref`` stays below p^2.
+a chain of products is reduced mod p after each product.  ``rref``
+computes on Python ints, so no bound applies to it.
 """
 
 from __future__ import annotations
@@ -48,31 +51,67 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
+# Inputs of at most this many cells are read through tolist(), whose cost
+# grows with the cells; larger ones through nonzero(), whose fixed cost a
+# small input does not repay.
+_LIST_CELLS = 256
+
+
+def _rows(R: np.ndarray, p: int) -> list:
+    """The rows of R that are nonzero mod p, top to bottom, each as a dict
+    {column: value} of Python ints reduced mod p."""
+    if R.size <= _LIST_CELLS:
+        return [{c: v % p for c, v in enumerate(row) if v % p}
+                for row in R.tolist() if any(row)]
+    at_r, at_c = R.nonzero()
+    rows = {}
+    for r, c, v in zip(at_r.tolist(), at_c.tolist(), (R[at_r, at_c] % p).tolist()):
+        if v:
+            rows.setdefault(r, {})[c] = v
+    return list(rows.values())
+
+
+def _subtract(row: dict, f: int, pivot_row: dict, p: int) -> None:
+    """row -= f * pivot_row mod p, in place.  An entry that becomes 0 was
+    in row, since f and pivot_row's entries are nonzero mod a prime."""
+    for c, v in pivot_row.items():
+        x = (row.get(c, 0) - f * v) % p
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
 def rref(A: np.ndarray, p: int):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = reduce_mod(A, p)
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        below = R[r:, c].nonzero()[0]
-        if not below.size:
-            continue
-        if below[0]:
-            pr = r + below[0]
-            R[[r, pr], c:] = R[[pr, r], c:]
-        if R[r, c] != 1:
-            R[r, c:] = (R[r, c:] * inv_mod(R[r, c], p)) % p
-        # the pivot row is zero left of c, so only columns c: change
-        col = R[:, c].copy()
-        col[r] = 0
-        hit = col.nonzero()[0]
-        if hit.size:
-            R[hit, c:] = (R[hit, c:] - col[hit, None] * R[r, c:]) % p
-        pivots.append(c)
-        r += 1
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    R is a new C-contiguous int64 array; A is not modified."""
+    R = np.array(A, dtype=np.int64, order="C")
+    if not R.size:
+        return R, []
+    pivot = {}  # leading column -> its row, scaled to a leading 1
+    for row in _rows(R, p):
+        while row:
+            c = min(row)
+            if c not in pivot:
+                if row[c] != 1:
+                    f = inv_mod(row[c], p)
+                    for j in row:
+                        row[j] = row[j] * f % p
+                pivot[c] = row
+                break
+            _subtract(row, row[c], pivot[c], p)
+    pivots = sorted(pivot)
+    # back substitution: the rows of later pivots are reduced by the time
+    # row c is, so row c subtracts each of them it holds once
+    for c in reversed(pivots):
+        row = pivot[c]
+        for j in [j for j in row if j != c and j in pivot]:
+            _subtract(row, row[j], pivot[j], p)
+    cols = R.shape[1]
+    R.fill(0)
+    R.put([i * cols + j for i, c in enumerate(pivots) for j in pivot[c]],
+          [v for c in pivots for v in pivot[c].values()])
     return R, pivots
 
 

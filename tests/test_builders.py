@@ -11,6 +11,7 @@ import pytest
 from conftest import periodic_complex, random_d2_complex, triangular_d2, truncated_polynomial
 from singeq import complexes, fixtures, formats, linalg, modules
 from singeq.config import Options
+from singeq.errors import ValidationError
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -53,6 +54,12 @@ def test_builders_label_and_name_their_bases():
     T = triangular_d2()
     assert T.basis_labels == ("e11", "e22", "e12", "xe11", "xe22", "xe12")
     assert (T.idempotents, T.radical_basis, T.name) == ((0, 1), (2, 3, 4, 5), "T2(D2)")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_truncated_polynomial_refuses_n_below_1(n):
+    with pytest.raises(ValidationError, match=f"not n = {n}$"):
+        fixtures.truncated_polynomial(n, 2, f"D{n}")
 
 
 def test_builders_return_a_new_algebra_on_every_call():

@@ -1,12 +1,16 @@
-"""Exact mod-p linear algebra, cross-checked by brute-force enumeration."""
+"""Exact mod-p linear algebra, cross-checked by brute-force enumeration and
+against reference eliminations."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from singeq import algebra, linalg
+from conftest import periodic_complex, truncated_polynomial
+from singeq import algebra, approx, equiv, fixtures, homotopy, linalg, modules, solver
+from singeq.config import Options
 from singeq.errors import ValidationError
+from singeq.homotopy import YES
 
 
 def _mat(rows):
@@ -127,6 +131,36 @@ def reference_rref(A, p):
     return R, pivots
 
 
+def dense_rref(A, p):
+    """Gauss-Jordan elimination by whole-array pivot steps, kept as the
+    fast reference for large inputs: the pivot is found with one vector
+    operation on the column, only the pivot row's tail is scaled, and the
+    column is cleared with one rank-one update of the rows that hold it."""
+    R = np.asarray(A, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        below = R[r:, c].nonzero()[0]
+        if not below.size:
+            continue
+        if below[0]:
+            pr = r + below[0]
+            R[[r, pr], c:] = R[[pr, r], c:]
+        if R[r, c] != 1:
+            R[r, c:] = (R[r, c:] * pow(int(R[r, c]), p - 2, p)) % p
+        col = R[:, c].copy()
+        col[r] = 0
+        hit = col.nonzero()[0]
+        if hit.size:
+            R[hit, c:] = (R[hit, c:] - col[hit, None] * R[r, c:]) % p
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
 def random_matrix(rng, rows, cols, p, density=1.0):
     vals = rng.integers(1, p, size=(rows, cols), dtype=np.int64)
     return np.where(rng.random((rows, cols)) < density, vals, 0)
@@ -212,6 +246,99 @@ class TestRandomizedLinalg:
         assert full.shape == (rows, rows)
         assert np.array_equal(full[:, : B.shape[1]], B)
         assert linalg.invert(full, p) is not None
+
+
+RREF_PRIMES = [2, 3, 5, 7, 2 ** 26 - 5]
+RREF_DENSITIES = [0.001, 0.01, 0.05, 0.2, 0.5, 1.0]
+
+
+def rref_inputs(p, density):
+    """34 or 35 matrices over F_p at one density (1,030 over all primes
+    and densities): the shapes 0 x n, n x 0, 0 x 0, 1 x n, n x 1 and 1 x 1,
+    28 random shapes up to 24 x 24, and at densities up to 1% a tall 900 x
+    160, as sparse as the systems solver builds.  Some have zeroed rows
+    and columns, a dependent last row, entries that are not reduced mod p,
+    or a transposed (not C-contiguous) layout."""
+    rng = np.random.default_rng([p, round(density * 1000)])
+    shapes = [(0, 7), (7, 0), (0, 0), (1, 9), (9, 1), (1, 1)]
+    shapes += [tuple(int(d) for d in rng.integers(1, 25, size=2)) for _ in range(28)]
+    if density <= 0.01:
+        shapes.append((900, 160))
+    for k, (rows, cols) in enumerate(shapes):
+        A = random_matrix(rng, rows, cols, p, density)
+        if k % 3 == 0:
+            A[rng.random(rows) < 0.3] = 0
+            A[:, rng.random(cols) < 0.3] = 0
+        if k % 4 == 1 and rows >= 3:
+            A[-1] = (A[0] + 2 * A[1]) % p
+        if k % 5 == 2:
+            A = A + p * rng.integers(-2, 3, size=A.shape)
+        if k % 6 == 3:
+            A = np.ascontiguousarray(A.T).T
+        yield A
+
+
+@pytest.mark.parametrize("density", RREF_DENSITIES)
+@pytest.mark.parametrize("p", RREF_PRIMES)
+def test_rref_equals_reference_bit_for_bit(p, density):
+    for A in rref_inputs(p, density):
+        before = A.copy()
+        R, pivots = linalg.rref(A, p)
+        ref_R, ref_pivots = reference_rref(A, p)
+        assert pivots == ref_pivots and all(type(c) is int for c in pivots)
+        assert R.dtype == np.int64 and R.shape == A.shape and np.array_equal(R, ref_R)
+        assert R.flags.c_contiguous and R.flags.writeable and not np.shares_memory(R, A)
+        assert np.array_equal(A, before)
+
+
+def _recorded_rref_inputs(monkeypatch, decide):
+    """Every (A, p) that linalg.rref receives while decide() runs."""
+    seen = []
+    rref = linalg.rref
+
+    def recording(A, p):
+        seen.append((np.array(A), p))
+        return rref(A, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "rref", recording)
+        decide()
+    return seen
+
+
+def _d8_round_trip():
+    alg = fixtures.truncated_polynomial(8, 2, "D8")
+    T, _ = approx.complete_resolution(modules.simple_modules(alg)[0])
+    assert equiv.verify_round_trip(T, "P").verdict == YES
+
+
+def _d4_f3_map():
+    """Basis map 2 of T_1 -> T_3 over D4/F3: the periodic search finds no
+    homotopy at m = 1, 2 and one at m = 3 (test_the_d4_f3_decision_needs_m_3)."""
+    alg = truncated_polynomial(4, 3)
+    X, Y = periodic_complex(alg, 1), periodic_complex(alg, 3)
+    return solver.chain_map_space_basis(X, Y, Options())[0][2]
+
+
+def _d4_f3_periodic_yes():
+    assert homotopy.null_homotopy(_d4_f3_map()).verdict == YES
+
+
+@pytest.mark.parametrize("decide", [_d8_round_trip, _d4_f3_periodic_yes],
+                         ids=["D8-round-trip-P", "D4F3-periodic-yes-m3"])
+def test_rref_equals_dense_rref_on_recorded_systems(monkeypatch, decide):
+    recorded = _recorded_rref_inputs(monkeypatch, decide)
+    assert recorded
+    for A, p in recorded:
+        R, pivots = linalg.rref(A, p)
+        ref_R, ref_pivots = dense_rref(A, p)
+        assert pivots == ref_pivots and np.array_equal(R, ref_R)
+
+
+def test_the_d4_f3_decision_needs_m_3():
+    f = _d4_f3_map()
+    assert [homotopy.search_periodic_homotopy(f, m) is not None
+            for m in (1, 2, 3)] == [False, False, True]
 
 
 class TestModulusBound:

@@ -22,6 +22,7 @@ import tracemalloc
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from singeq import approx, complexes, equiv, fixtures, modules  # noqa: E402
+from singeq.errors import ValidationError  # noqa: E402
 
 
 def main(argv: list) -> int:
@@ -31,7 +32,10 @@ def main(argv: list) -> int:
     n, side = int(argv[0][1:]), argv[1]
     tracemalloc.start()
     start = time.process_time()
-    alg = fixtures.truncated_polynomial(n, 2, argv[0])
+    try:
+        alg = fixtures.truncated_polynomial(n, 2, argv[0])
+    except ValidationError as exc:
+        sys.exit(f"{argv[0]}: {exc}")
     k = modules.simple_modules(alg)[0]
     T, _ = approx.complete_resolution(k)
     report = equiv.verify_round_trip(T, side)
