@@ -16,11 +16,13 @@ is each sum, composite and copy of a kept map (_kept, _copied); a lone
 map made from blocks (the constructor, which _sample calls) keeps them.
 One rule for every map: its table is built on its first read, from its
 family column or from the blocks a lone map keeps (_held).  Walks, sums
-and is_zero read only the column (_column) and frame (_frame), so a map
-nothing reads block by block, such as a partial sum or a basis map that
-is only walked, builds none.  The table format (_family, _frame,
+and is_zero read only the column (_column) and frame (_frame), and
+solver's graded systems read a right-hand side's blocks from its column
+by slot (_reads, which _table reads too), so a map nothing reads block
+by block, such as a partial sum or a basis map that is only walked or
+solved against, builds none.  The table format (_family, _frame,
 _table, _members, _own_periods, _held) is this module's alone; others
-use these producers.
+use these producers and _reads.
 
 Checked by construction.  A Complex or ChainMap that passed its check
 carries the fact (_checked; never set by the dataclass constructor or
@@ -711,8 +713,7 @@ class GradedMap:
         it keeps, which it then drops, every other map's from its column."""
         given = vars(self).get("_given")
         if given is None:
-            return _table(self.source, self.target, self.shift, self.clo, self.chi,
-                          *self._column, self.neg_period, self.pos_period)
+            return _table(self)
         table = _held(self.source, self.target, self.shift, self.clo, self.chi, *given)
         del vars(self)["_given"]
         return table
@@ -1039,22 +1040,42 @@ def _held(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
                                   for i, b in enumerate(blocks)]), family)
 
 
-def _table(S: Complex, T: Complex, k: int, clo: int, chi: int, family: _Family, j: int,
-           nq: int, pq: int) -> _Blocks:
-    """The table of map j of family, a graded map S_n -> T_{n+k} with the
-    window clo..chi and own tail periods nq, pq: at each degree of its
-    frame (_frame) the view of its row in the family's arrays, one view
-    per distinct (array, row), and where the map has none (outside its
-    window and tails) the shared zero block of modules.zero_block."""
-    lo, hi, q, qp = frame = _frame(S, T, k, clo, chi, nq, pq)
-    where = (family.slots.data if family.slots[:4] == frame
-             else family.slots.on(range(lo - q, hi + qp + 1)))
-    views = {w: family.arrays[w[0]][w[1], j] for w in set(where)}
-    data = [views[w] for w in where]
-    for n in [*(range(lo - q, clo) if not nq else ()),
-              *(range(chi + 1, hi + qp + 1) if not pq else ())]:
-        data[n + q - lo] = modules.zero_block(S.algebra, *data[n + q - lo].shape)
-    return _Blocks(*frame, tuple(data), family, j)
+def _table(g: GradedMap) -> _Blocks:
+    """The table of g, a map with a family column (GradedMap._column): its
+    block at each degree of its frame (_frame), read from the column
+    (_reads)."""
+    frame = _frame(g.source, g.target, g.shift, g.clo, g.chi, g.neg_period, g.pos_period)
+    return _Blocks(*frame, tuple(_reads(g)[1]), *g._column)
+
+
+def _reads(g: GradedMap, degrees=None) -> tuple:
+    """(keys, blocks) of g at each of degrees, by default at each degree of
+    its table's frame (_frame), read from its family column with no table
+    built, the degrees folded as in its table: the view of its row in the
+    family's arrays, one view per distinct (array, row), keyed by that
+    slot; or where g has no block (outside its window and own tails) the
+    shared zero block of modules.zero_block, keyed by its id.  So two
+    degrees have one key exactly where g's table (_table) holds one
+    object."""
+    family, j = g._column
+    clo, chi, nq, pq = g.clo, g.chi, g.neg_period, g.pos_period
+    lo, hi, q, qp = frame = _frame(g.source, g.target, g.shift, clo, chi, nq, pq)
+    slots = family.slots
+    if degrees is None:
+        ns = range(lo - q, hi + qp + 1)
+        keys = list(slots.data if slots[:4] == frame else slots.on(ns))
+    else:
+        ns = [i + lo - q for i in _Blocks(*frame, ()).index(degrees)]
+        keys = slots.on(ns)
+    views = {w: family.arrays[w[0]][w[1], j] for w in set(keys)}
+    blocks = [views[w] for w in keys]
+    if not (nq and pq):  # zero outside the window on a side with no tail
+        first, last = clo if not nq else -math.inf, chi if not pq else math.inf
+        for i, n in enumerate(ns):
+            if not first <= n <= last:
+                blocks[i] = modules.zero_block(g.source.algebra, *blocks[i].shape)
+                keys[i] = id(blocks[i])
+    return keys, blocks
 
 
 def _members(kind, S: Complex, T: Complex, clo: int, chi: int, family: _Family,

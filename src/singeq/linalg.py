@@ -2,15 +2,19 @@
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Everything
 rests on one elimination, ``rref``, which works on sparse rows of Python
-ints: each nonzero row of the input becomes a dict {column: value} and is
-reduced against the pivot rows found so far until its leading column is
-new, then scaled to a leading 1.  One back substitution, from the last
-pivot up, clears the other pivot columns each pivot row holds, and the
-rows are written into a dense R.  The systems built by ``solver`` are tall
-and sparse, so a row meets few pivots.  The reduced row echelon form is
-unique, so R and the pivots do not depend on the order of the work.
-Solving, kernels, inverses and basis completion each run one elimination
-on an augmented matrix.
+ints, dicts {column: value}: each row is reduced against the pivot rows
+found so far until its leading column is new, then scaled to a leading
+1.  One back substitution, from the last pivot up, clears the other
+pivot columns each pivot row holds.  The systems built by ``solver`` are
+tall and sparse, so a row meets few pivots, and they reach ``rref`` as
+such rows, with no dense matrix in between (``solve_rows``,
+``kernel_rows``).  A dense matrix is read into rows first: ``rref(A,
+p)`` writes the reduced rows back into a dense R, and ``solve_columns``
+and ``kernel_basis`` hand the rows of [A | B] and of A to
+``solve_rows`` and ``kernel_rows``.  The reduced row echelon form is
+unique, so it does not depend on the order of the work.  Solving,
+kernels, inverses and basis completion each run one elimination on an
+augmented matrix.
 
 Overflow bound: a product of two reduced entries is below p^2, and a
 matrix product with inner dimension m sums m of them, so int64 is exact
@@ -21,8 +25,6 @@ computes on Python ints, so no bound applies to it.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -82,15 +84,36 @@ def _subtract(row: dict, f: int, pivot_row: dict, p: int) -> None:
             del row[c]
 
 
-def rref(A: np.ndarray, p: int):
-    """Reduced row echelon form; returns (R, pivot_columns).
+def rref(A, p: int):
+    """Reduced row echelon form of a matrix; returns (R, pivot_columns),
+    the pivots in order.
 
-    R is a new C-contiguous int64 array; A is not modified."""
+    A is a 2-D array, or the list of its rows as dicts {column: value}
+    whose values are Python ints in 1..p-1 (sparse rows, as solver writes
+    its systems).  For an array, R is a new C-contiguous int64 array and A
+    is not modified.  For rows, R is the list of the pivot rows, in the
+    order of their pivots, and the rows given are reduced in place: the
+    others become empty, so together they keep their row space."""
+    if isinstance(A, list) and (not A or isinstance(A[0], dict)):
+        return _reduce(A, p)
     R = np.array(A, dtype=np.int64, order="C")
     if not R.size:
         return R, []
+    rows, pivots = _reduce(_rows(R, p), p)
+    cols = R.shape[1]
+    R.fill(0)
+    R.put([i * cols + j for i, row in enumerate(rows) for j in row],
+          [v for row in rows for v in row.values()])
+    return R, pivots
+
+
+def _reduce(rows: list, p: int) -> tuple:
+    """rref of sparse rows.  Each row is reduced against the pivot rows
+    found so far until its leading column is new, then scaled to a leading
+    1; one back substitution, from the last pivot up, clears the other
+    pivot columns each pivot row holds."""
     pivot = {}  # leading column -> its row, scaled to a leading 1
-    for row in _rows(R, p):
+    for row in rows:
         while row:
             c = min(row)
             if c not in pivot:
@@ -108,49 +131,79 @@ def rref(A: np.ndarray, p: int):
         row = pivot[c]
         for j in [j for j in row if j != c and j in pivot]:
             _subtract(row, row[j], pivot[j], p)
-    cols = R.shape[1]
-    R.fill(0)
-    R.put([i * cols + j for i, c in enumerate(pivots) for j in pivot[c]],
-          [v for c in pivots for v in pivot[c].values()])
-    return R, pivots
+    return [pivot[c] for c in pivots], pivots
 
 
 def rank(A: np.ndarray, p: int) -> int:
     return len(rref(A, p)[1])
 
 
-def kernel_basis(A: np.ndarray, p: int) -> np.ndarray:
-    """Columns span Null(A); shape (cols, nullity)."""
-    R, pivots = rref(A, p)
-    cols = R.shape[1]
-    free = np.delete(np.arange(cols), pivots)
-    K = zeros(cols, free.size)
-    K[free, np.arange(free.size)] = 1
-    K[pivots] = (-R[: len(pivots), free]) % p
+def kernel_rows(rows: list, n: int, p: int) -> np.ndarray:
+    """Columns span the null space of columns 0..n-1 of sparse rows (see
+    rref), which are reduced in place; shape (n, nullity), one column per
+    free column c: 1 at c, and at each pivot minus its row's entry at c.
+    Columns n and up, right-hand sides, are left out: the pivot rows below
+    n, cut to the columns below n, are the rref of those columns alone."""
+    R, pivots = rref(rows, p)
+    free = sorted(set(range(n)).difference(pivots))
+    index = {c: i for i, c in enumerate(free)}
+    k = len(free)
+    at, vals = [c * k + i for i, c in enumerate(free)], [1] * k
+    for c, row in zip(pivots, R):
+        if c < n:
+            for j, v in row.items():
+                if j in index:
+                    at.append(c * k + index[j])
+                    vals.append(p - v)
+    K = zeros(n, k)
+    K.put(at, vals)
     return K
 
 
-def solve_columns(A: np.ndarray, B: np.ndarray, p: int):
-    """(X, ok) from one elimination of [A | B]: A X[:, k] = B[:, k] for
-    every column k with ok[k], and ok[k] is False where none exists.
+def kernel_basis(A: np.ndarray, p: int) -> np.ndarray:
+    """Columns span Null(A); shape (cols, nullity)."""
+    A = np.asarray(A, dtype=np.int64)
+    return kernel_rows(_rows(A, p), A.shape[1], p)
 
-    Below its first rank(A) rows the rref has zero A part, so column k is
-    consistent exactly when its entries there are zero.  Above them a
-    consistent column holds the reduced solution, which RREF makes
-    unique: X[:, k] is what solve_matrix gives that column alone.
-    """
+
+def solve_rows(rows: list, n: int, width: int, p: int):
+    """(X, ok) from one elimination (rref) of the sparse rows of [A | B],
+    which are reduced in place: A in columns 0..n-1 and width right-hand
+    sides B in columns n..n + width - 1.  A X[:, k] = B[:, k] for every
+    column k with ok[k], and ok[k] is False where none exists.
+
+    The pivot rows at n and up have zero A part, so column k is
+    consistent exactly when none of them holds n + k.  The pivot rows
+    below n hold the reduced solution of a consistent column, which RREF
+    makes unique: X[:, k] is what column k gets alone."""
+    R, pivots = rref(rows, p)
+    at, vals, bad = [], [], []
+    for c, row in zip(pivots, R):
+        if c >= n:
+            bad += row
+            continue
+        for j, v in row.items():
+            if j >= n:
+                at.append(c * width + j - n)
+                vals.append(v)
+    X = zeros(n, width)
+    X.put(at, vals)
+    ok = np.ones(width, dtype=bool)
+    ok[[j - n for j in bad]] = False
+    return X, ok
+
+
+def solve_columns(A: np.ndarray, B: np.ndarray, p: int):
+    """(X, ok) for A X = B, one right-hand side per column of B
+    (solve_rows on the rows of [A | B])."""
     A = np.asarray(A)
     B = np.asarray(B)
     if B.shape[0] != A.shape[0]:
         raise DimensionMismatch(
             f"matrix has {A.shape[0]} rows but right-hand side has {B.shape[0]}"
         )
-    n = A.shape[1]
-    R, pivots = rref(np.hstack([A, B]), p)
-    r = bisect.bisect_left(pivots, n)
-    X = zeros(n, B.shape[1])
-    X[pivots[:r]] = R[:r, n:]
-    return X, ~R[r:, n:].any(axis=0)
+    return solve_rows(_rows(np.hstack([A, B]).astype(np.int64, copy=False), p),
+                      A.shape[1], B.shape[1], p)
 
 
 def solve_matrix(A: np.ndarray, B: np.ndarray, p: int):

@@ -25,17 +25,27 @@ one has none.  YES stays sound and is still checked on full matrices:
 homotopy.verify_null_homotopy tests every entry and every action index
 of each homotopy found, and a failed check gives UNKNOWN.
 
-The system is row-reduced over F_p and solutions are unpacked to the
-matrices sum c_j H_j.  This is the engine behind null-homotopy search,
-chain-map space bases, periodic lifting and module factorizations.
+A system holds its rows only as sparse rows: each a dict {column: value}
+of reduced, nonzero Python ints, the unknowns' coordinates in columns
+0..total-1 and right-hand side k in column total + k.  A row is the sum
+of its terms' entries, each term's (column, value) lists at the pivot
+entries computed once per system for each distinct (M, H, N, entries) of
+objects and placed at its unknown's column offset; no dense block is
+made.  The rows go straight to the one elimination, linalg.rref, through
+linalg.solve_rows and linalg.kernel_rows, and solutions are unpacked to
+the matrices sum c_j H_j.  This is the engine behind null-homotopy
+search, chain-map space bases, periodic lifting and module
+factorizations.
 
 Every system of graded maps between two complexes, chain maps (shift 0)
 and null-homotopies (shift 1), is written by graded_system on the window
-and fold that window decides.  It writes each distinct equation once:
-past the complexes' windows the folded equations repeat with the same
-unknowns and blocks, and a repeat adds only rows already there, so the
-system is row-equivalent to the one with every equation (the same
-reduced form, kernel basis and particular solutions, bit for bit).
+and fold that window decides, through the writer add_equation uses.  It
+writes each distinct equation once: past the complexes' windows the
+folded equations repeat with the same unknowns and blocks, and a repeat
+adds only rows already there, so the system is row-equivalent to the one
+with every equation (the same reduced form, kernel basis and particular
+solutions, bit for bit).  It reads the right-hand sides' blocks from the
+maps' family columns by slot (complexes._reads), with no table built.
 chain_map_space_basis makes its basis one family (graded_each, which
 complexes._from_stacks lays out): the kernel's per-degree stacks are its
 arrays, and each map builds its table on its first read, of views of its
@@ -52,13 +62,14 @@ store (Complex._solved); the modules docstring lists the stores.
 
 from __future__ import annotations
 
+import operator
 import weakref
 
 import numpy as np
 
 from . import linalg, modules
 from .complexes import (ChainMap, Complex, _copied, _factors, _from_stacks, _kept, _lcm,
-                        _proven, _same_module, _value)
+                        _proven, _reads, _same_module, _value)
 from .config import Options
 from .errors import ValidationError
 
@@ -91,19 +102,29 @@ class FoldedSystem:
             self.bases[key] = (off, H)
             off += len(H)
         self.total = off
-        self.rows = []
-        self.rhs = []
         self.width = width
-        # pivot-entry columns per distinct (M, H, N, entries) of a term; each
-        # value keeps its key's objects alive, so their ids stay unique
-        self._columns = {}
+        self.rows = []  # per written equation, its pivot entries: one row each
+        self.sparse = []  # the nonzero rows, as linalg.rref takes them
+        # per module pair (or shape, for plain matrices) its pivot entries,
+        # and per distinct (M, H, N, entries) of a term its columns at each
+        # entry; a term's value keeps its key's objects alive, so their ids
+        # stay unique
+        self._entries = {}
+        self._terms = {}
         self.kernel_coeffs = None  # set by kernel
 
-    def rep(self, n):
-        """Window degree, folded representative, extra-block name, or None."""
-        if n in self.bases:
-            return n
-        if not isinstance(n, int) or not self.fold:
+    def rep(self, k):
+        """The unknown that k names: a window degree or extra name as
+        given, a degree outside a folded window as its representative, or
+        None, the zero unknown, for a degree outside an unfolded window.
+        Any other k raises ValidationError."""
+        if k in self.bases:
+            return k
+        try:
+            n = operator.index(k)
+        except TypeError:
+            raise ValidationError(f"equation term names no unknown of the system: {k!r}") from None
+        if not self.fold:
             return None
         if n < self.lo:
             return self.lo + ((n - self.lo) % self.fold)
@@ -137,40 +158,68 @@ class FoldedSystem:
         if pair is None:
             if self.modular:
                 raise ValidationError("an equation over module maps needs its module pair")
-            entries = np.arange(shape[0] * shape[1])
         elif (pair[1].dim, pair[0].dim) != shape:
             raise ValidationError("equation does not have the shape of its module pair")
-        else:
-            entries = modules.hom_pivots(*pair)
+        self._write(pair, shape, terms, stack)
+
+    def _write(self, pair, shape: tuple, terms: list, rhs) -> None:
+        """Writes the equation sum M @ u_k @ N == rhs between the modules
+        pair, or over plain matrices of shape where pair is None: one
+        sparse row per pivot entry, a dict {column: value} of reduced,
+        nonzero Python ints, with right-hand side k in column total + k.
+        rhs: the width right-hand sides, matrices of shape, or none where
+        they are zero.  A term adds its columns at that entry (_columns) at
+        its unknown's offset."""
+        key = shape if pair is None else tuple(pair)
+        entries = self._entries.get(key)
+        if entries is None:
+            entries = self._entries[key] = (np.arange(shape[0] * shape[1]) if pair is None
+                                            else modules.hom_pivots(*pair))
         if not entries.size:
             return
-        p = self.p
-        block = linalg.zeros(entries.size, self.total)
+        p, total = self.p, self.total
+        rows = [{} for _ in range(entries.size)]
         for M, k, N in terms:
             r = self.rep(k)
-            if r is None:
-                continue
-            off, H = self.bases[r]
+            if r is not None:
+                off, H = self.bases[r]
+                for row, column in zip(rows, self._columns(M, H, N, entries, shape)):
+                    for c, v in column:
+                        c += off
+                        if c in row:
+                            v = (row[c] + v) % p
+                            if not v:
+                                del row[c]
+                                continue
+                        row[c] = v
+        for c, b in enumerate(rhs, total):
+            if b.shape != shape:
+                raise ValidationError("equation does not have the shape of its module pair")
+            for row, v in zip(rows, b.take(entries).tolist()):
+                v %= p
+                if v:
+                    row[c] = v
+        self.rows.append(entries)
+        self.sparse += [row for row in rows if row]
+
+    def _columns(self, M, H: np.ndarray, N, entries: np.ndarray, shape: tuple) -> list:
+        """Per entry, the nonzero (column, value) of the term M @ u @ N
+        with u = sum c_j H_j there, column j for c_j; computed once per
+        system for each distinct (M, H, N, entries) of objects, whose
+        shapes are checked then."""
+        key = (id(M), id(H), id(N), id(entries))
+        if key not in self._terms:
             h, t, s = H.shape
             if ((t, t) if M is None else M.shape) != (shape[0], t) or \
                     ((s, s) if N is None else N.shape) != (s, shape[1]):
                 raise ValidationError("equation term has inconsistent shape")
-            if h:
-                key = (id(M), id(H), id(N), id(entries))
-                if key not in self._columns:
-                    # H is reduced mod p, so an identity factor changes nothing
-                    MH = H if M is None else (M @ H) % p
-                    cols = (MH if N is None else MH @ N).reshape(h, -1).take(entries, axis=1).T
-                    self._columns[key] = (cols, M, H, N, entries)
-                cols = self._columns[key][0]
-                block[:, off : off + h] = (block[:, off : off + h] + cols) % p
-        self.rows.append(block)
-        self.rhs.append(stack.reshape(len(stack), -1).take(entries, axis=1).T % p)
-
-    def _stack(self):
-        if not self.rows:
-            return linalg.zeros(0, self.total), linalg.zeros(0, self.width)
-        return np.vstack(self.rows) % self.p, np.concatenate(self.rhs)
+            # H is reduced mod p, so an identity factor changes nothing
+            MH = H if M is None else (M @ H) % self.p
+            C = (MH if N is None else MH @ N).reshape(h, shape[0] * shape[1])
+            C = C.take(entries, 1).T % self.p
+            self._terms[key] = ([[(c, v) for c, v in enumerate(row) if v] for row in C.tolist()],
+                                M, H, N, entries)
+        return self._terms[key][0]
 
     def solve(self):
         """Particular solution as {degree: matrix}, or None, for a system
@@ -183,11 +232,12 @@ class FoldedSystem:
         """Per right-hand side, a particular solution as {degree: matrix},
         or None where it is inconsistent.  One elimination decides them
         all, and each is the solution its right-hand side gets alone
-        (linalg.solve_columns).  When any is consistent, their components
+        (linalg.solve_rows).  The elimination reduces the rows in place,
+        keeping their row space, so the system may be solved again.  When
+        any is consistent, their components
         are kept as self.solutions, one stack per window degree in their
         order (_stacks), of which the matrices returned are the rows."""
-        A, B = self._stack()
-        X, ok = linalg.solve_columns(A, B, self.p)
+        X, ok = linalg.solve_rows(self.sparse, self.total, self.width, self.p)
         if not ok.any():
             return [None] * len(ok)
         stacks = self.solutions = self._stacks(X[:, ok])
@@ -199,8 +249,7 @@ class FoldedSystem:
         degree: (basis size x rows x cols) array of the basis solutions'
         components} (_stacks).  Its coefficient matrix, one column per
         basis solution, is kept read-only as self.kernel_coeffs."""
-        A, _ = self._stack()
-        self.kernel_coeffs = linalg.kernel_basis(A, self.p)
+        self.kernel_coeffs = linalg.kernel_rows(self.sparse, self.total, self.p)
         self.kernel_coeffs.flags.writeable = False
         return self._stacks(self.kernel_coeffs)
 
@@ -261,34 +310,33 @@ def graded_system(X: Complex, Y: Complex, shift: int, lo: int, hi: int, fold: in
     side per chain map f of maps (null-homotopies).
 
     Each distinct equation is written once: an equation is skipped when
-    its folded unknowns (rep(n), rep(n - 1)) and its blocks (the terms,
-    the differentials and each right-hand side) are the same objects as
-    an earlier one's.  It would repeat that equation's rows, so the system
-    is row-equivalent to the one with every equation."""
+    its folded unknowns (rep(n), rep(n - 1)), its terms and differentials
+    (the same objects) and each right-hand side's block (the same slot of
+    its family column, or its zero block; complexes._reads) are an earlier
+    one's.  It would repeat that equation's rows, so the system is
+    row-equivalent to the one with every equation."""
     p, Xb, Yb = X.algebra.p, X._blocks, Y._blocks
     blocks = {n: (X.term(n), Y.term(n + shift)) for n in range(lo, hi + 1)}
     sys = FoldedSystem(p, blocks, lo, hi, fold, extras, width=max(1, len(maps)))
     eqs = range(lo - fold, hi + fold + 1)
-    # the blocks are the tables' own objects, alive with X, Y and the maps,
-    # so their ids name them for the whole loop
+    # the blocks of the complexes are their tables' own objects, alive with
+    # X and Y, so their ids name them for the whole loop; a map's block is
+    # named by the slot it is read from (complexes._reads)
     written, negated = set(), {}
     for n, (x, dX), (y, _), (_, dY), *rhs in zip(
             eqs, Xb.on(eqs), Yb.on([n + shift - 1 for n in eqs]),
-            Yb.on([n + shift for n in eqs]), *(f._blocks.on(eqs) for f in maps)):
+            Yb.on([n + shift for n in eqs]), *(zip(*_reads(f, eqs)) for f in maps)):
         if not x.dim * y.dim:
             continue  # maps with no entries: the equation has no rows
-        key = (sys.rep(n), sys.rep(n - 1), *map(id, (x, y, dX, dY, *rhs)))
+        key = (sys.rep(n), sys.rep(n - 1), id(x), id(y), id(dX), id(dY), *[k for k, _ in rhs])
         if key in written:
             continue
         written.add(key)
-        if not rhs:  # chain maps
-            rhs = [linalg.zeros(y.dim, x.dim)]
         if not shift and id(dX) not in negated:
             negated[id(dX)] = (-dX) % p
-        # one map: its matrix itself, without the copy np.stack makes
-        sys.add_equation(np.stack(rhs) if len(rhs) > 1 else rhs[0],
-                         [(dY, n, None), (None, n - 1, dX if shift else negated[id(dX)])],
-                         (x, y))
+        sys._write((x, y), (y.dim, x.dim),
+                   [(dY, n, None), (None, n - 1, dX if shift else negated[id(dX)])],
+                   [b for _, b in rhs])
     return sys
 
 
@@ -311,8 +359,8 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
     basis = sys.graded_each(ChainMap, X, Y, sys.kernel())
     if basis:
         basis[0].validate(*basis[1:])  # the whole basis in one check
-    # the rows and column cache are the bulk, and the cache holds X's and Y's blocks
-    sys.rows, sys.rhs, sys._columns = [], [], {}
+    # the rows and caches are the bulk, and the caches hold X's and Y's blocks
+    sys.rows, sys.sparse, sys._entries, sys._terms = [], [], {}, {}
     X._solved.setdefault(Y, {})[options] = sys
     return basis, not sys.fold
 

@@ -291,13 +291,138 @@ def test_rref_equals_reference_bit_for_bit(p, density):
         assert np.array_equal(A, before)
 
 
+def densified(rows, cols=None) -> np.ndarray:
+    """The matrix whose rows are the sparse rows {column: value}, with
+    cols columns (by default, up to the last column any row holds)."""
+    if cols is None:
+        cols = max((c + 1 for row in rows for c in row), default=0)
+    A = linalg.zeros(len(rows), cols)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            A[i, c] = v
+    return A
+
+
+def sparse(A, p) -> list:
+    """The rows of A as dicts {column: value} of reduced, nonzero Python
+    ints, zero rows included as empty dicts."""
+    return [{c: v % p for c, v in enumerate(row) if v % p} for row in np.asarray(A).tolist()]
+
+
+def assert_sparse_rows(rows, p, cols=None):
+    """Every row is a dict of reduced, nonzero Python ints, as linalg.rref
+    takes them, in columns 0..cols-1 when cols is given."""
+    for row in rows:
+        assert type(row) is dict
+        assert all(type(c) is int and c >= 0 for c in row)
+        assert cols is None or all(c < cols for c in row)
+        assert all(type(v) is int and 0 < v < p for v in row.values())
+
+
+def reference_solve(A, B, p):
+    """(X, ok) of linalg.solve_columns, from reference_rref of [A | B]."""
+    n = A.shape[1]
+    R, pivots = reference_rref(np.hstack([A, B]), p)
+    r = sum(c < n for c in pivots)
+    X = linalg.zeros(n, B.shape[1])
+    X[pivots[:r]] = R[:r, n:]
+    return X, ~R[r:, n:].any(axis=0)
+
+
+def reference_kernel(A, p):
+    """linalg.kernel_basis, from reference_rref of A."""
+    R, pivots = reference_rref(A, p)
+    cols = A.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    K = linalg.zeros(cols, len(free))
+    K[free, range(len(free))] = 1
+    K[pivots] = (-R[:len(pivots), free]) % p
+    return K
+
+
+def augmented_systems(p, density):
+    """34 or 35 systems [A | B] over F_p at one density (1,030 over all
+    primes and densities), B of width 1 to 4: A of the shapes 0 x n, n x
+    0, 0 x 0, 1 x n, n x 1 and 1 x 1, 28 random shapes up to 24 x 24 and
+    at densities up to 1% a tall 600 x 120.  Some have zero rows, rows
+    whose only entries are right-hand sides, a dependent last row, or
+    right-hand sides that are combinations of A's columns (consistent
+    ones) next to random ones."""
+    rng = np.random.default_rng([p, round(density * 1000), 7])
+    shapes = [(0, 6), (6, 0), (0, 0), (1, 5), (5, 1), (1, 1)]
+    shapes += [tuple(int(d) for d in rng.integers(1, 25, size=2)) for _ in range(28)]
+    if density <= 0.01:
+        shapes.append((600, 120))
+    for k, (rows, cols) in enumerate(shapes):
+        A = random_matrix(rng, rows, cols, p, density)
+        width = 1 + k % 4
+        B = random_matrix(rng, rows, width, p, max(density, 0.3))
+        if k % 2:
+            B[:, :width // 2] = (A @ random_matrix(rng, cols, width // 2, p)) % p
+        if rows:
+            cut = rng.random(rows) < 0.3
+            if k % 3 != 1:
+                A[cut] = 0  # rows whose only entries are right-hand sides
+            if k % 3 != 0:
+                B[cut] = 0  # zero rows where A's are cut too
+        if k % 4 == 1 and rows >= 3:
+            A[-1], B[-1] = (A[0] + 2 * A[1]) % p, (B[0] + 2 * B[1]) % p
+        yield A, B
+
+
+@pytest.mark.parametrize("density", RREF_DENSITIES)
+@pytest.mark.parametrize("p", RREF_PRIMES)
+def test_row_elimination_solves_and_kernels_as_the_reference(p, density):
+    for A, B in augmented_systems(p, density):
+        n, width = A.shape[1], B.shape[1]
+        AB = np.hstack([A, B])
+        rows = sparse(AB, p)
+        assert_sparse_rows(rows, p, n + width)
+        R, pivots = linalg.rref([dict(row) for row in rows], p)
+        ref_R, ref_pivots = reference_rref(AB, p)
+        assert pivots == ref_pivots and R == sparse(ref_R[:len(pivots)], p)
+        assert_sparse_rows(R, p, n + width)
+        X, ok = linalg.solve_rows([dict(row) for row in rows], n, width, p)
+        ref_X, ref_ok = reference_solve(A, B, p)
+        assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
+        assert np.array_equal((A @ X[:, ok]) % p, B[:, ok])
+        K = linalg.kernel_rows([dict(row) for row in rows], n, p)
+        ref_K = reference_kernel(A, p)
+        assert K.dtype == np.int64 and np.array_equal(K, ref_K)
+        # the dense entry points read into the same elimination
+        X, ok = linalg.solve_columns(A, B, p)
+        assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
+        assert np.array_equal(linalg.kernel_basis(A, p), ref_K)
+
+
+def test_an_inconsistent_column_before_a_consistent_one_leaves_its_solution():
+    # x + y = b0 = 1 and 0 = 1: b0 is inconsistent, and the back
+    # substitution of its pivot row (column 2) clears row 0's entry there;
+    # b1 = (1, 0) is consistent, with the reduced solution (1, 0)
+    p = 5
+    A = _mat([[1, 1], [0, 0]])
+    B = _mat([[1, 1], [1, 0]])
+    X, ok = linalg.solve_rows(sparse(np.hstack([A, B]), p), 2, 2, p)
+    assert ok.tolist() == [False, True]
+    assert X[:, 1].tolist() == [1, 0]
+    assert np.array_equal(X[:, 1:], linalg.solve_matrix(A, B[:, 1:], p))
+    # the rows are reduced in place and keep their row space: solving
+    # them again gives the same answer
+    rows = sparse(np.hstack([A, B]), p)
+    first = linalg.solve_rows(rows, 2, 2, p)
+    again = linalg.solve_rows(rows, 2, 2, p)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
 def _recorded_rref_inputs(monkeypatch, decide):
-    """Every (A, p) that linalg.rref receives while decide() runs."""
+    """Every (A, p) that linalg.rref receives while decide() runs: a copy
+    of each matrix, and of each list of sparse rows, which it reduces in
+    place (the graded systems of solver reach it so)."""
     seen = []
     rref = linalg.rref
 
     def recording(A, p):
-        seen.append((np.array(A), p))
+        seen.append(([dict(row) for row in A] if isinstance(A, list) else np.array(A), p))
         return rref(A, p)
 
     with monkeypatch.context() as m:
@@ -328,11 +453,20 @@ def _d4_f3_periodic_yes():
                          ids=["D8-round-trip-P", "D4F3-periodic-yes-m3"])
 def test_rref_equals_dense_rref_on_recorded_systems(monkeypatch, decide):
     recorded = _recorded_rref_inputs(monkeypatch, decide)
-    assert recorded
+    systems = [(A, p) for A, p in recorded if isinstance(A, list)]
+    assert systems and len(systems) < len(recorded)
     for A, p in recorded:
-        R, pivots = linalg.rref(A, p)
-        ref_R, ref_pivots = dense_rref(A, p)
-        assert pivots == ref_pivots and np.array_equal(R, ref_R)
+        if isinstance(A, list):
+            assert_sparse_rows(A, p)
+            D = densified(A)
+            rows, pivots = linalg.rref([dict(row) for row in A], p)
+            ref_R, ref_pivots = dense_rref(D, p)
+            assert pivots == ref_pivots
+            assert rows == sparse(ref_R[:len(pivots)], p)
+        else:
+            R, pivots = linalg.rref(A, p)
+            ref_R, ref_pivots = dense_rref(A, p)
+            assert pivots == ref_pivots and np.array_equal(R, ref_R)
 
 
 def test_the_d4_f3_decision_needs_m_3():

@@ -203,9 +203,8 @@ class TestHomCoordinateSystems:
                 sys_ = solver.FoldedSystem(p, {0: (S, T)}, 0, 0)
                 for (rhs, pair), term in zip(eqs, [(eye_T, 0, N), (M, 0, eye_S)]):
                     sys_.add_equation(rhs, [term], pair)
-                systems.append(sys_._stack())
-            (A, b), (A1, b1) = systems
-            assert np.array_equal(A, A1) and np.array_equal(b, b1)
+                systems.append(sys_.sparse)
+            assert systems[0] == systems[1]
 
     def test_an_identity_factor_must_fit(self):
         sys_ = solver.FoldedSystem(3, {0: (2, 1)}, 0, 0)
@@ -213,6 +212,36 @@ class TestHomCoordinateSystems:
         assert np.array_equal(sys_.solve()[0], np.array([[1], [2]]))
         with pytest.raises(ValidationError, match="inconsistent shape"):
             sys_.add_equation(linalg.zeros(3, 1), [(None, 0, None)])
+
+    def test_a_numpy_degree_names_its_folded_unknown(self):
+        # u_5 folds to u_1 on the window 0..1 with period 1, whether 5 is a
+        # Python or a numpy integer: u_1 = I has a solution
+        A = fixtures.regular_D2()
+        for degree in (5, np.int64(5)):
+            sys_ = solver.FoldedSystem(2, {0: (A, A), 1: (A, A)}, 0, 1, 1)
+            assert sys_.rep(degree) == 1
+            sys_.add_equation(linalg.eye(2), [(None, degree, None)], (A, A))
+            assert np.array_equal(sys_.solve()[1], linalg.eye(2))
+
+    def test_a_degree_outside_an_unfolded_window_is_a_zero_unknown(self):
+        A = fixtures.regular_D2()
+        for degree in (5, np.int64(5), -1):
+            sys_ = solver.FoldedSystem(2, {0: (A, A), 1: (A, A)}, 0, 1)
+            assert sys_.rep(degree) is None
+            sys_.add_equation(linalg.zeros(2, 2), [(None, degree, None)], (A, A))
+            assert sys_.solve() is not None
+            sys_.add_equation(linalg.eye(2), [(None, degree, None)], (A, A))
+            assert sys_.solve() is None  # 0 = I
+
+    def test_a_term_on_an_unknown_the_system_lacks_raises(self):
+        A = fixtures.regular_D2()
+        sys_ = solver.FoldedSystem(2, {0: (A, A)}, 0, 0, extras={"aux": (A, A)})
+        for key in ("axu", None, 1.5):
+            with pytest.raises(ValidationError, match="no unknown of the system: " + repr(key)):
+                sys_.add_equation(linalg.eye(2), [(None, key, None)], (A, A))
+        assert not sys_.rows and not sys_.sparse
+        sys_.add_equation(linalg.eye(2), [(None, "aux", None)], (A, A))
+        assert sys_.solve() is not None  # aux = I
 
     def test_plain_shape_blocks_range_over_all_matrices(self):
         sys_ = solver.FoldedSystem(3, {0: (2, 1)}, 0, 0)

@@ -172,6 +172,9 @@ def test_pivot_rows_give_the_full_row_answers(name):
             sys_.add_equation(rhs if width > 1 else rhs[0], terms, pair)
         assert sum(len(b) for b in sys_.rows) == sum(
             len(modules.hom_pivots(*pair)) for _, _, pair in equations)
+        # the rows the elimination takes: reduced, nonzero Python ints
+        assert all(type(v) is int and 0 < v < p and 0 <= c < sys_.total + width
+                   for row in sys_.sparse for c, v in row.items())
         kernel, solutions = full_row_answers(p, pairs, equations, width)
         got = kernel_solutions(sys_)
         assert len(got) == len(kernel)
@@ -272,6 +275,21 @@ def test_each_distinct_equation_is_written_once():
     assert fewer
 
 
+def test_equations_that_differ_in_a_right_hand_side_alone_are_both_written():
+    # window 1..2 folded with period 2: the equations at -1 and 1 (and at 0
+    # and 2) have the same folded unknowns and complex blocks, and f is x
+    # at -1 and 0 but zero at 1 and 2, so together they are inconsistent;
+    # skipping one as a repeat would leave the solvable x u_1 + u_2 x = x
+    alg = truncated_polynomial(2, 3)
+    T = periodic_complex(alg, 1)
+    x = alg.left_multiplication(1)
+    f = complexes.chain_map(T, T, {-1: x, 0: x}, -1, 0)
+    ours = solver.graded_system(T, T, 1, 1, 2, 2, [f])
+    theirs = every_equation(T, T, 1, 1, 2, 2, [f])
+    assert ours.solve_each() == theirs.solve_each() == [None]
+    assert len(ours.rows) == 4 < len(theirs.rows)
+
+
 def test_d4_homotopy_system_writes_four_rows_per_equation():
     alg = truncated_polynomial(4, 2)
     X = periodic_complex(alg, 1)
@@ -281,8 +299,12 @@ def test_d4_homotopy_system_writes_four_rows_per_equation():
     # -3 and 3 (the same folded unknowns and block objects) and are written
     # once; -1 repeats -3 because X's negative seam is the tail's block
     assert len(sys_.rows) == 7
-    # Hom(A, A) over D4 has dimension 4; the matrices have 16 entries
-    assert {block.shape for block in sys_.rows} == {(4, sys_.total)}
+    # Hom(A, A) over D4 has dimension 4; the matrices have 16 entries; each
+    # equation writes its rows as sparse rows of the total unknowns and one
+    # right-hand side (columns 0..total)
+    assert {entries.shape for entries in sys_.rows} == {(4,)}
+    assert sys_.sparse and all(0 <= c <= sys_.total and 0 < v < 2
+                               for row in sys_.sparse for c, v in row.items())
     assert sys_.total == 4 * 6
 
 

@@ -10,8 +10,9 @@ CPU seconds, the traced memory still held once the round trip has
 returned (the report, T and the memos kept on them) and the traced
 peak, both in MB of 2^20 bytes, then how many graded maps (chain maps
 and homotopies) the round trip leaves alive and how many of them hold a
-block table.  CPU time includes tracemalloc's own overhead, so compare
-it only between runs of this script."""
+block table.  CPU time includes tracemalloc's own overhead, which
+charges every small allocation, so compare it only between runs of this
+script; tools/round_trip_cpu.py times the same round trip untraced."""
 
 import gc
 import os
@@ -25,26 +26,32 @@ from singeq import approx, complexes, equiv, fixtures, modules  # noqa: E402
 from singeq.errors import ValidationError  # noqa: E402
 
 
-def main(argv: list) -> int:
+def round_trip(argv: list):
+    """The report of the round trip that argv (DN SIDE) names, built and
+    run as the module docstring says; exits with the usage or the
+    validation error on bad arguments."""
     if len(argv) != 2 or not argv[0].startswith("D") or not argv[0][1:].isdigit() \
             or argv[1] not in ("P", "I"):
-        sys.exit("usage: python3 tools/held_memory.py DN SIDE, e.g. D12 P or D12 I")
-    n, side = int(argv[0][1:]), argv[1]
-    tracemalloc.start()
-    start = time.process_time()
+        sys.exit(f"usage: python3 {sys.argv[0]} DN SIDE, e.g. D12 P or D12 I")
     try:
-        alg = fixtures.truncated_polynomial(n, 2, argv[0])
+        alg = fixtures.truncated_polynomial(int(argv[0][1:]), 2, argv[0])
     except ValidationError as exc:
         sys.exit(f"{argv[0]}: {exc}")
     k = modules.simple_modules(alg)[0]
     T, _ = approx.complete_resolution(k)
-    report = equiv.verify_round_trip(T, side)
+    return equiv.verify_round_trip(T, argv[1])
+
+
+def main(argv: list) -> int:
+    tracemalloc.start()
+    start = time.process_time()
+    report = round_trip(argv)
     cpu = time.process_time() - start
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     maps = [o for o in gc.get_objects() if isinstance(o, complexes.GradedMap)]
     tables = sum("_blocks" in vars(o) for o in maps)
-    print(f"{argv[0]} {side}: verdict {report.verdict}, cpu {cpu:.2f} s, "
+    print(f"{argv[0]} {argv[1]}: verdict {report.verdict}, cpu {cpu:.2f} s, "
           f"held {held / 2**20:.1f} MB, peak {peak / 2**20:.1f} MB, "
           f"{len(maps)} graded maps alive, {tables} with a table")
     return 0
