@@ -5,16 +5,16 @@ rests on one elimination, ``rref``, which works on sparse rows of Python
 ints, dicts {column: value}: each row is reduced against the pivot rows
 found so far until its leading column is new, then scaled to a leading
 1.  One back substitution, from the last pivot up, clears the other
-pivot columns each pivot row holds.  The systems built by ``solver`` are
-tall and sparse, so a row meets few pivots, and they reach ``rref`` as
-such rows, with no dense matrix in between (``solve_rows``,
-``kernel_rows``).  A dense matrix is read into rows first: ``rref(A,
-p)`` writes the reduced rows back into a dense R, and ``solve_columns``
-and ``kernel_basis`` hand the rows of [A | B] and of A to
-``solve_rows`` and ``kernel_rows``.  The reduced row echelon form is
-unique, so it does not depend on the order of the work.  Solving,
-kernels, inverses and basis completion each run one elimination on an
-augmented matrix.
+pivot columns each pivot row holds, and ``rref`` returns the pivot rows
+with their pivot columns.  The systems built by ``solver`` are tall and
+sparse, so a row meets few pivots, and they reach ``rref`` as such rows,
+with no dense matrix in between (``solve_rows``, ``kernel_rows``).  A
+dense matrix is read into rows first (``_rows``), by ``rref(A, p)`` and
+by ``solve_columns`` and ``kernel_basis``, which hand the rows of [A | B]
+and of A to ``solve_rows`` and ``kernel_rows``; no dense result is
+written back.  The reduced row echelon form is unique, so it does not
+depend on the order of the work.  Solving, kernels, inverses and basis
+completion each run one elimination on an augmented matrix.
 
 Overflow bound: a product of two reduced entries is below p^2, and a
 matrix product with inner dimension m sums m of them, so int64 is exact
@@ -55,7 +55,12 @@ def inv_mod(a: int, p: int) -> int:
 
 # Inputs of at most this many cells are read through tolist(), whose cost
 # grows with the cells; larger ones through nonzero(), whose fixed cost a
-# small input does not repay.
+# small input does not repay.  Both readers are needed (minimum of repeats
+# on a 2-vCPU x86 host): the benchmark workloads read no input above 256
+# cells (100 seed-7 cli-session checks read 972, in 2.7 ms here and 7.3 ms
+# all through nonzero()), while the D16 side-P round trip reads 212 of its
+# 561 inputs above 256 cells, up to 1024 x 1024 (56 ms here and 539 ms all
+# through tolist()).
 _LIST_CELLS = 256
 
 
@@ -63,8 +68,8 @@ def _rows(R: np.ndarray, p: int) -> list:
     """The rows of R that are nonzero mod p, top to bottom, each as a dict
     {column: value} of Python ints reduced mod p."""
     if R.size <= _LIST_CELLS:
-        return [{c: v % p for c, v in enumerate(row) if v % p}
-                for row in R.tolist() if any(row)]
+        return [kept for row in R.tolist()
+                if any(row) and (kept := {c: v % p for c, v in enumerate(row) if v % p})]
     at_r, at_c = R.nonzero()
     rows = {}
     for r, c, v in zip(at_r.tolist(), at_c.tolist(), (R[at_r, at_c] % p).tolist()):
@@ -85,39 +90,29 @@ def _subtract(row: dict, f: int, pivot_row: dict, p: int) -> None:
 
 
 def rref(A, p: int):
-    """Reduced row echelon form of a matrix; returns (R, pivot_columns),
-    the pivots in order.
+    """Reduced row echelon form over F_p; returns (rows, pivots): the pivot
+    rows in the order of their pivots, each a dict {column: value} with a
+    leading 1, and the pivot columns in order.
 
-    A is a 2-D array, or the list of its rows as dicts {column: value}
-    whose values are Python ints in 1..p-1 (sparse rows, as solver writes
-    its systems).  For an array, R is a new C-contiguous int64 array and A
-    is not modified.  For rows, R is the list of the pivot rows, in the
-    order of their pivots, and the rows given are reduced in place: the
-    others become empty, so together they keep their row space."""
-    if isinstance(A, list) and (not A or isinstance(A[0], dict)):
-        return _reduce(A, p)
-    R = np.array(A, dtype=np.int64, order="C")
-    if not R.size:
-        return R, []
-    rows, pivots = _reduce(_rows(R, p), p)
-    cols = R.shape[1]
-    R.fill(0)
-    R.put([i * cols + j for i, row in enumerate(rows) for j in row],
-          [v for row in rows for v in row.values()])
-    return R, pivots
-
-
-def _reduce(rows: list, p: int) -> tuple:
-    """rref of sparse rows.  Each row is reduced against the pivot rows
-    found so far until its leading column is new, then scaled to a leading
-    1; one back substitution, from the last pivot up, clears the other
-    pivot columns each pivot row holds."""
+    A is a 2-D array, read into rows by _rows and not modified, or the list
+    of its rows as dicts {column: value} whose values are reduced, nonzero
+    Python ints, 1..p-1 (sparse rows, as solver writes its systems).  Given
+    rows are reduced in place: the others become empty, so together they
+    keep their row space.  A new pivot row whose leading entry is 0 mod p
+    raises ValueError: it could not be scaled to a leading 1."""
+    if not isinstance(A, list) or (A and not isinstance(A[0], dict)):
+        A = np.asarray(A, dtype=np.int64)
+        if not A.size:
+            return [], []
+        A = _rows(A, p)
     pivot = {}  # leading column -> its row, scaled to a leading 1
-    for row in rows:
+    for row in A:
         while row:
             c = min(row)
             if c not in pivot:
                 if row[c] != 1:
+                    if not row[c] % p:
+                        raise ValueError(f"row entry {row[c]} at column {c} is 0 mod {p}")
                     f = inv_mod(row[c], p)
                     for j in row:
                         row[j] = row[j] * f % p
@@ -144,12 +139,12 @@ def kernel_rows(rows: list, n: int, p: int) -> np.ndarray:
     free column c: 1 at c, and at each pivot minus its row's entry at c.
     Columns n and up, right-hand sides, are left out: the pivot rows below
     n, cut to the columns below n, are the rref of those columns alone."""
-    R, pivots = rref(rows, p)
+    pivot_rows, pivots = rref(rows, p)
     free = sorted(set(range(n)).difference(pivots))
     index = {c: i for i, c in enumerate(free)}
     k = len(free)
     at, vals = [c * k + i for i, c in enumerate(free)], [1] * k
-    for c, row in zip(pivots, R):
+    for c, row in zip(pivots, pivot_rows):
         if c < n:
             for j, v in row.items():
                 if j in index:
@@ -176,9 +171,9 @@ def solve_rows(rows: list, n: int, width: int, p: int):
     consistent exactly when none of them holds n + k.  The pivot rows
     below n hold the reduced solution of a consistent column, which RREF
     makes unique: X[:, k] is what column k gets alone."""
-    R, pivots = rref(rows, p)
+    pivot_rows, pivots = rref(rows, p)
     at, vals, bad = [], [], []
-    for c, row in zip(pivots, R):
+    for c, row in zip(pivots, pivot_rows):
         if c >= n:
             bad += row
             continue

@@ -32,10 +32,10 @@ of its terms' entries, each term's (column, value) lists at the pivot
 entries computed once per system for each distinct (M, H, N, entries) of
 objects and placed at its unknown's column offset; no dense block is
 made.  The rows go straight to the one elimination, linalg.rref, through
-linalg.solve_rows and linalg.kernel_rows, and solutions are unpacked to
-the matrices sum c_j H_j.  This is the engine behind null-homotopy
-search, chain-map space bases, periodic lifting and module
-factorizations.
+linalg.solve_rows and linalg.kernel_rows, which read its pivot rows into
+solutions and kernel coefficients; these are unpacked to the matrices
+sum c_j H_j.  This is the engine behind null-homotopy search, chain-map
+space bases, periodic lifting and module factorizations.
 
 Every system of graded maps between two complexes, chain maps (shift 0)
 and null-homotopies (shift 1), is written by graded_system on the window

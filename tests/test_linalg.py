@@ -191,10 +191,11 @@ class TestRandomizedLinalg:
 
     def test_rref_is_reduced_echelon_with_same_row_space(self, p, rows, cols, density):
         _, A = self._matrix(p, rows, cols, density)
-        R, pivots = linalg.rref(A, p)
+        pivot_rows, pivots = linalg.rref(A, p)
         ref_R, ref_pivots = reference_rref(A, p)
-        assert pivots == ref_pivots and np.array_equal(R, ref_R)
         r = len(pivots)
+        R = np.vstack([densified(pivot_rows, cols), linalg.zeros(rows - r, cols)])
+        assert pivots == ref_pivots and np.array_equal(R, ref_R)
         assert ((R >= 0) & (R < p)).all()
         assert pivots == sorted(set(pivots))
         assert not R[r:].any()
@@ -283,12 +284,43 @@ def rref_inputs(p, density):
 def test_rref_equals_reference_bit_for_bit(p, density):
     for A in rref_inputs(p, density):
         before = A.copy()
-        R, pivots = linalg.rref(A, p)
+        rows, pivots = linalg.rref(A, p)
         ref_R, ref_pivots = reference_rref(A, p)
         assert pivots == ref_pivots and all(type(c) is int for c in pivots)
-        assert R.dtype == np.int64 and R.shape == A.shape and np.array_equal(R, ref_R)
-        assert R.flags.c_contiguous and R.flags.writeable and not np.shares_memory(R, A)
+        assert_sparse_rows(rows, p, A.shape[1])
+        assert rows == sparse(ref_R[:len(pivots)], p)
         assert np.array_equal(A, before)
+        # the helpers that read only the pivots
+        assert linalg.rank(A, p) == len(ref_pivots)
+        B = linalg.column_space_basis(A, p)
+        assert np.array_equal(B, (A % p)[:, ref_pivots])
+        k, I = B.shape[1], linalg.eye(A.shape[0])
+        units = [c - k for c in reference_rref(np.hstack([B, I]), p)[1] if c >= k]
+        assert np.array_equal(linalg.extend_to_basis(B, p), np.hstack([B, I[:, units]]))
+
+
+@pytest.mark.parametrize("density", RREF_DENSITIES)
+@pytest.mark.parametrize("p", RREF_PRIMES)
+def test_both_row_readers_give_the_same_rows(monkeypatch, p, density):
+    # _rows reads a small matrix through tolist() and a large one through
+    # nonzero(); forced onto each in turn, they read every input alike
+    for A in rref_inputs(p, density):
+        expected = [row for row in sparse(A, p) if row]
+        for cells in (0, A.size + 1):
+            monkeypatch.setattr(linalg, "_LIST_CELLS", cells)
+            rows = linalg._rows(A, p)
+            assert_sparse_rows(rows, p, A.shape[1])
+            assert rows == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 2 ** 26 - 5])
+def test_rref_refuses_a_leading_entry_that_is_0_mod_p(p):
+    # such a row would become a pivot row that cannot be scaled to a
+    # leading 1, and a later row with its leading column would never lose it
+    with pytest.raises(ValueError, match=f"row entry {p} at column 0 is 0 mod {p}"):
+        linalg.rref([{0: p}, {0: 1}], p)
+    with pytest.raises(ValueError, match="column 2"):
+        linalg.rref([{0: 1, 2: 1}, {2: 0, 3: 1}, {2: 1}], p)
 
 
 def densified(rows, cols=None) -> np.ndarray:
@@ -458,15 +490,13 @@ def test_rref_equals_dense_rref_on_recorded_systems(monkeypatch, decide):
     for A, p in recorded:
         if isinstance(A, list):
             assert_sparse_rows(A, p)
-            D = densified(A)
             rows, pivots = linalg.rref([dict(row) for row in A], p)
-            ref_R, ref_pivots = dense_rref(D, p)
-            assert pivots == ref_pivots
-            assert rows == sparse(ref_R[:len(pivots)], p)
+            ref_R, ref_pivots = dense_rref(densified(A), p)
         else:
-            R, pivots = linalg.rref(A, p)
+            rows, pivots = linalg.rref(A, p)
             ref_R, ref_pivots = dense_rref(A, p)
-            assert pivots == ref_pivots and np.array_equal(R, ref_R)
+        assert pivots == ref_pivots
+        assert rows == sparse(ref_R[:len(pivots)], p)
 
 
 def test_the_d4_f3_decision_needs_m_3():
