@@ -13,16 +13,17 @@ blocks are stacked in a family (_Family) whose column j is map j at
 every degree; a tail position names the row of the window block it
 repeats.  The solutions of one solve are one family (_from_stacks), as
 is each sum, composite and copy of a kept map (_kept, _copied); a lone
-map made from blocks (the constructor, which _sample calls) keeps them.
+map made from blocks (the constructor, which _sample calls) keeps them
+until its column is first read, which builds its family of one (_lone).
 One rule for every map: its table is built on its first read, from its
-family column or from the blocks a lone map keeps (_held).  Walks, sums
-and is_zero read only the column (_column) and frame (_frame), and
-solver's graded systems read a right-hand side's blocks from its column
-by slot (_reads, which _table reads too), so a map nothing reads block
-by block, such as a partial sum or a basis map that is only walked or
-solved against, builds none.  The table format (_family, _frame,
-_table, _members, _own_periods, _held) is this module's alone; others
-use these producers and _reads.
+family column (_table).  Walks, sums and is_zero read only the column
+(_column) and frame (_frame), and solver's graded systems read a
+right-hand side's blocks from its column by slot (_reads, which _table
+reads too), so a map nothing reads block by block, such as a partial sum
+or a basis map that is only walked or solved against, builds none.  The
+table format (_Blocks, _Family, _family, _frame, _table, _members,
+_own_periods, _lone) is this module's alone; others use these producers
+and _reads.
 
 Checked by construction.  A Complex or ChainMap that passed its check
 carries the fact (_checked; never set by the dataclass constructor or
@@ -174,10 +175,9 @@ class _Blocks(NamedTuple):
     above hi with period pos, so these degrees hold every block.
 
     A graded map's table also names the family its blocks are stacked in
-    and its column there (_Family): its data share memory with the
-    family's arrays (views of their rows, or the block an array of one
-    block views), and where the map has no block they are the shared zero
-    block (modules.zero_block).  A complex's table has no family."""
+    and its column there (_Family): its data are views of the rows of the
+    family's arrays, and where the map has no block the shared zero block
+    (modules.zero_block).  A complex's table has no family."""
 
     lo: int
     hi: int
@@ -224,29 +224,20 @@ class _Family(NamedTuple):
     arrays: tuple
 
 
-def _family(frame: tuple, blocks: list) -> tuple:
-    """(family, held): the family whose block at each position of frame
-    (lo, hi, neg, pos) is blocks[i], a (k, rows, cols) array, or for a
-    family of one a matrix; equal objects are one block.  Each array is
-    one concatenate of its blocks, viewed as (count, k, rows, cols), or a
-    view of its only block.  For a family of one, held gives, per block
-    object, what its map's table holds for it: the block itself where
-    its array views it alone, else the view of its row."""
+def _family(frame: tuple, blocks: list) -> _Family:
+    """The family whose block at each position of frame (lo, hi, neg, pos)
+    is blocks[i], a (k, rows, cols) array; equal objects are one block.
+    Each array is one concatenate of its blocks, viewed as (count, k,
+    rows, cols), or a view of its only block.  Every graded map's table is
+    read from a column of such a family (_table)."""
     groups = {}
     for b in {id(b): b for b in blocks}.values():
         groups.setdefault(b.shape, []).append(b)
-    slots, held, arrays = {}, {}, []
+    slots, arrays = {}, []
     for s, g in enumerate(groups.values()):
-        one = g[0].ndim == 2  # a family of one, whose blocks are matrices
-        if len(g) == 1:
-            arrays.append(g[0][None, None] if one else g[0][None])
-            slots[id(g[0])], held[id(g[0])] = (s, 0), g[0]
-        else:
-            arrays.append(np.concatenate(g).reshape(len(g), *(1,) * one, *g[0].shape))
-            slots.update({id(b): (s, r) for r, b in enumerate(g)})
-            if one:
-                held.update(zip(map(id, g), arrays[-1][:, 0]))
-    return _Family(_Blocks(*frame, tuple([slots[id(b)] for b in blocks])), tuple(arrays)), held
+        arrays.append(np.concatenate(g).reshape(len(g), *g[0].shape) if len(g) > 1 else g[0][None])
+        slots.update({id(b): (s, r) for r, b in enumerate(g)})
+    return _Family(_Blocks(*frame, tuple([slots[id(b)] for b in blocks])), tuple(arrays))
 
 
 class _Range(NamedTuple):
@@ -658,8 +649,9 @@ class GradedMap:
     homotopies (shift +1).  It holds its window clo..chi, its own tail
     periods (0 where it has none) and its family column (_column), which
     a producer that holds a family hands it (_of) and a lone map made
-    from blocks (the constructor, which _sample calls) makes from the
-    blocks it keeps.  Its table (_blocks) is built on its first read.
+    from blocks (the constructor, which _sample calls) builds on its
+    first read from the blocks it keeps.  Its table (_blocks) is built on
+    its first read, from the column.
     components, neg and pos read the table, and are dataclass fields, so
     dataclasses.replace makes a new, unmarked map from them.
 
@@ -685,7 +677,7 @@ class GradedMap:
         neg, pos = [tail and (_period(tail[0], len(tail[1])), tuple(map(np.asarray, tail[1])))
                     for tail in (neg, pos)]
         # the blocks on clo..chi (None for zero) and the tails, as given,
-        # from which _blocks builds the table on its first read
+        # from which _column builds the map's family of one on its first read
         window = [None if m is None else np.asarray(m)
                   for m in map(components.get, range(clo, chi + 1))]
         h = object.__new__(cls)
@@ -703,20 +695,17 @@ class GradedMap:
 
     @cached_property
     def _column(self) -> tuple:
-        """(family, member) of a lone map: its family of one, made with its
-        table (every other map is made with its column)."""
-        return self._blocks.family, 0
+        """(family, member) of a lone map: its family of one (_lone), built
+        from the blocks it keeps, which it then drops (every other map is
+        made with its column)."""
+        family = _lone(self.source, self.target, self.shift, self.clo, self.chi,
+                       *vars(self)["_given"])
+        del vars(self)["_given"]
+        return family, 0
 
     @cached_property
     def _blocks(self) -> _Blocks:
-        """The table, built on the first read: a lone map's from the blocks
-        it keeps, which it then drops, every other map's from its column."""
-        given = vars(self).get("_given")
-        if given is None:
-            return _table(self)
-        table = _held(self.source, self.target, self.shift, self.clo, self.chi, *given)
-        del vars(self)["_given"]
-        return table
+        return _table(self)
 
     @property
     def components(self) -> dict:
@@ -1015,35 +1004,28 @@ def _frame(S: Complex, T: Complex, k: int, clo: int, chi: int, nq: int, pq: int)
             pq or math.lcm(S._blocks.pos, T._blocks.pos))
 
 
-def _held(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
-          neg, pos) -> _Blocks:
-    """The table of the one graded map S_n -> T_{n+k} with the blocks
+def _lone(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
+          neg, pos) -> _Family:
+    """The family of one of the graded map S_n -> T_{n+k} with the blocks
     window on clo..chi (arrays, None for zero) and the tails neg, pos:
     (period, blocks), block i at clo - 1 - i, resp. chi + 1 + i, or None.
-    Its family's frame is that of the table (_frame), with a row per
-    distinct block object (_family); the table holds what the family
-    holds of each block, and the shared zero block where the map has
-    none.  It runs when a lone map's table or column is first read
-    (GradedMap._blocks), not when the map is made."""
+    Its frame is the map's (_frame), each distinct block object one row,
+    and the shared zero block where the map has none."""
     nq, pq = neg[0] if neg else 0, pos[0] if pos else 0
     lo, hi, q, qp = frame = _frame(S, T, k, clo, chi, nq, pq)
-    blocks, zeros = [], {}
+    row = _once(lambda m: m[None])
+    blocks = []
     for n in range(lo - q, hi + qp + 1):
         m = ((neg[1][(clo - 1 - n) % nq] if nq else None) if n < clo
              else (pos[1][(n - chi - 1) % pq] if pq else None) if n > chi else window[n - clo])
-        if m is None:
-            m = zeros[len(blocks)] = modules.zero_block(S.algebra, T.term(n + k).dim,
-                                                        S.term(n).dim)
-        blocks.append(m)
-    family, held = _family(frame, blocks)
-    return _Blocks(*frame, tuple([zeros[i] if i in zeros else held[id(b)]
-                                  for i, b in enumerate(blocks)]), family)
+        blocks.append(row(modules.zero_block(S.algebra, T.term(n + k).dim, S.term(n).dim)
+                          if m is None else m))
+    return _family(frame, blocks)
 
 
 def _table(g: GradedMap) -> _Blocks:
-    """The table of g, a map with a family column (GradedMap._column): its
-    block at each degree of its frame (_frame), read from the column
-    (_reads)."""
+    """The table of g: its block at each degree of its frame (_frame),
+    read from its family column (_reads)."""
     frame = _frame(g.source, g.target, g.shift, g.clo, g.chi, g.neg_period, g.pos_period)
     return _Blocks(*frame, tuple(_reads(g)[1]), *g._column)
 
@@ -1111,7 +1093,7 @@ def _from_stacks(kind, S: Complex, T: Complex, lo: int, hi: int, fold: int,
             if shape not in zeros:
                 zeros[shape] = np.zeros(shape, dtype=np.int64)
             blocks.append(zeros[shape])
-    family = _family(frame, blocks)[0]
+    family = _family(frame, blocks)
     return _members(kind, S, T, lo, hi, family, _own_periods(family, lo, hi, fold, fold))
 
 
@@ -1151,19 +1133,18 @@ def _sample(kind, S: Complex, T: Complex, clo: int, chi: int, comp_fn,
 
 def _kept(h: GradedMap) -> tuple:
     """What a memo keeps of h, from which _copied makes copies: (clo, chi,
-    table, own tail periods)."""
-    return h.clo, h.chi, h._blocks, h.neg_period, h.pos_period
+    family column, own tail periods).  A table is read from its column,
+    so keeping h builds none."""
+    return h.clo, h.chi, h._column, h.neg_period, h.pos_period
 
 
 def _copied(kind, S: Complex, T: Complex, kept: tuple) -> GradedMap:
-    """The map kind S -> T that kept (_kept) describes, on a copy of each
-    of the table's arrays: what a remembered map hands a caller, who may
-    write into it.  Where the map has no block it reads the shared
-    read-only zero block, as every table does."""
-    clo, chi, table, nq, pq = kept
-    j = table.member
-    family = table.family._replace(
-        arrays=tuple([a[:, j:j + 1].copy() for a in table.family.arrays]))
+    """The map kind S -> T that kept (_kept) describes, in a family of one
+    on a copy of the column's slice of each of the family's arrays: what a
+    remembered map hands a caller, who may write into it.  Its table is
+    read from that copy, as every table is read from its column."""
+    clo, chi, (family, j), nq, pq = kept
+    family = family._replace(arrays=tuple([a[:, j:j + 1].copy() for a in family.arrays]))
     return _members(kind, S, T, clo, chi, family, [(nq, pq)])[0]
 
 

@@ -42,12 +42,12 @@ with read-only kernel coefficients, from which a hit rebuilds the basis
 as one family (solver.FoldedSystem.graded_each).  A factorization,
 stable lift or homotopy equivalence is kept under its kind, the maps'
 values and the Options, read-only (solver._remembered): each map as its
-window, block table (with its family's arrays) and tail periods
-(complexes._kept), of which a hit hands over copies on copied arrays
-(complexes._copied).  A hit is checked
-again against the caller's maps, and solved afresh if the check fails;
-the check builds no map: a factorization compares the composite with
-the caller's map on the three tables (complexes._factors), and an
+window, family column (its family's arrays and its member there, from
+which its table is read) and tail periods (complexes._kept), of which a
+hit hands over copies on copied arrays (complexes._copied).  A hit is
+checked again against the caller's maps, and solved afresh if the check
+fails; the check builds no map: a factorization compares the composite
+with the caller's map on the three tables (complexes._factors), and an
 equivalence validates f and g, then checks d h + h d = g f - 1 and
 f g - 1 in the walk (homotopy._verify_inverse_payload).  A basis hit
 takes no caller data, and a remembered NO or UNKNOWN is returned as it

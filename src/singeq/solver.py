@@ -394,8 +394,8 @@ def _remembered(S: Complex, T: Complex, key: tuple, ends: tuple, solve, rebuild,
 def _solved_map(sys: FoldedSystem, S: Complex, T: Complex) -> tuple:
     """(chain map, value) for _remembered from the one solution of sys,
     made from the solve's stacks: the chain map S -> T it gives,
-    validated, and what a memo keeps of it (complexes._kept), of which the
-    map is a copy."""
+    validated, and what a memo keeps of it (complexes._kept: its family
+    column, from which its table is read), of which the map is a copy."""
     g = sys.graded_each(ChainMap, S, T, sys.solutions)[0]
     g.validate()
     kept = _kept(g)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -103,6 +104,13 @@ def equal_by_degrees(X, Y, periods=4):
         X.term(n).dim == Y.term(n).dim
         and all(np.array_equal(a, b) for a, b in zip(X.term(n).action, Y.term(n).action))
         and np.array_equal(X.diff(n), Y.diff(n)) for n in degrees)
+
+
+def fresh_t_per():
+    """A checked copy of T_per, whose memos start empty."""
+    X = dataclasses.replace(fixtures.t_per())
+    X.validate()
+    return X
 
 
 def t_per_with_period_2_tails():
@@ -409,6 +417,40 @@ def with_entry(h, n: int):
         blocks[i] = (blocks[i] + unit) % p
         neg = (q, tuple(blocks))
     return type(h)(h.source, h.target, comps, h.clo, h.chi, neg, h.pos)
+
+
+def reference_lone_table(h) -> tuple:
+    """(frame, blocks) of a lone graded map h not yet read, assembled
+    straight from the blocks it keeps, with no family: at each degree of
+    its frame (complexes._frame) the block given there, or the shared
+    zero block where it has none; distinct given blocks of one shape read
+    as rows of their concatenation."""
+    window, neg, pos = vars(h)["_given"]
+    S, T, k, clo, chi = h.source, h.target, h.shift, h.clo, h.chi
+    nq, pq = neg[0] if neg else 0, pos[0] if pos else 0
+    lo, hi, q, qp = frame = complexes._frame(S, T, k, clo, chi, nq, pq)
+    blocks, zeros = [], {}
+    for n in range(lo - q, hi + qp + 1):
+        m = ((neg[1][(clo - 1 - n) % nq] if nq else None) if n < clo
+             else (pos[1][(n - chi - 1) % pq] if pq else None) if n > chi else window[n - clo])
+        if m is None:
+            m = zeros[len(blocks)] = modules.zero_block(S.algebra, T.term(n + k).dim,
+                                                        S.term(n).dim)
+        blocks.append(m)
+    groups, rows = {}, {}
+    for b in {id(b): b for b in blocks}.values():
+        groups.setdefault(b.shape, []).append(b)
+    for g in groups.values():
+        rows.update(zip(map(id, g), np.concatenate([b[None] for b in g]) if len(g) > 1 else g))
+    return frame, [zeros[i] if i in zeros else rows[id(b)] for i, b in enumerate(blocks)]
+
+
+def kept_block(kept: tuple, n: int) -> np.ndarray:
+    """The block at degree n of the map a memo keeps (complexes._kept), as
+    a view of its family column."""
+    family, j = kept[2]
+    s, r = family.slots.at(n)
+    return family.arrays[s][r, j]
 
 
 def assert_same_table(h, ref):

@@ -10,9 +10,10 @@ import pytest
 
 from conftest import periodic_complex as T_j
 from conftest import (assert_one_table, assert_same_table, assert_views_of_stacks,
-                      count_calls, count_checks, equal_by_degrees, mismatched_cone,
-                      random_contractible, random_d2_complex, reference_from_tables,
-                      t_per_with_period_2_tails, truncated_polynomial)
+                      count_calls, count_checks, equal_by_degrees, fresh_t_per, mismatched_cone,
+                      random_chain_map, random_contractible, random_d2_complex,
+                      reference_from_tables, reference_lone_table, t_per_with_period_2_tails,
+                      truncated_polynomial)
 from singeq import complexes, fixtures, formats, functors, homotopy, linalg, modules, solver
 from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
                               homology, identity_chain_map, is_exact,
@@ -200,9 +201,12 @@ class TestZeroBlocks:
         Z = X.diff(0)
         assert Z.shape == (2, 2) and not Z.any()
         f = zero_chain_map(X, X)
-        assert f.component(-5) is f.component(0) is Z
-        with pytest.raises(ValueError, match="read-only"):
-            Z[0, 0] = 1
+        # the missing component at 0 is read from f's family column, a view
+        # of Z there
+        assert f.component(-5) is Z and np.shares_memory(f.component(0), Z)
+        for m in (Z, f.component(0)):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 1
         assert is_exact(X) == exact_by_homology(X)
 
 
@@ -843,6 +847,75 @@ def zero_tail_pair(t_per):
     return f, identity_chain_map(t_per)
 
 
+def lone_direct_sums(monkeypatch) -> list:
+    """The structure maps of direct sums, of checked summands and of
+    unchecked copies, with their kernel and cokernel maps."""
+    X, Y = fresh_t_per(), random_d2_complex(random.Random(3))
+    maps = []
+    for S, T in ((X, Y), (dataclasses.replace(X), dataclasses.replace(Y))):
+        maps += direct_sum_complex(S, T)[1:]
+    return maps + [f._kernel[1] for f in maps] + [f._cokernel[1] for f in maps]
+
+
+def lone_kernels(monkeypatch) -> list:
+    """kernel_complex and cokernel_complex maps of chain maps that are no
+    structure maps."""
+    X = fresh_t_per()
+    f, _ = zero_tail_pair(X)
+    rng = random.Random(4)
+    g = random_chain_map(rng, random_d2_complex(rng), random_d2_complex(rng))
+    return [h for f in (f, g) for h in (complexes.kernel_complex(f)[1],
+                                         cokernel_complex(f)[1])]
+
+
+def lone_constructions(monkeypatch) -> list:
+    """Identities, zero maps and duals, on complexes with tails of mixed
+    periods."""
+    maps = []
+    for X in (fresh_t_per(), mismatched_cone(), t_per_with_period_2_tails(), t2_complexes()[2]):
+        f = identity_chain_map(X)
+        maps += [f, zero_chain_map(X, X), complexes.dual_chain_map(f)]
+    return maps + [complexes.dual_chain_map(zero_tail_pair(fresh_t_per())[0])]
+
+
+def lone_constructor_maps(monkeypatch) -> list:
+    """ChainMap(...) and Homotopy(...) with missing components, with tails
+    of zero blocks, and with blocks of one shape in two dtypes."""
+    X, z = fresh_t_per(), 0 * I2
+    return [complexes.ChainMap(X, X, {0: I2, 2: X_D2}, 0, 2),
+            complexes.ChainMap(X, X, {0: z}, 0, 0, (0, ()), (1, (z,))),
+            complexes.ChainMap(X, X, {1: z}, 0, 1, (1, (z,)), (0, ())),
+            complexes.ChainMap(X, X, {0: I2.astype(np.int32), 1: X_D2}, 0, 1, None, (1, (I2,))),
+            complexes.Homotopy(X, X, {-1: X_D2}, -1, 1, (2, (I2, X_D2))),
+            complexes.Homotopy(X, X, {}, 0, 0)]
+
+
+def lone_parsed_maps(monkeypatch) -> list:
+    """Every shipped map file, parsed afresh."""
+    monkeypatch.setattr(formats, "_parsed", lambda alg, build, *args: build(*args))
+    fixdir = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    return [formats.load_chain_map(path)
+            for path in sorted(glob.glob(os.path.join(fixdir, "*.map")))]
+
+
+def lone_equivalence_parts(monkeypatch) -> list:
+    """The inverse and both homotopies that a YES homotopy equivalence
+    samples from its cone's contraction."""
+    parts, sample = [], complexes._sample
+    monkeypatch.setattr(homotopy, "_sample", lambda *a: parts.append(sample(*a)) or parts[-1])
+    X = fresh_t_per()
+    u = (linalg.eye(2) + X.diff(0)) % 2
+    f = complexes.chain_map_from_callable(X, X, 0, 0, lambda n: u, 1, 1)
+    assert homotopy.homotopy_equivalence_certificate(f).verdict == homotopy.YES
+    assert [type(h) for h in parts] == [complexes.ChainMap, complexes.Homotopy, complexes.Homotopy]
+    return parts
+
+
+LONE_CASES = {"direct sums": lone_direct_sums, "kernels": lone_kernels,
+              "constructions": lone_constructions, "constructor": lone_constructor_maps,
+              "parsed": lone_parsed_maps, "equivalence parts": lone_equivalence_parts}
+
+
 class TestStackedTables:
     """Sums and composites computed on the operands' stacked families give
     the map made degree by degree, and every map's table is a view of its
@@ -990,12 +1063,11 @@ class TestStackedTables:
         [(_, factor)] = [v for k, v in X._solved[Y].items()
                          if isinstance(k, tuple) and k[0] == "lift"]
         kept.append(factor[2])
-        for table in kept:
-            for a in table.family.arrays:
+        for family, j in kept:
+            for a in family.arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0
-            for m in table.data:
-                assert not m.flags.writeable
+                assert not a[:, j].flags.writeable
 
 
 class TestLoneTables:
@@ -1003,24 +1075,49 @@ class TestLoneTables:
     that table is the one its constructor's blocks give; its input is
     checked when it is made."""
 
+    @pytest.mark.parametrize("case", list(LONE_CASES))
+    def test_a_lone_table_equals_the_one_its_blocks_give(self, monkeypatch, case):
+        # each lone map's table is read from its family of one; the
+        # reference is assembled from the blocks it keeps until its column
+        # is first read
+        made, column = [], vars(complexes.GradedMap)["_column"]
+
+        def first_read(h):
+            if "_given" in vars(h):
+                made.append((h, reference_lone_table(h)))
+            return column.__get__(h, type(h))
+
+        monkeypatch.setattr(complexes.GradedMap, "_column", property(first_read))
+        maps = LONE_CASES[case](monkeypatch)
+        for h in maps:
+            h._blocks
+        assert all(any(h is g for g, _ in made) for h in maps)
+        for h, (frame, blocks) in made:
+            table = h._blocks
+            assert table[:4] == frame and len(table.data) == len(blocks)
+            assert all(a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+                       for a, b in zip(table.data, blocks))
+            assert complexes._value(h) == (*complexes._map_profile(h),
+                                           tuple((b.shape, b.tobytes()) for b in blocks))
+
     def test_a_checked_direct_sum_and_a_zero_map_build_no_table_until_read(self, monkeypatch):
         rng = random.Random(5)
         X, Y = random_d2_complex(rng), random_d2_complex(rng)
-        held = count_calls(monkeypatch, complexes, "_held")
+        lone = count_calls(monkeypatch, complexes, "_lone")
         _, *maps = direct_sum_complex(X, Y)
         maps += [f._kernel[1] for f in maps[:2]] + [f._cokernel[1] for f in maps[2:]]
         maps.append(zero_chain_map(X, Y))
-        assert all(f._checked for f in maps) and not held
+        assert all(f._checked for f in maps) and not lone
         tables = [f._blocks for f in maps]
-        assert len(held) == len(maps)
-        assert all(f._blocks is t for f, t in zip(maps, tables)) and len(held) == len(maps)
+        assert len(lone) == len(maps)
+        assert all(f._blocks is t for f, t in zip(maps, tables)) and len(lone) == len(maps)
         for f in maps:
             assert_one_table(f)
             assert_views_of_stacks(f)
 
     @pytest.mark.parametrize("make", [complexes.ChainMap, complexes.chain_map])
     def test_constructor_errors_are_raised_at_construction(self, monkeypatch, t_per, make):
-        held = count_calls(monkeypatch, complexes, "_held")
+        lone = count_calls(monkeypatch, complexes, "_lone")
         with pytest.raises(ValidationError, match=r"degree 2 lies outside the window 0\.\.1"):
             make(t_per, t_per, {0: I2, 2: I2}, 0, 1)
         with pytest.raises(ValueError, match="inhomogeneous"):
@@ -1030,7 +1127,7 @@ class TestLoneTables:
             for side in ({"neg": tail}, {"pos": tail}):
                 with pytest.raises(ValidationError, match="tail period does not match block count"):
                     make(t_per, t_per, {0: I2}, 0, 0, **side)
-        assert not held
+        assert not lone
         f = make(t_per, t_per, {0: z}, 0, 0, (0, ()), (1, (z,)))
         assert (f.neg, f.neg_period, f.pos_period) == (None, 0, 1)
         assert_one_table(f)
@@ -1087,7 +1184,8 @@ class TestFamilyTables:
                 assert all(b.component(n) is m for n, m in zip(degrees, blocks))
                 assert_same_table(b, complexes.ChainMap(X, Y, b.components, b.clo, b.chi,
                                                         b.neg, b.pos))
-            assert len(tables) == len(basis)
+            # one table per basis map; each reference builds its own as well
+            assert [g for (g,) in tables if any(g is b for b in basis)] == basis
             monkeypatch.undo()
 
 

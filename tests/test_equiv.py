@@ -7,8 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (count_solves, in_new_process, memo_digest, periodic_complex, triangular_d2,
-                      truncated_polynomial)
+from conftest import (count_solves, in_new_process, kept_block, memo_digest, periodic_complex,
+                      triangular_d2, truncated_polynomial)
 from singeq import approx, complexes, equiv, fixtures, functors, homotopy, modelcat, modules
 from singeq.complexes import ChainMap, identity_chain_map, reindex
 from singeq.config import Options
@@ -137,8 +137,8 @@ class TestLiftMemo:
     def test_a_corrupted_entry_is_solved_again(self, monkeypatch):
         phi, X = lift_case("T_per over D2")
         equiv.lift_stable_map(phi, X, X, "omega")
-        [(_, (_, _, table, *_))] = lift_entries(X, X).values()
-        block = table.at(0)
+        [(_, kept)] = lift_entries(X, X).values()
+        block = kept_block(kept, 0)
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 1
         block.flags.writeable = True

@@ -1,6 +1,5 @@
 """Null-homotopy solving, the stable criterion, and homotopy equivalences."""
 
-import dataclasses
 import gc
 import json
 import os
@@ -12,8 +11,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (assert_one_table, count_calls, periodic_complex, random_combination,
-                      random_contractible, random_d2_complex, random_module,
+from conftest import (assert_one_table, count_calls, fresh_t_per, kept_block, periodic_complex,
+                      random_combination, random_contractible, random_d2_complex, random_module,
                       reference_inverse_check, triangular_d2, truncated_polynomial, with_entry)
 from singeq import (approx, cli, complexes, fixtures, functors, homotopy, linalg,
                     modelcat, modules, solver)
@@ -437,13 +436,6 @@ def one_plus_x(X, Y=None):
     return chain_map_from_callable(X, X if Y is None else Y, 0, 0, lambda n: u, 1, 1)
 
 
-def fresh_t_per():
-    """A checked copy of T_per, whose memos start empty."""
-    X = dataclasses.replace(fixtures.t_per())
-    X.validate()
-    return X
-
-
 def equivalence_outcomes(bounds) -> list:
     """[verdict, certificate digest] of the equivalence 1 + x of one fresh
     copy of T_per under each homotopy_period_bound of bounds in turn, as
@@ -555,25 +547,30 @@ class TestEquivalenceMemo:
         names = ("inverse", "homotopy_source", "homotopy_target")
         f = one_plus_x(X, Y)
         f._blocks  # the caller's map, whose table is read for the memo key
-        held = count_calls(monkeypatch, complexes, "_held")
+        lone = count_calls(monkeypatch, complexes, "_lone")
         from_tables = count_calls(monkeypatch, complexes, "_from_tables")
         hit = homotopy.homotopy_equivalence_certificate(f).certificate
         maps = [hit.payload[name] for name in names]
         # the hit's check builds no map: g, hX and hY are copies of their
-        # kept tables, with one copy per distinct kept block, and g f - 1 and
-        # f g - 1 are checked in the walk; the only blocks a copy shares with
-        # its kept table are the read-only zero blocks every table reads
-        # where its map has no block
-        assert hit.checked and not held and not from_tables
+        # kept family columns, with one copy per distinct kept block, and
+        # g f - 1 and f g - 1 are checked in the walk; a copy's table shares
+        # no memory with the kept arrays but through the read-only zero
+        # blocks every table reads where its map has no block
+        assert hit.checked and not lone and not from_tables
         for h, name in zip(maps, names):
-            clo, chi, kept, *periods = parts[name]
+            clo, chi, (kept, j), *periods = parts[name]
+            copy = h._column[0]
             assert (h.clo, h.chi, h._blocks[:4], [h.neg_period, h.pos_period]) == (
-                clo, chi, kept[:4], periods)
-            shared = {id(b) for b in h._blocks.data} & {id(b) for b in kept.data}
-            assert all(not (b.flags.writeable or b.any())
-                       for b in h._blocks.data if id(b) in shared)
-            assert all(b.flags.writeable for b in h._blocks.data if id(b) not in shared)
-            assert len({id(b) for b in h._blocks.data}) == len({id(b) for b in kept.data})
+                clo, chi, kept.slots[:4], periods)
+            assert copy.slots == kept.slots and h._column[1] == 0
+            assert [a.shape for a in copy.arrays] == [a[:, j:j + 1].shape for a in kept.arrays]
+            assert all(a.flags.writeable and not any(np.shares_memory(a, b) for b in kept.arrays)
+                       for a in copy.arrays)
+            for b in h._blocks.data:
+                if b.flags.writeable:
+                    assert not any(np.shares_memory(b, a) for a in kept.arrays)
+                else:
+                    assert b is modules.zero_block(h.source.algebra, *b.shape)
         for h in [*maps, *[cold.payload[name] for name in names]]:
             assert_one_table(h)
 
@@ -582,8 +579,7 @@ class TestEquivalenceMemo:
         cold = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
         cold_digest = cli.digest(cold.certificate)
         [(_, (verdict, parts))] = equivalence_entries(X, X).values()
-        clo, _, table = parts["inverse"][:3]
-        block = table.at(clo)
+        block = kept_block(parts["inverse"], parts["inverse"][0])
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 1
         block.flags.writeable = True

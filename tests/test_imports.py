@@ -87,10 +87,15 @@ def test_only_complexes_binds_the_check_engine():
 # The block-table format of graded maps stays behind complexes: other
 # modules make and keep maps through its producers (_from_stacks, _kept,
 # _copied, _sample), never from the pieces of the format.
-TABLE_FORMAT = {"_family", "_frame", "_tables", "_members", "_own_periods", "_held", "_data"}
+TABLE_FORMAT = {"_Blocks", "_Family", "_family", "_frame", "_lone", "_members", "_own_periods",
+                "_table"}
 
 
 def test_only_complexes_binds_the_table_format():
+    with open(os.path.join(ROOT, "src", "singeq", "complexes.py")) as fh:
+        defined = {node.name for node in ast.parse(fh.read()).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert TABLE_FORMAT <= defined  # the guard names what complexes defines
     found = {}
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "singeq", "*.py"))):
         if os.path.basename(path) == "complexes.py":

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (count_solves, in_new_process, kernel_solutions, memo_digest,
+from conftest import (count_solves, in_new_process, kept_block, kernel_solutions, memo_digest,
                       module_map_equations, periodic_complex, random_combination,
                       random_d2_complex, random_d2_module, random_invertible,
                       reference_factor_check, truncated_polynomial, with_entry)
@@ -627,8 +627,8 @@ class TestFactorMemo:
     def test_a_corrupted_entry_is_solved_again(self, mode, monkeypatch):
         f, through = factor_case("T_per over D2", mode)
         solver.factor_chain_map(f, through, mode)
-        [(_, (_, _, table, *_))] = factor_entries(f, through, mode).values()
-        block = table.at(0)
+        [(_, kept)] = factor_entries(f, through, mode).values()
+        block = kept_block(kept, 0)
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 1
         block.flags.writeable = True
