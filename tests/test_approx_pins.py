@@ -59,10 +59,12 @@ def digest(values) -> str:
 
 def probes(alg, rebases: int):
     """The simple modules, their first syzygies and the regular module,
-    then rebases rounds of each nonzero one in a random basis (seed 1)."""
+    then rebases rounds of each nonzero one in a random basis.  Seed 15
+    puts two regular modules of T_2(D_2) in bases where the GI triple
+    depends on which mono a projective module gets in the pushout."""
     simples = modules.simple_modules(alg)
     mods = [*simples, *(modules.syzygy(S, 1) for S in simples), modules.regular_module(alg)]
-    rng, p, out = random.Random(1), alg.p, list(mods)
+    rng, p, out = random.Random(15), alg.p, list(mods)
     for _ in range(rebases):
         for M in mods:
             if M.dim:
@@ -90,8 +92,8 @@ ALGEBRAS = {
 PINNED = {
     "D2": ("54b8137d2b8e075f", "ee87f08fd5c8ae90", "cec2d94cbfde7b13"),
     "D3/F3": ("1688ade74f1ac1c2", "c8fce511fed54023", "c5e17fb1a22ccfe7"),
-    "T2": ("a8a19be9486aec49", "6d794571d90ce565", "e9b5d6a34580c695"),
-    "T2(D2)": ("a67c08c47ddbc98d", "b2cee128c98d556f", "df8a83237a9581ca"),
+    "T2": ("a8a19be9486aec49", "f013873b334215e7", "4426b0d047975ee7"),
+    "T2(D2)": ("a67c08c47ddbc98d", "879d3faf76b018c3", "971c9edf56a55e2c"),
     "T2(T2(D2))": ("c6c870b9a8359248", "7e080d0f63830436", "cb244fb1bc7ce61a"),
 }
 
