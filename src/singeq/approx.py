@@ -4,6 +4,9 @@ Gorenstein-projective/injective approximations of modules via the
 Auslander-Buchweitz pushout construction, complete (totally acyclic)
 resolutions with periodic-tail closure, and the cofibrant/fibrant
 replacements of stalk complexes built from them.
+Each Gorenstein module is resolved once: a triple carries the resolution
+of its middle term (on the GI side the dual of one over the opposite
+algebra), and both replacements read it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ class ApproximationTriple:
     and W of finite projective dimension.  side GI-preenvelope:
     0 -> N -> Y' -> X' -> 0 with Y' Gorenstein injective and X' of finite
     injective dimension.
+
+    resolution, which both replacements read: (T, iso: omega(T) -> M)
+    from complete_resolution(M), resp. (J = D(T), mono: Y' -> J_0 onto
+    the degree-0 cycles) for the GP triple of D(N) over A^op.
     """
 
     side: str
@@ -38,8 +45,8 @@ class ApproximationTriple:
     right: Module
     mono: ModuleMap  # left -> mid
     epi: ModuleMap  # mid -> right
-    resolution: Complex | None = None  # GP/GI certificate of mid
-    finite_dim: int | None = None  # pd(left) resp. id(right)
+    resolution: tuple  # (T, iso) resp. (J, mono), see above
+    finite_dim: int  # pd(left) resp. id(right)
 
     def verify(self) -> None:
         p = self.left.algebra.p
@@ -143,29 +150,20 @@ def _omega_witness(T: Complex, M: Module, pi0: ModuleMap) -> ModuleMap:
     return iso
 
 
-def _gp_helper(N: Module, depth: int, options: Options):
-    """(W, M, e) with 0 -> W -> M -e-> N -> 0, M GP, pd W < depth."""
+def _gp_helper(N: Module, depth: int):
+    """(W, M, e, w) with 0 -> W -w-> M -e-> N -> 0, M GP, pd W < depth."""
     A = N.algebra
     p = A.p
     if depth == 0 or N.dim == 0:
         W = modules.zero_module(A)
         return W, N, modules.identity_map(N), modules.zero_map(W, N)
-    P, pi = modules.projective_cover(N)
-    K, kincl = modules.kernel(pi)
-    W1, M1, e1, w1 = _gp_helper(K, depth - 1, options)
-    T1, iso1 = complete_resolution(M1, options)
-    # mono M1 -> T1_{-1}: d_0 factors as T1_0 ->> omega(T1) -> T1_{-1},
-    # and the second leg is injective by exactness; precompose iso1^{-1}
-    Q = T1.term(-1)
-    OM, proj = functors.omega_data(T1)
-    mbar = linalg.solve_matrix(proj.matrix.T, T1.diff(0).T, p)
-    if mbar is None:
-        raise ValidationError("cycle inclusion failed to descend")
-    mono_m = (mbar.T @ linalg.invert(iso1.matrix, p)) % p  # M1 -> Q
+    P, pi, K, kincl = _syzygy(N)
+    _, M1, e1, _ = _gp_helper(K, depth - 1)
+    # the mono M1 -> Q: d_0 of M1's complete resolution, as built there
+    Q, mono = (M1, modules.identity_map(M1)) if M1.is_projective else _cosyzygy(M1)[:2]
     g = (kincl.matrix @ e1.matrix) % p  # M1 -> P
-    QP, incs, _ = modules.direct_sum([Q, P])
-    rel = np.vstack([(mono_m @ linalg.eye(M1.dim)) % p,
-                     (-g) % p]) % p  # columns (m u, -g u)
+    QP, _, _ = modules.direct_sum([Q, P])
+    rel = np.vstack([mono.matrix, (-g) % p]) % p  # columns (m u, -g u)
     X, xproj = modules.quotient_module(QP, rel)
     f0 = np.hstack([linalg.zeros(N.dim, Q.dim), pi.matrix]) % p  # QP -> N
     fmatT = linalg.solve_matrix(xproj.matrix.T, f0.T, p)
@@ -181,18 +179,22 @@ def _gp_helper(N: Module, depth: int, options: Options):
 
 def gp_gi_approximation(N: Module, side: str,
                         options: Options = Options()) -> ApproximationTriple:
+    """The verified GP-precover (side "GP") or GI-preenvelope ("GI") of N
+    with its resolution: the GP side is the Auslander-Buchweitz pushout to
+    depth the Gorenstein dimension of the algebra, the GI side the dual of
+    the GP side of D(N) over the opposite algebra."""
     A = N.algebra
     bound = options.gorenstein_bound
     d = modules.gorenstein_dimension(A, bound)
     if d is None:
         raise NotGorensteinError("approximation needs a Gorenstein base algebra")
     if side == "GP":
-        W, M, e, wincl = _gp_helper(N, d, options)
-        T, _ = complete_resolution(M, options)
+        W, M, e, wincl = _gp_helper(N, d)
+        resolution = complete_resolution(M, options)
         pdW = modules.projective_dimension(W, bound)
         if pdW is None:
             raise ValidationError("precover kernel has unbounded projective dimension")
-        triple = ApproximationTriple("GP-precover", W, M, N, wincl, e, T, pdW)
+        triple = ApproximationTriple("GP-precover", W, M, N, wincl, e, resolution, pdW)
         triple.verify()
         return triple
     if side == "GI":
@@ -203,27 +205,18 @@ def gp_gi_approximation(N: Module, side: str,
         idim = modules.injective_dimension(Xp, bound)
         if idim is None:
             raise ValidationError("preenvelope cokernel has unbounded injective dimension")
-        triple = ApproximationTriple("GI-preenvelope", N, Yp, Xp, mono, epi,
-                                     None, idim)
+        # T_0 ->> omega(T) ~ D(Y') over A^op; its dual is the mono
+        # Y' -> D(T)_0 onto the degree-0 cycles
+        T, iso = opp.resolution
+        J = dual(T)
+        theta = ModuleMap(Yp, J.term(0), iso.compose(functors.omega_data(T)[1]).matrix.T.copy())
+        theta.validate()
+        if not theta.is_injective():
+            raise ValidationError("theta witness is not a mono")
+        triple = ApproximationTriple("GI-preenvelope", N, Yp, Xp, mono, epi, (J, theta), idim)
         triple.verify()
         return triple
     raise ValueError(f"unknown approximation side {side!r}")
-
-
-def complete_injective_resolution(Yp_dual_gp: Module, options: Options = Options()):
-    """(J, mono: D(dual) -> J_0) for the Gorenstein injective D(input).
-
-    The input is a Gorenstein projective module over the opposite algebra;
-    J is the dual of its complete resolution, a totally acyclic complex of
-    injectives whose degree-0 cycles recover the dual module.
-    """
-    Top, iso_op = complete_resolution(Yp_dual_gp, options)
-    # Top_0 ->> omega(Top) ~ D(Y') over A^op; its dual is the mono Y' -> J_0
-    mono = modules.dual_map(iso_op.compose(functors.omega_data(Top)[1]))
-    mono.validate()
-    if not mono.is_injective():
-        raise ValidationError("theta witness is not a mono")
-    return dual(Top), mono
 
 
 @dataclass(eq=False)
@@ -235,9 +228,7 @@ class StalkReplacement:
     upper: OrthogonalityResult
     lower: OrthogonalityResult
     verdict: str  # YES when both pieces certified, else UNKNOWN
-    # cofibrant: iso omega(object) -> triple.mid;
-    # fibrant: mono triple.mid -> object_0 with image the degree-0 cycles
-    witness: ModuleMap | None = None
+    witness: ModuleMap  # of triple.resolution, with the object
 
 
 _REPLACEMENT_CACHE: dict = {}
@@ -266,23 +257,18 @@ def stalk_replacement(S: Complex, which: str,
         return replace(cached, map=chain_map(*ends, dict(cached.map.components),
                                              checked=S._checked and cached.map._checked))
 
+    triple = gp_gi_approximation(N, "GP" if which == "cofibrant_ctr" else "GI", options)
+    obj, witness = triple.resolution
     if which == "cofibrant_ctr":
-        triple = gp_gi_approximation(N, "GP", options)
-        obj, witness = complete_resolution(triple.mid, options)
         _, proj = functors.omega_data(obj)
         q = chain_map(obj, S, {0: ((triple.epi.matrix @ witness.matrix) % p @ proj.matrix) % p})
         if not q.is_epi():
             raise ValidationError("replacement map is not an epi in degree 0")
         rest, side = kernel_complex(q)[0], "right_of_exP"
     else:
-        triple = gp_gi_approximation(N, "GI", options)
-        # triple.mid = D(M_op) for a GP module M_op over the opposite algebra
-        obj, theta_mono = complete_injective_resolution(
-            modules.dual_module(triple.mid), options)
-        q = chain_map(S, obj, {0: (theta_mono.matrix @ triple.mono.matrix) % p})
+        q = chain_map(S, obj, {0: (witness.matrix @ triple.mono.matrix) % p})
         if not q.is_mono():
             raise ValidationError("replacement map is not a mono in degree 0")
-        witness = ModuleMap(triple.mid, obj.term(0), theta_mono.matrix)
         rest, side = cokernel_complex(q)[0], "left_of_exI"
     upper, lower = (modelcat.orthogonal_certificate(piece, side, fam, options)
                     for piece in two_sided_split(rest, 0))

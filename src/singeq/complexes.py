@@ -174,21 +174,18 @@ class _Blocks(NamedTuple):
     lo - neg .. hi + pos.  Below lo the data repeats with period neg, and
     above hi with period pos, so these degrees hold every block.
 
-    A graded map's table also names the family its blocks are stacked in
-    and its column there (_Family): its data are views of the rows of the
-    family's arrays, and where the map has no block the shared zero block
-    (modules.zero_block).  A complex's table has no family."""
+    A graded map's data are views of the rows of its family column's
+    arrays (GradedMap._column), and where the map has no block the shared
+    zero block (modules.zero_block)."""
 
     lo: int
     hi: int
     neg: int
     pos: int
     data: tuple
-    family: "_Family | None" = None
-    member: int = 0
 
     def at(self, n: int):
-        lo, hi, neg, pos, data, _, _ = self
+        lo, hi, neg, pos, data = self
         if n < lo:
             n = lo - 1 - (lo - 1 - n) % neg
         elif n > hi:
@@ -197,7 +194,7 @@ class _Blocks(NamedTuple):
 
     def index(self, degrees) -> tuple:
         """The position in data of the block at each of degrees."""
-        lo, hi, neg, pos, _, _, _ = self
+        lo, hi, neg, pos, _ = self
         base = neg - lo
         return tuple([n + base if lo <= n <= hi
                       else lo - 1 - (lo - 1 - n) % neg + base if n < lo
@@ -205,7 +202,7 @@ class _Blocks(NamedTuple):
 
     def on(self, degrees) -> list:
         """[self.at(n) for n in degrees], with the fold inlined."""
-        lo, hi, neg, pos, data, _, _ = self
+        lo, hi, neg, pos, data = self
         base = neg - lo
         return [data[n + base] if lo <= n <= hi
                 else data[lo - 1 - (lo - 1 - n) % neg + base] if n < lo
@@ -1027,7 +1024,7 @@ def _table(g: GradedMap) -> _Blocks:
     """The table of g: its block at each degree of its frame (_frame),
     read from its family column (_reads)."""
     frame = _frame(g.source, g.target, g.shift, g.clo, g.chi, g.neg_period, g.pos_period)
-    return _Blocks(*frame, tuple(_reads(g)[1]), *g._column)
+    return _Blocks(*frame, tuple(_reads(g)[1]))
 
 
 def _reads(g: GradedMap, degrees=None) -> tuple:

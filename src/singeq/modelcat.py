@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import homotopy, modules, solver
-from .complexes import (ChainMap, Complex, cokernel_complex, compose,
+from .complexes import (ChainMap, Complex, cokernel_complex, compose, dual,
                         kernel_complex, reindex, same_complex)
 from .config import Options
 from .errors import NotGorensteinError, ValidationError
@@ -136,7 +136,9 @@ def default_family(algebra, options: Options = Options()) -> GeneratorFamily:
     of the simple modules whose projective dimension is not found within
     gorenstein_bound: those syzygies are Gorenstein projective.  Unless
     the algebra is self-injective, the left_of_exI side gets its own
-    family, the dual one: the complete injective resolutions of the d-th
+    family, the dual one: the duals of the complete resolutions over A^op
+    of the d-th syzygies of its simple modules of infinite projective
+    dimension, which are the complete injective resolutions of the d-th
     cosyzygies of the simple modules of infinite injective dimension.
     Raises NotGorensteinError when the algebra is not Gorenstein within
     gorenstein_bound.
@@ -160,16 +162,15 @@ def default_family(algebra, options: Options = Options()) -> GeneratorFamily:
                 "the default generator family needs a Gorenstein algebra; "
                 f"none found within gorenstein_bound={bound}")
 
-        def family(alg, resolve, injective=None):
-            return GeneratorFamily(tuple(
-                resolve(modules.syzygy(S, d), options)[0]
-                for S in loose(alg)), options.shift_range, injective)
+        def resolutions(alg):
+            return tuple(approx.complete_resolution(modules.syzygy(S, d), options)[0]
+                         for S in loose(alg))
 
-        if d == 0:
-            return family(algebra, approx.complete_resolution)
-        # the simples of A^op are the duals of those of A
-        return family(algebra, approx.complete_resolution, family(
-            modules._opposite_of(algebra), approx.complete_injective_resolution))
+        injective = None
+        if d:  # the simples of A^op are the duals of those of A
+            injective = GeneratorFamily(tuple(map(dual, resolutions(
+                modules._opposite_of(algebra)))), options.shift_range)
+        return GeneratorFamily(resolutions(algebra), options.shift_range, injective)
 
     return modules._memo(algebra, ("family", options), compute)
 

@@ -210,8 +210,10 @@ def _read_only(value):
         _read_only(value.action)
     elif isinstance(value, ModuleMap):
         _read_only(value.matrix)
-    elif hasattr(value, "_blocks"):  # a Complex or graded map: its table, whose
-        _read_only(value._blocks)  # tuples reach its blocks and its family's arrays
+    elif hasattr(value, "_column"):  # a graded map: its family's arrays, of
+        _read_only(value._column[0].arrays)  # which each block it reads is a view
+    elif hasattr(value, "_blocks"):  # a Complex: its table, whose tuples reach its blocks
+        _read_only(value._blocks)
     elif isinstance(value, (tuple, dict)):
         for v in value.values() if isinstance(value, dict) else value:
             _read_only(v)

@@ -471,7 +471,7 @@ def assert_views_of_stacks(h):
     a component left out), which holds a zero block; and asking for a
     component twice gives the same object."""
     table = h._blocks
-    family = table.family
+    family, member = h._column
     degrees = range(table.lo - table.neg, table.hi + table.pos + 1)
     for n, m, (s, r) in zip(degrees, table.data, family.slots.on(degrees)):
         if not m.size:
@@ -481,7 +481,7 @@ def assert_views_of_stacks(h):
             assert not m.any() and (m is modules.zero_block(h.source.algebra, *m.shape) or (
                 not h.neg_period if n < h.clo else not h.pos_period if n > h.chi else False))
         else:
-            assert np.array_equal(m, family.arrays[s][r, table.member])
+            assert np.array_equal(m, family.arrays[s][r, member])
     for n in range(h.clo - 2 * table.neg - 1, h.chi + 2 * table.pos + 2):
         assert h.component(n) is h.component(n)
     assert all(h.component(n) is m for n, m in h.components.items())

@@ -5,13 +5,14 @@ import gc
 import numpy as np
 import pytest
 
-from conftest import triangular_d2, truncated_polynomial
+from conftest import count_calls, triangular_d2, truncated_polynomial
 from singeq import (approx, complexes, fixtures, functors, homotopy, linalg, modelcat,
                     modules)
 from singeq.config import Options
 from singeq.errors import NotGorensteinError, PeriodicityError
 from singeq.homotopy import NO, UNKNOWN, YES
 from singeq.modelcat import CERTIFIED
+from test_approx_pins import t2_t2_d2
 
 
 class TestGorenstein:
@@ -187,6 +188,20 @@ class TestStalkReplacement:
             assert homotopy.is_exP(rep.object) and rep.map.is_epi()
         else:
             assert homotopy.is_exI(rep.object) and rep.map.is_mono()
+
+    @pytest.mark.parametrize("build", [triangular_d2, t2_t2_d2], ids=["T2(D2)", "T2(T2(D2))"])
+    def test_a_cold_replacement_resolves_its_module_once(self, monkeypatch, build):
+        # the GP triple resolves its middle term, the GI triple reads the
+        # GP triple over the opposite algebra, and the replacement reads
+        # the triple
+        alg = build()
+        modelcat.default_family(alg)
+        calls = count_calls(monkeypatch, approx, "complete_resolution")
+        for S in modules.simple_modules(alg):
+            for which in ("cofibrant_ctr", "fibrant_co"):
+                before = len(calls)
+                approx.stalk_replacement(functors.stalk(S), which)
+                assert len(calls) == before + 1
 
     @pytest.mark.parametrize("which", ["cofibrant_ctr", "fibrant_co"])
     def test_cache_hit_on_an_equal_stalk_ends_at_the_new_stalk(self, D2, which):

@@ -967,7 +967,7 @@ class TestStackedTables:
             assert_same_table(h, reference)
             assert_views_of_stacks(h)
             shapes.add(len({m.shape for m in h._blocks.data}))
-            arrays = [a.shape[2:] for a in h._blocks.family.arrays]
+            arrays = [a.shape[2:] for a in h._column[0].arrays]
             if len(set(arrays)) < len(arrays):
                 # two arrays of one block shape: a walk of the result reads
                 # each degree from its own array, as a walk of the reference does
@@ -978,7 +978,7 @@ class TestStackedTables:
                         == homotopy.verify_null_homotopy(reference, zero))
         assert max(shapes) > 1
         assert shared  # composites of T2 maps with mixed block shapes
-        assert any(f._blocks.family.slots[:4] != g._blocks.family.slots[:4]
+        assert any(f._column[0].slots[:4] != g._column[0].slots[:4]
                    for (*_, f, g), _ in calls)
         assert any(h.neg_period != profile[2] and profile[2] for (_, _, profile, *_), h in calls)
 
@@ -1011,12 +1011,12 @@ class TestStackedTables:
             for basis in (cold, hit):
                 if not basis:
                     continue
-                family = basis[0]._blocks.family
-                assert all(f._blocks.family is family for f in basis)
-                assert [f._blocks.member for f in basis] == list(range(len(basis)))
+                family = basis[0]._column[0]
+                assert all(f._column[0] is family for f in basis)
+                assert [f._column[1] for f in basis] == list(range(len(basis)))
                 for f in basis:
                     assert_views_of_stacks(f)
-            assert not cold or hit[0]._blocks.family is not cold[0]._blocks.family
+            assert not cold or hit[0]._column[0] is not cold[0]._column[0]
             for f, g in zip(cold, hit, strict=True):
                 assert_same_table(g, f)
 
@@ -1026,7 +1026,7 @@ class TestStackedTables:
         X, Y = dataclasses.replace(X), dataclasses.replace(Y)  # a cold solve
         for basis in (solver.chain_map_space_basis(X, Y)[0] for _ in range(2)):
             lo, hi = basis[0].clo, basis[0].chi
-            family = basis[0]._blocks.family
+            family = basis[0]._column[0]
             window = len(basis) * sum(basis[0]._blocks.at(n).nbytes for n in range(lo, hi + 1))
             assert sum(a.nbytes for a in family.arrays) <= window
             folded = 0
@@ -1149,8 +1149,8 @@ class TestLoneTables:
                     for c in sys_.solve_each()]
                 assert [h is None for h in found] == [h is None for h in ref]
                 found = [h for h in found if h is not None]
-                assert len({id(h._blocks.family) for h in found}) <= 1
-                assert [h._blocks.member for h in found] == list(range(len(found)))
+                assert len({id(h._column[0]) for h in found}) <= 1
+                assert [h._column[1] for h in found] == list(range(len(found)))
                 for h, r in zip(found, filter(None, ref)):
                     assert_same_table(h, r)
                     assert_views_of_stacks(h)

@@ -107,8 +107,9 @@ class TestDualChainMap:
 
 
 def hand_built_injective_resolution(M, options=Options()):
-    """approx.complete_injective_resolution as it was written before
-    complexes.dual: the dual of the complete resolution, degree by degree."""
+    """The resolution of a GI triple as it was written before
+    complexes.dual: the dual of the complete resolution of M, degree by
+    degree, and the dual of its omega witness."""
     Top, iso_op = approx.complete_resolution(M, options)
     A = modules._opposite_of(M.algebra)
     p = A.p
@@ -120,17 +121,15 @@ def hand_built_injective_resolution(M, options=Options()):
     return J, modules.ModuleMap(modules.dual_module(M), J.term(0), c.T % p)
 
 
-class TestCompleteInjectiveResolution:
+class TestInjectiveResolutionOfATriple:
     @pytest.mark.parametrize("name", ["D2", "T2(D2)"])
     def test_matches_the_hand_built_dual(self, name):
-        if name == "D2":
-            inputs = [modules.dual_module(fixtures.simple_k())]
-        else:
-            op = modules._opposite_of(triangular_d2())
-            inputs = [modules.syzygy(S, 1) for S in modules.simple_modules(op)]
-        for M in inputs:
-            J, mono = approx.complete_injective_resolution(M)
-            ref, ref_mono = hand_built_injective_resolution(M)
+        alg = fixtures.D2() if name == "D2" else triangular_d2()
+        simples = modules.simple_modules(alg)
+        for N in [*simples, *(modules.syzygy(S, 1) for S in simples)]:
+            triple = approx.gp_gi_approximation(N, "GI")
+            J, mono = triple.resolution
+            ref, ref_mono = hand_built_injective_resolution(modules.dual_module(triple.mid))
             assert block_bits(J) == block_bits(ref)
             assert mono.matrix.tobytes() == ref_mono.matrix.tobytes()
             assert mono.matrix.shape == ref_mono.matrix.shape

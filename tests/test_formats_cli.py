@@ -422,6 +422,24 @@ class TestExitCodes:
                                                 "diffs": []}}))
         assert main(["replace", str(stalk), "--which", which]) == 0
 
+    @pytest.mark.parametrize("which", ["cofibrant-ctr", "fibrant-co"])
+    def test_2_replace_leaves_a_required_piece_unknown(self, tmp_path, capsys, which):
+        # over F_5[x]/(x^3) the null-homotopies against the default family
+        # need a tail period past homotopy_period_bound, so both orthogonal
+        # pieces of the replacement of the stalk of k stay UNKNOWN
+        alg = fixtures.truncated_polynomial(3, 5, "D3/F5")
+        (tmp_path / "d3f5.alg").write_text(json.dumps(formats.algebra_to_doc(alg)))
+        (tmp_path / "k.mod").write_text(json.dumps(
+            {"algebra": "d3f5.alg", "dim": 1, "action": [[[1]], [[0]], [[0]]]}))
+        stalk = tmp_path / "k.cx"
+        stalk.write_text(json.dumps({"window": {"lo": 0, "hi": 0, "terms": ["k.mod"],
+                                                "diffs": []}}))
+        assert main(["--format", "json", "replace", str(stalk), "--which", which]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert [(e["verdict"], e["required"]) for e in report["entries"]] == \
+            [("YES", True)] * 3 + [("UNKNOWN", True)] * 2
+        assert report["overall"] == "UNKNOWN"
+
     @pytest.mark.parametrize("structure", ["ctr", "co"])
     def test_classify_a_map_to_the_zero_stalk(self, tmp_path, capsys, D2, k, structure):
         f = zero_chain_map(functors.stalk(k), functors.stalk(modules.zero_module(D2)))

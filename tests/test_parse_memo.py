@@ -160,6 +160,17 @@ def test_a_parsed_array_is_read_only():
             array[0, 0] = 1
 
 
+def test_a_parsed_chain_map_builds_no_table():
+    # freezing the parse reaches the map's family column, of which each
+    # block it reads later is a view, and builds no table
+    f = formats.chain_map_from_doc(x_map(complex_ref="T_per[-1]"))
+    assert "_blocks" not in vars(f)
+    assert not any(a.flags.writeable for a in f._column[0].arrays)
+    assert "_blocks" not in vars(f)
+    blocks = [f.component(n) for n in range(f.clo - 2, f.chi + 3)]
+    assert not any(m.flags.writeable for m in blocks)
+
+
 def test_repeated_commands_do_not_grow_memory():
     commands = [["functor", "omega", fx("tper.cx")], ["functor", "theta", fx("kstalk.cx")],
                 ["verify-equivalence", fx("tper.cx"), "--side", "I"],
