@@ -134,6 +134,7 @@ class TestInjectiveResolutionOfATriple:
             assert mono.matrix.tobytes() == ref_mono.matrix.tobytes()
             assert mono.matrix.shape == ref_mono.matrix.shape
             assert np.array_equal(mono.source.stacked_action, ref_mono.source.stacked_action)
+            assert mono.source is triple.mid
 
 
 class TestTheta:
