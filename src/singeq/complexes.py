@@ -93,15 +93,20 @@ never on a map's values, and holds no check result: every check runs on
 every call, on the caller's maps.  A plan is kept in S._solved[T], so it goes with T, from the second
 walk of its key on; a walk made once keeps only its key.
 
-add_maps and compose compute their result on the operands' families,
-one array operation per pair of arrays that meet: on whole arrays when
-the operands are held on one frame with one layout of slots, after a
-gather by index where they are not; the results are the arrays of the
-result's family, which may hold two arrays of one block shape, so a
-walk reads each degree from the array its own slot names (_Read.stack).
-A tail of zero blocks that a producer samples or computes is no tail,
-decided on the stacked tails of a whole family at once (_own_periods);
-a constructor keeps the tails it gets.
+add_maps and compose compute their result on the operands' families
+(_from_tables).  Operands whose columns sit on one layout of slots that
+covers the result, as the maps of one basis and all their sums do, meet
+array by array: one operation per array, and the result's family keeps
+that slots object, so a k-term combination of a basis stays on the
+basis's layout.  A blockless operand (zero_chain_map) between the same
+complexes reads as zero on the other's layout and builds no family.
+Other operands meet by a gather: one operation per pair of arrays that
+meet, the results the arrays of the result's family, which may hold two
+arrays of one block shape, so a walk reads each degree from the array
+its own slot names (_Read.stack).  A tail of zero blocks that a producer
+samples or computes is no tail, decided on the stacked tails of a whole
+family at once, one any per array (_own_periods); a constructor keeps
+the tails it gets.
 
 dual gives D(X) = Hom_k(X, k) over the opposite algebra, once per complex,
 and dual_chain_map D(f).  The injective side derives from the projective
@@ -201,9 +206,13 @@ class _Blocks(NamedTuple):
                       else hi + 1 + (n - hi - 1) % pos + base for n in degrees])
 
     def on(self, degrees) -> list:
-        """[self.at(n) for n in degrees], with the fold inlined."""
+        """[self.at(n) for n in degrees], with the fold inlined; a range of
+        degrees that data holds is a slice of it."""
         lo, hi, neg, pos, data = self
         base = neg - lo
+        if type(degrees) is range and degrees.step == 1 and lo - neg <= degrees.start \
+                and degrees.stop <= hi + pos + 1:
+            return list(data[degrees.start + base:degrees.stop + base])
         return [data[n + base] if lo <= n <= hi
                 else data[lo - 1 - (lo - 1 - n) % neg + base] if n < lo
                 else data[hi + 1 + (n - hi - 1) % pos + base] for n in degrees]
@@ -1099,17 +1108,16 @@ def _own_periods(family: _Family, lo: int, hi: int, nq: int, pq: int) -> list:
     lo..hi and a tail of period nq, pq (0 for none) on each side: 0 on a
     side where its blocks at lo - nq .. lo - 1, resp. hi + 1 .. hi + pq,
     are all zero, for a tail of zero blocks that a producer computes is no
-    tail (as one that _sample samples).  One test per array a tail's
-    slots name (window rows, where it folds), for every map at once."""
-    if not (nq or pq):
-        return [(0, 0)] * family.arrays[0].shape[1]
-    sides = [(nq, set(family.slots.on(range(lo - nq, lo)))),
-             (pq, set(family.slots.on(range(hi + 1, hi + pq + 1))))]
+    tail (as one that _sample samples).  One any per array a tail's slots
+    name (window rows, where it folds), for every map and row at once;
+    each side then joins the flags of its rows map by map, with no test
+    per map and slot."""
+    slots, arrays = family
+    tails = [(nq, slots.on(range(lo - nq, lo))), (pq, slots.on(range(hi + 1, hi + pq + 1)))]
     # per array a tail reads: per row, per map, whether the block is nonzero
-    live = {s: family.arrays[s].any(axis=(2, 3)).tolist()
-            for s in {s for _, tail in sides for s, _ in tail}}
-    return [tuple([q if any(live[s][r][j] for s, r in tail) else 0 for q, tail in sides])
-            for j in range(family.arrays[0].shape[1])]
+    live = {s: arrays[s].any(axis=(2, 3)).tolist() for s in {s for _, tail in tails for s, _ in tail}}
+    return list(zip(*[[q if x else 0 for x in map(any, zip(*[live[s][r] for s, r in tail]))]
+                      if q else [0] * arrays[0].shape[1] for q, tail in tails]))
 
 
 def _sample(kind, S: Complex, T: Complex, clo: int, chi: int, comp_fn,
@@ -1196,47 +1204,72 @@ def _same_module(M: Module, N: Module) -> bool:
     return M is N or M.dim == N.dim and np.array_equal(M.stacked_action, N.stacked_action)
 
 
+def _covers(slots: _Blocks, profile: tuple) -> bool:
+    """Whether a family's frame holds a map of profile (lo, hi, nq, pq):
+    it covers the window lo..hi and its periods are multiples of nq, pq
+    (of 1 for 0)."""
+    lo, hi, nq, pq = profile
+    return slots.lo <= lo and slots.hi >= hi and not (
+        slots.neg % (nq or 1) or slots.pos % (pq or 1))
+
+
+def _blockless(h: GradedMap) -> bool:
+    """Whether h is a lone map given no block and no tail, as
+    zero_chain_map makes, whose family of one is not built yet."""
+    given = vars(h).get("_given")
+    return given is not None and not (h.neg_period or h.pos_period) and all(
+        m is None for m in given[0])
+
+
 def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
     """The chain map S -> T whose component at n is op(f_n, g_n), on the
     window lo..hi and one period nq, pq of each tail (profile, which
     covers S and T), as chain_map_from_callable samples them.
 
-    op runs on the operands' family columns, once per pair of arrays
-    whose blocks meet at some degree, on (count, rows, cols) stacks of the
-    rows that meet there, one array of the result's family per pair.
-    Operands held on the result's frame with one layout of slots meet row
-    by row, so op runs on their whole arrays, with no gather.  The result
-    builds its table on its first read, and is validated, or with
-    checked=True, which a caller passes when the operands prove it a
-    chain map, marked as one (ChainMap.validate).
+    op runs on the operands' family columns.  Operands whose columns sit
+    on one layout of slots that covers the profile (_covers), as the
+    maps of one basis and their sums do, meet row by row: op runs once
+    per array, on whole arrays, and the result's family keeps that
+    slots object.  A blockless operand (_blockless, zero_chain_map)
+    between the same complexes as the other reads as zero on the other's
+    layout, with no family of its own built.  Other operands meet by a
+    gather: op runs once per pair of arrays whose blocks meet at some
+    degree, on (count, rows, cols) stacks of the rows that meet there,
+    one array of the result's family per pair.  The result builds its
+    table on its first read, and is validated, or with checked=True,
+    which a caller passes when the operands prove it a chain map, marked
+    as one (ChainMap.validate).
     """
     lo, hi, nq, pq = profile
-    (F, jf), (G, jg) = f._column, g._column
-    # a frame holds the result if it covers the window and its periods are
-    # multiples of the profile's; an operand's own frame spares its gather.
-    # Else a side with no tail reads one zero block
-    frame = (lo, hi, nq or 1, pq or 1)
-    for H in (F, G):
-        if H.slots.lo <= lo and H.slots.hi >= hi and not (
-                H.slots.neg % (nq or 1) or H.slots.pos % (pq or 1)):
-            frame = H.slots[:4]
-    ns = range(frame[0] - frame[2], frame[1] + frame[3] + 1)
-    fw, gw = [H.slots.data if H.slots[:4] == frame else tuple(H.slots.on(ns)) for H in (F, G)]
-    if fw == gw and F.slots[:4] == G.slots[:4] == frame:
-        slots = fw
-        parts = [(a, a, list(range(len(m))), list(range(len(m)))) for a, m in enumerate(F.arrays)]
+    shared = f.source is g.source and f.target is g.target
+    zf = shared and _blockless(f)
+    zg = shared and not zf and _blockless(g)
+    (F, jf), (G, jg) = (g if zf else f)._column, (f if zg else g)._column
+    if (F.slots is G.slots or F.slots == G.slots) and _covers(F.slots, profile):
+        zero = np.zeros_like
+        family = _Family(F.slots, tuple([
+            op(zero(a[:, jf]) if zf else a[:, jf], zero(b[:, jg]) if zg else b[:, jg])[:, None]
+            for a, b in zip(F.arrays, G.arrays)]))
     else:
+        (F, jf), (G, jg) = f._column, g._column
+        # an operand's own frame spares its gather; else a side with no
+        # tail reads one zero block
+        frame = (lo, hi, nq or 1, pq or 1)
+        for H in (F, G):
+            if _covers(H.slots, profile):
+                frame = H.slots[:4]
+        ns = range(frame[0] - frame[2], frame[1] + frame[3] + 1)
+        fw, gw = [H.slots.data if H.slots[:4] == frame else tuple(H.slots.on(ns))
+                  for H in (F, G)]
         pairs, groups = {}, {}
         for a, b in dict.fromkeys(zip(fw, gw)):
             i, fr, gr = groups.setdefault((a[0], b[0]), (len(groups), [], []))
             pairs[a, b] = (i, len(fr))
             fr.append(a[1])
             gr.append(b[1])
-        slots = tuple([pairs[pair] for pair in zip(fw, gw)])
-        parts = [(a, b, fr, gr) for (a, b), (_, fr, gr) in groups.items()]
-    family = _Family(_Blocks(*frame, slots), tuple([
-        op(_rows(F.arrays[a], fr)[:, jf], _rows(G.arrays[b], gr)[:, jg])[:, None]
-        for a, b, fr, gr in parts]))
+        family = _Family(_Blocks(*frame, tuple([pairs[pair] for pair in zip(fw, gw)])), tuple([
+            op(_rows(F.arrays[a], fr)[:, jf], _rows(G.arrays[b], gr)[:, jg])[:, None]
+            for (a, b), (_, fr, gr) in groups.items()]))
     return _settled(_members(ChainMap, S, T, lo, hi, family,
                              _own_periods(family, lo, hi, nq, pq))[0], checked)
 

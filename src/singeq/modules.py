@@ -366,10 +366,16 @@ def hom_stack(M: Module, N: Module) -> np.ndarray:
     It is the reduced kernel basis of F a_i = b_i F over the indices i of
     action_generators only: all idempotents but one, and radical basis
     elements spanning rad/rad^2 (x alone over D_n, none over a field).
-    These generate the algebra, so the system has the same kernel as the
-    one over every index, hence the same row space and the same basis,
-    bit for bit.  The checks of a module map (intertwining_failures)
-    still test every index.
+    These generate the algebra, so for modules that pass Module.validate
+    (the unit acts as the identity and the actions satisfy the algebra's
+    relations) the system has the same kernel as the one over every index,
+    hence the same row space and the same basis, bit for bit.  For other
+    modules it need not: over D2, with the unit acting as diag(1, 0) and
+    x as [[0, 0], [1, 0]], hom_stack(M, M) has 2 elements and the first
+    does not intertwine action index 0, the unit.  The checks of a module
+    map (intertwining_failures) and the check walks of complexes
+    (intertwining_residue) test every index, and that is what catches
+    such a module.
     """
     return _hom(M, N)[0]
 

@@ -34,8 +34,9 @@ objects and placed at its unknown's column offset; no dense block is
 made.  The rows go straight to the one elimination, linalg.rref, through
 linalg.solve_rows and linalg.kernel_rows, which read its pivot rows into
 solutions and kernel coefficients; these are unpacked to the matrices
-sum c_j H_j.  This is the engine behind null-homotopy search, chain-map
-space bases, periodic lifting and module factorizations.
+sum c_j H_j, one product per run of window degrees on one hom basis
+(FoldedSystem._stacks).  This is the engine behind null-homotopy search,
+chain-map space bases, periodic lifting and module factorizations.
 
 Every system of graded maps between two complexes, chain maps (shift 0)
 and null-homotopies (shift 1), is written by graded_system on the window
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 import operator
 import weakref
+from itertools import groupby
 
 import numpy as np
 
@@ -254,19 +256,25 @@ class FoldedSystem:
         return self._stacks(self.kernel_coeffs)
 
     def _stacks(self, vecs: np.ndarray) -> dict:
-        """{window degree: stack of sum_j c_j H_j, one per column of vecs}."""
-        mats = {}
-        for n in range(self.lo, self.hi + 1):
-            off, H = self.bases[n]
-            h, t, s = H.shape
-            c = vecs[off : off + h].T
-            mats[n] = (c @ H.reshape(h, t * s)).reshape(len(c), t, s) % self.p
+        """{window degree: stack of sum_j c_j H_j, one per column of vecs}:
+        one product per run of consecutive window degrees on one hom basis
+        H (one object), whose coefficients are consecutive rows of vecs;
+        each degree's stack is its row of the run's result."""
+        mats, k = {}, vecs.shape[1]
+        for _, run in groupby(range(self.lo, self.hi + 1), key=lambda n: id(self.bases[n][1])):
+            ns = list(run)
+            off, H = self.bases[ns[0]]
+            r, (h, t, s) = len(ns), H.shape
+            c = vecs[off:off + r * h].reshape(r, h, k).transpose(0, 2, 1)
+            mats.update(zip(ns, (c @ H.reshape(h, t * s)).reshape(r, k, t, s) % self.p))
         return mats
 
     def graded_each(self, kind, S: Complex, T: Complex, stacks: dict) -> list:
         """The maps kind (ChainMap or Homotopy) S -> T of the solutions in
-        stacks ({window degree: one component per solution}), one family
-        whose arrays are the stacks (complexes._from_stacks)."""
+        stacks ({window degree: one component per solution}, as _stacks
+        unpacks them), one family whose arrays are the stacks, those of
+        one block shape concatenated, and whose tail tests run once for
+        all solutions (complexes._from_stacks, _own_periods)."""
         return _from_stacks(kind, S, T, self.lo, self.hi, self.fold, stacks)
 
 

@@ -1286,3 +1286,226 @@ class TestTailPeriods:
                 complexes.ChainMap(X, X, {0: I2}, 0, 0, (q, (I2,)))
         with pytest.raises(ValidationError, match="tail period does not match block count"):
             complexes.Tail(1, X.neg_tail.terms, X.neg_tail.diffs * 2)
+
+
+# -- family-level sums and tail tests ----------------------------------------
+
+
+def recorded_from_tables(monkeypatch, run) -> list:
+    """((S, T, profile, op, f, g), result, built) of each _from_tables call
+    of run(), built telling whether f's and g's family columns are built
+    when the call returns."""
+    calls, real = [], complexes._from_tables
+
+    def record(S, T, profile, op, f, g, checked=False):
+        h = real(S, T, profile, op, f, g, checked)
+        calls.append(((S, T, profile, op, f, g), h, tuple("_column" in vars(m) for m in (f, g))))
+        return h
+
+    monkeypatch.setattr(complexes, "_from_tables", record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def one_layout_pairs():
+    """(X, Y) with a basis of chain maps X -> Y: D4/F2 and D3/F3 periodic
+    pairs, endomorphisms of a D3/F2 periodic complex, and T2 complexes
+    with terms of two dimensions."""
+    D4, D3, D32 = truncated_polynomial(4, 2), truncated_polynomial(3, 3), truncated_polynomial(3, 2)
+    pairs = [(T_j(D4, 1), reindex(T_j(D4, 3), 1)), (T_j(D3, 1), T_j(D3, 2)),
+             (T_j(D32, 2), T_j(D32, 2))]
+    return pairs + [(X, X) for X in t2_complexes()]
+
+
+class TestFamilySums:
+    """Operands on one layout of slots that covers the profile meet array
+    by array, and the result keeps that slots object; a blockless operand
+    between the same complexes reads as zero on the other's layout, with
+    no family of its own built.  Every result equals the map made degree
+    by degree (reference_from_tables), bit for bit."""
+
+    def assert_reference(self, calls):
+        for (S, T, profile, op, f, g), h, _ in calls:
+            reference = reference_from_tables(S, T, profile, op, f, g)
+            assert_same_table(h, reference)
+            assert_views_of_stacks(h)
+
+    def test_sums_on_one_layout_and_sums_of_sums(self, monkeypatch):
+        rng = random.Random(11)
+        shared = []
+
+        def run():
+            for X, Y in one_layout_pairs():
+                basis = solver.chain_map_space_basis(X, Y)[0]
+                p = X.algebra.p
+                sums = []
+                for _ in range(4):
+                    f, g = rng.choices(basis, k=2)
+                    sums.append(add_maps(f, g, sign=rng.randrange(1, p + 1)))
+                sums.append(add_maps(sums[0], sums[1]))  # sums of sums
+                sums.append(add_maps(sums[-1], sums[2], sign=-1))
+                sums.append(add_maps(sums[-1], sums[-1], sign=-1))  # cancels to zero
+                sums.append(add_maps(basis[0], sums[-2]))
+                shared.append((basis[0]._column[0].slots, sums))
+
+        calls = recorded_from_tables(monkeypatch, run)
+        assert len(calls) == 8 * len(one_layout_pairs())
+        self.assert_reference(calls)
+        for slots, sums in shared:
+            assert all(h._column[0].slots is slots for h in sums)
+        assert any(h.is_zero() for _, sums in shared for h in sums)
+
+    def test_a_blockless_operand_reads_as_zero_on_the_other_layout(self, monkeypatch):
+        rng = random.Random(12)
+        zeros = []
+
+        def run():
+            for X, Y in one_layout_pairs():
+                basis = solver.chain_map_space_basis(X, Y)[0]
+                for b in rng.sample(basis, min(3, len(basis))):
+                    for first in (True, False):
+                        zero = zero_chain_map(X, Y)
+                        c = rng.randrange(1, X.algebra.p + 1)
+                        h = add_maps(zero, b, sign=c) if first else add_maps(b, zero, sign=c)
+                        zeros.append((zero, b, h))
+
+        calls = recorded_from_tables(monkeypatch, run)
+        assert len(calls) == len(zeros)
+        for ((*_, f, g), _, built), (zero, b, h) in zip(calls, zeros):
+            assert built == (zero is not f, zero is not g)
+            assert h._column[0].slots is b._column[0].slots
+        self.assert_reference(calls)
+
+    def test_compose_on_equal_slots_and_with_a_blockless_operand(self, monkeypatch):
+        rng = random.Random(13)
+        kept, zeros = [], []
+
+        def run():
+            for X, Y in one_layout_pairs():
+                if X is not Y:
+                    continue
+                basis = solver.chain_map_space_basis(X, X)[0]
+                for f, g in [rng.choices(basis, k=2) for _ in range(3)] + [(basis[0], basis[0])]:
+                    kept.append((compose(f, g), f))
+                for b in basis[:2]:
+                    zeros.extend([zero_chain_map(X, X), zero_chain_map(X, X)])
+                    kept.extend([(compose(zeros[-2], b), b), (compose(b, zeros[-1]), b)])
+
+        calls = recorded_from_tables(monkeypatch, run)
+        assert len(calls) == len(kept) > 12
+        assert all(h._column[0].slots is f._column[0].slots for h, f in kept)
+        assert sum(built.count(False) for *_, built in calls) == len(zeros)
+        self.assert_reference(calls)
+
+    def test_a_blockless_operand_elsewhere_is_read_from_its_own_family(self, monkeypatch):
+        # a zero map X -> Y composed with a map of other complexes, and a
+        # zero map summed where the other operand's layout does not cover
+        # the profile (complexes far from the zero map's window 0..0), meet
+        # by a gather, reading the zero map's own family of one
+        D4 = truncated_polynomial(4, 2)
+        X, Y = T_j(D4, 1), reindex(T_j(D4, 3), 1)
+        far = [reindex(T_j(D4, j), 40) for j in (1, 3)]
+        zeros = []
+
+        def run():
+            basis = solver.chain_map_space_basis(X, Y)[0]
+            for e in solver.chain_map_space_basis(Y, Y)[0][:2]:
+                zeros.append(zero_chain_map(X, Y))
+                compose(e, zeros[-1])
+                zeros.append(zero_chain_map(Y, Y))
+                compose(zeros[-1], basis[0])
+            for b in solver.chain_map_space_basis(*far)[0][:2]:
+                zeros.append(zero_chain_map(*far))
+                add_maps(zeros[-1], b)
+                zeros.append(zero_chain_map(*far))
+                add_maps(b, zeros[-1], sign=-1)
+
+        calls = recorded_from_tables(monkeypatch, run)
+        assert len(calls) == len(zeros) == 8
+        assert all(built == (True, True) for *_, built in calls)
+        self.assert_reference(calls)
+
+
+def test_a_combination_of_a_basis_stays_on_its_layout():
+    # as the htpy-dn benchmark builds a combination: from zero_chain_map,
+    # one add_maps per nonzero coefficient of a D4/F2 chain-map basis
+    D4 = truncated_polynomial(4, 2)
+    X, Y = T_j(D4, 1), reindex(T_j(D4, 3), 1)
+    basis = solver.chain_map_space_basis(X, Y)[0]
+    assert len(basis) >= 9
+    slots = basis[0]._column[0].slots
+    zero = f = zero_chain_map(X, Y)
+    partial = []
+    for b in basis[:9]:
+        f = add_maps(f, b)
+        partial.append(f)
+    assert "_column" not in vars(zero)
+    for h in partial:
+        assert h._column[0].slots is slots
+        assert "_blocks" not in vars(h)
+    assert_same_map(f, callable_sum(partial[-2], basis[8]))
+
+
+def reference_own_periods(family, lo, hi, nq, pq) -> list:
+    """complexes._own_periods map by map and slot by slot: per map, nq
+    (resp. pq) where one of its blocks at lo - nq .. lo - 1 (resp.
+    hi + 1 .. hi + pq) is nonzero, else 0."""
+    def live(j, degrees):
+        return any(family.arrays[s][r, j].any() for s, r in map(family.slots.at, degrees))
+
+    return [(nq if live(j, range(lo - nq, lo)) else 0, pq if live(j, range(hi + 1, hi + pq + 1)) else 0)
+            for j in range(family.arrays[0].shape[1])]
+
+
+def random_stack(rng, k: int, shape: tuple) -> np.ndarray:
+    return np.asarray([rng.randrange(3) for _ in range(k * shape[0] * shape[1])],
+                      dtype=np.int64).reshape(k, *shape)
+
+
+def random_family(rng, k: int, folded: bool) -> tuple:
+    """(family, frame) of k maps on a random frame: blocks of three shapes,
+    one of them empty, random entries mod 3, and a window block sometimes
+    repeated (one row); then each distinct block is zero for a random
+    set of maps.  Folded, a tail position holds a window block, as in a
+    solve's family; else a block of its own."""
+    lo, q, qp = rng.randrange(-3, 2), rng.choice([1, 2, 4]), rng.choice([1, 2, 3])
+    hi = lo + rng.randrange(0, 5)
+    shapes = [(2, 3), (3, 3), (0, 2)]
+    window = []
+    for _ in range(lo, hi + 1):
+        repeat = window and rng.random() < 0.3
+        window.append(window[-1] if repeat else random_stack(rng, k, rng.choice(shapes)))
+    blocks = [window[n - lo] if lo <= n <= hi
+              else window[(n - lo) % len(window)] if folded
+              else random_stack(rng, k, rng.choice(shapes)) for n in range(lo - q, hi + qp + 1)]
+    for b in {id(b): b for b in blocks}.values():
+        b[[j for j in range(k) if rng.random() < 0.5]] = 0
+    return complexes._family((lo, hi, q, qp), blocks), (lo, hi, q, qp)
+
+
+def own_period_args(rng, frame: tuple) -> tuple:
+    """(lo, hi, nq, pq) of a map the family frame holds (complexes._covers):
+    a window inside the frame's, tail periods dividing its own or 0."""
+    flo, fhi, q, qp = frame
+    lo = rng.randrange(flo, fhi + 1)
+    hi = rng.randrange(lo, fhi + 1)
+    return (lo, hi, rng.choice([0] + [d for d in range(1, q + 1) if q % d == 0]),
+            rng.choice([0] + [d for d in range(1, qp + 1) if qp % d == 0]))
+
+
+@pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
+@pytest.mark.parametrize("k", [1, 22, 30])
+def test_own_periods_match_the_per_map_reference(k, folded):
+    rng = random.Random(100 * k + folded)
+    seen = set()
+    for _ in range(120):
+        family, frame = random_family(rng, k, folded)
+        for args in [frame, own_period_args(rng, frame), own_period_args(rng, frame)]:
+            periods = complexes._own_periods(family, *args)
+            assert periods == reference_own_periods(family, *args)
+            assert all(type(q) is int for qs in periods for q in qs)
+            if args[2] and args[3]:
+                seen.update((bool(a), bool(b)) for a, b in periods)
+    # zero tails on neither side, on one side and on both
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -862,3 +862,82 @@ class TestWindow:
             D = fixtures.t_per()
             assert solver.window(D, D, [identity_chain_map(D)], m, 2, shift=1) == \
                 solver.window(D, D, [identity_chain_map(D)], m, 2)
+
+
+# -- unpacking a solve: one product per run of degrees on one hom basis -----
+
+
+def reference_stacks(sys_, vecs) -> dict:
+    """FoldedSystem._stacks degree by degree: at each window degree n, the
+    stack of sum_j c_j H_j, one per column of vecs, from n's own rows of
+    vecs, H the hom basis of n."""
+    stacks = {}
+    for n in range(sys_.lo, sys_.hi + 1):
+        off, H = sys_.bases[n]
+        h, t, s = H.shape
+        c = vecs[off:off + h].T
+        stacks[n] = (c @ H.reshape(h, t * s)).reshape(len(c), t, s) % sys_.p
+    return stacks
+
+
+def assert_same_stacks(stacks: dict, reference: dict):
+    """The same degrees, and at each the same stack, bit for bit."""
+    assert list(stacks) == list(reference)
+    for n, m in reference.items():
+        assert stacks[n].shape == m.shape and stacks[n].dtype == m.dtype
+        assert np.array_equal(stacks[n], m)
+
+
+class TestStacks:
+    def test_runs_empty_hom_spaces_and_other_bases_match_the_per_degree_unpacking(self):
+        alg = fixtures.T2()
+        S1, S2 = fixtures.S1(), fixtures.S2()
+        A = modules.regular_module(alg)
+        # runs of one pair (one hom basis object); Hom(S1, S2) = 0 between
+        # modules with entries, and Hom(S2, S1) = 0; neighbours on other bases
+        pairs = [(A, A), (A, A), (A, A), (S1, S2), (S1, S2), (A, S2), (S2, S1),
+                 (A, A), (S1, S1), (S1, S1)]
+        sys_ = solver.FoldedSystem(alg.p, dict(enumerate(pairs, -3)), -3, 6)
+        H = [sys_.bases[n][1] for n in range(-3, 7)]
+        assert [len(h) for h in H].count(0) == 3 and all(h.shape[1] * h.shape[2] for h in H)
+        assert len({id(h) for h in H}) == 5
+        # over D3/F3, the regular module A and a copy B in another basis:
+        # neighbouring degrees whose hom bases have one shape, other entries
+        D3 = truncated_polynomial(3, 3)
+        A3 = modules.regular_module(D3)
+        g = random_invertible(random.Random(8), 3, 3)
+        B = Module(D3, 3, tuple((g @ a @ linalg.invert(g, 3)) % 3 for a in A3.action))
+        other = solver.FoldedSystem(3, dict(enumerate([(A3, A3), (A3, B), (A3, B), (B, A3),
+                                                       (B, B), (A3, A3)])), 0, 5)
+        H3 = [other.bases[n][1] for n in range(6)]
+        assert len({h.shape for h in H3}) == 1 and len({h.tobytes() for h in H3}) == 4
+        rng = np.random.default_rng(3)
+        for sys_ in (sys_, other):
+            for width in (0, 1, 7):
+                vecs = rng.integers(0, sys_.p, (sys_.total, width))
+                assert_same_stacks(sys_._stacks(vecs), reference_stacks(sys_, vecs))
+
+    def test_every_unpacking_of_a_round_trip_and_of_a_basis_matches(self, monkeypatch):
+        # kernel and solve_each of a T2 round trip, whose systems have
+        # degrees with no hom space (h = 0), and a cold D4/F2 basis and its hit
+        calls, real = [], solver.FoldedSystem._stacks
+
+        def record(self, vecs):
+            calls.append((self, vecs.copy(), real(self, vecs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(solver.FoldedSystem, "_stacks", record)
+        AT2 = modules.regular_module(fixtures.T2())
+        X = complexes.cone(identity_chain_map(functors.stalk(AT2)))
+        from singeq import equiv
+        assert equiv.verify_round_trip(X, "P").verdict == homotopy.YES
+        D4 = truncated_polynomial(4, 2)
+        X, Y = periodic_complex(D4, 1), periodic_complex(D4, 3)
+        cold, hit = (solver.chain_map_space_basis(X, Y)[0] for _ in range(2))
+        monkeypatch.undo()
+        assert len(cold) == len(hit) > 1
+        assert any(len(sys_.bases[n][1]) == 0
+                   for sys_, _, _ in calls for n in range(sys_.lo, sys_.hi + 1))
+        assert len({id(sys_) for sys_, _, _ in calls}) < len(calls)  # a hit unpacks again
+        for sys_, vecs, stacks in calls:
+            assert_same_stacks(stacks, reference_stacks(sys_, vecs))
