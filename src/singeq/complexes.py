@@ -1113,6 +1113,8 @@ def _own_periods(family: _Family, lo: int, hi: int, nq: int, pq: int) -> list:
     each side then joins the flags of its rows map by map, with no test
     per map and slot."""
     slots, arrays = family
+    if not (nq or pq):
+        return [(0, 0)] * arrays[0].shape[1]
     tails = [(nq, slots.on(range(lo - nq, lo))), (pq, slots.on(range(hi + 1, hi + pq + 1)))]
     # per array a tail reads: per row, per map, whether the block is nonzero
     live = {s: arrays[s].any(axis=(2, 3)).tolist() for s in {s for _, tail in tails for s, _ in tail}}
