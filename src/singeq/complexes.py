@@ -1243,6 +1243,8 @@ def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
     as one (ChainMap.validate).
     """
     lo, hi, nq, pq = profile
+    # a blockless operand takes the other's column and reads zeros of its
+    # blocks' shapes, which are its own only between the same complexes
     shared = f.source is g.source and f.target is g.target
     zf = shared and _blockless(f)
     zg = shared and not zf and _blockless(g)

@@ -916,23 +916,27 @@ LONE_CASES = {"direct sums": lone_direct_sums, "kernels": lone_kernels,
               "parsed": lone_parsed_maps, "equivalence parts": lone_equivalence_parts}
 
 
+def recorded_from_tables(monkeypatch, run) -> list:
+    """((S, T, profile, op, f, g), result, built) of each _from_tables call
+    of run(), built telling whether f's and g's family columns are built
+    when the call returns."""
+    calls, real = [], complexes._from_tables
+
+    def record(S, T, profile, op, f, g, checked=False):
+        h = real(S, T, profile, op, f, g, checked)
+        calls.append(((S, T, profile, op, f, g), h, tuple("_column" in vars(m) for m in (f, g))))
+        return h
+
+    monkeypatch.setattr(complexes, "_from_tables", record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
 class TestStackedTables:
     """Sums and composites computed on the operands' stacked families give
     the map made degree by degree, and every map's table is a view of its
     family."""
-
-    def recorded_operations(self, monkeypatch, run) -> list:
-        """(arguments, result) of each _from_tables call of run()."""
-        calls, real = [], complexes._from_tables
-
-        def record(S, T, profile, op, f, g, checked=False):
-            calls.append(((S, T, profile, op, f, g), real(S, T, profile, op, f, g, checked)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(complexes, "_from_tables", record)
-        run()
-        monkeypatch.undo()
-        return calls
 
     def test_sums_and_composites_match_the_per_degree_reference(self, monkeypatch, t_per):
         rng, cases = table_arithmetic_cases()
@@ -959,10 +963,10 @@ class TestStackedTables:
                 compose(f, g)
                 compose(g, f)
 
-        calls = self.recorded_operations(monkeypatch, run)
+        calls = recorded_from_tables(monkeypatch, run)
         assert len(calls) > 500
         shapes, shared = set(), 0
-        for (S, T, profile, op, f, g), h in calls:
+        for (S, T, profile, op, f, g), h, _ in calls:
             reference = reference_from_tables(S, T, profile, op, f, g)
             assert_same_table(h, reference)
             assert_views_of_stacks(h)
@@ -979,8 +983,8 @@ class TestStackedTables:
         assert max(shapes) > 1
         assert shared  # composites of T2 maps with mixed block shapes
         assert any(f._column[0].slots[:4] != g._column[0].slots[:4]
-                   for (*_, f, g), _ in calls)
-        assert any(h.neg_period != profile[2] and profile[2] for (_, _, profile, *_), h in calls)
+                   for (*_, f, g), _, _ in calls)
+        assert any(h.neg_period != profile[2] and profile[2] for (_, _, profile, *_), h, _ in calls)
 
     def test_a_walk_reads_each_degree_from_its_own_block(self, t_per):
         # T_per + D2 in degree 0: its inclusion i and projection p of T_per
@@ -1289,23 +1293,6 @@ class TestTailPeriods:
 
 
 # -- family-level sums and tail tests ----------------------------------------
-
-
-def recorded_from_tables(monkeypatch, run) -> list:
-    """((S, T, profile, op, f, g), result, built) of each _from_tables call
-    of run(), built telling whether f's and g's family columns are built
-    when the call returns."""
-    calls, real = [], complexes._from_tables
-
-    def record(S, T, profile, op, f, g, checked=False):
-        h = real(S, T, profile, op, f, g, checked)
-        calls.append(((S, T, profile, op, f, g), h, tuple("_column" in vars(m) for m in (f, g))))
-        return h
-
-    monkeypatch.setattr(complexes, "_from_tables", record)
-    run()
-    monkeypatch.undo()
-    return calls
 
 
 def one_layout_pairs():
