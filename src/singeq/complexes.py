@@ -1208,8 +1208,8 @@ def _same_module(M: Module, N: Module) -> bool:
 
 def _covers(slots: _Blocks, profile: tuple) -> bool:
     """Whether a family's frame holds a map of profile (lo, hi, nq, pq):
-    it covers the window lo..hi and its periods are multiples of nq, pq
-    (of 1 for 0)."""
+    it covers the window lo..hi, and its periods are multiples of nq and
+    pq (any period, where that is 0)."""
     lo, hi, nq, pq = profile
     return slots.lo <= lo and slots.hi >= hi and not (
         slots.neg % (nq or 1) or slots.pos % (pq or 1))
