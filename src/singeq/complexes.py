@@ -11,10 +11,15 @@ tail.  The accessors read it, and its size depends only on the object.
 A complex builds its table on first use (read-only).  A graded map's
 blocks are stacked in a family (_Family) whose column j is map j at
 every degree; a tail position names the row of the window block it
-repeats.  The solutions of one solve are one family (_from_stacks), as
-is each sum, composite and copy of a kept map (_kept, _copied); a lone
-map made from blocks (the constructor, which _sample calls) keeps them
-until its column is first read, which builds its family of one (_lone).
+repeats.  One loop lays out a family degree by degree (_lone), from
+(count, rows, cols) stacks: a lone map made from blocks (the
+constructor, which _sample calls) keeps them until its column is first
+read, which builds its family of one from its blocks as one-row views,
+and the solutions of one solve are one family (_from_stacks) built from
+the solve's window stacks, a folded tail given as the window stacks it
+folds to.  Its arrays concatenate the stacks of one block shape (a
+stack alone in its shape is viewed, not copied).  Each sum, composite
+and copy of a kept map is one family too (_kept, _copied).
 One rule for every map: its table is built on its first read, from its
 family column (_table).  Walks, sums and is_zero read only the column
 (_column) and frame (_frame), and solver's graded systems read a
@@ -70,11 +75,12 @@ share one source and one target are walked once, over the union of
 their check ranges; each object's own range lies inside it and its
 periods divide the joint ones, so the joint walk runs a superset of
 each object's checks.  The degrees are grouped by the modules
-(intertwining) or the shapes (d*d = 0, the equation; for g f - 1 also
-the shape of f_n, which the third complex sets) they share, and the
-maps' blocks of a group are read from their families, one gather per
-run of maps of one family (_Read); a complex's differentials are
-stacked once per plan.
+(intertwining) or the shapes (d*d = 0, the equation) they share, as
+((key, degrees), ...) (_grouped), the one form the engine takes; for
+g f - 1 each equation group is split by the shape of f_n, which the
+third complex sets.  The maps' blocks of a group are read from their
+families, one gather per run of maps of one family (_Read); a complex's
+differentials are stacked once per plan.
 Each group costs one array per operand and one batched product per side;
 intertwining tests every action index (modules.intertwining_residue, as
 ModuleMap.validate does), and over several objects multiplies out only
@@ -300,27 +306,6 @@ def _grouped(keys) -> tuple:
     return tuple([(key, tuple(idx)) for key, idx in groups.items()])
 
 
-class _Keys(list):
-    """Group keys for _first_failure: the key of each of size walked
-    degrees, laid out from the groups they make (_grouped), so equal keys
-    are one object."""
-
-    __slots__ = ("groups",)
-
-    def __init__(self, groups: tuple, size: int):
-        keys = [None] * size
-        for key, idx in groups:
-            for i in idx:
-                keys[i] = key
-        super().__init__(keys)
-        self.groups = groups
-
-    @classmethod
-    def of(cls, keys: list) -> "_Keys":
-        """keys, grouped (_grouped)."""
-        return cls(_grouped(keys), len(keys))
-
-
 class _Stacked(list):
     """A column for _first_failure of one operand per walked degree,
     stacked (g, 1, rows, cols) per group the first time the engine reads
@@ -344,7 +329,7 @@ class _Stacked(list):
         return self._stacks[idx]
 
 
-def _first_failure(ranges, ns, keys: _Keys, check, *columns):
+def _first_failure(ranges, ns, groups: tuple, check, *columns):
     """Smallest (degree, detail) over the checks that fail, or None; the
     check engine, run only from this module (Complex.validate and
     _check_walk).
@@ -353,9 +338,10 @@ def _first_failure(ranges, ns, keys: _Keys, check, *columns):
     each walked degree of ns.  A column holds one operand per walked
     degree: a matrix shared by the objects (_Stacked), or one matrix per
     object (_Read); column.shape(i) is the shape of its (first) matrix at
-    walked degree i.  The walked degrees are
-    grouped by keys (the modules or shapes their operands share), and
-    check(key, *stacks) runs once per group on each column stacked
+    walked degree i.  groups ((key, indices of its walked degrees), ...),
+    as _grouped makes them, partition the walked degrees by the modules
+    or shapes their operands share, and check(key, *stacks) runs once per
+    group on each column stacked
     (column.stack), (g, 1, rows, cols) when shared and (g, objects, rows,
     cols) otherwise.  It returns an array (g, objects, details, ...) that
     is nonzero exactly where a check fails: its residue mod p, whose
@@ -366,7 +352,7 @@ def _first_failure(ranges, ns, keys: _Keys, check, *columns):
     """
     failures = []
     first, last = columns[0], columns[-1]
-    for key, idx in keys.groups:
+    for key, idx in groups:
         if not (first.shape(idx[0])[-2] and last.shape(idx[0])[-1]):
             continue
         bad = check(key, *[c.stack(idx) for c in columns])
@@ -590,14 +576,14 @@ class Complex:
             if d.shape != (tgt.dim, src.dim):
                 raise ValidationError(f"differential at degree {n} has wrong shape")
         d0, d1 = _Stacked([d for _, d in prev]), _Stacked([d for _, d in cur])
-        bad = _first_failure([r], ns, _Keys.of([(s, t) for (t, _), (s, _) in zip(prev, cur)]),
+        bad = _first_failure([r], ns, _grouped([(s, t) for (t, _), (s, _) in zip(prev, cur)]),
                              _intertwining, d1)
         if bad is not None:
             raise ValidationError(
                 f"differential at degree {bad[0]} does not intertwine action {bad[1]}")
         p = self.algebra.p
         bad = _first_failure([r._replace(a=a + 1)], ns,
-                             _Keys.of([(x.shape, y.shape) for x, y in zip(d0, d1)]),
+                             _grouped([(x.shape, y.shape) for x, y in zip(d0, d1)]),
                              lambda _, d0, d1: (d0 @ d1) % p, d0, d1)
         if bad is not None:
             raise ValidationError(f"d*d != 0 at degree {bad[0]}")
@@ -701,11 +687,14 @@ class GradedMap:
 
     @cached_property
     def _column(self) -> tuple:
-        """(family, member) of a lone map: its family of one (_lone), built
-        from the blocks it keeps, which it then drops (every other map is
-        made with its column)."""
+        """(family, member) of a lone map: its family of one (_lone) on its
+        distinct blocks as one-row views, built from the blocks it keeps,
+        which it then drops (every other map is made with its column)."""
+        window, neg, pos = vars(self)["_given"]
+        row = _once(lambda m: m[None])
         family = _lone(self.source, self.target, self.shift, self.clo, self.chi,
-                       *vars(self)["_given"])
+                       [m if m is None else row(m) for m in window],
+                       *[t and (t[0], tuple(map(row, t[1]))) for t in (neg, pos)])
         del vars(self)["_given"]
         return family, 0
 
@@ -843,10 +832,12 @@ class _Walk:
     maps depend on a third complex, which the key does not fix.  The
     plan holds the walked degrees ns, the shapes of g (and of the
     right-hand side) there, the groups of degrees by module pair
-    (twists) and by differential shapes (equations) as _first_failure
-    groups them, the differential columns with their stacks per equation
-    group, and, per frame read (a table's or a family's), where its
-    blocks at ns and at n - 1 sit in its data.
+    (twists, with where T's module sits in its table; twist_keys gives
+    the groups for one T) and by differential shapes (equations; split
+    by the shape of f_n in loop_keys), each in the form _first_failure
+    takes (_grouped), the differential columns with their stacks per
+    equation group, and, per frame read (a table's or a family's), where
+    its blocks at ns and at n - 1 sit in its data.
     It holds no object of T but arrays: a module of T may hold T, as
     functors.stalk keeps a stalk on its module.  Equal group keys are held
     once, and the columns of ints are tuples, which the garbage collector
@@ -878,25 +869,25 @@ class _Walk:
         self.twists = tuple([((s, at[idx[0]]), idx) for (s, _), idx
                              in _grouped([(s, t) for (s, _), (t, _) in zip(S1, T1)])])
         dS, dT = [d for _, d in S1], [d for _, d in T1]
-        self.equations = _Keys.of([(x.shape, y.shape) for x, y in zip(dS, dT)])
+        self.equations = _grouped([(x.shape, y.shape) for x, y in zip(dS, dT)])
         self.dS, self.dT = _Stacked(dS), _Stacked(dT)
         self._index, self._loops = {}, {}
 
-    def twist_keys(self, T: Complex) -> _Keys:
-        """The module pairs (S_n, T_{n+k}) at the walked degrees, grouped."""
-        data = T._blocks.data
-        return _Keys(tuple([((s, data[i][0]), idx) for (s, i), idx in self.twists]),
-                     len(self.ns))
+    def twist_keys(self, T: Complex) -> tuple:
+        """The groups of module pairs (S_n, T_{n+k}) at the walked degrees."""
+        return tuple([((s, T._blocks.data[i][0]), idx) for (s, i), idx in self.twists])
 
-    def loop_keys(self, f: "_Read") -> _Keys:
-        """The equation groups split by the shape of the maps' blocks at
-        each walked degree in f, which a third complex sets (the loops of
-        _check_walk); computed once per distinct shapes."""
+    def loop_keys(self, f: "_Read") -> tuple:
+        """The equation groups, each split by the shape of the maps' blocks
+        at its walked degrees in f, which a third complex sets (the loops
+        of _check_walk); computed once per distinct shapes."""
         shapes = tuple([f.shape(i) for i in range(len(self.ns))])
-        keys = self._loops.get(shapes)
-        if keys is None:
-            keys = self._loops[shapes] = _Keys.of(list(zip(self.equations, shapes)))
-        return keys
+        groups = self._loops.get(shapes)
+        if groups is None:
+            groups = self._loops[shapes] = tuple([
+                ((key, shape), tuple([idx[i] for i in sub])) for key, idx in self.equations
+                for shape, sub in _grouped([shapes[i] for i in idx])])
+        return groups
 
     def positions(self, table: _Blocks) -> tuple:
         """Where table's blocks at n - 1 and at n for n in ns sit in its
@@ -1012,20 +1003,29 @@ def _frame(S: Complex, T: Complex, k: int, clo: int, chi: int, nq: int, pq: int)
 
 def _lone(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
           neg, pos) -> _Family:
-    """The family of one of the graded map S_n -> T_{n+k} with the blocks
-    window on clo..chi (arrays, None for zero) and the tails neg, pos:
-    (period, blocks), block i at clo - 1 - i, resp. chi + 1 + i, or None.
-    Its frame is the map's (_frame), each distinct block object one row,
-    and the shared zero block where the map has none."""
+    """The family of the graded maps S_n -> T_{n+k} with the stacks window
+    on clo..chi ((count, rows, cols) arrays, None for zero) and the tails
+    neg, pos: (period, stacks), stack i at clo - 1 - i, resp. chi + 1 + i,
+    or None; count is the window stacks' (1 where there are none).  Its
+    frame is the maps' (_frame), each distinct stack object one block, and
+    where the maps have none one zero stack per shape: for count 1 a view
+    of the shared zero block (modules.zero_block).  The one frame loop for
+    every family: a lone map's (GradedMap._column) and a solve's
+    (_from_stacks)."""
     nq, pq = neg[0] if neg else 0, pos[0] if pos else 0
     lo, hi, q, qp = frame = _frame(S, T, k, clo, chi, nq, pq)
-    row = _once(lambda m: m[None])
-    blocks = []
+    count = next((len(m) for m in window if m is not None), 1)
+    blocks, zeros = [], {}
     for n in range(lo - q, hi + qp + 1):
         m = ((neg[1][(clo - 1 - n) % nq] if nq else None) if n < clo
              else (pos[1][(n - chi - 1) % pq] if pq else None) if n > chi else window[n - clo])
-        blocks.append(row(modules.zero_block(S.algebra, T.term(n + k).dim, S.term(n).dim)
-                          if m is None else m))
+        if m is None:
+            shape = (T.term(n + k).dim, S.term(n).dim)
+            m = zeros.get(shape)
+            if m is None:
+                m = zeros[shape] = (modules.zero_block(S.algebra, *shape)[None] if count == 1
+                                    else np.zeros((count, *shape), dtype=np.int64))
+        blocks.append(m)
     return _family(frame, blocks)
 
 
@@ -1048,13 +1048,9 @@ def _reads(g: GradedMap, degrees=None) -> tuple:
     family, j = g._column
     clo, chi, nq, pq = g.clo, g.chi, g.neg_period, g.pos_period
     lo, hi, q, qp = frame = _frame(g.source, g.target, g.shift, clo, chi, nq, pq)
-    slots = family.slots
-    if degrees is None:
-        ns = range(lo - q, hi + qp + 1)
-        keys = list(slots.data if slots[:4] == frame else slots.on(ns))
-    else:
-        ns = [i + lo - q for i in _Blocks(*frame, ()).index(degrees)]
-        keys = slots.on(ns)
+    ns = (range(lo - q, hi + qp + 1) if degrees is None
+          else [i + lo - q for i in _Blocks(*frame, ()).index(degrees)])
+    keys = family.slots.on(ns)
     views = {w: family.arrays[w[0]][w[1], j] for w in set(keys)}
     blocks = [views[w] for w in keys]
     if not (nq and pq):  # zero outside the window on a side with no tail
@@ -1079,27 +1075,17 @@ def _from_stacks(kind, S: Complex, T: Complex, lo: int, hi: int, fold: int,
     """The maps kind (ChainMap or Homotopy) S -> T of the solutions of a
     system on lo..hi folded with period fold (solver.FoldedSystem), whose
     components at window degree n are stacks[n], one per solution: one
-    family, whose arrays are the stacks, from which each map builds its
-    table on its first read.  A tail block is the row of the window block
-    it folds to, not a copy, and past an unfolded window every block is
-    zero, one zero stack per shape.  A solution whose blocks on a tail are
+    family (_lone), whose arrays are the stacks, those of one block shape
+    concatenated, from which each map builds its table on its first read.
+    A folded tail is the window stacks it folds to, so a tail block is
+    the row of the window block it folds to, not a copy; past an unfolded
+    window every block is zero.  A solution whose blocks on a tail are
     all zero has no tail there (_own_periods)."""
-    k = len(stacks[lo])
-    if not k:
+    if not len(stacks[lo]):
         return []
-    flo, fhi, nq, pq = frame = _frame(S, T, kind.shift, lo, hi, fold, fold)
-    blocks, zeros = [], {}
-    for n in range(flo - nq, fhi + pq + 1):
-        if lo <= n <= hi:
-            blocks.append(stacks[n])
-        elif fold:
-            blocks.append(stacks[lo + (n - lo) % fold if n < lo else hi - (hi - n) % fold])
-        else:
-            shape = (k, T.term(n + kind.shift).dim, S.term(n).dim)
-            if shape not in zeros:
-                zeros[shape] = np.zeros(shape, dtype=np.int64)
-            blocks.append(zeros[shape])
-    family = _family(frame, blocks)
+    window = [stacks[n] for n in range(lo, hi + 1)]
+    tails = ((fold, window[fold - 1::-1]), (fold, window[-fold:])) if fold else (None, None)
+    family = _lone(S, T, kind.shift, lo, hi, window, *tails)
     return _members(kind, S, T, lo, hi, family, _own_periods(family, lo, hi, fold, fold))
 
 
@@ -1263,8 +1249,7 @@ def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
             if _covers(H.slots, profile):
                 frame = H.slots[:4]
         ns = range(frame[0] - frame[2], frame[1] + frame[3] + 1)
-        fw, gw = [H.slots.data if H.slots[:4] == frame else tuple(H.slots.on(ns))
-                  for H in (F, G)]
+        fw, gw = F.slots.on(ns), G.slots.on(ns)
         pairs, groups = {}, {}
         for a, b in dict.fromkeys(zip(fw, gw)):
             i, fr, gr = groups.setdefault((a[0], b[0]), (len(groups), [], []))

@@ -48,14 +48,15 @@ with every equation (the same reduced form, kernel basis and particular
 solutions, bit for bit).  It reads the right-hand sides' blocks from the
 maps' family columns by slot (complexes._reads), with no table built.
 chain_map_space_basis makes its basis one family (graded_each, which
-complexes._from_stacks lays out): the kernel's per-degree stacks are its
-arrays, and each map builds its table on its first read, of views of its
-column, a tail block the view of the window row it folds to.  It checks
-the basis in one ChainMap.validate call, whose walk reads each group of
-the family in one gather, with no table built; each map keeps its own
-check range, so the errors are those of the maps checked one by one.  Likewise the particular
-solutions of a solve (solve_each) keep their per-degree stacks, from
-which its null-homotopies, factor or lift are made.
+complexes._from_stacks lays out): its arrays concatenate the kernel's
+per-degree stacks of one block shape, and each map builds its table on
+its first read, of views of its column, a tail block the view of the
+window row it folds to.  It checks the basis in one ChainMap.validate
+call, whose walk reads each group of the family in one gather, with no
+table built; each map keeps its own check range, so the errors are
+those of the maps checked one by one.  Likewise the particular solutions
+of a solve (solve_each) keep their per-degree stacks, from which its
+null-homotopies, factor or lift are made, one family per solve.
 
 Each chain-map solve is memoized per pair of complexes in its source's
 store (Complex._solved); the modules docstring lists the stores.
@@ -272,9 +273,10 @@ class FoldedSystem:
     def graded_each(self, kind, S: Complex, T: Complex, stacks: dict) -> list:
         """The maps kind (ChainMap or Homotopy) S -> T of the solutions in
         stacks ({window degree: one component per solution}, as _stacks
-        unpacks them), one family whose arrays are the stacks, those of
-        one block shape concatenated, and whose tail tests run once for
-        all solutions (complexes._from_stacks, _own_periods)."""
+        unpacks them): one family, laid out by complexes._lone, whose
+        arrays concatenate the stacks of one block shape and whose tail
+        tests run once for all solutions (complexes._from_stacks,
+        _own_periods)."""
         return _from_stacks(kind, S, T, self.lo, self.hi, self.fold, stacks)
 
 

@@ -445,6 +445,34 @@ def reference_lone_table(h) -> tuple:
     return frame, [zeros[i] if i in zeros else rows[id(b)] for i, b in enumerate(blocks)]
 
 
+def reference_from_stacks(kind, S, T, lo: int, hi: int, fold: int, stacks: dict) -> list:
+    """The maps complexes._from_stacks makes of the solutions of a system
+    on lo..hi folded with period fold, whose components at window degree
+    n are stacks[n], laid out position by position of the frame: a window
+    degree's stack, a folded tail degree's the stack of the window degree
+    it folds to, past an unfolded window one zero stack (count, rows,
+    cols) per shape; the family is complexes._family of these blocks, and
+    each map's own tail periods are complexes._own_periods'."""
+    k = len(stacks[lo])
+    if not k:
+        return []
+    flo, fhi, nq, pq = frame = complexes._frame(S, T, kind.shift, lo, hi, fold, fold)
+    blocks, zeros = [], {}
+    for n in range(flo - nq, fhi + pq + 1):
+        if lo <= n <= hi:
+            blocks.append(stacks[n])
+        elif fold:
+            blocks.append(stacks[lo + (n - lo) % fold if n < lo else hi - (hi - n) % fold])
+        else:
+            shape = (k, T.term(n + kind.shift).dim, S.term(n).dim)
+            if shape not in zeros:
+                zeros[shape] = np.zeros(shape, dtype=np.int64)
+            blocks.append(zeros[shape])
+    family = complexes._family(frame, blocks)
+    return complexes._members(kind, S, T, lo, hi, family,
+                              complexes._own_periods(family, lo, hi, fold, fold))
+
+
 def kept_block(kept: tuple, n: int) -> np.ndarray:
     """The block at degree n of the map a memo keeps (complexes._kept), as
     a view of its family column."""

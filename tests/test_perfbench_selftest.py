@@ -2,7 +2,8 @@
 
 perfbench/tracer.py hooks methods of singeq by name (Complex.validate,
 ChainMap.validate, is_mono, ...), so renaming one breaks the benchmark's
-traced runs; this runs `python3 perfbench/selftest.py` (a few seconds).
+traced runs; this runs `python3 perfbench/selftest.py` (a few seconds),
+with numpy's overflow and invalid-value warnings as errors.
 """
 
 import os
@@ -13,6 +14,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_perfbench_selftest_passes():
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
     proc = subprocess.run([sys.executable, os.path.join("perfbench", "selftest.py")],
-                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+                          cwd=ROOT, capture_output=True, text=True, timeout=600, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -9,10 +9,11 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (count_solves, in_new_process, kept_block, kernel_solutions, memo_digest,
-                      module_map_equations, periodic_complex, random_combination,
-                      random_d2_complex, random_d2_module, random_invertible,
-                      reference_factor_check, truncated_polynomial, with_entry)
+from conftest import (assert_same_table, count_solves, in_new_process, kept_block,
+                      kernel_solutions, memo_digest, module_map_equations, periodic_complex,
+                      random_combination, random_d2_complex, random_d2_module, random_invertible,
+                      reference_factor_check, reference_from_stacks, truncated_polynomial,
+                      with_entry)
 from singeq import approx, complexes, fixtures, functors, homotopy, linalg, modules, solver
 from singeq.complexes import ChainMap, add_maps, compose, identity_chain_map
 from singeq.config import Options
@@ -941,3 +942,49 @@ class TestStacks:
         assert len({id(sys_) for sys_, _, _ in calls}) < len(calls)  # a hit unpacks again
         for sys_, vecs, stacks in calls:
             assert_same_stacks(stacks, reference_stacks(sys_, vecs))
+
+    def test_every_solve_family_matches_the_frame_loop_reference(self, monkeypatch):
+        # folded and unfolded solves of one solution and of several: a T2
+        # round trip on side P, whose systems have degrees with no hom
+        # space, a cold D4/F2 basis and its hit, bases of bounded D2
+        # complexes, the null-homotopies of one joint solve and a factor
+        calls, real = [], solver.FoldedSystem.graded_each
+
+        def record(self, kind, S, T, stacks):
+            maps = real(self, kind, S, T, stacks)
+            calls.append((self, kind, S, T, stacks, maps))
+            return maps
+
+        monkeypatch.setattr(solver.FoldedSystem, "graded_each", record)
+        AT2 = modules.regular_module(fixtures.T2())
+        X = complexes.cone(identity_chain_map(functors.stalk(AT2)))
+        from singeq import equiv
+        assert equiv.verify_round_trip(X, "P").verdict == homotopy.YES
+        D4 = truncated_polynomial(4, 2)
+        X, Y = periodic_complex(D4, 1), periodic_complex(D4, 3)
+        cold, hit = (solver.chain_map_space_basis(X, Y)[0] for _ in range(2))
+        assert solver.factor_chain_map(cold[0], identity_chain_map(Y), "lift") is not None
+        rng = random.Random(4)
+        bases = [solver.chain_map_space_basis(random_d2_complex(rng), random_d2_complex(rng))[0]
+                 for _ in range(6)]
+        joint = [homotopy._homotopies(basis, 1) for basis in filter(None, bases)]
+        monkeypatch.undo()
+        for sys_, kind, S, T, stacks, maps in calls:
+            ref = reference_from_stacks(kind, S, T, sys_.lo, sys_.hi, sys_.fold, stacks)
+            assert len(maps) == len(ref)
+            if not maps:
+                continue
+            (family, _), (expected, _) = maps[0]._column, ref[0]._column
+            assert family.slots == expected.slots  # the frame and every slot
+            assert [(a.shape, a.dtype) for a in family.arrays] == \
+                [(a.shape, a.dtype) for a in expected.arrays]
+            assert all(np.array_equal(a, b) for a, b in zip(family.arrays, expected.arrays))
+            for j, (h, r) in enumerate(zip(maps, ref)):
+                assert h._column[1] == j and h._column[0] is family
+                assert_same_table(h, r)  # own tail periods and table, bit for bit
+        assert any(sum(h is not None for h in found) > 1 for found in joint)
+        kinds = {(kind, bool(sys_.fold), min(len(maps), 2)) for sys_, kind, *_, maps in calls}
+        assert {(ChainMap, True, 1), (ChainMap, True, 2), (ChainMap, False, 2),
+                (complexes.Homotopy, False, 1), (complexes.Homotopy, False, 2)} <= kinds
+        assert any(len(sys_.bases[n][1]) == 0
+                   for sys_, *_ in calls for n in range(sys_.lo, sys_.hi + 1))

@@ -22,7 +22,7 @@ import pytest
 from conftest import (mismatched_cone, mono_quasi_iso, periodic_complex,
                       random_chain_map, random_contractible, random_d2_complex,
                       truncated_polynomial)
-from singeq import complexes, fixtures, homotopy, linalg, modelcat, modules, solver
+from singeq import cli, complexes, fixtures, functors, homotopy, linalg, modelcat, modules, solver
 from singeq.complexes import Complex, ChainMap, Tail, identity_chain_map
 from singeq.errors import ValidationError
 from singeq.homotopy import YES
@@ -129,7 +129,8 @@ def recorded(check):
     seen = ([], [])
     real = complexes._first_failure
 
-    def first_failure(ranges, ns, keys, test, *columns):
+    def first_failure(ranges, ns, groups, test, *columns):
+        keys = {i: key for key, idx in groups for i in idx}
         entries = test is complexes._intertwining
         for j, r in enumerate(ranges):
             for i, n in enumerate(ns):
@@ -137,7 +138,7 @@ def recorded(check):
                         else c[i] for c in columns]
                 seen[0 if entries else 1].append(
                     (r.first(n), *(keys[i] if entries else ()), *objs))
-        return real(ranges, ns, keys, test, *columns)
+        return real(ranges, ns, groups, test, *columns)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complexes, "_first_failure", first_failure)
@@ -537,6 +538,74 @@ class TestJointChecks:
                 assert not homotopy.verify_null_homotopy(*bad[0], *bad[1:])
                 checked += 1
         assert checked >= 10
+
+
+# -- walk groups --------------------------------------------------------------
+
+
+def walk_groups(check) -> list:
+    """(kind, key of each walked degree, groups) of every module-pair
+    grouping (_Walk.twist_keys) and every loop grouping (_Walk.loop_keys)
+    that check() hands the check engine from _check_walk; each degree's
+    key is worked out from the maps' complexes, as the plan keys it: the
+    modules (S_n, T_{n+k}), or the shapes of dS_n and dT_{n+1} with that
+    of f_n."""
+    seen = []
+    real = complexes._first_failure
+
+    def first_failure(ranges, ns, groups, test, *columns):
+        if test is complexes._intertwining and isinstance(columns[0], complexes._Read):
+            g = columns[0].maps[0]
+            S, T, k = g.source, g.target, g.shift
+            seen.append(("twist", [(S.term(n), T.term(n + k)) for n in ns], groups))
+        elif len(columns) == 6:  # d s + s d - (g f - 1): dT, s_n, s_{n-1}, dS, g, f
+            s, f = columns[1].maps[0], columns[-1].maps[0]
+            S, T = s.source, s.target
+            seen.append(("loop", [((S.diff(n).shape, T.diff(n + 1).shape), f.component(n).shape)
+                                  for n in ns], groups))
+        return real(ranges, ns, groups, test, *columns)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_first_failure", first_failure)
+        check()
+    return seen
+
+
+def regrouped(keys: list) -> set:
+    """{(key, indices of the degrees with that key)}."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return {(key, tuple(idx)) for key, idx in groups.items()}
+
+
+class TestWalkGroups:
+    def test_twist_and_loop_groups_partition_the_walked_degrees(self, capsys):
+        from test_formats_cli import _PINNED_REPORTS, fx
+
+        def run():
+            # inverse checks whose third complex has terms of other
+            # dimensions in one equation group: T_per and a D3/F3 periodic
+            # complex, each into its sum with a bounded cone
+            for X in (fixtures.t_per(), periodic_complex(truncated_polynomial(3, 3), 1)):
+                A = modules.regular_module(X.algebra)
+                C = complexes.cone(identity_chain_map(functors.stalk(A)))
+                f = complexes.direct_sum_complex(X, C)[1]
+                assert homotopy.homotopy_equivalence_certificate(f).verdict == YES
+            for argv in _PINNED_REPORTS:
+                path = [fx(a) if a.endswith((".alg", ".mod", ".cx", ".map")) else a
+                        for a in argv]
+                assert cli.main(["--format", "json", *path]) == 0
+
+        seen = walk_groups(run)
+        capsys.readouterr()
+        assert {kind for kind, _, _ in seen} == {"twist", "loop"}
+        # some loop grouping splits an equation group by the shape of f_n
+        assert any(len(regrouped(keys)) > len({key for key, _ in keys})
+                   for kind, keys, _ in seen if kind == "loop")
+        for kind, keys, groups in seen:
+            assert sorted(i for _, idx in groups for i in idx) == list(range(len(keys)))
+            assert set(groups) == regrouped(keys)
 
 
 # -- per-object memos ---------------------------------------------------------
