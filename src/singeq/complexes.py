@@ -1075,8 +1075,8 @@ def _from_stacks(kind, S: Complex, T: Complex, lo: int, hi: int, fold: int,
     """The maps kind (ChainMap or Homotopy) S -> T of the solutions of a
     system on lo..hi folded with period fold (solver.FoldedSystem), whose
     components at window degree n are stacks[n], one per solution: one
-    family (_lone), whose arrays are the stacks, those of one block shape
-    concatenated, from which each map builds its table on its first read.
+    family (_lone), whose arrays concatenate the stacks of one block
+    shape, from which each map builds its table on its first read.
     A folded tail is the window stacks it folds to, so a tail block is
     the row of the window block it folds to, not a copy; past an unfolded
     window every block is zero.  A solution whose blocks on a tail are
