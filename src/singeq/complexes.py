@@ -506,14 +506,16 @@ class Complex:
 
     @cached_property
     def _membership(self) -> dict:
-        """Verdicts decided once per complex: "exact" (is_exact), and
-        "proj" / "inj" (homotopy.is_exP / is_exI), which share it."""
+        """Verdicts decided once per complex: "exact" (is_exact), "proj" /
+        "inj" (homotopy.is_exP / is_exI), which share it, and "flags"
+        (modelcat.membership_flags), which reads them."""
         return {}
 
     @cached_property
     def _solved(self) -> weakref.WeakKeyDictionary:
-        """{target, held weakly: {key: entry}}, what was solved for maps out
-        of this complex; the modules docstring lists the entries."""
+        """{target or generator family, held weakly: {key: entry}}, what was
+        solved for maps out of this complex, or between it and a family's
+        shifts; the modules docstring lists the entries."""
         return weakref.WeakKeyDictionary()
 
     @cached_property

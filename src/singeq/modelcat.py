@@ -13,7 +13,10 @@ built-in D2 are one complex.
 Each certificate is checked once, and the verdict follows the check: an
 orthogonality certificate is made only of pairs whose null-homotopy check
 passed inside homotopy.null_homotopies, so it is built checked, and a
-failed check gives UNKNOWN, never CERTIFIED.
+failed check gives UNKNOWN, never CERTIFIED.  A CERTIFIED verdict is
+remembered on the complex it describes and its pairs checked again on
+every hit (orthogonal_certificate); membership_flags are remembered on
+the complex too, as its exactness is.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import homotopy, modules, solver
-from .complexes import (ChainMap, Complex, cokernel_complex, compose, dual,
-                        kernel_complex, reindex, same_complex)
+from . import homotopy, linalg, modules, solver
+from .complexes import (ChainMap, Complex, Homotopy, _copied, _kept, cokernel_complex,
+                        compose, dual, kernel_complex, reindex, same_complex)
 from .config import Options
 from .errors import NotGorensteinError, ValidationError
 from .homotopy import NO, UNKNOWN, YES, Certificate, EquivalenceResult
@@ -102,25 +105,28 @@ class MapClassification:
 
 def _cycles_in_class(X: Complex, which: str) -> bool:
     """The cycles of every distinct block of X are projective (which
-    "proj") or injective."""
-    B = X._blocks
-    for n in range(B.lo - B.neg, B.hi + B.pos + 1):
-        if not X.term(n).dim:
-            continue  # no cycles
-        if not homotopy._in_class(modules.kernel(X.diff_map(n))[0], which):
-            return False
-    return True
+    "proj") or injective: one kernel per distinct (term, differential)
+    pair of X's table, as homotopy._terms_in_class reads its terms."""
+    p = X.algebra.p
+    blocks = {(id(t), id(d)): (t, d) for t, d in X._blocks.data if t.dim}  # 0 has no cycles
+    return all(homotopy._in_class(modules.submodule(t, linalg.kernel_basis(d, p))[0], which)
+               for t, d in blocks.values())
 
 
 def membership_flags(X: Complex, options: Options = Options()) -> MembershipFlags:
-    exP = homotopy.is_exP(X, options)
-    exI = homotopy.is_exI(X, options)
-    return MembershipFlags(
-        in_exP=exP,
-        in_exI=exI,
-        in_tildeP=exP and _cycles_in_class(X, "proj"),
-        in_tildeI=exI and _cycles_in_class(X, "inj"),
-    )
+    """X's four memberships, memoized on X (X._membership["flags"]), as
+    its "exact", "proj" and "inj" verdicts are; none reads options."""
+    memo = X._membership
+    if "flags" not in memo:
+        exP = homotopy.is_exP(X, options)
+        exI = homotopy.is_exI(X, options)
+        memo["flags"] = MembershipFlags(
+            in_exP=exP,
+            in_exI=exI,
+            in_tildeP=exP and _cycles_in_class(X, "proj"),
+            in_tildeI=exI and _cycles_in_class(X, "inj"),
+        )
+    return memo["flags"]
 
 
 def default_family(algebra, options: Options = Options()) -> GeneratorFamily:
@@ -177,6 +183,20 @@ def default_family(algebra, options: Options = Options()) -> GeneratorFamily:
 
 def orthogonal_certificate(X: Complex, side: str, fam: GeneratorFamily,
                            options: Options = Options()) -> OrthogonalityResult:
+    """CERTIFIED when every chain map between X and each shift of fam
+    (into X on side "right_of_exP", out of X on side "left_of_exI") is
+    null-homotopic, REFUTED with a map that is not, else UNKNOWN.
+
+    A CERTIFIED result is remembered in X._solved[fam], the family held
+    weakly, under the side and the Options: each pair as the index of its
+    shift in fam.shifts and the family columns of its map and homotopy
+    (complexes._kept), which share the arrays of the certificate handed
+    out.  A hit rebuilds the pairs onto X and the shifts as copies
+    (complexes._copied) and checks them again (homotopy.verify_certificate);
+    if the check fails, or a damaged entry raises, the result is solved
+    afresh and the entry overwritten.  REFUTED and UNKNOWN are not
+    remembered: a REFUTED carries no checkable certificate, and an
+    UNKNOWN is what a failed check gives."""
     if side not in ("right_of_exP", "left_of_exI"):
         raise ValueError(f"unknown side {side!r}")
     check = homotopy.is_exP if side == "right_of_exP" else homotopy.is_exI
@@ -185,13 +205,24 @@ def orthogonal_certificate(X: Complex, side: str, fam: GeneratorFamily,
     for T in fam.generators:
         if not check(T, options):
             raise ValidationError("generator fails its own membership check")
-    pairs = []
+
+    def ends(i):  # the source and target of the maps between X and fam.shifts[i]
+        return (fam.shifts[i], X) if side == "right_of_exP" else (X, fam.shifts[i])
+
+    entry = X._solved.get(fam, {}).get((side, options))
+    if entry is not None:
+        try:
+            cert = Certificate("orthogonality", {"pairs": [
+                (_copied(ChainMap, *ends(i), f), _copied(Homotopy, *ends(i), s))
+                for i, f, s in entry]})
+            if homotopy.verify_certificate(cert):
+                return OrthogonalityResult(CERTIFIED, certificate=cert, family=fam)
+        except ValidationError:
+            pass  # a damaged entry, solved again below
+    pairs, kept = [], []
     unknown = False
-    for Tk in fam.shifts:
-        if side == "right_of_exP":
-            basis, _ = solver.chain_map_space_basis(Tk, X, options)
-        else:
-            basis, _ = solver.chain_map_space_basis(X, Tk, options)
+    for i in range(len(fam.shifts)):
+        basis, _ = solver.chain_map_space_basis(*ends(i), options)
         for f, res in zip(basis, homotopy.null_homotopies(basis, options)):
             if res.verdict == NO:
                 return OrthogonalityResult(REFUTED, witness=f, family=fam)
@@ -199,8 +230,10 @@ def orthogonal_certificate(X: Complex, side: str, fam: GeneratorFamily,
                 unknown = True
             else:
                 pairs.append((f, res.homotopy))
+                kept.append((i, _kept(f), _kept(res.homotopy)))
     if unknown:
         return OrthogonalityResult(UNKNOWN, family=fam)
+    X._solved.setdefault(fam, {})[side, options] = tuple(kept)
     # every pair passed its check in null_homotopies
     cert = Certificate("orthogonality", {"pairs": pairs}, checked=True)
     return OrthogonalityResult(CERTIFIED, certificate=cert, family=fam)

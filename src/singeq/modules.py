@@ -33,10 +33,11 @@ The stores, each with its key, holder, lifetime and re-check rule.  The
 per-algebra memo above (_memo, the parse memo included) lives with its
 algebra; a value depends on its key alone and is not checked again.  A
 complex X holds, alive with it: _membership, its "exact", "proj" and
-"inj" verdicts; _dual, dual(X); _built, reindex(X, k) under k and
-direct_sum_complex(X, Y) under Y, an entry that holds Y while X lives;
-and _solved, the results for maps out of X under their target Y, held
-weakly, so an entry goes with Y and holds neither X nor Y.  There a
+"inj" verdicts and its modelcat.membership_flags ("flags"), none of
+which reads the Options; _dual, dual(X); _built, reindex(X, k) under k
+and direct_sum_complex(X, Y) under Y, an entry that holds Y while X
+lives; and _solved, the results for maps out of X under their target Y,
+held weakly, so an entry goes with Y and holds neither X nor Y.  There a
 chain-map basis is kept under the Options as its system without rows,
 with read-only kernel coefficients, from which a hit rebuilds the basis
 as one family (solver.FoldedSystem.graded_each).  A factorization,
@@ -52,7 +53,16 @@ equivalence validates f and g, then checks d h + h d = g f - 1 and
 f g - 1 in the walk (homotopy._verify_inverse_payload).  A basis hit
 takes no caller data, and a remembered NO or UNKNOWN is returned as it
 is.  _solved also keeps the plans of check walks
-(complexes._Walk), with no value and no result.  A module keeps its stalk (M._stalk), each complex its block
+(complexes._Walk), with no value and no result, and, under a generator
+family held weakly, each CERTIFIED orthogonality result for X under its
+side and the Options (modelcat.orthogonal_certificate): per pair the
+index of its shift in the family's shifts and the family columns of its
+map and homotopy (complexes._kept).  Those share the arrays of the
+certificate handed out, neither copied nor read-only, since every hit
+rebuilds the pairs as copies (complexes._copied) and checks them again
+(homotopy.verify_certificate); a failed check or a damaged entry is
+solved afresh and overwritten.  REFUTED and UNKNOWN are not remembered.
+A module keeps its stalk (M._stalk), each complex its block
 table, and each chain map its kernel and cokernel; like X's verdicts,
 dual and constructions, they are built from frozen inputs and not
 checked again.  Four module-level dicts never shrink:

@@ -1,19 +1,23 @@
 """Membership flags, orthogonality certificates, classification, weak equivalences."""
 
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import (equal_by_degrees, periodic_complex, t_per_with_period_2_tails,
+from conftest import (count_calls, equal_by_degrees, in_new_process, kept_block,
+                      periodic_complex, random_d2_complex, t_per_with_period_2_tails,
                       triangular_d2, truncated_polynomial)
-from singeq import complexes, fixtures, functors, homotopy, modelcat, modules, solver
+from singeq import cli, complexes, fixtures, functors, homotopy, modelcat, modules, solver
 from singeq.config import Options
 from singeq.errors import ValidationError
-from singeq.complexes import identity_chain_map, reindex, zero_chain_map
+from singeq.complexes import cone, direct_sum_complex, identity_chain_map, reindex, zero_chain_map
 from singeq.homotopy import NO, UNKNOWN, YES
 from singeq.modelcat import CERTIFIED, REFUTED
 
@@ -100,7 +104,10 @@ class TestOrthogonality:
             return [homotopy.Homotopy(f.source, f.target, {}, 0, 0) for f in maps]
 
         monkeypatch.setattr(homotopy, "_homotopies", zero_homotopies)
-        res = modelcat.orthogonal_certificate(functors.stalk(A), "left_of_exI", fam)
+        # a family of its own: an earlier test's certificate for the shared
+        # one is remembered, and its pairs check again fine
+        own = modelcat.GeneratorFamily(fam.generators, fam.shift_range)
+        res = modelcat.orthogonal_certificate(functors.stalk(A), "left_of_exI", own)
         assert res.verdict == UNKNOWN and res.certificate is None
 
     def test_shifts_are_built_once_per_family(self, monkeypatch, A, fam):
@@ -302,6 +309,149 @@ class TestDefaultFamily:
     def test_empty_for_finite_global_dimension(self, F2, T2):
         for alg in (F2, T2):
             assert modelcat.default_family(alg).generators == ()
+
+
+def classified(maps, options=Options()) -> list:
+    """classify_map under both tags and the default D2 family for each map
+    of maps: per map and tag, each class's verdict, reason and certificate
+    digest (cli.digest), as plain values."""
+    fam = modelcat.default_family(fixtures.D2(), options)
+    return [[[flag.verdict, flag.reason, cli.digest(flag.certificate)]
+             for flag in vars(modelcat.classify_map(f, tag, fam, options)).values()]
+            for f in maps for tag in modelcat.TAGS]
+
+
+def cone_sum_maps() -> list:
+    """The inclusion of T_per[1] into T_per[1] + C and the projection onto
+    it, C the cone of the identity of T_per: unbounded and contractible,
+    so both structures decide on C by orthogonality (the inclusion's
+    cokernel and the projection's kernel are C), and its certificates
+    depend on map_period_bound."""
+    C = cone(identity_chain_map(fixtures.t_per()))
+    _, iX, _, pX, _ = direct_sum_complex(reindex(fixtures.t_per(), 1), C)
+    return [iX, pX]
+
+
+def classified_per_bound(bounds) -> list:
+    """classified on one pair of cone_sum_maps for each map_period_bound of
+    bounds in turn."""
+    maps = cone_sum_maps()
+    return [classified(maps, Options(map_period_bound=b)) for b in bounds]
+
+
+def d2_cofibrations(seed: int) -> list:
+    """Eight maps X -> X + C over D2 as the benchmark pipeline builds them,
+    X random and bounded, C a shift of contractible_AA, a sum of two, or
+    a shift of T_per (whose orthogonality is refuted)."""
+    rng = random.Random(seed)
+    AA = fixtures.contractible_AA()
+    Cs = [reindex(AA, -1), reindex(AA, 2),
+          direct_sum_complex(reindex(AA, 0), reindex(AA, 1))[0], reindex(fixtures.t_per(), 1)]
+    return [direct_sum_complex(random_d2_complex(rng, 3, 2), Cs[i % len(Cs)])[1]
+            for i in range(8)]
+
+
+class TestRememberedResults:
+    """membership_flags and CERTIFIED orthogonality results are remembered
+    on the complex; no verdict depends on what ran before."""
+
+    def test_each_options_classifies_as_a_cold_run(self):
+        warm = classified_per_bound([2, 1, 2])
+        cold = [in_new_process("test_modelcat", f"classified_per_bound([{b}])")[0]
+                for b in (2, 1)]
+        assert warm == [cold[0], cold[1], cold[0]]
+        assert warm[0] != warm[1]
+
+    def test_cofibrations_classify_alike_forwards_backwards_and_cold(self):
+        forwards = classified(d2_cofibrations(5))
+        # new maps, whose cokernels are the same complexes, run last first
+        backwards = classified(d2_cofibrations(5)[::-1])
+        backwards = [backwards[i:i + 2] for i in range(0, len(backwards), 2)][::-1]
+        assert [forwards[i:i + 2] for i in range(0, len(forwards), 2)] == backwards
+        assert forwards == in_new_process("test_modelcat", "classified(d2_cofibrations(5))")
+        # on the co side some cokernels are certified and one is refuted
+        assert {row[1][0] for row in forwards[1::2]} == {YES, NO}
+
+    def test_a_hit_is_checked_again_and_solves_nothing(self, monkeypatch):
+        C = cone(identity_chain_map(fixtures.t_per()))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
+        first = modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        solves = count_calls(monkeypatch, homotopy, "null_homotopies")
+        checks = count_calls(monkeypatch, homotopy, "verify_certificate")
+        hit = modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        assert not solves and len(checks) == 1 and hit.certificate.checked
+        assert cli.digest(hit.certificate) == cli.digest(first.certificate)
+        hit_pairs, first_pairs = (r.certificate.payload["pairs"] for r in (hit, first))
+        assert all(g.source is f.source and g.target is f.target and g is not f
+                   for pair, old in zip(hit_pairs, first_pairs) for g, f in zip(pair, old))
+
+    def test_a_corrupted_pair_is_solved_again(self, monkeypatch):
+        C = cone(identity_chain_map(fixtures.t_per()))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
+        first = cli.digest(modelcat.orthogonal_certificate(C, "left_of_exI", fam).certificate)
+        entry = C._solved[fam]["left_of_exI", Options()]
+        _, _, kept = entry[0]  # the first pair's homotopy
+        block = kept_block(kept, kept[0])
+        assert block.size
+        block[0, 0] = (block[0, 0] + 1) % 2
+        solves = count_calls(monkeypatch, homotopy, "null_homotopies")
+        res = modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        assert solves and res.verdict == CERTIFIED and cli.digest(res.certificate) == first
+        assert C._solved[fam]["left_of_exI", Options()] is not entry  # overwritten
+
+    def test_an_unknown_is_not_remembered(self, monkeypatch, A):
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
+        X = functors.stalk(A)
+
+        def zero_homotopies(maps, m):
+            return [homotopy.Homotopy(f.source, f.target, {}, 0, 0) for f in maps]
+
+        monkeypatch.setattr(homotopy, "_homotopies", zero_homotopies)
+        assert modelcat.orthogonal_certificate(X, "left_of_exI", fam).verdict == UNKNOWN
+        assert fam not in X._solved
+        monkeypatch.undo()
+        res = modelcat.orthogonal_certificate(X, "left_of_exI", fam)
+        assert res.verdict == CERTIFIED and homotopy.verify_certificate(res.certificate)
+        assert list(X._solved[fam]) == [("left_of_exI", Options())]
+
+    def test_a_refutation_is_not_remembered(self, t_per):
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
+        assert modelcat.orthogonal_certificate(t_per, "left_of_exI", fam).verdict == REFUTED
+        assert fam not in t_per._solved
+
+    def test_another_side_family_or_options_never_hits(self, monkeypatch):
+        C = cone(identity_chain_map(fixtures.t_per()))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
+        other = modelcat.GeneratorFamily(fam.generators)
+        modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        solves = count_calls(monkeypatch, homotopy, "null_homotopies")
+        for side, family, options in [("right_of_exP", fam, Options()),
+                                      ("left_of_exI", other, Options()),
+                                      ("left_of_exI", fam, Options(homotopy_period_bound=3))]:
+            before = len(solves)
+            res = modelcat.orthogonal_certificate(C, side, family, options)
+            assert res.verdict == CERTIFIED and len(solves) > before
+        assert set(C._solved[fam]) == {("left_of_exI", Options()), ("right_of_exP", Options()),
+                                       ("left_of_exI", Options(homotopy_period_bound=3))}
+        assert list(C._solved[other]) == [("left_of_exI", Options())]
+
+    def test_an_entry_goes_with_its_family(self):
+        C = cone(identity_chain_map(fixtures.t_per()))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
+        modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        family = weakref.ref(fam)
+        del fam
+        gc.collect()
+        assert family() is None
+        assert not any(isinstance(k, modelcat.GeneratorFamily) for k in C._solved)
+
+    def test_flags_are_remembered_on_the_complex(self, monkeypatch):
+        C = cone(identity_chain_map(fixtures.t_per()))
+        flags = modelcat.membership_flags(C)
+        kernels = count_calls(monkeypatch, modules, "submodule")
+        assert modelcat.membership_flags(C) is flags and not kernels
+        assert C._membership["flags"] is flags
+        assert flags == modelcat.MembershipFlags(True, True, True, True)
 
 
 class TestClassifyMap:
