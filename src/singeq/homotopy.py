@@ -107,6 +107,12 @@ def verify_certificate(cert: Certificate) -> bool:
     return ok
 
 
+def _holds(res) -> bool:
+    """The holds of solver._remembered for an equivalence or orthogonality:
+    its certificate, if any, was built checked or passes verify_certificate."""
+    return res.certificate is None or res.certificate.checked or verify_certificate(res.certificate)
+
+
 def _verify_inverse_payload(payload: dict) -> bool:
     """f: X -> Y and g: Y -> X are chain maps (one stacked check), and
     d hX + hX d = g f - 1 on X and d hY + hY d = f g - 1 on Y, checked in
@@ -268,7 +274,8 @@ def homotopy_equivalence_certificate(
     """Homotopy inverse with both homotopies, extracted from a cone
     contraction; solved once per target, map value and Options
     (solver._remembered).  A remembered NO or UNKNOWN is returned as it
-    is; a remembered YES is rebuilt with f as its map and checked again."""
+    is; a remembered YES is rebuilt with f as its map and checked again.
+    An UNKNOWN given by a found inverse that fails its check is not kept."""
     X, Y = f.source, f.target
 
     def rebuild(value):
@@ -284,15 +291,12 @@ def homotopy_equivalence_certificate(
             "map": f, "inverse": g, "homotopy_source": hX, "homotopy_target": hY,
             "contraction": parts["contraction"]}))
 
-    def holds(res):
-        return res.verdict != YES or verify_certificate(res.certificate)
-
     def solve():
         value = _equivalence(f, options)
         yield rebuild(value), value
-        yield EquivalenceResult(UNKNOWN), (UNKNOWN, None)  # the found inverse failed its check
+        yield EquivalenceResult(UNKNOWN), None  # the found inverse failed its check
 
-    return _remembered(X, Y, ("equivalence", _value(f), options), (), solve, rebuild, holds)
+    return _remembered(X, Y, ("equivalence", _value(f), options), (), solve, rebuild, _holds)
 
 
 def _equivalence(f: ChainMap, options: Options) -> tuple:

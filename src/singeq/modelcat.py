@@ -14,9 +14,9 @@ Each certificate is checked once, and the verdict follows the check: an
 orthogonality certificate is made only of pairs whose null-homotopy check
 passed inside homotopy.null_homotopies, so it is built checked, and a
 failed check gives UNKNOWN, never CERTIFIED.  A CERTIFIED verdict is
-remembered on the complex it describes and its pairs checked again on
-every hit (orthogonal_certificate); membership_flags are remembered on
-the complex too, as its exactness is.
+remembered on the complex it describes through solver._remembered, as
+every re-checked result is; membership_flags are remembered on the
+complex too, as its exactness is.
 """
 
 from __future__ import annotations
@@ -187,16 +187,12 @@ def orthogonal_certificate(X: Complex, side: str, fam: GeneratorFamily,
     (into X on side "right_of_exP", out of X on side "left_of_exI") is
     null-homotopic, REFUTED with a map that is not, else UNKNOWN.
 
-    A CERTIFIED result is remembered in X._solved[fam], the family held
-    weakly, under the side and the Options: each pair as the index of its
-    shift in fam.shifts and the family columns of its map and homotopy
-    (complexes._kept), which share the arrays of the certificate handed
-    out.  A hit rebuilds the pairs onto X and the shifts as copies
-    (complexes._copied) and checks them again (homotopy.verify_certificate);
-    if the check fails, or a damaged entry raises, the result is solved
-    afresh and the entry overwritten.  REFUTED and UNKNOWN are not
-    remembered: a REFUTED carries no checkable certificate, and an
-    UNKNOWN is what a failed check gives."""
+    Remembered through solver._remembered in X._solved[fam], the family
+    held weakly, under the side and the Options: a CERTIFIED result as
+    each pair's shift index in fam.shifts and the family columns of its
+    map and homotopy (complexes._kept).  The certificate a miss hands out
+    shares its arrays with the entry, so its pairs are read-only.  REFUTED
+    and UNKNOWN are not remembered."""
     if side not in ("right_of_exP", "left_of_exI"):
         raise ValueError(f"unknown side {side!r}")
     check = homotopy.is_exP if side == "right_of_exP" else homotopy.is_exI
@@ -209,34 +205,29 @@ def orthogonal_certificate(X: Complex, side: str, fam: GeneratorFamily,
     def ends(i):  # the source and target of the maps between X and fam.shifts[i]
         return (fam.shifts[i], X) if side == "right_of_exP" else (X, fam.shifts[i])
 
-    entry = X._solved.get(fam, {}).get((side, options))
-    if entry is not None:
-        try:
-            cert = Certificate("orthogonality", {"pairs": [
-                (_copied(ChainMap, *ends(i), f), _copied(Homotopy, *ends(i), s))
-                for i, f, s in entry]})
-            if homotopy.verify_certificate(cert):
-                return OrthogonalityResult(CERTIFIED, certificate=cert, family=fam)
-        except ValidationError:
-            pass  # a damaged entry, solved again below
-    pairs, kept = [], []
-    unknown = False
-    for i in range(len(fam.shifts)):
-        basis, _ = solver.chain_map_space_basis(*ends(i), options)
-        for f, res in zip(basis, homotopy.null_homotopies(basis, options)):
-            if res.verdict == NO:
-                return OrthogonalityResult(REFUTED, witness=f, family=fam)
-            if res.verdict == UNKNOWN:
-                unknown = True
-            else:
-                pairs.append((f, res.homotopy))
-                kept.append((i, _kept(f), _kept(res.homotopy)))
-    if unknown:
-        return OrthogonalityResult(UNKNOWN, family=fam)
-    X._solved.setdefault(fam, {})[side, options] = tuple(kept)
-    # every pair passed its check in null_homotopies
-    cert = Certificate("orthogonality", {"pairs": pairs}, checked=True)
-    return OrthogonalityResult(CERTIFIED, certificate=cert, family=fam)
+    def rebuild(kept):
+        pairs = [(_copied(ChainMap, *ends(i), f), _copied(Homotopy, *ends(i), s))
+                 for i, f, s in kept]
+        cert = Certificate("orthogonality", {"pairs": pairs})
+        return OrthogonalityResult(CERTIFIED, certificate=cert, family=fam)
+
+    def solve():  # the one (result, value) of the scan, for _remembered
+        pairs = []
+        for i in range(len(fam.shifts)):
+            basis, _ = solver.chain_map_space_basis(*ends(i), options)
+            for f, res in zip(basis, homotopy.null_homotopies(basis, options)):
+                if res.verdict == NO:
+                    return [(OrthogonalityResult(REFUTED, witness=f, family=fam), None)]
+                pairs.append((i, f, res.homotopy))  # None on an UNKNOWN, and the scan goes on
+        if any(s is None for _, _, s in pairs):
+            return [(OrthogonalityResult(UNKNOWN, family=fam), None)]
+        # every pair passed its check in null_homotopies; the entry shares their arrays
+        cert = Certificate("orthogonality", {"pairs": [modules._read_only((f, s))
+                                                       for _, f, s in pairs]}, checked=True)
+        return [(OrthogonalityResult(CERTIFIED, certificate=cert, family=fam),
+                 tuple([(i, _kept(f), _kept(s)) for i, f, s in pairs]))]
+
+    return solver._remembered(X, fam, (side, options), (), solve, rebuild, homotopy._holds)
 
 
 def _bool_flag(ok: bool, reason: str) -> Flag:

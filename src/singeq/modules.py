@@ -36,33 +36,24 @@ complex X holds, alive with it: _membership, its "exact", "proj" and
 "inj" verdicts and its modelcat.membership_flags ("flags"), none of
 which reads the Options; _dual, dual(X); _built, reindex(X, k) under k
 and direct_sum_complex(X, Y) under Y, an entry that holds Y while X
-lives; and _solved, the results for maps out of X under their target Y,
-held weakly, so an entry goes with Y and holds neither X nor Y.  There a
-chain-map basis is kept under the Options as its system without rows,
-with read-only kernel coefficients, from which a hit rebuilds the basis
-as one family (solver.FoldedSystem.graded_each).  A factorization,
-stable lift or homotopy equivalence is kept under its kind, the maps'
-values and the Options, read-only (solver._remembered): each map as its
-window, family column (its family's arrays and its member there, from
-which its table is read) and tail periods (complexes._kept), of which a
-hit hands over copies on copied arrays (complexes._copied).  A hit is
-checked again against the caller's maps, and solved afresh if the check
-fails; the check builds no map: a factorization compares the composite
-with the caller's map on the three tables (complexes._factors), and an
-equivalence validates f and g, then checks d h + h d = g f - 1 and
-f g - 1 in the walk (homotopy._verify_inverse_payload).  A basis hit
-takes no caller data, and a remembered NO or UNKNOWN is returned as it
-is.  _solved also keeps the plans of check walks
-(complexes._Walk), with no value and no result, and, under a generator
-family held weakly, each CERTIFIED orthogonality result for X under its
-side and the Options (modelcat.orthogonal_certificate): per pair the
-index of its shift in the family's shifts and the family columns of its
-map and homotopy (complexes._kept).  Those share the arrays of the
-certificate handed out, neither copied nor read-only, since every hit
-rebuilds the pairs as copies (complexes._copied) and checks them again
-(homotopy.verify_certificate); a failed check or a damaged entry is
-solved afresh and overwritten.  REFUTED and UNKNOWN are not remembered.
-A module keeps its stalk (M._stalk), each complex its block
+lives; and _solved, what was solved for maps out of X, under their
+target Y or a generator family, held weakly, so an entry goes with it and
+holds neither X nor Y.  A result there that a hit checks again follows
+one rule (solver._remembered): its entry keeps each map read-only as its
+window, family column and tail periods (complexes._kept), a hit hands
+over copies (complexes._copied) checked against the caller's data, a
+failed check solves afresh, and a result nothing could check again is
+not kept.  The kinds, with key, holder and what a hit checks: a
+factorization or stable lift under the kind, the maps' values and the
+Options, in the factor's source under its target: the composite
+(complexes._factors); an equivalence f: X -> Y under f's value and the
+Options, in X under Y: the inverse payload (homotopy._verify_inverse_payload),
+a NO or UNKNOWN returned as it is; a CERTIFIED orthogonality under the
+side and the Options, in X under the family: every pair
+(homotopy.verify_certificate).  A chain-map basis under the Options
+(solver.chain_map_space_basis) and the plans of check walks
+(complexes._Walk) are kept there outside the rule, as solver._remembered
+says.  A module keeps its stalk (M._stalk), each complex its block
 table, and each chain map its kernel and cokernel; like X's verdicts,
 dual and constructions, they are built from frozen inputs and not
 checked again.  Four module-level dicts never shrink:
@@ -220,8 +211,9 @@ def _read_only(value):
         _read_only(value.action)
     elif isinstance(value, ModuleMap):
         _read_only(value.matrix)
-    elif hasattr(value, "_column"):  # a graded map: its family's arrays, of
-        _read_only(value._column[0].arrays)  # which each block it reads is a view
+    elif hasattr(value, "_column"):  # a graded map: its family's arrays, of which each
+        # block it reads is a view, and the views of its table if built before
+        _read_only((value._column[0].arrays, vars(value).get("_blocks")))
     elif hasattr(value, "_blocks"):  # a Complex: its table, whose tuples reach its blocks
         _read_only(value._blocks)
     elif isinstance(value, (tuple, dict)):

@@ -378,25 +378,32 @@ def chain_map_space_basis(X: Complex, Y: Complex, options: Options = Options()):
 def _remembered(S: Complex, T: Complex, key: tuple, ends: tuple, solve, rebuild, holds):
     """The first result of solve() that passes holds, or None; memoized in
     S._solved[T] under key, which names the complexes of ends by id (held
-    weakly, matched by identity).
+    weakly, matched by identity): the one memo of results a hit checks.
 
     solve() yields (result, value) pairs, value what an entry keeps of
-    result, made read-only; a result holds its own copies of the arrays a
-    caller may write.  A hit is rebuild(value), checked again by holds; if
-    the check fails, or a damaged entry raises, the result is solved
-    afresh and the entry overwritten."""
+    result, made read-only, or None for a result that nothing could check
+    again, which is returned and not kept.  A result holds copies of the
+    arrays a caller may write, or shares the entry's read-only ones.  A
+    hit is rebuild(value), checked again by holds; if the check fails,
+    the result is solved afresh and the entry overwritten.  Only an
+    entry's array entries can be damaged, which keeps every shape, and a
+    damaged entry fails holds without raising.
+
+    A chain-map basis (chain_map_space_basis) and a walk plan
+    (complexes._check_walk) are kept in _solved outside this: a basis hit
+    reads no caller data and hands out new products of its read-only
+    kernel coefficients, so there is nothing of the caller's to check it
+    against, and a plan holds no result."""
     entry = S._solved.get(T, {}).get(key)
     if entry is not None and all(r() is e for r, e in zip(entry[0], ends)):
-        try:
-            result = rebuild(entry[1])
-            if holds(result):
-                return result
-        except ValidationError:
-            pass  # a damaged entry, solved again below
+        result = rebuild(entry[1])
+        if holds(result):
+            return result
     for result, value in solve():
         if holds(result):
-            S._solved.setdefault(T, {})[key] = (tuple(map(weakref.ref, ends)),
-                                                modules._read_only(value))
+            if value is not None:
+                S._solved.setdefault(T, {})[key] = (tuple(map(weakref.ref, ends)),
+                                                    modules._read_only(value))
             return result
     return None
 

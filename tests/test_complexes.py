@@ -14,7 +14,8 @@ from conftest import (assert_one_table, assert_same_table, assert_views_of_stack
                       random_chain_map, random_contractible, random_d2_complex,
                       reference_from_tables, reference_lone_table, t_per_with_period_2_tails,
                       truncated_polynomial)
-from singeq import complexes, fixtures, formats, functors, homotopy, linalg, modules, solver
+from singeq import (complexes, fixtures, formats, functors, homotopy, linalg, modelcat, modules,
+                    solver)
 from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
                               homology, identity_chain_map, is_exact,
                               is_quasi_isomorphism, reindex, two_sided_split,
@@ -1067,6 +1068,11 @@ class TestStackedTables:
         [(_, factor)] = [v for k, v in X._solved[Y].items()
                          if isinstance(k, tuple) and k[0] == "lift"]
         kept.append(factor[2])
+        C = cone(identity_chain_map(fixtures.t_per()))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
+        assert modelcat.orthogonal_certificate(C, "left_of_exI", fam).verdict == modelcat.CERTIFIED
+        [(_, pairs)] = C._solved[fam].values()
+        kept += [k[2] for _, f, s in pairs for k in (f, s)]
         for family, j in kept:
             for a in family.arrays:
                 with pytest.raises(ValueError, match="read-only"):

@@ -592,6 +592,16 @@ class TestEquivalenceMemo:
         again = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
         assert len(solves) == 1 and cli.digest(again.certificate) == cold_digest
 
+    def test_a_failed_inverse_check_is_not_remembered(self, monkeypatch):
+        X = fresh_t_per()
+        monkeypatch.setattr(homotopy, "_verify_inverse_payload", lambda payload: False)
+        res = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
+        assert res.verdict == UNKNOWN and not equivalence_entries(X, X)
+        monkeypatch.undo()
+        res = homotopy.homotopy_equivalence_certificate(one_plus_x(X))
+        assert res.verdict == YES and res.certificate.checked
+        assert homotopy.verify_certificate(res.certificate) and equivalence_entries(X, X)
+
     def test_writing_into_a_returned_inverse_leaves_the_next_hit(self):
         X, cold = fresh_t_per(), cold_equivalence_outcome(4)[1]
         for _ in range(2):  # the cold call's certificate, then a hit's

@@ -390,14 +390,52 @@ class TestRememberedResults:
         fam = modelcat.GeneratorFamily((fixtures.t_per(),))
         first = cli.digest(modelcat.orthogonal_certificate(C, "left_of_exI", fam).certificate)
         entry = C._solved[fam]["left_of_exI", Options()]
-        _, _, kept = entry[0]  # the first pair's homotopy
+        refs, kept_pairs = entry
+        _, _, kept = kept_pairs[0]  # the first pair's homotopy
         block = kept_block(kept, kept[0])
-        assert block.size
+        assert refs == () and block.size
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1
+        block.flags.writeable = True
         block[0, 0] = (block[0, 0] + 1) % 2
         solves = count_calls(monkeypatch, homotopy, "null_homotopies")
         res = modelcat.orthogonal_certificate(C, "left_of_exI", fam)
         assert solves and res.verdict == CERTIFIED and cli.digest(res.certificate) == first
         assert C._solved[fam]["left_of_exI", Options()] is not entry  # overwritten
+
+    def test_a_certified_miss_shares_its_read_only_arrays_with_the_entry(self):
+        C = cone(identity_chain_map(fixtures.t_per()))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
+        res = modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        assert res.verdict == CERTIFIED and res.certificate.checked
+        _, kept_pairs = C._solved[fam]["left_of_exI", Options()]
+        pairs = res.certificate.payload["pairs"]
+        assert pairs and len(pairs) == len(kept_pairs)
+        for (f, s), (_, kf, ks) in zip(pairs, kept_pairs):
+            for h, kept in ((f, kf), (s, ks)):
+                assert kept[2] is h._column  # no copy
+                assert not any(a.flags.writeable for a in h._column[0].arrays)
+                block = kept_block(kept, kept[0])
+                assert block.size and np.shares_memory(block, h.component(kept[0]))
+                with pytest.raises(ValueError, match="read-only"):
+                    h.component(kept[0])[...] = 0
+
+    def test_an_early_unknown_does_not_stop_a_later_refutation(self, monkeypatch):
+        C = cone(identity_chain_map(fixtures.t_per()))
+        fam = modelcat.GeneratorFamily((fixtures.contractible_AA(),), shift_range=1)
+        assert len(fam.shifts) > 1
+        calls = []
+
+        def unknown_then_no(maps, options):
+            calls.append(len(maps))
+            verdict = UNKNOWN if len(calls) == 1 else NO
+            return [homotopy.NullHomotopyResult(verdict) for _ in maps]
+
+        monkeypatch.setattr(homotopy, "null_homotopies", unknown_then_no)
+        res = modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        assert res.verdict == REFUTED and len(calls) == 2 and all(calls)
+        assert res.witness.source is C and res.witness.target is fam.shifts[1]
+        assert fam not in C._solved
 
     def test_an_unknown_is_not_remembered(self, monkeypatch, A):
         fam = modelcat.GeneratorFamily((fixtures.t_per(),))
