@@ -1,16 +1,16 @@
-"""The function-body statements of src/singeq that a pytest run never runs.
+"""The function-body statements of src/singeq that tier-1 never runs.
 
-    python3 tools/line_coverage.py            # tier-1: pytest -q tests
-    python3 tools/line_coverage.py ARGS...    # pytest ARGS instead
+    python3 tools/line_coverage.py
 
-runs pytest in this process under a sys.settrace tracer limited to
-src/singeq, then prints, per module, the first line of each statement
-inside a function body that never ran: AST statements with no statement
-inside them, docstrings left out, each run when any of its lines ran.
+runs tier-1 (pytest -q tests) in this process under a sys.settrace
+tracer limited to src/singeq, then prints, per module, the first line
+of each statement inside a function body that never ran: AST statements
+with no statement inside them, docstrings left out, each run when any
+of its lines ran.
 Tests that start a new process (the demos, the benchmark's self-test and
 the cold runs that tests compare with) are not seen, so what only they
-reach is listed too.  The last line is the total; the exit status is
-pytest's."""
+reach is listed too.  The last line is the total.  It only reports:
+pytest prints its own result, and the exit status is 0."""
 
 import ast
 import glob
@@ -53,7 +53,7 @@ if __name__ == "__main__":
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     threading.settrace(call)
     sys.settrace(call)
-    status = pytest.main(sys.argv[1:] or ["-q", "-p", "no:cacheprovider", "tests"])
+    pytest.main(["-q", "-p", "no:cacheprovider", "tests"])
     sys.settrace(None)
     threading.settrace(None)
     total = missed = 0
@@ -66,4 +66,3 @@ if __name__ == "__main__":
             print(f"{os.path.basename(path)}: {len(never)} of {len(spans)}:", *never)
     print(f"{missed} of {total} function-body statements in src/singeq never ran "
           "(tests run in a new process are not seen)")
-    sys.exit(int(status))
