@@ -237,7 +237,7 @@ _REPLACEMENT_CACHE: dict = {}
 def stalk_replacement(S: Complex, which: str,
                       fam: GeneratorFamily | None = None,
                       options: Options = Options()) -> StalkReplacement:
-    if any(S.term(n).dim for n in range(S.lo, S.hi + 1) if n != 0) or not S.bounded():
+    if not modelcat._is_stalk_shape(S):
         raise ValidationError("replacement is implemented for stalk complexes only")
     if which not in ("cofibrant_ctr", "fibrant_co"):
         raise ValueError(f"unknown replacement kind {which!r}")

@@ -101,18 +101,18 @@ walk of its key on; a walk made once keeps only its key.
 
 add_maps and compose compute their result on the operands' families
 (_from_tables).  Operands whose columns sit on one layout of slots that
-covers the result, as the maps of one basis and all their sums do, meet
-array by array: one operation per array, and the result's family keeps
-that slots object, so a k-term combination of a basis stays on the
-basis's layout.  A blockless operand (zero_chain_map) between the same
-complexes reads as zero on the other's layout and builds no family.
-Other operands meet by a gather: one operation per pair of arrays that
-meet, the results the arrays of the result's family, which may hold two
-arrays of one block shape, so a walk reads each degree from the array
-its own slot names (_Read.stack).  A tail of zero blocks that a producer
-samples or computes is no tail, decided on the stacked tails of a whole
-family at once, one any per array (_own_periods); a constructor keeps
-the tails it gets.
+covers the result, with arrays of one block shape pair by pair, as the
+maps of one basis and all their sums do, meet array by array: one
+operation per array, and the result's family keeps that slots object,
+so a k-term combination of a basis stays on the basis's layout.  A
+blockless operand (zero_chain_map) between the same complexes reads as
+zero on the other's layout and builds no family.  Other operands are
+sampled degree by degree (_sample).  So every family holds one array
+per block shape, and a walk reads each group of degrees, whose blocks
+share a shape, from one array (_Read.stack).  A tail of zero blocks
+that a producer samples or computes is no tail, decided on the stacked
+tails of a whole family at once, one any per array (_own_periods); a
+constructor keeps the tails it gets.
 
 dual gives D(X) = Hom_k(X, k) over the opposite algebra, once per complex,
 and dual_chain_map D(f).  The injective side derives from the projective
@@ -230,7 +230,9 @@ class _Family(NamedTuple):
     frame sits (slots: a _Blocks of (array, row) pairs; a tail position
     may name a window row).  Column j of the arrays is map j at every
     degree, from which its table is built on its first read (_table); the
-    frame may be wider than a map's own table."""
+    frame may be wider than a map's own table.  No two arrays have one
+    block shape (rows, cols): every producer (_family, _from_tables,
+    _copied) keeps that, so the blocks of one shape sit in one array."""
 
     slots: _Blocks
     arrays: tuple
@@ -397,14 +399,12 @@ class _Read:
         return family.arrays[family.slots.data[index[self.at][i]][0]].shape[2:]
 
     def stack(self, idx: tuple) -> np.ndarray:
-        # each degree's rows from the array its own slot names
+        # a group's blocks share one shape, and a family holds one array
+        # per block shape, so the group's first slot names its array
         parts = []
         for family, members, _, index in self.runs:
             data, at = family.slots.data, index[self.at]
-            arrays, rows = zip(*[data[at[i]] for i in idx])
-            part = (_rows(family.arrays[arrays[0]], list(rows))
-                    if arrays.count(arrays[0]) == len(arrays)
-                    else np.stack([family.arrays[a][r] for a, r in zip(arrays, rows)]))
+            part = _rows(family.arrays[data[at[idx[0]]][0]], [data[at[i]][1] for i in idx])
             parts.append(part if members is None else part[:, members])
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
@@ -1214,21 +1214,21 @@ def _blockless(h: GradedMap) -> bool:
 def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
     """The chain map S -> T whose component at n is op(f_n, g_n), on the
     window lo..hi and one period nq, pq of each tail (profile, which
-    covers S and T), as chain_map_from_callable samples them.
+    covers S and T), as chain_map_from_callable samples them; op takes
+    (count, rows, cols) stacks.
 
-    op runs on the operands' family columns.  Operands whose columns sit
-    on one layout of slots that covers the profile (_covers), as the
-    maps of one basis and their sums do, meet row by row: op runs once
-    per array, on whole arrays, and the result's family keeps that
-    slots object.  A blockless operand (_blockless, zero_chain_map)
-    between the same complexes as the other reads as zero on the other's
-    layout, with no family of its own built.  Other operands meet by a
-    gather: op runs once per pair of arrays whose blocks meet at some
-    degree, on (count, rows, cols) stacks of the rows that meet there,
-    one array of the result's family per pair.  The result builds its
-    table on its first read, and is validated, or with checked=True,
-    which a caller passes when the operands prove it a chain map, marked
-    as one (ChainMap.validate).
+    Operands whose columns sit on one layout of slots that covers the
+    profile (_covers), with arrays of one block shape pair by pair, as
+    the maps of one basis and their sums do, meet array by array: op runs
+    once per array, on whole arrays, and the result's family keeps that
+    slots object, so it too holds one array per block shape.  A blockless
+    operand (_blockless, zero_chain_map) between the same complexes as the
+    other reads as zero on the other's layout, with no family of its own
+    built.  Other operands are sampled degree by degree (_sample), one op
+    per distinct pair of blocks.  The result builds its table on its
+    first read, and is validated, or with checked=True, which a caller
+    passes when the operands prove it a chain map, marked as one
+    (ChainMap.validate).
     """
     lo, hi, nq, pq = profile
     # a blockless operand takes the other's column and reads zeros of its
@@ -1237,32 +1237,17 @@ def _from_tables(S, T, profile, op, f, g, checked=False) -> ChainMap:
     zf = shared and _blockless(f)
     zg = shared and not zf and _blockless(g)
     (F, jf), (G, jg) = (g if zf else f)._column, (f if zg else g)._column
-    if (F.slots is G.slots or F.slots == G.slots) and _covers(F.slots, profile):
+    if (F.slots is G.slots or F.slots == G.slots) and _covers(F.slots, profile) and all(
+            a.shape[2:] == b.shape[2:] for a, b in zip(F.arrays, G.arrays)):
         zero = np.zeros_like
         family = _Family(F.slots, tuple([
             op(zero(a[:, jf]) if zf else a[:, jf], zero(b[:, jg]) if zg else b[:, jg])[:, None]
             for a, b in zip(F.arrays, G.arrays)]))
-    else:
-        (F, jf), (G, jg) = f._column, g._column
-        # an operand's own frame spares its gather; else a side with no
-        # tail reads one zero block
-        frame = (lo, hi, nq or 1, pq or 1)
-        for H in (F, G):
-            if _covers(H.slots, profile):
-                frame = H.slots[:4]
-        ns = range(frame[0] - frame[2], frame[1] + frame[3] + 1)
-        fw, gw = F.slots.on(ns), G.slots.on(ns)
-        pairs, groups = {}, {}
-        for a, b in dict.fromkeys(zip(fw, gw)):
-            i, fr, gr = groups.setdefault((a[0], b[0]), (len(groups), [], []))
-            pairs[a, b] = (i, len(fr))
-            fr.append(a[1])
-            gr.append(b[1])
-        family = _Family(_Blocks(*frame, tuple([pairs[pair] for pair in zip(fw, gw)])), tuple([
-            op(_rows(F.arrays[a], fr)[:, jf], _rows(G.arrays[b], gr)[:, jg])[:, None]
-            for (a, b), (_, fr, gr) in groups.items()]))
-    return _settled(_members(ChainMap, S, T, lo, hi, family,
-                             _own_periods(family, lo, hi, nq, pq))[0], checked)
+        return _settled(_members(ChainMap, S, T, lo, hi, family,
+                                 _own_periods(family, lo, hi, nq, pq))[0], checked)
+    pair = _once(lambda a, b: op(a[None], b[None])[0])
+    return chain_map_from_callable(S, T, lo, hi, lambda n: pair(f.component(n), g.component(n)),
+                                   nq, pq, checked)
 
 
 def compose(f: ChainMap, g: ChainMap) -> ChainMap:

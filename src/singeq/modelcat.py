@@ -281,31 +281,35 @@ def _is_stalk_shape(X: Complex) -> bool:
 
 def is_weak_equivalence(f: ChainMap, tag: str,
                         fam: GeneratorFamily | None = None,
-                        options: Options = Options(),
-                        _depth: int = 0) -> EquivalenceResult:
+                        options: Options = Options()) -> EquivalenceResult:
+    """Whether f is a weak equivalence of the tag's model structure: a
+    homotopy equivalence once each end is in the class (exP on "ctr",
+    exI on "co").  A stalk end outside the class is replaced first, in at
+    most two steps, since its replacement is never a stalk: the far end
+    (the source on "ctr", the target on "co") by composing with its
+    replacement, then the near end by factoring f through its own (a lift
+    on "ctr", an extension on "co").  UNKNOWN when an end outside the
+    class is no stalk, or the factor is not found."""
     if tag not in TAGS:
         raise ValueError(f"unknown structure tag {tag!r}")
-    which = "proj" if tag == "ctr" else "inj"
-    if homotopy._is_ex(f.source, which) and homotopy._is_ex(f.target, which):
-        return homotopy.homotopy_equivalence_certificate(f, options)
-    if _depth >= 3:
-        return EquivalenceResult(UNKNOWN)
-
     from . import approx  # deferred: approx builds on this module's verdict types
 
-    # a stalk end is replaced: on the ctr side f lifts along the cofibrant
-    # replacement of its target, on the co side it extends along the
-    # fibrant replacement of its source
-    near, far = (f.target, f.source) if tag == "ctr" else (f.source, f.target)
+    which = "proj" if tag == "ctr" else "inj"
     kind, how = ("cofibrant_ctr", "lift") if tag == "ctr" else ("fibrant_co", "extend")
-    if _is_stalk_shape(near) and not _is_stalk_shape(far):
-        rep = approx.stalk_replacement(near, kind, fam, options)
-        g = solver.factor_chain_map(f, rep.map, how, options)
-        if g is None:
-            return EquivalenceResult(UNKNOWN)
-        return is_weak_equivalence(g, tag, fam, options, _depth + 1)
-    if _is_stalk_shape(far):
+
+    def outside(X):  # a stalk end outside the class, which gets replaced
+        return _is_stalk_shape(X) and not homotopy._is_ex(X, which)
+
+    far = f.source if tag == "ctr" else f.target
+    if outside(far):
         rep = approx.stalk_replacement(far, kind, fam, options)
-        g = compose(f, rep.map) if tag == "ctr" else compose(rep.map, f)
-        return is_weak_equivalence(g, tag, fam, options, _depth + 1)
+        f = compose(f, rep.map) if tag == "ctr" else compose(rep.map, f)
+    near = f.target if tag == "ctr" else f.source
+    if outside(near):
+        rep = approx.stalk_replacement(near, kind, fam, options)
+        f = solver.factor_chain_map(f, rep.map, how, options)
+        if f is None:
+            return EquivalenceResult(UNKNOWN)
+    if homotopy._is_ex(f.source, which) and homotopy._is_ex(f.target, which):
+        return homotopy.homotopy_equivalence_certificate(f, options)
     return EquivalenceResult(UNKNOWN)

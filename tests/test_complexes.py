@@ -966,26 +966,47 @@ class TestStackedTables:
 
         calls = recorded_from_tables(monkeypatch, run)
         assert len(calls) > 500
-        shapes, shared = set(), 0
+        shapes = set()
         for (S, T, profile, op, f, g), h, _ in calls:
             reference = reference_from_tables(S, T, profile, op, f, g)
             assert_same_table(h, reference)
             assert_views_of_stacks(h)
             shapes.add(len({m.shape for m in h._blocks.data}))
+            # one array per block shape, so a walk reads each group from one array
             arrays = [a.shape[2:] for a in h._column[0].arrays]
-            if len(set(arrays)) < len(arrays):
-                # two arrays of one block shape: a walk of the result reads
-                # each degree from its own array, as a walk of the reference does
-                shared += S.algebra.name == "T2" and f.source is not g.source
-                h.validate()
-                zero = complexes.Homotopy(S, T, {}, 0, 0)
-                assert (homotopy.verify_null_homotopy(h, zero)
-                        == homotopy.verify_null_homotopy(reference, zero))
+            assert len(set(arrays)) == len(arrays)
         assert max(shapes) > 1
-        assert shared  # composites of T2 maps with mixed block shapes
         assert any(f._column[0].slots[:4] != g._column[0].slots[:4]
                    for (*_, f, g), _, _ in calls)
         assert any(h.neg_period != profile[2] and profile[2] for (_, _, profile, *_), h, _ in calls)
+
+    def test_every_family_holds_one_array_per_block_shape(self, monkeypatch):
+        # _lone lays out lone maps, solves and sampled results; _members
+        # is handed every other family: _from_tables' layout path and _copied
+        families, lone, members = [], complexes._lone, complexes._members
+        monkeypatch.setattr(complexes, "_lone",
+                            lambda *a: families.append(("_lone", lone(*a))) or families[-1][1])
+        monkeypatch.setattr(complexes, "_members",
+                            lambda *a: families.append(("_members", a[5])) or members(*a))
+        rng, results = random.Random(6), []
+        for X in t2_complexes():
+            for Y in t2_complexes():
+                first = solver.chain_map_space_basis(X, Y)[0]
+                second = solver.chain_map_space_basis(Y, X)[0]
+                fs = first + [random_combination_of(rng, first, X, Y)]
+                for f in fs:
+                    results += [add_maps(f, g) for g in fs]
+                    # composites of T2 maps whose blocks have mixed shapes
+                    results += [compose(g, f) for g in second]
+        results += [complexes.ChainMap(h.source, h.target, h.components, h.clo, h.chi)
+                    for h in results[:20]]
+        for h in results:
+            h._blocks
+            complexes._copied(complexes.ChainMap, h.source, h.target, complexes._kept(h))._blocks
+        assert {"_lone", "_members"} <= {name for name, _ in families}
+        for _, family in families:
+            shapes = [a.shape[2:] for a in family.arrays]
+            assert len(set(shapes)) == len(shapes)
 
     def test_a_walk_reads_each_degree_from_its_own_block(self, t_per):
         # T_per + D2 in degree 0: its inclusion i and projection p of T_per

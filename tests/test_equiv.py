@@ -13,7 +13,7 @@ from singeq import approx, complexes, equiv, fixtures, functors, homotopy, model
 from singeq.complexes import ChainMap, identity_chain_map, reindex
 from singeq.config import Options
 from singeq.errors import LiftError, ValidationError
-from singeq.homotopy import YES
+from singeq.homotopy import UNKNOWN, YES
 
 
 class TestPrimes:
@@ -226,6 +226,14 @@ class TestRoundTrip:
     def test_contractible(self, contractible):
         rt = equiv.verify_round_trip(contractible, "P")
         assert rt.verdict == YES
+
+    @pytest.mark.parametrize("side", ["P", "I"])
+    def test_no_stable_map_found_is_unknown(self, monkeypatch, t_per, side):
+        # the module-level solve for the canonical stable map finds none
+        monkeypatch.setattr(equiv.solver, "solve_module_map", lambda *a, **kw: None)
+        rt = equiv.verify_round_trip(t_per, side)
+        assert (rt.verdict, rt.composite_check) == (UNKNOWN, UNKNOWN)
+        assert rt.comparison is None and rt.certificate is None
 
     def test_shifted_t_per(self, t_per):
         rt = equiv.verify_round_trip(reindex(t_per, 5), "P")

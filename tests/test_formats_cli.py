@@ -244,6 +244,17 @@ class TestCli:
     def test_verify_equivalence(self, capsys):
         assert main(["verify-equivalence", fx("tper.cx")]) == 0
 
+    def test_verify_equivalence_picks_side_i(self, tmp_path, capsys):
+        # S2 -> S2 over T2 is exact, and its terms are injective, not projective
+        path = tmp_path / "t2.cx"
+        path.write_text(json.dumps(
+            {"window": {"lo": 0, "hi": 1, "terms": ["S2", "S2"], "diffs": [[[1]]]}}))
+        assert main(["--format", "json", "verify-equivalence", str(path)]) == 0
+        entries = {e["name"]: (e["verdict"], e["detail"])
+                   for e in json.loads(capsys.readouterr().out)["entries"]}
+        assert entries["membership"] == ("YES", "side I")
+        assert entries["round trip"][0] == "YES"
+
     def test_verify_equivalence_rejects_stalk(self, capsys):
         assert main(["verify-equivalence", fx("kstalk.cx")]) == 1
 

@@ -1,5 +1,6 @@
 """Null-homotopy solving, the stable criterion, and homotopy equivalences."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -679,6 +680,21 @@ class TestInverseRecheck:
             assert not verdict or complexes._same_terms(X, Y)
             assert homotopy._verify_inverse_payload(payload)
         assert rejected == changed and len(changed) == 6
+
+    @pytest.mark.parametrize("wrong", ["no chain map", "other ends"])
+    def test_an_inverse_that_is_no_chain_map_back_fails_the_check(self, t_per, wrong):
+        cert = homotopy.homotopy_equivalence_certificate(identity_chain_map(t_per)).certificate
+        assert homotopy._verify_inverse_payload(cert.payload)
+        if wrong == "no chain map":
+            # the identity at degree 0 alone does not commute with d
+            g = ChainMap(t_per, t_per, {0: linalg.eye(2)}, 0, 0)
+            with pytest.raises(ValidationError, match="does not commute with d at degree 0"):
+                cert.payload["map"].validate(g)
+        else:  # the identity of an equal complex, which is another object
+            g = identity_chain_map(dataclasses.replace(t_per))
+        bad = homotopy.Certificate("homotopy-inverse", {**cert.payload, "inverse": g})
+        assert not homotopy._verify_inverse_payload(bad.payload)
+        assert not homotopy.verify_certificate(bad) and not bad.checked
 
     def test_one_walk_per_side_and_one_when_x_is_y(self):
         # one walk per side, and one for both when X is Y, as

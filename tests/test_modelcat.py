@@ -501,6 +501,23 @@ class TestClassifyMap:
         fam = modelcat.GeneratorFamily((t_per,), 1)
         assert modelcat.classify_map(f, "ctr", fam).trivial_fibration.verdict == NO
 
+    @pytest.mark.parametrize("decided", [True, False])
+    def test_an_undecided_orthogonality_gives_an_unknown_flag(self, monkeypatch, t_per, decided):
+        # the projection T_per + T_per -> T_per has kernel T_per, whose
+        # identity refutes orthogonality to T_per; with no homotopy search
+        # decided the trivial fibration flag is undecided
+        if not decided:
+            monkeypatch.setattr(homotopy, "null_homotopies", lambda maps, options: [
+                homotopy.NullHomotopyResult(UNKNOWN) for _ in maps])
+        f = direct_sum_complex(t_per, t_per)[3]
+        own = modelcat.GeneratorFamily((t_per,))  # no result remembered for it
+        flag = modelcat.classify_map(f, "ctr", own).trivial_fibration
+        if decided:
+            assert flag.verdict == NO and flag.reason == "orthogonality refuted"
+        else:
+            assert flag.verdict == UNKNOWN
+            assert flag.reason == "orthogonality undecided against family"
+
     def test_zero_to_t_per_ctr(self, t_per, D2, fam):
         f = zero_chain_map(complexes.zero_complex(D2), t_per)
         cls = modelcat.classify_map(f, "ctr", fam)
@@ -567,6 +584,47 @@ class TestWeakEquivalence:
             if modelcat.is_weak_equivalence(Ff, "co", fam).verdict == YES:
                 assert modelcat.is_weak_equivalence(f, "ctr", fam).verdict \
                     == YES
+
+    # (map, its ctr and co verdicts); a stalk end outside the class is
+    # replaced, the far one first, so the stalks of k and A take two steps
+    # and a zero complex end, which is in the class, none
+    WEAK_EQUIVALENCES = {
+        "id stalk(k)": (lambda T, k, A, Z: identity_chain_map(functors.stalk(k)), YES, YES),
+        "id stalk(A)": (lambda T, k, A, Z: identity_chain_map(functors.stalk(A)), YES, YES),
+        "counit(T_per)": (lambda T, k, A, Z: functors.counit(T), NO, YES),
+        "unit(T_per)": (lambda T, k, A, Z: functors.unit(T), YES, NO),
+        "F(id T_per)": (lambda T, k, A, Z: functors.apply_F(identity_chain_map(T)), YES, YES),
+        "id T_per": (lambda T, k, A, Z: identity_chain_map(T), YES, YES),
+        "zero T_per -> T_per": (lambda T, k, A, Z: zero_chain_map(T, T), NO, NO),
+        "0 -> T_per": (lambda T, k, A, Z: zero_chain_map(Z, T), NO, NO),
+        "T_per -> stalk(k)": (lambda T, k, A, Z: zero_chain_map(T, functors.stalk(k)), NO, NO),
+        "stalk(k) -> T_per": (lambda T, k, A, Z: zero_chain_map(functors.stalk(k), T), NO, NO),
+        "0 -> stalk(k)": (lambda T, k, A, Z: zero_chain_map(Z, functors.stalk(k)), NO, NO),
+        "stalk(k) -> 0": (lambda T, k, A, Z: zero_chain_map(functors.stalk(k), Z), NO, NO),
+    }
+
+    @pytest.mark.parametrize("name", list(WEAK_EQUIVALENCES))
+    def test_verdicts_are_pinned(self, t_per, k, A, D2, fam, name):
+        make, *verdicts = self.WEAK_EQUIVALENCES[name]
+        # a zero complex of its own, so that no shared one keeps the results
+        zero = complexes.Complex.build(D2, 0, 0, {0: modules.zero_module(D2)}, {}, checked=True)
+        f = make(t_per, k, A, zero)
+        assert [modelcat.is_weak_equivalence(f, tag, fam).verdict
+                for tag in ("ctr", "co")] == verdicts
+
+    def test_ends_neither_stalks_nor_in_the_class_are_unknown(self, k, fam):
+        S = functors.stalk(k)
+        X = direct_sum_complex(S, reindex(S, 1))[0]
+        for tag in ("ctr", "co"):
+            res = modelcat.is_weak_equivalence(identity_chain_map(X), tag, fam)
+            assert res.verdict == UNKNOWN and res.certificate is None
+
+    def test_a_factor_not_found_is_unknown(self, monkeypatch, k, fam):
+        monkeypatch.setattr(solver, "factor_chain_map", lambda *a, **kw: None)
+        f = identity_chain_map(functors.stalk(k))
+        for tag in ("ctr", "co"):
+            res = modelcat.is_weak_equivalence(f, tag, fam)
+            assert res.verdict == UNKNOWN and res.certificate is None
 
 
 class TestContractibilityCoherence:
