@@ -320,7 +320,7 @@ def demo(ctx, name):
     X = _DEMO_FIXTURES[name]()
     d = modules.gorenstein_dimension(X.algebra, options.gorenstein_bound)
     report.add("gorenstein base algebra", NO if d is None else YES, detail=f"dimension {d}")
-    flags = modelcat.membership_flags(X, options)
+    flags = modelcat.membership_flags(X)
     report.add("input in exP and exI", YES if flags.in_exP and flags.in_exI else NO)
     eps = functors.counit(X)
     wk = modelcat.is_weak_equivalence(eps, "co", options=options)

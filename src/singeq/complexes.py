@@ -64,9 +64,9 @@ and the first L' degrees after them.
 
 One engine runs the checks (_first_failure), and one function walks the
 checks of graded maps g: S_n -> T_{n+k} and returns the first that fails
-(_check_walk): the shapes, then g a module map at every action index,
-then the equation: f d = d f for chain maps (ChainMap.validate),
-d s + s d = f for null-homotopies (homotopy.verify_null_homotopy), and
+(_check_walk): g a module map at every action index, then the
+equation: f d = d f for chain maps (ChainMap.validate), d s + s d = f
+for null-homotopies (homotopy.verify_null_homotopy), and
 d s + s d = g f - 1 for the homotopies of a homotopy inverse, from the
 blocks of f and g with no map built (homotopy._verify_inverse_payload).
 homotopy reaches it as complexes._check_walk: this module holds the
@@ -84,20 +84,22 @@ differentials are stacked once per plan.
 Each group costs one array per operand and one batched product per side;
 intertwining tests every action index (modules.intertwining_residue, as
 ModuleMap.validate does), and over several objects multiplies out only
-the nonzero blocks.  Shapes are checked first, at every walked degree of
-every object.  A failing check is reported at the first degree of its
-object's own range that carries it (_Range.first), so an error names the
-same smallest failing degree, and for intertwining the same first
-failing action index, as a check of that object alone.
+the nonzero blocks.  No walk checks a shape: every family fits its
+complexes' terms (_Family), and a walk reads maps of its degree between
+complexes with its terms.  A failing check is reported at the first
+degree of its object's own range that carries it (_Range.first), so an
+error names the same smallest failing degree, and for intertwining the
+same first failing action index, as a check of that object alone.
 
-Each walk has a plan (_Walk): the check ranges, the walked degrees, the
-shapes, the grouping by modules and by shapes, the differentials stacked
+Each walk has a plan (_Walk): the check ranges, the walked degrees,
+the grouping by modules and by shapes, the differentials stacked
 per group, and where the blocks at those degrees sit in each frame read,
 a table's or a family's.  It depends only on S, T, the degree k, the
 kind of right-hand side and each object's window and tail periods,
 never on a map's values, and holds no check result: every check runs on
-every call, on the caller's maps.  A plan is kept in S._solved[T], so it goes with T, from the second
-walk of its key on; a walk made once keeps only its key.
+every call, on the caller's maps.  A plan is kept in S._solved[T], so it
+goes with T, from the second walk of its key on; a walk made once keeps
+only its key.
 
 add_maps and compose compute their result on the operands' families
 (_from_tables).  Operands whose columns sit on one layout of slots that
@@ -230,9 +232,9 @@ class _Family(NamedTuple):
     frame sits (slots: a _Blocks of (array, row) pairs; a tail position
     may name a window row).  Column j of the arrays is map j at every
     degree, from which its table is built on its first read (_table); the
-    frame may be wider than a map's own table.  No two arrays have one
-    block shape (rows, cols): every producer (_family, _from_tables,
-    _copied) keeps that, so the blocks of one shape sit in one array."""
+    frame may be wider than a map's own table.  Each block fits the terms
+    of its degree, and no two arrays have one block shape: _lone checks
+    and keeps both, and _from_tables and _copied derive from its families."""
 
     slots: _Blocks
     arrays: tuple
@@ -371,61 +373,42 @@ class _Read:
     gather per run of maps of one family, so a basis costs one gather per
     group, not one matrix per map and degree."""
 
-    __slots__ = ("maps", "plan", "at", "runs")
+    __slots__ = ("maps", "at", "runs")
 
     def __init__(self, plan: "_Walk", maps: list):
         # runs: (family, its maps' columns, or None for all of them in
-        # order, the first map's place in maps, where the family's slots at
-        # n - 1 and at n sit in its frame (_Walk.positions))
-        self.maps, self.plan, self.at, runs = maps, plan, 1, []
-        for j, g in enumerate(maps):
+        # order, where the family's slots at n - 1 and at n sit in its
+        # frame (_Walk.positions))
+        self.maps, self.at, runs = maps, 1, []
+        for g in maps:
             family, member = g._column
             if runs and runs[-1][0] is family:
                 runs[-1][1].append(member)
             else:
-                runs.append((family, [member], j, plan.positions(family.slots)))
+                runs.append((family, [member], plan.positions(family.slots)))
         self.runs = [(family, None if members == list(range(family.arrays[0].shape[1]))
-                      else members, j, index) for family, members, j, index in runs]
+                      else members, index) for family, members, index in runs]
 
     def before(self) -> "_Read":
         """The same maps' blocks at n - 1, read on the same runs."""
         read = object.__new__(_Read)
-        read.maps, read.plan, read.at, read.runs = self.maps, self.plan, 0, self.runs
+        read.maps, read.at, read.runs = self.maps, 0, self.runs
         return read
 
     def shape(self, i: int) -> tuple:
         """The shape of the first map's block at walked degree i."""
-        family, _, _, index = self.runs[0]
+        family, _, index = self.runs[0]
         return family.arrays[family.slots.data[index[self.at][i]][0]].shape[2:]
 
     def stack(self, idx: tuple) -> np.ndarray:
         # a group's blocks share one shape, and a family holds one array
         # per block shape, so the group's first slot names its array
         parts = []
-        for family, members, _, index in self.runs:
+        for family, members, index in self.runs:
             data, at = family.slots.data, index[self.at]
             part = _rows(family.arrays[data[at[idx[0]]][0]], [data[at[i]][1] for i in idx])
             parts.append(part if members is None else part[:, members])
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-    def wrong_shape(self, ranges, ns, shapes: tuple):
-        """Smallest reported degree (see _first_failure) at which a map's
-        block does not have the shape given for its degree in shapes, or
-        None.  The maps of one family share their blocks' shapes, except
-        where a map has no block: its zero block there has the shape of
-        its complexes' terms, which shapes gives."""
-        bad = []
-        for family, members, start, index in self.runs:
-            have = tuple([family.arrays[family.slots.data[i][0]].shape[2:]
-                          for i in index[self.at]])
-            if have != shapes:
-                wrong = [n for n, a, b in zip(ns, have, shapes) if a != b]
-                count = family.arrays[0].shape[1] if members is None else len(members)
-                for j in range(start, start + count):
-                    g = self.maps[j]
-                    bad += [ranges[j].first(n) for n in wrong if g.clo <= n + self.at - 1 <= g.chi
-                            or (g.neg_period if n + self.at - 1 < g.clo else g.pos_period)]
-        return min(bad, default=None)
 
 
 def _rows(array: np.ndarray, rows: list) -> np.ndarray:
@@ -736,7 +719,8 @@ class ChainMap(GradedMap):
 
         Maps that share a source and a target are walked once and their
         checks stacked, so a whole basis of chain maps costs one batched
-        product per group and side.  Errors come in the order shape,
+        product per group and side.  A block of the wrong shape raises when
+        the walk lays its map out (_lone); then errors come in the order
         intertwining, commutation, each at its smallest failing degree:
         the least first failure (_check_walk) over the groups.
 
@@ -759,8 +743,7 @@ class ChainMap(GradedMap):
                   default=None)
         if bad is not None:
             kind, n, i = bad
-            raise ValidationError((f"component at degree {n} has wrong shape",
-                                   f"component at degree {n} does not intertwine action {i}",
+            raise ValidationError((f"component at degree {n} does not intertwine action {i}",
                                    f"does not commute with d at degree {n}")[kind])
         for f in maps:
             _proven(f)
@@ -832,8 +815,7 @@ class _Walk:
     periods of its right-hand side's maps, over which their blocks
     repeat as values (1 where a map has no tail): the frames of a loop's
     maps depend on a third complex, which the key does not fix.  The
-    plan holds the walked degrees ns, the shapes of g (and of the
-    right-hand side) there, the groups of degrees by module pair
+    plan holds the walked degrees ns, the groups of degrees by module pair
     (twists, with where T's module sits in its table; twist_keys gives
     the groups for one T) and by differential shapes (equations; split
     by the shape of f_n in loop_keys), each in the form _first_failure
@@ -845,8 +827,8 @@ class _Walk:
     once, and the columns of ints are tuples, which the garbage collector
     stops tracking: a kept plan adds few objects to its full passes."""
 
-    __slots__ = ("ranges", "eq_ranges", "ns", "prev", "shapes", "rhs_shapes", "twists",
-                 "equations", "dS", "dT", "_index", "_loops", "__weakref__")
+    __slots__ = ("ranges", "eq_ranges", "ns", "prev", "twists", "equations", "dS", "dT",
+                 "_index", "_loops", "__weakref__")
 
     def __init__(self, S: Complex, T: Complex, k: int, objects: list, profiles: tuple):
         Sb, Tb = S._blocks, T._blocks
@@ -864,9 +846,6 @@ class _Walk:
         self.ns, self.prev = tuple(ns), tuple([n - 1 for n in ns])
         at = Tb.index([n + k for n in ns])
         S1, T1 = Sb.on(ns), [Tb.data[i] for i in at]
-        self.shapes = tuple([(t.dim, s.dim) for (s, _), (t, _) in zip(S1, T1)])
-        self.rhs_shapes = self.shapes if not k else tuple(
-            [(t.dim, s.dim) for (s, _), (t, _) in zip(S1, Tb.on(ns))])
         # per group of module pairs, S's module and where T's sits in its table
         self.twists = tuple([((s, at[idx[0]]), idx) for (s, _), idx
                              in _grouped([(s, t) for (s, _), (t, _) in zip(S1, T1)])])
@@ -909,10 +888,12 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
                 loops: list | None = None):
     """The first failing check of graded maps g: S_n -> T_{n+k}, walked
     once over the union of their check ranges, as (kind, degree, detail),
-    or None.  The kinds run in order, each only when the ones before it
-    pass: 0 a block of the wrong shape (detail 0), 1 a g that is no module
-    map (detail the first failing action index), 2 the equation (detail
-    the first failing row); each at its smallest reported degree.
+    or None: 0 a g that is no module map (detail the first failing action
+    index), else 1 the equation (detail the first failing row), each at
+    its smallest reported degree.  A g of degree other than k, an f of
+    the equation of degree other than 0, or a map between complexes of
+    other terms (_same_terms) raises ValidationError, as one whose blocks
+    do not fit does when the walk first lays it out (_lone).
 
     The equation is f d = d f for chain maps (k = 0, no right-hand side),
     d s + s d = f for homotopies (k = 1, rhs the map f of each), and
@@ -926,6 +907,9 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
     a + 1 for chain maps and from a for homotopies, whose walk starts at
     a - 1.  The walk's plan (_Walk) is kept as the module docstring
     says."""
+    if not all([_runs(g, k, S, T) for g in maps] + [_runs(f, 0, S, T) for f in rhs or ()] + [
+            _runs(f, 0, S, f.target) and _runs(g, 0, f.target, T) for f, g in loops or ()]):
+        raise ValidationError("a map of another degree or between other terms in a walk")
     if loops is not None:
         objects, kind = [(h, *loop) for h, loop in zip(maps, loops)], "g f - 1"
     elif rhs is not None:
@@ -935,27 +919,17 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
     one = {}  # equal profiles as one object, so that a kept key is small
     profiles = tuple([one.setdefault(q, q) for q in [tuple(map(_profile, o)) for o in objects]])
     key = ("walk", k, kind, profiles)
-    plans = S._solved.get(T)
-    if plans is None:
-        plans = S._solved[T] = {}
+    plans = S._solved.setdefault(T, {})
     plan = plans.get(key)
     if plan is None:
         plan = _Walk(S, T, k, objects, profiles)
         # None marks a walk made once: a plan is kept from its second walk
         # on, so a walk made once keeps nothing but its key
         plans[key] = plan if key in plans else None
-    ranges, ns = plan.ranges, plan.ns
-    G1 = _Read(plan, maps)
-    bad = [G1.wrong_shape(ranges, ns, plan.shapes)]
-    if rhs is not None:
-        F = _Read(plan, rhs)
-        bad.append(F.wrong_shape(ranges, ns, plan.rhs_shapes))
-    bad = min([n for n in bad if n is not None], default=None)
+    ns, G1 = plan.ns, _Read(plan, maps)
+    bad = _first_failure(plan.ranges, ns, plan.twist_keys(T), _intertwining, G1)
     if bad is not None:
-        return 0, bad, 0
-    bad = _first_failure(ranges, ns, plan.twist_keys(T), _intertwining, G1)
-    if bad is not None:
-        return 1, *bad
+        return 0, *bad
     G0, p = G1.before(), S.algebra.p
     if loops is not None:
         f, g = _Read(plan, [f for f, _ in loops]), _Read(plan, [g for _, g in loops])
@@ -975,8 +949,14 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
     else:
         bad = _first_failure(plan.eq_ranges, ns, plan.equations,
                              lambda _, dT, s1, s0, dS, f: (dT @ s1 + s0 @ dS) % p - f,
-                             plan.dT, G1, G0, plan.dS, F)
-    return bad and (2, *bad)
+                             plan.dT, G1, G0, plan.dS, _Read(plan, rhs))
+    return bad and (1, *bad)
+
+
+def _runs(g: GradedMap, k: int, S: Complex, T: Complex) -> bool:
+    """Whether g reads as a map S_n -> T_{n+k} in a walk: of degree k,
+    between complexes with the terms of S and T."""
+    return g.shift == k and _same_terms(g.source, S) and _same_terms(g.target, T)
 
 
 def chain_map(source, target, components, clo=None, chi=None,
@@ -1013,16 +993,26 @@ def _lone(S: Complex, T: Complex, k: int, clo: int, chi: int, window: list,
     where the maps have none one zero stack per shape: for count 1 a view
     of the shared zero block (modules.zero_block).  The one frame loop for
     every family: a lone map's (GradedMap._column) and a solve's
-    (_from_stacks)."""
+    (_from_stacks), and the one shape check: each given stack fits
+    (dim T_{n+k}, dim S_n) at each n of the frame's window widened by one
+    period of the lcm of all tail periods on each side, else
+    ValidationError at the first n where it does not."""
     nq, pq = neg[0] if neg else 0, pos[0] if pos else 0
     lo, hi, q, qp = frame = _frame(S, T, k, clo, chi, nq, pq)
+    Sb, Tb = S._blocks, T._blocks
+    a, b = lo - math.lcm(q, Sb.neg, Tb.neg), hi + math.lcm(qp, Sb.pos, Tb.pos)
     count = next((len(m) for m in window if m is not None), 1)
     blocks, zeros = [], {}
-    for n in range(lo - q, hi + qp + 1):
+    for n, (s, _), (t, _) in zip(range(a, b + 1), Sb.on(range(a, b + 1)),
+                                 Tb.on(range(a + k, b + k + 1))):
         m = ((neg[1][(clo - 1 - n) % nq] if nq else None) if n < clo
              else (pos[1][(n - chi - 1) % pq] if pq else None) if n > chi else window[n - clo])
+        shape = (t.dim, s.dim)
+        if m is not None and m.shape[1:] != shape:
+            raise ValidationError(f"component at degree {n} has wrong shape")
+        if not lo - q <= n <= hi + qp:
+            continue
         if m is None:
-            shape = (T.term(n + k).dim, S.term(n).dim)
             m = zeros.get(shape)
             if m is None:
                 m = zeros[shape] = (modules.zero_block(S.algebra, *shape)[None] if count == 1

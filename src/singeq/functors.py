@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg, modules
-from .complexes import ChainMap, Complex, _inputs_checked, chain_map, dual, dual_chain_map
+from .complexes import ChainMap, Complex, _inputs_checked, _reads, chain_map, dual, dual_chain_map
 from .errors import ValidationError
 from .modules import Module, ModuleMap
 
@@ -58,11 +58,12 @@ def stalk(M: Module) -> Complex:
 
 
 def omega_map(f: ChainMap) -> ModuleMap:
-    """Induced map omega(source) -> omega(target)."""
+    """Induced map omega(source) -> omega(target), from f's block at 0
+    alone, read from its family column with no table built."""
     p = f.source.algebra.p
     _, projX = omega_data(f.source)
     NY, projY = omega_data(f.target)
-    rhs = (projY.matrix @ f.component(0)) % p
+    rhs = (projY.matrix @ _reads(f, [0])[1][0]) % p
     mT = linalg.solve_matrix(projX.matrix.T, rhs.T, p)
     if mT is None:
         raise ValidationError("chain map does not descend along omega")

@@ -78,10 +78,11 @@ def verify_null_homotopy(f: ChainMap, s: Homotopy, *others: tuple) -> bool:
     tail periods (complexes._check_range).  Pairs that share one source
     and one target are walked once, over the union of their ranges, which
     runs a superset of each pair's checks; a failing walk ends the check.
-    Every shape is checked; then each s_n is checked to be a module map
-    at every action index, and the equation at every entry, each stacked
-    across the walked degrees and the pairs, with one batched product per
-    group and side.
+    Each s_n is checked to be a module map at every action index, and the
+    equation at every entry, each stacked across the walked degrees and
+    the pairs, with one batched product per group and side.  A pair the
+    walk cannot read (a block of the wrong shape, a map of another degree
+    or terms) is False, not an error.
     """
     p = f.source.algebra.p
     groups = {}
@@ -89,8 +90,11 @@ def verify_null_homotopy(f: ChainMap, s: Homotopy, *others: tuple) -> bool:
         if g.source.algebra.p != p:
             return False
         groups.setdefault((g.source, g.target), []).append((g, h))
-    return all(complexes._check_walk(X, Y, 1, [h for _, h in pairs], [g for g, _ in pairs])
-               is None for (X, Y), pairs in groups.items())
+    try:
+        return all(complexes._check_walk(X, Y, 1, [h for _, h in pairs], [g for g, _ in pairs])
+                   is None for (X, Y), pairs in groups.items())
+    except ValidationError:
+        return False
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -119,21 +123,21 @@ def _verify_inverse_payload(payload: dict) -> bool:
     the walk (complexes._check_walk, with loops) from the blocks of f and
     g, so no map is built for g f - 1 or f g - 1.  When X is Y both
     homotopies are checked in one walk, as verify_null_homotopy groups
-    pairs."""
+    pairs; a map the walks cannot read fails, as there."""
     f, g = payload["map"], payload["inverse"]
     hX, hY = payload["homotopy_source"], payload["homotopy_target"]
     X, Y = f.source, f.target
     if g.source is not Y or g.target is not X:
         return False
-    try:
-        f.validate(g)
-    except ValidationError:
-        return False
     sides = {}
     for Z, h, loop in ((X, hX, (f, g)), (Y, hY, (g, f))):
         sides.setdefault(Z, []).append((h, loop))
-    return all(complexes._check_walk(Z, Z, 1, [h for h, _ in side], loops=[l for _, l in side])
-               is None for Z, side in sides.items())
+    try:
+        f.validate(g)
+        return all(complexes._check_walk(Z, Z, 1, [h for h, _ in side], loops=[l for _, l in side])
+                   is None for Z, side in sides.items())
+    except ValidationError:
+        return False
 
 
 def _homotopies(maps: list, m: int) -> list:

@@ -113,13 +113,13 @@ def _cycles_in_class(X: Complex, which: str) -> bool:
                for t, d in blocks.values())
 
 
-def membership_flags(X: Complex, options: Options = Options()) -> MembershipFlags:
+def membership_flags(X: Complex) -> MembershipFlags:
     """X's four memberships, memoized on X (X._membership["flags"]), as
-    its "exact", "proj" and "inj" verdicts are; none reads options."""
+    its "exact", "proj" and "inj" verdicts are."""
     memo = X._membership
     if "flags" not in memo:
-        exP = homotopy.is_exP(X, options)
-        exI = homotopy.is_exI(X, options)
+        exP = homotopy.is_exP(X)
+        exI = homotopy.is_exI(X)
         memo["flags"] = MembershipFlags(
             in_exP=exP,
             in_exI=exI,
@@ -252,7 +252,7 @@ def classify_map(f: ChainMap, tag: str, fam: GeneratorFamily,
     coker, _ = cokernel_complex(f)
     ker, _ = kernel_complex(f)
     if tag == "ctr":
-        cflags = membership_flags(coker, options)
+        cflags = membership_flags(coker)
         cof = _bool_flag(mono and cflags.in_exP,
                          "not a mono" if not mono else "cokernel not in exP~")
         tcof = _bool_flag(mono and cflags.in_tildeP,
@@ -262,7 +262,7 @@ def classify_map(f: ChainMap, tag: str, fam: GeneratorFamily,
                           orthogonal_certificate(ker, "right_of_exP", fam, options)
                           if epi else OrthogonalityResult(UNKNOWN))
     else:
-        kflags = membership_flags(ker, options)
+        kflags = membership_flags(ker)
         fib = _bool_flag(epi and kflags.in_exI,
                          "not an epi" if not epi else "kernel not in exI~")
         tfib = _bool_flag(epi and kflags.in_tildeI,

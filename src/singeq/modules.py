@@ -214,6 +214,8 @@ def _read_only(value):
     elif hasattr(value, "_column"):  # a graded map: its family's arrays, of which each
         # block it reads is a view, and the views of its table if built before
         _read_only((value._column[0].arrays, vars(value).get("_blocks")))
+    elif hasattr(value, "slots") and hasattr(value, "arrays"):  # a family (complexes._Family):
+        _read_only(value.arrays)  # its arrays; its slots hold only ints
     elif hasattr(value, "_blocks"):  # a Complex: its table, whose tuples reach its blocks
         _read_only(value._blocks)
     elif isinstance(value, (tuple, dict)):

@@ -120,6 +120,17 @@ def t_per_with_period_2_tails():
     return complexes.Complex.build(fixtures.D2(), 0, 0, {0: A}, {}, tail, tail, x, x)
 
 
+def alternating_tail_complex():
+    """A in degree 0 over the built-in D2, and below it a negative tail of
+    period 2 that alternates 0 (at -1, -3, ...) and A (at -2, -4, ...),
+    with zero differentials: the terms of a map's own tail of period 1
+    repeat only with period 2."""
+    A, zero = fixtures.regular_D2(), modules.zero_module(fixtures.D2())
+    tail = complexes.Tail(2, (zero, A), (linalg.zeros(2, 0), linalg.zeros(0, 2)))
+    return complexes.Complex.build(fixtures.D2(), 0, 0, {0: A}, {}, tail, None,
+                                   linalg.zeros(0, 2))
+
+
 def mismatched_cone():
     """Cone of the identity of a complex over D4 whose negative tail has
     period 2 (x, x^3) and whose positive tail has period 1 (x^2)."""

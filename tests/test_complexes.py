@@ -2,6 +2,7 @@
 
 import dataclasses
 import glob
+import math
 import os
 import random
 
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import periodic_complex as T_j
-from conftest import (assert_one_table, assert_same_table, assert_views_of_stacks,
-                      count_calls, count_checks, equal_by_degrees, fresh_t_per, mismatched_cone,
-                      random_chain_map, random_contractible, random_d2_complex,
-                      reference_from_tables, reference_lone_table, t_per_with_period_2_tails,
-                      truncated_polynomial)
+from conftest import (alternating_tail_complex, assert_one_table, assert_same_table,
+                      assert_views_of_stacks, count_calls, count_checks, equal_by_degrees,
+                      fresh_t_per, mismatched_cone, random_chain_map, random_contractible,
+                      random_d2_complex, reference_from_tables, reference_lone_table,
+                      t_per_with_period_2_tails, truncated_polynomial)
 from singeq import (complexes, fixtures, formats, functors, homotopy, linalg, modelcat, modules,
                     solver)
 from singeq.complexes import (add_maps, compose, cone, direct_sum_complex,
@@ -231,6 +232,19 @@ class TestValidationCoversEveryDegree:
         # intertwining check can reject these maps
         Z = periodic_complex(A, np.zeros((2, 2), dtype=np.int64))
         return complexes.ChainMap(Z, Z, {0: I2}, 0, 0, (1, (neg,)), (1, (pos,)))
+
+    def test_a_tail_block_fits_over_the_lcm_of_the_tail_periods(self):
+        # the map's tail of period 1 fits the 0 at -1 but not the A at -2:
+        # the layout checks one period of the lcm (2) below the frame
+        X = alternating_tail_complex()
+        f = complexes.ChainMap(X, X, {0: linalg.zeros(2, 2)}, 0, 0, (1, (linalg.zeros(0, 0),)))
+        with pytest.raises(ValidationError, match="^component at degree -2 has wrong shape$"):
+            f.validate()
+        assert not f._checked
+        # where every term is A, such a tail fits each degree of the lcm period
+        Y = t_per_with_period_2_tails()
+        x = Y.diff(0)
+        complexes.ChainMap(Y, Y, {0: x}, 0, 0, (1, (x,)), (1, (x,))).validate()
 
     def test_non_intertwining_negative_tail_block(self, A):
         bad = np.array([[1, 0], [0, 0]], dtype=np.int64)  # does not commute with x
@@ -1007,6 +1021,30 @@ class TestStackedTables:
         for _, family in families:
             shapes = [a.shape[2:] for a in family.arrays]
             assert len(set(shapes)) == len(shapes)
+
+    def test_every_family_fits_its_terms_at_every_degree(self, monkeypatch):
+        # the families of the test above, each with the complexes and the
+        # degree of the maps it was laid out or handed for
+        laid_out, lone, members = [], complexes._lone, complexes._members
+
+        def record_lone(S, T, k, *rest):
+            laid_out.append((S, T, k, lone(S, T, k, *rest)))
+            return laid_out[-1][3]
+
+        def record_members(kind, S, T, clo, chi, family, periods):
+            laid_out.append((S, T, kind.shift, family))
+            return members(kind, S, T, clo, chi, family, periods)
+
+        monkeypatch.setattr(complexes, "_lone", record_lone)
+        monkeypatch.setattr(complexes, "_members", record_members)
+        self.test_every_family_holds_one_array_per_block_shape(monkeypatch)
+        assert {k for *_, k, _ in laid_out} == {0}
+        for S, T, k, (slots, arrays) in laid_out:
+            # its frame and one period of the lcm of every tail period past it
+            a = slots.lo - math.lcm(slots.neg, S._blocks.neg, T._blocks.neg)
+            b = slots.hi + math.lcm(slots.pos, S._blocks.pos, T._blocks.pos)
+            for n, (s, _) in zip(range(a, b + 1), slots.on(range(a, b + 1))):
+                assert arrays[s].shape[2:] == (T.term(n + k).dim, S.term(n).dim)
 
     def test_a_walk_reads_each_degree_from_its_own_block(self, t_per):
         # T_per + D2 in degree 0: its inclusion i and projection p of T_per

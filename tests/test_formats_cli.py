@@ -200,6 +200,16 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert "overall: YES" in out.stdout
 
+    def test_python_dash_m_exits_with_the_status_of_its_command(self, tmp_path):
+        # cli.main hands the status to sys.exit: bad input exits 65
+        src = os.path.dirname(os.path.dirname(formats.__file__))
+        out = subprocess.run([sys.executable, "-m", "singeq", "validate",
+                              str(tmp_path / "missing.json")],
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 65, out.stderr
+        assert out.stderr.startswith("parse error:")
+
     def test_demo_stable_under_rerun(self, capsys):
         main(["--format", "json", "demo", "D2-Tper"])
         first = json.loads(capsys.readouterr().out)
@@ -535,6 +545,42 @@ class TestExitCodes:
         assert main(["validate", str(bad)]) == 65
         err = capsys.readouterr().err
         assert err.startswith("error: ValidationError: ") and err.count("\n") == 1
+
+    def test_65_a_missing_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["validate", str(missing)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {missing}: line 0, column 0: ")
+        assert "No such file or directory" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "top-level document must be a JSON object"),
+        ({"dim": 1}, "cannot determine document kind "
+                     "(expected one of: mul, action, window, components)"),
+        ({"window": {"lo": 0, "hi": 0, "terms": [5], "diffs": []}}, "bad reference 5"),
+        ({"window": {"lo": 0, "hi": 0, "terms": ["k"], "diffs": []},
+          "neg_tail": {"period": 2, "terms": ["k"], "diffs": [[[0]]]}},
+         "tail terms/diffs length must equal the period"),
+        ({"window": {"lo": 0, "hi": 1, "terms": ["k"], "diffs": []}},
+         "window terms must cover lo..hi"),
+        ({"window": {"lo": 0, "hi": -1, "terms": [], "diffs": []}}, "empty window"),
+        ({"window": {"lo": 0, "hi": 1, "terms": ["k", "k"], "diffs": []}},
+         "window needs one differential per adjacent pair"),
+    ], ids=["top-level-array", "no-kind-key", "number-reference", "short-tail",
+            "window-not-covered", "empty-window", "too-few-diffs"])
+    def test_65_a_malformed_document_is_named(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+        assert err.endswith(f"line 1, column 1: {message}\n")
+
+    def test_65_the_injective_side_of_a_complex_not_in_exI(self, capsys):
+        # the stalk of k is not exact, so G' rejects it
+        assert main(["verify-equivalence", fx("kstalk.cx"), "--side", "I"]) == 65
+        assert capsys.readouterr().err == (
+            "error: ValidationError: g_prime input must be an exact complex of injectives\n")
 
     @pytest.mark.parametrize("ref", ["T_per[x]", "T_per[1.5]", "T_per[2"])
     def test_65_built_in_shift_not_an_integer(self, capsys, ref):

@@ -12,9 +12,10 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (assert_one_table, count_calls, fresh_t_per, kept_block, periodic_complex,
-                      random_combination, random_contractible, random_d2_complex, random_module,
-                      reference_inverse_check, triangular_d2, truncated_polynomial, with_entry)
+from conftest import (alternating_tail_complex, assert_one_table, count_calls, fresh_t_per,
+                      kept_block, periodic_complex, random_combination, random_contractible,
+                      random_d2_complex, random_module, reference_inverse_check, triangular_d2,
+                      truncated_polynomial, with_entry)
 from singeq import (approx, cli, complexes, fixtures, functors, homotopy, linalg,
                     modelcat, modules, solver)
 from singeq.config import Options
@@ -301,6 +302,34 @@ class TestVerifyNullHomotopy:
         s = homotopy.null_homotopy(f).homotopy
         assert not homotopy.verify_null_homotopy(f, self.with_component(s, 0, linalg.eye(1)))
 
+    def test_a_tail_block_of_the_wrong_shape_past_the_frame_is_false(self):
+        # s's tail of period 1 fits A -> 0 at -2, its frame's first degree,
+        # but not 0 -> A at -3, one period of the lcm (2) below the frame
+        X = alternating_tail_complex()
+        s = Homotopy(X, X, {-1: linalg.zeros(2, 0), 0: linalg.zeros(0, 2)}, -1, 0,
+                     (1, (linalg.zeros(0, 2),)))
+        assert not homotopy.verify_null_homotopy(zero_chain_map(X, X), s)
+        with pytest.raises(ValidationError, match="^component at degree -3 has wrong shape$"):
+            s._column
+
+    @pytest.mark.parametrize("wrong", ["wrong shape", "other terms", "a chain map"])
+    def test_a_homotopy_the_walk_cannot_read_is_false_not_an_error(self, t_per, k, wrong):
+        # the zero map of T_per is null-homotopic; d c + c d = 2 x c = 0 for
+        # every chain map c of T_per over F_2, but c has degree 0
+        f = zero_chain_map(t_per, t_per)
+        assert homotopy.verify_null_homotopy(f, Homotopy(t_per, t_per, {}, 0, 0))
+        Z = functors.stalk(k)
+        s = {"wrong shape": lambda: Homotopy(t_per, t_per, {0: linalg.eye(1)}, 0, 0),
+             "other terms": lambda: Homotopy(Z, Z, {}, 0, 0),
+             "a chain map": lambda: identity_chain_map(t_per)}[wrong]
+        assert not homotopy.verify_null_homotopy(f, s())
+        inverse = homotopy.homotopy_equivalence_certificate(identity_chain_map(t_per))
+        for cert in (homotopy.Certificate("null-homotopy", {"map": f, "homotopy": s()}),
+                     homotopy.Certificate("orthogonality", {"pairs": [(f, s())]}),
+                     homotopy.Certificate("homotopy-inverse",
+                                          {**inverse.certificate.payload, "homotopy_source": s()})):
+            assert not homotopy.verify_certificate(cert) and not cert.checked
+
     def test_several_pairs_fail_when_any_pair_fails(self, t_per, contractible):
         f = x_id(t_per)
         s = homotopy.null_homotopy(f).homotopy
@@ -330,6 +359,16 @@ class TestStableCriterion:
         # id_k does not factor through a projective: k -> A -> k composites
         # all vanish over D2
         assert not homotopy.stably_zero(identity_chain_map(t_per))
+
+    def test_the_criterion_builds_no_table(self):
+        # it reads each map's block at 0 from its family column
+        X = fresh_t_per()
+        basis, _ = solver.chain_map_space_basis(X, X)
+        assert basis
+        for f in basis:
+            verdict = homotopy.stably_zero(f)
+            assert "_blocks" not in vars(f)
+            assert verdict == homotopy.stably_zero(dataclasses.replace(f))  # from its table
 
     def test_membership_predicates(self, t_per, contractible, k):
         assert homotopy.is_exP(t_per) and homotopy.is_exI(t_per)

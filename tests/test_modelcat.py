@@ -473,6 +473,23 @@ class TestRememberedResults:
                                        ("left_of_exI", Options(homotopy_period_bound=3))}
         assert list(C._solved[other]) == [("left_of_exI", Options())]
 
+    def test_marking_an_entry_read_only_visits_no_slot_pair(self, monkeypatch):
+        # a kept family is marked through its arrays: its slots' (array,
+        # row) pairs hold only ints, and a walk through them marks nothing
+        read_only, visited = modules._read_only, []
+
+        def record(value):
+            visited.append(value)
+            return read_only(value)
+
+        monkeypatch.setattr(modules, "_read_only", record)
+        C = cone(identity_chain_map(fixtures.t_per()))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
+        assert modelcat.orthogonal_certificate(C, "left_of_exI", fam).verdict == CERTIFIED
+        assert any(isinstance(v, complexes._Family) for v in visited)
+        assert not [v for v in visited if type(v) is tuple and len(v) == 2
+                    and all(type(x) is int for x in v)]
+
     def test_an_entry_goes_with_its_family(self):
         C = cone(identity_chain_map(fixtures.t_per()))
         fam = modelcat.GeneratorFamily((fixtures.t_per(),))

@@ -396,26 +396,33 @@ def changes(sys_, stacks):
 
 @pytest.mark.parametrize("pair", ["periodic D4/F2", "bounded D2"])
 def test_a_block_of_the_wrong_shape_in_a_basis_family_is_reported_as_alone(pair):
-    # every map of the family has the wrong shape at that degree; the joint
-    # check reports the smallest degree any map alone reports
+    # every map of the family has the wrong shape at that degree and where
+    # its tails fold to it; the layout of the family raises, and names the
+    # degree that each map laid out alone names: the first of the layout's
+    # range (the frame widened by one lcm period) whose block is widened
     X, Y = dict(zip(["periodic D4/F2", "bounded D2"], parity_pairs()))[pair]
     solver.chain_map_space_basis(X, Y)
     sys_ = X._solved[Y][Options()]
     stacks = sys_._stacks(sys_.kernel_coeffs)
+    lo, hi, fold = sys_.lo, sys_.hi, sys_.fold
+    start, _, q, _ = complexes._frame(X, Y, 0, lo, hi, fold, fold)
+    start -= np.lcm.reduce([q, X._blocks.neg, Y._blocks.neg])
     for n, m in stacks.items():
         if not m.shape[2]:
             continue
         wide = {**stacks, n: np.concatenate([m, m[:, :, :1]], axis=2)}
-        maps = sys_.graded_each(ChainMap, X, Y, wide)
-        alone = []
-        for f in maps:
-            with pytest.raises(ValidationError) as err:
-                f.validate()
-            alone.append(str(err.value))
-        with pytest.raises(ValidationError) as err:
-            maps[0].validate(*maps[1:])
-        assert str(err.value) == min(alone, key=lambda e: int(e.split()[3]))
-        assert all(e.endswith("has wrong shape") for e in alone)
+        # below lo a folded tail repeats lo .. lo + fold - 1
+        first = next(d for d in range(start, n + 1)
+                     if d == n or d < lo and fold and lo + (d - lo) % fold == n)
+        message = f"component at degree {first} has wrong shape"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            sys_.graded_each(ChainMap, X, Y, wide)
+        for j in range(len(m)):
+            comps = {d: wide[d][j] for d in range(lo, hi + 1)}
+            tails = [(fold, tuple([comps[d] for d in degrees])) if fold else None for degrees
+                     in (range(lo + fold - 1, lo - 1, -1), range(hi - fold + 1, hi + 1))]
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                ChainMap(X, Y, comps, lo, hi, *tails).validate()
 
 
 @pytest.mark.parametrize("pair", ["periodic D4/F2", "bounded D2"])
