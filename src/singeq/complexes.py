@@ -62,25 +62,23 @@ above them it equals the check at n - L', L' the lcm of the positive
 ones.  So the walk keeps the first L degrees of the range, the windows,
 and the first L' degrees after them.
 
-One engine runs the checks (_first_failure), and one function walks the
-checks of graded maps g: S_n -> T_{n+k} and returns the first that fails
-(_check_walk): g a module map at every action index, then the
-equation: f d = d f for chain maps (ChainMap.validate), d s + s d = f
-for null-homotopies (homotopy.verify_null_homotopy), and
-d s + s d = g f - 1 for the homotopies of a homotopy inverse, from the
-blocks of f and g with no map built (homotopy._verify_inverse_payload).
-homotopy reaches it as complexes._check_walk: this module holds the
-only binding of either, so one patch here sees every check.  Maps that
-share one source and one target are walked once, over the union of
-their check ranges; each object's own range lies inside it and its
-periods divide the joint ones, so the joint walk runs a superset of
-each object's checks.  The degrees are grouped by the modules
-(intertwining) or the shapes (d*d = 0, the equation) they share, as
-((key, degrees), ...) (_grouped), the one form the engine takes; for
-g f - 1 each equation group is split by the shape of f_n, which the
-third complex sets.  The maps' blocks of a group are read from their
-families, one gather per run of maps of one family (_Read); a complex's
-differentials are stacked once per plan.
+One engine runs the checks (_first_failure), and one function takes
+what a caller claims, one tuple per object, and returns the first check
+that fails (_check_walk): its first map a module map at every action
+index, then the equation: g d = d g for chain maps (g,)
+(ChainMap.validate), d s + s d = f for null-homotopies (s, f)
+(homotopy.verify_null_homotopy), and d h + h d = g f - 1 for the
+homotopies (h, f, g) of a homotopy inverse, from the blocks of f and g
+with no map built (homotopy._verify_inverse_payload).  homotopy
+reaches it as complexes._check_walk: this module holds the only binding
+of either, so one patch here sees every check.  It groups the objects
+into walks (_walk), as its docstring says.  The degrees of a walk are
+grouped by the modules (intertwining) or the shapes (d*d = 0, the
+equation) they share, as ((key, degrees), ...) (_grouped), the one form
+the engine takes; for g f - 1 each equation group is split by the shape
+of f_n, which the third complex sets.  The maps' blocks of a group are
+read from their families, one gather per run of maps of one family
+(_Read); a complex's differentials are stacked once per plan.
 Each group costs one array per operand and one batched product per side;
 intertwining tests every action index (modules.intertwining_residue, as
 ModuleMap.validate does), and over several objects multiplies out only
@@ -169,8 +167,9 @@ def _map_profile(*objects):
 
 def _value(f) -> tuple:
     """A graded map's window, periods and blocks as (shape, bytes): equal
-    for two maps between the same complexes exactly when they are equal."""
-    return (*_map_profile(f), tuple((b.shape, b.tobytes()) for b in f._blocks.data))
+    for two maps between the same complexes exactly when they are equal;
+    read from its family column (_reads), with no table built."""
+    return (*_map_profile(f), tuple((b.shape, b.tobytes()) for b in _reads(f)[1]))
 
 
 def _check_range(*objects) -> tuple:
@@ -715,14 +714,12 @@ class ChainMap(GradedMap):
     _checked = False
 
     def validate(self, *others: "ChainMap") -> None:
-        """Check this map and any others, each over its own check range.
-
-        Maps that share a source and a target are walked once and their
-        checks stacked, so a whole basis of chain maps costs one batched
-        product per group and side.  A block of the wrong shape raises when
-        the walk lays its map out (_lone); then errors come in the order
-        intertwining, commutation, each at its smallest failing degree:
-        the least first failure (_check_walk) over the groups.
+        """Check this map and any others, each over its own check range,
+        in one walk per group (_check_walk), so a whole basis of chain
+        maps costs one batched product per group and side.  A block of the
+        wrong shape raises when the walk lays its map out (_lone); then
+        errors come in the order intertwining, commutation, each at its
+        smallest failing degree.
 
         Every map that passes is marked as checked.  Without a check, so
         are identity_chain_map, zero_chain_map, add_maps(f, g) of checked
@@ -733,14 +730,10 @@ class ChainMap(GradedMap):
         module docstring lists.  An explicit call always runs the check.
         """
         A = self.source.algebra
-        groups = {}
         maps = (self, *others)
-        for f in maps:
-            if f.source.algebra is not A or f.target.algebra is not A:
-                raise DimensionMismatch("chain map across different algebras")
-            groups.setdefault((f.source, f.target), []).append(f)
-        bad = min(filter(None, [_check_walk(S, T, 0, fs) for (S, T), fs in groups.items()]),
-                  default=None)
+        if any(f.source.algebra is not A or f.target.algebra is not A for f in maps):
+            raise DimensionMismatch("chain map across different algebras")
+        bad = _check_walk([(f,) for f in maps])
         if bad is not None:
             kind, n, i = bad
             raise ValidationError((f"component at degree {n} does not intertwine action {i}",
@@ -813,15 +806,15 @@ class _Walk:
     Check ranges are computed once per distinct profile, from the frame
     (_frame) of each object's walked map and the own window and tail
     periods of its right-hand side's maps, over which their blocks
-    repeat as values (1 where a map has no tail): the frames of a loop's
-    maps depend on a third complex, which the key does not fix.  The
-    plan holds the walked degrees ns, the groups of degrees by module pair
-    (twists, with where T's module sits in its table; twist_keys gives
-    the groups for one T) and by differential shapes (equations; split
-    by the shape of f_n in loop_keys), each in the form _first_failure
-    takes (_grouped), the differential columns with their stacks per
-    equation group, and, per frame read (a table's or a family's), where
-    its blocks at ns and at n - 1 sit in its data.
+    repeat as values (1 where a map has no tail): the frames of f and g
+    in an (h, f, g) depend on a third complex, which the key does not
+    fix.  The plan holds the walked degrees ns, the groups of degrees by
+    module pair (twists, with where T's module sits in its table;
+    twist_keys gives the groups for one T) and by differential shapes
+    (equations; split by the shape of f_n in loop_keys), each in the
+    form _first_failure takes (_grouped), the differential columns with
+    their stacks per equation group, and, per frame read (a table's or a
+    family's), where its blocks at ns and at n - 1 sit in its data.
     It holds no object of T but arrays: a module of T may hold T, as
     functors.stalk keeps a stalk on its module.  Equal group keys are held
     once, and the columns of ints are tuples, which the garbage collector
@@ -860,8 +853,8 @@ class _Walk:
 
     def loop_keys(self, f: "_Read") -> tuple:
         """The equation groups, each split by the shape of the maps' blocks
-        at its walked degrees in f, which a third complex sets (the loops
-        of _check_walk); computed once per distinct shapes."""
+        at its walked degrees in f, which a third complex sets (the
+        (h, f, g) of _check_walk); computed once per distinct shapes."""
         shapes = tuple([f.shape(i) for i in range(len(self.ns))])
         groups = self._loops.get(shapes)
         if groups is None:
@@ -884,38 +877,54 @@ def _profile(g: GradedMap) -> tuple:
     return g.clo, g.chi, g.neg_period, g.pos_period
 
 
-def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = None,
-                loops: list | None = None):
-    """The first failing check of graded maps g: S_n -> T_{n+k}, walked
-    once over the union of their check ranges, as (kind, degree, detail),
-    or None: 0 a g that is no module map (detail the first failing action
-    index), else 1 the equation (detail the first failing row), each at
-    its smallest reported degree.  A g of degree other than k, an f of
-    the equation of degree other than 0, or a map between complexes of
-    other terms (_same_terms) raises ValidationError, as one whose blocks
-    do not fit does when the walk first lays it out (_lone).
+def _check_walk(objects: list):
+    """The first failing check of the objects, as (kind, degree, detail),
+    or None: 0 an object's first map that is no module map (detail the
+    first failing action index), else 1 its equation (detail the first
+    failing row), each at its smallest reported degree.  An object is
+    what a caller claims, and its kind fixes the degree k of its first
+    map: (g,) a chain map g (k = 0), g d = d g; (s, f) a homotopy s of
+    the chain map f (k = 1), d s + s d = f; (h, f, g) a homotopy h on
+    S = T of g f - 1 (k = 1), d h + h d = g f - 1, for chain maps
+    f: S -> Z and g: Z -> S that passed ChainMap.validate.
 
-    The equation is f d = d f for chain maps (k = 0, no right-hand side),
-    d s + s d = f for homotopies (k = 1, rhs the map f of each), and
-    d s + s d = g f - 1 for homotopies on S = T (k = 1, loops the pair
-    (f, g) of each: chain maps f: S -> Z and g: Z -> S that passed
-    ChainMap.validate, every f into one Z).  A homotopy's check range is
-    that of it and its right-hand side's maps.  g_n f_n is one batched
-    product per group, with no map built: the degrees are grouped by the
-    shapes of f_n too, which Z sets, and each product is reduced mod p
-    before the sum.  The equation reads g at n - 1 and n, reported from
-    a + 1 for chain maps and from a for homotopies, whose walk starts at
-    a - 1.  The walk's plan (_Walk) is kept as the module docstring
-    says."""
-    if not all([_runs(g, k, S, T) for g in maps] + [_runs(f, 0, S, T) for f in rhs or ()] + [
-            _runs(f, 0, S, f.target) and _runs(g, 0, f.target, T) for f, g in loops or ()]):
-        raise ValidationError("a map of another degree or between other terms in a walk")
-    if loops is not None:
-        objects, kind = [(h, *loop) for h, loop in zip(maps, loops)], "g f - 1"
-    elif rhs is not None:
-        objects, kind = list(zip(maps, rhs)), True
-    else:
-        objects, kind = [(g,) for g in maps], False
+    An object is walked between the complexes S and T of the chain maps
+    it claims about: g's ends, f's ends, or f's source and g's target;
+    its first map is read as a map S_n -> T_{n+k}, and needs only their
+    terms (_runs).  Objects of one kind between one S and one T are
+    walked once (_walk), over the union of their check ranges; each
+    object's own range lies inside it and its periods divide the joint
+    ones, so the joint walk runs a superset of each object's checks.  The
+    result is the least first failure over the walks, each reported as
+    the module docstring says.  A first map of degree other than k, an f
+    or g of degree other than 0, or a map between complexes of other
+    terms (_same_terms) raises ValidationError, as one whose blocks do
+    not fit does when the walk first lays it out (_lone); the f of one
+    walk's (h, f, g) all run into one Z."""
+    groups = {}
+    for o in objects:
+        groups.setdefault((o[min(1, len(o) - 1)].source, o[-1].target, len(o)), []).append(o)
+    return min(filter(None, [_walk(S, T, group) for (S, T, _), group in groups.items()]),
+               default=None)
+
+
+def _walk(S: Complex, T: Complex, objects: list):
+    """The first failure of _check_walk over objects of one kind between
+    S and T, walked once.  A homotopy's check range is that of it and
+    its right-hand side's maps.  For g f - 1, g_n f_n
+    is one batched product per group, with no map built: the degrees are
+    grouped by the shapes of f_n too, which Z sets, and each product is
+    reduced mod p before the sum.  The equation reads the first map at
+    n - 1 and n, reported from a + 1 for chain maps and from a for
+    homotopies, whose walk starts at a - 1.  The walk's plan (_Walk) is
+    kept as the module docstring says."""
+    k = min(1, len(objects[0]) - 1)
+    for g, *rhs in objects:
+        Z = rhs[0].target if len(rhs) == 2 else T  # f: S -> Z, g: Z -> T in an (h, f, g)
+        if not (_runs(g, k, S, T) and all([_runs(f, 0, a, b) for f, a, b
+                                           in zip(rhs, (S, Z), (Z, T))])):
+            raise ValidationError("a map of another degree or between other terms in a walk")
+    kind = (False, True, "g f - 1")[len(objects[0]) - 1]
     one = {}  # equal profiles as one object, so that a kept key is small
     profiles = tuple([one.setdefault(q, q) for q in [tuple(map(_profile, o)) for o in objects]])
     key = ("walk", k, kind, profiles)
@@ -926,13 +935,14 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
         # None marks a walk made once: a plan is kept from its second walk
         # on, so a walk made once keeps nothing but its key
         plans[key] = plan if key in plans else None
-    ns, G1 = plan.ns, _Read(plan, maps)
+    ns = plan.ns
+    G1, *rhs = [_Read(plan, list(c)) for c in zip(*objects)]
     bad = _first_failure(plan.ranges, ns, plan.twist_keys(T), _intertwining, G1)
     if bad is not None:
         return 0, *bad
     G0, p = G1.before(), S.algebra.p
-    if loops is not None:
-        f, g = _Read(plan, [f for f, _ in loops]), _Read(plan, [g for _, g in loops])
+    if len(rhs) == 2:
+        f, g = rhs
 
         def minus_one(_, dT, s1, s0, dS, g, f):  # d s + s d - (g f - 1)
             r = dT @ s1 % p + s0 @ dS % p - g @ f % p
@@ -942,14 +952,14 @@ def _check_walk(S: Complex, T: Complex, k: int, maps: list, rhs: list | None = N
 
         bad = _first_failure(plan.eq_ranges, ns, plan.loop_keys(f), minus_one,
                              plan.dT, G1, G0, plan.dS, g, f)
-    elif rhs is None:
+    elif not rhs:
         bad = _first_failure(plan.eq_ranges, ns, plan.equations,
                              lambda _, f0, dS, dT, f1: (f0 @ dS - dT @ f1) % p,
                              G0, plan.dS, plan.dT, G1)
     else:
         bad = _first_failure(plan.eq_ranges, ns, plan.equations,
                              lambda _, dT, s1, s0, dS, f: (dT @ s1 + s0 @ dS) % p - f,
-                             plan.dT, G1, G0, plan.dS, _Read(plan, rhs))
+                             plan.dT, G1, G0, plan.dS, *rhs)
     return bad and (1, *bad)
 
 

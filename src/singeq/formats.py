@@ -26,7 +26,7 @@ from .modules import Module
 
 
 def _fail(msg: str, path: str | None = None) -> ParseError:
-    return ParseError(msg, line=1, column=1, path=path)
+    return ParseError(msg, path=path)
 
 
 _INT64 = np.iinfo(np.int64)
@@ -89,7 +89,7 @@ def load_json(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ParseError(str(exc), line=0, column=0, path=path) from exc
+        raise ParseError(str(exc), path=path) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno,
                          path=path) from exc
@@ -380,17 +380,17 @@ _KIND_KEYS = (
 )
 
 
-def detect_kind(doc: dict) -> str:
+def detect_kind(doc: dict, path: str | None = None) -> str:
     for key, kind in _KIND_KEYS:
         if key in doc:
             return kind
     raise _fail("cannot determine document kind "
-                "(expected one of: mul, action, window, components)")
+                "(expected one of: mul, action, window, components)", path)
 
 
 def load_any(path: str):
     doc = load_json(path)
-    kind = detect_kind(doc)
+    kind = detect_kind(doc, path)
     loader = {"algebra": algebra_from_doc, "module": module_from_doc,
               "complex": complex_from_doc, "map": chain_map_from_doc}[kind]
     return kind, loader(doc, path)

@@ -72,27 +72,20 @@ def verify_null_homotopy(f: ChainMap, s: Homotopy, *others: tuple) -> bool:
     for (f, s) and for each further (map, homotopy) pair in others.
 
     The walk of ChainMap.validate runs these checks, for maps of degree 1
-    (complexes._check_walk, which stops at the first failure).  The check
-    range of a pair is the hull of the windows of f, s and their
-    complexes, widened by 2q + 1 on each side, q the lcm of all their
-    tail periods (complexes._check_range).  Pairs that share one source
-    and one target are walked once, over the union of their ranges, which
-    runs a superset of each pair's checks; a failing walk ends the check.
-    Each s_n is checked to be a module map at every action index, and the
-    equation at every entry, each stacked across the walked degrees and
-    the pairs, with one batched product per group and side.  A pair the
-    walk cannot read (a block of the wrong shape, a map of another degree
-    or terms) is False, not an error.
+    (complexes._check_walk, which groups the pairs).  The check range of a
+    pair is the hull of the windows of f, s and their complexes, widened
+    by 2q + 1 on each side, q the lcm of all their tail periods
+    (complexes._check_range).  Each s_n is checked to be a module map at
+    every action index, and the equation at every entry, each stacked
+    across the walked degrees and the pairs, with one batched product per
+    group and side.  A pair the walk cannot read (a block of the wrong
+    shape, a map of another degree or terms) is False, not an error.
     """
-    p = f.source.algebra.p
-    groups = {}
-    for g, h in ((f, s), *others):
-        if g.source.algebra.p != p:
-            return False
-        groups.setdefault((g.source, g.target), []).append((g, h))
+    pairs = ((f, s), *others)
+    if any(g.source.algebra.p != f.source.algebra.p for g, _ in pairs):
+        return False
     try:
-        return all(complexes._check_walk(X, Y, 1, [h for _, h in pairs], [g for g, _ in pairs])
-                   is None for (X, Y), pairs in groups.items())
+        return complexes._check_walk([(s, f) for f, s in pairs]) is None
     except ValidationError:
         return False
 
@@ -120,22 +113,16 @@ def _holds(res) -> bool:
 def _verify_inverse_payload(payload: dict) -> bool:
     """f: X -> Y and g: Y -> X are chain maps (one stacked check), and
     d hX + hX d = g f - 1 on X and d hY + hY d = f g - 1 on Y, checked in
-    the walk (complexes._check_walk, with loops) from the blocks of f and
-    g, so no map is built for g f - 1 or f g - 1.  When X is Y both
-    homotopies are checked in one walk, as verify_null_homotopy groups
-    pairs; a map the walks cannot read fails, as there."""
+    the walk (complexes._check_walk, which groups the two sides) from the
+    blocks of f and g, so no map is built for g f - 1 or f g - 1.  A map
+    the walks cannot read fails, as in verify_null_homotopy."""
     f, g = payload["map"], payload["inverse"]
     hX, hY = payload["homotopy_source"], payload["homotopy_target"]
-    X, Y = f.source, f.target
-    if g.source is not Y or g.target is not X:
+    if g.source is not f.target or g.target is not f.source:
         return False
-    sides = {}
-    for Z, h, loop in ((X, hX, (f, g)), (Y, hY, (g, f))):
-        sides.setdefault(Z, []).append((h, loop))
     try:
         f.validate(g)
-        return all(complexes._check_walk(Z, Z, 1, [h for h, _ in side], loops=[l for _, l in side])
-                   is None for Z, side in sides.items())
+        return complexes._check_walk([(hX, f, g), (hY, g, f)]) is None
     except ValidationError:
         return False
 

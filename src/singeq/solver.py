@@ -196,8 +196,6 @@ class FoldedSystem:
                                 continue
                         row[c] = v
         for c, b in enumerate(rhs, total):
-            if b.shape != shape:
-                raise ValidationError("equation does not have the shape of its module pair")
             for row, v in zip(rows, b.take(entries).tolist()):
                 v %= p
                 if v:

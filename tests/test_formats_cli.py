@@ -550,7 +550,7 @@ class TestExitCodes:
         missing = tmp_path / "missing.json"
         assert main(["validate", str(missing)]) == 65
         err = capsys.readouterr().err
-        assert err.startswith(f"parse error: {missing}: line 0, column 0: ")
+        assert err.startswith(f"parse error: {missing}: [Errno ")
         assert "No such file or directory" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("doc, message", [
@@ -573,8 +573,7 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == 65
         err = capsys.readouterr().err
-        assert err.startswith("parse error: ") and err.count("\n") == 1
-        assert err.endswith(f"line 1, column 1: {message}\n")
+        assert err == f"parse error: {bad}: {message}\n"  # the file, and no line or column
 
     def test_65_the_injective_side_of_a_complex_not_in_exI(self, capsys):
         # the stalk of k is not exact, so G' rejects it

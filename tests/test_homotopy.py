@@ -312,16 +312,25 @@ class TestVerifyNullHomotopy:
         with pytest.raises(ValidationError, match="^component at degree -3 has wrong shape$"):
             s._column
 
-    @pytest.mark.parametrize("wrong", ["wrong shape", "other terms", "a chain map"])
+    @pytest.mark.parametrize("wrong", ["wrong shape", "other terms", "a chain map",
+                                       "other differentials"])
     def test_a_homotopy_the_walk_cannot_read_is_false_not_an_error(self, t_per, k, wrong):
         # the zero map of T_per is null-homotopic; d c + c d = 2 x c = 0 for
-        # every chain map c of T_per over F_2, but c has degree 0
+        # every chain map c of T_per over F_2, but c has degree 0.  A
+        # homotopy is read between its map's complexes: the identity at 0
+        # of T_per's terms with d = 0 is a null-homotopy of 0 there, but
+        # d 1 + 1 d = x on T_per
         f = zero_chain_map(t_per, t_per)
         assert homotopy.verify_null_homotopy(f, Homotopy(t_per, t_per, {}, 0, 0))
-        Z = functors.stalk(k)
+        Z, A, z = functors.stalk(k), t_per.term(0), linalg.zeros(2, 2)
+        tail = complexes.Tail(1, (A,), (z,))
+        W = complexes.Complex.build(t_per.algebra, 0, 0, {0: A}, {}, tail, tail, z, z)
+        one = Homotopy(W, W, {0: linalg.eye(2)}, 0, 0)
+        assert homotopy.verify_null_homotopy(zero_chain_map(W, W), one)
         s = {"wrong shape": lambda: Homotopy(t_per, t_per, {0: linalg.eye(1)}, 0, 0),
              "other terms": lambda: Homotopy(Z, Z, {}, 0, 0),
-             "a chain map": lambda: identity_chain_map(t_per)}[wrong]
+             "a chain map": lambda: identity_chain_map(t_per),
+             "other differentials": lambda: one}[wrong]
         assert not homotopy.verify_null_homotopy(f, s())
         inverse = homotopy.homotopy_equivalence_certificate(identity_chain_map(t_per))
         for cert in (homotopy.Certificate("null-homotopy", {"map": f, "homotopy": s()}),
@@ -536,6 +545,16 @@ class TestEquivalenceMemo:
         assert verify(cert)
         assert [hit.verdict, cli.digest(cert)] == cold_equivalence_outcome(4)
 
+    def test_a_hit_builds_no_table_of_the_callers_map(self, monkeypatch):
+        # the memo key is read from the map's family column (complexes._value)
+        X = fresh_t_per()
+        homotopy.homotopy_equivalence_certificate(one_plus_x(X))
+        solves = count_solves(monkeypatch)
+        f = one_plus_x(X)
+        hit = homotopy.homotopy_equivalence_certificate(f)
+        assert not solves and hit.verdict == YES and hit.certificate.checked
+        assert "_blocks" not in vars(f)
+
     def test_a_refutation_is_remembered(self, monkeypatch, k):
         X, S = fresh_t_per(), functors.stalk(k)
         first = homotopy.homotopy_equivalence_certificate(zero_chain_map(S, X))
@@ -586,7 +605,7 @@ class TestEquivalenceMemo:
         [(_, (_, parts))] = equivalence_entries(X, Y).values()
         names = ("inverse", "homotopy_source", "homotopy_target")
         f = one_plus_x(X, Y)
-        f._blocks  # the caller's map, whose table is read for the memo key
+        f._blocks  # the caller's map, laid out (_lone) before the counts start
         lone = count_calls(monkeypatch, complexes, "_lone")
         from_tables = count_calls(monkeypatch, complexes, "_from_tables")
         hit = homotopy.homotopy_equivalence_certificate(f).certificate
@@ -743,8 +762,8 @@ class TestInverseRecheck:
             for _ in range(2):  # cold, then a hit
                 cert = homotopy.homotopy_equivalence_certificate(f).certificate
                 with pytest.MonkeyPatch.context() as mp:
-                    calls = count_calls(mp, complexes, "_check_walk")
+                    calls = count_calls(mp, complexes, "_walk")
                     assert homotopy._verify_inverse_payload(cert.payload)
-                loops = [c for c in calls if c[3][0] in (cert.payload["homotopy_source"],
-                                                         cert.payload["homotopy_target"])]
+                loops = [c for c in calls if c[2][0][0] in (cert.payload["homotopy_source"],
+                                                            cert.payload["homotopy_target"])]
                 assert len(loops) == walks

@@ -214,6 +214,23 @@ class TestFindIsomorphism:
     def test_iso_transported_action(self, k):
         assert modules.find_isomorphism(k, modules.syzygy(k, 1)) is not None
 
+    def test_distinct_simples_of_one_dimension_are_not_isomorphic(self):
+        # S1 and S2 over T2 are distinct simple modules, so Hom(S1, S2) = 0:
+        # NO with no search, so also with both searches switched off
+        S1, S2 = fixtures.S1(), fixtures.S2()
+        assert S1.dim == S2.dim == 1 and not modules.hom_basis(S1, S2)
+        for bounds in (Options(), Options(iso_exhaustive_dim=-1, iso_random_tries=0)):
+            assert modules.find_isomorphism(S1, S2, bounds) is None
+
+    def test_no_map_from_k_plus_k_onto_the_regular_module(self, k, A):
+        # every map k + k -> A lands in the socle x.A, the second coordinate,
+        # so none of the 2^2 - 1 nonzero maps of the exhaustive search is onto
+        kk, _, _ = modules.direct_sum([k, k])
+        basis = modules.hom_basis(kk, A)
+        assert kk.dim == A.dim == 2 and len(basis) == 2
+        assert not any(b.matrix[0].any() for b in basis)
+        assert modules.find_isomorphism(kk, A) is None
+
     def test_undecided_names_its_bounds(self, A):
         bounds = Options(iso_exhaustive_dim=0, iso_random_tries=0)
         with pytest.raises(IsomorphismUndecided,
