@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import complexes, functors, modules
+from . import check, functors, modules
 from .complexes import (ChainMap, Complex, Homotopy, _copied, _kept, _lcm, _map_profile,
                         _sample, _value, cone, dual_chain_map, identity_chain_map, is_exact)
 # compose and FoldedSystem are unused here but stay importable from here,
@@ -71,21 +71,17 @@ def verify_null_homotopy(f: ChainMap, s: Homotopy, *others: tuple) -> bool:
     """f_n == d s_n + s_{n-1} d at every degree of the pair's check range,
     for (f, s) and for each further (map, homotopy) pair in others.
 
-    The walk of ChainMap.validate runs these checks, for maps of degree 1
-    (complexes._check_walk, which groups the pairs).  The check range of a
-    pair is the hull of the windows of f, s and their complexes, widened
-    by 2q + 1 on each side, q the lcm of all their tail periods
-    (complexes._check_range).  Each s_n is checked to be a module map at
-    every action index, and the equation at every entry, each stacked
-    across the walked degrees and the pairs, with one batched product per
-    group and side.  A pair the walk cannot read (a block of the wrong
+    check._check_walk runs these checks over each pair's check range, as
+    for ChainMap.validate: each s_n a module map at every action index,
+    and the equation at every entry, stacked across the walked degrees
+    and the pairs.  A pair the walk cannot read (a block of the wrong
     shape, a map of another degree or terms) is False, not an error.
     """
     pairs = ((f, s), *others)
     if any(g.source.algebra.p != f.source.algebra.p for g, _ in pairs):
         return False
     try:
-        return complexes._check_walk([(s, f) for f, s in pairs]) is None
+        return check._check_walk([(s, f) for f, s in pairs]) is None
     except ValidationError:
         return False
 
@@ -113,7 +109,7 @@ def _holds(res) -> bool:
 def _verify_inverse_payload(payload: dict) -> bool:
     """f: X -> Y and g: Y -> X are chain maps (one stacked check), and
     d hX + hX d = g f - 1 on X and d hY + hY d = f g - 1 on Y, checked in
-    the walk (complexes._check_walk, which groups the two sides) from the
+    the walk (check._check_walk, which groups the two sides) from the
     blocks of f and g, so no map is built for g f - 1 or f g - 1.  A map
     the walks cannot read fails, as in verify_null_homotopy."""
     f, g = payload["map"], payload["inverse"]
@@ -122,7 +118,7 @@ def _verify_inverse_payload(payload: dict) -> bool:
         return False
     try:
         f.validate(g)
-        return complexes._check_walk([(hX, f, g), (hY, g, f)]) is None
+        return check._check_walk([(hX, f, g), (hY, g, f)]) is None
     except ValidationError:
         return False
 

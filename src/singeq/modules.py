@@ -52,7 +52,7 @@ a NO or UNKNOWN returned as it is; a CERTIFIED orthogonality under the
 side and the Options, in X under the family: every pair
 (homotopy.verify_certificate).  A chain-map basis under the Options
 (solver.chain_map_space_basis) and the plans of check walks
-(complexes._Walk) are kept there outside the rule, as solver._remembered
+(check._Walk) are kept there outside the rule, as solver._remembered
 says.  A module keeps its stalk (M._stalk), each complex its block
 table, and each chain map its kernel and cokernel; like X's verdicts,
 dual and constructions, they are built from frozen inputs and not
@@ -377,8 +377,8 @@ def hom_stack(M: Module, N: Module) -> np.ndarray:
     modules it need not: over D2, with the unit acting as diag(1, 0) and
     x as [[0, 0], [1, 0]], hom_stack(M, M) has 2 elements and the first
     does not intertwine action index 0, the unit.  The checks of a module
-    map (intertwining_failures) and the check walks of complexes
-    (intertwining_residue) test every index, and that is what catches
+    map (intertwining_failures) and the certificate checker, check
+    (intertwining_residue), test every index, and that is what catches
     such a module.
     """
     return _hom(M, N)[0]

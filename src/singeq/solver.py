@@ -388,7 +388,7 @@ def _remembered(S: Complex, T: Complex, key: tuple, ends: tuple, solve, rebuild,
     damaged entry fails holds without raising.
 
     A chain-map basis (chain_map_space_basis) and a walk plan
-    (complexes._check_walk) are kept in _solved outside this: a basis hit
+    (check._check_walk) are kept in _solved outside this: a basis hit
     reads no caller data and hands out new products of its read-only
     kernel coefficients, so there is nothing of the caller's to check it
     against, and a plan holds no result."""

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from singeq import algebra, complexes, fixtures, linalg, modules
+from singeq import algebra, check, complexes, fixtures, linalg, modules
 from singeq.complexes import Complex, chain_map
 from singeq.modules import Module
 
@@ -303,16 +303,16 @@ def mono_quasi_iso(rng: random.Random):
 
 
 def count_checks(monkeypatch) -> list:
-    """The calls of the check engine (complexes._first_failure) from now
+    """The calls of the check engine (check._first_failure) from now
     on, recorded."""
     calls = []
-    engine = complexes._first_failure
+    engine = check._first_failure
 
     def counting(*args):
         calls.append(args)
         return engine(*args)
 
-    monkeypatch.setattr(complexes, "_first_failure", counting)
+    monkeypatch.setattr(check, "_first_failure", counting)
     return calls
 
 

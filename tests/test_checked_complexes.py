@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (count_checks, mismatched_cone, named_algebra, random_chain_map,
                       random_combination, random_d2_complex, random_module)
-from singeq import approx, complexes, fixtures, functors, homotopy, linalg, modelcat, modules
+from singeq import approx, check, complexes, fixtures, functors, homotopy, linalg, modelcat, modules
 from singeq.complexes import (ChainMap, Complex, Tail, cokernel_complex, cone,
                               direct_sum_complex, dual, dual_chain_map, identity_chain_map,
                               kernel_complex, reindex, two_sided_split, zero_chain_map)
@@ -298,7 +298,7 @@ class TestFunctorMaps:
             assert f._checked and any(g is f for g in validated)
 
 
-# Check-engine runs (complexes._first_failure) of a command run a second
+# Check-engine runs (check._first_failure) of a command run a second
 # time in one process: every one re-checks a remembered certificate, and
 # counit, unit, F and G on the marked parsed inputs run none.
 @pytest.mark.parametrize("argv, runs", [
@@ -328,13 +328,13 @@ def test_a_warm_command_runs_the_engine_only_to_recheck(monkeypatch, argv, runs)
 
         monkeypatch.setattr(homotopy, "verify_certificate", rechecking)
         calls = count_checks(monkeypatch)
-        engine = complexes._first_failure
+        engine = check._first_failure
 
         def where(*args):
             if not depth[0]:
                 outside.append(args)
             return engine(*args)
 
-        monkeypatch.setattr(complexes, "_first_failure", where)
+        monkeypatch.setattr(check, "_first_failure", where)
         assert main(path) == 0
     assert (len(calls), len(outside)) == (runs, 0)

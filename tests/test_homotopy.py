@@ -16,7 +16,7 @@ from conftest import (alternating_tail_complex, assert_one_table, count_calls, f
                       kept_block, periodic_complex, random_combination, random_contractible,
                       random_d2_complex, random_module, reference_inverse_check, triangular_d2,
                       truncated_polynomial, with_entry)
-from singeq import (approx, cli, complexes, fixtures, functors, homotopy, linalg,
+from singeq import (approx, check, cli, complexes, fixtures, functors, homotopy, linalg,
                     modelcat, modules, solver)
 from singeq.config import Options
 from singeq.complexes import (ChainMap, Homotopy, chain_map_from_callable,
@@ -762,7 +762,7 @@ class TestInverseRecheck:
             for _ in range(2):  # cold, then a hit
                 cert = homotopy.homotopy_equivalence_certificate(f).certificate
                 with pytest.MonkeyPatch.context() as mp:
-                    calls = count_calls(mp, complexes, "_walk")
+                    calls = count_calls(mp, check, "_walk")
                     assert homotopy._verify_inverse_payload(cert.payload)
                 loops = [c for c in calls if c[2][0][0] in (cert.payload["homotopy_source"],
                                                             cert.payload["homotopy_target"])]

@@ -12,6 +12,10 @@ import ast
 import glob
 import os
 import re
+import subprocess
+import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,10 +66,10 @@ def test_the_scan_finds_an_unused_import_and_honours_noqa():
     assert unused_imports(source) == [(1, "field")]
 
 
-# The check engine and the walk that drives it are bound in complexes
-# alone, so that one patch of either there sees every check: other modules
-# reach the walk as complexes._check_walk.
-ENGINE = {"_first_failure", "_check_walk"}
+# The check engine and the walks that drive it are bound in check alone,
+# so that one patch of any of them there sees every check: other modules
+# reach the walks as check._check_walk and check._check_complex.
+ENGINE = {"_first_failure", "_check_walk", "_check_complex", "_walk"}
 
 
 def imported_names(source: str) -> set:
@@ -74,7 +78,7 @@ def imported_names(source: str) -> set:
             for a in node.names}
 
 
-def test_only_complexes_binds_the_check_engine():
+def test_only_check_binds_the_check_engine():
     found = {}
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "singeq", "*.py"))):
         with open(path) as fh:
@@ -86,7 +90,9 @@ def test_only_complexes_binds_the_check_engine():
 
 # The block-table format of graded maps stays behind complexes: other
 # modules make and keep maps through its producers (_from_stacks, _kept,
-# _copied, _sample), never from the pieces of the format.
+# _copied, _sample), never from the pieces of the format.  The one
+# exception is the certificate checker, which reads tables (_Blocks.on and
+# index) on the frames of the maps it walks (CHECK_READS).
 TABLE_FORMAT = {"_Blocks", "_Family", "_family", "_frame", "_lone", "_members", "_own_periods",
                 "_table"}
 
@@ -107,7 +113,40 @@ def test_only_complexes_binds_the_table_format():
             and isinstance(node.value, ast.Name) and node.value.id == "complexes"}
         if bound & TABLE_FORMAT:
             found[os.path.basename(path)] = sorted(bound & TABLE_FORMAT)
-    assert found == {}
+    assert found == {"check.py": sorted(CHECK_READS & TABLE_FORMAT)}
+
+
+# What the certificate checker (check) binds of complexes: the types of
+# its annotations and the read primitives it needs, of which _Blocks (read
+# through its on and index) and _frame belong to the table format.  It
+# imports no module that decides, solves or reads and writes files, so a
+# reader audits it with complexes' reads.
+CHECK_READS = {"Complex", "GradedMap", "_Blocks", "_frame", "_map_profile", "_same_terms"}
+CHECK_IMPORTS = {"__future__", "math", "typing", "numpy", "complexes", "errors", "modules"}
+
+
+def test_check_imports_only_the_reads_it_names():
+    with open(os.path.join(ROOT, "src", "singeq", "check.py")) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+    assert imported == CHECK_IMPORTS
+    assert not imported & {"solver", "homotopy", "modelcat", "approx", "equiv", "functors",
+                           "cli", "formats"}
+    assert {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "complexes"} == CHECK_READS
+
+
+@pytest.mark.parametrize("module", ["check", "complexes"])
+def test_each_of_check_and_complexes_imports_first(module):
+    # the two import each other; either may be the first a process imports
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    subprocess.run([sys.executable, "-c", f"import singeq.{module}"], env=env, check=True,
+                   timeout=120)
 
 
 # The module-level dicts of src/singeq: caches that the benchmark reads by

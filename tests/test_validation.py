@@ -1,7 +1,10 @@
 """Every rejection of Algebra.validate and Module.validate, pinned by its
 message on small hand-corrupted D2, T2 and T_2(D_2) inputs, and a
 corruption sweep whose expected first failing (i, j) comes from a loop
-over the definition in Python integers."""
+over the definition in Python integers.  Also the certificate checker's
+own rejections of a malformed complex or a null-homotopy check across
+two primes, and the ValueError of every public function given an
+unknown side, tag, mode or kind."""
 
 import random
 import re
@@ -10,8 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import random_module, triangular_d2
-from singeq import fixtures, linalg, modules
+from singeq import approx, equiv, fixtures, functors, homotopy, linalg, modelcat, modules, solver
 from singeq.algebra import Algebra
+from singeq.complexes import (Complex, Homotopy, complex_from_callable, identity_chain_map,
+                              zero_chain_map)
 from singeq.errors import ValidationError
 from singeq.modules import Module
 
@@ -199,3 +204,72 @@ def test_a_corrupted_module_fails_where_the_definition_does(name):
             assert message == "action violates relation (%d,%d)" % expected
         outcomes.add(expected if expected in (None, "unit") else "relation")
     assert outcomes >= {"unit", "relation"}
+
+
+# -- the certificate checker's own rejections ---------------------------------
+
+
+def period_three(n: int):
+    """(term, differential) at n of a complex over D2 of period 3: the
+    regular module at n = 1 mod 3, zero elsewhere, all differentials zero."""
+    A = fixtures.regular_D2()
+    Z = modules.zero_module(A.algebra)
+    term = A if n % 3 == 1 else Z
+    below = A if (n - 1) % 3 == 1 else Z
+    return term, linalg.zeros(below.dim, term.dim)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda A: Complex.build(A.algebra, 0, 2, {0: A, 2: A}, {}), "missing term at degree 1"),
+    (lambda A: Complex.build(A.algebra, 0, 1, {0: A, 1: A}, {1: linalg.zeros(2, 3)}),
+     "differential at degree 1 has wrong shape"),
+    (lambda A: complex_from_callable(A.algebra, 0, 1, lambda n: period_three(n)[0],
+                                     lambda n: period_three(n)[1], 0, 2),
+     "positive tail not 2-periodic at 4"),
+], ids=["missing-term", "wrong-shape", "wrong-period"])
+def test_a_malformed_complex_is_rejected_by_name(build, message):
+    with pytest.raises(ValidationError) as info:
+        build(fixtures.regular_D2())
+    assert str(info.value) == message
+
+
+def test_a_null_homotopy_check_across_two_primes_is_false():
+    pairs = []
+    for A in (fixtures.regular_D2(),
+              modules.regular_module(fixtures.truncated_polynomial(3, 3, "D3/F3"))):
+        X = functors.stalk(A)
+        pairs.append((zero_chain_map(X, X), Homotopy(X, X, {}, 0, 0)))
+        assert homotopy.verify_null_homotopy(*pairs[-1])
+    assert pairs[0][0].source.algebra.p != pairs[1][0].source.algebra.p
+    assert not homotopy.verify_null_homotopy(*pairs[0], pairs[1])
+
+
+# -- unknown sides, tags, modes and kinds ----------------------------------------
+
+
+def t_per_identity():
+    return identity_chain_map(fixtures.t_per())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: modelcat.orthogonal_certificate(fixtures.t_per(), "right_of_exQ",
+                                             modelcat.GeneratorFamily((fixtures.t_per(),))),
+     "unknown side 'right_of_exQ'"),
+    (lambda: modelcat.classify_map(t_per_identity(), "ctrco",
+                                   modelcat.GeneratorFamily((fixtures.t_per(),))),
+     "unknown structure tag 'ctrco'"),
+    (lambda: modelcat.is_weak_equivalence(t_per_identity(), "ctrco"),
+     "unknown structure tag 'ctrco'"),
+    (lambda: equiv.verify_round_trip(fixtures.t_per(), "Q"), "unknown round-trip side 'Q'"),
+    (lambda: solver.factor_chain_map(t_per_identity(), t_per_identity(), "retract"),
+     "unknown factorization mode 'retract'"),
+    (lambda: approx.gp_gi_approximation(fixtures.simple_k(), "GF"),
+     "unknown approximation side 'GF'"),
+    (lambda: approx.stalk_replacement(functors.stalk(fixtures.simple_k()), "cofibrant_co"),
+     "unknown replacement kind 'cofibrant_co'"),
+], ids=["orthogonal_certificate", "classify_map", "is_weak_equivalence", "verify_round_trip",
+        "factor_chain_map", "gp_gi_approximation", "stalk_replacement"])
+def test_an_unknown_side_tag_mode_or_kind_is_a_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

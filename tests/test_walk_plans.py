@@ -13,6 +13,7 @@ import weakref
 import pytest
 
 from conftest import in_new_process, random_chain_map, random_d2_complex, random_module
+import singeq.check
 from singeq import complexes, fixtures, functors, homotopy, linalg
 from singeq.complexes import ChainMap, identity_chain_map
 from singeq.errors import ValidationError
@@ -25,8 +26,8 @@ FIXDIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixture
 def count_plans(monkeypatch) -> list:
     """(S, T, k) of each walk plan built from now on."""
     built = []
-    real = complexes._Walk
-    monkeypatch.setattr(complexes, "_Walk", lambda S, T, k, *rest:
+    real = singeq.check._Walk
+    monkeypatch.setattr(singeq.check, "_Walk", lambda S, T, k, *rest:
                         built.append((S, T, k)) or real(S, T, k, *rest))
     return built
 
@@ -39,14 +40,14 @@ def walk_keys(store: dict) -> list:
 def engine_results(check) -> list:
     """check(), then what each run of the check engine returned."""
     results = []
-    real = complexes._first_failure
+    real = singeq.check._first_failure
 
     def first_failure(*args):
         results.append(real(*args))
         return results[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_first_failure", first_failure)
+        mp.setattr(singeq.check, "_first_failure", first_failure)
         return [check(), results]
 
 
@@ -106,7 +107,7 @@ class TestWalkPlans:
         rng = random.Random(6)
         S, T = random_d2_complex(rng), random_d2_complex(rng)
         f = random_chain_map(rng, S, T)
-        key = ("walk", 0, False, ((complexes._profile(f),),))
+        key = ("walk", 0, False, ((singeq.check._profile(f),),))
         assert key not in S._solved[T]
         built = count_plans(monkeypatch)
         for walks in range(1, 5):
@@ -128,7 +129,7 @@ class TestWalkPlans:
         for basis in [*htpy_bases, *bounded_bases()]:
             good = basis[len(basis) // 2]
             for where, kind, bad, alone in corrupted(good):
-                assert complexes._profile(bad) == complexes._profile(good)
+                assert singeq.check._profile(bad) == singeq.check._profile(good)
                 for f in (good, bad, good, bad):
                     if f is good:
                         f.validate()
@@ -156,7 +157,7 @@ class TestWalkPlans:
             unit = linalg.zeros(*hY.component(n).shape)
             unit[-1, -1] = 1
             bad = changed(hY, n, unit)
-            assert complexes._profile(bad) == complexes._profile(hY)
+            assert singeq.check._profile(bad) == singeq.check._profile(hY)
             assert not homotopy.verify_null_homotopy(g, bad)
             assert homotopy.verify_null_homotopy(g, hY)
 
@@ -168,8 +169,8 @@ class TestWalkPlans:
             f = random_chain_map(rng, S, T)
             for _ in range(2):
                 ChainMap(S, T, f.components, f.clo, f.chi, f.neg, f.pos).validate()
-            plan = S._solved[T][("walk", 0, False, ((complexes._profile(f),),))]
-            assert isinstance(plan, complexes._Walk)
+            plan = S._solved[T][("walk", 0, False, ((singeq.check._profile(f),),))]
+            assert isinstance(plan, singeq.check._Walk)
             return weakref.ref(plan)
 
         S, T = random_d2_complex(rng), random_d2_complex(rng)

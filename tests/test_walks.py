@@ -22,6 +22,7 @@ import pytest
 from conftest import (mismatched_cone, mono_quasi_iso, periodic_complex,
                       random_chain_map, random_contractible, random_d2_complex,
                       truncated_polynomial)
+import singeq.check
 from singeq import cli, complexes, fixtures, functors, homotopy, linalg, modelcat, modules, solver
 from singeq.complexes import Complex, ChainMap, Tail, identity_chain_map
 from singeq.errors import ValidationError
@@ -122,28 +123,46 @@ def recorded(check):
     """(intertwining entries, residue checks) that check() runs, one per
     object and walked degree, as (reported degree, *objects).
 
-    The engine (complexes._first_failure) takes the checks as columns
+    The engine (check._first_failure) takes the checks as columns
     stacked over the walked degrees and the objects; the hook unstacks
-    them.  An intertwining check names its modules in its group key.
+    them, reading each map column's maps from the walk (read_maps).  An
+    intertwining check names its modules in its group key.
     """
     seen = ([], [])
-    real = complexes._first_failure
+    real = singeq.check._first_failure
 
     def first_failure(ranges, ns, groups, test, *columns):
         keys = {i: key for key, idx in groups for i in idx}
-        entries = test is complexes._intertwining
+        entries = test is singeq.check._intertwining
         for j, r in enumerate(ranges):
             for i, n in enumerate(ns):
-                objs = [c.maps[j].component(n - 1 + c.at) if isinstance(c, complexes._Read)
-                        else c[i] for c in columns]
+                objs = [maps(c)[j].component(n - 1 + c.at)
+                        if isinstance(c, singeq.check._Read) else c[i] for c in columns]
                 seen[0 if entries else 1].append(
                     (r.first(n), *(keys[i] if entries else ()), *objs))
         return real(ranges, ns, groups, test, *columns)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_first_failure", first_failure)
+        maps = read_maps(mp)
+        mp.setattr(singeq.check, "_first_failure", first_failure)
         check()
     return seen
+
+
+def read_maps(mp):
+    """From now on, the maps each map column of a walk (check._Read) reads:
+    the maps at one position of the objects the walk was handed, as a
+    function of the column, recorded where the walk makes the column
+    (its before() shares the column's runs)."""
+    made = {}
+    real = singeq.check._Read.__init__
+
+    def init(self, plan, maps):
+        real(self, plan, maps)
+        made[id(self.runs)] = (self.runs, maps)
+
+    mp.setattr(singeq.check._Read, "__init__", init)
+    return lambda column: made[id(column.runs)][1]
 
 
 def assert_same_walk(check, reference):
@@ -551,22 +570,23 @@ def walk_groups(check) -> list:
     modules (S_n, T_{n+k}), or the shapes of dS_n and dT_{n+1} with that
     of f_n."""
     seen = []
-    real = complexes._first_failure
+    real = singeq.check._first_failure
 
     def first_failure(ranges, ns, groups, test, *columns):
-        if test is complexes._intertwining and isinstance(columns[0], complexes._Read):
-            g = columns[0].maps[0]
+        if test is singeq.check._intertwining and isinstance(columns[0], singeq.check._Read):
+            g = maps(columns[0])[0]
             S, T, k = g.source, g.target, g.shift
             seen.append(("twist", [(S.term(n), T.term(n + k)) for n in ns], groups))
         elif len(columns) == 6:  # d s + s d - (g f - 1): dT, s_n, s_{n-1}, dS, g, f
-            s, f = columns[1].maps[0], columns[-1].maps[0]
+            s, f = maps(columns[1])[0], maps(columns[-1])[0]
             S, T = s.source, s.target
             seen.append(("loop", [((S.diff(n).shape, T.diff(n + 1).shape), f.component(n).shape)
                                   for n in ns], groups))
         return real(ranges, ns, groups, test, *columns)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_first_failure", first_failure)
+        maps = read_maps(mp)
+        mp.setattr(singeq.check, "_first_failure", first_failure)
         check()
     return seen
 

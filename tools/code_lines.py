@@ -4,7 +4,8 @@ than a comment or a docstring.
     python3 tools/code_lines.py         # the work tree
     python3 tools/code_lines.py REV     # the files at git revision REV
 
-prints the total.  A docstring is the string that opens a module, class
+prints one "file: code lines" row per module of src/singeq, then the
+total alone as its last line.  A docstring is the string that opens a module, class
 or function body; every line of any other token counts, so a statement
 spread over several lines counts each of them."""
 
@@ -37,13 +38,19 @@ def code_lines(source: str) -> int:
 
 
 def sources(rev=None) -> list:
+    """(file name, source) of each module, in the work tree or at rev."""
     if rev is None:
-        return [open(path).read() for path in sorted(glob.glob(os.path.join(SRC, "*.py")))]
+        return [(os.path.basename(path), open(path).read())
+                for path in sorted(glob.glob(os.path.join(SRC, "*.py")))]
     names = subprocess.run(["git", "ls-tree", "--name-only", rev, SRC + "/"], check=True,
                            capture_output=True, text=True).stdout.split()
-    return [subprocess.run(["git", "show", f"{rev}:{name}"], check=True, capture_output=True,
-                           text=True).stdout for name in names if name.endswith(".py")]
+    return [(os.path.basename(name), subprocess.run(
+        ["git", "show", f"{rev}:{name}"], check=True, capture_output=True, text=True).stdout)
+        for name in names if name.endswith(".py")]
 
 
 if __name__ == "__main__":
-    print(sum(map(code_lines, sources(*sys.argv[1:2]))))
+    counts = [(name, code_lines(source)) for name, source in sources(*sys.argv[1:2])]
+    for name, count in counts:
+        print(f"{name}: {count}")
+    print(sum(count for _, count in counts))
