@@ -5,8 +5,14 @@ Auslander-Buchweitz pushout construction, complete (totally acyclic)
 resolutions with periodic-tail closure, and the cofibrant/fibrant
 replacements of stalk complexes built from them.
 Each Gorenstein module is resolved once: a triple carries the resolution
-of its middle term (on the GI side the dual of one over the opposite
-algebra), and both replacements read it.
+of its middle term, and the replacement reads it.
+
+The co side is the dual of the ctr side.  A fibrant replacement of S is D
+of the cofibrant replacement of D(S) over the opposite algebra, against
+the dual family (GeneratorFamily.opposite): its GI-preenvelope is
+_dual_triple of the GP-precover of D(N), its resolution the dual of that
+one's, and its two pieces are the cofibrant pieces swapped, since D
+reverses degrees, with their certificates over A^op.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import functors, linalg, modelcat, modules
-from .complexes import (ChainMap, Complex, chain_map, cokernel_complex,
-                        complex_from_callable, dual, kernel_complex, two_sided_split)
+from .complexes import (ChainMap, Complex, chain_map, complex_from_callable, dual,
+                        dual_chain_map, kernel_complex, two_sided_split)
 from .config import Options
 from .errors import NotGorensteinError, PeriodicityError, ValidationError
 from .homotopy import UNKNOWN, YES
@@ -177,46 +183,43 @@ def _gp_helper(N: Module, depth: int):
     return W, X, f, wincl
 
 
-def gp_gi_approximation(N: Module, side: str,
-                        options: Options = Options()) -> ApproximationTriple:
-    """The verified GP-precover (side "GP") or GI-preenvelope ("GI") of N
-    with its resolution: the GP side is the Auslander-Buchweitz pushout to
-    depth the Gorenstein dimension of the algebra, the GI side the dual of
-    the GP side of D(N) over the opposite algebra."""
-    A = N.algebra
+def gp_approximation(N: Module, options: Options = Options()) -> ApproximationTriple:
+    """The verified GP-precover of N with its resolution: the
+    Auslander-Buchweitz pushout to depth the Gorenstein dimension of the
+    algebra.  The GI-preenvelope of N is _dual_triple of the GP-precover of
+    D(N) over the opposite algebra."""
     bound = options.gorenstein_bound
-    d = modules.gorenstein_dimension(A, bound)
+    d = modules.gorenstein_dimension(N.algebra, bound)
     if d is None:
         raise NotGorensteinError("approximation needs a Gorenstein base algebra")
-    if side == "GP":
-        W, M, e, wincl = _gp_helper(N, d)
-        resolution = complete_resolution(M, options)
-        pdW = modules.projective_dimension(W, bound)
-        if pdW is None:
-            raise ValidationError("precover kernel has unbounded projective dimension")
-        triple = ApproximationTriple("GP-precover", W, M, N, wincl, e, resolution, pdW)
-        triple.verify()
-        return triple
-    if side == "GI":
-        opp = gp_gi_approximation(modules.dual_module(N), "GP", options)
-        # dualizing the GP sequence flips it
-        mono, epi = modules.dual_map(opp.epi), modules.dual_map(opp.mono)
-        Yp, Xp = epi.source, epi.target
-        idim = modules.injective_dimension(Xp, bound)
-        if idim is None:
-            raise ValidationError("preenvelope cokernel has unbounded injective dimension")
-        # T_0 ->> omega(T) ~ D(Y') over A^op; its dual is the mono
-        # Y' -> D(T)_0 onto the degree-0 cycles
-        T, iso = opp.resolution
-        J = dual(T)
-        theta = ModuleMap(Yp, J.term(0), iso.compose(functors.omega_data(T)[1]).matrix.T.copy())
-        theta.validate()
-        if not theta.is_injective():
-            raise ValidationError("theta witness is not a mono")
-        triple = ApproximationTriple("GI-preenvelope", N, Yp, Xp, mono, epi, (J, theta), idim)
-        triple.verify()
-        return triple
-    raise ValueError(f"unknown approximation side {side!r}")
+    W, M, e, wincl = _gp_helper(N, d)
+    resolution = complete_resolution(M, options)
+    pdW = modules.projective_dimension(W, bound)
+    if pdW is None:
+        raise ValidationError("precover kernel has unbounded projective dimension")
+    triple = ApproximationTriple("GP-precover", W, M, N, wincl, e, resolution, pdW)
+    triple.verify()
+    return triple
+
+
+def _dual_triple(gp: ApproximationTriple) -> ApproximationTriple:
+    """The verified GI-preenvelope 0 -> D(N) -> D(M) -> D(W) -> 0 that D
+    makes of the GP-precover 0 -> W -> M -> N -> 0 over A^op, with
+    id(D(W)) = pd(W)."""
+    # dualizing the GP sequence flips it
+    mono, epi = modules.dual_map(gp.epi), modules.dual_map(gp.mono)
+    # T_0 ->> omega(T) ~ M = D(Y'); its dual is the mono Y' -> D(T)_0 onto
+    # the degree-0 cycles
+    T, iso = gp.resolution
+    J = dual(T)
+    theta = ModuleMap(epi.source, J.term(0), iso.compose(functors.omega_data(T)[1]).matrix.T.copy())
+    theta.validate()
+    if not theta.is_injective():
+        raise ValidationError("theta witness is not a mono")
+    triple = ApproximationTriple("GI-preenvelope", mono.source, epi.source, epi.target, mono, epi,
+                                 (J, theta), gp.finite_dim)
+    triple.verify()
+    return triple
 
 
 @dataclass(eq=False)
@@ -257,22 +260,21 @@ def stalk_replacement(S: Complex, which: str,
         return replace(cached, map=chain_map(*ends, dict(cached.map.components),
                                              checked=S._checked and cached.map._checked))
 
-    triple = gp_gi_approximation(N, "GP" if which == "cofibrant_ctr" else "GI", options)
-    obj, witness = triple.resolution
     if which == "cofibrant_ctr":
+        triple = gp_approximation(N, options)
+        obj, witness = triple.resolution
         _, proj = functors.omega_data(obj)
         q = chain_map(obj, S, {0: ((triple.epi.matrix @ witness.matrix) % p @ proj.matrix) % p})
         if not q.is_epi():
             raise ValidationError("replacement map is not an epi in degree 0")
-        rest, side = kernel_complex(q)[0], "right_of_exP"
-    else:
-        q = chain_map(S, obj, {0: (witness.matrix @ triple.mono.matrix) % p})
-        if not q.is_mono():
-            raise ValidationError("replacement map is not a mono in degree 0")
-        rest, side = cokernel_complex(q)[0], "left_of_exI"
-    upper, lower = (modelcat.orthogonal_certificate(piece, side, fam, options)
-                    for piece in two_sided_split(rest, 0))
-    verdict = YES if upper.verdict == lower.verdict == CERTIFIED else UNKNOWN
-    out = StalkReplacement(obj, q, which, triple, upper, lower, verdict, witness)
+        upper, lower = (modelcat.orthogonal_certificate(piece, fam, options)
+                        for piece in two_sided_split(kernel_complex(q)[0], 0))
+        verdict = YES if upper.verdict == lower.verdict == CERTIFIED else UNKNOWN
+        out = StalkReplacement(obj, q, which, triple, upper, lower, verdict, witness)
+    else:  # the dual of a cofibrant replacement over A^op; D swaps the pieces
+        rep = stalk_replacement(dual(S), "cofibrant_ctr", fam.opposite, options)
+        triple = _dual_triple(rep.triple)
+        out = StalkReplacement(triple.resolution[0], dual_chain_map(rep.map), which, triple,
+                               rep.lower, rep.upper, rep.verdict, triple.resolution[1])
     _REPLACEMENT_CACHE[key] = out
     return out

@@ -71,7 +71,9 @@ constructor keeps the tails it gets.
 dual gives D(X) = Hom_k(X, k) over the opposite algebra, once per complex,
 and dual_chain_map D(f).  The injective side derives from the projective
 one through them: theta is D . omega . D (functors), and the co side's
-stable criterion and stable lifts run on duals (homotopy, equiv).
+stable criterion, stable lifts, orthogonality and fibrant replacements
+are the ctr side's, run on duals over A^op (homotopy, equiv, modelcat,
+approx).
 """
 
 from __future__ import annotations

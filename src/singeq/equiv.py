@@ -5,7 +5,9 @@ f_prime sends a complex of projectives to the complete injective
 resolution of the Gorenstein-injective preenvelope of its degree-zero
 syzygy; g_prime is the inverse composite.  Round trips are certified by
 lifting the canonical stable identification of syzygies to a chain map
-and producing an explicit homotopy inverse for it.
+and producing an explicit homotopy inverse for it.  Stable lifts run on
+omega alone: on side I the identification is between the thetas, and
+its lift is D of the omega lift of its dual over the opposite algebra.
 """
 
 from __future__ import annotations
@@ -52,22 +54,14 @@ def g_prime(I: Complex, fam: GeneratorFamily | None = None,
 
 
 def lift_stable_map(phi: ModuleMap, X: Complex, Y: Complex,
-                    side: str = "omega",
                     options: Options = Options()) -> ChainMap:
-    """Chain map f: X -> Y realizing phi up to the stable relation.
-
-    side "omega": phi: omega(X) -> omega(Y); omega(f) - phi factors
-    through a projective.  side "theta": phi: theta(X) -> theta(Y);
-    theta(f) - phi factors through an injective.  The lift is searched
-    with growing tail periods; LiftError on exhaustion.  Since theta is
-    D . omega . D, the theta lift is D of the omega lift of D(phi).  An
-    omega lift is memoized, and a hit checked again (solver._remembered).
+    """Chain map f: X -> Y realizing phi: omega(X) -> omega(Y) up to the
+    stable relation: omega(f) - phi factors through a projective.  The
+    lift is searched with growing tail periods; LiftError on exhaustion.
+    Memoized, and a hit checked again (solver._remembered).  Since theta is
+    D . omega . D, a lift of phi: theta(X) -> theta(Y), up to a map through
+    an injective, is D of the lift of D(phi) from D(Y) to D(X).
     """
-    if side == "theta":
-        return dual_chain_map(lift_stable_map(modules.dual_map(phi), dual(Y), dual(X),
-                                              "omega", options))
-    if side != "omega":
-        raise ValueError(f"unknown stable side {side!r}")
     p = X.algebra.p
     SX, sx_map = functors.omega_data(X)  # projection X_0 ->> omega(X)
     SY, sy_map = functors.omega_data(Y)
@@ -131,7 +125,7 @@ def verify_round_trip(X: Complex, side: str = "P",
         iso2 = second.replacement.witness  # omega(P2) -> M2
         phi_mat = (linalg.invert(iso2.matrix, p) @ alpha) % p
         phi = ModuleMap(N, functors.omega(second.object), phi_mat)
-        lift_side = "omega"
+        ends = (X, second.object)
     elif side == "I":
         first = g_prime(X, fam, options)
         second = f_prime(first.object, fam, options)
@@ -151,15 +145,18 @@ def verify_round_trip(X: Complex, side: str = "P",
             (None, 0, tg.epi.matrix), ((-cov.matrix) % p, 1, None)], (tg.mid, THY2))
         if cbar is None:
             return RoundTripReport(X, first, second, None, None, UNKNOWN, UNKNOWN)
-        phi = ModuleMap(Z, THY2, cbar)
-        lift_side = "theta"
+        # phi: theta(X) -> theta(I2) lifts as D of the omega lift of D(phi)
+        phi = modules.dual_map(ModuleMap(Z, THY2, cbar))
+        ends = (dual(second.object), dual(X))
     else:
         raise ValueError(f"unknown round-trip side {side!r}")
 
     try:
-        comparison = lift_stable_map(phi, X, second.object, lift_side, options)
+        comparison = lift_stable_map(phi, *ends, options)
     except LiftError:
         return RoundTripReport(X, first, second, None, None, UNKNOWN, UNKNOWN)
+    if side == "I":
+        comparison = dual_chain_map(comparison)
     res = homotopy.homotopy_equivalence_certificate(comparison, options)
 
     composite_check = _composite_weak_equivalence(first, second, side, fam, options)

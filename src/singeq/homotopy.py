@@ -275,8 +275,7 @@ def homotopy_equivalence_certificate(
             (Homotopy, X, X, parts["homotopy_source"]),
             (Homotopy, Y, Y, parts["homotopy_target"])))
         return EquivalenceResult(YES, Certificate("homotopy-inverse", {
-            "map": f, "inverse": g, "homotopy_source": hX, "homotopy_target": hY,
-            "contraction": parts["contraction"]}))
+            "map": f, "inverse": g, "homotopy_source": hX, "homotopy_target": hY}))
 
     def solve():
         value = _equivalence(f, options)
@@ -288,7 +287,7 @@ def homotopy_equivalence_certificate(
 
 def _equivalence(f: ChainMap, options: Options) -> tuple:
     """(verdict, and for a YES the inverse g and the homotopies hX, hY, each
-    as its window, table and tail periods, with the contraction of the
+    as its window, table and tail periods, read off a contraction of the
     cone, else None), solved; homotopy_equivalence_certificate checks them."""
     C = cone(f)
     if not is_exact(C):
@@ -304,8 +303,8 @@ def _equivalence(f: ChainMap, options: Options) -> tuple:
     lo, hi, nq, pq = _map_profile(f, X, Y)
     sq = _lcm([nq, pq, s.neg_period, s.pos_period])
     lo, hi = min(lo, s.clo), max(hi, s.chi)
-    return YES, {"contraction": s, **{
+    return YES, {
         name: _kept(_sample(kind, S, T, lo, hi, comp_fn, sq, sq)) for name, kind, S, T, comp_fn in (
             ("inverse", ChainMap, Y, X, lambda n: _cone_blocks(f, s, n)[1]),
             ("homotopy_source", Homotopy, X, X, lambda n: _cone_blocks(f, s, n + 1)[0]),
-            ("homotopy_target", Homotopy, Y, Y, lambda n: -_cone_blocks(f, s, n)[3]))}}
+            ("homotopy_target", Homotopy, Y, Y, lambda n: -_cone_blocks(f, s, n)[3]))}

@@ -10,6 +10,13 @@ so a shift that equals an earlier one in every degree gets no basis,
 decision or pairs of its own: all seven shifts of T_per over the
 built-in D2 are one complex.
 
+Orthogonality has one side, right of exP.  The duality D = Hom_k(-, k)
+exchanges exP and exI over the opposite algebra, so the co side's trivial
+cofibrations ask whether D of the cokernel is right-orthogonal to the
+duals of the co generators (GeneratorFamily.opposite); the certificate,
+witness and family a co flag carries are over A^op, and
+homotopy.verify_certificate checks them there.
+
 Each certificate is checked once, and the verdict follows the check: an
 orthogonality certificate is made only of pairs whose null-homotopy check
 passed inside homotopy.null_homotopies, so it is built checked, and a
@@ -49,8 +56,8 @@ class MembershipFlags:
 class GeneratorFamily:
     generators: tuple
     shift_range: int = 3
-    # the family of the left_of_exI side; None when this one serves both
-    # sides, as complete resolutions over a self-injective algebra do
+    # the family of the co side; None when this one serves both sides, as
+    # complete resolutions over a self-injective algebra do
     injective: GeneratorFamily | None = None
 
     def __post_init__(self):
@@ -78,6 +85,16 @@ class GeneratorFamily:
                 own.append(Tk)
             out += [S for S in own if not any(same_complex(S, U) for U in out)]
         return tuple(out)
+
+    @cached_property
+    def opposite(self) -> GeneratorFamily:
+        """The duals over A^op of the co side's generators (injective, or
+        this family when it serves both sides): the family a co question
+        asked on duals is answered against.  For a default family these
+        are the complete resolutions over A^op that it dualized, since
+        dual(dual(X)) is X."""
+        fam = self.injective or self
+        return GeneratorFamily(tuple(map(dual, fam.generators)), fam.shift_range)
 
 
 @dataclass(eq=False)
@@ -141,11 +158,12 @@ def default_family(algebra, options: Options = Options()) -> GeneratorFamily:
     complete resolutions, within periodicity_bound, of the d-th syzygies
     of the simple modules whose projective dimension is not found within
     gorenstein_bound: those syzygies are Gorenstein projective.  Unless
-    the algebra is self-injective, the left_of_exI side gets its own
-    family, the dual one: the duals of the complete resolutions over A^op
-    of the d-th syzygies of its simple modules of infinite projective
-    dimension, which are the complete injective resolutions of the d-th
-    cosyzygies of the simple modules of infinite injective dimension.
+    the algebra is self-injective, the co side gets its own family
+    (GeneratorFamily.injective), the dual one: the duals of the complete
+    resolutions over A^op of the d-th syzygies of its simple modules of
+    infinite projective dimension, which are the complete injective
+    resolutions of the d-th cosyzygies of the simple modules of infinite
+    injective dimension.
     Raises NotGorensteinError when the algebra is not Gorenstein within
     gorenstein_bound.
     """
@@ -181,40 +199,35 @@ def default_family(algebra, options: Options = Options()) -> GeneratorFamily:
     return modules._memo(algebra, ("family", options), compute)
 
 
-def orthogonal_certificate(X: Complex, side: str, fam: GeneratorFamily,
+def orthogonal_certificate(X: Complex, fam: GeneratorFamily,
                            options: Options = Options()) -> OrthogonalityResult:
-    """CERTIFIED when every chain map between X and each shift of fam
-    (into X on side "right_of_exP", out of X on side "left_of_exI") is
-    null-homotopic, REFUTED with a map that is not, else UNKNOWN.
+    """CERTIFIED when every chain map into X from each shift of fam is
+    null-homotopic, REFUTED with a map that is not, else UNKNOWN: whether X
+    is right-orthogonal to exP.  X is left-orthogonal to exI exactly when
+    D(X) is right-orthogonal to the duals fam.opposite over A^op, so the
+    co side asks orthogonal_certificate(dual(X), fam.opposite) and reads
+    its certificate and witness over A^op.
 
     Remembered through solver._remembered in X._solved[fam], the family
-    held weakly, under the side and the Options: a CERTIFIED result as
-    each pair's shift index in fam.shifts and the family columns of its
-    map and homotopy (complexes._kept).  The certificate a miss hands out
-    shares its arrays with the entry, so its pairs are read-only.  REFUTED
-    and UNKNOWN are not remembered."""
-    if side not in ("right_of_exP", "left_of_exI"):
-        raise ValueError(f"unknown side {side!r}")
-    check = homotopy.is_exP if side == "right_of_exP" else homotopy.is_exI
-    if side == "left_of_exI" and fam.injective is not None:
-        fam = fam.injective
+    held weakly, under the Options: a CERTIFIED result as each pair's shift
+    index in fam.shifts and the family columns of its map and homotopy
+    (complexes._kept).  The certificate a miss hands out shares its arrays
+    with the entry, so its pairs are read-only.  REFUTED and UNKNOWN are
+    not remembered."""
     for T in fam.generators:
-        if not check(T, options):
+        if not homotopy.is_exP(T, options):
             raise ValidationError("generator fails its own membership check")
 
-    def ends(i):  # the source and target of the maps between X and fam.shifts[i]
-        return (fam.shifts[i], X) if side == "right_of_exP" else (X, fam.shifts[i])
-
     def rebuild(kept):
-        pairs = [(_copied(ChainMap, *ends(i), f), _copied(Homotopy, *ends(i), s))
+        pairs = [(_copied(ChainMap, fam.shifts[i], X, f), _copied(Homotopy, fam.shifts[i], X, s))
                  for i, f, s in kept]
         cert = Certificate("orthogonality", {"pairs": pairs})
         return OrthogonalityResult(CERTIFIED, certificate=cert, family=fam)
 
     def solve():  # the one (result, value) of the scan, for _remembered
         pairs = []
-        for i in range(len(fam.shifts)):
-            basis, _ = solver.chain_map_space_basis(*ends(i), options)
+        for i, T in enumerate(fam.shifts):
+            basis, _ = solver.chain_map_space_basis(T, X, options)
             for f, res in zip(basis, homotopy.null_homotopies(basis, options)):
                 if res.verdict == NO:
                     return [(OrthogonalityResult(REFUTED, witness=f, family=fam), None)]
@@ -227,7 +240,7 @@ def orthogonal_certificate(X: Complex, side: str, fam: GeneratorFamily,
         return [(OrthogonalityResult(CERTIFIED, certificate=cert, family=fam),
                  tuple([(i, _kept(f), _kept(s)) for i, f, s in pairs]))]
 
-    return solver._remembered(X, fam, (side, options), (), solve, rebuild, homotopy._holds)
+    return solver._remembered(X, fam, options, (), solve, rebuild, homotopy._holds)
 
 
 def _bool_flag(ok: bool, reason: str) -> Flag:
@@ -259,7 +272,7 @@ def classify_map(f: ChainMap, tag: str, fam: GeneratorFamily,
                           "not a mono" if not mono else "cokernel not in P~")
         fib = _bool_flag(epi, "not an epi")
         tfib = _orth_flag(epi, "not an epi",
-                          orthogonal_certificate(ker, "right_of_exP", fam, options)
+                          orthogonal_certificate(ker, fam, options)
                           if epi else OrthogonalityResult(UNKNOWN))
     else:
         kflags = membership_flags(ker)
@@ -269,7 +282,7 @@ def classify_map(f: ChainMap, tag: str, fam: GeneratorFamily,
                           "not an epi" if not epi else "kernel not in I~")
         cof = _bool_flag(mono, "not a mono")
         tcof = _orth_flag(mono, "not a mono",
-                          orthogonal_certificate(coker, "left_of_exI", fam, options)
+                          orthogonal_certificate(dual(coker), fam.opposite, options)
                           if mono else OrthogonalityResult(UNKNOWN))
     return MapClassification(cof, tcof, fib, tfib)
 

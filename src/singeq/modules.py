@@ -49,7 +49,7 @@ Options, in the factor's source under its target: the composite
 (complexes._factors); an equivalence f: X -> Y under f's value and the
 Options, in X under Y: the inverse payload (homotopy._verify_inverse_payload),
 a NO or UNKNOWN returned as it is; a CERTIFIED orthogonality under the
-side and the Options, in X under the family: every pair
+Options, in X under the family: every pair
 (homotopy.verify_certificate).  A chain-map basis under the Options
 (solver.chain_map_space_basis) and the plans of check walks
 (check._Walk) are kept there outside the rule, as solver._remembered
@@ -58,9 +58,10 @@ table, and each chain map its kernel and cokernel; like X's verdicts,
 dual and constructions, they are built from frozen inputs and not
 checked again.  Four module-level dicts never shrink:
 functors._OMEGA_CACHE and _THETA_CACHE under id(X), holding X;
-approx._REPLACEMENT_CACHE under the algebra, the stalk module's action
-bytes, the family and the Options, whose hit rebuilds the map on the
-caller's stalk; and formats._ALGEBRA_INTERN under a document's content.
+approx._REPLACEMENT_CACHE under the algebra, the kind, the stalk module's
+action bytes, the family and the Options, whose hit rebuilds the map on
+the caller's stalk (a fibrant entry comes with the cofibrant entry over
+A^op whose dual it is); and formats._ALGEBRA_INTERN under a document's content.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ class TestGorenstein:
 
 class TestApproximationTriples:
     def test_gp_of_k_over_d2(self, k):
-        triple = approx.gp_gi_approximation(k, "GP")
+        triple = approx.gp_approximation(k)
         triple.verify()
         # dimension 0: every module is Gorenstein projective, so the
         # precover may be an iso-like epi with finite-dimension kernel
@@ -43,21 +43,21 @@ class TestApproximationTriples:
 
     def test_gp_of_s2_over_t2(self):
         S2 = fixtures.S2()
-        triple = approx.gp_gi_approximation(S2, "GP")
+        triple = approx.gp_approximation(S2)
         triple.verify()
         # over a hereditary algebra GP modules are projective
         assert triple.mid.is_projective
 
     def test_gi_of_k_over_d2(self, k):
-        triple = approx.gp_gi_approximation(k, "GI")
+        triple = approx._dual_triple(approx.gp_approximation(modules.dual_module(k)))
         triple.verify()
         # the right-hand piece has finite injective dimension
         assert triple.finite_dim is not None
 
     def test_zero_module(self, D2):
         Z = modules.zero_module(D2)
-        for side in ("GP", "GI"):
-            triple = approx.gp_gi_approximation(Z, side)
+        gi = approx._dual_triple(approx.gp_approximation(modules.dual_module(Z)))
+        for triple in (approx.gp_approximation(Z), gi):
             triple.verify()
             assert triple.mid.dim == triple.left.dim
 
@@ -245,7 +245,7 @@ class TestStalkReplacement:
             if id(fresh[-1]) == old:
                 break
         rep = approx.stalk_replacement(functors.stalk(k), "fibrant_co", fresh[-1])
-        assert rep.upper.family is rep.lower.family is fresh[-1]
+        assert rep.upper.family is rep.lower.family is fresh[-1].opposite
         assert rep.verdict == YES
 
     def test_rejects_non_stalk(self, t_per):

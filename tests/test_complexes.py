@@ -1127,9 +1127,9 @@ class TestStackedTables:
         [(_, factor)] = [v for k, v in X._solved[Y].items()
                          if isinstance(k, tuple) and k[0] == "lift"]
         kept.append(factor[2])
-        C = cone(identity_chain_map(fixtures.t_per()))
-        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
-        assert modelcat.orthogonal_certificate(C, "left_of_exI", fam).verdict == modelcat.CERTIFIED
+        C = complexes.dual(cone(identity_chain_map(fixtures.t_per())))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),)).opposite
+        assert modelcat.orthogonal_certificate(C, fam).verdict == modelcat.CERTIFIED
         [(_, pairs)] = C._solved[fam].values()
         kept += [k[2] for _, f, s in pairs for k in (f, s)]
         for family, j in kept:

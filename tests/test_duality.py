@@ -127,7 +127,7 @@ class TestInjectiveResolutionOfATriple:
         alg = fixtures.D2() if name == "D2" else triangular_d2()
         simples = modules.simple_modules(alg)
         for N in [*simples, *(modules.syzygy(S, 1) for S in simples)]:
-            triple = approx.gp_gi_approximation(N, "GI")
+            triple = approx._dual_triple(approx.gp_approximation(modules.dual_module(N)))
             J, mono = triple.resolution
             ref, ref_mono = hand_built_injective_resolution(modules.dual_module(triple.mid))
             assert block_bits(J) == block_bits(ref)
@@ -166,17 +166,12 @@ class TestThetaLift:
             T = functors.theta(J)
             p = J.algebra.p
             for phi in (modules.identity_map(T), modules.zero_map(T, T)):
-                f = equiv.lift_stable_map(phi, J, J, "theta")
+                f = dual_chain_map(equiv.lift_stable_map(modules.dual_map(phi), dual(J), dual(J)))
                 diff = (functors.theta_map(f).matrix - phi.matrix) % p
                 assert homotopy.factors_through_projective(
                     modules.dual_map(modules.ModuleMap(T, T, diff)))
                 equivalence = homotopy.homotopy_equivalence_certificate(f).verdict == YES
                 assert equivalence == phi.matrix.any()
-
-    def test_unknown_side(self, t_per):
-        phi = modules.identity_map(functors.omega(t_per))
-        with pytest.raises(ValueError, match="unknown stable side"):
-            equiv.lift_stable_map(phi, t_per, t_per, "sigma")
 
 
 class TestCoSide:
@@ -205,3 +200,71 @@ class TestCoSide:
             C = cones[-1]
             assert C._membership[which] is True
             assert complexes.is_exact(C) and homotopy._terms_in_class(C, which)
+
+
+@functools.cache
+def relation_maps():
+    """Chain maps to test the duality relations on: over D2, random maps
+    between random bounded complexes and, for random X, the inclusion
+    X -> X + C and the projection X + C -> X, C a shift of contractible_AA
+    or of T_per (so that orthogonality is certified and refuted); over
+    T_2(D_2), the identity of each default-family generator, the zero maps
+    0 -> J and T -> 0 on the generators J of the co side and T of the ctr
+    side, a chain-map basis between the two co generators, and the zero
+    maps into and out of the contractible cone C on the stalk of D(A), an
+    injective module that is not projective (C is in exI with injective
+    cycles)."""
+    rng = random.Random(23)
+    Cs = [complexes.reindex(fixtures.contractible_AA(), -1),
+          complexes.reindex(fixtures.t_per(), 1)]
+    maps = []
+    for i in range(4):
+        X, Y = random_d2_complex(rng, 3, 2), random_d2_complex(rng, 3, 2)
+        _, iX, _, pX, _ = complexes.direct_sum_complex(X, Cs[i % 2])
+        maps += [random_chain_map(rng, X, Y), iX, pX]
+    alg = triangular_d2()
+    fam, zero = modelcat.default_family(alg), complexes.zero_complex(alg)
+    maps += [complexes.identity_chain_map(T) for T in (*fam.generators, *fam.injective.generators)]
+    maps += [complexes.zero_chain_map(zero, J) for J in fam.injective.generators]
+    maps += [complexes.zero_chain_map(T, zero) for T in fam.generators]
+    DA = modules.dual_module(modules.regular_module(modules._opposite_of(alg)))
+    C = complexes.cone(complexes.identity_chain_map(functors.stalk(DA)))
+    maps += [complexes.zero_chain_map(C, zero), complexes.zero_chain_map(zero, C)]
+    gens = fam.injective.generators
+    return maps + solver.chain_map_space_basis(gens[0], gens[1])[0]
+
+
+class TestDualityRelations:
+    """Relations D = Hom_k(-, k) must keep, on random inputs: D exchanges
+    exP and exI, null-homotopic maps and the chain-map spaces, and the two
+    model structures, with cofibrations and fibrations swapped."""
+
+    @pytest.mark.parametrize("i", range(len(sample_complexes())))
+    def test_exP_is_exI_of_the_dual(self, i):
+        X = sample_complexes()[i]
+        for Y in (X, dual(X)):
+            assert homotopy.is_exP(Y) == homotopy.is_exI(dual(Y))
+
+    @pytest.mark.parametrize("i", range(len(relation_maps())))
+    def test_a_map_and_its_dual_are_null_homotopic_alike(self, i):
+        f = relation_maps()[i]
+        assert homotopy.null_homotopy(f).verdict == homotopy.null_homotopy(
+            dual_chain_map(f)).verdict
+
+    def test_chain_map_spaces_of_duals_have_one_size(self):
+        X = sample_complexes()
+        for S, T in [(X[0], X[0]), (X[1], X[0]), (X[3], X[3]), (X[4], X[6]), (X[6], X[7]),
+                     (X[5], X[4]), (X[8], X[9]), (X[10], X[11])]:
+            assert len(solver.chain_map_space_basis(S, T)[0]) == \
+                len(solver.chain_map_space_basis(dual(T), dual(S))[0])
+
+    @pytest.mark.parametrize("i", range(len(relation_maps())))
+    def test_co_classes_are_ctr_classes_of_the_dual(self, i):
+        f = relation_maps()[i]
+        fam = modelcat.default_family(f.source.algebra)
+        co = modelcat.classify_map(f, "co", fam)
+        ctr = modelcat.classify_map(dual_chain_map(f), "ctr", fam.opposite)
+        assert [flag.verdict for flag in (co.cofibration, co.trivial_cofibration,
+                                          co.fibration, co.trivial_fibration)] == \
+            [flag.verdict for flag in (ctr.fibration, ctr.trivial_fibration,
+                                       ctr.cofibration, ctr.trivial_cofibration)]

@@ -50,14 +50,13 @@ class TestPrimes:
 class TestLiftStableMap:
     def test_lift_identity_of_k(self, t_per, k):
         phi = modules.identity_map(functors.omega(t_per))
-        f = equiv.lift_stable_map(phi, t_per, t_per, "omega")
+        f = equiv.lift_stable_map(phi, t_per, t_per)
         res = homotopy.homotopy_equivalence_certificate(f)
         assert res.verdict == YES
 
     def test_lift_zero_map(self, t_per):
         W = functors.omega(t_per)
-        f = equiv.lift_stable_map(modules.zero_map(W, W), t_per, t_per,
-                                  "omega")
+        f = equiv.lift_stable_map(modules.zero_map(W, W), t_per, t_per)
         assert homotopy.null_homotopy(f).verdict == YES
 
     def test_lift_of_x_action_is_null_homotopic(self, t_per):
@@ -65,14 +64,13 @@ class TestLiftStableMap:
         W = functors.omega(t_per)
         x_on_k = modules.ModuleMap(
             W, W, np.zeros((1, 1), dtype=np.int64))
-        f = equiv.lift_stable_map(x_on_k, t_per, t_per, "omega")
+        f = equiv.lift_stable_map(x_on_k, t_per, t_per)
         assert homotopy.null_homotopy(f).verdict == YES
 
     def test_exhaustion_names_its_bound(self, t_per):
         phi = modules.identity_map(functors.omega(t_per))
         with pytest.raises(LiftError, match="homotopy_period_bound=0"):
-            equiv.lift_stable_map(phi, t_per, t_per, "omega",
-                                  Options(homotopy_period_bound=0))
+            equiv.lift_stable_map(phi, t_per, t_per, Options(homotopy_period_bound=0))
 
 
 LIFT_CASES = ["T_per over D2", "D3/F3"]
@@ -101,7 +99,7 @@ def cold_lifts(name: str, bounds: list) -> list:
     out = []
     for m in bounds:
         phi, X = lift_case(name)
-        out.append(memo_digest([equiv.lift_stable_map(phi, X, X, "omega",
+        out.append(memo_digest([equiv.lift_stable_map(phi, X, X,
                                                       Options(homotopy_period_bound=m))]))
     return out
 
@@ -111,7 +109,7 @@ class TestLiftMemo:
         phi, X = lift_case("D3/F3")
         solves = count_solves(monkeypatch)
         # an equal phi that is another object hits too
-        digests = {memo_digest([equiv.lift_stable_map(psi, X, X, "omega")])
+        digests = {memo_digest([equiv.lift_stable_map(psi, X, X)])
                    for psi in (phi, dataclasses.replace(phi), phi)}
         assert len(solves) == 1 and len(digests) == 1
 
@@ -119,8 +117,8 @@ class TestLiftMemo:
     def test_a_hit_equals_a_cold_call_in_a_new_process(self, name, monkeypatch):
         phi, X = lift_case(name)
         solves = count_solves(monkeypatch)
-        cold = equiv.lift_stable_map(phi, X, X, "omega")
-        hit = equiv.lift_stable_map(phi, X, X, "omega")
+        cold = equiv.lift_stable_map(phi, X, X)
+        hit = equiv.lift_stable_map(phi, X, X)
         assert len(solves) == 1 and hit is not cold and hit._checked
         assert memo_digest([hit]) == memo_digest([cold]) == cold_lift_digests(name)[0]
         diff = (functors.omega_map(hit).matrix - phi.matrix) % X.algebra.p
@@ -130,13 +128,15 @@ class TestLiftMemo:
         X = periodic_complex(truncated_polynomial(3, 3), 1)
         phi = modules.identity_map(functors.theta(X))
         solves = count_solves(monkeypatch)
-        first, second = (equiv.lift_stable_map(phi, X, X, "theta") for _ in range(2))
+        DX = complexes.dual(X)
+        first, second = (complexes.dual_chain_map(equiv.lift_stable_map(
+            modules.dual_map(phi), DX, DX)) for _ in range(2))
         assert len(solves) == 1 and memo_digest([first]) == memo_digest([second])
         assert lift_entries(complexes.dual(X), complexes.dual(X))
 
     def test_a_corrupted_entry_is_solved_again(self, monkeypatch):
         phi, X = lift_case("T_per over D2")
-        equiv.lift_stable_map(phi, X, X, "omega")
+        equiv.lift_stable_map(phi, X, X)
         [(_, kept)] = lift_entries(X, X).values()
         block = kept_block(kept, 0)
         with pytest.raises(ValueError, match="read-only"):
@@ -144,16 +144,16 @@ class TestLiftMemo:
         block.flags.writeable = True
         block[0, 0] += 1
         solves = count_solves(monkeypatch)
-        f = equiv.lift_stable_map(phi, X, X, "omega")
+        f = equiv.lift_stable_map(phi, X, X)
         assert len(solves) == 1 and memo_digest([f]) == cold_lift_digests("T_per over D2")[0]
         # the entry was overwritten, and hits again
-        assert memo_digest([equiv.lift_stable_map(phi, X, X, "omega")]) == memo_digest([f])
+        assert memo_digest([equiv.lift_stable_map(phi, X, X)]) == memo_digest([f])
         assert len(solves) == 1
 
     def test_each_options_has_its_own_entry(self, monkeypatch):
         phi, X = lift_case("D3/F3")
         solves = count_solves(monkeypatch)
-        warm = [memo_digest([equiv.lift_stable_map(phi, X, X, "omega",
+        warm = [memo_digest([equiv.lift_stable_map(phi, X, X,
                                                    Options(homotopy_period_bound=m))])
                 for m in (4, 1, 4)]
         assert len(solves) == 2 and len(lift_entries(X, X)) == 2
@@ -168,7 +168,7 @@ class TestLiftMemo:
         phi = modules.identity_map(functors.omega(X))
         assert functors.omega(Y).dim == phi.target.dim
         f = equiv.lift_stable_map(modules.ModuleMap(phi.source, functors.omega(Y), phi.matrix),
-                                  X, Y, "omega")
+                                  X, Y)
         target, source, store = weakref.ref(Y), weakref.ref(X), X._solved
         assert lift_entries(X, Y)
         monkeypatch.undo()
@@ -182,18 +182,18 @@ class TestLiftMemo:
     def test_writing_into_a_returned_map_leaves_the_next_hit(self):
         phi, X = lift_case("D3/F3")
         for _ in range(2):  # the cold call's map, then a hit's
-            f = equiv.lift_stable_map(phi, X, X, "omega")
+            f = equiv.lift_stable_map(phi, X, X)
             before = memo_digest([f])
             for m in [*f.components.values(), *(f.neg or (0, ()))[1], *(f.pos or (0, ()))[1]]:
                 m += 1
-            assert memo_digest([equiv.lift_stable_map(phi, X, X, "omega")]) == before
+            assert memo_digest([equiv.lift_stable_map(phi, X, X)]) == before
 
     def test_a_cold_call_that_finds_nothing_or_raises_stores_nothing(self, monkeypatch):
         phi, X = lift_case("T_per over D2")
         monkeypatch.setattr(homotopy, "factors_through_projective", lambda _: False)
         solves = count_solves(monkeypatch)
         with pytest.raises(LiftError, match="homotopy_period_bound=4"):
-            equiv.lift_stable_map(phi, X, X, "omega")
+            equiv.lift_stable_map(phi, X, X)
         assert solves and not lift_entries(X, X)
 
         def refuse(*maps, table=None):
@@ -202,11 +202,11 @@ class TestLiftMemo:
         monkeypatch.undo()
         monkeypatch.setattr(ChainMap, "validate", refuse)
         with pytest.raises(ValidationError, match="refused"):
-            equiv.lift_stable_map(phi, X, X, "omega")
+            equiv.lift_stable_map(phi, X, X)
         assert not lift_entries(X, X)
         monkeypatch.undo()
         solves = count_solves(monkeypatch)
-        f = equiv.lift_stable_map(phi, X, X, "omega")
+        f = equiv.lift_stable_map(phi, X, X)
         assert memo_digest([f]) == cold_lift_digests("T_per over D2")[0]
         assert len(solves) == 1
 

@@ -14,10 +14,11 @@ import pytest
 from conftest import (count_calls, equal_by_degrees, in_new_process, kept_block,
                       periodic_complex, random_d2_complex, t_per_with_period_2_tails,
                       triangular_d2, truncated_polynomial)
-from singeq import cli, complexes, fixtures, functors, homotopy, modelcat, modules, solver
+from singeq import approx, cli, complexes, fixtures, functors, homotopy, modelcat, modules, solver
 from singeq.config import Options
 from singeq.errors import ValidationError
-from singeq.complexes import cone, direct_sum_complex, identity_chain_map, reindex, zero_chain_map
+from singeq.complexes import (cone, direct_sum_complex, dual, identity_chain_map, reindex,
+                              zero_chain_map)
 from singeq.homotopy import NO, UNKNOWN, YES
 from singeq.modelcat import CERTIFIED, REFUTED
 
@@ -46,13 +47,12 @@ class TestMembership:
 
 class TestOrthogonality:
     def test_projective_stalk_left_of_exI(self, A, fam):
-        res = modelcat.orthogonal_certificate(
-            functors.stalk(A), "left_of_exI", fam)
+        res = modelcat.orthogonal_certificate(dual(functors.stalk(A)), fam.opposite)
         assert res.verdict == CERTIFIED
         assert homotopy.verify_certificate(res.certificate)
 
     def test_t_per_not_right_of_exP(self, t_per, fam):
-        res = modelcat.orthogonal_certificate(t_per, "right_of_exP", fam)
+        res = modelcat.orthogonal_certificate(t_per, fam)
         assert res.verdict == REFUTED
         assert res.witness is not None
         # the witness is genuinely non-null-homotopic
@@ -62,20 +62,20 @@ class TestOrthogonality:
         # maps from C[-1] + k into the shifts of T_per: those through the
         # contractible C[-1] are null-homotopic and come first in each
         # basis, those through k are not
-        X = complexes.direct_sum_complex(reindex(contractible, -1), functors.stalk(k))[0]
-        res = modelcat.orthogonal_certificate(X, "left_of_exI", fam)
+        X = dual(complexes.direct_sum_complex(reindex(contractible, -1), functors.stalk(k))[0])
+        res = modelcat.orthogonal_certificate(X, fam.opposite)
         assert res.verdict == REFUTED
 
         def first_refutation():
-            for Tk in fam.shifts:
-                for i, f in enumerate(solver.chain_map_space_basis(X, Tk)[0]):
+            for Tk in fam.opposite.shifts:
+                for i, f in enumerate(solver.chain_map_space_basis(Tk, X)[0]):
                     if homotopy.null_homotopy(f).verdict == NO:
                         return Tk, i, f
 
         Tk, i, f = first_refutation()
         assert i > 0  # a null-homotopic map comes first in its basis
         w = res.witness
-        assert w.target is Tk and (w.clo, w.chi) == (f.clo, f.chi)
+        assert w.source is Tk and (w.clo, w.chi) == (f.clo, f.chi)
         assert all(np.array_equal(w.component(n), f.component(n))
                    for n in range(f.clo - 2, f.chi + 3))
 
@@ -88,7 +88,7 @@ class TestOrthogonality:
             return verify(f, s, *others)
 
         monkeypatch.setattr(homotopy, "verify_null_homotopy", recording)
-        res = modelcat.orthogonal_certificate(functors.stalk(A), "left_of_exI", fam)
+        res = modelcat.orthogonal_certificate(dual(functors.stalk(A)), fam.opposite)
         assert res.verdict == CERTIFIED and res.certificate.checked
         pairs = res.certificate.payload["pairs"]
         assert len(pairs) == 1  # the seven shifts of T_per are one complex
@@ -107,39 +107,36 @@ class TestOrthogonality:
         # a family of its own: an earlier test's certificate for the shared
         # one is remembered, and its pairs check again fine
         own = modelcat.GeneratorFamily(fam.generators, fam.shift_range)
-        res = modelcat.orthogonal_certificate(functors.stalk(A), "left_of_exI", own)
+        res = modelcat.orthogonal_certificate(dual(functors.stalk(A)), own.opposite)
         assert res.verdict == UNKNOWN and res.certificate is None
 
     def test_shifts_are_built_once_per_family(self, monkeypatch, A, fam):
-        assert len(fam.shifts) == 1  # the seven shifts of T_per are one complex
-        assert fam.shifts is fam.shifts
+        opp = fam.opposite
+        assert len(opp.shifts) == 1  # the seven shifts of D(T_per) are one complex
+        assert opp.shifts is opp.shifts
 
         def no_reindex(*args):
             raise AssertionError("shift rebuilt")
 
         monkeypatch.setattr(modelcat, "reindex", no_reindex)
-        res = modelcat.orthogonal_certificate(functors.stalk(A), "left_of_exI", fam)
+        res = modelcat.orthogonal_certificate(dual(functors.stalk(A)), opp)
         assert res.verdict == CERTIFIED
 
     def test_zero_complex_both_sides(self, D2, fam):
         Z = complexes.zero_complex(D2)
-        for side in ("right_of_exP", "left_of_exI"):
-            assert modelcat.orthogonal_certificate(Z, side, fam).verdict \
-                == CERTIFIED
+        for X, side_fam in ((Z, fam), (dual(Z), fam.opposite)):
+            assert modelcat.orthogonal_certificate(X, side_fam).verdict == CERTIFIED
 
 
-def all_shift_runs(X, side, fam):
+def all_shift_runs(X, fam):
     """The loop of orthogonal_certificate over all 2r+1 shifts of each
     generator, none left out: (verdict, witness, [(T[k], its pairs)])
     for the shifts run before the verdict."""
-    if side == "left_of_exI" and fam.injective is not None:
-        fam = fam.injective
     r, runs, unknown = fam.shift_range, [], False
     for T in fam.generators:
         for k in range(-r, r + 1):
             Tk = reindex(T, k)
-            ends = (Tk, X) if side == "right_of_exP" else (X, Tk)
-            basis, _ = solver.chain_map_space_basis(*ends)
+            basis, _ = solver.chain_map_space_basis(Tk, X)
             pairs = []
             for f, res in zip(basis, homotopy.null_homotopies(basis)):
                 if res.verdict == NO:
@@ -209,9 +206,9 @@ class TestDistinctShifts:
         verdicts = []
         T = fam.generators[0]
         for X in orthogonality_inputs(T.algebra, T):
-            for side in ("right_of_exP", "left_of_exI"):
-                verdict, witness, runs = all_shift_runs(X, side, fam)
-                res = modelcat.orthogonal_certificate(X, side, fam)
+            for Y, side_fam in ((X, fam), (dual(X), fam.opposite)):
+                verdict, witness, runs = all_shift_runs(Y, side_fam)
+                res = modelcat.orthogonal_certificate(Y, side_fam)
                 assert res.verdict == verdict
                 verdicts.append(verdict)
                 if verdict == REFUTED:
@@ -253,7 +250,7 @@ def family_result(shift_range):
     options = Options(shift_range=shift_range)
     fam = modelcat.default_family(fixtures.D2(), options)
     res = modelcat.orthogonal_certificate(
-        functors.stalk(fixtures.regular_D2()), "left_of_exI", fam, options)
+        dual(functors.stalk(fixtures.regular_D2())), fam.opposite, options)
     return [fam.shift_range, len(fam.generators), res.verdict,
             len(res.certificate.payload["pairs"])]
 
@@ -309,6 +306,46 @@ class TestDefaultFamily:
     def test_empty_for_finite_global_dimension(self, F2, T2):
         for alg in (F2, T2):
             assert modelcat.default_family(alg).generators == ()
+
+
+class TestCoRouteOverTriangularD2:
+    """The co side's orthogonality is asked on duals over A^op, against
+    GeneratorFamily.opposite; over the 1-Gorenstein T_2(D_2) the co side
+    has generators of its own."""
+
+    def test_the_opposite_family_is_what_the_default_family_dualized(self, monkeypatch):
+        # a family of its own, whose opposite no other test builds
+        fam = modelcat.default_family(triangular_d2(), Options(shift_range=2))
+        resolutions = count_calls(monkeypatch, approx, "complete_resolution")
+        opp = fam.opposite
+        assert not resolutions and fam.opposite is opp
+        assert len(opp.generators) == len(fam.injective.generators) == 2
+        for O, J in zip(opp.generators, fam.injective.generators):
+            assert dual(J) is O and dual(O) is J
+            assert O.algebra is modules._opposite_of(J.algebra) and homotopy.is_exP(O)
+        assert opp.shift_range == fam.injective.shift_range
+
+    def test_a_generator_outside_exI_fails_its_check_on_the_co_side(self):
+        # T is in exP and not in exI, so D(T) over A^op is not in exP
+        T = modelcat.default_family(triangular_d2()).generators[0]
+        own = modelcat.GeneratorFamily((T,))
+        f = identity_chain_map(T)
+        assert f.is_mono() and homotopy.is_exP(T) and not homotopy.is_exI(T)
+        assert modelcat.classify_map(f, "ctr", own).trivial_fibration.verdict == YES
+        with pytest.raises(ValidationError, match="generator fails its own membership check"):
+            modelcat.classify_map(f, "co", own)
+
+    def test_a_co_refutation_is_a_map_over_the_opposite_algebra(self):
+        alg = triangular_d2()
+        fam = modelcat.default_family(alg)
+        for J in fam.injective.generators:
+            flag = modelcat.classify_map(
+                zero_chain_map(complexes.zero_complex(alg), J), "co", fam).trivial_cofibration
+            assert (flag.verdict, flag.reason) == (NO, "orthogonality refuted")
+            w = flag.certificate
+            assert w.source.algebra is w.target.algebra is modules._opposite_of(alg)
+            assert any(w.source is S for S in fam.opposite.shifts)
+            assert homotopy.null_homotopy(w).verdict == NO
 
 
 def classified(maps, options=Options()) -> list:
@@ -373,12 +410,12 @@ class TestRememberedResults:
         assert {row[1][0] for row in forwards[1::2]} == {YES, NO}
 
     def test_a_hit_is_checked_again_and_solves_nothing(self, monkeypatch):
-        C = cone(identity_chain_map(fixtures.t_per()))
-        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
-        first = modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        C = dual(cone(identity_chain_map(fixtures.t_per())))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),)).opposite
+        first = modelcat.orthogonal_certificate(C, fam)
         solves = count_calls(monkeypatch, homotopy, "null_homotopies")
         checks = count_calls(monkeypatch, homotopy, "verify_certificate")
-        hit = modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        hit = modelcat.orthogonal_certificate(C, fam)
         assert not solves and len(checks) == 1 and hit.certificate.checked
         assert cli.digest(hit.certificate) == cli.digest(first.certificate)
         hit_pairs, first_pairs = (r.certificate.payload["pairs"] for r in (hit, first))
@@ -386,10 +423,10 @@ class TestRememberedResults:
                    for pair, old in zip(hit_pairs, first_pairs) for g, f in zip(pair, old))
 
     def test_a_corrupted_pair_is_solved_again(self, monkeypatch):
-        C = cone(identity_chain_map(fixtures.t_per()))
-        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
-        first = cli.digest(modelcat.orthogonal_certificate(C, "left_of_exI", fam).certificate)
-        entry = C._solved[fam]["left_of_exI", Options()]
+        C = dual(cone(identity_chain_map(fixtures.t_per())))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),)).opposite
+        first = cli.digest(modelcat.orthogonal_certificate(C, fam).certificate)
+        entry = C._solved[fam][Options()]
         refs, kept_pairs = entry
         _, _, kept = kept_pairs[0]  # the first pair's homotopy
         block = kept_block(kept, kept[0])
@@ -399,16 +436,16 @@ class TestRememberedResults:
         block.flags.writeable = True
         block[0, 0] = (block[0, 0] + 1) % 2
         solves = count_calls(monkeypatch, homotopy, "null_homotopies")
-        res = modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        res = modelcat.orthogonal_certificate(C, fam)
         assert solves and res.verdict == CERTIFIED and cli.digest(res.certificate) == first
-        assert C._solved[fam]["left_of_exI", Options()] is not entry  # overwritten
+        assert C._solved[fam][Options()] is not entry  # overwritten
 
     def test_a_certified_miss_shares_its_read_only_arrays_with_the_entry(self):
-        C = cone(identity_chain_map(fixtures.t_per()))
-        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
-        res = modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        C = dual(cone(identity_chain_map(fixtures.t_per())))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),)).opposite
+        res = modelcat.orthogonal_certificate(C, fam)
         assert res.verdict == CERTIFIED and res.certificate.checked
-        _, kept_pairs = C._solved[fam]["left_of_exI", Options()]
+        _, kept_pairs = C._solved[fam][Options()]
         pairs = res.certificate.payload["pairs"]
         assert pairs and len(pairs) == len(kept_pairs)
         for (f, s), (_, kf, ks) in zip(pairs, kept_pairs):
@@ -421,8 +458,8 @@ class TestRememberedResults:
                     h.component(kept[0])[...] = 0
 
     def test_an_early_unknown_does_not_stop_a_later_refutation(self, monkeypatch):
-        C = cone(identity_chain_map(fixtures.t_per()))
-        fam = modelcat.GeneratorFamily((fixtures.contractible_AA(),), shift_range=1)
+        C = dual(cone(identity_chain_map(fixtures.t_per())))
+        fam = modelcat.GeneratorFamily((fixtures.contractible_AA(),), shift_range=1).opposite
         assert len(fam.shifts) > 1
         calls = []
 
@@ -432,46 +469,46 @@ class TestRememberedResults:
             return [homotopy.NullHomotopyResult(verdict) for _ in maps]
 
         monkeypatch.setattr(homotopy, "null_homotopies", unknown_then_no)
-        res = modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        res = modelcat.orthogonal_certificate(C, fam)
         assert res.verdict == REFUTED and len(calls) == 2 and all(calls)
-        assert res.witness.source is C and res.witness.target is fam.shifts[1]
+        assert res.witness.source is fam.shifts[1] and res.witness.target is C
         assert fam not in C._solved
 
     def test_an_unknown_is_not_remembered(self, monkeypatch, A):
-        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
-        X = functors.stalk(A)
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),)).opposite
+        X = dual(functors.stalk(A))
 
         def zero_homotopies(maps, m):
             return [homotopy.Homotopy(f.source, f.target, {}, 0, 0) for f in maps]
 
         monkeypatch.setattr(homotopy, "_homotopies", zero_homotopies)
-        assert modelcat.orthogonal_certificate(X, "left_of_exI", fam).verdict == UNKNOWN
+        assert modelcat.orthogonal_certificate(X, fam).verdict == UNKNOWN
         assert fam not in X._solved
         monkeypatch.undo()
-        res = modelcat.orthogonal_certificate(X, "left_of_exI", fam)
+        res = modelcat.orthogonal_certificate(X, fam)
         assert res.verdict == CERTIFIED and homotopy.verify_certificate(res.certificate)
-        assert list(X._solved[fam]) == [("left_of_exI", Options())]
+        assert list(X._solved[fam]) == [Options()]
 
     def test_a_refutation_is_not_remembered(self, t_per):
-        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
-        assert modelcat.orthogonal_certificate(t_per, "left_of_exI", fam).verdict == REFUTED
-        assert fam not in t_per._solved
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),)).opposite
+        assert modelcat.orthogonal_certificate(dual(t_per), fam).verdict == REFUTED
+        assert fam not in dual(t_per)._solved
 
     def test_another_side_family_or_options_never_hits(self, monkeypatch):
         C = cone(identity_chain_map(fixtures.t_per()))
         fam = modelcat.GeneratorFamily((fixtures.t_per(),))
         other = modelcat.GeneratorFamily(fam.generators)
-        modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        D, opp = dual(C), fam.opposite
+        modelcat.orthogonal_certificate(D, opp)
         solves = count_calls(monkeypatch, homotopy, "null_homotopies")
-        for side, family, options in [("right_of_exP", fam, Options()),
-                                      ("left_of_exI", other, Options()),
-                                      ("left_of_exI", fam, Options(homotopy_period_bound=3))]:
+        for X, family, options in [(C, fam, Options()),
+                                   (D, other.opposite, Options()),
+                                   (D, opp, Options(homotopy_period_bound=3))]:
             before = len(solves)
-            res = modelcat.orthogonal_certificate(C, side, family, options)
+            res = modelcat.orthogonal_certificate(X, family, options)
             assert res.verdict == CERTIFIED and len(solves) > before
-        assert set(C._solved[fam]) == {("left_of_exI", Options()), ("right_of_exP", Options()),
-                                       ("left_of_exI", Options(homotopy_period_bound=3))}
-        assert list(C._solved[other]) == [("left_of_exI", Options())]
+        assert set(D._solved[opp]) == {Options(), Options(homotopy_period_bound=3)}
+        assert list(D._solved[other.opposite]) == list(C._solved[fam]) == [Options()]
 
     def test_marking_an_entry_read_only_visits_no_slot_pair(self, monkeypatch):
         # a kept family is marked through its arrays: its slots' (array,
@@ -483,17 +520,17 @@ class TestRememberedResults:
             return read_only(value)
 
         monkeypatch.setattr(modules, "_read_only", record)
-        C = cone(identity_chain_map(fixtures.t_per()))
-        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
-        assert modelcat.orthogonal_certificate(C, "left_of_exI", fam).verdict == CERTIFIED
+        C = dual(cone(identity_chain_map(fixtures.t_per())))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),)).opposite
+        assert modelcat.orthogonal_certificate(C, fam).verdict == CERTIFIED
         assert any(isinstance(v, complexes._Family) for v in visited)
         assert not [v for v in visited if type(v) is tuple and len(v) == 2
                     and all(type(x) is int for x in v)]
 
     def test_an_entry_goes_with_its_family(self):
-        C = cone(identity_chain_map(fixtures.t_per()))
-        fam = modelcat.GeneratorFamily((fixtures.t_per(),))
-        modelcat.orthogonal_certificate(C, "left_of_exI", fam)
+        C = dual(cone(identity_chain_map(fixtures.t_per())))
+        fam = modelcat.GeneratorFamily((fixtures.t_per(),)).opposite
+        modelcat.orthogonal_certificate(C, fam)
         family = weakref.ref(fam)
         del fam
         gc.collect()

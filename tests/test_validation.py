@@ -252,9 +252,6 @@ def t_per_identity():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: modelcat.orthogonal_certificate(fixtures.t_per(), "right_of_exQ",
-                                             modelcat.GeneratorFamily((fixtures.t_per(),))),
-     "unknown side 'right_of_exQ'"),
     (lambda: modelcat.classify_map(t_per_identity(), "ctrco",
                                    modelcat.GeneratorFamily((fixtures.t_per(),))),
      "unknown structure tag 'ctrco'"),
@@ -263,12 +260,10 @@ def t_per_identity():
     (lambda: equiv.verify_round_trip(fixtures.t_per(), "Q"), "unknown round-trip side 'Q'"),
     (lambda: solver.factor_chain_map(t_per_identity(), t_per_identity(), "retract"),
      "unknown factorization mode 'retract'"),
-    (lambda: approx.gp_gi_approximation(fixtures.simple_k(), "GF"),
-     "unknown approximation side 'GF'"),
     (lambda: approx.stalk_replacement(functors.stalk(fixtures.simple_k()), "cofibrant_co"),
      "unknown replacement kind 'cofibrant_co'"),
-], ids=["orthogonal_certificate", "classify_map", "is_weak_equivalence", "verify_round_trip",
-        "factor_chain_map", "gp_gi_approximation", "stalk_replacement"])
+], ids=["classify_map", "is_weak_equivalence", "verify_round_trip", "factor_chain_map",
+        "stalk_replacement"])
 def test_an_unknown_side_tag_mode_or_kind_is_a_value_error(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -2,12 +2,18 @@
 or the memory a run of classifications leaves held.
 
     python3 tools/held_memory.py DN SIDE     # e.g. D12 P, D12 I
+    python3 tools/held_memory.py T2D2 SIDE   # T2D2 P or T2D2 I
     python3 tools/held_memory.py classify N  # e.g. classify 100
 
 DN SIDE builds D_n = F_2[x]/(x^n) (fixtures.truncated_polynomial), its
 simple module k (modules.simple_modules) and k's complete resolution T
 (approx.complete_resolution), then runs equiv.verify_round_trip(T, SIDE),
-all under tracemalloc in a fresh process.  It prints the verdict, the
+all under tracemalloc in a fresh process.  T2D2 SIDE runs it on the
+first generator of the default family over T_2(D_2) =
+fixtures.upper_triangular(D2), 1-Gorenstein and not self-injective: on
+side P a complete resolution, on side I a generator of the injective
+family (GeneratorFamily.injective), whose fibrant replacements are asked
+over the opposite algebra against GeneratorFamily.opposite.  It prints the verdict, the
 CPU seconds, the traced memory still held once the round trip has
 returned (the report, T and the memos kept on them) and the traced
 peak, both in MB of 2^20 bytes, then how many graded maps (chain maps
@@ -41,9 +47,13 @@ def round_trip(argv: list):
     """The report of the round trip that argv (DN SIDE) names, built and
     run as the module docstring says; exits with the usage or the
     validation error on bad arguments."""
-    if len(argv) != 2 or not argv[0].startswith("D") or not argv[0][1:].isdigit() \
-            or argv[1] not in ("P", "I"):
-        sys.exit(f"usage: python3 {sys.argv[0]} DN SIDE, e.g. D12 P or D12 I")
+    if len(argv) != 2 or argv[1] not in ("P", "I") or argv[0] != "T2D2" and (
+            not argv[0].startswith("D") or not argv[0][1:].isdigit()):
+        sys.exit(f"usage: python3 {sys.argv[0]} DN SIDE or T2D2 SIDE, e.g. D12 P or T2D2 I")
+    if argv[0] == "T2D2":
+        fam = modelcat.default_family(fixtures.upper_triangular(fixtures.D2(), "T2(D2)"))
+        X = (fam.generators if argv[1] == "P" else fam.injective.generators)[0]
+        return equiv.verify_round_trip(X, argv[1])
     try:
         alg = fixtures.truncated_polynomial(int(argv[0][1:]), 2, argv[0])
     except ValidationError as exc:
